@@ -4,6 +4,7 @@
 //! the closed-loop bench needs to measure server-side queueing rather
 //! than connection setup.
 
+use crate::parser::{find_head_end, read_into, HEAD_READ};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -98,13 +99,15 @@ impl HttpClient {
         body: Option<&str>,
     ) -> std::io::Result<ClientResponse> {
         let body = body.unwrap_or_default();
-        let mut frame = format!(
+        let head = format!(
             "{method} {path} HTTP/1.1\r\nHost: pop\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
             body.len()
-        )
-        .into_bytes();
+        );
         // One write per request: a torn head/body pair costs a Nagle +
-        // delayed-ACK round-trip (~40ms) per exchange.
+        // delayed-ACK round-trip (~40ms) per exchange. Sized once, so the
+        // body is copied exactly once.
+        let mut frame = Vec::with_capacity(head.len() + body.len());
+        frame.extend_from_slice(head.as_bytes());
         frame.extend_from_slice(body.as_bytes());
         self.stream.write_all(&frame)?;
         self.stream.flush()?;
@@ -125,22 +128,19 @@ fn bad(what: &str) -> std::io::Error {
 /// plus any transport error.
 pub fn read_response(r: &mut impl Read) -> std::io::Result<ClientResponse> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
     let head_end = loop {
-        if let Some(end) = crate::parser::find_head_end(&buf) {
+        if let Some(end) = find_head_end(&buf) {
             break end;
         }
         if buf.len() > 1024 * 1024 {
             return Err(bad("response head too large"));
         }
-        let n = r.read(&mut chunk)?;
-        if n == 0 {
+        if read_into(r, &mut buf, HEAD_READ)? == 0 {
             return Err(std::io::Error::new(
                 ErrorKind::UnexpectedEof,
                 "connection closed before response head",
             ));
         }
-        buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
     };
     let head = std::str::from_utf8(buf.get(..head_end.head_len).unwrap_or_default())
         .map_err(|_| bad("non-UTF-8 response head"))?;
@@ -168,22 +168,27 @@ pub fn read_response(r: &mut impl Read) -> std::io::Result<ClientResponse> {
         }
         headers.push((name, value));
     }
-    let mut body: Vec<u8> = buf.get(head_end.consumed..).unwrap_or_default().to_vec();
-    while body.len() < content_length {
-        let n = r.read(&mut chunk)?;
-        if n == 0 {
+    // The head said how long the body is: read exactly what is still owed,
+    // straight into the buffer the body is returned in.
+    let total = head_end
+        .consumed
+        .checked_add(content_length)
+        .ok_or_else(|| bad("bad content-length"))?;
+    while buf.len() < total {
+        let owed = total - buf.len();
+        if read_into(r, &mut buf, owed)? == 0 {
             return Err(std::io::Error::new(
                 ErrorKind::UnexpectedEof,
                 "connection closed mid-body",
             ));
         }
-        body.extend_from_slice(chunk.get(..n).unwrap_or_default());
     }
-    body.truncate(content_length);
+    buf.truncate(total);
+    buf.drain(..head_end.consumed);
     Ok(ClientResponse {
         status,
         headers,
-        body,
+        body: buf,
     })
 }
 

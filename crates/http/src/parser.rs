@@ -109,11 +109,44 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Most bytes one socket read asks for.
+const MAX_READ: usize = 64 * 1024;
+/// What a read asks for while the length of what is coming is unknown.
+pub(crate) const HEAD_READ: usize = 4096;
+
+/// Reads once from `r` into the tail of `buf` — no bounce through a stack
+/// chunk — asking for `want` bytes (at least 1, at most [`MAX_READ`]).
+/// Returns the byte count (0 = EOF).
+pub(crate) fn read_into(
+    r: &mut impl Read,
+    buf: &mut Vec<u8>,
+    want: usize,
+) -> std::io::Result<usize> {
+    let len = buf.len();
+    buf.resize(len + want.clamp(1, MAX_READ), 0);
+    let result = r.read(buf.get_mut(len..).unwrap_or_default());
+    buf.truncate(len + result.as_ref().map_or(0, |&n| n));
+    result
+}
+
+/// A request whose head is parsed and whose body may still be arriving.
+#[derive(Debug)]
+struct Pending {
+    /// Everything the head said; `body` is filled in on completion.
+    request: Request,
+    /// Where the body starts in the buffer, and where the request ends.
+    body_start: usize,
+    total: usize,
+}
+
 /// The incremental parser: feed bytes, poll requests.
 #[derive(Debug)]
 pub struct RequestParser {
     buf: Vec<u8>,
     limits: ParserLimits,
+    /// The head at the front of `buf`, parsed once and kept while its body
+    /// arrives: it says how many bytes are still owed.
+    pending: Option<Pending>,
 }
 
 impl RequestParser {
@@ -121,6 +154,7 @@ impl RequestParser {
         RequestParser {
             buf: Vec::with_capacity(1024),
             limits,
+            pending: None,
         }
     }
 
@@ -130,16 +164,19 @@ impl RequestParser {
     }
 
     /// Reads once from `r` into the buffer; returns the byte count (0 =
-    /// EOF). Lives here so connection loops never touch raw slices.
+    /// EOF). Once a head has said how long its body is, the read asks for
+    /// exactly what is still owed. Lives here so connection loops never
+    /// touch raw slices.
     ///
     /// # Errors
     ///
     /// Propagates the underlying `read` error (timeouts included).
     pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
-        let mut chunk = [0u8; 4096];
-        let n = r.read(&mut chunk)?;
-        self.feed(chunk.get(..n).unwrap_or_default());
-        Ok(n)
+        let want = match &self.pending {
+            Some(head) => head.total.saturating_sub(self.buf.len()),
+            None => HEAD_READ,
+        };
+        read_into(r, &mut self.buf, want)
     }
 
     /// Bytes buffered but not yet consumed by a completed request. A
@@ -160,6 +197,28 @@ impl RequestParser {
     ///
     /// See [`ParseError`].
     pub fn poll(&mut self) -> Result<Option<Request>, ParseError> {
+        let mut head = match self.pending.take() {
+            Some(head) => head,
+            None => match self.parse_head()? {
+                Some(head) => head,
+                None => return Ok(None),
+            },
+        };
+        if self.buf.len() < head.total {
+            self.pending = Some(head);
+            return Ok(None); // body still arriving
+        }
+        head.request.body = self
+            .buf
+            .get(head.body_start..head.total)
+            .unwrap_or_default()
+            .to_vec();
+        self.buf.drain(..head.total);
+        Ok(Some(head.request))
+    }
+
+    /// Parses the head at the front of the buffer, if it is complete.
+    fn parse_head(&self) -> Result<Option<Pending>, ParseError> {
         let Some(head_end) = find_head_end(&self.buf) else {
             if self.buf.len() > self.limits.max_head_bytes {
                 return Err(ParseError::HeadTooLarge);
@@ -205,17 +264,6 @@ impl RequestParser {
         }
         let content_length = content_length as usize;
 
-        let total = head_end.consumed.saturating_add(content_length);
-        if self.buf.len() < total {
-            return Ok(None); // body still arriving
-        }
-        let body = self
-            .buf
-            .get(head_end.consumed..total)
-            .unwrap_or_default()
-            .to_vec();
-        self.buf.drain(..total);
-
         let keep_alive = match headers
             .iter()
             .find(|(n, _)| n == "connection")
@@ -226,12 +274,16 @@ impl RequestParser {
             _ => keep_alive_default,
         };
 
-        Ok(Some(Request {
-            method,
-            path,
-            headers,
-            body,
-            keep_alive,
+        Ok(Some(Pending {
+            request: Request {
+                method,
+                path,
+                headers,
+                body: Vec::new(),
+                keep_alive,
+            },
+            body_start: head_end.consumed,
+            total: head_end.consumed.saturating_add(content_length),
         }))
     }
 }

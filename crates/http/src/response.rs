@@ -21,11 +21,12 @@ impl Response {
         }
     }
 
-    /// A response carrying a JSON document.
-    pub fn json(status: u16, body: String) -> Self {
+    /// A response carrying a JSON document, taking ownership of its
+    /// bytes (a `String` or a `Vec<u8>`; neither is copied).
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Response::new(status)
             .header("Content-Type", "application/json")
-            .with_body(body.into_bytes())
+            .with_body(body.into())
     }
 
     /// A JSON error body `{"error": "..."}` with the given status.
@@ -80,8 +81,10 @@ impl Response {
         });
         // One buffer, one write: a head-then-body write pair over a bare
         // TcpStream tears the response across two segments and can stall
-        // ~40ms against Nagle + delayed-ACK peers.
-        let mut frame = head.into_bytes();
+        // ~40ms against Nagle + delayed-ACK peers. Sized once, so the body
+        // is copied exactly once.
+        let mut frame = Vec::with_capacity(head.len() + self.body.len());
+        frame.extend_from_slice(head.as_bytes());
         frame.extend_from_slice(&self.body);
         w.write_all(&frame)?;
         w.flush()

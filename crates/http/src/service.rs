@@ -235,7 +235,10 @@ impl ForecastService {
         match client.try_submit(&tensor) {
             Ok(pending) => match pending.wait() {
                 Ok(out) => {
-                    Response::json(200, api::render_forecast_response(&label, quantized, &out))
+                    // Rendered once, into the bytes the response owns.
+                    let mut body = Vec::new();
+                    api::write_forecast_response(&mut body, &label, quantized, &out);
+                    Response::json(200, body)
                 }
                 // Engine errors (including a caught worker panic) become
                 // per-request 500s; the connection and the engine live on.

@@ -1,0 +1,77 @@
+//! The forecast codec allocates per message, not per number: decoding a
+//! request and encoding a response each cost a handful of heap calls
+//! whatever the tensor size. Counted with a `#[global_allocator]`, which
+//! is why this test has a binary to itself (and a single `#[test]`: the
+//! counter is process-wide).
+
+use pop_http::api;
+use pop_nn::Tensor;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting;
+
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// relaxed atomic that touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's contract for `alloc`, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via the methods above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's contract for `realloc`, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap calls (`alloc` + `realloc`) made by `f` on this thread's watch.
+fn heap_calls<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = CALLS.load(Ordering::Relaxed);
+    let out = f();
+    (CALLS.load(Ordering::Relaxed) - before, out)
+}
+
+#[test]
+fn codec_heap_calls_do_not_grow_with_the_tensor() {
+    for side in [8usize, 32, 64] {
+        let input = Tensor::randn([1, 4, side, side], 0.0, 0.5, 7);
+        let output = Tensor::randn([1, 3, side, side], 0.0, 0.4, 8);
+        let request = api::render_forecast_request(Some("hot"), false, input.data());
+
+        let (decode, parsed) = heap_calls(|| api::parse_forecast_request(request.as_bytes()));
+        let parsed = parsed.unwrap();
+        assert_eq!(parsed.features, input.data(), "{side}x{side} decodes");
+        assert!(
+            decode <= 4,
+            "{side}x{side}: decode made {decode} heap calls"
+        );
+
+        let (encode, response) =
+            heap_calls(|| api::render_forecast_response("hot", false, &output));
+        assert!(
+            encode <= 4,
+            "{side}x{side}: encode made {encode} heap calls"
+        );
+
+        let (client_encode, _) =
+            heap_calls(|| api::render_forecast_request(None, false, input.data()));
+        assert!(client_encode <= 4, "{side}x{side}: {client_encode}");
+        let (client_decode, back) =
+            heap_calls(|| api::parse_forecast_response(response.as_bytes()));
+        assert_eq!(back.unwrap(), output);
+        assert!(client_decode <= 4, "{side}x{side}: {client_decode}");
+    }
+}

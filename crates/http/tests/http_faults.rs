@@ -250,3 +250,36 @@ fn drain_during_inflight_requests_completes_them() {
         "drain is bounded"
     );
 }
+
+#[test]
+fn deeply_nested_body_gets_400_and_the_process_lives() {
+    // ROADMAP open item 1: 2 MB of `[` used to recurse the JSON parser off
+    // the end of the worker's stack — SIGABRT, the whole process, invisible
+    // to `worker_panics`. It is a typed parse error now.
+    let server = HttpServer::start(service(fast_engine()), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let bomb = "[".repeat(2 << 20);
+    let mut client = HttpClient::connect(addr).unwrap();
+    let res = client.post_json("/v1/forecast", &bomb).unwrap();
+    assert_eq!(res.status, 400, "{}", res.text());
+    assert!(res.text().contains("nesting too deep"), "{}", res.text());
+    // The same bomb where a decoder skips rather than builds.
+    let hidden = format!("{{\"features\": [1], \"ignored\": {bomb}");
+    let res = client.post_json("/v1/forecast", &hidden).unwrap();
+    assert_eq!(res.status, 400, "{}", res.text());
+
+    // A fresh connection is served as if nothing happened.
+    let mut fresh = HttpClient::connect(addr).unwrap();
+    let res = fresh
+        .post_json(
+            "/v1/forecast",
+            &api::render_forecast_request(None, false, &features(3)),
+        )
+        .unwrap();
+    assert_eq!(res.status, 200, "{}", res.text());
+
+    let report = server.shutdown();
+    assert_eq!(report.worker_panics, 0);
+    assert_eq!(report.http.responses_4xx, 2);
+}

@@ -2,13 +2,29 @@
 //!
 //! The writer half mirrors the conventions already used by the eval
 //! reports ([`str_lit`] escaping, [`num`] six-decimal formatting,
-//! deterministic key order is the caller's job). The reader half is a
-//! small recursive-descent parser — just enough to let the CI smoke step
-//! load a `RunReport` back and assert on its structure without pulling
-//! in serde.
+//! deterministic key order is the caller's job), plus [`write_f32`] for
+//! tensors that must cross a wire bit-exactly. The reader half is one
+//! byte-level pull lexer, [`Reader`]: callers that know their schema walk
+//! it directly and never materialise a tree; [`parse`] builds the generic
+//! [`Value`] tree on the same lexer for everyone else (CI smoke steps
+//! loading a `RunReport` back, the lint and bench reports).
+//!
+//! Grammar: RFC 8259, with nesting capped at [`MAX_DEPTH`]. Two historical
+//! leniencies remain — raw control characters inside strings are accepted,
+//! and every `\u` surrogate decodes to U+FFFD rather than pairing up.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+mod float;
+#[cfg(test)]
+mod oracle;
+mod reader;
+#[cfg(test)]
+mod tests;
+
+pub use float::write_f32;
+pub use reader::{Reader, MAX_DEPTH};
 
 /// A parsed JSON value. Objects keep keys sorted (BTreeMap), which is
 /// fine for assertions — we never re-emit parsed documents.
@@ -72,15 +88,47 @@ impl Value {
 }
 
 /// Parses a complete JSON document, requiring it to consume all input.
+///
+/// # Errors
+///
+/// The first offence against the grammar, by byte offset.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(ParseError::at(pos, "trailing input"));
-    }
+    let mut reader = Reader::new(input.as_bytes());
+    let value = read_value(&mut reader)?;
+    reader.finish()?;
     Ok(value)
+}
+
+/// Builds the tree for the value under the cursor. The recursion is as
+/// deep as the document nests, which [`Reader`] caps at [`MAX_DEPTH`].
+fn read_value(r: &mut Reader<'_>) -> Result<Value, ParseError> {
+    Ok(match r.peek() {
+        None => return Err(r.err("unexpected end of input")),
+        Some(b'{') => {
+            r.begin_object()?;
+            let mut map = BTreeMap::new();
+            while let Some(key) = r.next_key()? {
+                let value = read_value(r)?;
+                map.insert(key.into_owned(), value);
+            }
+            Value::Object(map)
+        }
+        Some(b'[') => {
+            r.begin_array()?;
+            let mut items = Vec::new();
+            while r.next_element()? {
+                items.push(read_value(r)?);
+            }
+            Value::Array(items)
+        }
+        Some(b'"') => Value::String(r.read_str()?.into_owned()),
+        Some(b't' | b'f') => Value::Bool(r.read_bool()?),
+        Some(b'n') => {
+            r.read_null()?;
+            Value::Null
+        }
+        Some(_) => Value::Number(r.read_f64()?),
+    })
 }
 
 /// Parse failure: byte offset plus a short reason.
@@ -107,170 +155,6 @@ impl std::fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(ParseError::at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &'static str,
-    value: Value,
-) -> Result<Value, ParseError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(ParseError::at(*pos, "invalid literal"))
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    *pos += 1; // consume '{'
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Object(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(ParseError::at(*pos, "expected ':'"));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Object(map));
-            }
-            _ => return Err(ParseError::at(*pos, "expected ',' or '}'")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            _ => return Err(ParseError::at(*pos, "expected ',' or ']'")),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(ParseError::at(*pos, "expected string"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(ParseError::at(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or(ParseError::at(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| ParseError::at(*pos, "invalid \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| ParseError::at(*pos, "invalid \\u escape"))?;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(ParseError::at(*pos, "invalid escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // SAFETY: `bytes` came from a `&str` and `*pos` only ever
-                // advances past complete escapes, quotes, or whole UTF-8
-                // scalars (`ch.len_utf8()` below), so `rest` starts on a
-                // character boundary and is valid UTF-8.
-                let rest = &bytes[*pos..];
-                let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                // `rest` is non-empty (the `Some(_)` arm), but route the
-                // impossible case to a parse error rather than panicking:
-                // this parser sits on network-request paths.
-                let Some(ch) = s.chars().next() else {
-                    return Err(ParseError::at(*pos, "unterminated string"));
-                };
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| ParseError::at(start, "invalid number"))?;
-    text.parse::<f64>()
-        .map(Value::Number)
-        .map_err(|_| ParseError::at(start, "invalid number"))
-}
 
 /// Writes a JSON string literal with the repo's escaping conventions.
 pub fn str_lit(s: &str) -> String {
@@ -300,50 +184,5 @@ pub fn num(v: f64) -> String {
         format!("{v:.6}")
     } else {
         "null".to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_nested_document() {
-        let doc = r#"{"a": [1, 2.5, -3e2], "b": {"c": true, "d": null}, "s": "x\ny"}"#;
-        let v = parse(doc).expect("parses");
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[2].as_f64(),
-            Some(-300.0)
-        );
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
-        assert_eq!(v.get("s").unwrap().as_str(), Some("x\ny"));
-    }
-
-    #[test]
-    fn rejects_trailing_garbage_and_truncation() {
-        assert!(parse("{\"a\": 1} extra").is_err());
-        assert!(parse("{\"a\": ").is_err());
-        assert!(parse("[1, 2").is_err());
-        assert!(parse("").is_err());
-    }
-
-    #[test]
-    fn writer_output_round_trips() {
-        let lit = str_lit("line\nwith \"quotes\" and \\slash\u{1}");
-        let v = parse(&lit).expect("own string literal parses");
-        assert_eq!(v.as_str(), Some("line\nwith \"quotes\" and \\slash\u{1}"));
-        assert_eq!(num(1.5), "1.500000");
-        assert_eq!(num(f64::NAN), "null");
-        let parsed = parse(&num(123.456789)).expect("number parses");
-        assert!((parsed.as_f64().unwrap() - 123.456789).abs() < 1e-9);
-    }
-
-    #[test]
-    fn u64_helper_accepts_integral_numbers_only() {
-        assert_eq!(parse("42").unwrap().as_u64(), Some(42));
-        assert_eq!(parse("42.5").unwrap().as_u64(), None);
-        assert_eq!(parse("-1").unwrap().as_u64(), None);
     }
 }
