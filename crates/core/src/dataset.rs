@@ -151,9 +151,15 @@ pub fn design_fabric(
         &probe_placement,
         &RouteOptions::default(),
     )?;
-    let width = ((min_w as f64 * config.channel_width_margin).ceil() as usize).max(4);
+    let width = calibrated_width(min_w, config.channel_width_margin);
     let arch = auto_size(width)?;
     Ok((arch, netlist, width))
+}
+
+/// The channel width a fabric is built with, given the minimum width its
+/// probe placement routed at: `margin` of headroom, never below 4 wires.
+pub fn calibrated_width(min_width: usize, margin: f64) -> usize {
+    ((min_width as f64 * margin).ceil() as usize).max(4)
 }
 
 /// The per-design state every placement of that design shares: the scaled
@@ -418,7 +424,13 @@ pub fn leave_one_out<'a>(
 /// (sequential vs region-parallel, including the region count — the
 /// parallel annealer's placements are a different deterministic family).
 /// The record layout is unchanged, so `MAGIC` stays at `POPDS004`.
-pub const CACHE_FORMAT_VERSION: u32 = 5;
+///
+/// v6: `min_channel_width` brackets its search from the uncongested peak
+/// instead of by doubling. Routability is not monotone in width, so a
+/// design may calibrate to a different fabric than it did under the old
+/// probe order (dcsg × 0.03: 81 → 78); a store written before that must
+/// not be served as warm. Layout unchanged again.
+pub const CACHE_FORMAT_VERSION: u32 = 6;
 
 const MAGIC: &[u8; 8] = b"POPDS004";
 

@@ -13,7 +13,6 @@ use pop_arch::{Arch, ChannelId};
 #[derive(Debug, Clone)]
 pub struct RouteGraph {
     width: usize,
-    height: usize,
     node_count: usize,
     /// CSR adjacency.
     offsets: Vec<u32>,
@@ -22,6 +21,10 @@ pub struct RouteGraph {
     positions: Vec<(f32, f32)>,
     /// Reverse map node index → channel id.
     channels: Vec<ChannelId>,
+    /// CSR pin access: tile `y * width + x` reaches
+    /// `access[access_offsets[t]..access_offsets[t + 1]]`.
+    access_offsets: Vec<u32>,
+    access: Vec<u32>,
 }
 
 impl RouteGraph {
@@ -41,27 +44,13 @@ impl RouteGraph {
 
         // Collect switchbox incidences, then connect all incident pairs.
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); node_count];
-        let chanx = |x: usize, y: usize| -> Option<usize> {
-            (x >= 1 && x <= width - 2 && y <= height - 2)
-                .then(|| arch.channel_index(ChannelId::Horizontal { x, y }))
-        };
-        let chany = |x: usize, y: usize| -> Option<usize> {
-            (x <= width - 2 && y >= 1 && y <= height - 2)
-                .then(|| arch.channel_index(ChannelId::Vertical { x, y }))
-        };
-        // Switchbox S(i, j) sits at the corner where the horizontal channel
-        // of row j meets the vertical channel of column i.
         for i in 0..width - 1 {
             for j in 0..height - 1 {
-                let incident: Vec<usize> =
-                    [chanx(i, j), chanx(i + 1, j), chany(i, j), chany(i, j + 1)]
-                        .into_iter()
-                        .flatten()
-                        .collect();
+                let incident: Vec<u32> = switchbox(arch, i, j).collect();
                 for a in 0..incident.len() {
                     for b in a + 1..incident.len() {
-                        adj[incident[a]].push(incident[b] as u32);
-                        adj[incident[b]].push(incident[a] as u32);
+                        adj[incident[a] as usize].push(incident[b]);
+                        adj[incident[b] as usize].push(incident[a]);
                     }
                 }
             }
@@ -79,14 +68,25 @@ impl RouteGraph {
             offsets.push(edges.len() as u32);
         }
 
+        let mut access_offsets = Vec::with_capacity(width * height + 1);
+        let mut access = Vec::new();
+        access_offsets.push(0u32);
+        for y in 0..height {
+            for x in 0..width {
+                push_tile_access(arch, x, y, &mut access);
+                access_offsets.push(access.len() as u32);
+            }
+        }
+
         RouteGraph {
             width,
-            height,
             node_count,
             offsets,
             edges,
             positions,
             channels,
+            access_offsets,
+            access,
         }
     }
 
@@ -116,77 +116,80 @@ impl RouteGraph {
         self.channels[node]
     }
 
-    /// Channel segments reachable from the pins of tile `(x, y)`.
+    /// Channel segments reachable from the pins of tile `(x, y)`, ascending
+    /// on the perimeter.
     ///
     /// Interior tiles reach the segments along their four edges. Perimeter
     /// (I/O pad) tiles reach every segment incident to their corner
     /// switchboxes: pads have dedicated access wires in real fabrics, and
     /// with only one geometric edge facing the die they would otherwise
     /// funnel all their nets through a single segment.
-    pub fn tile_access(&self, x: usize, y: usize) -> Vec<usize> {
-        let (w, h) = (self.width, self.height);
-        let on_edge = x == 0 || x == w - 1 || y == 0 || y == h - 1;
-        let mut out = Vec::with_capacity(4);
-        if !on_edge {
-            // Top edge: chanx(x, y); bottom edge: chanx(x, y-1).
-            if x >= 1 && x <= w - 2 && y <= h - 2 {
-                out.push(self.index_of(ChannelId::Horizontal { x, y }));
-            }
-            if x >= 1 && x <= w - 2 && y >= 1 {
-                out.push(self.index_of(ChannelId::Horizontal { x, y: y - 1 }));
-            }
-            // Right edge: chany(x, y); left edge: chany(x-1, y).
-            if x <= w - 2 && y >= 1 && y <= h - 2 {
-                out.push(self.index_of(ChannelId::Vertical { x, y }));
-            }
-            if x >= 1 && y >= 1 && y <= h - 2 {
-                out.push(self.index_of(ChannelId::Vertical { x: x - 1, y }));
-            }
-            return out;
-        }
-        // Perimeter pad: union of segments incident to the tile's corner
-        // switchboxes S(x-1, y-1), S(x, y-1), S(x-1, y), S(x, y).
-        let chanx = |cx: usize, cy: usize| -> Option<usize> {
-            (cx >= 1 && cx <= w - 2 && cy <= h - 2)
-                .then(|| self.index_of(ChannelId::Horizontal { x: cx, y: cy }))
-        };
-        let chany = |cx: usize, cy: usize| -> Option<usize> {
-            (cx <= w - 2 && cy >= 1 && cy <= h - 2)
-                .then(|| self.index_of(ChannelId::Vertical { x: cx, y: cy }))
-        };
-        for ci in [x.wrapping_sub(1), x] {
-            for cj in [y.wrapping_sub(1), y] {
-                if ci >= w - 1 || cj >= h - 1 {
-                    continue;
-                }
-                for seg in [
-                    chanx(ci, cj),
-                    chanx(ci + 1, cj),
-                    chany(ci, cj),
-                    chany(ci, cj + 1),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    out.push(seg);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+    #[inline]
+    pub fn tile_access(&self, x: usize, y: usize) -> &[u32] {
+        let tile = y * self.width + x;
+        let lo = self.access_offsets[tile] as usize;
+        let hi = self.access_offsets[tile + 1] as usize;
+        &self.access[lo..hi]
     }
+}
 
-    fn index_of(&self, ch: ChannelId) -> usize {
-        // Recompute the dense index with the same formula as `Arch`.
-        match ch {
-            ChannelId::Horizontal { x, y } => (y * (self.width - 2)) + (x - 1),
-            ChannelId::Vertical { x, y } => {
-                let horiz = (self.width - 2) * (self.height - 1);
-                horiz + (y - 1) * (self.width - 1) + x
+/// Node of horizontal segment `(x, y)`, if `arch` has it.
+fn chanx(arch: &Arch, x: usize, y: usize) -> Option<u32> {
+    (x >= 1 && x <= arch.width() - 2 && y <= arch.height() - 2)
+        .then(|| arch.channel_index(ChannelId::Horizontal { x, y }) as u32)
+}
+
+/// [`chanx`] for vertical segment `(x, y)`.
+fn chany(arch: &Arch, x: usize, y: usize) -> Option<u32> {
+    (x <= arch.width() - 2 && y >= 1 && y <= arch.height() - 2)
+        .then(|| arch.channel_index(ChannelId::Vertical { x, y }) as u32)
+}
+
+/// Segments meeting at switchbox `S(i, j)`: the corner where the horizontal
+/// channel of row `j` meets the vertical channel of column `i`.
+fn switchbox(arch: &Arch, i: usize, j: usize) -> impl Iterator<Item = u32> {
+    [
+        chanx(arch, i, j),
+        chanx(arch, i + 1, j),
+        chany(arch, i, j),
+        chany(arch, i, j + 1),
+    ]
+    .into_iter()
+    .flatten()
+}
+
+/// Appends tile `(x, y)`'s access segments (see [`RouteGraph::tile_access`])
+/// to `out`.
+fn push_tile_access(arch: &Arch, x: usize, y: usize, out: &mut Vec<u32>) {
+    let (w, h) = (arch.width(), arch.height());
+    let on_edge = x == 0 || x == w - 1 || y == 0 || y == h - 1;
+    if !on_edge {
+        // Top edge: chanx(x, y); bottom edge: chanx(x, y-1); right edge:
+        // chany(x, y); left edge: chany(x-1, y).
+        let edges = [
+            chanx(arch, x, y),
+            chanx(arch, x, y - 1),
+            chany(arch, x, y),
+            chany(arch, x - 1, y),
+        ];
+        out.extend(edges.into_iter().flatten());
+        return;
+    }
+    // Perimeter pad: union of segments incident to the tile's corner
+    // switchboxes S(x-1, y-1), S(x, y-1), S(x-1, y), S(x, y).
+    let start = out.len();
+    for ci in [x.wrapping_sub(1), x] {
+        for cj in [y.wrapping_sub(1), y] {
+            if ci >= w - 1 || cj >= h - 1 {
+                continue;
             }
+            out.extend(switchbox(arch, ci, cj));
         }
     }
+    let mut pad = out.split_off(start);
+    pad.sort_unstable();
+    pad.dedup();
+    out.append(&mut pad);
 }
 
 #[cfg(test)]
@@ -256,8 +259,8 @@ mod tests {
         let (_, g) = graph();
         let acc = g.tile_access(4, 4);
         assert_eq!(acc.len(), 4);
-        for &n in &acc {
-            let (x, y) = g.position(n);
+        for &n in acc {
+            let (x, y) = g.position(n as usize);
             let d = (x - 4.5).abs() + (y - 4.5).abs();
             assert!(d <= 0.51, "access segment not adjacent: ({x},{y})");
         }
@@ -281,10 +284,19 @@ mod tests {
     }
 
     #[test]
-    fn index_of_matches_arch_index() {
+    fn interior_access_is_the_four_edge_segments_and_pads_ascend() {
         let (arch, g) = graph();
-        for ch in arch.channels() {
-            assert_eq!(g.index_of(ch), arch.channel_index(ch));
-        }
+        let (x, y) = (3, 5);
+        let expected = [
+            ChannelId::Horizontal { x, y },
+            ChannelId::Horizontal { x, y: y - 1 },
+            ChannelId::Vertical { x, y },
+            ChannelId::Vertical { x: x - 1, y },
+        ]
+        .map(|ch| arch.channel_index(ch) as u32);
+        assert_eq!(g.tile_access(x, y), expected);
+        // Perimeter pads list their segments ascending, each once.
+        let pad = g.tile_access(0, 3);
+        assert!(pad.windows(2).all(|w| w[0] < w[1]), "{pad:?}");
     }
 }

@@ -3,7 +3,7 @@ use crate::graph::RouteGraph;
 use pop_arch::Arch;
 use pop_netlist::{NetId, Netlist};
 use pop_place::Placement;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
@@ -110,30 +110,70 @@ impl RouteResult {
     }
 }
 
-/// Orders f32 priorities inside the binary heap (min-heap via `Reverse`
-/// semantics, ties broken by node index for determinism).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    priority: f32,
-    node: u32,
+/// One A* heap entry packed into a `u64`: the priority's bits mapped onto
+/// unsigned integers in [`f32::total_cmp`] order, above the node index.
+/// Comparing keys is comparing `(priority, node)` — smallest priority
+/// first, ties broken by node index for determinism — in one instruction.
+#[inline]
+fn heap_key(priority: f32, node: u32) -> Reverse<u64> {
+    let bits = priority.to_bits();
+    // Negative floats sort by descending magnitude: flip every bit.
+    // Non-negative ones sort above them: flip the sign bit only.
+    let ordered = bits ^ ((((bits as i32) >> 31) as u32) | 0x8000_0000);
+    Reverse(u64::from(ordered) << 32 | u64::from(node))
 }
 
-impl Eq for HeapEntry {}
+/// One variable-length row per net, stored back to back in net order, so
+/// that a copy of the whole is two `memcpy`s.
+struct Rows<T> {
+    items: Vec<T>,
+    ends: Vec<u32>,
+}
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want smallest priority.
-        other
-            .priority
-            .total_cmp(&self.priority)
-            .then_with(|| other.node.cmp(&self.node))
+impl<T> Rows<T> {
+    fn new() -> Self {
+        Rows {
+            items: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+
+    fn row(&self, net: usize) -> &[T] {
+        let lo = if net == 0 { 0 } else { self.ends[net - 1] };
+        &self.items[lo as usize..self.ends[net] as usize]
+    }
+
+    /// Ends the row that the items pushed since the last call make up.
+    fn end_row(&mut self) {
+        self.ends.push(self.items.len() as u32);
+    }
+
+    fn clear(&mut self) {
+        self.items.clear();
+        self.ends.clear();
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// The fabric tiles `(x, y)` of every net's terminals: its driver's, then
+/// its sinks', in netlist order.
+fn resolve_terminals(
+    arch: &Arch,
+    graph: &RouteGraph,
+    netlist: &Netlist,
+    placement: &Placement,
+) -> Result<Rows<(u32, u32)>, RouteError> {
+    let mut tiles = Rows::new();
+    for net in netlist.nets() {
+        for block in net.terminals() {
+            let site = arch.site(placement.site_of(block));
+            if graph.tile_access(site.x, site.y).is_empty() {
+                return Err(RouteError::NoChannelAccess { net: net.id });
+            }
+            tiles.items.push((site.x as u32, site.y as u32));
+        }
+        tiles.end_row();
     }
+    Ok(tiles)
 }
 
 /// Scratch state reused across nets within one routing pass.
@@ -142,6 +182,9 @@ struct Router<'a> {
     capacity: u32,
     occupancy: Vec<u32>,
     history: Vec<f32>,
+    /// [`Router::node_cost`] of every node, kept current as occupancy,
+    /// history and `pres_fac` change.
+    cost: Vec<f32>,
     pres_fac: f32,
     astar_fac: f32,
     // A* scratch, epoch-stamped to avoid O(V) clears per net.
@@ -152,7 +195,9 @@ struct Router<'a> {
     // Tree membership stamp.
     tree_stamp: Vec<u64>,
     tree_epoch: u64,
-    heap: BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<Reverse<u64>>,
+    /// Per-net scratch: `(distance from the source, sink number)`.
+    order: Vec<(f32, u32)>,
 }
 
 const NO_PARENT: u32 = u32::MAX;
@@ -160,11 +205,12 @@ const NO_PARENT: u32 = u32::MAX;
 impl<'a> Router<'a> {
     fn new(graph: &'a RouteGraph, capacity: u32, options: &RouteOptions) -> Self {
         let n = graph.node_count();
-        Router {
+        let mut router = Router {
             graph,
             capacity,
             occupancy: vec![0; n],
             history: vec![0.0; n],
+            cost: vec![0.0; n],
             pres_fac: options.pres_fac_init,
             astar_fac: options.astar_fac,
             visit_stamp: vec![0; n],
@@ -174,7 +220,10 @@ impl<'a> Router<'a> {
             tree_stamp: vec![0; n],
             tree_epoch: 0,
             heap: BinaryHeap::new(),
-        }
+            order: Vec::new(),
+        };
+        router.refresh_costs();
+        router
     }
 
     /// PathFinder node cost: `(base + history) · present-congestion factor`,
@@ -186,99 +235,109 @@ impl<'a> Router<'a> {
         (1.0 + self.history[node]) * (1.0 + self.pres_fac * over as f32)
     }
 
+    fn refresh_costs(&mut self) {
+        for node in 0..self.cost.len() {
+            self.cost[node] = self.node_cost(node);
+        }
+    }
+
+    /// Adds (`+1`) or rips up (`-1`) a tree's claim on its segments.
+    fn claim(&mut self, tree: &[u32], delta: i32) {
+        for &n in tree {
+            let n = n as usize;
+            debug_assert!(
+                delta >= 0 || self.occupancy[n] > 0,
+                "rip-up of unclaimed segment {n}"
+            );
+            self.occupancy[n] = self.occupancy[n].wrapping_add_signed(delta);
+            self.cost[n] = self.node_cost(n);
+        }
+    }
+
     /// Routes one net as a Steiner-ish tree: sinks are connected one at a
     /// time by A* searches seeded from the whole partial tree (VPR's net
-    /// routing discipline). Returns the tree's nodes.
+    /// routing discipline). Appends the tree's nodes to `out`.
     fn route_net(
         &mut self,
-        sources: &[usize],
-        sink_sets: &[Vec<usize>],
+        terminals: &[(u32, u32)],
         net: NetId,
-    ) -> Result<Vec<u32>, RouteError> {
-        let mut tree: Vec<u32> = Vec::new();
+        out: &mut Vec<u32>,
+    ) -> Result<(), RouteError> {
+        let graph = self.graph;
+        let access = |tile: (u32, u32)| graph.tile_access(tile.0 as usize, tile.1 as usize);
+        let first = out.len();
         self.tree_epoch += 1;
+        let sources = access(terminals[0]);
+        let sink_tiles = &terminals[1..];
 
         // Sort sinks by distance from the first source for stable, mostly
         // monotone tree growth.
-        let src_pos = self.graph.position(sources[0]);
-        let mut order: Vec<usize> = (0..sink_sets.len()).collect();
-        let sink_pos: Vec<(f32, f32)> = sink_sets
-            .iter()
-            .map(|s| self.graph.position(s[0]))
-            .collect();
-        order.sort_by(|&a, &b| {
-            let da = manhattan(src_pos, sink_pos[a]);
-            let db = manhattan(src_pos, sink_pos[b]);
-            da.total_cmp(&db).then(a.cmp(&b))
-        });
+        let src_pos = graph.position(sources[0] as usize);
+        let sink_pos = |sink: u32| graph.position(access(sink_tiles[sink as usize])[0] as usize);
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend((0..sink_tiles.len() as u32).map(|i| (manhattan(src_pos, sink_pos(i)), i)));
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-        for sink_idx in order {
-            let sinks = &sink_sets[sink_idx];
+        for &(_, sink) in &order {
+            let sinks = access(sink_tiles[sink as usize]);
             // Already reached by the existing tree?
-            if sinks.iter().any(|&s| self.tree_stamp[s] == self.tree_epoch) {
+            if sinks
+                .iter()
+                .any(|&s| self.tree_stamp[s as usize] == self.tree_epoch)
+            {
                 continue;
             }
-            let target = sink_pos[sink_idx];
+            let target = sink_pos(sink);
 
             self.epoch += 1;
             self.heap.clear();
 
             // Seed: tree nodes at zero g (their cost is already paid),
             // otherwise the net's source access segments.
-            if tree.is_empty() {
+            if out.len() == first {
                 for &s in sources {
-                    let g = self.node_cost(s);
-                    self.visit(s, g, NO_PARENT);
-                    self.heap.push(HeapEntry {
-                        priority: g + self.h(s, target),
-                        node: s as u32,
-                    });
+                    let g = self.cost[s as usize];
+                    self.visit(s as usize, g, NO_PARENT);
+                    self.heap.push(heap_key(g + self.h(s as usize, target), s));
                 }
             } else {
-                for &t in &tree {
+                for &t in &out[first..] {
                     self.visit(t as usize, 0.0, NO_PARENT);
-                    self.heap.push(HeapEntry {
-                        priority: self.h(t as usize, target),
-                        node: t,
-                    });
+                    self.heap.push(heap_key(self.h(t as usize, target), t));
                 }
             }
 
-            let mut found: Option<usize> = None;
-            while let Some(HeapEntry { node, .. }) = self.heap.pop() {
-                let n = node as usize;
-                if sinks.contains(&n) {
-                    found = Some(n);
+            let mut found: Option<u32> = None;
+            while let Some(Reverse(key)) = self.heap.pop() {
+                let node = key as u32;
+                if sinks.contains(&node) {
+                    found = Some(node);
                     break;
                 }
-                let g = self.g_cost[n];
-                for &m in self.graph.neighbors(n) {
-                    let m = m as usize;
-                    let ng = g + self.node_cost(m);
-                    if self.visit_stamp[m] != self.epoch || ng < self.g_cost[m] {
-                        self.visit(m, ng, node);
-                        self.heap.push(HeapEntry {
-                            priority: ng + self.h(m, target),
-                            node: m as u32,
-                        });
+                let g = self.g_cost[node as usize];
+                for &m in graph.neighbors(node as usize) {
+                    let ng = g + self.cost[m as usize];
+                    if self.visit_stamp[m as usize] != self.epoch || ng < self.g_cost[m as usize] {
+                        self.visit(m as usize, ng, node);
+                        self.heap.push(heap_key(ng + self.h(m as usize, target), m));
                     }
                 }
             }
 
-            let Some(hit) = found else {
+            let Some(mut cur) = found else {
                 return Err(RouteError::Unroutable { net });
             };
 
             // Backtrack, appending new nodes until we rejoin the tree (or
             // exhaust the path for the first sink).
-            let mut cur = hit as u32;
             loop {
                 let c = cur as usize;
                 if self.tree_stamp[c] == self.tree_epoch {
                     break;
                 }
                 self.tree_stamp[c] = self.tree_epoch;
-                tree.push(cur);
+                out.push(cur);
                 let p = self.parent[c];
                 if p == NO_PARENT {
                     break;
@@ -286,7 +345,8 @@ impl<'a> Router<'a> {
                 cur = p;
             }
         }
-        Ok(tree)
+        self.order = order;
+        Ok(())
     }
 
     #[inline]
@@ -305,6 +365,95 @@ impl<'a> Router<'a> {
 #[inline]
 fn manhattan(a: (f32, f32), b: (f32, f32)) -> f32 {
     (a.0 - b.0).abs() + (a.1 - b.1).abs()
+}
+
+/// What one negotiation leaves behind: its least-overused routing.
+struct Negotiated {
+    iterations: usize,
+    overused: usize,
+    /// The segments of every net's tree.
+    trees: Rows<u32>,
+    occupancy: Vec<u32>,
+}
+
+impl Negotiated {
+    fn into_result(self, arch: &Arch, capacity: u32) -> RouteResult {
+        let routes = (0..self.trees.ends.len())
+            .map(|i| RoutedNet {
+                net: NetId(i as u32),
+                nodes: self.trees.row(i).to_vec(),
+            })
+            .collect();
+        RouteResult {
+            routes,
+            congestion: CongestionMap::from_occupancy(arch, &self.occupancy, capacity as usize),
+            iterations: self.iterations,
+            success: self.overused == 0,
+            overused_segments: self.overused,
+        }
+    }
+}
+
+/// The negotiated-congestion loop behind [`route_on_graph`] and every probe
+/// of [`min_channel_width`]: rip up and re-route every net, in netlist
+/// order, until no segment holds more than `capacity` nets or
+/// `options.max_iterations` passes have run.
+fn negotiate(
+    graph: &RouteGraph,
+    terminals: &Rows<(u32, u32)>,
+    capacity: u32,
+    options: &RouteOptions,
+) -> Result<Negotiated, RouteError> {
+    let mut router = Router::new(graph, capacity, options);
+    // `current` holds the last pass's trees while `next` is being routed.
+    let (mut current, mut next) = (Rows::new(), Rows::new());
+    let mut best = Negotiated {
+        iterations: 0,
+        overused: usize::MAX,
+        trees: Rows::new(),
+        occupancy: Vec::new(),
+    };
+
+    for iter in 0..options.max_iterations.max(1) {
+        best.iterations = iter + 1;
+        next.clear();
+        for net in 0..terminals.ends.len() {
+            if iter > 0 {
+                router.claim(current.row(net), -1);
+            }
+            let first = next.items.len();
+            router.route_net(terminals.row(net), NetId(net as u32), &mut next.items)?;
+            router.claim(&next.items[first..], 1);
+            next.end_row();
+        }
+        std::mem::swap(&mut current, &mut next);
+
+        // Count overuse and accumulate history on hot segments.
+        let mut overused = 0usize;
+        for n in 0..graph.node_count() {
+            let over = router.occupancy[n].saturating_sub(capacity);
+            if over > 0 {
+                overused += 1;
+                router.history[n] += options.hist_fac * over as f32;
+            }
+        }
+
+        if overused < best.overused {
+            best.overused = overused;
+            best.trees.items.clone_from(&current.items);
+            best.trees.ends.clone_from(&current.ends);
+            best.occupancy.clone_from(&router.occupancy);
+        }
+        if overused == 0 {
+            break;
+        }
+        router.pres_fac *= options.pres_fac_mult;
+        router.refresh_costs();
+    }
+    pop_obs::global()
+        .counter("route.iterations")
+        .add(best.iterations as u64);
+    Ok(best)
 }
 
 /// Routes every net of a placed design with PathFinder-style negotiated
@@ -341,152 +490,91 @@ pub fn route_on_graph(
     let capacity = options
         .channel_width_override
         .unwrap_or_else(|| arch.channel_width()) as u32;
-    let mut router = Router::new(graph, capacity, options);
-
-    // Resolve terminals to channel-access node sets once.
-    let mut net_sources: Vec<Vec<usize>> = Vec::with_capacity(netlist.nets().len());
-    let mut net_sinks: Vec<Vec<Vec<usize>>> = Vec::with_capacity(netlist.nets().len());
-    for net in netlist.nets() {
-        let access = |block| {
-            let site = arch.site(placement.site_of(block));
-            graph.tile_access(site.x, site.y)
-        };
-        let src = access(net.driver);
-        if src.is_empty() {
-            return Err(RouteError::NoChannelAccess { net: net.id });
-        }
-        let mut sinks = Vec::with_capacity(net.sinks.len());
-        for &s in &net.sinks {
-            let acc = access(s);
-            if acc.is_empty() {
-                return Err(RouteError::NoChannelAccess { net: net.id });
-            }
-            sinks.push(acc);
-        }
-        net_sources.push(src);
-        net_sinks.push(sinks);
-    }
-
-    let mut routes: Vec<Option<Vec<u32>>> = vec![None; netlist.nets().len()];
-    let mut best: Option<(usize, Vec<Vec<u32>>, Vec<u32>)> = None; // (overused, routes, occupancy)
-    let mut iterations = 0;
-
-    for iter in 0..options.max_iterations.max(1) {
-        iterations = iter + 1;
-        for (i, net) in netlist.nets().iter().enumerate() {
-            // Rip up previous route.
-            if let Some(old) = routes[i].take() {
-                for &n in &old {
-                    router.occupancy[n as usize] -= 1;
-                }
-            }
-            let tree = router.route_net(&net_sources[i], &net_sinks[i], net.id)?;
-            for &n in &tree {
-                router.occupancy[n as usize] += 1;
-            }
-            routes[i] = Some(tree);
-        }
-
-        // Count overuse and accumulate history on hot segments.
-        let mut overused = 0usize;
-        for n in 0..graph.node_count() {
-            let over = router.occupancy[n].saturating_sub(capacity);
-            if over > 0 {
-                overused += 1;
-                router.history[n] += options.hist_fac * over as f32;
-            }
-        }
-
-        let snapshot_better = match &best {
-            None => true,
-            Some((b, _, _)) => overused < *b,
-        };
-        if snapshot_better {
-            best = Some((
-                overused,
-                routes
-                    .iter()
-                    .map(|r| r.clone().unwrap_or_default())
-                    .collect(),
-                router.occupancy.clone(),
-            ));
-        }
-
-        if overused == 0 {
-            break;
-        }
-        router.pres_fac *= options.pres_fac_mult;
-    }
-
-    let (overused, final_routes, occupancy) = best.expect("at least one iteration ran");
-    let congestion = CongestionMap::from_occupancy(arch, &occupancy, capacity as usize);
-    let routes = final_routes
-        .into_iter()
-        .enumerate()
-        .map(|(i, nodes)| RoutedNet {
-            net: NetId(i as u32),
-            nodes,
-        })
-        .collect();
-    Ok(RouteResult {
-        routes,
-        congestion,
-        iterations,
-        success: overused == 0,
-        overused_segments: overused,
-    })
+    let terminals = resolve_terminals(arch, graph, netlist, placement)?;
+    let run = negotiate(graph, &terminals, capacity, options)?;
+    pop_obs::global()
+        .counter("route.overused_segments")
+        .add(run.overused as u64);
+    Ok(run.into_result(arch, capacity))
 }
 
-/// Binary-searches the minimum channel width for which the placement routes
+/// Binary-searches a minimum channel width for which the placement routes
 /// without overuse — VPR's "routing succeeded with a channel width factor
 /// of N" (caption of the paper's Figure 2). Returns the width and the
 /// successful routing at that width.
 ///
+/// # What the returned width is
+///
+/// A *routability boundary*: `w` routes under `options` and `w − 1` does
+/// not (or `w` is 1). It is not promised to be the smallest such `w`,
+/// because negotiated routing is a heuristic and routability is not
+/// monotone in width: dcsg × 0.03 on its default probe placement routes at
+/// 78 and at 81 but not at 77 or 80. Which boundary a bisection lands on
+/// depends on its probe order; this one starts from the bound below, and
+/// the widths it returns for the presets are pinned in
+/// `tests/calibration.rs`.
+///
+/// # The search
+///
+/// *Upper bound by construction.* One pass with capacity out of reach
+/// (`u32::MAX`) never penalises a segment, so it routes every net at
+/// uncongested cost and stops. Let `M` be the peak segment occupancy of
+/// those trees. They hold at most `M` nets per segment, so they *are* an
+/// overuse-free routing at width `M`: the bisection brackets `[1, M]` with
+/// no doubling phase and nothing that can fail to terminate. A plain call at
+/// width `M` also reproduces exactly those trees in one iteration — the
+/// first iteration rips nothing up, so occupancy only grows towards the
+/// uncongested one, and the only costs that differ from the uncongested
+/// pass are on segments already holding `M` nets, which the remaining nets
+/// avoided anyway and now find dearer still (`tests/width_search.rs`).
+///
+/// *Failing probes run to the end.* A probe that still has overuse after
+/// `options.max_iterations` passes is a failure, and it cannot be called
+/// early without changing answers: negotiation converges as late as
+/// iteration 21 of 24 (ode × 0.015 at its width 39) and 24 of 24 (bfly ×
+/// 0.03 at 84). What the search saves, it saves by running fewer failing
+/// probes — they cost a full `max_iterations` each, successes a fraction.
+///
 /// # Errors
 ///
-/// Propagates [`RouteError`] from the underlying routing attempts, and
-/// returns [`RouteError::Unroutable`] for the first net if even a very wide
-/// fabric (1024 wires) fails.
+/// Propagates [`RouteError`] from the underlying routing attempts.
 pub fn min_channel_width(
     arch: &Arch,
     netlist: &Netlist,
     placement: &Placement,
     options: &RouteOptions,
 ) -> Result<(usize, RouteResult), RouteError> {
+    let _span = pop_obs::span!("route_min_width", nets = netlist.nets().len());
     let graph = RouteGraph::new(arch);
-    let try_width = |w: usize| -> Result<RouteResult, RouteError> {
-        let opts = RouteOptions {
-            channel_width_override: Some(w),
-            ..options.clone()
-        };
-        route_on_graph(arch, &graph, netlist, placement, &opts)
+    let terminals = resolve_terminals(arch, &graph, netlist, placement)?;
+    let (mut probes, mut failures) = (0u64, 0u64);
+    let mut probe = |width: u32| {
+        let run = negotiate(&graph, &terminals, width, options);
+        probes += 1;
+        failures += u64::from(matches!(&run, Ok(r) if r.overused > 0));
+        run
     };
 
-    // Grow to find a routable upper bound.
-    let mut hi = arch.channel_width().max(2);
-    let mut hi_result = try_width(hi)?;
-    while !hi_result.success {
-        if hi > 1024 {
-            return Err(RouteError::Unroutable {
-                net: netlist.nets().first().map(|n| n.id).unwrap_or(NetId(0)),
-            });
-        }
-        hi *= 2;
-        hi_result = try_width(hi)?;
-    }
-    let mut lo = 1usize;
-    // Invariant: hi routes, lo-1 unknown/fails.
+    // Upper bound by construction: the uncongested trees fit in their own
+    // peak occupancy.
+    let mut hi_run = probe(u32::MAX)?;
+    let mut hi = hi_run.occupancy.iter().copied().max().unwrap_or(0).max(1);
+    let mut lo = 1;
+    // Invariant: hi routes, lo-1 fails (or lo is 1).
     while lo < hi {
         let mid = (lo + hi) / 2;
-        let r = try_width(mid)?;
-        if r.success {
+        let run = probe(mid)?;
+        if run.overused == 0 {
             hi = mid;
-            hi_result = r;
+            hi_run = run;
         } else {
             lo = mid + 1;
         }
     }
-    Ok((hi, hi_result))
+    let registry = pop_obs::global();
+    registry.counter("route.width_probes").add(probes);
+    registry.counter("route.width_probe_failures").add(failures);
+    Ok((hi as usize, hi_run.into_result(arch, hi)))
 }
 
 /// Verifies that every routed net connects all of its terminals through a
@@ -526,7 +614,7 @@ pub fn verify_routes(
         for term in net.terminals() {
             let site = arch.site(placement.site_of(term));
             let acc = graph.tile_access(site.x, site.y);
-            if !acc.iter().any(|a| in_tree.contains(a)) {
+            if !acc.iter().any(|&a| in_tree.contains(&(a as usize))) {
                 return Err(RouteError::Unroutable { net: net.id });
             }
         }
@@ -546,6 +634,32 @@ mod tests {
         let arch = Arch::auto_size(c, i, m, x, 16, 1.3).unwrap();
         let placement = place(&arch, &netlist, &PlaceOptions::default()).unwrap();
         (arch, netlist, placement)
+    }
+
+    #[test]
+    fn heap_keys_order_like_total_cmp_then_node() {
+        let priorities = [
+            f32::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            1.0,
+            1.000_000_1,
+            7.25,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for &a in &priorities {
+            for &b in &priorities {
+                for (na, nb) in [(3, 3), (3, 4), (4, 3)] {
+                    // The heap pops the greatest entry: smallest priority,
+                    // then smallest node.
+                    let expected = b.total_cmp(&a).then(nb.cmp(&na));
+                    assert_eq!(heap_key(a, na).cmp(&heap_key(b, nb)), expected);
+                }
+            }
+        }
     }
 
     #[test]
