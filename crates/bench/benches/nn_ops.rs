@@ -2,7 +2,7 @@
 //! TensorFlow).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pop_nn::{BatchNorm2d, Conv2d, ConvTranspose2d, Layer, Tensor};
+use pop_nn::{Adam, BatchNorm2d, Conv2d, ConvTranspose2d, Layer, Param, Tensor};
 
 fn bench_nn_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("nn_ops");
@@ -38,6 +38,20 @@ fn bench_nn_ops(c: &mut Criterion) {
             pop_nn::linalg::matmul_nn(&a, &bm, &mut out, 64, 256, 256);
             out
         })
+    });
+
+    // One optimiser step over ~1 M scalars — the quick model's generator
+    // is 1.03 M — in a few tensors, as `train_step` issues it twice.
+    let mut params: Vec<Param> = (0..4)
+        .map(|i| {
+            let mut p = Param::randn([64, 64, 8, 8], 0.02, 10 + i);
+            p.grad = Tensor::randn([64, 64, 8, 8], 0.0, 0.1, 20 + i);
+            p
+        })
+        .collect();
+    let mut adam = Adam::paper();
+    group.bench_function("adam_step_1m", |b| {
+        b.iter(|| adam.step(&mut params.iter_mut().collect::<Vec<_>>()))
     });
 
     group.finish();

@@ -300,19 +300,17 @@ impl Layer for UNetGenerator {
         assert_eq!(x.c(), self.in_channels, "generator input channels");
         let depth = self.enc.len();
         let mut e: Vec<Tensor> = Vec::with_capacity(depth);
-        let mut cur = x.clone();
         for block in &mut self.enc {
-            cur = block.forward(&cur, train);
-            e.push(cur.clone());
+            let y = block.forward(e.last().unwrap_or(x), train);
+            e.push(y);
         }
-        let mut u = e[depth - 1].clone();
-        for i in 0..depth {
-            let input = if i == 0 || !self.skip_at[i] {
-                u
+        let mut u = self.dec[0].forward(&e[depth - 1], train);
+        for i in 1..depth {
+            u = if self.skip_at[i] {
+                self.dec[i].forward(&u.concat_channels(&e[depth - 1 - i]), train)
             } else {
-                u.concat_channels(&e[depth - 1 - i])
+                self.dec[i].forward(&u, train)
             };
-            u = self.dec[i].forward(&input, train);
         }
         u
     }

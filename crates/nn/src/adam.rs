@@ -51,22 +51,30 @@ impl Adam {
     /// accumulation).
     pub fn step(&mut self, params: &mut [&mut Param]) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        // `powi` takes an `i32`; saturate rather than wrap so a restored
+        // step count above `i32::MAX` cannot turn βᵗ into β⁻ⁿ.
+        let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let bc1 = 1.0 - self.beta1.powi(t);
+        let bc2 = 1.0 - self.beta2.powi(t);
+        let Adam {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            ..
+        } = *self;
+        // One pass per parameter over (value, m, v, grad): the moments are
+        // updated and consumed in registers, with the same per-element
+        // expressions (and so the same roundings) as three separate loops.
         for p in params.iter_mut() {
-            let g = p.grad.data().to_vec();
-            let m = p.m.data_mut();
-            for (mv, &gv) in m.iter_mut().zip(&g) {
-                *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
-            }
-            let v = p.v.data_mut();
-            for (vv, &gv) in v.iter_mut().zip(&g) {
-                *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
-            }
-            for i in 0..g.len() {
-                let mhat = p.m.data()[i] / bc1;
-                let vhat = p.v.data()[i] / bc2;
-                p.value.data_mut()[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            let moments = p.m.data_mut().iter_mut().zip(p.v.data_mut());
+            let weights = p.value.data_mut().iter_mut().zip(p.grad.data());
+            for ((m, v), (w, &g)) in moments.zip(weights) {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *w -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
     }
@@ -118,5 +126,66 @@ mod tests {
         let mut adam = Adam::new(0.1, 0.9, 0.999, 1e-8);
         adam.step(&mut [&mut p]); // g = 0 throughout
         assert_eq!(p.value.data()[0], 5.0);
+    }
+
+    /// The three-loop formulation `step` replaced (gradient copy, one pass
+    /// per moment, indexed update), kept here as the bitwise reference.
+    fn three_loop_step(adam: &Adam, t: u64, p: &mut Param) {
+        let bc1 = 1.0 - adam.beta1.powi(t as i32);
+        let bc2 = 1.0 - adam.beta2.powi(t as i32);
+        let g = p.grad.data().to_vec();
+        for (mv, &gv) in p.m.data_mut().iter_mut().zip(&g) {
+            *mv = adam.beta1 * *mv + (1.0 - adam.beta1) * gv;
+        }
+        for (vv, &gv) in p.v.data_mut().iter_mut().zip(&g) {
+            *vv = adam.beta2 * *vv + (1.0 - adam.beta2) * gv * gv;
+        }
+        for i in 0..g.len() {
+            let mhat = p.m.data()[i] / bc1;
+            let vhat = p.v.data()[i] / bc2;
+            p.value.data_mut()[i] -= adam.lr * mhat / (vhat.sqrt() + adam.eps);
+        }
+    }
+
+    #[test]
+    fn fused_pass_is_bitwise_the_three_loop_formulation() {
+        let mut fused = Param::randn([1, 10, 10, 10], 0.02, 5);
+        let mut reference = fused.clone();
+        let mut adam = Adam::paper();
+        for step in 1..=5u64 {
+            let grad = Tensor::randn([1, 10, 10, 10], 0.0, 0.3, 100 + step);
+            fused.grad = grad.clone();
+            reference.grad = grad;
+            three_loop_step(&adam, step, &mut reference);
+            adam.step(&mut [&mut fused]);
+            let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (name, a, b) in [
+                ("value", &fused.value, &reference.value),
+                ("m", &fused.m, &reference.m),
+                ("v", &fused.v, &reference.v),
+            ] {
+                assert_eq!(bits(a), bits(b), "{name} after step {step}");
+            }
+        }
+    }
+
+    /// A checkpoint can restore any `u64` step count. `t as i32` used to
+    /// wrap (`u64::MAX` → `-1`), making the bias corrections `1 − β⁻¹`
+    /// (−1 for β₁ = 0.5) and flipping the update's sign; the saturated cast
+    /// behaves like step `i32::MAX`, where βᵗ has long underflowed to 0.
+    #[test]
+    fn step_count_beyond_i32_saturates_instead_of_wrapping() {
+        let step_from = |t: u64| {
+            let mut p = Param::new(Tensor::full([1, 1, 1, 1], 1.0));
+            p.grad.data_mut()[0] = 0.5;
+            let mut adam = Adam::new(0.1, 0.5, 0.999, 1e-8);
+            adam.set_steps(t);
+            adam.step(&mut [&mut p]);
+            (adam.steps(), p.value.data()[0])
+        };
+        let (steps, w) = step_from(u64::MAX - 1);
+        assert_eq!(steps, u64::MAX);
+        assert_eq!(w, step_from(i32::MAX as u64 - 1).1);
+        assert!(w < 1.0, "a positive gradient must descend, got {w}");
     }
 }

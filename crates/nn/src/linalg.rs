@@ -1,21 +1,52 @@
 //! Minimal dense matrix kernels used by the convolution layers.
 //!
 //! Row-major `f32` matrices as flat slices, shaped for the autovectorizer:
-//! every kernel works on **8-wide column panels** with a small block of
-//! independent accumulator registers (4 rows × 8 columns for `nn`/`tn`,
-//! 8 columns for `nt`), so the innermost loop is a fixed-width bundle of
-//! independent fused multiply-adds over contiguous `B` memory — the exact
-//! shape LLVM provably lowers to SIMD without `unsafe` or intrinsics.
+//! one register-block kernel (`block_rows`: up to 4 rows × one **8-wide
+//! column panel** of independent accumulators) serves `nn`, `tn` and `nt`,
+//! so the innermost loop is always a fixed-width bundle of independent
+//! multiply-then-adds over contiguous `B` memory — the exact shape LLVM
+//! provably lowers to SIMD without intrinsics.
 //!
 //! **Bitwise contract.** Register blocking only regroups *independent*
-//! output elements: each `C[i, j]` is seeded from the existing `C` value
-//! and accumulates its `k` products in ascending order, exactly like the
-//! scalar reference kernel, so results are bitwise-identical to a naive
-//! triple loop (`tests/kernel_prop.rs` pins this across odd shapes and
-//! tails). The old `if aik == 0.0` skip is gone: it broke the fixed-width
-//! panel shape (a data-dependent branch in the hot loop defeats
-//! vectorization) and, for the finite values these layers produce, adding
-//! a `±0.0` product is an accumulator no-op. Kernels assume finite inputs.
+//! output elements: each `C[i, j]` starts from a seed and adds its `k`
+//! products one by one in ascending order, exactly like the scalar
+//! reference, so results are bitwise-identical to a naive triple loop
+//! (`tests/kernel_prop.rs` pins this across odd shapes and tails). Every
+//! shape takes the panel kernel; what differs per entry point is only how
+//! the operands are laid out for it, and each layout step moves values
+//! without arithmetic:
+//!
+//! * **Column tails** (`n mod 8` columns). The tail columns of `B` and `C`
+//!   are copied once per call into zero-padded `k×8` / `m×8` scratch, run
+//!   through the same panel kernel, and the real lanes copied back. Lanes
+//!   are independent outputs: the padding lanes compute `0 + a·0 + …` and
+//!   are dropped, the real lanes see the same seed and the same products
+//!   in the same order as in a full panel.
+//! * **`tn` with `n < 8 ≤ m`** (the bottleneck deconvolutions at small
+//!   batch) skips the `m·k` pack of `Aᵀ`: it computes `Cᵀ += Bᵀ·A` with the
+//!   lanes running over the contiguous `m` axis of `A`. `Cᵀ` is seeded from
+//!   `C` and written back through an `n×m` transpose; each output still
+//!   folds `k` in ascending order and `b·a` rounds exactly like `a·b`.
+//! * **`nt`** packs `Bᵀ` (`k×n`) once and runs the panel kernel
+//!   zero-seeded, then adds the finished dot product onto `C` — the chain
+//!   `0 + a₀b₀ + … + aₖ₋₁bₖ₋₁`, then `c += acc`, that the `nt` reference
+//!   pins (it differs from seeding with `c`, so `nt` keeps its own rule).
+//!
+//! The old `if aik == 0.0` skip is gone: it broke the fixed-width panel
+//! shape (a data-dependent branch in the hot loop defeats vectorization)
+//! and, for the finite values these layers produce, adding a `±0.0`
+//! product is an accumulator no-op. Kernels assume finite inputs.
+//!
+//! **One source, two instantiations.** The kernel (column loop, tail
+//! padding and register block) is `#[inline(always)]` generic code compiled
+//! twice: at the target's baseline, and on x86-64 inside a
+//! `#[target_feature(enable = "avx2")]` wrapper picked per call by
+//! `is_x86_feature_detected!`. AVX2 only widens the registers: `fma` is
+//! never enabled and Rust does not contract `a * b + c`, so the wide build
+//! issues `vmulps` then `vaddps`, each rounding once like the scalar
+//! `mulss`/`addss` — bit-exact, and a unit test runs both instantiations
+//! against each other. Other targets compile the baseline only; the layout
+//! steps above (transposes) are plain code outside the kernel.
 //!
 //! `matmul_nn` / `matmul_tn` additionally tile over columns so the
 //! re-streamed `B` panel stays cache-resident when `n` is large — the
@@ -23,14 +54,14 @@
 
 /// Column-panel width: 8 f32 lanes (one AVX register, two SSE registers).
 const NR: usize = 8;
-/// Row-block height for the `nn`/`tn` kernels: 4 independent accumulator
-/// rows amortise each `B` panel load across 4 outputs.
+/// Row-block height: 4 independent accumulator rows amortise each `B`
+/// panel load across 4 outputs.
 const MR: usize = 4;
 
 /// Column-tile width targeting a ~1 MiB working panel (`rows · tile · 4`
-/// bytes) so it stays inside the L2 cache.
-fn col_tile(rows: usize, n: usize) -> usize {
-    (262_144 / rows.max(1)).max(32).min(n.max(1))
+/// bytes) so it stays inside the L2 cache; a whole number of panels.
+fn col_tile(rows: usize) -> usize {
+    (262_144 / rows.max(1)).max(32) / NR * NR
 }
 
 /// `C += A @ B` where `A` is `m×k`, `B` is `k×n`, `C` is `m×n`.
@@ -42,35 +73,19 @@ pub fn matmul_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    // The B panel (k rows) is re-streamed for every 4-row block; tile it.
-    let tile = col_tile(k, n);
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + tile).min(n);
-        let mut i = 0;
-        while i + MR <= m {
-            let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-            block_rows(&rows, b, c, i, k, n, j0, j1);
-            i += MR;
-        }
-        while i < m {
-            let rows = [&a[i * k..(i + 1) * k]];
-            block_rows(&rows, b, c, i, k, n, j0, j1);
-            i += 1;
-        }
-        j0 = j1;
-    }
+    dispatch::<false>(a, b, c, m, k, n);
 }
 
 /// `C += Aᵀ @ B` where `A` is `k×m`, `B` is `k×n`, `C` is `m×n`.
 ///
 /// Packs `Aᵀ` into a row-major scratch once (a cache-blocked transpose,
-/// each source line touched once), then runs the `nn` block kernel on it:
+/// each source line touched once), then runs the `nn` kernel on it:
 /// reading `A` directly would stride the inner loop by `m` — one cache
 /// line per 4 floats, re-streamed for every column panel — which measures
 /// several times slower than the pack at the deconv shapes (`m` in the
-/// hundreds to thousands). The pack is O(m·k) against O(m·k·n) compute and
-/// does not touch the per-output fold order, so the bitwise contract is
+/// hundreds to thousands). When `n < 8 ≤ m` there is nothing to re-stream
+/// and the pack is skipped for `Cᵀ += Bᵀ·A` (see the module doc). Neither
+/// layout touches the per-output fold order, so the bitwise contract is
 /// exactly `matmul_nn`'s.
 ///
 /// # Panics
@@ -80,33 +95,25 @@ pub fn matmul_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    const TB: usize = 32;
-    let mut at = vec![0.0f32; m * k];
-    let mut ib = 0;
-    while ib < m {
-        let i1 = (ib + TB).min(m);
-        let mut kb = 0;
-        while kb < k {
-            let k1 = (kb + TB).min(k);
-            for i in ib..i1 {
-                for kk in kb..k1 {
-                    at[i * k + kk] = a[kk * m + i];
-                }
-            }
-            kb = k1;
-        }
-        ib = i1;
+    if n < NR && m >= NR {
+        let (mut bt, mut ct) = (vec![0.0f32; n * k], vec![0.0f32; n * m]);
+        transpose(b, k, n, &mut bt);
+        transpose(c, m, n, &mut ct);
+        dispatch::<false>(&bt, a, &mut ct, n, k, m);
+        transpose(&ct, n, m, c);
+    } else {
+        let mut at = vec![0.0f32; m * k];
+        transpose(a, k, m, &mut at);
+        dispatch::<false>(&at, b, c, m, k, n);
     }
-    matmul_nn(&at, b, c, m, k, n);
 }
 
 /// `C += A @ Bᵀ` where `A` is `m×k`, `B` is `n×k`, `C` is `m×n`.
 ///
-/// Backward-only (weight gradients). The reduction runs along `k`, so the
-/// win here is 8 *independent* accumulator chains across output columns:
-/// each dot product still folds `k` in ascending order (bitwise-stable),
-/// but the chains interleave for instruction-level parallelism instead of
-/// serialising on one accumulator.
+/// Backward-only (weight gradients). Packs `Bᵀ` once (O(n·k) against
+/// O(m·n·k) compute) and runs the panel kernel zero-seeded, adding each
+/// finished dot product onto `C`: every output is still a zero-seeded dot
+/// folded in ascending `k`, then one add — bitwise the scalar chain.
 ///
 /// # Panics
 ///
@@ -115,59 +122,151 @@ pub fn matmul_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), n * k, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + NR <= n {
-            let b_rows: [&[f32]; NR] = std::array::from_fn(|l| &b[(j + l) * k..(j + l + 1) * k]);
-            let mut acc = [0.0f32; NR];
-            for (kk, &av) in a_row.iter().enumerate() {
-                for l in 0..NR {
-                    acc[l] += av * b_rows[l][kk];
+    let mut bt = vec![0.0f32; k * n];
+    transpose(b, n, k, &mut bt);
+    dispatch::<true>(a, &bt, c, m, k, n);
+}
+
+/// Runs the kernel in the widest instantiation this CPU supports:
+/// `C += A @ B` with every output seeded from `C` (`ZERO = false`), or
+/// `C += (0 + A @ B)` (`true`, the `nt` chain); all row-major.
+fn dispatch<const ZERO: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `kernel_avx2` is safe code compiled for AVX2; its only
+        // requirement is that the CPU supports AVX2, which the runtime
+        // check on the line above has just established.
+        return unsafe { kernel_avx2::<ZERO>(a, b, c, m, k, n) };
+    }
+    // The compilation target's baseline feature set.
+    nn::<ZERO>(a, b, c, m, k, n);
+}
+
+/// The same kernel with 256-bit registers; callable (through `unsafe`)
+/// only once the CPU is known to support AVX2. `fma` is deliberately not
+/// enabled: multiply and add stay two roundings, as in the baseline.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn kernel_avx2<const ZERO: bool>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    nn::<ZERO>(a, b, c, m, k, n);
+}
+
+/// `dst` (`cols×rows`) = `src` (`rows×cols`) transposed, in 32×32 blocks so
+/// each source cache line is touched once.
+fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    const TB: usize = 32;
+    for c0 in (0..cols).step_by(TB) {
+        let c1 = (c0 + TB).min(cols);
+        for r0 in (0..rows).step_by(TB) {
+            let r1 = (r0 + TB).min(rows);
+            for c in c0..c1 {
+                for r in r0..r1 {
+                    dst[c * rows + r] = src[r * cols + c];
                 }
             }
-            for l in 0..NR {
-                c_row[j + l] += acc[l];
-            }
-            j += NR;
-        }
-        for jj in j..n {
-            let b_row = &b[jj * k..(jj + 1) * k];
-            let mut acc = 0.0f32;
-            for (av, bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            c_row[jj] += acc;
         }
     }
 }
 
-/// Shared row-block kernel for `matmul_nn`: `rows` holds R row slices of
-/// `A` (each of length `k`) for output rows `i0..i0+R`; accumulates the
-/// `[j0, j1)` column span of `C` in 8-wide register panels.
+/// The kernel's column loop: full panels in cache-sized tiles, then the
+/// zero-padded tail. This and everything it calls is `#[inline(always)]` so
+/// that each caller — `dispatch` at the baseline, `kernel_avx2` — compiles
+/// its own copy under its own target features.
+#[inline(always)]
+fn nn<const ZERO: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    let full = n - n % NR;
+    // The B panel (k rows) is re-streamed for every 4-row block; tile it.
+    let tile = col_tile(k);
+    let mut j0 = 0;
+    while j0 < full {
+        let j1 = (j0 + tile).min(full);
+        row_blocks::<ZERO>(a, b, n, c, n, m, k, j0, j1);
+        j0 = j1;
+    }
+    let tail = n - full;
+    if tail == 0 {
+        return;
+    }
+    // Column tail: one zero-padded panel each of B's and C's last columns.
+    let mut bp = vec![0.0f32; k * NR];
+    for (dst, src) in bp.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+        dst[..tail].copy_from_slice(&src[full..]);
+    }
+    let mut cp = vec![0.0f32; m * NR];
+    for (dst, src) in cp.chunks_exact_mut(NR).zip(c.chunks_exact(n)) {
+        dst[..tail].copy_from_slice(&src[full..]);
+    }
+    row_blocks::<ZERO>(a, &bp, NR, &mut cp, NR, m, k, 0, NR);
+    for (src, dst) in cp.chunks_exact(NR).zip(c.chunks_exact_mut(n)) {
+        dst[full..].copy_from_slice(&src[..tail]);
+    }
+}
+
+/// Runs the panel kernel over every row of `A` (`m×k`) for the column
+/// span `[j0, j1)` — a whole number of panels — of `B` and `C`, whose rows
+/// are `ldb` and `ldc` floats apart.
 #[allow(clippy::too_many_arguments)]
-fn block_rows<const R: usize>(
-    rows: &[&[f32]; R],
+#[inline(always)]
+fn row_blocks<const ZERO: bool>(
+    a: &[f32],
     b: &[f32],
+    ldb: usize,
     c: &mut [f32],
-    i0: usize,
+    ldc: usize,
+    m: usize,
     k: usize,
-    n: usize,
     j0: usize,
     j1: usize,
 ) {
+    let mut i = 0;
+    while i + MR <= m {
+        let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+        block_rows::<MR, ZERO>(&rows, b, ldb, c, ldc, i, j0, j1);
+        i += MR;
+    }
+    while i < m {
+        let rows = [&a[i * k..(i + 1) * k]];
+        block_rows::<1, ZERO>(&rows, b, ldb, c, ldc, i, j0, j1);
+        i += 1;
+    }
+}
+
+/// The register-block kernel: `rows` holds R row slices of `A` (each of
+/// length `k`) for output rows `i0..i0+R`; accumulates the `[j0, j1)`
+/// column span of `C` one 8-wide register panel at a time.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn block_rows<const R: usize, const ZERO: bool>(
+    rows: &[&[f32]; R],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    i0: usize,
+    j0: usize,
+    j1: usize,
+) {
+    debug_assert_eq!((j1 - j0) % NR, 0, "whole panels only");
     let mut j = j0;
-    while j + NR <= j1 {
-        // Seed the register block from C so each output's accumulation
-        // chain is exactly `c += a·b` in ascending k — bitwise-identical
-        // to the scalar kernel.
+    while j < j1 {
+        // Seed the register block so each output's accumulation chain is
+        // exactly the scalar kernel's: from C (`c += a·b` in ascending k),
+        // or from zero with C added at the end (`nt`).
         let mut acc = [[0.0f32; NR]; R];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            accr.copy_from_slice(&c[(i0 + r) * n + j..(i0 + r) * n + j + NR]);
+        if !ZERO {
+            for (r, accr) in acc.iter_mut().enumerate() {
+                accr.copy_from_slice(&c[(i0 + r) * ldc + j..(i0 + r) * ldc + j + NR]);
+            }
         }
-        for kk in 0..k {
-            let bp: &[f32; NR] = b[kk * n + j..kk * n + j + NR]
+        for kk in 0..rows[0].len() {
+            let bp: &[f32; NR] = b[kk * ldb + j..kk * ldb + j + NR]
                 .try_into()
                 .expect("panel width");
             for (accr, row) in acc.iter_mut().zip(rows) {
@@ -178,19 +277,16 @@ fn block_rows<const R: usize>(
             }
         }
         for (r, accr) in acc.iter().enumerate() {
-            c[(i0 + r) * n + j..(i0 + r) * n + j + NR].copy_from_slice(accr);
+            let out = &mut c[(i0 + r) * ldc + j..(i0 + r) * ldc + j + NR];
+            if ZERO {
+                for (cv, av) in out.iter_mut().zip(accr) {
+                    *cv += av;
+                }
+            } else {
+                out.copy_from_slice(accr);
+            }
         }
         j += NR;
-    }
-    // Column tail (< 8 wide): independent scalar chains, same fold order.
-    for jj in j..j1 {
-        for (r, row) in rows.iter().enumerate() {
-            let mut acc = c[(i0 + r) * n + jj];
-            for (kk, &av) in row.iter().enumerate() {
-                acc += av * b[kk * n + jj];
-            }
-            c[(i0 + r) * n + jj] = acc;
-        }
     }
 }
 
@@ -299,6 +395,51 @@ mod tests {
                 "shape ({m},{k},{n})"
             );
         }
+    }
+
+    /// Runs the baseline and the AVX2 instantiation on the same operands.
+    #[cfg(target_arch = "x86_64")]
+    fn compare<const ZERO: bool>(a: &[f32], b: &[f32], c0: &[f32], m: usize, k: usize, n: usize) {
+        let mut base = c0.to_vec();
+        nn::<ZERO>(a, b, &mut base, m, k, n);
+        let mut wide = c0.to_vec();
+        // SAFETY: the caller has checked that this CPU supports AVX2.
+        unsafe { kernel_avx2::<ZERO>(a, b, &mut wide, m, k, n) };
+        assert_eq!(
+            base.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            wide.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "zero-seeded {ZERO} shape ({m},{k},{n})"
+        );
+    }
+
+    /// The baseline and the AVX2 instantiation are one source: on a host
+    /// with AVX2 (where `dispatch` would otherwise never run the baseline)
+    /// both must produce the same bits, on every layout path.
+    #[test]
+    fn instantiations_are_bitwise_identical() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            for &(m, k, n) in &[
+                (4, 5, 8),
+                (7, 11, 23),
+                (1, 1, 1),
+                (3, 9, 5),
+                (96, 64, 4),
+                (48, 7, 1),
+                (13, 1, 29),
+                (9, 13, 40),
+                (33, 17, 7),
+            ] {
+                let a = randmat(m * k, 9);
+                let b = randmat(k * n, 10);
+                let c0 = randmat(m * n, 11);
+                compare::<false>(&a, &b, &c0, m, k, n);
+                compare::<true>(&a, &b, &c0, m, k, n);
+            }
+            println!("linalg: baseline and avx2 instantiations compared bit for bit");
+            return;
+        }
+        println!("linalg: SKIPPED instantiation comparison — this CPU has no AVX2");
     }
 
     #[test]

@@ -195,10 +195,8 @@ impl Tensor {
         let (n, h, w) = (self.n(), self.h(), self.w());
         let c2 = self.c() - c1;
         let mut a = Tensor::zeros([n, c1, h, w]);
+        // `c2 == 0` yields a one-channel zero placeholder (unused).
         let mut b = Tensor::zeros([n, c2.max(1), h, w]);
-        if c2 == 0 {
-            b = Tensor::zeros([n, 1, h, w]); // placeholder, unused
-        }
         let plane = h * w;
         for bi in 0..n {
             let src = &self.data[bi * self.c() * plane..];

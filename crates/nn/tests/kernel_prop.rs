@@ -1,7 +1,9 @@
 //! Property tests pinning the register-blocked kernels to their scalar
 //! reference semantics across arbitrary shapes — full 4×8 blocks, row
-//! tails, column tails and degenerate single-row/column cases — plus the
-//! quantization round-trip error bound.
+//! tails, column tails and degenerate single-row/column cases, with the
+//! shape families a uniform draw rarely hits (`n < 8`, `n = 8q + r`,
+//! `m < 4`, `k = 1`, the `n < 8 ≤ m` `tn` layout, column-tile seams)
+//! generated explicitly — plus the quantization round-trip error bound.
 //!
 //! The equality here is **bitwise** (`to_bits`), not approximate: the
 //! kernels' contract is that register blocking regroups independent
@@ -67,8 +69,86 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// `nn`, `tn` and `nt` at one shape, each bitwise against its scalar
+/// reference from a non-zero starting C.
+fn check_all_kernels(m: usize, k: usize, n: usize, seed: u64) {
+    let a = fill(m * k, seed);
+    let at = transpose(&a, m, k);
+    let b = fill(k * n, seed ^ 0xA5A5);
+    let bt = transpose(&b, k, n);
+    let c0 = fill(m * n, seed ^ 0x5A5A);
+
+    let mut want = c0.clone();
+    ref_accumulate(&a, &b, &mut want, m, k, n);
+    let mut got = c0.clone();
+    matmul_nn(&a, &b, &mut got, m, k, n);
+    assert_eq!(bits(&got), bits(&want), "nn shape ({m}, {k}, {n})");
+    let mut got = c0.clone();
+    matmul_tn(&at, &b, &mut got, m, k, n);
+    assert_eq!(bits(&got), bits(&want), "tn shape ({m}, {k}, {n})");
+
+    let mut want = c0.clone();
+    ref_nt(&a, &bt, &mut want, m, k, n);
+    let mut got = c0;
+    matmul_nt(&a, &bt, &mut got, m, k, n);
+    assert_eq!(bits(&got), bits(&want), "nt shape ({m}, {k}, {n})");
+}
+
+/// Column tiles are a whole number of panels wide and shrink with `k`
+/// (32 columns at `k ≥ 8192`): spans that cross tile seams and then end in
+/// a `< 8` tail must still compose to the reference.
+#[test]
+fn column_tile_seams_and_tail_compose() {
+    check_all_kernels(5, 8192, 70, 1);
+    check_all_kernels(3, 9000, 41, 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Fewer than 8 columns: the whole product is one zero-padded panel
+    /// (and `tn` takes its transposed-output layout once `m ≥ 8`).
+    #[test]
+    fn narrow_outputs_are_bitwise_naive(m in 1usize..40, k in 1usize..40, n in 1usize..=7, seed in 0u64..1000) {
+        check_all_kernels(m, k, n, seed);
+    }
+
+    /// `n = 8q + r`, `r ≠ 0`: full panels followed by a padded tail.
+    #[test]
+    fn column_tails_are_bitwise_naive(
+        m in 1usize..40,
+        k in 1usize..40,
+        q in 1usize..6,
+        r in 1usize..=7,
+        seed in 0u64..1000,
+    ) {
+        check_all_kernels(m, k, 8 * q + r, seed);
+    }
+
+    /// Fewer than 4 rows: only the single-row register block runs.
+    #[test]
+    fn short_row_blocks_are_bitwise_naive(m in 1usize..4, k in 1usize..40, n in 1usize..80, seed in 0u64..1000) {
+        check_all_kernels(m, k, n, seed);
+    }
+
+    /// `k = 1`: an outer product, one fold step per output (the 1×1
+    /// bottleneck's weight gradient).
+    #[test]
+    fn unit_depth_is_bitwise_naive(m in 1usize..40, n in 1usize..80, seed in 0u64..1000) {
+        check_all_kernels(m, 1, n, seed);
+    }
+
+    /// `n < 8 ≤ m`: `tn` computes `Cᵀ += Bᵀ·A` and transposes back; `m`
+    /// reaches past a panel multiple so `Cᵀ` gets its own column tail.
+    #[test]
+    fn tn_transposed_output_path_is_bitwise_naive(
+        m in 8usize..200,
+        k in 1usize..40,
+        n in 1usize..=7,
+        seed in 0u64..1000,
+    ) {
+        check_all_kernels(m, k, n, seed);
+    }
 
     /// `matmul_nn` is bitwise the scalar accumulate kernel for every
     /// shape, including a non-zero starting C.

@@ -5,6 +5,7 @@ use painting_on_placement as pop;
 use pop::arch::Arch;
 use pop::core::{dataset, ExperimentConfig, Pix2Pix};
 use pop::netlist::{generate, presets};
+use pop::nn::{Layer, Tensor};
 use pop::place::{place, PlaceOptions};
 use pop::route::{route, RouteOptions};
 
@@ -69,4 +70,107 @@ fn dataset_tensors_are_bit_identical_across_builds() {
         assert_eq!(pa.x.data(), pb.x.data());
         assert_eq!(pa.y.data(), pb.y.data());
     }
+}
+
+/// FNV-1a over `f32` bit patterns — one number that moves if any value
+/// moves by one ulp.
+fn fnv<'a>(values: impl IntoIterator<Item = &'a f32>) -> u64 {
+    let mut h = dataset::Fnv1a::new();
+    for v in values {
+        h.eat(v.to_bits() as u64);
+    }
+    h.finish()
+}
+
+/// [`fnv`] over every weight and both Adam moments of a parameter set.
+fn fnv_params(params: Vec<&mut pop::nn::Param>) -> u64 {
+    fnv(params
+        .iter()
+        .flat_map(|p| [&p.value, &p.m, &p.v])
+        .flat_map(|t| t.data()))
+}
+
+fn randn_inputs(config: &ExperimentConfig, count: u64, seed: u64) -> Vec<Tensor> {
+    let shape = [
+        1,
+        config.input_channels(),
+        config.resolution,
+        config.resolution,
+    ];
+    (0..count)
+        .map(|i| Tensor::randn(shape, 0.0, 0.5, seed + i))
+        .collect()
+}
+
+/// Training is pinned **across commits**, not just across two runs of one
+/// build: the constants below were captured at the commit before the GEMM
+/// tail / packed `nt` / fused Adam rewrite (PR 13's tree) and every later
+/// kernel change must reproduce them bit for bit — losses, generator and
+/// discriminator weights, Adam `m`/`v`, and the forecasts of the trained
+/// model at batch sizes whose GEMM `n` has a `< 8` tail at some level.
+#[test]
+fn training_and_forecasts_match_the_cross_commit_golden() {
+    let config = ExperimentConfig::test();
+    let mut model = Pix2Pix::new(&config, 4242).unwrap();
+    let xs = randn_inputs(&config, 2, 900);
+    let res = config.resolution;
+    let ys: Vec<Tensor> = (0..2)
+        .map(|i| Tensor::randn([1, 3, res, res], 0.0, 0.5, 950 + i))
+        .collect();
+    let mut losses = Vec::new();
+    for step in 0..6 {
+        let l = model.train_step(&xs[step % 2], &ys[step % 2]);
+        losses.push([l.d_loss.to_bits(), l.g_gan.to_bits(), l.g_l1.to_bits()]);
+    }
+    assert_eq!(
+        losses,
+        [
+            [1060360060, 1059928462, 1053526775],
+            [1060779065, 1060412084, 1053851225],
+            [1059582356, 1060409672, 1053537309],
+            [1059818363, 1061361196, 1053827402],
+            [1059040668, 1061023352, 1053435164],
+            [1059010528, 1062095947, 1053877717],
+        ],
+        "StepLosses bits (d_loss, g_gan, g_l1) per step"
+    );
+    assert_eq!(
+        fnv_params(model.generator_mut().params_mut()),
+        0x6132_c449_55e0_4044,
+        "generator weights + Adam moments"
+    );
+    assert_eq!(
+        fnv_params(model.discriminator_mut().params_mut()),
+        0x4873_8ccc_908c_f9c5,
+        "discriminator weights + Adam moments"
+    );
+
+    // Forecasts: the trained model (GEMM n = 4·b at the bottleneck), and a
+    // fresh depth-5 model whose bottleneck is 1×1 like the quick model's
+    // (n = b, then 4·b) — batch 1, 3 and 5 leave a tail at every such level.
+    let deep_config = ExperimentConfig {
+        depth: 5,
+        ..ExperimentConfig::test()
+    };
+    let mut deep = Pix2Pix::new(&deep_config, 4243).unwrap();
+    let inputs = randn_inputs(&config, 5, 1000);
+    let mut got = Vec::new();
+    for batch in [1, 3, 5] {
+        let refs: Vec<&Tensor> = inputs[..batch].iter().collect();
+        for m in [&mut model, &mut deep] {
+            got.push(fnv(m.forecast_batch(&refs).iter().flat_map(|t| t.data())));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            0x6108_da22_9ac2_fcd2,
+            0xe4de_eec7_561b_dc15,
+            0x9cc3_b867_1040_ef98,
+            0xa1f6_88b0_550d_a79d,
+            0x4161_32ca_9fff_3c78,
+            0x1a33_0950_7744_1d76,
+        ],
+        "forecast_batch FNV: (trained, deep) at batch 1, 3, 5"
+    );
 }
