@@ -12,7 +12,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pop_core::{ExperimentConfig, Pix2Pix};
 use pop_nn::Tensor;
 use pop_serve::{EngineConfig, ForecastEngine};
-use std::time::Duration;
 
 const REQUESTS: usize = 16;
 
@@ -54,13 +53,12 @@ fn bench_serve(c: &mut Criterion) {
         })
     });
 
-    // The engine: the same requests submitted together, coalesced into
-    // batched forwards by the micro-batcher.
+    // The engine: the same requests submitted together; they back up
+    // behind the one worker and are coalesced into batched forwards.
     let engine = ForecastEngine::start(
         Pix2Pix::new(&config, 1).expect("valid config"),
         EngineConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(1),
             workers: 1, // single-core container: the win is batching, not threads
             ..EngineConfig::default()
         },

@@ -35,7 +35,6 @@ fn main() {
     let engine = EngineConfig {
         workers: 2,
         max_batch: 8,
-        max_wait: Duration::from_micros(500),
         ..EngineConfig::default()
     };
     let service = ForecastService::builder()

@@ -19,7 +19,6 @@ use pop_http::{api, ForecastService, HttpServer, ServerConfig};
 use pop_nn::Tensor;
 use pop_serve::EngineConfig;
 use std::io::BufRead;
-use std::time::Duration;
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -44,7 +43,6 @@ fn main() {
     let service = ForecastService::builder()
         .engine_config(EngineConfig {
             workers: 2,
-            max_wait: Duration::from_micros(500),
             ..EngineConfig::default()
         })
         .model_with_quantized("hot", Pix2Pix::new(&config, 11).expect("valid config"))

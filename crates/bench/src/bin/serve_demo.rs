@@ -17,7 +17,7 @@ use pop_netlist::presets;
 use pop_nn::Tensor;
 use pop_place::PlaceOptions;
 use pop_serve::{EngineConfig, ForecastEngine, ModelRegistry};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = config_from_env();
@@ -42,7 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &shared,
         EngineConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             ..EngineConfig::default()
         },
     )?;

@@ -9,8 +9,9 @@
 //!   with blocking and non-blocking enqueue (backpressure), a blocking
 //!   [`pop`](BoundedQueue::pop), and the batch-coalescing
 //!   [`pop_batch_by`](BoundedQueue::pop_batch_by) the serving engine's
-//!   micro-batcher is made of. [`close`](BoundedQueue::close) stops intake
-//!   while letting consumers drain — the graceful-shutdown protocol.
+//!   batcher is made of: it takes what is already queued and never holds
+//!   an item back to wait for more. [`close`](BoundedQueue::close) stops
+//!   intake while letting consumers drain — the graceful-shutdown protocol.
 //! * [`WorkerPool`] — a handful of named `std::thread` workers joined on
 //!   drop, so a stage cannot leak threads past its owner.
 //!

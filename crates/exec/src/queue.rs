@@ -4,16 +4,17 @@
 //! Producers use [`BoundedQueue::try_push`] (bounces with
 //! [`PushError::Full`] — backpressure) or [`BoundedQueue::push`] (blocks
 //! for space). Consumers use the blocking [`BoundedQueue::pop`] for plain
-//! work distribution, or [`BoundedQueue::pop_batch_by`] to coalesce up to
-//! `max_batch` key-compatible pending items into one batch, waiting up to
-//! `max_wait` past the first item for stragglers — the serving engine's
-//! micro-batcher.
+//! work distribution, or [`BoundedQueue::pop_batch_by`] to take the oldest
+//! item together with up to `max_batch - 1` key-compatible items that are
+//! already queued — the serving engine's batcher. Neither pop ever waits
+//! while it holds an item: a batch is whatever backed up while the
+//! consumers were busy, never something a consumer slept for.
 
 use pop_obs::{Counter, Gauge, Histogram};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why an enqueue was refused. The rejected item is handed back so the
 /// caller can retry, reroute or drop it explicitly.
@@ -223,12 +224,15 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Dequeues the next batch: the oldest item plus up to `max_batch - 1`
-    /// further pending items whose `key` equals the first item's, waiting
-    /// at most `max_wait` past the first pop for more to arrive. Items with
-    /// other keys stay queued in order for a later batch.
+    /// further items *already queued* whose `key` equals the first item's.
+    /// Blocks only while the queue is empty; once it holds an item it
+    /// returns without waiting for more (work-conserving: batches grow
+    /// when consumers are busy and the queue backs up, which is exactly
+    /// when a fuller batch pays). Items with other keys stay queued in
+    /// order for a later batch.
     ///
     /// Returns `None` once the queue is closed *and* drained.
-    pub fn pop_batch_by<K, F>(&self, max_batch: usize, max_wait: Duration, key: F) -> Option<Vec<T>>
+    pub fn pop_batch_by<K, F>(&self, max_batch: usize, key: F) -> Option<Vec<T>>
     where
         K: PartialEq,
         F: Fn(&T) -> K,
@@ -244,65 +248,23 @@ impl<T> BoundedQueue<T> {
                     m.pop_waits.inc();
                     m.pop_wait_us.record_duration(start.elapsed());
                 }
-                fn take_matching<T, K: PartialEq>(
-                    batch: &mut Vec<T>,
-                    st: &mut QueueState<T>,
-                    key: &K,
-                    key_of: &impl Fn(&T) -> K,
-                    max_batch: usize,
-                ) {
-                    let mut i = 0;
-                    while batch.len() < max_batch && i < st.deque.len() {
-                        let matches = st.deque.get(i).is_some_and(|it| key_of(it) == *key);
-                        if matches {
-                            // `remove` preserves FIFO order of the rest.
-                            match st.deque.remove(i) {
-                                Some(item) => batch.push(item),
-                                None => break,
-                            }
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
                 let batch_key = key(&first);
                 let mut batch = vec![first];
-                take_matching(&mut batch, &mut st, &batch_key, &key, max_batch);
-                // Hold the pop open briefly for stragglers: bounded extra
-                // latency for the first item, much higher occupancy under
-                // concurrent load.
-                if batch.len() < max_batch && !max_wait.is_zero() && !st.closed {
-                    let deadline = Instant::now() + max_wait;
-                    while batch.len() < max_batch && !st.closed {
-                        let now = Instant::now();
-                        let Some(left) = deadline.checked_duration_since(now) else {
-                            break;
-                        };
-                        if left.is_zero() {
-                            break;
+                let mut i = 0;
+                while batch.len() < max_batch && i < st.deque.len() {
+                    if st.deque.get(i).is_some_and(|it| key(it) == batch_key) {
+                        // `remove` preserves FIFO order of the rest.
+                        match st.deque.remove(i) {
+                            Some(item) => batch.push(item),
+                            None => break,
                         }
-                        let (next, timeout) = self
-                            .not_empty
-                            // lint: allow(blocking) — batch-window wait,
-                            // bounded by the caller's deadline.
-                            .wait_timeout(st, left)
-                            .unwrap_or_else(|e| e.into_inner());
-                        st = next;
-                        take_matching(&mut batch, &mut st, &batch_key, &key, max_batch);
-                        // A wakeup may have been for a key this batch
-                        // cannot take: pass the baton so an idle consumer
-                        // serves it instead of waiting out our deadline.
-                        if !st.deque.is_empty() {
-                            self.not_empty.notify_one();
-                        }
-                        if timeout.timed_out() {
-                            break;
-                        }
+                    } else {
+                        i += 1;
                     }
                 }
-                // Mismatched-key items may remain; their producers'
-                // notifications were consumed above, so re-notify before
-                // returning the batch.
+                // Items this batch could not take (other keys, or past
+                // `max_batch`) may remain, and the wake-up that announced
+                // them may have been ours: pass it on to an idle consumer.
                 let leftover = !st.deque.is_empty();
                 self.note_depth(st.deque.len());
                 drop(st);
@@ -360,6 +322,7 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn try_push_bounces_when_saturated_and_frees_after_pop() {
@@ -423,13 +386,13 @@ mod tests {
             q.try_push(item).unwrap();
         }
         // First batch: the three 4s, coalesced around the front.
-        let batch = q.pop_batch_by(4, Duration::ZERO, |&v| v).unwrap();
+        let batch = q.pop_batch_by(4, |&v| v).unwrap();
         assert_eq!(batch, vec![4, 4, 4]);
         // The 8s are still queued, in order.
-        let batch = q.pop_batch_by(4, Duration::ZERO, |&v| v).unwrap();
+        let batch = q.pop_batch_by(4, |&v| v).unwrap();
         assert_eq!(batch, vec![8, 8]);
         q.close();
-        assert!(q.pop_batch_by(4, Duration::ZERO, |&v| v).is_none());
+        assert!(q.pop_batch_by(4, |&v| v).is_none());
     }
 
     #[test]
@@ -438,27 +401,37 @@ mod tests {
         for _ in 0..5 {
             q.try_push(7u8).unwrap();
         }
-        assert_eq!(q.pop_batch_by(4, Duration::ZERO, |&v| v).unwrap().len(), 4);
-        assert_eq!(q.pop_batch_by(4, Duration::ZERO, |&v| v).unwrap().len(), 1);
+        assert_eq!(q.pop_batch_by(4, |&v| v).unwrap().len(), 4);
+        assert_eq!(q.pop_batch_by(4, |&v| v).unwrap().len(), 1);
     }
 
     #[test]
-    fn pop_batch_by_waits_for_stragglers() {
-        let q = Arc::new(BoundedQueue::new(8));
+    fn pop_batch_by_returns_a_lone_item_without_waiting() {
+        // No second thread exists to push a straggler or close the queue:
+        // a pop that waited for either would hang this test.
+        let q = BoundedQueue::new(8);
         q.try_push(1u32).unwrap();
-        let producer = {
+        assert_eq!(q.pop_batch_by(8, |&v| v), Some(vec![1]));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_batch_by_leaves_mismatched_keys_for_another_consumer() {
+        let q = Arc::new(BoundedQueue::new(8));
+        let idle = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                q.try_push(1).unwrap();
-            })
+            std::thread::spawn(move || q.pop_batch_by(4, |&v| v))
         };
-        // Generous window: the straggler lands well inside it.
-        let batch = q
-            .pop_batch_by(2, Duration::from_millis(2000), |&v| v)
-            .unwrap();
-        assert_eq!(batch.len(), 2);
-        producer.join().unwrap();
+        q.try_push(4usize).unwrap();
+        q.try_push(8).unwrap();
+        // Whichever consumer gets the lock first takes the 4 alone; the 8
+        // stays queued (and is re-announced) for the other one.
+        let mine = q.pop_batch_by(4, |&v| v).unwrap();
+        let theirs = idle.join().unwrap().unwrap();
+        assert_eq!((mine.len(), theirs.len()), (1, 1));
+        let mut both = [mine[0], theirs[0]];
+        both.sort_unstable();
+        assert_eq!(both, [4, 8]);
     }
 
     #[test]

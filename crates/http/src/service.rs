@@ -452,7 +452,6 @@ fn render_metrics() -> String {
 mod tests {
     use super::*;
     use pop_core::ExperimentConfig;
-    use std::time::Duration;
 
     fn tiny_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -470,7 +469,6 @@ mod tests {
     fn tiny_engine_config() -> EngineConfig {
         EngineConfig {
             workers: 1,
-            max_wait: Duration::ZERO,
             ..EngineConfig::default()
         }
     }

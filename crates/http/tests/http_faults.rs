@@ -40,7 +40,6 @@ fn service(engine_config: EngineConfig) -> ForecastService {
 fn fast_engine() -> EngineConfig {
     EngineConfig {
         workers: 1,
-        max_wait: Duration::ZERO,
         ..EngineConfig::default()
     }
 }
@@ -125,7 +124,6 @@ fn engine_saturation_maps_to_429_with_retry_after() {
         workers: 1,
         max_batch: 1,
         queue_capacity: 1,
-        max_wait: Duration::ZERO,
         forward_delay: Duration::from_millis(300),
         ..EngineConfig::default()
     };
@@ -218,7 +216,6 @@ fn connection_backlog_overflow_answers_503_at_the_door() {
 fn drain_during_inflight_requests_completes_them() {
     let engine = EngineConfig {
         workers: 1,
-        max_wait: Duration::ZERO,
         forward_delay: Duration::from_millis(200),
         ..EngineConfig::default()
     };

@@ -9,7 +9,6 @@ use pop_core::{ExperimentConfig, Pix2Pix};
 use pop_http::{api, ForecastService, HttpClient, HttpServer, ServerConfig};
 use pop_nn::Tensor;
 use pop_serve::EngineConfig;
-use std::time::Duration;
 
 fn tiny_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -29,7 +28,6 @@ fn http_forecasts_are_bitwise_identical_to_in_process() {
     let service = ForecastService::builder()
         .engine_config(EngineConfig {
             workers: 1,
-            max_wait: Duration::ZERO,
             ..EngineConfig::default()
         })
         .model_with_quantized("base", Pix2Pix::new(&tiny_config(), 21).unwrap())

@@ -1,6 +1,11 @@
 use crate::tensor::Tensor;
 use crate::Layer;
 
+/// `f` applied to every element: one allocation (the output), one pass.
+fn map(x: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+    Tensor::from_vec(x.shape(), x.data().iter().map(|&v| f(v)).collect())
+}
+
 /// Leaky rectified linear unit, `max(x, α·x)`. The paper's encoder (and the
 /// discriminator) use `α = 0.2`, the pix2pix convention.
 #[derive(Debug, Clone)]
@@ -32,15 +37,11 @@ impl Default for LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let mut y = x.clone();
-        for v in y.data_mut() {
-            if *v < 0.0 {
-                *v *= self.alpha;
-            }
-        }
-        self.cached_input = Some(x.clone());
-        y
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        // The input is kept only for a backward pass.
+        self.cached_input = train.then(|| x.clone());
+        let alpha = self.alpha;
+        map(x, |v| if v < 0.0 { v * alpha } else { v })
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -72,15 +73,9 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let mut y = x.clone();
-        for v in y.data_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-        self.cached_input = Some(x.clone());
-        y
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.cached_input = train.then(|| x.clone());
+        map(x, |v| if v < 0.0 { 0.0 } else { v })
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -113,12 +108,9 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let mut y = x.clone();
-        for v in y.data_mut() {
-            *v = v.tanh();
-        }
-        self.cached_output = Some(y.clone());
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let y = map(x, f32::tanh);
+        self.cached_output = train.then(|| y.clone());
         y
     }
 
@@ -154,12 +146,9 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let mut y = x.clone();
-        for v in y.data_mut() {
-            *v = 1.0 / (1.0 + (-*v).exp());
-        }
-        self.cached_output = Some(y.clone());
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let y = map(x, |v| 1.0 / (1.0 + (-v).exp()));
+        self.cached_output = train.then(|| y.clone());
         y
     }
 

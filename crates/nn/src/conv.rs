@@ -118,18 +118,35 @@ impl Layer for Conv2d {
             ckk,
             ncols,
         );
-        // De-interleave [out_c, n·p] back to NCHW and add the bias.
-        let mut y = Tensor::zeros([n, self.out_c, ho, wo]);
-        for b in 0..n {
-            for c in 0..self.out_c {
-                let bv = self.bias.value.data()[c];
-                let src = &y_flat[c * ncols + b * p_out..c * ncols + (b + 1) * p_out];
-                let dst = &mut y.data_mut()[(b * self.out_c + c) * p_out..][..p_out];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d = s + bv;
+        let y = if n == 1 && !train {
+            // [out_c, p] already is NCHW for one sample: add the bias in
+            // place and hand the matmul's buffer out as the result.
+            // (Inference only: doing the same under `train` raised
+            // `train_warm`'s peak RSS 4 % through heap layout alone.)
+            for (row, bv) in y_flat
+                .chunks_exact_mut(p_out.max(1))
+                .zip(self.bias.value.data())
+            {
+                for s in row {
+                    *s += bv;
                 }
             }
-        }
+            Tensor::from_vec([1, self.out_c, ho, wo], y_flat)
+        } else {
+            // De-interleave [out_c, n·p] back to NCHW and add the bias.
+            let mut y = Tensor::zeros([n, self.out_c, ho, wo]);
+            for b in 0..n {
+                for c in 0..self.out_c {
+                    let bv = self.bias.value.data()[c];
+                    let src = &y_flat[c * ncols + b * p_out..c * ncols + (b + 1) * p_out];
+                    let dst = &mut y.data_mut()[(b * self.out_c + c) * p_out..][..p_out];
+                    for (d, s) in dst.iter_mut().zip(src) {
+                        *d = s + bv;
+                    }
+                }
+            }
+            y
+        };
         // The caches exist only for a backward pass; inference-mode
         // forwards (the serving hot path) must not retain the k²-scaled
         // im2col matrix or an input clone between requests.

@@ -68,38 +68,48 @@ impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.c(), self.channels, "channel count");
         let [n, c, h, w] = x.shape();
-        let m = (n * h * w) as f32;
         let plane = h * w;
+        if !train {
+            // Inference normalises by the running statistics and keeps
+            // nothing for a backward pass: one output, one pass.
+            self.cached_xhat = None;
+            let mut y = Vec::with_capacity(x.len());
+            for (i, src) in x.data().chunks_exact(plane.max(1)).enumerate() {
+                let ci = i % c;
+                let mean = self.running_mean[ci];
+                let inv_std = 1.0 / (self.running_var[ci] + self.eps).sqrt();
+                let g = self.gamma.value.data()[ci];
+                let bta = self.beta.value.data()[ci];
+                y.extend(src.iter().map(|&v| g * ((v - mean) * inv_std) + bta));
+            }
+            return Tensor::from_vec(x.shape(), y);
+        }
+        let m = (n * h * w) as f32;
         let mut y = Tensor::zeros(x.shape());
         let mut xhat = Tensor::zeros(x.shape());
         for ci in 0..c {
-            let (mean, var) = if train {
-                let mut sum = 0.0f64;
-                for b in 0..n {
-                    let s = &x.data()[(b * c + ci) * plane..(b * c + ci + 1) * plane];
-                    sum += s.iter().map(|&v| v as f64).sum::<f64>();
-                }
-                let mean = (sum / m as f64) as f32;
-                let mut var_sum = 0.0f64;
-                for b in 0..n {
-                    let s = &x.data()[(b * c + ci) * plane..(b * c + ci + 1) * plane];
-                    var_sum += s
-                        .iter()
-                        .map(|&v| {
-                            let d = (v - mean) as f64;
-                            d * d
-                        })
-                        .sum::<f64>();
-                }
-                let var = (var_sum / m as f64) as f32;
-                self.running_mean[ci] =
-                    (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
-                self.running_var[ci] =
-                    (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
-                (mean, var)
-            } else {
-                (self.running_mean[ci], self.running_var[ci])
-            };
+            let mut sum = 0.0f64;
+            for b in 0..n {
+                let s = &x.data()[(b * c + ci) * plane..(b * c + ci + 1) * plane];
+                sum += s.iter().map(|&v| v as f64).sum::<f64>();
+            }
+            let mean = (sum / m as f64) as f32;
+            let mut var_sum = 0.0f64;
+            for b in 0..n {
+                let s = &x.data()[(b * c + ci) * plane..(b * c + ci + 1) * plane];
+                var_sum += s
+                    .iter()
+                    .map(|&v| {
+                        let d = (v - mean) as f64;
+                        d * d
+                    })
+                    .sum::<f64>();
+            }
+            let var = (var_sum / m as f64) as f32;
+            self.running_mean[ci] =
+                (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
+            self.running_var[ci] =
+                (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
             let inv_std = 1.0 / (var + self.eps).sqrt();
             self.cached_inv_std[ci] = inv_std;
             let g = self.gamma.value.data()[ci];
@@ -119,9 +129,7 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        if train {
-            self.cached_xhat = Some(xhat);
-        }
+        self.cached_xhat = Some(xhat);
         y
     }
 

@@ -117,15 +117,32 @@ pub fn render_connectivity(
     side: usize,
 ) -> Image {
     let layout = Layout::new(arch.width(), arch.height(), side);
+    // Many edges join the same two blocks, and a line's pixel walk depends
+    // only on its ordered endpoints (the reverse is a different float
+    // walk): draw each distinct (driver, sink) pair once, weighted by how
+    // often it occurs. Pairs are packed driver-high into one `u64` so the
+    // sort compares a single word.
+    let mut edges: Vec<u64> = netlist
+        .nets()
+        .iter()
+        .flat_map(|net| {
+            let driver = u64::from(net.driver.0) << 32;
+            net.sinks.iter().map(move |sink| driver | u64::from(sink.0))
+        })
+        .collect();
+    edges.sort_unstable();
+    let px: Vec<(f32, f32)> = netlist
+        .blocks()
+        .iter()
+        .map(|block| {
+            let (x, y) = placement.position(arch, block.id);
+            layout.point_to_px(x, y)
+        })
+        .collect();
     let mut hits = vec![0u32; side * side];
-    for net in netlist.nets() {
-        let (dx, dy) = placement.position(arch, net.driver);
-        let (px0, py0) = layout.point_to_px(dx, dy);
-        for &sink in &net.sinks {
-            let (sx, sy) = placement.position(arch, sink);
-            let (px1, py1) = layout.point_to_px(sx, sy);
-            draw_line(&mut hits, side, (px0, py0), (px1, py1));
-        }
+    for run in edges.chunk_by(|a, b| a == b) {
+        let (driver, sink) = ((run[0] >> 32) as usize, run[0] as u32 as usize);
+        draw_line(&mut hits, side, px[driver], px[sink], run.len() as u32);
     }
     let mut img = Image::zeros(side, side, 1);
     for (i, &h) in hits.iter().enumerate() {
@@ -136,9 +153,9 @@ pub fn render_connectivity(
     img
 }
 
-/// DDA line rasterisation accumulating hit counts (each pixel at most once
-/// per line).
-fn draw_line(hits: &mut [u32], side: usize, a: (f32, f32), b: (f32, f32)) {
+/// DDA line rasterisation adding `weight` to the hit count of every pixel
+/// on the line (each pixel at most once per line).
+fn draw_line(hits: &mut [u32], side: usize, a: (f32, f32), b: (f32, f32), weight: u32) {
     let steps = ((b.0 - a.0).abs().max((b.1 - a.1).abs()).ceil() as usize).max(1);
     let mut last = usize::MAX;
     for t in 0..=steps {
@@ -149,7 +166,7 @@ fn draw_line(hits: &mut [u32], side: usize, a: (f32, f32), b: (f32, f32)) {
         let yi = (y.floor() as isize).clamp(0, side as isize - 1) as usize;
         let idx = yi * side + xi;
         if idx != last {
-            hits[idx] += 1;
+            hits[idx] += weight;
             last = idx;
         }
     }
@@ -402,7 +419,7 @@ mod tests {
     #[test]
     fn line_drawing_marks_endpoints() {
         let mut hits = vec![0u32; 64];
-        draw_line(&mut hits, 8, (0.5, 0.5), (6.5, 6.5));
+        draw_line(&mut hits, 8, (0.5, 0.5), (6.5, 6.5), 1);
         assert!(hits[0] > 0);
         assert!(hits[6 * 8 + 6] > 0);
         let total: u32 = hits.iter().sum();

@@ -12,14 +12,16 @@
 //! adds the forecast-serving semantics on top:
 //!
 //! * [`ForecastEngine`] — a worker pool over a **bounded request queue**
-//!   with a **dynamic micro-batcher**: each worker pops the oldest request
-//!   plus up to [`EngineConfig::max_batch`] shape-compatible pending
-//!   requests (holding the batch open at most [`EngineConfig::max_wait`]
-//!   for stragglers), stacks them along the `nn::Tensor` batch dimension,
-//!   runs **one** generator forward on a private model replica, and splits
-//!   the painted heat maps back per request. Inference-mode layers treat
-//!   batch elements independently, so every answer is bitwise-identical to
-//!   an exclusive [`Pix2Pix::forecast`](pop_core::Pix2Pix::forecast) call.
+//!   with a **work-conserving batcher**: each worker pops the oldest
+//!   request plus up to [`EngineConfig::max_batch`] shape-compatible
+//!   requests that are *already queued* — it never sleeps holding a
+//!   request, so batches form exactly when workers are busy and the queue
+//!   backs up, and a lone caller is served at once — stacks them along the
+//!   `nn::Tensor` batch dimension, runs **one** generator forward on a
+//!   private model replica, and splits the painted heat maps back per
+//!   request. Inference-mode layers treat batch elements independently, so
+//!   every answer is bitwise-identical to an exclusive
+//!   [`Pix2Pix::forecast`](pop_core::Pix2Pix::forecast) call.
 //! * [`ForecastClient`] — the cheap, cloneable blocking handle:
 //!   [`forecast`](ForecastClient::forecast) for request-response,
 //!   [`submit`](ForecastClient::submit) /
@@ -104,7 +106,6 @@ mod tests {
             tiny_model(3),
             EngineConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(50),
                 workers: 2,
                 ..EngineConfig::default()
             },
@@ -132,7 +133,6 @@ mod tests {
             tiny_model(5),
             EngineConfig {
                 max_batch: 4,
-                max_wait: Duration::from_millis(10),
                 workers: 3,
                 ..EngineConfig::default()
             },
@@ -173,7 +173,6 @@ mod tests {
             tiny_model(6),
             EngineConfig {
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 queue_capacity: 2,
                 workers: 1,
                 forward_delay: Duration::from_millis(500),
@@ -211,7 +210,6 @@ mod tests {
             tiny_model(7),
             EngineConfig {
                 max_batch: 8,
-                max_wait: Duration::ZERO,
                 queue_capacity: 16,
                 workers: 1,
                 forward_delay: Duration::from_millis(300),
@@ -235,6 +233,52 @@ mod tests {
         assert_eq!(stats.batches, 2, "r0 alone, then the coalesced four");
         assert_eq!(stats.max_batch, 4);
         assert!((stats.mean_batch_occupancy - 2.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_lone_forecast_never_waits_for_stragglers() {
+        // `max_wait` is accepted and ignored: ten seconds of it must not
+        // delay a lone blocking forecast, and a value whose deadline would
+        // overflow `Instant` must not kill the worker.
+        for max_wait in [Duration::from_secs(10), Duration::MAX] {
+            let engine = ForecastEngine::start(
+                tiny_model(13),
+                EngineConfig {
+                    max_wait,
+                    workers: 1,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            let started = std::time::Instant::now();
+            engine.client().forecast(&input(9)).unwrap();
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "lone forecast took {:?} with max_wait {max_wait:?}",
+                started.elapsed()
+            );
+            let stats = engine.shutdown();
+            assert_eq!((stats.completed, stats.failed), (1, 0));
+        }
+    }
+
+    #[test]
+    fn engine_reports_queue_wait_and_batch_size() {
+        // The registry is process-global and other tests serve forecasts
+        // too, so compare counts before and after rather than absolutes.
+        let count = |name: &str| {
+            let snap = pop_obs::global().snapshot();
+            snap.histogram(name).map_or(0, |h| h.count)
+        };
+        let (waits, batches) = (count("serve.queue_wait_us"), count("serve.batch_size"));
+        let engine = ForecastEngine::start(tiny_model(14), EngineConfig::default()).unwrap();
+        engine.client().forecast(&input(10)).unwrap();
+        engine.shutdown();
+        assert!(
+            count("serve.queue_wait_us") > waits,
+            "one sample per request"
+        );
+        assert!(count("serve.batch_size") > batches, "one sample per batch");
     }
 
     #[test]
@@ -339,7 +383,6 @@ mod tests {
             model.config(),
             EngineConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(20),
                 workers: 2,
                 ..EngineConfig::default()
             },

@@ -9,15 +9,15 @@
 //! Producers are [`ForecastClient`](crate::ForecastClient)s — `try_push`
 //! bounces with [`ServeError::QueueFull`] (backpressure), `push` blocks for
 //! space. Consumers are engine workers calling [`RequestQueue::pop_batch`],
-//! which coalesces up to `max_batch` *shape-compatible* pending requests
-//! into one batch, waiting up to `max_wait` past the first request for
-//! stragglers so a lone request still sees bounded latency.
+//! which takes the oldest request plus up to `max_batch - 1`
+//! *shape-compatible* requests that are already queued, and never holds a
+//! request back to wait for more.
 
 use crate::error::ServeError;
 use pop_exec::{BoundedQueue, PushError};
 use pop_nn::Tensor;
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One in-flight forecast request.
 #[derive(Debug)]
@@ -62,15 +62,14 @@ impl RequestQueue {
     }
 
     /// Dequeues the next batch: the oldest request plus up to
-    /// `max_batch - 1` further pending requests with the same input shape,
-    /// waiting at most `max_wait` past the first pop for more to arrive.
-    /// Requests with other shapes stay queued in order for a later batch.
+    /// `max_batch - 1` further requests already queued with the same input
+    /// shape. Requests with other shapes stay queued in order for a later
+    /// batch.
     ///
     /// Returns `None` once the queue is closed *and* drained — the worker
     /// shutdown signal.
-    pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Vec<Request>> {
-        self.inner
-            .pop_batch_by(max_batch, max_wait, |r| r.input.shape())
+    pub fn pop_batch(&self, max_batch: usize) -> Option<Vec<Request>> {
+        self.inner.pop_batch_by(max_batch, |r| r.input.shape())
     }
 
     /// Stops accepting new requests and wakes every waiter; queued requests
@@ -89,6 +88,7 @@ impl RequestQueue {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn req(shape: [usize; 4]) -> (Request, mpsc::Receiver<Result<Tensor, ServeError>>) {
         let (tx, rx) = mpsc::channel();
@@ -113,7 +113,7 @@ mod tests {
         assert_eq!(q.try_push(c).unwrap_err(), ServeError::QueueFull);
         assert_eq!(q.len(), 2);
         // Space frees after a pop.
-        let batch = q.pop_batch(1, Duration::ZERO).unwrap();
+        let batch = q.pop_batch(1).unwrap();
         assert_eq!(batch.len(), 1);
         let (d, _rd) = req([1, 2, 4, 4]);
         q.try_push(d).unwrap();
@@ -126,9 +126,9 @@ mod tests {
             let (r, _rx) = req([1, 2, 4, 4]);
             q.try_push(r).unwrap();
         }
-        let batch = q.pop_batch(4, Duration::ZERO).unwrap();
+        let batch = q.pop_batch(4).unwrap();
         assert_eq!(batch.len(), 4);
-        let rest = q.pop_batch(4, Duration::ZERO).unwrap();
+        let rest = q.pop_batch(4).unwrap();
         assert_eq!(rest.len(), 1);
     }
 
@@ -142,33 +142,24 @@ mod tests {
         q.try_push(b).unwrap();
         q.try_push(c).unwrap();
         // First batch: the two 4x4 requests, coalesced around the front.
-        let batch = q.pop_batch(4, Duration::ZERO).unwrap();
+        let batch = q.pop_batch(4).unwrap();
         assert_eq!(batch.len(), 2);
         assert!(batch.iter().all(|r| r.input.shape() == [1, 2, 4, 4]));
         // The 8x8 request is still queued, in order.
-        let batch = q.pop_batch(4, Duration::ZERO).unwrap();
+        let batch = q.pop_batch(4).unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].input.shape(), [1, 2, 8, 8]);
     }
 
     #[test]
-    fn pop_batch_waits_for_stragglers() {
-        let q = Arc::new(RequestQueue::new(8));
+    fn pop_batch_returns_a_lone_request_without_waiting() {
+        // Single-threaded on purpose: nothing can push a straggler or close
+        // the queue, so a pop that waited for either would never return.
+        let q = RequestQueue::new(8);
         let (a, _ra) = req([1, 1, 4, 4]);
         q.try_push(a).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                let (b, rx) = req([1, 1, 4, 4]);
-                q.try_push(b).unwrap();
-                rx
-            })
-        };
-        // Generous window: the straggler lands well inside it.
-        let batch = q.pop_batch(2, Duration::from_millis(2000)).unwrap();
-        assert_eq!(batch.len(), 2);
-        let _rx = producer.join().unwrap();
+        assert_eq!(q.pop_batch(8).unwrap().len(), 1);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -180,9 +171,9 @@ mod tests {
         let (b, _rb) = req([1, 1, 4, 4]);
         assert_eq!(q.try_push(b).unwrap_err(), ServeError::ShuttingDown);
         // The queued request is still served...
-        assert_eq!(q.pop_batch(4, Duration::ZERO).unwrap().len(), 1);
+        assert_eq!(q.pop_batch(4).unwrap().len(), 1);
         // ...and only then do consumers see shutdown.
-        assert!(q.pop_batch(4, Duration::ZERO).is_none());
+        assert!(q.pop_batch(4).is_none());
     }
 
     #[test]
@@ -200,7 +191,7 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         // The pusher is blocked; free a slot and it completes.
-        let _ = q.pop_batch(1, Duration::ZERO).unwrap();
+        let _ = q.pop_batch(1).unwrap();
         let _rx = pusher.join().unwrap();
         assert_eq!(q.len(), 1);
     }

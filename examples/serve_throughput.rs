@@ -11,7 +11,7 @@ use painting_on_placement as pop;
 use pop::core::{ExperimentConfig, Pix2Pix};
 use pop::nn::Tensor;
 use pop::serve::{EngineConfig, ForecastEngine};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const CLIENTS: usize = 8;
 const PER_CLIENT: usize = 8;
@@ -52,7 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Pix2Pix::new(&config, 1)?,
         EngineConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             ..EngineConfig::default()
         },
     )?;
