@@ -1,12 +1,23 @@
 //! Kernel microbench: the register-blocked `linalg` kernels vs the PR-1
-//! reference kernels (embedded below, zero-skip and all) at the exact GEMM
-//! shapes the quick model (`ExperimentConfig::quick()`: 64×64, 4 input
-//! channels, base filters 12, depth 6) issues at the batch sizes the system
+//! reference kernels (embedded below, zero-skip and all) at the GEMM shapes
+//! of the quick model (`ExperimentConfig::quick()`: 64×64, 4 input
+//! channels, base filters 12, depth 6) at the batch sizes the system
 //! actually runs — batch 8 (full serve batches), batch 1 (training,
 //! `serve_http`) and batch 5 (`explore`) forwards, and the weight-gradient
-//! `nt` GEMMs of one `train_step` — plus one whole `train_step`, `Adam::step`
-//! against its old three-loop formulation, end-to-end f32 vs quantized
-//! `forecast_batch` throughput and the quantization accuracy delta.
+//! `nt` GEMMs of one `train_step`. The forward shapes are derived from the
+//! generator's own channel plan, so the table cannot drift from the model.
+//! They are whole-batch widths: since inference lowers wide layers in
+//! ≤ 512 KiB column groups (`pop-nn`'s `conv.rs`), the outer layers issue
+//! the same `m × k` against `n / 2` … `n / 4` columns, several times.
+//!
+//! Around the GEMMs: `lowering` rows time `im2col` and `col2im` per layer
+//! geometry at batch 1 and 8 (through the public layers — a one-filter
+//! `Conv2d` / one-input-channel `ConvTranspose2d` keeps the layer's whole
+//! lowering and shrinks its GEMM to a sliver), `whole_forward` rows one
+//! `forecast_batch` at batch 1 / 5 / 8; then one whole `train_step`,
+//! `Adam::step` against its old three-loop formulation, end-to-end f32 vs
+//! quantized `forecast_batch` throughput and the quantization accuracy
+//! delta.
 //!
 //! Emits `BENCH_kernels.json` at the workspace root and sanity-parses it
 //! back. `--smoke` runs one timed pass per shape (seconds, not minutes)
@@ -17,9 +28,9 @@
 //!
 //! Run with `cargo bench -p pop-bench --bench kernels [-- --smoke]`.
 
-use pop_core::{ExperimentConfig, Forecaster, Pix2Pix};
+use pop_core::{ExperimentConfig, Forecaster, Pix2Pix, UNetGenerator};
 use pop_nn::linalg::{matmul_nn, matmul_nt, matmul_tn};
-use pop_nn::{Adam, Layer, Param, Tensor};
+use pop_nn::{Adam, Conv2d, ConvTranspose2d, Layer, Param, Tensor};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -96,14 +107,14 @@ fn ref_matmul_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 // with (m, k, n) = (out_c, in_c·4·4, b·ho·wo); decoder deconvs lower to `tn`
 // with (out_c·4·4, in_c, b·h·w); weight gradients to `nt` with
 // (out_c, ho·wo, in_c·4·4) for a conv and (in_c, h·w, out_c·4·4) for a
-// deconv. Channel plan: enc 12,24,48,96,96,96; dec 96,96,96,48,24,3 with
-// skip concats (see pop-core's `UNetGenerator`); discriminator 7→12→24→48
-// →96 (stride 1, 7×7) →1 (6×6).
+// deconv. Channel plan: enc 12,24,48,96,96,96; dec 96,96,48,24,12,3 with
+// skip concats (read off pop-core's `UNetGenerator` at start-up);
+// discriminator 7→12→24→48→96 (stride 1, 7×7) →1 (6×6).
 // ---------------------------------------------------------------------------
 
 struct GemmShape {
     kernel: &'static str,
-    layer: &'static str,
+    layer: String,
     /// Batch size of the forward (or of the training step) issuing it.
     batch: usize,
     /// Calls per forward / per `train_step` (the discriminator runs its
@@ -114,16 +125,16 @@ struct GemmShape {
     n: usize,
 }
 
-const fn shape(
+fn shape(
     kernel: &'static str,
-    layer: &'static str,
+    layer: &str,
     batch: usize,
     calls: usize,
     (m, k, n): (usize, usize, usize),
 ) -> GemmShape {
     GemmShape {
         kernel,
-        layer,
+        layer: layer.to_string(),
         batch,
         calls,
         m,
@@ -132,49 +143,149 @@ const fn shape(
     }
 }
 
-const SHAPES: &[GemmShape] = &[
-    // One batch-8 `forecast_batch`: every n is a multiple of 8.
-    shape("nn", "enc0", 8, 1, (12, 64, 8192)),
-    shape("nn", "enc1", 8, 1, (24, 192, 2048)),
-    shape("nn", "enc2", 8, 1, (48, 384, 512)),
-    shape("nn", "enc3", 8, 1, (96, 768, 128)),
-    shape("nn", "enc4", 8, 1, (96, 1536, 32)),
-    shape("nn", "enc5", 8, 1, (96, 1536, 8)),
-    shape("tn", "dec0", 8, 1, (1536, 96, 8)),
-    shape("tn", "dec1", 8, 1, (1536, 192, 32)),
-    shape("tn", "dec2", 8, 1, (1536, 192, 128)),
-    shape("tn", "dec3", 8, 1, (768, 144, 512)),
-    shape("tn", "dec4", 8, 1, (384, 72, 2048)),
-    shape("tn", "dec5", 8, 1, (48, 36, 8192)),
-    // The inner levels of a batch-1 forward (training, serve_http):
-    // n = 16, 4, 1 — the `< 8` column tails and the `n < 8 ≤ m` `tn` path.
-    shape("nn", "enc3", 1, 1, (96, 768, 16)),
-    shape("nn", "enc4", 1, 1, (96, 1536, 4)),
-    shape("nn", "enc5", 1, 1, (96, 1536, 1)),
-    shape("tn", "dec0", 1, 1, (1536, 96, 1)),
-    shape("tn", "dec1", 1, 1, (1536, 192, 4)),
-    shape("tn", "dec2", 1, 1, (768, 192, 16)),
-    // The same levels at batch 5 (explore's mean batch): n = 20, 5.
-    shape("nn", "enc4", 5, 1, (96, 1536, 20)),
-    shape("nn", "enc5", 5, 1, (96, 1536, 5)),
-    shape("tn", "dec0", 5, 1, (1536, 96, 5)),
-    shape("tn", "dec1", 5, 1, (1536, 192, 20)),
+/// One conv / deconv layer of the generator, as the model builds it.
+#[derive(Clone, Copy)]
+struct LayerGeom {
+    deconv: bool,
+    level: usize,
+    in_c: usize,
+    out_c: usize,
+    /// Input side length (square maps).
+    side: usize,
+}
+
+impl LayerGeom {
+    fn name(&self) -> String {
+        format!("{}{}", if self.deconv { "dec" } else { "enc" }, self.level)
+    }
+
+    /// The forward GEMM at batch `b`: `(kernel, (m, k, n))`.
+    fn forward_gemm(&self, b: usize) -> (&'static str, (usize, usize, usize)) {
+        if self.deconv {
+            (
+                "tn",
+                (self.out_c * 16, self.in_c, b * self.side * self.side),
+            )
+        } else {
+            let out = self.side / 2;
+            ("nn", (self.out_c, self.in_c * 16, b * out * out))
+        }
+    }
+
+    /// The weight-gradient GEMM of a batch-1 step: `(m, k, n)` of `nt`.
+    fn weight_gradient(&self) -> (usize, usize, usize) {
+        if self.deconv {
+            (self.in_c, self.side * self.side, self.out_c * 16)
+        } else {
+            let out = self.side / 2;
+            (self.out_c, out * out, self.in_c * 16)
+        }
+    }
+}
+
+/// The twelve layers of the quick generator, read off the model itself
+/// (`UNetGenerator::new(4, 3, 12, 6, All)`: every decoder level past the
+/// first takes the previous level's output concatenated with a skip).
+fn generator_layers(config: &ExperimentConfig) -> Vec<LayerGeom> {
+    let gen = UNetGenerator::new(
+        config.input_channels(),
+        3,
+        config.base_filters,
+        config.depth,
+        config.skip,
+        7,
+    );
+    let (enc, dec) = (gen.encoder_channels(), gen.decoder_channels());
+    let depth = gen.depth();
+    let mut layers = Vec::with_capacity(2 * depth);
+    for level in 0..depth {
+        layers.push(LayerGeom {
+            deconv: false,
+            level,
+            in_c: if level == 0 {
+                gen.in_channels()
+            } else {
+                enc[level - 1]
+            },
+            out_c: enc[level],
+            side: config.resolution >> level,
+        });
+    }
+    for level in 0..depth {
+        layers.push(LayerGeom {
+            deconv: true,
+            level,
+            in_c: if level == 0 {
+                enc[depth - 1]
+            } else {
+                dec[level - 1] + enc[depth - 1 - level]
+            },
+            out_c: dec[level],
+            side: 1 << level,
+        });
+    }
+    layers
+}
+
+/// The shape table: forward rows derived from `layers`, weight-gradient
+/// rows written out (several coincide with discriminator shapes and share
+/// a row) and checked against `layers` — a row the model does not issue
+/// aborts the bench.
+fn shapes(layers: &[LayerGeom]) -> Vec<GemmShape> {
+    let mut table = Vec::new();
+    // One batch-8 `forecast_batch`: every n is a multiple of 8. Then the
+    // inner levels of a batch-1 forward (training, serve_http: n = 16, 4, 1
+    // — the `< 8` column tails and `tn`'s transposed-output layout) and of
+    // a batch-5 one (explore's mean batch: n = 20, 5).
+    let depth = layers.len() / 2;
+    for (batch, levels) in [(8, 0..depth), (1, 3..depth), (5, 4..depth)] {
+        for l in layers {
+            // Encoder levels count down to the bottleneck, decoder levels
+            // up from it: `levels` selects by distance from the outside.
+            let inward = if l.deconv {
+                depth - 1 - l.level
+            } else {
+                l.level
+            };
+            if levels.contains(&inward) {
+                let (kernel, mkn) = l.forward_gemm(batch);
+                table.push(shape(kernel, &l.name(), batch, 1, mkn));
+            }
+        }
+    }
     // Every weight-gradient GEMM of one batch-1 `train_step`.
-    shape("nt", "g.enc0.dw", 1, 1, (12, 1024, 64)),
-    shape("nt", "g.enc1.dw+d.1.dw", 1, 4, (24, 256, 192)),
-    shape("nt", "g.enc2.dw+d.2.dw", 1, 4, (48, 64, 384)),
-    shape("nt", "g.enc3.dw", 1, 1, (96, 16, 768)),
-    shape("nt", "g.enc4.dw", 1, 1, (96, 4, 1536)),
-    shape("nt", "g.enc5.dw+g.dec0.dw", 1, 2, (96, 1, 1536)),
-    shape("nt", "g.dec1.dw", 1, 1, (192, 4, 1536)),
-    shape("nt", "g.dec2.dw", 1, 1, (192, 16, 768)),
-    shape("nt", "g.dec3.dw", 1, 1, (96, 64, 384)),
-    shape("nt", "g.dec4.dw", 1, 1, (48, 256, 192)),
-    shape("nt", "g.dec5.dw", 1, 1, (24, 1024, 48)),
-    shape("nt", "d.0.dw", 1, 3, (12, 1024, 112)),
-    shape("nt", "d.3.dw", 1, 3, (96, 49, 768)),
-    shape("nt", "d.4.dw", 1, 3, (1, 36, 1536)),
-];
+    let gradients = [
+        ("g.enc0.dw", 1, (12, 1024, 64)),
+        ("g.enc1.dw+d.1.dw", 4, (24, 256, 192)),
+        ("g.enc2.dw+d.2.dw", 4, (48, 64, 384)),
+        ("g.enc3.dw", 1, (96, 16, 768)),
+        ("g.enc4.dw", 1, (96, 4, 1536)),
+        ("g.enc5.dw+g.dec0.dw", 2, (96, 1, 1536)),
+        ("g.dec1.dw", 1, (192, 4, 1536)),
+        ("g.dec2.dw", 1, (192, 16, 768)),
+        ("g.dec3.dw", 1, (96, 64, 384)),
+        ("g.dec4.dw", 1, (48, 256, 192)),
+        ("g.dec5.dw", 1, (24, 1024, 48)),
+        ("d.0.dw", 3, (12, 1024, 112)),
+        ("d.3.dw", 3, (96, 49, 768)),
+        ("d.4.dw", 3, (1, 36, 1536)),
+    ];
+    for (name, calls, mkn) in gradients {
+        for part in name.split('+').filter(|part| part.starts_with("g.")) {
+            let layer = layers
+                .iter()
+                .find(|l| format!("g.{}.dw", l.name()) == part)
+                .unwrap_or_else(|| panic!("shape table names {part}, the model has no such layer"));
+            assert_eq!(
+                layer.weight_gradient(),
+                mkn,
+                "shape table row {name} disagrees with the model's {part}"
+            );
+        }
+        table.push(shape("nt", name, 1, calls, mkn));
+    }
+    table
+}
 
 /// Deterministic non-zero matrix filler (zeros would let the reference
 /// kernels' `== 0.0` skip fire and muddy the comparison).
@@ -208,17 +319,17 @@ fn time_per_call(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-struct ShapeResult {
-    shape: &'static GemmShape,
+struct ShapeResult<'a> {
+    shape: &'a GemmShape,
     flops: f64,
     ref_secs: f64,
     new_secs: f64,
 }
 
-fn bench_shape(shape: &'static GemmShape, smoke: bool) -> ShapeResult {
+fn bench_shape(shape: &GemmShape, smoke: bool) -> ShapeResult<'_> {
     let &GemmShape {
         kernel,
-        layer,
+        ref layer,
         batch,
         m,
         k,
@@ -296,6 +407,69 @@ fn bench_shape(shape: &'static GemmShape, smoke: bool) -> ShapeResult {
         ref_secs,
         new_secs,
     }
+}
+
+struct LoweringResult {
+    op: &'static str,
+    layer: String,
+    batch: usize,
+    secs: f64,
+}
+
+/// `im2col` / `col2im` at one layer's geometry, through the public layers:
+/// a `Conv2d` with one filter lowers exactly what the real layer lowers
+/// and multiplies `1/out_c` of it; a `ConvTranspose2d` with one input
+/// channel scatters the real layer's `cols` out of a rank-one product.
+/// What is timed is everything the layer does around its GEMM — lowering,
+/// scratch buffers, bias, output layout — plus that sliver of GEMM.
+fn bench_lowering(l: &LayerGeom, batch: usize, smoke: bool) -> LoweringResult {
+    let (mut layer, in_c): (Box<dyn Layer>, usize) = if l.deconv {
+        (Box::new(ConvTranspose2d::new(1, l.out_c, 4, 2, 1, 3)), 1)
+    } else {
+        (Box::new(Conv2d::new(l.in_c, 1, 4, 2, 1, 3)), l.in_c)
+    };
+    let x = Tensor::randn([batch, in_c, l.side, l.side], 0.0, 0.5, 5);
+    let t0 = Instant::now();
+    let _ = layer.forward(&x, false);
+    let pilot = t0.elapsed().as_secs_f64().max(1e-6);
+    let (reps, iters) = if smoke {
+        (1, 1)
+    } else {
+        (5, ((0.02 / pilot).ceil() as usize).clamp(2, 2000))
+    };
+    let secs = time_per_call(reps, iters, || {
+        std::hint::black_box(layer.forward(&x, false));
+    });
+    let op = if l.deconv { "col2im" } else { "im2col" };
+    println!("b{batch} {op}/{}: {:.1} us", l.name(), secs * 1e6);
+    LoweringResult {
+        op,
+        layer: l.name(),
+        batch,
+        secs,
+    }
+}
+
+/// One whole f32 `forecast_batch` of the quick model at `batch`.
+fn bench_whole_forward(batch: usize, smoke: bool) -> f64 {
+    let config = ExperimentConfig::quick();
+    let mut model = Pix2Pix::new(&config, 7).expect("quick config");
+    let res = config.resolution;
+    let xs: Vec<Tensor> = (0..batch as u64)
+        .map(|i| Tensor::randn([1, config.input_channels(), res, res], 0.0, 0.5, 100 + i))
+        .collect();
+    let refs: Vec<&Tensor> = xs.iter().collect();
+    let _ = model.forecast_batch(&refs);
+    let (reps, iters) = if smoke { (1, 1) } else { (7, 40 / batch + 2) };
+    let secs = time_per_call(reps, iters, || {
+        std::hint::black_box(model.forecast_batch(&refs));
+    });
+    println!(
+        "whole forward (quick, batch {batch}): {:.1} us, {:.1} us per image",
+        secs * 1e6,
+        secs * 1e6 / batch as f64
+    );
+    secs
 }
 
 struct InferenceResult {
@@ -494,7 +668,9 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
 
-    let results: Vec<ShapeResult> = SHAPES.iter().map(|s| bench_shape(s, smoke)).collect();
+    let layers = generator_layers(&ExperimentConfig::quick());
+    let table = shapes(&layers);
+    let results: Vec<ShapeResult> = table.iter().map(|s| bench_shape(s, smoke)).collect();
 
     // Whole-forward-pass kernel throughput: total GEMM work over total GEMM
     // time for one batch-8 forecast.
@@ -521,6 +697,27 @@ fn main() {
         bwd_new * 1e3,
         bwd_ref / bwd_new
     );
+
+    let lowering: Vec<LoweringResult> = [1, 8]
+        .iter()
+        .flat_map(|&batch| layers.iter().map(move |l| (l, batch)))
+        .map(|(l, batch)| bench_lowering(l, batch, smoke))
+        .collect();
+    for batch in [1, 8] {
+        let of = |op: &str| -> f64 {
+            let rows = lowering.iter().filter(|r| r.batch == batch && r.op == op);
+            rows.map(|r| r.secs).sum::<f64>() * 1e6 / batch as f64
+        };
+        println!(
+            "lowering, batch {batch}: im2col {:.1} + col2im {:.1} us per image",
+            of("im2col"),
+            of("col2im")
+        );
+    }
+    let whole_forward: Vec<(usize, f64)> = [1, 5, 8]
+        .iter()
+        .map(|&batch| (batch, bench_whole_forward(batch, smoke)))
+        .collect();
 
     let training = bench_training(smoke);
     let inference = bench_inference(smoke);
@@ -580,6 +777,28 @@ fn main() {
             )
         })
         .collect();
+    let lowering_json: Vec<String> = lowering
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{ \"op\": \"{}\", \"layer\": \"{}\", \"batch\": {}, \"us\": {:.1} }}",
+                r.op,
+                r.layer,
+                r.batch,
+                r.secs * 1e6
+            )
+        })
+        .collect();
+    let whole_forward_json: Vec<String> = whole_forward
+        .iter()
+        .map(|&(batch, secs)| {
+            format!(
+                "    {{ \"batch\": {batch}, \"us\": {:.1}, \"us_per_image\": {:.1} }}",
+                secs * 1e6,
+                secs * 1e6 / batch as f64
+            )
+        })
+        .collect();
     let notes_json: Vec<String> = notes.iter().map(|n| format!("    \"{n}\"")).collect();
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"smoke\": {smoke},\n  \
@@ -592,6 +811,8 @@ fn main() {
          \"speedup\": {:.4} }},\n  \
          \"weight_gradients\": {{ \"ms_ref\": {:.4}, \"ms_new\": {:.4}, \
          \"speedup\": {:.4} }},\n  \
+         \"lowering\": [\n{}\n  ],\n  \
+         \"whole_forward\": [\n{}\n  ],\n  \
          \"train_step\": {{ \"config\": \"quick\", \"batch\": 1, \"ms\": {:.4} }},\n  \
          \"adam_step\": {{ \"params\": {}, \"us_ref\": {:.1}, \"us_new\": {:.1}, \
          \"speedup\": {:.4} }},\n  \
@@ -606,6 +827,8 @@ fn main() {
         bwd_ref * 1e3,
         bwd_new * 1e3,
         bwd_ref / bwd_new,
+        lowering_json.join(",\n"),
+        whole_forward_json.join(",\n"),
         training.train_step_ms,
         training.adam_params,
         training.adam_ref_secs * 1e6,
@@ -627,6 +850,11 @@ fn main() {
         "\"bench\": \"kernels\"",
         "\"shapes\"",
         "\"forward_pass\"",
+        "\"lowering\"",
+        "\"op\": \"im2col\"",
+        "\"op\": \"col2im\"",
+        "\"whole_forward\"",
+        "\"us_per_image\"",
         "\"batch\": 1",
         "\"train_step\"",
         "\"adam_step\"",

@@ -1,8 +1,21 @@
-use crate::im2col::{col2im, conv_out_dim, im2col, im2col_strided};
+use crate::im2col::{col2im, conv_out_dim, im2col_strided};
 use crate::linalg::{matmul_nn, matmul_nt, matmul_tn};
 use crate::param::Param;
 use crate::tensor::Tensor;
+use crate::workspace;
 use crate::Layer;
+
+/// Floats of lowered matrix an inference matmul works on at a time
+/// (512 KiB): what the lowering writes is still in L2 when the matmul
+/// reads it, whatever the batch size — which also keeps the thread's
+/// workspace to a few buffers of about this size.
+const SLAB: usize = 1 << 17;
+
+/// How many of `n` samples, each lowering to `per_sample` floats, go
+/// through one matmul: as many as fit `SLAB`, at least one.
+fn slab_group(per_sample: usize, n: usize) -> usize {
+    (SLAB / per_sample.max(1)).clamp(1, n.max(1))
+}
 
 /// 2-D convolution (`k×k` kernel, stride, zero padding) lowered to im2col +
 /// matmul. pix2pix uses `k=4, stride=2, pad=1` throughout the encoder,
@@ -87,66 +100,64 @@ impl Layer for Conv2d {
         let wo = conv_out_dim(w, self.k, self.stride, self.pad);
         let ckk = self.in_c * self.k * self.k;
         let p_out = ho * wo;
-        let ncols = n * p_out;
-        // Unroll the whole batch into one interleaved [ckk, n·ho·wo] matrix
-        // and run a single matmul. Each output element accumulates over
-        // `ckk` in the same order as a per-sample lowering, so results are
-        // bitwise-identical for any batch size — but the matmul's inner
-        // loop is `n×` longer, which is what makes micro-batched inference
-        // beat sequential single-sample calls on small feature maps.
-        let mut cols = vec![0.0f32; ckk * ncols];
-        for b in 0..n {
-            im2col_strided(
-                &x.data()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w],
-                self.in_c,
-                h,
-                w,
-                self.k,
-                self.stride,
-                self.pad,
-                &mut cols,
-                ncols,
-                b * p_out,
-            );
-        }
-        let mut y_flat = vec![0.0f32; self.out_c * ncols];
-        matmul_nn(
-            self.weight.value.data(),
-            &cols,
-            &mut y_flat,
-            self.out_c,
-            ckk,
-            ncols,
-        );
-        let y = if n == 1 && !train {
-            // [out_c, p] already is NCHW for one sample: add the bias in
-            // place and hand the matmul's buffer out as the result.
-            // (Inference only: doing the same under `train` raised
-            // `train_warm`'s peak RSS 4 % through heap layout alone.)
-            for (row, bv) in y_flat
-                .chunks_exact_mut(p_out.max(1))
-                .zip(self.bias.value.data())
-            {
-                for s in row {
-                    *s += bv;
-                }
-            }
-            Tensor::from_vec([1, self.out_c, ho, wo], y_flat)
+        // Unroll samples side by side into one interleaved [ckk, g·ho·wo]
+        // matrix and run a single matmul over it: each output accumulates
+        // over `ckk` in the same order as a per-sample lowering, so results
+        // are bitwise-identical for any batch size, while the matmul's
+        // inner loop is `g×` longer — what makes micro-batched inference
+        // beat single-sample calls on small feature maps. Inference lowers
+        // as many samples per matmul as fit `SLAB`; training lowers the
+        // whole batch, the layout `backward` expects.
+        //
+        // `im2col` writes every element, so the matrix is never zeroed: an
+        // inference forward borrows it from the thread's workspace, a
+        // training forward reuses the capacity `backward` handed back.
+        let group = if train { n } else { slab_group(ckk * p_out, n) };
+        let mut cols = if train {
+            let mut cols = std::mem::take(&mut self.cached_cols);
+            cols.resize(ckk * n * p_out, 0.0);
+            cols
         } else {
-            // De-interleave [out_c, n·p] back to NCHW and add the bias.
-            let mut y = Tensor::zeros([n, self.out_c, ho, wo]);
-            for b in 0..n {
-                for c in 0..self.out_c {
-                    let bv = self.bias.value.data()[c];
-                    let src = &y_flat[c * ncols + b * p_out..c * ncols + (b + 1) * p_out];
-                    let dst = &mut y.data_mut()[(b * self.out_c + c) * p_out..][..p_out];
-                    for (d, s) in dst.iter_mut().zip(src) {
-                        *d = s + bv;
-                    }
+            workspace::take(ckk * group * p_out)
+        };
+        let mut y_flat = workspace::take(self.out_c * group * p_out);
+        let mut y = Vec::with_capacity(n * self.out_c * p_out);
+        for first in (0..n).step_by(group.max(1)) {
+            let g = group.min(n - first);
+            let gcols = g * p_out;
+            let (cols, y_flat) = (&mut cols[..ckk * gcols], &mut y_flat[..self.out_c * gcols]);
+            for b in 0..g {
+                im2col_strided(
+                    &x.data()[(first + b) * self.in_c * h * w..][..self.in_c * h * w],
+                    self.in_c,
+                    h,
+                    w,
+                    self.k,
+                    self.stride,
+                    self.pad,
+                    cols,
+                    gcols,
+                    b * p_out,
+                );
+            }
+            y_flat.fill(0.0);
+            matmul_nn(
+                self.weight.value.data(),
+                cols,
+                y_flat,
+                self.out_c,
+                ckk,
+                gcols,
+            );
+            // De-interleave [out_c, g·p] to NCHW and add the bias.
+            for b in 0..g {
+                for (c, bv) in self.bias.value.data().iter().enumerate() {
+                    let src = &y_flat[c * gcols + b * p_out..][..p_out];
+                    y.extend(src.iter().map(|s| s + bv));
                 }
             }
-            y
-        };
+        }
+        workspace::give(y_flat);
         // The caches exist only for a backward pass; inference-mode
         // forwards (the serving hot path) must not retain the k²-scaled
         // im2col matrix or an input clone between requests.
@@ -155,10 +166,11 @@ impl Layer for Conv2d {
             self.cached_p_out = p_out;
             self.cached_input = Some(x.clone());
         } else {
+            workspace::give(cols);
             self.cached_cols = Vec::new();
             self.cached_input = None;
         }
-        y
+        Tensor::from_vec([n, self.out_c, ho, wo], y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -171,9 +183,10 @@ impl Layer for Conv2d {
         let ckk = self.in_c * self.k * self.k;
         let p_out = self.cached_p_out;
         let ncols = n * p_out;
-        let cached_cols = std::mem::take(&mut self.cached_cols);
+        let mut cached_cols = std::mem::take(&mut self.cached_cols);
         let mut dx = Tensor::zeros(x.shape());
-        let mut cols_scratch = vec![0.0f32; if n > 1 { ckk * p_out } else { 0 }];
+        let mut cols_scratch = workspace::take(if n > 1 { ckk * p_out } else { 0 });
+        let mut dcols = workspace::take(ckk * p_out);
         for b in 0..n {
             let dy_n = &grad_out.data()[b * self.out_c * ho * wo..(b + 1) * self.out_c * ho * wo];
             // Per-sample contiguous view of the interleaved cache (the
@@ -186,7 +199,7 @@ impl Layer for Conv2d {
                         &cached_cols[r * ncols + b * p_out..r * ncols + (b + 1) * p_out],
                     );
                 }
-                &cols_scratch
+                &cols_scratch[..ckk * p_out]
             };
             // dW += dY @ colsᵀ.
             matmul_nt(
@@ -203,17 +216,18 @@ impl Layer for Conv2d {
                 self.bias.grad.data_mut()[c] += s;
             }
             // dX = col2im(Wᵀ @ dY).
-            let mut dcols = vec![0.0f32; ckk * ho * wo];
+            let dcols = &mut dcols[..ckk * p_out];
+            dcols.fill(0.0);
             matmul_tn(
                 self.weight.value.data(),
                 dy_n,
-                &mut dcols,
+                dcols,
                 ckk,
                 self.out_c,
                 ho * wo,
             );
             col2im(
-                &dcols,
+                dcols,
                 self.in_c,
                 h,
                 w,
@@ -221,8 +235,16 @@ impl Layer for Conv2d {
                 self.stride,
                 self.pad,
                 &mut dx.data_mut()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w],
+                p_out,
+                0,
             );
         }
+        workspace::give(cols_scratch);
+        workspace::give(dcols);
+        // Hand the matrix's capacity to the next training forward, empty:
+        // outside forward → backward the layer caches nothing.
+        cached_cols.clear();
+        self.cached_cols = cached_cols;
         dx
     }
 
@@ -313,66 +335,37 @@ impl Layer for ConvTranspose2d {
         debug_assert_eq!(conv_out_dim(ho, self.k, self.stride, self.pad), h);
         let ckk = self.out_c * self.k * self.k;
         let p_in = h * w;
-        let ncols = n * p_in;
         let mut y = Tensor::zeros(out);
-        // Batched lowering mirrors Conv2d: interleave the batch into one
-        // [in_c, n·h·w] matrix, run a single `Wᵀ @ X`, then col2im each
-        // sample's column block. Accumulation order per element matches the
-        // per-sample pass exactly, so any batch size is bitwise-identical.
-        if n == 1 {
-            let mut cols = vec![0.0f32; ckk * p_in];
-            matmul_tn(
-                self.weight.value.data(),
-                x.data(),
-                &mut cols,
-                ckk,
-                self.in_c,
-                p_in,
-            );
-            let y_n = &mut y.data_mut()[..self.out_c * ho * wo];
-            col2im(
-                &cols,
-                self.out_c,
-                ho,
-                wo,
-                self.k,
-                self.stride,
-                self.pad,
-                y_n,
-            );
-            for c in 0..self.out_c {
-                let bv = self.bias.value.data()[c];
-                for v in &mut y_n[c * ho * wo..(c + 1) * ho * wo] {
-                    *v += bv;
+        // Batched lowering mirrors Conv2d: interleave a group of samples
+        // into one [in_c, g·h·w] matrix (one sample already is that
+        // matrix), run a single `Wᵀ @ X`, then col2im each sample's column
+        // block straight out of the product. Accumulation order per element
+        // matches the per-sample pass exactly, so any batch size is
+        // bitwise-identical.
+        let group = slab_group(ckk * p_in, n);
+        let mut xt_buf = workspace::take(self.in_c * group * p_in);
+        let mut cols_buf = workspace::take(ckk * group * p_in);
+        let sample = (self.out_c * ho * wo).max(1);
+        for (gi, y_g) in y.data_mut().chunks_mut(group * sample).enumerate() {
+            let (first, g) = (gi * group, y_g.len() / sample);
+            let gcols = g * p_in;
+            let x_g = &x.data()[first * self.in_c * p_in..][..self.in_c * gcols];
+            let xt: &[f32] = if g == 1 {
+                x_g
+            } else {
+                for (b, x_b) in x_g.chunks_exact(self.in_c * p_in).enumerate() {
+                    for (c, plane) in x_b.chunks_exact(p_in).enumerate() {
+                        xt_buf[c * gcols + b * p_in..][..p_in].copy_from_slice(plane);
+                    }
                 }
-            }
-        } else {
-            let mut xt = vec![0.0f32; self.in_c * ncols];
-            for b in 0..n {
-                for c in 0..self.in_c {
-                    xt[c * ncols + b * p_in..c * ncols + (b + 1) * p_in]
-                        .copy_from_slice(&x.data()[(b * self.in_c + c) * p_in..][..p_in]);
-                }
-            }
-            let mut cols = vec![0.0f32; ckk * ncols];
-            matmul_tn(
-                self.weight.value.data(),
-                &xt,
-                &mut cols,
-                ckk,
-                self.in_c,
-                ncols,
-            );
-            let mut cols_b = vec![0.0f32; ckk * p_in];
-            for b in 0..n {
-                for r in 0..ckk {
-                    cols_b[r * p_in..(r + 1) * p_in]
-                        .copy_from_slice(&cols[r * ncols + b * p_in..r * ncols + (b + 1) * p_in]);
-                }
-                let y_n =
-                    &mut y.data_mut()[b * self.out_c * ho * wo..(b + 1) * self.out_c * ho * wo];
+                &xt_buf[..self.in_c * gcols]
+            };
+            let cols = &mut cols_buf[..ckk * gcols];
+            cols.fill(0.0);
+            matmul_tn(self.weight.value.data(), xt, cols, ckk, self.in_c, gcols);
+            for (b, y_n) in y_g.chunks_exact_mut(sample).enumerate() {
                 col2im(
-                    &cols_b,
+                    cols,
                     self.out_c,
                     ho,
                     wo,
@@ -380,15 +373,21 @@ impl Layer for ConvTranspose2d {
                     self.stride,
                     self.pad,
                     y_n,
+                    gcols,
+                    b * p_in,
                 );
-                for c in 0..self.out_c {
-                    let bv = self.bias.value.data()[c];
-                    for v in &mut y_n[c * ho * wo..(c + 1) * ho * wo] {
+                for (plane, bv) in y_n
+                    .chunks_exact_mut((ho * wo).max(1))
+                    .zip(self.bias.value.data())
+                {
+                    for v in plane {
                         *v += bv;
                     }
                 }
             }
         }
+        workspace::give(xt_buf);
+        workspace::give(cols_buf);
         self.cached_input = if train { Some(x.clone()) } else { None };
         y
     }
@@ -402,11 +401,12 @@ impl Layer for ConvTranspose2d {
         let [_, _, ho, wo] = grad_out.shape();
         let ckk = self.out_c * self.k * self.k;
         let mut dx = Tensor::zeros(x.shape());
+        let mut dcols = workspace::take(ckk * h * w);
         for b in 0..n {
             let dy_n = &grad_out.data()[b * self.out_c * ho * wo..(b + 1) * self.out_c * ho * wo];
             // dcols = im2col(dY).
-            let mut dcols = vec![0.0f32; ckk * h * w];
-            im2col(
+            let dcols = &mut dcols[..ckk * h * w];
+            im2col_strided(
                 dy_n,
                 self.out_c,
                 ho,
@@ -414,12 +414,14 @@ impl Layer for ConvTranspose2d {
                 self.k,
                 self.stride,
                 self.pad,
-                &mut dcols,
+                dcols,
+                h * w,
+                0,
             );
             // dX = W @ dcols.
             matmul_nn(
                 self.weight.value.data(),
-                &dcols,
+                dcols,
                 &mut dx.data_mut()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w],
                 self.in_c,
                 ckk,
@@ -429,7 +431,7 @@ impl Layer for ConvTranspose2d {
             let x_n = &x.data()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w];
             matmul_nt(
                 x_n,
-                &dcols,
+                dcols,
                 self.weight.grad.data_mut(),
                 self.in_c,
                 h * w,
@@ -441,6 +443,7 @@ impl Layer for ConvTranspose2d {
                 self.bias.grad.data_mut()[c] += s;
             }
         }
+        workspace::give(dcols);
         dx
     }
 

@@ -4,6 +4,29 @@
 //! convolution becomes one matrix multiply; `col2im` is the exact adjoint
 //! (scatter-add), which is what the backward-data pass and the transposed
 //! convolution's forward pass need.
+//!
+//! Both move whole rows, never single strided elements. Tap `kx` of output
+//! column `ox` touches padded image column `ox·stride + kx`; split a row
+//! into its `stride` **phases** (phase `p` holds padded columns `p`,
+//! `p + stride`, …) and that is `phase[kx mod stride][ox + kx div stride]`
+//! — contiguous in `ox`. So `im2col` splits each image row once and every
+//! tap row is a `copy_from_slice`; `col2im` accumulates contiguous slices
+//! of `cols` onto the phases of a destination row and interleaves them
+//! back. Stride 1 is the one-phase case of the same code.
+//!
+//! **Fold order of `col2im`.** The adjoint is defined as the scatter
+//! `for (c, ky, kx, oy, ox): x[c, oy·s + ky − p, ox·s + kx − p] += cols[…]`.
+//! A destination pixel receives at most one term per tap `(ky, kx)` (the
+//! tap fixes `oy` and `ox`), so the scatter adds its terms in ascending
+//! `(ky, kx)` order onto the pixel's current value. The gather below walks
+//! one destination row at a time: it seeds the row's phases from the
+//! destination, then for ascending `ky`, ascending `kx`, adds that tap's
+//! slice — the same terms in the same order per pixel, so every output is
+//! bit-identical to the scatter's (`0.0 + t₁ + t₂ + …` for a zeroed
+//! destination), while distinct pixels of a phase are independent lanes
+//! the compiler vectorises.
+
+use crate::workspace;
 
 /// Output spatial size of a convolution: `(dim + 2·pad − k)/stride + 1`.
 ///
@@ -16,27 +39,11 @@ pub fn conv_out_dim(dim: usize, k: usize, stride: usize, pad: usize) -> usize {
     (dim + 2 * pad - k) / stride + 1
 }
 
-/// Unrolls one sample `x: [c, h, w]` into `cols: [c·k·k, ho·wo]`
-/// (zero padding outside the image).
-#[allow(clippy::too_many_arguments)]
-pub fn im2col(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    cols: &mut [f32],
-) {
-    let ho = conv_out_dim(h, k, stride, pad);
-    let wo = conv_out_dim(w, k, stride, pad);
-    assert_eq!(cols.len(), c * k * k * ho * wo, "cols size");
-    im2col_strided(x, c, h, w, k, stride, pad, cols, ho * wo, 0);
-}
-
-/// [`im2col`] writing into a wider interleaved matrix: sample columns land
-/// at `col_offset` inside rows of length `row_stride`.
+/// Unrolls one sample `x: [c, h, w]` into its `[c·k·k, ho·wo]` matrix (zero
+/// padding outside the image), stored as the columns `col_offset ..
+/// col_offset + ho·wo` of `cols`, whose rows are `row_stride` long. Every
+/// element of that column block is written, so `cols` need not be
+/// initialised.
 ///
 /// This is the batched-convolution primitive: unrolling every sample of an
 /// `[N, C, H, W]` batch side by side produces one `[C·k·k, N·Ho·Wo]`
@@ -67,42 +74,118 @@ pub fn im2col_strided(
     assert_eq!(x.len(), c * h * w, "input size");
     assert!(col_offset + ho * wo <= row_stride, "columns overrun stride");
     assert_eq!(cols.len(), c * k * k * row_stride, "cols size");
+    // Slots per phase that a tap can reach, and where tap `kx` starts
+    // reading inside the phase buffer.
+    let plen = wo + k.saturating_sub(1) / stride;
+    let tap_start: Vec<usize> = (0..k)
+        .map(|kx| (kx % stride) * plen + kx / stride)
+        .collect();
+    // Image columns some tap reads (the rest fall off the last window).
+    let used_w = ((wo - 1) * stride + k).saturating_sub(pad).min(w);
+    let mut scratch = workspace::take(stride * plen);
+    let phases = &mut scratch[..stride * plen];
+    // Every image row lands in the same slots; the others are the zero
+    // padding and stay zero from here on.
+    phases.fill(0.0);
     for ci in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ci * k + ky) * k + kx;
-                // The in-bounds output-x span for this tap is a fixed
-                // interval (`ix = ox·stride + kx − pad ∈ [0, w)`), so the
-                // inner loop needs no per-pixel bounds branch: zero-fill
-                // the edges, then bulk-copy (stride 1) or gather.
-                let (ox_lo, ox_hi) = tap_span(w, wo, stride, kx, pad);
-                let dst = &mut cols
-                    [row * row_stride + col_offset..row * row_stride + col_offset + ho * wo];
-                for oy in 0..ho {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    let out = &mut dst[oy * wo..(oy + 1) * wo];
-                    if iy < 0 || iy >= h as isize {
-                        out.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &x[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
-                    out[..ox_lo].fill(0.0);
-                    out[ox_hi..].fill(0.0);
-                    if ox_lo < ox_hi {
-                        let ix0 = ox_lo * stride + kx - pad;
-                        if stride == 1 {
-                            out[ox_lo..ox_hi].copy_from_slice(&src_row[ix0..ix0 + (ox_hi - ox_lo)]);
-                        } else {
-                            for (o, s) in out[ox_lo..ox_hi]
-                                .iter_mut()
-                                .zip(src_row[ix0..].iter().step_by(stride))
-                            {
-                                *o = *s;
-                            }
-                        }
-                    }
+        // The padded rows some window covers.
+        for (py, (oy0, ky0)) in padded_rows(stride).enumerate().take((ho - 1) * stride + k) {
+            match py.checked_sub(pad).filter(|&iy| iy < h) {
+                Some(iy) => {
+                    split_phases(&x[(ci * h + iy) * w..][..used_w], pad, stride, plen, phases)
+                }
+                None => phases.fill(0.0),
+            }
+            for (oy, ky) in windows(oy0, ky0, stride, k, ho) {
+                for (kx, &start) in tap_start.iter().enumerate() {
+                    let row = (ci * k + ky) * k + kx;
+                    cols[row * row_stride + col_offset + oy * wo..][..wo]
+                        .copy_from_slice(&phases[start..start + wo]);
                 }
             }
+        }
+    }
+    workspace::give(scratch);
+}
+
+/// `(py / stride, py % stride)` for padded rows `py = 0, 1, …`, counted
+/// rather than divided (this runs once per image row).
+fn padded_rows(stride: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..).flat_map(move |oy0| (0..stride).map(move |ky0| (oy0, ky0)))
+}
+
+/// The windows `(oy, ky)` covering padded row `oy0·stride + ky0`
+/// (`ky0 < stride`): `oy·stride + ky` equal to it with `ky < k`, `oy < ho`,
+/// in ascending `ky`.
+fn windows(
+    oy0: usize,
+    ky0: usize,
+    stride: usize,
+    k: usize,
+    ho: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    std::iter::successors(Some((oy0, ky0)), move |&(oy, ky)| {
+        oy.checked_sub(1).map(|oy| (oy, ky + stride))
+    })
+    .take_while(move |&(_, ky)| ky < k)
+    .filter(move |&(oy, _)| oy < ho)
+}
+
+/// Deals `row` — whose first element sits at padded column `first` — into
+/// `stride` phases of `plen` slots: padded column `j` goes to slot
+/// `j / stride` of phase `j % stride`. Slots no element lands in are left
+/// as they were.
+fn split_phases(row: &[f32], first: usize, stride: usize, plen: usize, phases: &mut [f32]) {
+    // One source, instantiated with the stride as a constant where the
+    // models use it: a constant stride turns the loop into wide loads and
+    // shuffles, a run-time one leaves it scalar.
+    match stride {
+        1 => split::<1>(row, first, 1, plen, phases),
+        2 => split::<2>(row, first, 2, plen, phases),
+        _ => split::<0>(row, first, stride, plen, phases),
+    }
+}
+
+fn split<const S: usize>(row: &[f32], first: usize, stride: usize, plen: usize, out: &mut [f32]) {
+    let stride = if S == 0 { stride } else { S };
+    for p in 0..stride {
+        // Phase `p` takes `row[i0]`, `row[i0 + stride]`, ….
+        let i0 = (p + stride - first % stride) % stride;
+        let Some(src) = row.get(i0..) else { continue };
+        let dst = &mut out[p * plen + (first + i0) / stride..];
+        let groups = src.chunks_exact(stride);
+        if let Some(&last) = groups.remainder().first() {
+            dst[groups.len()] = last;
+        }
+        for (slot, group) in dst.iter_mut().zip(groups) {
+            *slot = group[0];
+        }
+    }
+}
+
+/// The inverse of [`split_phases`] for `first = 0`: reads `row` back out
+/// of its phases.
+fn merge_phases(row: &mut [f32], stride: usize, plen: usize, phases: &[f32]) {
+    match stride {
+        1 => merge::<1>(row, 1, plen, phases),
+        2 => merge::<2>(row, 2, plen, phases),
+        _ => merge::<0>(row, stride, plen, phases),
+    }
+}
+
+fn merge<const S: usize>(row: &mut [f32], stride: usize, plen: usize, phases: &[f32]) {
+    let stride = if S == 0 { stride } else { S };
+    for (p, src) in phases.chunks_exact(plen).enumerate().take(stride) {
+        let Some(dst) = row.get_mut(p..) else {
+            continue;
+        };
+        let mut groups = dst.chunks_exact_mut(stride);
+        let whole = groups.len();
+        for (group, &v) in groups.by_ref().zip(src) {
+            group[0] = v;
+        }
+        if let Some(last) = groups.into_remainder().first_mut() {
+            *last = src[whole];
         }
     }
 }
@@ -123,9 +206,17 @@ fn tap_span(w: usize, wo: usize, stride: usize, kx: usize, pad: usize) -> (usize
     (lo.min(hi), hi)
 }
 
-/// Adjoint of [`im2col`]: scatter-adds `cols: [c·k·k, ho·wo]` back into
-/// `x: [c, h, w]` (which must be pre-zeroed by the caller if accumulation
-/// from a clean slate is desired).
+/// Adjoint of [`im2col_strided`]: adds the sample's column block of
+/// `cols` (`c·k·k` rows of `row_stride`, the block starting at
+/// `col_offset`) back onto `x: [c, h, w]`, which must be pre-zeroed by the
+/// caller if accumulation from a clean slate is desired. Bit-identical to
+/// the scatter-add it replaces (see the module doc).
+///
+/// # Panics
+///
+/// Panics when `x` does not match `c·h·w`, when the block overruns
+/// `row_stride`, or when `cols` is not exactly `c·k·k` rows of
+/// `row_stride`.
 #[allow(clippy::too_many_arguments)]
 pub fn col2im(
     cols: &[f32],
@@ -136,47 +227,173 @@ pub fn col2im(
     stride: usize,
     pad: usize,
     x: &mut [f32],
+    row_stride: usize,
+    col_offset: usize,
 ) {
     let ho = conv_out_dim(h, k, stride, pad);
     let wo = conv_out_dim(w, k, stride, pad);
     assert_eq!(x.len(), c * h * w, "output size");
-    assert_eq!(cols.len(), c * k * k * ho * wo, "cols size");
-    let out_plane = ho * wo;
-    for ci in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ci * k + ky) * k + kx;
-                let src = &cols[row * out_plane..(row + 1) * out_plane];
-                // Same branch-free tap interval as `im2col_strided`; the
-                // scatter-add visits each destination once per (row, oy),
-                // at ascending `ox`, so the accumulation order matches the
-                // branchy loop exactly.
-                let (ox_lo, ox_hi) = tap_span(w, wo, stride, kx, pad);
-                for oy in 0..ho {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
+    assert!(col_offset + ho * wo <= row_stride, "columns overrun stride");
+    assert_eq!(cols.len(), c * k * k * row_stride, "cols size");
+    // Per tap `kx`: the in-bounds `ox` interval and where its first pixel
+    // (`ix = ox_lo·stride + kx − pad`) sits in the row's phase buffer.
+    let plen = w.div_ceil(stride);
+    let taps: Vec<(usize, usize, usize)> = (0..k)
+        .map(|kx| {
+            let (lo, hi) = tap_span(w, wo, stride, kx, pad);
+            let ix0 = if lo < hi { lo * stride + kx - pad } else { 0 };
+            (lo, hi, (ix0 % stride) * plen + ix0 / stride)
+        })
+        .collect();
+    let mut scratch = workspace::take(stride * plen);
+    let phases = &mut scratch[..stride * plen];
+    for (ci, plane) in x.chunks_exact_mut((h * w).max(1)).enumerate() {
+        // Destination row `iy` is padded row `iy + pad`.
+        let rows = plane.chunks_exact_mut(w.max(1));
+        for (dst, (oy0, ky0)) in rows.zip(padded_rows(stride).skip(pad)) {
+            split_phases(dst, 0, stride, plen, phases);
+            for (oy, ky) in windows(oy0, ky0, stride, k, ho) {
+                for (kx, &(lo, hi, start)) in taps.iter().enumerate() {
+                    let row = (ci * k + ky) * k + kx;
+                    let src = &cols[row * row_stride + col_offset + oy * wo..][lo..hi];
+                    for (a, s) in phases[start..start + src.len()].iter_mut().zip(src) {
+                        *a += *s;
                     }
-                    let dst_row =
-                        &mut x[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
-                    if ox_lo < ox_hi {
-                        let ix0 = ox_lo * stride + kx - pad;
-                        for (s, d) in src[oy * wo + ox_lo..oy * wo + ox_hi]
-                            .iter()
-                            .zip(dst_row[ix0..].iter_mut().step_by(stride))
-                        {
-                            *d += *s;
+                }
+            }
+            merge_phases(dst, stride, plen, phases);
+        }
+    }
+    workspace::give(scratch);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One sample into a matrix of exactly its own width.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col(
+        x: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+        cols: &mut [f32],
+    ) {
+        let ho = conv_out_dim(h, k, stride, pad);
+        let wo = conv_out_dim(w, k, stride, pad);
+        assert_eq!(cols.len(), c * k * k * ho * wo, "cols size");
+        im2col_strided(x, c, h, w, k, stride, pad, cols, ho * wo, 0);
+    }
+
+    /// The definition the phase-split code must reproduce bit for bit:
+    /// one bounds-checked element per `(c, ky, kx, oy, ox)`, in that loop
+    /// order — the order the strided gather and scatter-add loops this
+    /// module used to have visited them in. `visit(col, pixel)` gets the
+    /// index into `cols` and, when the tap is inside the image, into `x`.
+    #[allow(clippy::too_many_arguments)]
+    fn for_each_tap(
+        c: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+        row_stride: usize,
+        col_offset: usize,
+        mut visit: impl FnMut(usize, Option<usize>),
+    ) {
+        let ho = conv_out_dim(h, k, stride, pad);
+        let wo = conv_out_dim(w, k, stride, pad);
+        for ci in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    for oy in 0..ho {
+                        for ox in 0..wo {
+                            let row = (ci * k + ky) * k + kx;
+                            let col = row * row_stride + col_offset + oy * wo + ox;
+                            let iy = (oy * stride + ky).checked_sub(pad).filter(|&iy| iy < h);
+                            let ix = (ox * stride + kx).checked_sub(pad).filter(|&ix| ix < w);
+                            visit(col, iy.zip(ix).map(|(iy, ix)| (ci * h + iy) * w + ix));
                         }
                     }
                 }
             }
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Deterministic values in `[-1, 1)` with exact `±0.0` sprinkled in
+    /// (`0.0 + -0.0` is where a reordered fold would first show).
+    fn values(len: usize, seed: u64) -> Vec<f32> {
+        (0..len as u64)
+            .map(|i| {
+                let x = i
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(seed.wrapping_mul(1442695040888963407) | 1);
+                match x >> 61 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => ((x >> 33) as f32 / 2.0_f32.powi(31)) - 1.0,
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Odd and even sizes, kernels wider and narrower than the stride,
+        /// padding, a wide `row_stride` and a non-zero `col_offset`:
+        /// `im2col_strided` fills exactly its column block with exactly the
+        /// gathered values, and `col2im` adds onto a non-zero destination
+        /// exactly what the scatter-add would, in the same order.
+        #[test]
+        fn lowering_is_bitwise_the_per_element_loops(
+            c in 1usize..=5,
+            h in 1usize..=19,
+            w in 1usize..=19,
+            k in 1usize..=5,
+            stride in 1usize..=3,
+            pad in 0usize..=2,
+            before in 0usize..=5,
+            after in 0usize..=5,
+            seed in 0u64..10_000,
+        ) {
+            let k = k.min(h + 2 * pad).min(w + 2 * pad);
+            let block = conv_out_dim(h, k, stride, pad) * conv_out_dim(w, k, stride, pad);
+            let (row_stride, col_offset) = (before + block + after, before);
+            let x = values(c * h * w, seed);
+
+            let mut want = values(c * k * k * row_stride, seed ^ 0xC01);
+            let mut got = want.clone();
+            for_each_tap(c, h, w, k, stride, pad, row_stride, col_offset, |col, pixel| {
+                want[col] = pixel.map_or(0.0, |i| x[i]);
+            });
+            im2col_strided(&x, c, h, w, k, stride, pad, &mut got, row_stride, col_offset);
+            prop_assert_eq!(bits(&got), bits(&want), "im2col");
+
+            // Fresh values: what `im2col` gathered would give every pixel one
+            // repeated term, and any fold order the same sum.
+            let cols = values(c * k * k * row_stride, seed ^ 0xADD);
+            let mut want = values(c * h * w, seed ^ 0xD57);
+            let mut got = want.clone();
+            for_each_tap(c, h, w, k, stride, pad, row_stride, col_offset, |col, pixel| {
+                if let Some(i) = pixel {
+                    want[i] += cols[col];
+                }
+            });
+            col2im(&cols, c, h, w, k, stride, pad, &mut got, row_stride, col_offset);
+            prop_assert_eq!(bits(&got), bits(&want), "col2im");
+        }
+    }
 
     #[test]
     fn out_dim_formula() {
@@ -267,7 +484,7 @@ mod tests {
             .map(|(a, b)| (*a as f64) * (*b as f64))
             .sum();
         let mut cy = vec![0.0; x.len()];
-        col2im(&y, c, h, w, k, s, p, &mut cy);
+        col2im(&y, c, h, w, k, s, p, &mut cy, ho * wo, 0);
         let rhs: f64 = x
             .iter()
             .zip(&cy)
@@ -280,7 +497,7 @@ mod tests {
     fn col2im_accumulates() {
         let cols = vec![1.0; 9 * 4];
         let mut x = vec![0.0; 4];
-        col2im(&cols, 1, 2, 2, 3, 1, 1, &mut x);
+        col2im(&cols, 1, 2, 2, 3, 1, 1, &mut x, 4, 0);
         // Every output position's 3x3 window covers each input pixel at
         // least once; values must be > 1 due to overlap.
         assert!(x.iter().all(|&v| v >= 2.0), "{x:?}");

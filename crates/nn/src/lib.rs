@@ -48,6 +48,7 @@ mod norm;
 mod param;
 pub mod quant;
 mod tensor;
+mod workspace;
 
 pub use act::{LeakyRelu, Relu, Sigmoid, Tanh};
 pub use adam::Adam;

@@ -22,11 +22,18 @@
 //!   are independent outputs: the padding lanes compute `0 + a·0 + …` and
 //!   are dropped, the real lanes see the same seed and the same products
 //!   in the same order as in a full panel.
-//! * **`tn` with `n < 8 ≤ m`** (the bottleneck deconvolutions at small
-//!   batch) skips the `m·k` pack of `Aᵀ`: it computes `Cᵀ += Bᵀ·A` with the
-//!   lanes running over the contiguous `m` axis of `A`. `Cᵀ` is seeded from
-//!   `C` and written back through an `n×m` transpose; each output still
-//!   folds `k` in ascending order and `b·a` rounds exactly like `a·b`.
+//! * **`tn` picks its layout by element count.** `A` arrives transposed,
+//!   so something is transposed per call: either `Aᵀ` is packed (`m·k`
+//!   elements moved, a strip of rows at a time) or the product is computed
+//!   as `Cᵀ += Bᵀ·A`, lanes over the contiguous `m` axis of `A` (`n·k` for
+//!   `Bᵀ` plus `2·m·n` for `Cᵀ`, seeded from and written back to `C`). The
+//!   second form also streams all of `A` once per 4-row block of `Bᵀ` where
+//!   the pack reads it once, and a streamed element measures about an
+//!   eighth of a transposed one: `n·m·k/32` more. `matmul_tn` takes the
+//!   cheaper count — the transposed output for the deconvolutions' big
+//!   weight matrices against up to ~20 columns, the pack beyond. Each
+//!   output still folds `k` in ascending order from its `C` seed, and
+//!   `b·a` rounds exactly like `a·b`, so the choice cannot change a bit.
 //! * **`nt`** packs `Bᵀ` (`k×n`) once and runs the panel kernel
 //!   zero-seeded, then adds the finished dot product onto `C` — the chain
 //!   `0 + a₀b₀ + … + aₖ₋₁bₖ₋₁`, then `c += acc`, that the `nt` reference
@@ -52,11 +59,16 @@
 //! re-streamed `B` panel stays cache-resident when `n` is large — the
 //! regime batched inference creates by widening `n` to `batch · ho · wo`.
 
+use crate::workspace;
+
 /// Column-panel width: 8 f32 lanes (one AVX register, two SSE registers).
 const NR: usize = 8;
 /// Row-block height: 4 independent accumulator rows amortise each `B`
 /// panel load across 4 outputs.
 const MR: usize = 4;
+
+/// Floats of `Aᵀ` that `matmul_tn` packs at a time (64 KiB).
+const PACK: usize = 1 << 14;
 
 /// Column-tile width targeting a ~1 MiB working panel (`rows · tile · 4`
 /// bytes) so it stays inside the L2 cache; a whole number of panels.
@@ -78,15 +90,11 @@ pub fn matmul_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 
 /// `C += Aᵀ @ B` where `A` is `k×m`, `B` is `k×n`, `C` is `m×n`.
 ///
-/// Packs `Aᵀ` into a row-major scratch once (a cache-blocked transpose,
-/// each source line touched once), then runs the `nn` kernel on it:
-/// reading `A` directly would stride the inner loop by `m` — one cache
-/// line per 4 floats, re-streamed for every column panel — which measures
-/// several times slower than the pack at the deconv shapes (`m` in the
-/// hundreds to thousands). When `n < 8 ≤ m` there is nothing to re-stream
-/// and the pack is skipped for `Cᵀ += Bᵀ·A` (see the module doc). Neither
-/// layout touches the per-output fold order, so the bitwise contract is
-/// exactly `matmul_nn`'s.
+/// Packs `Aᵀ` row-major (a cache-blocked transpose; reading `A` in place
+/// would stride the inner loop by `m`, one cache line per 4 floats) and
+/// runs the `nn` kernel on it, unless `Cᵀ += Bᵀ·A` is cheaper
+/// (`n·k + 2·m·n + n·m·k/32 < m·k`; see the module doc). Neither layout
+/// touches the per-output fold order: the bitwise contract is `matmul_nn`'s.
 ///
 /// # Panics
 ///
@@ -95,16 +103,26 @@ pub fn matmul_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    if n < NR && m >= NR {
-        let (mut bt, mut ct) = (vec![0.0f32; n * k], vec![0.0f32; n * m]);
-        transpose(b, k, n, &mut bt);
-        transpose(c, m, n, &mut ct);
-        dispatch::<false>(&bt, a, &mut ct, n, k, m);
-        transpose(&ct, n, m, c);
+    if n * k + 2 * m * n + n * m * k / 32 < m * k {
+        let (mut bt, mut ct) = (workspace::take(n * k), workspace::take(n * m));
+        transpose(b, n, k, n, &mut bt[..n * k]);
+        transpose(c, n, m, n, &mut ct[..n * m]);
+        dispatch::<false>(&bt[..n * k], a, &mut ct[..n * m], n, k, m);
+        transpose(&ct[..n * m], m, n, m, c);
+        workspace::give(bt);
+        workspace::give(ct);
     } else {
-        let mut at = vec![0.0f32; m * k];
-        transpose(a, k, m, &mut at);
-        dispatch::<false>(&at, b, c, m, k, n);
+        // Pack and multiply a strip of output rows at a time: the kernel
+        // reads the strip while it is still in cache, and the workspace
+        // never holds an `m·k` copy of the weights.
+        let rows = (PACK / k.max(1)).clamp(MR, m.max(MR)) / MR * MR;
+        let mut at = workspace::take(rows * k);
+        for (strip, c_rows) in c.chunks_mut((rows * n).max(1)).enumerate() {
+            let r = c_rows.len() / n.max(1);
+            transpose(&a[strip * rows..], m, k, r, &mut at[..r * k]);
+            dispatch::<false>(&at[..r * k], b, c_rows, r, k, n);
+        }
+        workspace::give(at);
     }
 }
 
@@ -122,9 +140,10 @@ pub fn matmul_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), n * k, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    let mut bt = vec![0.0f32; k * n];
-    transpose(b, n, k, &mut bt);
-    dispatch::<true>(a, &bt, c, m, k, n);
+    let mut bt = workspace::take(k * n);
+    transpose(b, k, n, k, &mut bt[..k * n]);
+    dispatch::<true>(a, &bt[..k * n], c, m, k, n);
+    workspace::give(bt);
 }
 
 /// Runs the kernel in the widest instantiation this CPU supports:
@@ -158,9 +177,10 @@ fn kernel_avx2<const ZERO: bool>(
     nn::<ZERO>(a, b, c, m, k, n);
 }
 
-/// `dst` (`cols×rows`) = `src` (`rows×cols`) transposed, in 32×32 blocks so
-/// each source cache line is touched once.
-fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+/// `dst` (`cols×rows`) = the first `cols` columns of `src` (`rows` rows,
+/// `ld` floats apart) transposed, in 32×32 blocks so each source cache
+/// line is touched once.
+fn transpose(src: &[f32], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) {
     const TB: usize = 32;
     for c0 in (0..cols).step_by(TB) {
         let c1 = (c0 + TB).min(cols);
@@ -168,7 +188,7 @@ fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
             let r1 = (r0 + TB).min(rows);
             for c in c0..c1 {
                 for r in r0..r1 {
-                    dst[c * rows + r] = src[r * cols + c];
+                    dst[c * rows + r] = src[r * ld + c];
                 }
             }
         }
@@ -195,18 +215,21 @@ fn nn<const ZERO: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
         return;
     }
     // Column tail: one zero-padded panel each of B's and C's last columns.
-    let mut bp = vec![0.0f32; k * NR];
+    let (mut bp, mut cp) = (workspace::take(k * NR), workspace::take(m * NR));
     for (dst, src) in bp.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
         dst[..tail].copy_from_slice(&src[full..]);
+        dst[tail..].fill(0.0);
     }
-    let mut cp = vec![0.0f32; m * NR];
     for (dst, src) in cp.chunks_exact_mut(NR).zip(c.chunks_exact(n)) {
         dst[..tail].copy_from_slice(&src[full..]);
+        dst[tail..].fill(0.0);
     }
-    row_blocks::<ZERO>(a, &bp, NR, &mut cp, NR, m, k, 0, NR);
+    row_blocks::<ZERO>(a, &bp[..k * NR], NR, &mut cp[..m * NR], NR, m, k, 0, NR);
     for (src, dst) in cp.chunks_exact(NR).zip(c.chunks_exact_mut(n)) {
         dst[full..].copy_from_slice(&src[..tail]);
     }
+    workspace::give(bp);
+    workspace::give(cp);
 }
 
 /// Runs the panel kernel over every row of `A` (`m×k`) for the column

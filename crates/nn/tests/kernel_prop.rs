@@ -103,6 +103,79 @@ fn column_tile_seams_and_tail_compose() {
     check_all_kernels(3, 9000, 41, 2);
 }
 
+/// `matmul_tn` (A stored `k×m`) against the scalar reference from a
+/// non-zero C, and whether the shape takes the transposed-output layout.
+fn check_tn(m: usize, k: usize, n: usize, seed: u64) -> bool {
+    let at = fill(k * m, seed);
+    let a = transpose(&at, k, m);
+    let b = fill(k * n, seed ^ 0x33CC);
+    let c0 = fill(m * n, seed ^ 0xCC33);
+    let mut got = c0.clone();
+    matmul_tn(&at, &b, &mut got, m, k, n);
+    let mut want = c0;
+    ref_accumulate(&a, &b, &mut want, m, k, n);
+    assert_eq!(bits(&got), bits(&want), "tn shape ({m}, {k}, {n})");
+    n * k + 2 * m * n + n * m * k / 32 < m * k
+}
+
+/// `matmul_tn` chooses between packing `Aᵀ` and computing `Cᵀ += Bᵀ·A` by
+/// which moves fewer elements (`n·k + 2·m·n + n·m·k/32` against `m·k`, the
+/// last term for re-streaming `A` once per row block). Both sides of
+/// that rule — the boundary itself, `n < 8`, `m < 8`, `k = 1` — and every
+/// deconvolution of the quick model (64×64, 12 filters, depth 6) at batch
+/// 1, 5 and 8 give the reference bits.
+#[test]
+fn tn_layout_rule_is_bitwise_naive_on_both_sides() {
+    let mut transposed = 0;
+    let mut packed = 0;
+    let mut check = |m, k, n| {
+        if check_tn(m, k, n, (m * 31 + k * 7 + n) as u64) {
+            transposed += 1;
+        } else {
+            packed += 1;
+        }
+    };
+    // m·k = 96·24 = 2304 against n·(k + 2m + m·k/32) = 288·n: n = 7
+    // transposes, n = 8 packs; and the neighbours of the boundary in m and k.
+    for n in [1, 5, 6, 7, 8, 9, 10, 16, 40] {
+        check(96, 24, n);
+        check(95, 25, n);
+        check(97, 23, n);
+    }
+    // Narrow and degenerate operands on either side.
+    for (m, k, n) in [
+        (3, 64, 1),
+        (7, 200, 3),
+        (5, 9, 2),
+        (1, 1, 1),
+        (1, 300, 1),
+        (300, 1, 1),
+        (40, 1, 5),
+        (6, 1, 33),
+        (200, 3, 1),
+        (9, 40, 7),
+    ] {
+        check(m, k, n);
+    }
+    // (out_c·16, in_c, h·w) of the six decoder layers, times the batch.
+    for batch in [1, 5, 8] {
+        for (m, k, p) in [
+            (1536, 96, 1),
+            (1536, 192, 4),
+            (768, 192, 16),
+            (384, 96, 64),
+            (192, 48, 256),
+            (48, 24, 1024),
+        ] {
+            check(m, k, batch * p);
+        }
+    }
+    assert!(
+        transposed >= 10 && packed >= 10,
+        "both layouts exercised ({transposed} transposed, {packed} packed)"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -262,8 +262,11 @@ impl ForecastEngine {
         config.validate()?;
         let queue = Arc::new(RequestQueue::new(config.queue_capacity));
         // Resolved here, not in the worker: the registry lookup locks.
-        let queue_wait_us = pop_obs::global().histogram("serve.queue_wait_us");
-        let batch_size = pop_obs::global().histogram("serve.batch_size");
+        let histograms = BatchHistograms {
+            queue_wait_us: pop_obs::global().histogram("serve.queue_wait_us"),
+            batch_size: pop_obs::global().histogram("serve.batch_size"),
+            forward_us: pop_obs::global().histogram("serve.forward_us"),
+        };
         let workers = WorkerPool::spawn("pop-serve", config.workers, |_| {
             // lint: allow(panic_path) — construction-time: `validate()`
             // guarantees exactly `workers` replicas were built
@@ -271,9 +274,8 @@ impl ForecastEngine {
             let queue = Arc::clone(&queue);
             let stats = Arc::clone(&stats);
             let cfg = config.clone();
-            let queue_wait_us = Arc::clone(&queue_wait_us);
-            let batch_size = Arc::clone(&batch_size);
-            move || worker_loop(replica, queue, stats, cfg, queue_wait_us, batch_size)
+            let histograms = histograms.clone();
+            move || worker_loop(replica, queue, stats, cfg, histograms)
         });
         Ok(ForecastEngine {
             queue,
@@ -327,13 +329,20 @@ impl Drop for ForecastEngine {
     }
 }
 
+/// The registry histograms a worker records into once per batch.
+#[derive(Clone)]
+struct BatchHistograms {
+    queue_wait_us: Arc<Histogram>,
+    batch_size: Arc<Histogram>,
+    forward_us: Arc<Histogram>,
+}
+
 fn worker_loop(
     mut model: Replica,
     queue: Arc<RequestQueue>,
     stats: Arc<ServeStats>,
     cfg: EngineConfig,
-    queue_wait_us: Arc<Histogram>,
-    batch_size: Arc<Histogram>,
+    histograms: BatchHistograms,
 ) {
     let quantized = model.quantized();
     // Resolve the per-model series once (it takes a registration lock);
@@ -350,9 +359,11 @@ fn worker_loop(
     };
     while let Some(batch) = queue.pop_batch(cfg.max_batch) {
         let popped = Instant::now();
-        batch_size.record(batch.len() as u64);
+        histograms.batch_size.record(batch.len() as u64);
         for req in &batch {
-            queue_wait_us.record_duration(popped.saturating_duration_since(req.enqueued));
+            histograms
+                .queue_wait_us
+                .record_duration(popped.saturating_duration_since(req.enqueued));
         }
         if !cfg.forward_delay.is_zero() {
             // lint: allow(blocking) — synthetic forward-delay pacing for
@@ -365,11 +376,13 @@ fn worker_loop(
         // A panicking forward (impossible for spec-checked inputs, but the
         // model is swappable) must not wedge the whole engine: convert it
         // into per-request errors and keep serving. Eval-mode forwards
-        // rebuild every layer cache from scratch, so the replica stays
-        // usable afterwards.
+        // rebuild every layer cache from scratch and trust nothing the
+        // thread's lowering workspace held before (buffers lost to the
+        // unwind are regrown), so the replica stays usable afterwards.
         let outputs = std::panic::catch_unwind(AssertUnwindSafe(|| model.forecast_batch(&inputs)));
         let forward_us = started.elapsed().as_micros() as u64;
         stats.record_batch(batch.len(), forward_us);
+        histograms.forward_us.record(forward_us);
         match outputs {
             Ok(Ok(outputs)) => {
                 for (req, out) in batch.into_iter().zip(outputs) {
@@ -536,5 +549,112 @@ impl Forecaster for ForecastClient {
     fn forecast(&self, x: &Tensor) -> Result<Tensor, CoreError> {
         self.forecast_tensor(x)
             .map_err(|e| CoreError::Pipeline(e.to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pop_core::ExperimentConfig;
+
+    fn model() -> Pix2Pix {
+        let config = ExperimentConfig {
+            resolution: 16,
+            base_filters: 4,
+            depth: 3,
+            ..ExperimentConfig::test()
+        };
+        Pix2Pix::new(&config, 21).expect("valid test config")
+    }
+
+    fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+        a.shape() == b.shape()
+            && a.data()
+                .iter()
+                .zip(b.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Queues `inputs` behind the client's spec check, all while the one
+    /// worker is still inside the (delayed) forward of a request submitted
+    /// first, so they are served as one batch. Returns the answers in order.
+    fn one_batch(engine: &ForecastEngine, inputs: &[Tensor]) -> Vec<Result<Tensor, ServeError>> {
+        let batches = engine.stats().batches;
+        let blocker = engine
+            .client()
+            .submit(&inputs_of(1, 900)[0])
+            .expect("submit");
+        while engine.queue_depth() > 0 {
+            std::thread::yield_now(); // until the worker holds the blocker
+        }
+        let pending: Vec<PendingForecast> = inputs
+            .iter()
+            .map(|x| {
+                let (tx, rx) = mpsc::channel();
+                let request = Request {
+                    input: x.clone(),
+                    enqueued: Instant::now(),
+                    respond: tx,
+                };
+                engine.queue.push(request).expect("queue open");
+                PendingForecast { rx }
+            })
+            .collect();
+        blocker.wait().expect("blocker forecast");
+        let answers = pending.into_iter().map(PendingForecast::wait).collect();
+        assert_eq!(
+            engine.stats().batches,
+            batches + 2,
+            "the blocker, then one batch of {}",
+            inputs.len()
+        );
+        answers
+    }
+
+    fn inputs_of(n: usize, seed: u64) -> Vec<Tensor> {
+        (0..n as u64)
+            .map(|i| Tensor::randn([1, 4, 16, 16], 0.0, 0.5, seed + i))
+            .collect()
+    }
+
+    /// A forward that panics part-way leaves the replica — and the
+    /// lowering workspace of its thread — fit for the next batch, whatever
+    /// its size relative to the poisoned one.
+    #[test]
+    fn a_poisoned_forward_does_not_poison_the_replica() {
+        let engine = ForecastEngine::start(
+            model(),
+            EngineConfig {
+                workers: 1,
+                max_batch: 8,
+                forward_delay: Duration::from_millis(150),
+                ..EngineConfig::default()
+            },
+        )
+        .expect("engine starts");
+        // 12x12 passes every encoder layer (12 -> 6 -> 3 -> 1) and the
+        // first decoder layer, then its 2x2 map meets the 3x3 skip
+        // connection: a panic four layers into the forward.
+        let poison: Vec<Tensor> = (0..3)
+            .map(|i| Tensor::randn([1, 4, 12, 12], 0.0, 0.5, 70 + i))
+            .collect();
+        for answer in one_batch(&engine, &poison) {
+            match answer {
+                Err(ServeError::Model(msg)) => assert!(msg.contains("forward panicked"), "{msg}"),
+                other => panic!("expected a model error, got {other:?}"),
+            }
+        }
+        // The same replica, at batch 1, then larger and smaller than the
+        // poisoned batch of 3: every answer bit-equal to a fresh model's.
+        let mut fresh = model();
+        for (n, seed) in [(1, 300), (5, 400), (2, 500)] {
+            let inputs = inputs_of(n, seed);
+            for (x, answer) in inputs.iter().zip(one_batch(&engine, &inputs)) {
+                let got = answer.expect("forecast after the poisoned batch");
+                assert!(same_bits(&got, &fresh.forecast(x)), "batch of {n}");
+            }
+        }
+        let stats = engine.shutdown();
+        assert_eq!((stats.failed, stats.max_batch), (3, 5));
     }
 }

@@ -271,6 +271,7 @@ mod tests {
             snap.histogram(name).map_or(0, |h| h.count)
         };
         let (waits, batches) = (count("serve.queue_wait_us"), count("serve.batch_size"));
+        let forwards = count("serve.forward_us");
         let engine = ForecastEngine::start(tiny_model(14), EngineConfig::default()).unwrap();
         engine.client().forecast(&input(10)).unwrap();
         engine.shutdown();
@@ -279,6 +280,7 @@ mod tests {
             "one sample per request"
         );
         assert!(count("serve.batch_size") > batches, "one sample per batch");
+        assert!(count("serve.forward_us") > forwards, "one sample per batch");
     }
 
     #[test]
