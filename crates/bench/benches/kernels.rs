@@ -19,6 +19,18 @@
 //! quantized `forecast_batch` throughput and the quantization accuracy
 //! delta.
 //!
+//! A train step forks at three places through `pop_exec::join`, so the
+//! training rows are measured both ways: `inline` from inside the caller
+//! half of an outer `join` (the helper is busy, every join the code
+//! issues runs both halves on the caller — the serial path) and `joined`
+//! plainly (forks when the host has a second core; `host_parallelism` is
+//! in the row). `join_sites` rows do the same for one conv / deconv
+//! backward at each of the generator's twelve and the discriminator's five
+//! layer geometries. Each way is one uninterrupted pass over all of them,
+//! the joined one after a second of train steps: a helper that has just
+//! been spawned or has parked may wake on the caller's core, and a fork
+//! measures nothing until the scheduler has moved one of the two.
+//!
 //! Emits `BENCH_kernels.json` at the workspace root and sanity-parses it
 //! back. `--smoke` runs one timed pass per shape (seconds, not minutes)
 //! and skips the throughput assertions — CI uses it to prove the artefact
@@ -31,7 +43,7 @@
 use pop_core::{ExperimentConfig, Forecaster, Pix2Pix, UNetGenerator};
 use pop_nn::linalg::{matmul_nn, matmul_nt, matmul_tn};
 use pop_nn::{Adam, Conv2d, ConvTranspose2d, Layer, Param, Tensor};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // PR-1 reference kernels, embedded verbatim (same fold order, `ikj` loops,
@@ -535,10 +547,117 @@ fn bench_inference(smoke: bool) -> InferenceResult {
 }
 
 struct TrainResult {
-    train_step_ms: f64,
+    /// `(inline, joined)` seconds of one whole `train_step`.
+    train_secs: (f64, f64),
     adam_params: usize,
     adam_ref_secs: f64,
-    adam_new_secs: f64,
+    /// `(inline, joined)` seconds of one `Adam::step`.
+    adam_secs: (f64, f64),
+}
+
+/// One join site: a layer's backward pass at one of the model's layer
+/// geometries, `(inline, joined)` seconds.
+struct SiteResult {
+    site: &'static str,
+    layer: String,
+    secs: (f64, f64),
+}
+
+/// The five convolutions of the quick discriminator as
+/// `(in_c, out_c, stride, input side)`, checked against the model's own
+/// weight sizes (its parameter list opens with each convolution's weight
+/// and bias) — a table that disagrees with `PatchDiscriminator` aborts the
+/// bench.
+fn discriminator_layers(
+    config: &ExperimentConfig,
+    model: &mut Pix2Pix,
+) -> Vec<(usize, usize, usize, usize)> {
+    let f = config.base_filters;
+    let (cin, res) = (config.input_channels() + 3, config.resolution);
+    let plan = vec![
+        (cin, f, 2, res),
+        (f, 2 * f, 2, res / 2),
+        (2 * f, 4 * f, 2, res / 4),
+        (4 * f, 8 * f, 1, res / 8),
+        (8 * f, 1, 1, res / 8 - 1),
+    ];
+    let weights: Vec<usize> = model
+        .discriminator_mut()
+        .params_mut()
+        .iter()
+        .map(|p| p.len())
+        .step_by(2)
+        .take(plan.len())
+        .collect();
+    let planned: Vec<usize> = plan.iter().map(|&(i, o, _, _)| i * o * 16).collect();
+    assert_eq!(
+        weights, planned,
+        "discriminator table disagrees with the model"
+    );
+    plan
+}
+
+/// One join site ready to time: a layer at one of the model's geometries,
+/// its input and an output gradient.
+struct Site {
+    site: &'static str,
+    name: String,
+    layer: Box<dyn Layer>,
+    x: Tensor,
+    dy: Tensor,
+}
+
+impl Site {
+    fn new(site: &'static str, name: String, mut layer: Box<dyn Layer>, x: Tensor) -> Self {
+        let dy = Tensor::randn(layer.forward(&x, true).shape(), 0.0, 0.5, 9);
+        let _ = layer.backward(&dy);
+        Site {
+            site,
+            name,
+            layer,
+            x,
+            dy,
+        }
+    }
+
+    /// Minimum seconds of one backward over `samples`. Every sample needs
+    /// its own training forward (backward consumes the cache), so the
+    /// clock runs around the backward call only.
+    fn backward_secs(&mut self, samples: usize) -> f64 {
+        let mut best = f64::INFINITY;
+        for _ in 0..samples {
+            let _ = self.layer.forward(&self.x, true);
+            let t = Instant::now();
+            std::hint::black_box(self.layer.backward(&self.dy));
+            best = best.min(t.elapsed().as_secs_f64());
+        }
+        best
+    }
+}
+
+/// Conv / deconv backward at the generator's twelve and the
+/// discriminator's five layer geometries.
+fn join_sites(layers: &[LayerGeom], config: &ExperimentConfig, model: &mut Pix2Pix) -> Vec<Site> {
+    let mut sites = Vec::new();
+    for l in layers {
+        let x = Tensor::randn([1, l.in_c, l.side, l.side], 0.0, 0.5, 3);
+        let name = format!("g.{}", l.name());
+        sites.push(if l.deconv {
+            let layer = Box::new(ConvTranspose2d::new(l.in_c, l.out_c, 4, 2, 1, 5));
+            Site::new("deconv_backward", name, layer, x)
+        } else {
+            let layer = Box::new(Conv2d::new(l.in_c, l.out_c, 4, 2, 1, 5));
+            Site::new("conv_backward", name, layer, x)
+        });
+    }
+    for (i, (in_c, out_c, stride, side)) in
+        discriminator_layers(config, model).into_iter().enumerate()
+    {
+        let x = Tensor::randn([1, in_c, side, side], 0.0, 0.5, 3);
+        let layer = Box::new(Conv2d::new(in_c, out_c, 4, stride, 1, 5));
+        sites.push(Site::new("conv_backward", format!("d.{i}"), layer, x));
+    }
+    sites
 }
 
 /// The three-loop `Adam::step` this repository shipped until the fused
@@ -563,19 +682,17 @@ fn ref_adam_step(adam: &Adam, t: i32, params: &mut [Param]) {
     }
 }
 
-/// One whole batch-1 `train_step` of the quick model, and `Adam::step` over
-/// the generator's parameters (old three-loop formulation vs the fused
-/// pass, same gradients, bit-equal weights afterwards).
-fn bench_training(smoke: bool) -> TrainResult {
+/// One whole batch-1 `train_step` of the quick model, `Adam::step` over the
+/// generator's parameters (old three-loop formulation vs the fused pass,
+/// same gradients, bit-equal weights afterwards) and every join site, each
+/// inline and joined.
+fn bench_training(layers: &[LayerGeom], smoke: bool) -> (TrainResult, Vec<SiteResult>) {
     let config = ExperimentConfig::quick();
     let mut model = Pix2Pix::new(&config, 7).expect("quick config");
     let res = config.resolution;
     let x = Tensor::randn([1, config.input_channels(), res, res], 0.0, 0.5, 1);
     let truth = Tensor::randn([1, 3, res, res], 0.0, 0.5, 2);
-    let (reps, iters) = if smoke { (1, 1) } else { (5, 4) };
-    let train_secs = time_per_call(reps, iters, || {
-        let _ = model.train_step(&x, &truth);
-    });
+    let (reps, iters, samples) = if smoke { (1, 1, 1) } else { (5, 4, 40) };
 
     let mut new_params: Vec<Param> = model
         .generator_mut()
@@ -589,32 +706,78 @@ fn bench_training(smoke: bool) -> TrainResult {
     let mut ref_params = new_params.clone();
     let adam_params = new_params.iter().map(Param::len).sum();
     let mut adam = Adam::paper();
+    // The two passes below take `2 · reps · iters` fused steps: the
+    // reference runs as many, so the two parameter sets stay comparable
+    // bit for bit.
     let mut t = 0;
-    let adam_ref_secs = time_per_call(reps, iters, || {
+    let adam_ref_secs = time_per_call(2 * reps, iters, || {
         t += 1;
         ref_adam_step(&adam, t, &mut ref_params);
     });
-    let adam_new_secs = time_per_call(reps, iters, || {
-        adam.step(&mut new_params.iter_mut().collect::<Vec<_>>());
-    });
+
+    // One pass over everything that forks: `(train_step, adam_step, sites)`
+    // seconds, after `warm_up` of train steps.
+    let mut sites = join_sites(layers, &config, &mut model);
+    let mut pass = |warm_up: Duration| {
+        let started = Instant::now();
+        while started.elapsed() < warm_up {
+            let _ = model.train_step(&x, &truth);
+        }
+        let train = time_per_call(reps, iters, || {
+            let _ = model.train_step(&x, &truth);
+        });
+        let adam = time_per_call(reps, iters, || {
+            adam.step(&mut new_params.iter_mut().collect::<Vec<_>>());
+        });
+        let site_secs: Vec<f64> = sites.iter_mut().map(|s| s.backward_secs(samples)).collect();
+        (train, adam, site_secs)
+    };
+    // Inline: from the caller half of an outer join, where the helper is
+    // taken. Joined: plainly, once a second of forks has given the
+    // scheduler time to put the helper on a core of its own.
+    let ((), inline) = pop_exec::join(|| (), || pass(Duration::ZERO));
+    let joined = pass(Duration::from_secs(if smoke { 0 } else { 1 }));
     assert!(
         ref_params == new_params,
         "fused Adam diverged from the three-loop formulation"
     );
+
     println!(
-        "train_step (quick, batch 1): {:.2} ms; adam_step ({adam_params} params): ref {:.1} us, \
-         new {:.1} us, {:.2}x",
-        train_secs * 1e3,
+        "train_step (quick, batch 1): inline {:.2} ms, joined {:.2} ms, {:.2}x; \
+         adam_step ({adam_params} params): ref {:.1} us, inline {:.1} us, joined {:.1} us",
+        inline.0 * 1e3,
+        joined.0 * 1e3,
+        inline.0 / joined.0,
         adam_ref_secs * 1e6,
-        adam_new_secs * 1e6,
-        adam_ref_secs / adam_new_secs
+        inline.1 * 1e6,
+        joined.1 * 1e6,
     );
-    TrainResult {
-        train_step_ms: train_secs * 1e3,
+    let site_rows = sites
+        .iter()
+        .zip(inline.2.iter().zip(&joined.2))
+        .map(|(s, (&inline, &joined))| {
+            println!(
+                "join site {}/{}: inline {:.1} us, joined {:.1} us, {:.2}x",
+                s.site,
+                s.name,
+                inline * 1e6,
+                joined * 1e6,
+                inline / joined
+            );
+            SiteResult {
+                site: s.site,
+                layer: s.name.clone(),
+                secs: (inline, joined),
+            }
+        })
+        .collect();
+    let training = TrainResult {
+        train_secs: (inline.0, joined.0),
         adam_params,
         adam_ref_secs,
-        adam_new_secs,
-    }
+        adam_secs: (inline.1, joined.1),
+    };
+    (training, site_rows)
 }
 
 /// The x86 features this host reports, and which `linalg` instantiation
@@ -719,7 +882,7 @@ fn main() {
         .map(|&batch| (batch, bench_whole_forward(batch, smoke)))
         .collect();
 
-    let training = bench_training(smoke);
+    let (training, join_sites) = bench_training(&layers, smoke);
     let inference = bench_inference(smoke);
 
     if !smoke {
@@ -799,6 +962,20 @@ fn main() {
             )
         })
         .collect();
+    let join_sites_json: Vec<String> = join_sites
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{ \"site\": \"{}\", \"layer\": \"{}\", \"us_inline\": {:.1}, \
+                 \"us_joined\": {:.1}, \"speedup\": {:.4} }}",
+                r.site,
+                r.layer,
+                r.secs.0 * 1e6,
+                r.secs.1 * 1e6,
+                r.secs.0 / r.secs.1
+            )
+        })
+        .collect();
     let notes_json: Vec<String> = notes.iter().map(|n| format!("    \"{n}\"")).collect();
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"smoke\": {smoke},\n  \
@@ -813,9 +990,12 @@ fn main() {
          \"speedup\": {:.4} }},\n  \
          \"lowering\": [\n{}\n  ],\n  \
          \"whole_forward\": [\n{}\n  ],\n  \
-         \"train_step\": {{ \"config\": \"quick\", \"batch\": 1, \"ms\": {:.4} }},\n  \
-         \"adam_step\": {{ \"params\": {}, \"us_ref\": {:.1}, \"us_new\": {:.1}, \
-         \"speedup\": {:.4} }},\n  \
+         \"train_step\": {{ \"config\": \"quick\", \"batch\": 1, \
+         \"host_parallelism\": {host_parallelism}, \"ms_inline\": {:.4}, \
+         \"ms_joined\": {:.4}, \"speedup\": {:.4} }},\n  \
+         \"adam_step\": {{ \"params\": {}, \"us_ref\": {:.1}, \"us_inline\": {:.1}, \
+         \"us_joined\": {:.1}, \"speedup\": {:.4} }},\n  \
+         \"join_sites\": [\n{}\n  ],\n  \
          \"inference\": {{ \"f32_images_per_sec\": {:.4}, \
          \"quant_images_per_sec\": {:.4}, \"quant_speedup\": {:.4}, \
          \"quant_max_abs_delta\": {:.6} }},\n  \
@@ -829,11 +1009,15 @@ fn main() {
         bwd_ref / bwd_new,
         lowering_json.join(",\n"),
         whole_forward_json.join(",\n"),
-        training.train_step_ms,
+        training.train_secs.0 * 1e3,
+        training.train_secs.1 * 1e3,
+        training.train_secs.0 / training.train_secs.1,
         training.adam_params,
         training.adam_ref_secs * 1e6,
-        training.adam_new_secs * 1e6,
-        training.adam_ref_secs / training.adam_new_secs,
+        training.adam_secs.0 * 1e6,
+        training.adam_secs.1 * 1e6,
+        training.adam_secs.0 / training.adam_secs.1,
+        join_sites_json.join(",\n"),
         inference.f32_images_per_sec,
         inference.quant_images_per_sec,
         inference.quant_speedup,
@@ -857,7 +1041,11 @@ fn main() {
         "\"us_per_image\"",
         "\"batch\": 1",
         "\"train_step\"",
+        "\"ms_inline\"",
+        "\"ms_joined\"",
         "\"adam_step\"",
+        "\"join_sites\"",
+        "\"site\": \"deconv_backward\"",
         "\"linalg_instantiation\"",
         "\"speedup\"",
         "\"quant_speedup\"",

@@ -213,16 +213,30 @@ impl Pix2Pix {
     /// One cGAN optimisation step on a single `(x, truth)` pair (the paper
     /// trains with batch size 1).
     pub fn train_step(&mut self, x: &Tensor, truth: &Tensor) -> StepLosses {
-        // Generator forward (training mode: dropout provides z).
-        let fake = self.gen.forward(x, true);
-
         // ---- Discriminator step: maximise log D(x,g) + log(1-D(G(x,z))).
+        //
+        // The real half of it needs only `(x, truth)`, and the generator
+        // forward needs only `x`, so the two run side by side: the real
+        // pass touches nothing but D (its caches, gradients and batch-norm
+        // running statistics), the forward nothing but G (its caches, and
+        // the dropout RNG that provides z lives in G's own layers). The
+        // fake pass starts only after both, so D still accumulates real
+        // then fake and its running statistics see the two batches in
+        // that order — the sequential step, bit for bit.
         self.disc.zero_grad();
         let real_pair = x.concat_channels(truth);
-        let logits_real = self.disc.forward(&real_pair, true);
-        let (d_real, mut g_real) = bce_with_logits(&logits_real, 1.0);
-        g_real.scale(0.5);
-        let _ = self.disc.backward(&g_real);
+        let (disc, gen) = (&mut self.disc, &mut self.gen);
+        let (d_real, fake) = pop_exec::join(
+            || {
+                let logits_real = disc.forward(&real_pair, true);
+                let (d_real, mut g_real) = bce_with_logits(&logits_real, 1.0);
+                g_real.scale(0.5);
+                let _ = disc.backward(&g_real);
+                d_real
+            },
+            // Generator forward (training mode: dropout provides z).
+            || gen.forward(x, true),
+        );
 
         let fake_pair = x.concat_channels(&fake);
         let logits_fake = self.disc.forward(&fake_pair, true);

@@ -25,15 +25,21 @@
 //! netlist, placement snapshots on the caller's stack); [`run_scoped`]
 //! provides it via `std::thread::scope`, and [`ParkingPool`] provides the
 //! persistent park/unpark variant for fan-outs dispatched thousands of
-//! times per run (spawn once, park between rounds). [`set_pool_mode`]
-//! switches consumers between the two for apples-to-apples benchmarking.
+//! times per run (spawn once, park between rounds).
+//!
+//! A fourth, the trainer (`pop-nn`'s convolution backward and Adam pass,
+//! `pop-core`'s train step), has places where a step falls into two
+//! independent halves; [`join`] runs one of them on a process-wide
+//! one-worker [`ParkingPool`] while the caller runs the other, and runs
+//! both on the caller when that helper is absent (one core) or busy — a
+//! caller-participating round of the same pool, not another pool type.
 
 mod parked;
 mod pool;
 mod queue;
 mod scoped;
 
-pub use parked::{pool_mode, set_pool_mode, ParkingPool, PoolMode};
+pub use parked::{join, ParkingPool};
 pub use pool::WorkerPool;
 pub use queue::{BoundedQueue, PushError};
 pub use scoped::{run_scoped, scoped_map};

@@ -66,17 +66,31 @@ impl Adam {
         // One pass per parameter over (value, m, v, grad): the moments are
         // updated and consumed in registers, with the same per-element
         // expressions (and so the same roundings) as three separate loops.
-        for p in params.iter_mut() {
-            let moments = p.m.data_mut().iter_mut().zip(p.v.data_mut());
-            let weights = p.value.data_mut().iter_mut().zip(p.grad.data());
-            for ((m, v), (w, &g)) in moments.zip(weights) {
-                *m = beta1 * *m + (1.0 - beta1) * g;
-                *v = beta2 * *v + (1.0 - beta2) * g * g;
-                let mhat = *m / bc1;
-                let vhat = *v / bc2;
-                *w -= lr * mhat / (vhat.sqrt() + eps);
+        let update = |params: &mut [&mut Param]| {
+            for p in params.iter_mut() {
+                let moments = p.m.data_mut().iter_mut().zip(p.v.data_mut());
+                let weights = p.value.data_mut().iter_mut().zip(p.grad.data());
+                for ((m, v), (w, &g)) in moments.zip(weights) {
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *v = beta2 * *v + (1.0 - beta2) * g * g;
+                    let mhat = *m / bc1;
+                    let vhat = *v / bc2;
+                    *w -= lr * mhat / (vhat.sqrt() + eps);
+                }
             }
+        };
+        // A scalar's update reads and writes that scalar's own value,
+        // moments and gradient and nothing else, so any two parts of the
+        // list are independent: cut it where half the scalars lie (the
+        // pass is memory-bound; a second core is a second stream).
+        let total: usize = params.iter().map(|p| p.len()).sum();
+        let (mut cut, mut head_len) = (0, 0);
+        while cut < params.len() && 2 * head_len + params[cut].len() <= total {
+            head_len += params[cut].len();
+            cut += 1;
         }
+        let (head, tail) = params.split_at_mut(cut);
+        pop_exec::join(|| update(head), || update(tail));
     }
 }
 

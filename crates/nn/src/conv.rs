@@ -17,6 +17,14 @@ fn slab_group(per_sample: usize, n: usize) -> usize {
     (SLAB / per_sample.max(1)).clamp(1, n.max(1))
 }
 
+/// `db += Σ dY`: adds the sum of each channel plane of `dy` (`plane` floats
+/// apiece) onto that channel's bias gradient.
+fn add_plane_sums(bias_grad: &mut [f32], dy: &[f32], plane: usize) {
+    for (c, g) in bias_grad.iter_mut().enumerate() {
+        *g += dy[c * plane..(c + 1) * plane].iter().sum::<f32>();
+    }
+}
+
 /// 2-D convolution (`k×k` kernel, stride, zero padding) lowered to im2col +
 /// matmul. pix2pix uses `k=4, stride=2, pad=1` throughout the encoder,
 /// halving the spatial size per layer — the left column of the paper's
@@ -201,42 +209,30 @@ impl Layer for Conv2d {
                 }
                 &cols_scratch[..ckk * p_out]
             };
-            // dW += dY @ colsᵀ.
-            matmul_nt(
-                dy_n,
-                cols_b,
-                self.weight.grad.data_mut(),
-                self.out_c,
-                ho * wo,
-                ckk,
-            );
-            // db += Σ dY.
-            for c in 0..self.out_c {
-                let s: f32 = dy_n[c * ho * wo..(c + 1) * ho * wo].iter().sum();
-                self.bias.grad.data_mut()[c] += s;
-            }
-            // dX = col2im(Wᵀ @ dY).
+            // The two gradients read the same `dY` and write disjoint
+            // memory — `dcols`, this sample's `dx` and `bias.grad` on one
+            // side, `weight.grad` on the other — so they are one `join`:
+            // each side runs exactly the arithmetic it runs alone. The
+            // weight gradient stays on the caller because it is the
+            // heavier half at most layers (`nt` packs `colsᵀ` first), and
+            // the forked half is the one that starts late when the helper
+            // has parked.
+            let (w_grad, b_grad) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+            let weight = self.weight.value.data();
+            let dx_n = &mut dx.data_mut()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w];
             let dcols = &mut dcols[..ckk * p_out];
-            dcols.fill(0.0);
-            matmul_tn(
-                self.weight.value.data(),
-                dy_n,
-                dcols,
-                ckk,
-                self.out_c,
-                ho * wo,
-            );
-            col2im(
-                dcols,
-                self.in_c,
-                h,
-                w,
-                self.k,
-                self.stride,
-                self.pad,
-                &mut dx.data_mut()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w],
-                p_out,
-                0,
+            let (in_c, out_c, k, stride, pad) =
+                (self.in_c, self.out_c, self.k, self.stride, self.pad);
+            pop_exec::join(
+                || {
+                    // dX = col2im(Wᵀ @ dY).
+                    dcols.fill(0.0);
+                    matmul_tn(weight, dy_n, dcols, ckk, out_c, ho * wo);
+                    col2im(dcols, in_c, h, w, k, stride, pad, dx_n, p_out, 0);
+                    add_plane_sums(b_grad, dy_n, ho * wo);
+                },
+                // dW += dY @ colsᵀ.
+                || matmul_nt(dy_n, cols_b, w_grad, out_c, ho * wo, ckk),
             );
         }
         workspace::give(cols_scratch);
@@ -404,7 +400,7 @@ impl Layer for ConvTranspose2d {
         let mut dcols = workspace::take(ckk * h * w);
         for b in 0..n {
             let dy_n = &grad_out.data()[b * self.out_c * ho * wo..(b + 1) * self.out_c * ho * wo];
-            // dcols = im2col(dY).
+            // dcols = im2col(dY), read by both gradients.
             let dcols = &mut dcols[..ckk * h * w];
             im2col_strided(
                 dy_n,
@@ -418,30 +414,25 @@ impl Layer for ConvTranspose2d {
                 h * w,
                 0,
             );
-            // dX = W @ dcols.
-            matmul_nn(
-                self.weight.value.data(),
-                dcols,
-                &mut dx.data_mut()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w],
-                self.in_c,
-                ckk,
-                h * w,
-            );
-            // dW += x @ dcolsᵀ.
+            // As in `Conv2d::backward`: shared reads (`dcols`, `dY`, `x`,
+            // the weights), disjoint writes (this sample's `dx` and
+            // `bias.grad` against `weight.grad`), one `join`, the weight
+            // gradient on the caller.
+            let dcols = &*dcols;
+            let (w_grad, b_grad) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+            let weight = self.weight.value.data();
             let x_n = &x.data()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w];
-            matmul_nt(
-                x_n,
-                dcols,
-                self.weight.grad.data_mut(),
-                self.in_c,
-                h * w,
-                ckk,
+            let dx_n = &mut dx.data_mut()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w];
+            let in_c = self.in_c;
+            pop_exec::join(
+                || {
+                    // dX = W @ dcols.
+                    matmul_nn(weight, dcols, dx_n, in_c, ckk, h * w);
+                    add_plane_sums(b_grad, dy_n, ho * wo);
+                },
+                // dW += x @ dcolsᵀ.
+                || matmul_nt(x_n, dcols, w_grad, in_c, h * w, ckk),
             );
-            // db += Σ dY.
-            for c in 0..self.out_c {
-                let s: f32 = dy_n[c * ho * wo..(c + 1) * ho * wo].iter().sum();
-                self.bias.grad.data_mut()[c] += s;
-            }
         }
         workspace::give(dcols);
         dx

@@ -14,7 +14,7 @@
 //!    rounds: each region proposes its share of the `INNER_NUM · N^{4/3}`
 //!    move budget **confined to its own blocks and sites**, scored against
 //!    a frozen start-of-round snapshot of the rest of the fabric, on a
-//!    [`pop_exec::run_scoped`] worker pool;
+//!    [`pop_exec::ParkingPool`] spawned once per annealer;
 //! 3. each round's region outcomes merge in fixed region order (disjoint
 //!    by construction) and the moved blocks' net costs are refreshed
 //!    exactly; after the rounds, a sequential **exchange phase** spends
@@ -222,11 +222,9 @@ pub struct ParallelAnnealer<'a> {
     /// Alternating partitions: `maps[0]` is the canonical k-strip split,
     /// `maps[1]` (present when k > 1) the half-strip-shifted one.
     maps: Vec<RegionMap>,
-    threads: usize,
     /// Persistent park/unpark workers for the per-round fan-out — spawned
-    /// once per annealer instead of once per round. `None` runs rounds on
-    /// per-round scoped threads (single-worker schedules, or the
-    /// [`pop_exec::PoolMode::ScopedRespawn`] comparison mode).
+    /// once per annealer instead of once per round. `None` for a
+    /// single-worker schedule, whose rounds run on the calling thread.
     pool: Option<pop_exec::ParkingPool>,
     rng: StdRng, // warm-up + exchange-phase stream
     movable: Vec<BlockId>,
@@ -298,13 +296,10 @@ impl<'a> ParallelAnnealer<'a> {
         let exchange_per_temp = ((moves_per_temp as f64 * fraction).ceil() as u64).max(1);
 
         // Spawn the round workers once; they park between rounds. A
-        // single-worker schedule dispatches rounds on scoped threads (the
-        // spawn cost is negligible at that cadence), as does the
-        // ScopedRespawn comparison mode benches flip on.
+        // single-worker schedule needs no second thread at all.
         let max_regions = maps.iter().map(RegionMap::len).max().unwrap_or(1);
         let workers = threads.min(max_regions).max(1);
-        let pool = (workers > 1 && pop_exec::pool_mode() == pop_exec::PoolMode::Persistent)
-            .then(|| pop_exec::ParkingPool::new("pop-place-region", workers));
+        let pool = (workers > 1).then(|| pop_exec::ParkingPool::new("pop-place-region", workers));
 
         let mut annealer = ParallelAnnealer {
             arch,
@@ -313,7 +308,6 @@ impl<'a> ParallelAnnealer<'a> {
             kernel,
             global_pools,
             maps,
-            threads,
             pool,
             rng,
             movable,
@@ -416,7 +410,7 @@ impl<'a> ParallelAnnealer<'a> {
     }
 
     /// One synchronised region round: freeze a snapshot, fan `budget`
-    /// confined moves out over the regions on a scoped worker pool, merge
+    /// confined moves out over the regions on the worker pool, merge
     /// the outcomes in fixed region order and refresh the exact costs.
     /// Workers pull region indices from a shared counter; each outcome is a
     /// pure function of `(snapshot, epoch, round, region)`, so which worker
@@ -491,9 +485,9 @@ impl<'a> ParallelAnnealer<'a> {
             let (movable_by_region, budgets, outcomes, next) =
                 (&movable_by_region, &budgets, &outcomes, &next);
             // One worker's share of the round: pull region indices from the
-            // shared cursor until they run out. Identical under either
-            // executor — each outcome is a pure function of
-            // (snapshot, epoch, round, region).
+            // shared cursor until they run out. Each outcome is a pure
+            // function of (snapshot, epoch, round, region), so it does not
+            // matter which worker — or the calling thread — computes it.
             let worker = move |_w: usize| loop {
                 let r = next.fetch_add(1, Ordering::SeqCst);
                 if r >= k {
@@ -515,13 +509,10 @@ impl<'a> ParallelAnnealer<'a> {
                 );
                 *outcomes[r].lock().expect("region outcome lock") = Some(outcome);
             };
-            let panicked = match &self.pool {
-                Some(pool) => pool.run(&worker),
-                None => pop_exec::run_scoped("pop-place-region", self.threads.min(k).max(1), |w| {
-                    move || worker(w)
-                }),
-            };
-            assert_eq!(panicked, 0, "a region worker panicked");
+            match &self.pool {
+                Some(pool) => assert_eq!(pool.run(&worker), 0, "a region worker panicked"),
+                None => worker(0),
+            }
         }
 
         // Deterministic merge (fixed region order; regions own disjoint
@@ -885,32 +876,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_modes_produce_identical_placements() {
-        // The persistent park/unpark pool must change scheduling only:
-        // flipping to per-round scoped respawn yields the same bits.
-        let (arch, netlist) = setup(0.25);
-        let run = || {
-            let mut a = ParallelAnnealer::new(&arch, &netlist, &opts(13, 3, 4)).unwrap();
-            a.run();
-            a.into_placement()
-        };
-        assert_eq!(pop_exec::pool_mode(), pop_exec::PoolMode::Persistent);
-        let persistent = run();
-        pop_exec::set_pool_mode(pop_exec::PoolMode::ScopedRespawn);
-        let scoped = run();
-        pop_exec::set_pool_mode(pop_exec::PoolMode::Persistent);
-        assert_eq!(persistent, scoped);
-    }
-
-    #[test]
     fn round_dispatches_feed_pool_telemetry() {
         let (arch, netlist) = setup(0.25);
         let mut a = ParallelAnnealer::new(&arch, &netlist, &opts(2, 2, 2)).unwrap();
-        if a.pool.is_none() {
-            // A concurrent test had the ScopedRespawn comparison mode on
-            // while this annealer was built; nothing to measure here.
-            return;
-        }
+        assert!(a.pool.is_some(), "two regions on two threads use the pool");
         let before = pop_obs::global()
             .snapshot()
             .counter("exec.pool.pop-place-region.rounds")

@@ -284,6 +284,34 @@ mod tests {
     }
 
     #[test]
+    fn forecasts_never_reach_the_join_helper() {
+        // `pop_exec::join` is the trainer's: inference must neither fork
+        // nor look for the helper. No test of this crate trains, so the
+        // process-wide counters stay where a serving process keeps them.
+        let engine = ForecastEngine::start(
+            tiny_model(15),
+            EngineConfig {
+                max_batch: 4,
+                workers: 2,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let client = engine.client();
+        let pending: Vec<_> = (0..300)
+            .map(|i| client.submit(&input(i)).unwrap())
+            .collect();
+        for p in pending {
+            p.wait_image().unwrap();
+        }
+        assert_eq!(engine.shutdown().completed, 300);
+        let snap = pop_obs::global().snapshot();
+        for name in ["exec.join.forked", "exec.join.inline"] {
+            assert_eq!(snap.counter(name).unwrap_or(0), 0, "{name}");
+        }
+    }
+
+    #[test]
     fn bad_input_is_rejected_before_queueing() {
         let engine = ForecastEngine::start(tiny_model(8), EngineConfig::default()).unwrap();
         let client = engine.client();

@@ -6,8 +6,7 @@
 //! ```text
 //! cargo run --release --example generate_corpus [scenario] \
 //!     [--cache-dir DIR] [--cache-budget BYTES] [--resume] \
-//!     [--regions K] [--place-threads T] [--pool-mode persistent|respawn] \
-//!     [--trace-out PATH]
+//!     [--regions K] [--place-threads T] [--trace-out PATH]
 //! ```
 //!
 //! * `--cache-dir DIR` — generate through a `CorpusStore` rooted at `DIR`:
@@ -31,10 +30,6 @@
 //!   worker pool. The corpus checksum is identical for every `T` at the
 //!   same `K` — thread count never changes the data (the CI parallel
 //!   smoke pins this).
-//! * `--pool-mode persistent|respawn` — pick the region-parallel worker
-//!   strategy: the persistent park/unpark pool (default) or per-round
-//!   scoped respawn. Both must produce the same corpus checksum; CI
-//!   diffs the two.
 //! * `--trace-out PATH` — enable span tracing and write a
 //!   `pop_obs::RunReport` (span tree + metric snapshot + wall clock) to
 //!   `PATH` at exit. The run self-validates the report: it parses the
@@ -104,7 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut resume = false;
     let mut regions: Option<usize> = None;
     let mut place_threads = 4usize;
-    let mut pool_mode: Option<pop::exec::PoolMode> = None;
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -130,21 +124,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .ok_or("--place-threads needs a count")?
                     .parse()?;
             }
-            "--pool-mode" => {
-                let mode = args
-                    .next()
-                    .ok_or("--pool-mode needs 'persistent' or 'respawn'")?;
-                pool_mode = Some(match mode.as_str() {
-                    "persistent" => pop::exec::PoolMode::Persistent,
-                    "respawn" => pop::exec::PoolMode::ScopedRespawn,
-                    other => {
-                        return Err(format!(
-                            "unknown pool mode '{other}' (expected 'persistent' or 'respawn')"
-                        )
-                        .into())
-                    }
-                });
-            }
             other => name = other.to_string(),
         }
     }
@@ -163,17 +142,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             threads: place_threads,
         };
         println!("place strategy: parallel ({regions} regions, {place_threads} threads)");
-    }
-    if let Some(mode) = pool_mode {
-        // The corpus checksum must be identical in either mode: the
-        // persistent park/unpark pool is pure plumbing over run_scoped
-        // (the CI parallel smoke pins this by diffing checksums).
-        pop::exec::set_pool_mode(mode);
-        let label = match mode {
-            pop::exec::PoolMode::Persistent => "persistent",
-            pop::exec::PoolMode::ScopedRespawn => "respawn",
-        };
-        println!("annealer pool mode: {label}");
     }
     let spec_name = spec.name.clone();
     println!(

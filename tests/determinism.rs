@@ -102,6 +102,59 @@ fn randn_inputs(config: &ExperimentConfig, count: u64, seed: u64) -> Vec<Tensor>
         .collect()
 }
 
+/// The six steps of the cross-commit golden below, on a fresh model:
+/// `StepLosses` bits per step, then the generator's and the
+/// discriminator's weight + Adam-moment FNVs.
+fn six_golden_steps() -> (Vec<[u32; 3]>, u64, u64) {
+    let config = ExperimentConfig::test();
+    let mut model = Pix2Pix::new(&config, 4242).unwrap();
+    let xs = randn_inputs(&config, 2, 900);
+    let res = config.resolution;
+    let ys: Vec<Tensor> = (0..2)
+        .map(|i| Tensor::randn([1, 3, res, res], 0.0, 0.5, 950 + i))
+        .collect();
+    let losses = (0..6)
+        .map(|step| {
+            let l = model.train_step(&xs[step % 2], &ys[step % 2]);
+            [l.d_loss.to_bits(), l.g_gan.to_bits(), l.g_l1.to_bits()]
+        })
+        .collect();
+    (
+        losses,
+        fnv_params(model.generator_mut().params_mut()),
+        fnv_params(model.discriminator_mut().params_mut()),
+    )
+}
+
+/// A train step forks at three places through `pop_exec::join`, and
+/// whether a given join forks depends on what else the process is doing.
+/// None of that may reach the numbers: the same steps run plainly (forks
+/// wherever the helper is free), from inside the caller half of an outer
+/// join (the helper is taken: every join runs inline — the serial path,
+/// reached without a switch) and on four threads at once (the helper
+/// contended, each join going either way) must agree bit for bit.
+#[test]
+fn training_bits_do_not_depend_on_who_ran_which_half() {
+    let plain = six_golden_steps();
+    assert_eq!(
+        plain.0[0],
+        [1060360060, 1059928462, 1053526775],
+        "the sequence the cross-commit golden pins"
+    );
+    let ((), inline) = pop::exec::join(|| (), six_golden_steps);
+    assert_eq!(inline, plain, "every join inline");
+    let contended: Vec<_> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..4).map(|_| scope.spawn(six_golden_steps)).collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("training thread"))
+            .collect()
+    });
+    for (thread, result) in contended.iter().enumerate() {
+        assert_eq!(result, &plain, "thread {thread} of 4");
+    }
+}
+
 /// Training is pinned **across commits**, not just across two runs of one
 /// build: the constants below were captured at the commit before the GEMM
 /// tail / packed `nt` / fused Adam rewrite (PR 13's tree) and every later
