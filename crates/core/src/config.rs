@@ -1,5 +1,4 @@
 use crate::error::CoreError;
-use pop_place::PlaceStrategy;
 
 /// Which skip connections the U-Net generator uses — the §5.3 ablation axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,13 +69,6 @@ pub struct ExperimentConfig {
     pub tolerance: f32,
     /// Master RNG seed.
     pub seed: u64,
-    /// How each placement of the sweep is executed: the classic sequential
-    /// annealer, or the region-parallel one (`ParallelRegions`) that fans a
-    /// *single* placement out across threads — the knob for corpora with
-    /// one large design instead of a wide sweep. The parallel result is
-    /// deterministic in `(seed, regions)`; the thread count never changes
-    /// the data (and is therefore excluded from the cache fingerprint).
-    pub place_strategy: PlaceStrategy,
 }
 
 impl ExperimentConfig {
@@ -102,7 +94,6 @@ impl ExperimentConfig {
             finetune_epochs: 25,
             tolerance: 16.0 / 255.0,
             seed: 1,
-            place_strategy: PlaceStrategy::Sequential,
         }
     }
 
@@ -181,9 +172,6 @@ impl ExperimentConfig {
                 self.fabric_aspect
             )));
         }
-        self.place_strategy
-            .validate()
-            .map_err(CoreError::BadConfig)?;
         Ok(())
     }
 
@@ -246,17 +234,6 @@ mod tests {
         let mut c = ExperimentConfig::test();
         c.fabric_aspect = f64::NAN;
         assert!(c.validate().is_err());
-        let mut c = ExperimentConfig::test();
-        c.place_strategy = PlaceStrategy::ParallelRegions {
-            regions: 0,
-            threads: 4,
-        };
-        assert!(c.validate().is_err());
-        c.place_strategy = PlaceStrategy::ParallelRegions {
-            regions: 2,
-            threads: 2,
-        };
-        assert!(c.validate().is_ok());
     }
 
     #[test]

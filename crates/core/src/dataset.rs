@@ -17,11 +17,11 @@
 //! Both paths are therefore bitwise-identical by construction (wall-clock
 //! `PairMeta` timing fields aside; see [`Pair::without_timings`]).
 //!
-//! Generated datasets can be cached on disk ([`save_dataset`] /
-//! [`load_dataset`]) in a little-endian binary format keyed by a
-//! fingerprint of *every* scenario parameter that affects the data (full
-//! synthetic spec + config + cache format version), because routing
-//! hundreds of placements dominates experiment wall-time.
+//! Generated datasets are cached on disk by [`CorpusStore`] in a
+//! little-endian binary format keyed by a fingerprint of *every* scenario
+//! parameter that affects the data (full synthetic spec + config + cache
+//! format version), because routing hundreds of placements dominates
+//! experiment wall-time.
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
@@ -209,19 +209,13 @@ impl DesignContext {
     }
 
     /// The deterministic placement-option sweep of this design:
-    /// `config.pairs_per_design` option sets seeded from `config.seed`,
-    /// each executed under `config.place_strategy` (sequential or
-    /// region-parallel annealing).
+    /// `config.pairs_per_design` option sets seeded from `config.seed`.
     pub fn sweep_options(&self) -> Vec<PlaceOptions> {
         let sweep = SweepSpec {
             base_seed: self.config.seed,
             ..SweepSpec::quick()
         };
-        let mut options = sweep.take(self.config.pairs_per_design);
-        for o in &mut options {
-            o.strategy = self.config.place_strategy;
-        }
-        options
+        sweep.take(self.config.pairs_per_design)
     }
 
     /// Placement stage: anneals one placement of the design under `popts`,
@@ -420,10 +414,9 @@ pub fn leave_one_out<'a>(
 /// the same record layout serves both `.popds` dataset files and the
 /// pipeline's epoch-spill ring; writes are atomic (tmp + rename).
 ///
-/// v5: the fingerprint folds in the placement execution strategy
-/// (sequential vs region-parallel, including the region count — the
-/// parallel annealer's placements are a different deterministic family).
-/// The record layout is unchanged, so `MAGIC` stays at `POPDS004`.
+/// v5: the fingerprint folds in a placement-strategy word (there were two
+/// annealers then; it is the constant `0` now that there is one). The
+/// record layout is unchanged, so `MAGIC` stays at `POPDS004`.
 ///
 /// v6: `min_channel_width` brackets its search from the uncongested peak
 /// instead of by doubling. Routability is not monotone in width, so a
@@ -519,25 +512,10 @@ pub fn fingerprint(spec: &SyntheticSpec, config: &ExperimentConfig) -> u64 {
     h.eat(config.fabric_slack.to_bits());
     h.eat(config.fabric_aspect.to_bits());
     h.eat(config.seed);
-    // The placement strategy changes the generated placements, so it is
-    // part of the data's identity — except the thread count, which by the
-    // parallel annealer's determinism contract never changes the result:
-    // caches stay warm across machines with different core counts.
-    match config.place_strategy {
-        pop_place::PlaceStrategy::Sequential => h.eat(0),
-        pop_place::PlaceStrategy::ParallelRegions {
-            regions,
-            threads: _,
-        } => {
-            h.eat(1);
-            h.eat(regions as u64);
-        }
-    }
+    // Where the placement-strategy tag was: the one annealer left hashed
+    // as 0, and dropping the word would orphan every corpus on disk.
+    h.eat(0);
     h.finish()
-}
-
-fn cache_path(dir: &Path, design: &str) -> PathBuf {
-    dir.join(format!("{design}.popds"))
 }
 
 fn write_u32(w: &mut impl Write, v: u32) -> std::io::Result<()> {
@@ -800,55 +778,14 @@ fn read_dataset_file(
     Ok(parse_dataset(&mut r, fp, design).unwrap_or(None))
 }
 
-/// Writes a dataset to `dir/<design>.popds`, keyed by the scenario
-/// fingerprint of `spec` + `config`. The write is atomic (tmp + rename), so
-/// a crash or Ctrl-C mid-write can never leave a truncated file behind the
-/// final name.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Cache`] on I/O failure.
-pub fn save_dataset(
-    dir: &Path,
-    ds: &DesignDataset,
-    spec: &SyntheticSpec,
-    config: &ExperimentConfig,
-) -> Result<(), CoreError> {
-    write_dataset_file(&cache_path(dir, &ds.name), ds, fingerprint(spec, config))?;
-    Ok(())
-}
-
-/// Loads a cached dataset if present and fingerprint-compatible; `Ok(None)`
-/// when absent or stale (older format version, *any* scenario parameter
-/// differing from what the cache was generated with, or a damaged file —
-/// truncation and decode failures are treated as stale so the entry is
-/// regenerated rather than poisoning every future run).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Cache`] only when an existing file cannot be
-/// opened (permissions, hardware I/O errors).
-pub fn load_dataset(
-    dir: &Path,
-    spec: &SyntheticSpec,
-    config: &ExperimentConfig,
-) -> Result<Option<DesignDataset>, CoreError> {
-    read_dataset_file(
-        &cache_path(dir, &spec.name),
-        fingerprint(spec, config),
-        &spec.name,
-    )
-}
-
 /// A directory of per-job dataset caches, keyed by **design name +
-/// scenario fingerprint** — unlike the flat [`save_dataset`] /
-/// [`load_dataset`] layout (one `<design>.popds` per directory), a store
-/// keeps every scenario variant of the same design side by side, which is
-/// what the streaming pipeline needs when one corpus mixes fabrics,
-/// resolutions or sweep seeds of a single design family.
+/// scenario fingerprint**: a store keeps every scenario variant of the
+/// same design side by side, which is what the streaming pipeline needs
+/// when one corpus mixes fabrics, resolutions or sweep seeds of a single
+/// design family.
 ///
-/// Same `.popds` format, same integrity rules: loads treat damage as a
-/// miss, writes are atomic.
+/// Loads treat damage as a miss (so a damaged entry is regenerated rather
+/// than poisoning every future run), writes are atomic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusStore {
     dir: PathBuf,
@@ -1133,8 +1070,10 @@ impl CorpusStore {
         }
     }
 
-    /// Whether the claim file at `path` is older than the staleness
-    /// horizon (or unreadable/garbled, which also means "break it").
+    /// Whether the claim file at `path` is stamped further than the
+    /// staleness horizon from now — behind it (the owner crashed) or ahead
+    /// of it (a skewed clock; such a claim would otherwise never age) — or
+    /// garbled, which also means "break it".
     fn claim_is_stale(&self, path: &Path) -> bool {
         let Ok(content) = std::fs::read_to_string(path) else {
             // Vanished: not stale, just released — the retry loop probes.
@@ -1153,7 +1092,7 @@ impl CorpusStore {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        now.saturating_sub(stamped) > self.claim_stale_after.as_secs()
+        now.abs_diff(stamped) > self.claim_stale_after.as_secs()
     }
 }
 
@@ -1167,14 +1106,15 @@ pub fn build_or_load(
     config: &ExperimentConfig,
     cache_dir: Option<&Path>,
 ) -> Result<DesignDataset, CoreError> {
-    if let Some(dir) = cache_dir {
-        if let Some(ds) = load_dataset(dir, spec, config)? {
+    let store = cache_dir.map(CorpusStore::new);
+    if let Some(store) = &store {
+        if let Some(ds) = store.load(spec, config)? {
             return Ok(ds);
         }
     }
     let ds = build_design_dataset(spec, config)?;
-    if let Some(dir) = cache_dir {
-        save_dataset(dir, &ds, spec, config)?;
+    if let Some(store) = &store {
+        store.store(&ds, spec, config)?;
     }
     Ok(ds)
 }
@@ -1245,10 +1185,9 @@ mod tests {
         let ds = build_design_dataset(&spec, &config).unwrap();
         let dir = std::env::temp_dir().join("pop_core_cache_test");
         let _ = std::fs::remove_dir_all(&dir);
-        save_dataset(&dir, &ds, &spec, &config).unwrap();
-        let loaded = load_dataset(&dir, &spec, &config)
-            .unwrap()
-            .expect("cache hit");
+        let store = CorpusStore::new(&dir);
+        store.store(&ds, &spec, &config).unwrap();
+        let loaded = store.load(&spec, &config).unwrap().expect("cache hit");
         assert_eq!(ds, loaded);
         // Every PairMeta field survives the round trip, including the
         // wall-clock provenance (the paper's speedup denominators).
@@ -1270,7 +1209,7 @@ mod tests {
         // Stale fingerprint misses.
         let mut other = config.clone();
         other.resolution = 64;
-        assert!(load_dataset(&dir, &spec, &other).unwrap().is_none());
+        assert!(store.load(&spec, &other).unwrap().is_none());
     }
 
     #[test]
@@ -1280,10 +1219,11 @@ mod tests {
         let ds = build_design_dataset(&spec, &config).unwrap();
         let dir = std::env::temp_dir().join("pop_core_cache_scenario_test");
         let _ = std::fs::remove_dir_all(&dir);
-        save_dataset(&dir, &ds, &spec, &config).unwrap();
+        let store = CorpusStore::new(&dir);
+        store.store(&ds, &spec, &config).unwrap();
 
-        // Spec-side scenario knobs (same name → same cache file, but the
-        // data would differ): fanout profile, locality, seed, net budget.
+        // Spec-side scenario knobs (same design name, but the data would
+        // differ): fanout profile, locality, seed, net budget.
         for mutate in [
             |s: &mut pop_netlist::SyntheticSpec| s.mean_fanout += 0.5,
             |s: &mut pop_netlist::SyntheticSpec| s.locality = 0.1,
@@ -1293,7 +1233,7 @@ mod tests {
             let mut other = spec.clone();
             mutate(&mut other);
             assert!(
-                load_dataset(&dir, &other, &config).unwrap().is_none(),
+                store.load(&other, &config).unwrap().is_none(),
                 "stale cache served for mutated spec"
             );
         }
@@ -1306,32 +1246,23 @@ mod tests {
             let mut other = config.clone();
             mutate(&mut other);
             assert!(
-                load_dataset(&dir, &spec, &other).unwrap().is_none(),
+                store.load(&spec, &other).unwrap().is_none(),
                 "stale cache served for mutated config"
             );
         }
-        // The placement strategy is part of the data's identity (the
-        // region-parallel annealer is a different deterministic family)…
-        let mut par = config.clone();
-        par.place_strategy = pop_place::PlaceStrategy::ParallelRegions {
-            regions: 2,
-            threads: 4,
-        };
-        assert!(
-            load_dataset(&dir, &spec, &par).unwrap().is_none(),
-            "stale cache served for a different placement strategy"
-        );
-        // …but its thread count is not: the parallel result is identical
-        // for every thread count, so caches stay warm across hosts.
-        let mut par8 = par.clone();
-        par8.place_strategy = pop_place::PlaceStrategy::ParallelRegions {
-            regions: 2,
-            threads: 8,
-        };
-        assert_eq!(fingerprint(&spec, &par), fingerprint(&spec, &par8));
-
         // The untouched scenario still hits.
-        assert!(load_dataset(&dir, &spec, &config).unwrap().is_some());
+        assert!(store.load(&spec, &config).unwrap().is_some());
+    }
+
+    #[test]
+    fn fingerprints_outlive_the_placement_strategy_option() {
+        // Captured at the commit before the config's placement-strategy
+        // field was deleted: corpora written before then must stay warm.
+        let spec = presets::by_name("diffeq2").unwrap();
+        assert_eq!(
+            fingerprint(&spec, &ExperimentConfig::test()),
+            0xacbe_6007_f11e_d582
+        );
     }
 
     #[test]
@@ -1399,8 +1330,8 @@ mod tests {
 
     #[test]
     fn corpus_store_keeps_scenario_variants_of_one_design_side_by_side() {
-        // The flat <design>.popds layout collides when two scenarios share
-        // a design name; the store keys by fingerprint too.
+        // Two scenarios may share a design name: the store keys by
+        // fingerprint too.
         let spec = presets::by_name("diffeq2").unwrap();
         let config_a = cfg();
         let config_b = ExperimentConfig {
@@ -1565,6 +1496,29 @@ mod tests {
     }
 
     #[test]
+    fn a_claim_stamped_in_the_future_is_broken_too() {
+        // A crashed owner with a skewed clock (or anything that wrote a
+        // huge stamp): `now - stamp` saturates to zero, so the claim used
+        // to look fresh forever and every waiter polled without end.
+        let spec = presets::by_name("diffeq2").unwrap();
+        let config = cfg();
+        let dir = std::env::temp_dir().join("pop_corpus_store_future_claim_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store =
+            CorpusStore::new(&dir).with_claim_stale_after(std::time::Duration::from_secs(1));
+        std::fs::create_dir_all(&dir).unwrap();
+        let stamp = format!("1.1 {}\n", u64::MAX);
+        std::fs::write(store.claim_path(&spec, &config), stamp).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(store.begin(&spec, &config)));
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(Ok(ClaimOutcome::Claimed(_))) => {}
+            other => panic!("a future-stamped claim must be broken, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn releasing_a_superseded_claim_never_deletes_the_new_owners() {
         // A very slow (but alive) owner whose claim went stale and was
         // taken over must not, on release, delete the claim the *new*
@@ -1597,12 +1551,13 @@ mod tests {
         let ds = build_design_dataset(&spec, &config).unwrap();
         let dir = std::env::temp_dir().join("pop_cache_atomic_test");
         let _ = std::fs::remove_dir_all(&dir);
-        save_dataset(&dir, &ds, &spec, &config).unwrap();
-        let names: Vec<String> = std::fs::read_dir(&dir)
+        let store = CorpusStore::new(&dir);
+        store.store(&ds, &spec, &config).unwrap();
+        let names: Vec<PathBuf> = std::fs::read_dir(&dir)
             .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .map(|e| e.unwrap().path())
             .collect();
-        assert_eq!(names, vec!["diffeq2.popds".to_string()], "{names:?}");
+        assert_eq!(names, vec![store.entry_path(&spec, &config)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1613,21 +1568,22 @@ mod tests {
         let ds = build_design_dataset(&spec, &config).unwrap();
         let dir = std::env::temp_dir().join("pop_cache_truncate_unit_test");
         let _ = std::fs::remove_dir_all(&dir);
-        save_dataset(&dir, &ds, &spec, &config).unwrap();
-        let path = cache_path(&dir, "diffeq2");
+        let store = CorpusStore::new(&dir);
+        store.store(&ds, &spec, &config).unwrap();
+        let path = store.entry_path(&spec, &config);
         let bytes = std::fs::read(&path).unwrap();
         // A sample of cut points across the header and first pair record;
         // the integration suite sweeps every byte.
         for cut in [0usize, 7, 8, 15, 16, 19, 27, 31, 40, bytes.len() - 1] {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             assert!(
-                load_dataset(&dir, &spec, &config).unwrap().is_none(),
+                store.load(&spec, &config).unwrap().is_none(),
                 "truncation at {cut} must be a miss, not an error"
             );
         }
         // Restoring the full file restores the hit.
         std::fs::write(&path, &bytes).unwrap();
-        assert!(load_dataset(&dir, &spec, &config).unwrap().is_some());
+        assert!(store.load(&spec, &config).unwrap().is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1638,7 +1594,8 @@ mod tests {
         let dir = std::env::temp_dir().join("pop_cache_bounds_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = cache_path(&dir, "diffeq2");
+        let store = CorpusStore::new(&dir);
+        let path = store.entry_path(&spec, &config);
         // Valid magic + fingerprint followed by an absurd pair count.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
@@ -1646,17 +1603,17 @@ mod tests {
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // pair count
         bytes.extend_from_slice(&[0u8; 12]); // widths
         std::fs::write(&path, &bytes).unwrap();
-        assert!(load_dataset(&dir, &spec, &config).unwrap().is_none());
+        assert!(store.load(&spec, &config).unwrap().is_none());
         // Same for a pair record claiming a gigantic tensor dimension.
         let ds = build_design_dataset(&spec, &config).unwrap();
-        save_dataset(&dir, &ds, &spec, &config).unwrap();
+        store.store(&ds, &spec, &config).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         // First tensor shape field of pair 0 sits after the dataset header
         // (32 bytes) and the pair meta (4 + name + 4 + 8 + 4 + 4 + 8 + 8).
         let shape_off = 32 + 4 + "diffeq2".len() + 36;
         bytes[shape_off..shape_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(load_dataset(&dir, &spec, &config).unwrap().is_none());
+        assert!(store.load(&spec, &config).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

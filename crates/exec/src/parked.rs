@@ -1,13 +1,10 @@
-//! A persistent park/unpark worker pool for repeated scoped fan-outs, and
-//! [`join`], the two-way fork a train step is split with.
+//! [`join`], the two-way fork a train step is split with, and the parked
+//! one-worker pool under it.
 //!
-//! [`run_scoped`](crate::run_scoped) spawns and joins OS threads on every
-//! call — the right shape for a once-per-phase fan-out, but the
-//! region-parallel annealer in `pop-place` dispatches a round *thousands*
-//! of times per placement (`SYNC_ROUNDS` × epochs), and on that cadence
-//! per-round `thread::spawn`/`join` is pure overhead. [`ParkingPool`]
-//! spawns its workers once; between rounds they wait (see *Waiting*) and a
-//! round dispatch is one mutex lock + `notify_all` instead of `K` spawns.
+//! A train step forks ≈ 25 times, microseconds to a millisecond apart; on
+//! that cadence a `thread::spawn`/`join` per fork is pure overhead.
+//! [`ParkingPool`] spawns its worker once; between rounds it waits (see
+//! *Waiting*) and a round dispatch is one mutex lock + `notify_all`.
 //!
 //! # The round protocol
 //!
@@ -22,8 +19,8 @@
 //!    generation counter and wakes the workers — a worker executes
 //!    generation `g` if and only if its own counter lags, so each round
 //!    runs exactly once per worker;
-//! 3. runs the **caller's share** on the dispatching thread (nothing, for
-//!    [`ParkingPool::run`]; the second closure, for [`join`]);
+//! 3. runs the **caller's share** on the dispatching thread (the second
+//!    closure of a [`join`]);
 //! 4. *blocks* until every worker has retired the round, and only then
 //!    returns — so the job (and everything it borrows) provably outlives
 //!    every use.
@@ -54,8 +51,7 @@
 //! one another closely never pay a park/unpark hand-off.
 //!
 //! Telemetry (via [`pop_obs`]): `exec.pool.<name>.park_us` — how long
-//! workers wait between rounds, polling and parked (the respawn latency
-//! this pool eliminates turns into visible wait time),
+//! workers wait between rounds, polling and parked,
 //! `exec.pool.<name>.rounds` — dispatched rounds,
 //! `exec.pool.<name>.panics` — jobs that panicked; the helper is the pool
 //! named `join`, and `exec.join.forked` / `exec.join.inline` count which
@@ -164,25 +160,8 @@ impl Drop for Retire<'_> {
 }
 
 /// A named, persistent worker pool dispatching borrowed-state jobs in
-/// synchronous rounds — the park/unpark replacement for calling
-/// [`run_scoped`](crate::run_scoped) in a hot loop.
-///
-/// # Example
-///
-/// ```
-/// use pop_exec::ParkingPool;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// let pool = ParkingPool::new("example", 4);
-/// let sum = AtomicUsize::new(0);
-/// // `sum` lives on this stack frame; `run` blocks until the round is done.
-/// let panicked = pool.run(&|worker| {
-///     sum.fetch_add(worker + 1, Ordering::Relaxed);
-/// });
-/// assert_eq!(panicked, 0);
-/// assert_eq!(sum.load(Ordering::Relaxed), 1 + 2 + 3 + 4);
-/// ```
-pub struct ParkingPool {
+/// synchronous rounds — what [`join`] forks onto.
+struct ParkingPool {
     shared: Arc<Shared>,
     /// The dispatch turn: held from a round's dispatch to its retirement,
     /// so rounds from several threads run one after another.
@@ -192,22 +171,14 @@ pub struct ParkingPool {
     rounds: std::sync::Arc<pop_obs::Counter>,
 }
 
-impl std::fmt::Debug for ParkingPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParkingPool")
-            .field("workers", &self.workers)
-            .finish()
-    }
-}
-
 impl ParkingPool {
     /// Spawns `workers` threads named `<name>-<index>`; they park
-    /// immediately and wake per [`ParkingPool::run`] call.
+    /// immediately and wake per round.
     ///
     /// # Panics
     ///
     /// Panics when `workers` is zero or the OS refuses to spawn a thread.
-    pub fn new(name: &str, workers: usize) -> Self {
+    fn new(name: &str, workers: usize) -> Self {
         assert!(workers > 0, "a pool needs at least one worker");
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
@@ -241,24 +212,6 @@ impl ParkingPool {
             workers,
             rounds: pop_obs::global().counter(&format!("exec.pool.{name}.rounds")),
         }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Dispatches one round: every worker runs `job(worker_index)` exactly
-    /// once, and the call blocks until all of them have finished. Returns
-    /// how many workers' jobs panicked this round (panics are contained,
-    /// the pool stays usable). Rounds dispatched from several threads at
-    /// once run one after another.
-    ///
-    /// `job` may borrow anything from the caller's stack — the blocking
-    /// round protocol guarantees no worker touches it after `run` returns.
-    pub fn run(&self, job: &(dyn Fn(usize) + Sync)) -> usize {
-        let turn = lock(&self.turn);
-        self.round(&turn, job, || ()).0
     }
 
     /// Runs `a` on a worker while `b` runs on the caller, or hands both
@@ -477,120 +430,10 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn every_worker_runs_every_round_exactly_once() {
-        let pool = ParkingPool::new("parked-test", 3);
-        let per_worker: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        for _ in 0..50 {
-            let panicked = pool.run(&|w| {
-                per_worker[w].fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(panicked, 0);
-        }
-        for (w, count) in per_worker.iter().enumerate() {
-            assert_eq!(count.load(Ordering::Relaxed), 50, "worker {w}");
-        }
-    }
-
-    #[test]
-    fn jobs_borrow_the_callers_stack() {
-        let pool = ParkingPool::new("parked-borrow", 4);
-        let inputs: Vec<usize> = (1..=100).collect();
-        let cursor = AtomicUsize::new(0);
-        let sum = AtomicUsize::new(0);
-        pool.run(&|_| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(v) = inputs.get(i) else { break };
-            sum.fetch_add(*v, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 5050);
-    }
-
-    #[test]
-    fn panics_are_counted_and_the_pool_survives() {
-        let pool = ParkingPool::new("parked-panic", 2);
-        let panicked = pool.run(&|w| {
-            if w == 0 {
-                panic!("deliberate test panic");
-            }
-        });
-        assert_eq!(panicked, 1);
-        // The pool is still serviceable after a panicked round.
-        let ran = AtomicUsize::new(0);
-        let panicked = pool.run(&|_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(panicked, 0);
-        assert_eq!(ran.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn results_match_run_scoped_for_a_worklist() {
-        // The pool and run_scoped are interchangeable executors for the
-        // cursor-over-items idiom the annealer uses.
-        let items: Vec<usize> = (0..37).collect();
-        let execute = |persistent: bool| -> usize {
-            let cursor = AtomicUsize::new(0);
-            let acc = AtomicUsize::new(0);
-            let job = |_w: usize| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(v) = items.get(i) else { break };
-                acc.fetch_add(v * v, Ordering::Relaxed);
-            };
-            if persistent {
-                let pool = ParkingPool::new("parked-vs-scoped", 3);
-                assert_eq!(pool.run(&job), 0);
-            } else {
-                let scoped = crate::run_scoped("parked-vs-scoped", 3, |w| move || job(w));
-                assert_eq!(scoped, 0);
-            }
-            acc.load(Ordering::Relaxed)
-        };
-        assert_eq!(execute(true), execute(false));
-    }
-
-    #[test]
     fn drop_joins_all_workers() {
-        let pool = ParkingPool::new("parked-drop", 4);
-        pool.run(&|_| {});
+        let pool = ParkingPool::new("parked-drop", 1);
+        assert!(pool.try_fork(|| (), || ()).is_ok());
         drop(pool); // must not hang
-    }
-
-    /// `run` takes `&self` on a `Sync` type, so rounds can be dispatched
-    /// from several threads at once. Without the dispatch turn a worker
-    /// could pick up the second caller's job after that caller had been
-    /// woken by the first round's retirement and returned: jobs ran zero or
-    /// two times within ten rounds, and the pool wedged within thousands.
-    #[test]
-    fn concurrent_dispatchers_take_turns() {
-        let started = Instant::now();
-        for workers in [1usize, 3] {
-            let pool = ParkingPool::new("parked-turns", workers);
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    scope.spawn(|| {
-                        for round in 0..5_000 {
-                            // On this dispatcher's stack: a job run late
-                            // would write into a dead frame.
-                            let ran = AtomicUsize::new(0);
-                            let panicked = pool.run(&|_| {
-                                ran.fetch_add(1, Ordering::Relaxed);
-                            });
-                            assert_eq!(panicked, 0);
-                            assert_eq!(
-                                ran.load(Ordering::Relaxed),
-                                workers,
-                                "round {round}: every worker once, before `run` returns"
-                            );
-                        }
-                    });
-                }
-            });
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "40 000 contended rounds took {:?}",
-            started.elapsed()
-        );
     }
 
     #[test]
@@ -782,9 +625,9 @@ mod tests {
 
     #[test]
     fn telemetry_records_rounds_and_park_time() {
-        let pool = ParkingPool::new("parked-obs", 2);
+        let pool = ParkingPool::new("parked-obs", 1);
         for _ in 0..5 {
-            pool.run(&|_| {});
+            assert!(pool.try_fork(|| (), || ()).is_ok());
         }
         drop(pool);
         let snap = pop_obs::global().snapshot();

@@ -1,53 +1,18 @@
-//! Scoped sibling of [`WorkerPool`](crate::WorkerPool): named worker
-//! threads that may borrow from the caller's stack.
+//! [`scoped_map`]: a spawn-per-call fan-out over borrowed state.
 //!
 //! [`WorkerPool`](crate::WorkerPool) demands `'static` closures, which is
-//! right for long-lived pipeline stages but wrong for compute phases that
-//! fan out over borrowed state — the region-parallel annealer in
-//! `pop-place` hands each worker references to the architecture, netlist
-//! and a placement snapshot that all live on the caller's stack. This
-//! module wraps `std::thread::scope` in the same named-worker,
-//! panic-containing idiom.
+//! right for long-lived pipeline stages but wrong for a compute phase that
+//! fans out over state on the caller's stack. `std::thread::scope` gives
+//! the borrow; this module adds named workers, a shared work cursor and
+//! results in item order.
 
-/// Runs `workers` scoped threads named `<name>-<index>` to completion and
-/// returns how many panicked. Each thread runs the closure produced by
-/// `make(index)`; closures may borrow from the enclosing scope. The call
-/// blocks until every worker has finished — a scoped phase cannot leak
-/// threads past its caller.
-///
-/// # Panics
-///
-/// Panics when the OS refuses to spawn a thread.
-pub fn run_scoped<'env, F>(name: &str, workers: usize, mut make: impl FnMut(usize) -> F) -> usize
-where
-    F: FnOnce() + Send + 'env,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|i| {
-                let body = make(i);
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn_scoped(scope, body)
-                    .expect("failed to spawn scoped worker thread")
-            })
-            .collect();
-        let mut panicked = 0;
-        for h in handles {
-            if h.join().is_err() {
-                panicked += 1;
-            }
-        }
-        panicked
-    })
-}
-
-/// Maps `items` through `f` on `workers` scoped threads, returning the
-/// results **in item order** regardless of scheduling — the deterministic
-/// fan-out primitive for independent compute cells (the eval harness runs
-/// its K×K evaluation matrix through this). Workers claim items from a
-/// shared atomic cursor, so uneven per-item cost balances automatically;
-/// `f` receives `(index, &item)` and may borrow from the caller's stack.
+/// Maps `items` through `f` on `workers` scoped threads named
+/// `<name>-<index>`, returning the results **in item order** regardless of
+/// scheduling — the deterministic fan-out primitive for independent
+/// compute cells (the eval harness runs its K×K evaluation matrix through
+/// this). Workers claim items from a shared atomic cursor, so uneven
+/// per-item cost balances automatically; `f` receives `(index, &item)` and
+/// may borrow from the caller's stack.
 ///
 /// With `workers <= 1` (or a single item) the map runs inline on the
 /// calling thread — same results, no spawn cost.
@@ -55,7 +20,8 @@ where
 /// # Panics
 ///
 /// Propagates a panic if any worker's `f` panicked (after all workers have
-/// been joined, so no work is silently lost in flight).
+/// been joined, so no work is silently lost in flight), and panics when the
+/// OS refuses to spawn a thread.
 pub fn scoped_map<T, R, F>(name: &str, workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -69,14 +35,22 @@ where
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<std::sync::Mutex<Option<R>>> =
         items.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let panicked = run_scoped(name, workers, |_| {
-        let (next, slots, f) = (&next, &slots, &f);
-        move || loop {
-            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let Some(item) = items.get(i) else { break };
-            let result = f(i, item);
-            *slots[i].lock().expect("scoped_map slot lock") = Some(result);
-        }
+    let claim_and_map = || loop {
+        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        let result = f(i, item);
+        *slots[i].lock().expect("scoped_map slot lock") = Some(result);
+    };
+    let panicked = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|i| {
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
+                    .spawn_scoped(scope, claim_and_map)
+                    .expect("failed to spawn scoped worker thread")
+            })
+            .collect();
+        handles.into_iter().filter_map(|h| h.join().err()).count()
     });
     assert_eq!(panicked, 0, "scoped_map: {panicked} worker(s) panicked");
     slots
@@ -97,48 +71,27 @@ mod tests {
     #[test]
     fn workers_borrow_stack_state_and_all_join() {
         let inputs: Vec<usize> = (1..=100).collect();
-        let next = AtomicUsize::new(0);
         let sum = AtomicUsize::new(0);
-        let panicked = run_scoped("scoped-test", 3, |_| {
-            // Borrows `inputs`, `next` and `sum` from this stack frame —
-            // exactly what WorkerPool's 'static bound forbids.
-            let (inputs, next, sum) = (&inputs, &next, &sum);
-            move || loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                let Some(v) = inputs.get(i) else { break };
-                sum.fetch_add(*v, Ordering::SeqCst);
-            }
+        // Borrows `inputs` and `sum` from this stack frame — exactly what
+        // WorkerPool's 'static bound forbids.
+        scoped_map("scoped-test", 3, &inputs, |_, v| {
+            sum.fetch_add(*v, Ordering::SeqCst);
         });
-        assert_eq!(panicked, 0);
         assert_eq!(sum.load(Ordering::SeqCst), 5050);
     }
 
     #[test]
-    fn panicked_workers_are_counted_not_propagated() {
-        let panicked = run_scoped("scoped-panic-test", 2, |i| {
-            move || {
-                if i == 1 {
-                    panic!("deliberate test panic");
-                }
-            }
-        });
-        assert_eq!(panicked, 1);
-    }
-
-    #[test]
     fn workers_are_named() {
-        let panicked = run_scoped("scoped-name-test", 1, |_| {
-            || {
-                let name = std::thread::current().name().map(str::to_owned);
-                assert_eq!(name.as_deref(), Some("scoped-name-test-0"));
-            }
+        let names = scoped_map("scoped-name-test", 2, &[(), ()], |_, ()| {
+            std::thread::current().name().map(str::to_owned)
         });
-        assert_eq!(panicked, 0);
-    }
-
-    #[test]
-    fn zero_workers_is_a_no_op() {
-        assert_eq!(run_scoped("scoped-empty", 0, |_| || ()), 0);
+        for name in names {
+            let name = name.expect("scoped workers are named");
+            assert!(
+                name == "scoped-name-test-0" || name == "scoped-name-test-1",
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -152,7 +105,7 @@ mod tests {
             v * v
         };
         let expected: Vec<usize> = items.iter().map(|v| v * v).collect();
-        for workers in [1, 3, 8] {
+        for workers in [0, 1, 3, 8] {
             assert_eq!(
                 scoped_map("map-test", workers, &items, map),
                 expected,

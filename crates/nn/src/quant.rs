@@ -10,7 +10,7 @@
 //! quantization roundings; the final product is rescaled to `f32`.
 //!
 //! Quantized values are stored widened to `i16` and consumed through a
-//! pair-interleaved 8-pixel panel ([`QPanel`]) whose inner product is the
+//! pair-interleaved 8-pixel panel (`QPanel`) whose inner product is the
 //! `pmaddwd` shape: one broadcast weight pair against eight interleaved
 //! activation pairs — 8 multiplies + 4 adds per SSE2 instruction, with
 //! each panel load shared across two weight rows. LLVM's autovectorizer
@@ -376,7 +376,7 @@ impl QuantizedConv2d {
         }
     }
 
-    /// Inference forward. Output pixels run in 8-wide [`QPanel`]s drawn
+    /// Inference forward. Output pixels run in 8-wide `QPanel`s drawn
     /// from the global `batch × ho·wo` pixel stream (so layers with fewer
     /// than 8 pixels per image still fill panels): gather + quantize 8
     /// patches, pack them pair-interleaved, then feed weight rows through

@@ -9,7 +9,7 @@
 //!   snapshotting take a mutex on the cold path only. Histograms keep
 //!   16 sub-buckets per power of two, so reported p50/p90/p99 overstate
 //!   the true quantile by at most 1/16 relative error.
-//! - **Spans** ([`span`] module and the [`span!`] macro): RAII guards
+//! - **Spans** ([`mod@span`] module and the [`span!`] macro): RAII guards
 //!   recording `(name, fields, parent, start, end)` into per-thread
 //!   bounded buffers, aggregated by [`SpanSet::tree`] into a parent/child
 //!   forest with self-time vs child-time attribution. Capture is off by

@@ -3,8 +3,8 @@
 //! self-time vs child-time attribution — a poor man's flamegraph.
 //!
 //! Capture is off by default: the global subscriber is a no-op and an
-//! inactive [`span!`](crate::span) costs one relaxed atomic load and one
-//! branch. [`enable`] turns capture on; each thread then appends finished
+//! inactive [`span!`](macro@crate::span) costs one relaxed atomic load and
+//! one branch. [`enable`] turns capture on; each thread then appends finished
 //! spans to its own bounded buffer (registered globally on first use), and
 //! [`drain`] collects every thread's records for aggregation. Buffers are
 //! rings in the back-pressure sense: past [`ring_capacity`] records a
@@ -113,8 +113,8 @@ pub fn drain() -> SpanSet {
     SpanSet { records, dropped }
 }
 
-/// An RAII span: created by the [`span!`](crate::span) macro, records its
-/// `(name, detail, parent, start, end)` into the thread's buffer on drop.
+/// An RAII span: created by the [`span!`](macro@crate::span) macro, records
+/// its `(name, detail, parent, start, end)` into the thread's buffer on drop.
 /// Inactive guards (capture disabled at entry) do nothing.
 #[derive(Debug)]
 #[must_use = "a span guard measures the scope it lives in"]

@@ -203,29 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_place_strategy_flows_through_the_pipeline() {
-        use pop_place::PlaceStrategy;
-        let scenario = |threads| ScenarioSpec {
-            place_strategy: PlaceStrategy::ParallelRegions {
-                regions: 2,
-                threads,
-            },
-            ..tiny("parstrat", "diffeq2", 2)
-        };
-        // The data is thread-count invariant (the parallel annealer's
-        // determinism contract, observed end-to-end through the pipeline)…
-        let four = generate_corpus(&[scenario(4)], &PipelineOptions::with_workers(2)).unwrap();
-        let one = generate_corpus(&[scenario(1)], &PipelineOptions::with_workers(2)).unwrap();
-        assert_corpora_identical(&four, &one);
-        // …and matches the sequential *driver* running the same strategy
-        // (on a design this tiny both annealers even find the same
-        // optimum; the placement-family fingerprint split is pinned by
-        // pop-core's cache tests on realistic sizes).
-        let reference = generate_corpus_sequential(&[scenario(4)]).unwrap();
-        assert_corpora_identical(&four, &reference);
-    }
-
-    #[test]
     fn cache_budget_sweeps_the_store_during_generation() {
         let dir = std::env::temp_dir().join("pop_pipeline_cache_budget_test");
         let _ = std::fs::remove_dir_all(&dir);

@@ -13,7 +13,6 @@
 use crate::error::PipelineError;
 use pop_core::ExperimentConfig;
 use pop_netlist::{presets, SyntheticSpec};
-use pop_place::PlaceStrategy;
 
 /// One concrete generation job: a synthetic design plus the experiment
 /// configuration to generate it under. Produced by [`ScenarioSpec::jobs`];
@@ -57,13 +56,6 @@ pub struct ScenarioSpec {
     pub mean_fanout: f64,
     /// Sink-locality of the generated netlists in `[0, 1]`.
     pub locality: f64,
-    /// How each placement is executed: `Sequential` (default) or
-    /// `ParallelRegions { regions, threads }` — the knob for corpora built
-    /// around a single *large* design, where the sweep alone cannot fill
-    /// the placement pool and the annealer itself must parallelise. The
-    /// generated data is deterministic in `(seed, regions)`; the thread
-    /// count never changes it (and is excluded from cache fingerprints).
-    pub place_strategy: PlaceStrategy,
 }
 
 impl Default for ScenarioSpec {
@@ -82,7 +74,6 @@ impl Default for ScenarioSpec {
             aspect_ratio: 1.0,
             mean_fanout: 3.0,
             locality: 0.75,
-            place_strategy: PlaceStrategy::Sequential,
         }
     }
 }
@@ -142,9 +133,6 @@ impl ScenarioSpec {
                 self.design_scale
             ));
         }
-        self.place_strategy
-            .validate()
-            .map_err(PipelineError::BadScenario)?;
         Ok(())
     }
 
@@ -164,7 +152,6 @@ impl ScenarioSpec {
             fabric_slack: 1.0 / self.target_utilization,
             fabric_aspect: self.aspect_ratio,
             seed: self.seed,
-            place_strategy: self.place_strategy,
             ..base
         }
     }
@@ -367,12 +354,6 @@ mod tests {
             |s: &mut ScenarioSpec| s.mean_fanout = 0.5,
             |s: &mut ScenarioSpec| s.locality = 1.5,
             |s: &mut ScenarioSpec| s.design_scale = 0.0,
-            |s: &mut ScenarioSpec| {
-                s.place_strategy = PlaceStrategy::ParallelRegions {
-                    regions: 2,
-                    threads: 0,
-                }
-            },
         ] {
             let mut bad = ok.clone();
             mutate(&mut bad);
@@ -406,29 +387,6 @@ mod tests {
         assert_eq!(
             single[0].spec.seed,
             presets::by_name("diffeq2").unwrap().seed
-        );
-    }
-
-    #[test]
-    fn place_strategy_reaches_the_experiment_config() {
-        let s = ScenarioSpec {
-            place_strategy: PlaceStrategy::ParallelRegions {
-                regions: 3,
-                threads: 2,
-            },
-            ..ScenarioSpec::default()
-        };
-        assert!(s.validate().is_ok());
-        assert_eq!(
-            s.config().place_strategy,
-            PlaceStrategy::ParallelRegions {
-                regions: 3,
-                threads: 2
-            }
-        );
-        assert_eq!(
-            ScenarioSpec::default().config().place_strategy,
-            PlaceStrategy::Sequential
         );
     }
 

@@ -28,7 +28,6 @@ fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
                 aspect_ratio: aspect,
                 mean_fanout: fanout,
                 locality,
-                place_strategy: Default::default(),
             },
         )
 }

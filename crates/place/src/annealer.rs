@@ -13,11 +13,9 @@ use std::time::Instant;
 
 /// Handles onto the global registry's annealer telemetry, resolved once
 /// per annealer so the per-temperature record path never takes the
-/// registration lock. Shared by the sequential and region-parallel
-/// annealers ([`crate::ParallelAnnealer`] runs one [`Annealer`] per
-/// region, so region temperatures land in the same series).
+/// registration lock.
 #[derive(Debug)]
-pub(crate) struct AnnealTelemetry {
+struct AnnealTelemetry {
     /// Per-temperature acceptance ratio, recorded in percent.
     acceptance_pct: Arc<Histogram>,
     /// Per-temperature wall time.
@@ -32,7 +30,7 @@ pub(crate) struct AnnealTelemetry {
 }
 
 impl AnnealTelemetry {
-    pub(crate) fn register() -> AnnealTelemetry {
+    fn register() -> AnnealTelemetry {
         let registry = pop_obs::global();
         AnnealTelemetry {
             acceptance_pct: registry.histogram("place.acceptance_pct"),
@@ -68,8 +66,7 @@ pub struct AnnealStats {
 /// [`Annealer::run`] reproduces VPR's behaviour; [`Annealer::step`] advances
 /// by a bounded number of moves so callers can observe (and, in the paper's
 /// §5.4 application, *forecast congestion for*) the evolving placement.
-/// The move mechanics live in the crate-internal move kernel, which the
-/// region-parallel [`ParallelAnnealer`](crate::ParallelAnnealer) shares.
+/// The move mechanics live in the crate-internal move kernel.
 ///
 /// # Example
 ///
@@ -383,10 +380,11 @@ mod tests {
         let mut annealer = Annealer::new(&arch, &netlist, &PlaceOptions::default()).unwrap();
         annealer.step(2000);
         let tracked = annealer.cost();
-        let fresh = annealer
-            .kernel
-            .model()
-            .total_cost(&arch, &netlist, annealer.placement()) as f64;
+        let fresh = CostModel::new(annealer.options.algorithm).total_cost(
+            &arch,
+            &netlist,
+            annealer.placement(),
+        ) as f64;
         let rel = (tracked - fresh).abs() / fresh.max(1.0);
         assert!(rel < 1e-3, "cost drift: tracked {tracked} vs fresh {fresh}");
     }

@@ -1,27 +1,22 @@
-//! The move kernel shared by the sequential [`Annealer`](crate::Annealer)
-//! and the region-parallel [`ParallelAnnealer`](crate::ParallelAnnealer).
+//! The move kernel under the [`Annealer`](crate::Annealer).
 //!
 //! One annealing *move* — pick a same-kind target site within the range
 //! limit, displace/swap, incrementally update the touched nets' costs, and
-//! optionally undo — is identical in both placers; what differs is *which
-//! sites are eligible targets* (the whole fabric vs one spatial region) and
-//! *which RNG stream drives the pick*. [`MoveKernel`] therefore owns the
-//! placement + cost bookkeeping and takes the [`SitePools`] and RNG as
-//! parameters, so region workers can run the very same kernel over a
-//! region-restricted pool with a region-private RNG stream.
+//! optionally undo. [`MoveKernel`] owns the placement + cost bookkeeping;
+//! the schedule (temperature, range limit, acceptance) and the RNG stay
+//! with the annealer, which passes its [`SitePools`] and RNG per call.
 
 use crate::cost::CostModel;
 use crate::error::PlaceError;
 use crate::placement::{required_site_kind, Placement};
-use pop_arch::{Arch, Site, SiteId, SiteKind};
+use pop_arch::{Arch, SiteId, SiteKind};
 use pop_netlist::{BlockId, NetId, Netlist};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// The move-target site pools of one fabric slice: CLB columns (sorted by
-/// x, each column sorted by y) plus flat pools for the other site kinds.
-/// Built once per slice — the whole fabric for the sequential annealer, one
-/// spatial region for each parallel-region worker.
+/// The fabric's move-target site pools: CLB columns (sorted by x, each
+/// column sorted by y) plus flat pools for the other site kinds. Built
+/// once per annealer.
 #[derive(Debug, Clone)]
 pub(crate) struct SitePools {
     clb_cols: Vec<usize>,
@@ -32,15 +27,14 @@ pub(crate) struct SitePools {
 }
 
 impl SitePools {
-    /// Pools over an arbitrary subset of the fabric's sites. Sites must be
-    /// passed in `arch.sites()` order (ascending y within each x), which
-    /// keeps every CLB column sorted.
-    pub(crate) fn from_sites<'s>(arch: &Arch, sites: impl Iterator<Item = &'s Site>) -> Self {
+    /// Pools over the entire fabric. `arch.sites()` is in ascending y
+    /// within each x, which keeps every CLB column sorted.
+    pub(crate) fn whole_fabric(arch: &Arch) -> Self {
         let mut clb_col_map: Vec<Vec<SiteId>> = vec![Vec::new(); arch.width()];
         let mut io_sites = Vec::new();
         let mut mem_sites = Vec::new();
         let mut mult_sites = Vec::new();
-        for s in sites {
+        for s in arch.sites() {
             match s.kind {
                 SiteKind::Clb => clb_col_map[s.x].push(s.id),
                 SiteKind::Io => io_sites.push(s.id),
@@ -64,31 +58,12 @@ impl SitePools {
             mult_sites,
         }
     }
-
-    /// Pools over the entire fabric.
-    pub(crate) fn whole_fabric(arch: &Arch) -> Self {
-        Self::from_sites(arch, arch.sites().iter())
-    }
-
-    /// Number of candidate sites this pool holds for `kind`.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by partition tests
-    pub(crate) fn candidates(&self, kind: SiteKind) -> usize {
-        match kind {
-            SiteKind::Clb => self.clb_col_sites.iter().map(Vec::len).sum(),
-            SiteKind::Io => self.io_sites.len(),
-            SiteKind::Memory => self.mem_sites.len(),
-            SiteKind::Multiplier => self.mult_sites.len(),
-        }
-    }
 }
 
 /// Placement state plus incremental cost bookkeeping for annealing moves.
 ///
 /// Holds the placement, the per-net cost cache and the stamp/touched
-/// scratch used to dedup affected nets. Target-pool and RNG choices are
-/// per-call, so one kernel type serves both the global sequential schedule
-/// and the per-region parallel workers (each of which runs a kernel over a
-/// cloned snapshot).
+/// scratch used to dedup affected nets. Target pool and RNG are per-call.
 #[derive(Debug)]
 pub(crate) struct MoveKernel<'a> {
     arch: &'a Arch,
@@ -116,30 +91,6 @@ impl<'a> MoveKernel<'a> {
             .map(|n| model.net_cost(arch, netlist, &placement, n))
             .collect();
         let total_cost: f64 = net_costs.iter().map(|&c| c as f64).sum();
-        MoveKernel {
-            arch,
-            netlist,
-            model,
-            placement,
-            net_costs,
-            total_cost,
-            net_stamp: vec![0; netlist.nets().len()],
-            stamp: 0,
-            touched: Vec::new(),
-        }
-    }
-
-    /// A kernel seeded with already-computed net costs — how a region
-    /// worker starts from the epoch snapshot without re-scanning every net.
-    pub(crate) fn with_costs(
-        arch: &'a Arch,
-        netlist: &'a Netlist,
-        model: CostModel,
-        placement: Placement,
-        net_costs: Vec<f32>,
-        total_cost: f64,
-    ) -> Self {
-        debug_assert_eq!(net_costs.len(), netlist.nets().len());
         MoveKernel {
             arch,
             netlist,
@@ -285,39 +236,8 @@ impl<'a> MoveKernel<'a> {
         }
     }
 
-    /// Recomputes the costs of every net incident to `blocks` (deduped) and
-    /// folds the difference into the total — the incremental refresh after
-    /// merging a parallel-region move batch, where only the moved blocks'
-    /// nets can have changed.
-    pub(crate) fn refresh_blocks(&mut self, blocks: impl Iterator<Item = BlockId>) {
-        self.stamp += 1;
-        self.touched.clear();
-        for b in blocks {
-            for &n in self.netlist.nets_of(b) {
-                if self.net_stamp[n.index()] != self.stamp {
-                    self.net_stamp[n.index()] = self.stamp;
-                    self.touched.push(n);
-                }
-            }
-        }
-        let mut delta = 0.0f64;
-        for i in 0..self.touched.len() {
-            let n = self.touched[i];
-            let old = self.net_costs[n.index()] as f64;
-            let c = self.model.net_cost(
-                self.arch,
-                self.netlist,
-                &self.placement,
-                self.netlist.net(n),
-            );
-            self.net_costs[n.index()] = c;
-            delta += c as f64 - old;
-        }
-        self.total_cost += delta;
-    }
-
     /// Recomputes every net's cost from scratch, cancelling accumulated
-    /// float drift (and absorbing merged parallel-region moves).
+    /// float drift.
     pub(crate) fn refresh_costs(&mut self) {
         let mut total = 0.0f64;
         for (i, n) in self.netlist.nets().iter().enumerate() {
@@ -335,11 +255,6 @@ impl<'a> MoveKernel<'a> {
         &self.placement
     }
 
-    /// Mutable access for merging parallel-region move batches.
-    pub(crate) fn placement_mut(&mut self) -> &mut Placement {
-        &mut self.placement
-    }
-
     /// Consumes the kernel, returning its placement.
     pub(crate) fn into_placement(self) -> Placement {
         self.placement
@@ -348,16 +263,6 @@ impl<'a> MoveKernel<'a> {
     /// The tracked total cost.
     pub(crate) fn total_cost(&self) -> f64 {
         self.total_cost
-    }
-
-    /// The per-net cost cache (a snapshot input for region workers).
-    pub(crate) fn net_costs(&self) -> &[f32] {
-        &self.net_costs
-    }
-
-    /// The cost model this kernel scores with.
-    pub(crate) fn model(&self) -> &CostModel {
-        &self.model
     }
 }
 

@@ -39,26 +39,20 @@ mod cost;
 mod error;
 mod kernel;
 mod options;
-mod parallel;
 mod placement;
 pub mod sweep;
 
 pub use annealer::{AnnealStats, Annealer};
 pub use cost::{net_bbox_cost, wirelength, CostModel};
 pub use error::PlaceError;
-pub use options::{PlaceAlgorithm, PlaceOptions, PlaceStrategy};
-pub use parallel::ParallelAnnealer;
+pub use options::{PlaceAlgorithm, PlaceOptions};
 pub use placement::Placement;
 
 use pop_arch::Arch;
 use pop_netlist::Netlist;
 
-/// Places `netlist` onto `arch` by running the configured annealer to
-/// completion: the classic sequential schedule, or the region-parallel
-/// one when `options.strategy` is [`PlaceStrategy::ParallelRegions`].
-///
-/// Deterministic in `(options.seed, strategy regions)` — the parallel
-/// strategy's thread count affects wall-clock only.
+/// Places `netlist` onto `arch` by running the annealing schedule to
+/// completion. Deterministic in `options.seed`.
 ///
 /// # Errors
 ///
@@ -74,16 +68,7 @@ pub fn place(
         blocks = netlist.blocks().len(),
         seed = options.seed
     );
-    match options.strategy {
-        PlaceStrategy::Sequential => {
-            let mut annealer = Annealer::new(arch, netlist, options)?;
-            annealer.run();
-            Ok(annealer.into_placement())
-        }
-        PlaceStrategy::ParallelRegions { .. } => {
-            let mut annealer = ParallelAnnealer::new(arch, netlist, options)?;
-            annealer.run();
-            Ok(annealer.into_placement())
-        }
-    }
+    let mut annealer = Annealer::new(arch, netlist, options)?;
+    annealer.run();
+    Ok(annealer.into_placement())
 }

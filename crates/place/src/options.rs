@@ -10,55 +10,6 @@ pub enum PlaceAlgorithm {
     PathTiming,
 }
 
-/// How the annealing schedule is *executed* — on one thread, or fanned out
-/// over spatial regions of the fabric.
-///
-/// This is an execution strategy, not a cost function (that is
-/// [`PlaceAlgorithm`]): `Sequential` is the classic single-threaded VPR
-/// recipe, `ParallelRegions` partitions the fabric into `regions` vertical
-/// strips and runs per-region move proposers on `threads` worker threads
-/// with an epoch-synchronised exchange phase for cross-region migration
-/// (see [`ParallelAnnealer`](crate::ParallelAnnealer)).
-///
-/// **Determinism contract:** the parallel result is a pure function of
-/// `(seed, regions)` — per-region moves draw from SplitMix-derived RNG
-/// streams keyed by `(seed, epoch, region)` and region outcomes merge in
-/// fixed region order, so `threads` changes wall-clock only, never the
-/// placement. (`Sequential` and `ParallelRegions` produce *different*
-/// placements for the same seed; they are different schedules.)
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum PlaceStrategy {
-    /// Single-threaded annealing (the default, VPR's behaviour).
-    #[default]
-    Sequential,
-    /// Region-partitioned parallel-moves annealing.
-    ParallelRegions {
-        /// Number of vertical fabric strips (clamped to the CLB column
-        /// count at run time). Part of the result's identity.
-        regions: usize,
-        /// Worker threads proposing region moves. Wall-clock only — the
-        /// placement is identical for every thread count.
-        threads: usize,
-    },
-}
-
-impl PlaceStrategy {
-    /// Checks the strategy's counts are usable; `Err` carries the
-    /// human-readable problem (shared by `ExperimentConfig::validate` and
-    /// `ScenarioSpec::validate`, which wrap it in their own error types).
-    pub fn validate(&self) -> Result<(), String> {
-        if let PlaceStrategy::ParallelRegions { regions, threads } = *self {
-            if regions == 0 || threads == 0 {
-                return Err(format!(
-                    "place_strategy ParallelRegions needs positive counts \
-                     (regions {regions}, threads {threads})"
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Options controlling one placement run — the four knobs the paper sweeps
 /// (`seed`, `ALPHA_T`, `INNER_NUM`, `place_algorithm`) plus schedule bounds.
 ///
@@ -92,8 +43,6 @@ pub struct PlaceOptions {
     pub exit_t_factor: f64,
     /// Safety cap on outer (temperature) iterations.
     pub max_outer_iters: usize,
-    /// Execution strategy: single-threaded or region-parallel annealing.
-    pub strategy: PlaceStrategy,
 }
 
 impl Default for PlaceOptions {
@@ -105,7 +54,6 @@ impl Default for PlaceOptions {
             algorithm: PlaceAlgorithm::BoundingBox,
             exit_t_factor: 0.005,
             max_outer_iters: 256,
-            strategy: PlaceStrategy::Sequential,
         }
     }
 }
@@ -115,19 +63,11 @@ impl PlaceOptions {
     /// `[0.5, 0.99]`, inner_num positive), returning the sanitised options.
     /// Out-of-range sweep values are thereby usable without panics.
     pub fn sanitized(&self) -> PlaceOptions {
-        let strategy = match self.strategy {
-            PlaceStrategy::Sequential => PlaceStrategy::Sequential,
-            PlaceStrategy::ParallelRegions { regions, threads } => PlaceStrategy::ParallelRegions {
-                regions: regions.clamp(1, 64),
-                threads: threads.clamp(1, 64),
-            },
-        };
         PlaceOptions {
             alpha_t: self.alpha_t.clamp(0.5, 0.99),
             inner_num: self.inner_num.max(0.01),
             exit_t_factor: self.exit_t_factor.max(1e-9),
             max_outer_iters: self.max_outer_iters.max(1),
-            strategy,
             ..self.clone()
         }
     }
@@ -149,27 +89,10 @@ mod tests {
         let o = PlaceOptions {
             alpha_t: 1.5,
             inner_num: -3.0,
-            strategy: PlaceStrategy::ParallelRegions {
-                regions: 0,
-                threads: 10_000,
-            },
             ..Default::default()
         }
         .sanitized();
         assert_eq!(o.alpha_t, 0.99);
         assert_eq!(o.inner_num, 0.01);
-        assert_eq!(
-            o.strategy,
-            PlaceStrategy::ParallelRegions {
-                regions: 1,
-                threads: 64
-            }
-        );
-    }
-
-    #[test]
-    fn default_strategy_is_sequential() {
-        assert_eq!(PlaceOptions::default().strategy, PlaceStrategy::Sequential);
-        assert_eq!(PlaceStrategy::default(), PlaceStrategy::Sequential);
     }
 }

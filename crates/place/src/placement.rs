@@ -75,25 +75,6 @@ impl Placement {
         evicted
     }
 
-    /// Applies a batch of final block positions at once — the merge step of
-    /// the region-parallel annealer. The batch must be a *re-assignment*:
-    /// target sites distinct, and any occupant displaced from a target site
-    /// must itself appear in the batch (region workers guarantee this by
-    /// only permuting blocks within their own site set).
-    pub(crate) fn apply_assignments(&mut self, moves: &[(BlockId, SiteId)]) {
-        // Two passes so a block landing on another mover's old site never
-        // sees a stale occupant: first vacate every mover's old site, then
-        // bind the new ones.
-        for &(b, _) in moves {
-            let old = self.site_of[b.index()];
-            self.block_at[old.index()] = None;
-        }
-        for &(b, s) in moves {
-            self.site_of[b.index()] = s;
-            self.block_at[s.index()] = Some(b);
-        }
-    }
-
     /// Serialises the placement to a simple text format (one
     /// `block_id site_id` line per block), the VPR `.place`-file analogue.
     pub fn to_text(&self) -> String {

@@ -211,7 +211,7 @@ impl ForecastEngine {
     /// immutable snapshot; answers land in the quantized latency series of
     /// [`StatsSnapshot`] (`p50_quant_latency_us` / `p99_quant_latency_us`).
     ///
-    /// The snapshot carries no [`ExperimentConfig`]
+    /// The snapshot carries no [`pop_core::ExperimentConfig`]
     /// (it is weights-only), so the serving geometry is taken from
     /// `config_hint` — pass the config the checkpoint was trained with.
     ///

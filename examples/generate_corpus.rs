@@ -6,7 +6,7 @@
 //! ```text
 //! cargo run --release --example generate_corpus [scenario] \
 //!     [--cache-dir DIR] [--cache-budget BYTES] [--resume] \
-//!     [--regions K] [--place-threads T] [--trace-out PATH]
+//!     [--trace-out PATH]
 //! ```
 //!
 //! * `--cache-dir DIR` — generate through a `CorpusStore` rooted at `DIR`:
@@ -24,12 +24,6 @@
 //!   the first untrained epoch *with the trained weights* instead of
 //!   regenerating data from seeds and weights from init. Without the flag
 //!   the ring (and model) are reset and training starts from epoch 0.
-//! * `--regions K --place-threads T` — anneal every placement with the
-//!   region-parallel annealer (`PlaceStrategy::ParallelRegions`): the
-//!   single-large-design case where the sweep alone cannot fill the
-//!   worker pool. The corpus checksum is identical for every `T` at the
-//!   same `K` — thread count never changes the data (the CI parallel
-//!   smoke pins this).
 //! * `--trace-out PATH` — enable span tracing and write a
 //!   `pop_obs::RunReport` (span tree + metric snapshot + wall clock) to
 //!   `PATH` at exit. The run self-validates the report: it parses the
@@ -44,7 +38,6 @@ use pop::pipeline::{
     generate_corpus_sequential, generate_corpus_with_stats, scenario, EpochPrefetcher, EpochRing,
     PipelineOptions, TrainCheckpoint,
 };
-use pop::place::PlaceStrategy;
 
 /// Parses `512`, `64K`/`64KB`, `16M`/`16MB` or `1G`/`1GB` into bytes;
 /// an unrecognised suffix is an error, never a silently wrong multiplier.
@@ -64,13 +57,10 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
         .map_err(|_| format!("bad byte count '{s}'"))
 }
 
-/// FNV-1a over every value of every pair. With `with_timings`, the
-/// wall-clock provenance is folded in too (the cache round-trips it
-/// bitwise, so cold-vs-warm runs must agree on the full checksum);
-/// without, the checksum covers only the deterministic data — the number
-/// two *fresh* generations are compared by (e.g. the CI parallel smoke's
-/// thread-count-invariance check).
-fn corpus_checksum(corpus: &[DesignDataset], with_timings: bool) -> u64 {
+/// FNV-1a over every value of every pair, wall-clock provenance included
+/// (the cache round-trips it bitwise, so cold-vs-warm runs must agree on
+/// the full checksum).
+fn corpus_checksum(corpus: &[DesignDataset]) -> u64 {
     let mut h = pop::core::dataset::Fnv1a::new();
     for ds in corpus {
         h.eat_bytes(ds.name.as_bytes());
@@ -80,10 +70,8 @@ fn corpus_checksum(corpus: &[DesignDataset], with_timings: bool) -> u64 {
             h.eat(p.meta.place_seed);
             h.eat(p.meta.true_mean_congestion.to_bits() as u64);
             h.eat(p.meta.true_max_congestion.to_bits() as u64);
-            if with_timings {
-                h.eat(p.meta.route_micros);
-                h.eat(p.meta.place_micros);
-            }
+            h.eat(p.meta.route_micros);
+            h.eat(p.meta.place_micros);
             for v in p.x.data().iter().chain(p.y.data()) {
                 h.eat(v.to_bits() as u64);
             }
@@ -97,8 +85,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut cache_budget: Option<u64> = None;
     let mut resume = false;
-    let mut regions: Option<usize> = None;
-    let mut place_threads = 4usize;
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -115,15 +101,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 )?);
             }
             "--resume" => resume = true,
-            "--regions" => {
-                regions = Some(args.next().ok_or("--regions needs a count")?.parse()?);
-            }
-            "--place-threads" => {
-                place_threads = args
-                    .next()
-                    .ok_or("--place-threads needs a count")?
-                    .parse()?;
-            }
             other => name = other.to_string(),
         }
     }
@@ -134,15 +111,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pop::obs::enable_tracing();
     }
 
-    let mut spec = scenario::by_name(&name)
+    let spec = scenario::by_name(&name)
         .ok_or_else(|| format!("unknown scenario '{name}' (see pop::pipeline::scenario)"))?;
-    if let Some(regions) = regions {
-        spec.place_strategy = PlaceStrategy::ParallelRegions {
-            regions,
-            threads: place_threads,
-        };
-        println!("place strategy: parallel ({regions} regions, {place_threads} threads)");
-    }
     let spec_name = spec.name.clone();
     println!(
         "scenario '{}': design {}, {} variant(s) x {} pairs at {}x{} px",
@@ -230,8 +200,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ds.channel_width
         );
     }
-    println!("corpus checksum: {:016x}", corpus_checksum(&corpus, true));
-    println!("data checksum: {:016x}", corpus_checksum(&corpus, false));
+    println!("corpus checksum: {:016x}", corpus_checksum(&corpus));
 
     // Background prefetch feeding the streaming trainer: epoch 2 generates
     // while epoch 1 trains. With a cache dir, epochs spill into an

@@ -1,12 +1,13 @@
 //! Integration: the dataset disk cache loads back exactly what was built,
-//! invalidates on config changes, and **survives crashes**: a `.popds`
-//! truncated at *any* byte (the relic of a killed writer under the
-//! pre-atomic-rename format, or of disk-full corruption) must read as a
-//! miss that the pipeline silently regenerates — never a hard error, never
-//! a poisoned cache.
+//! misses on config changes without evicting the entry it missed, and
+//! **survives crashes**: a `.popds` truncated at *any* byte (the relic of
+//! a killed writer under the pre-atomic-rename format, or of disk-full
+//! corruption) must read as a miss that the pipeline silently regenerates
+//! — never a hard error, never a poisoned cache.
 
 use painting_on_placement as pop;
-use pop::core::{dataset, ExperimentConfig};
+use pop::core::dataset::{self, CorpusStore};
+use pop::core::ExperimentConfig;
 use pop::netlist::presets;
 
 #[test]
@@ -24,7 +25,7 @@ fn build_or_load_is_transparent() {
     let loaded = dataset::build_or_load(&spec, &config, Some(&dir)).unwrap();
     assert_eq!(built, loaded);
 
-    // Changing a data-affecting knob invalidates the cache entry.
+    // Changing a data-affecting knob misses the cache entry.
     let other = ExperimentConfig {
         lambda_connect: 0.5,
         ..config.clone()
@@ -35,6 +36,14 @@ fn build_or_load_is_transparent() {
         rebuilt.pairs[0].x.data(),
         "λ change must alter the connectivity channel"
     );
+    // Two configs of one design share the directory without evicting each
+    // other: both are warm now (equal down to the recorded wall clocks).
+    let store = CorpusStore::new(&dir);
+    for (config, first) in [(&config, &built), (&other, &rebuilt)] {
+        assert!(store.load(&spec, config).unwrap().is_some());
+        let again = dataset::build_or_load(&spec, config, Some(&dir)).unwrap();
+        assert_eq!(&again, first);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -51,7 +60,8 @@ fn truncation_at_every_byte_is_a_miss_and_the_pipeline_regenerates() {
     let dir = std::env::temp_dir().join("pop_integration_cache_crash");
     let _ = std::fs::remove_dir_all(&dir);
     let built = dataset::build_or_load(&spec, &config, Some(&dir)).unwrap();
-    let path = dir.join("diffeq2.popds");
+    let store = CorpusStore::new(&dir);
+    let path = store.entry_path(&spec, &config);
     let bytes = std::fs::read(&path).unwrap();
     assert!(bytes.len() > 64, "sanity: real payload");
 
@@ -61,7 +71,7 @@ fn truncation_at_every_byte_is_a_miss_and_the_pipeline_regenerates() {
     // must load as Ok(None): regenerate, don't error, don't over-allocate.
     for cut in 0..bytes.len() {
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        match dataset::load_dataset(&dir, &spec, &config) {
+        match store.load(&spec, &config) {
             Ok(None) => {}
             Ok(Some(_)) => panic!("truncation at byte {cut} read back as a full dataset"),
             Err(e) => panic!("truncation at byte {cut} must be a miss, got error: {e}"),
@@ -76,9 +86,7 @@ fn truncation_at_every_byte_is_a_miss_and_the_pipeline_regenerates() {
             }
             // ...after which the file is whole again; re-damage it for the
             // remaining cuts.
-            assert!(dataset::load_dataset(&dir, &spec, &config)
-                .unwrap()
-                .is_some());
+            assert!(store.load(&spec, &config).unwrap().is_some());
         }
     }
     // Bit-flip injection in the header: wrong magic and wrong fingerprint
@@ -87,9 +95,7 @@ fn truncation_at_every_byte_is_a_miss_and_the_pipeline_regenerates() {
         let mut corrupt = bytes.clone();
         corrupt[flip_at] ^= 0xff;
         std::fs::write(&path, &corrupt).unwrap();
-        assert!(dataset::load_dataset(&dir, &spec, &config)
-            .unwrap()
-            .is_none());
+        assert!(store.load(&spec, &config).unwrap().is_none());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -104,7 +110,8 @@ fn cache_survives_meta_fields() {
     let dir = std::env::temp_dir().join("pop_integration_cache2");
     let _ = std::fs::remove_dir_all(&dir);
     let built = dataset::build_or_load(&spec, &config, Some(&dir)).unwrap();
-    let loaded = dataset::load_dataset(&dir, &spec, &config)
+    let loaded = CorpusStore::new(&dir)
+        .load(&spec, &config)
         .unwrap()
         .expect("hit");
     for (a, b) in built.pairs.iter().zip(&loaded.pairs) {
