@@ -21,8 +21,6 @@
 //! Datasets are cached under `POP_CACHE_DIR` (default `target/pop-cache`)
 //! and outputs land in `POP_OUT_DIR` (default `bench_results/`).
 
-pub mod http_load;
-
 use pop_core::dataset::{build_or_load, DesignDataset};
 use pop_core::ExperimentConfig;
 use pop_netlist::presets;

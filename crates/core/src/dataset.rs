@@ -847,9 +847,8 @@ impl CorpusStore {
     }
 
     /// The same store with a total size budget: after every write the
-    /// least-recently-used entries are evicted until the store fits (the
-    /// serve-side `ModelRegistry` eviction, on disk). Loads touch their
-    /// entry, so hot scenarios survive the sweep.
+    /// least-recently-used entries are evicted until the store fits. Loads
+    /// touch their entry, so hot scenarios survive the sweep.
     #[must_use]
     pub fn with_budget(mut self, bytes: u64) -> Self {
         self.budget = Some(bytes);

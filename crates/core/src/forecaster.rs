@@ -59,7 +59,7 @@ pub trait Forecaster {
 
 /// A trained model behind an `Arc<Mutex>`: cloneable, `Send + Sync`, and a
 /// [`Forecaster`] — the simplest way to share one checkpoint between
-/// threads (the serving engine's model registry hands these out).
+/// threads.
 #[derive(Debug, Clone)]
 pub struct SharedForecaster {
     inner: Arc<Mutex<Pix2Pix>>,

@@ -6,7 +6,7 @@
 //! architecture):
 //!
 //! * [`save_model`] — weights + batch-norm buffers only: what inference
-//!   (the serving engine's model registry) needs.
+//!   needs.
 //! * [`save_checkpoint`] — weights, buffers, **Adam moments and step
 //!   counts, and the trainer RNG's stream position**: what a killed
 //!   streaming training run needs to resume as if it was never
@@ -21,7 +21,7 @@
 //! mid-save leaves the previous checkpoint intact, never a truncated one.
 
 use crate::config::ExperimentConfig;
-use crate::dataset::atomic_write;
+use crate::dataset::{atomic_write, Fnv1a};
 use crate::error::CoreError;
 use crate::trainer::Pix2Pix;
 use pop_nn::Layer;
@@ -31,21 +31,17 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"POPCKPT3";
 
 fn config_fingerprint(config: &ExperimentConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    eat(config.resolution as u64);
-    eat(config.base_filters as u64);
-    eat(config.depth as u64);
-    eat(match config.skip {
+    let mut h = Fnv1a::new();
+    h.eat(config.resolution as u64);
+    h.eat(config.base_filters as u64);
+    h.eat(config.depth as u64);
+    h.eat(match config.skip {
         crate::SkipMode::All => 0,
         crate::SkipMode::Single => 1,
         crate::SkipMode::None => 2,
     });
-    eat(u64::from(config.grayscale_input));
-    h
+    h.eat(u64::from(config.grayscale_input));
+    h.finish()
 }
 
 fn dump(w: &mut impl Write, params: &[Vec<f32>]) -> std::io::Result<()> {
@@ -178,24 +174,32 @@ pub fn save_checkpoint(model: &mut Pix2Pix, path: &Path) -> Result<(), CoreError
     write_model(model, path, true)
 }
 
-/// Loads a checkpoint saved by [`save_model`] or [`save_checkpoint`] into
-/// a model of the same architecture; a full training checkpoint also
-/// restores the optimiser moments/steps and the trainer RNG position.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Cache`] when the file is missing/corrupt or the
-/// checkpoint was produced by a different model architecture.
-pub fn load_model(model: &mut Pix2Pix, path: &Path) -> Result<(), CoreError> {
-    let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
+/// [`slurp`] into one tensor of each parameter (`select` picks which).
+fn slurp_params<'a>(
+    r: &mut impl Read,
+    params: Vec<&'a mut pop_nn::Param>,
+    select: fn(&'a mut pop_nn::Param) -> &'a mut [f32],
+) -> Result<(), CoreError> {
+    slurp(r, params.into_iter().map(select).collect())
+}
+
+fn slurp_buffers(r: &mut impl Read, buffers: Vec<&mut Vec<f32>>) -> Result<(), CoreError> {
+    slurp(r, buffers.into_iter().map(Vec::as_mut_slice).collect())
+}
+
+/// Loads the checkpoint at `path` into `model`, section by section. On an
+/// error part-way (a truncated file, a moment tensor of the wrong size)
+/// the sections before it are already overwritten, which is why this is
+/// private: [`load_checkpoint`] only ever hands it a model it drops on
+/// failure, so no caller can observe the half-loaded state.
+fn load_model(model: &mut Pix2Pix, path: &Path) -> Result<(), CoreError> {
+    let r = &mut std::io::BufReader::new(std::fs::File::open(path)?);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(CoreError::Cache("bad checkpoint magic".into()));
     }
-    let mut fp = [0u8; 8];
-    r.read_exact(&mut fp)?;
-    if u64::from_le_bytes(fp) != config_fingerprint(model.config()) {
+    if read_u64(r)? != config_fingerprint(model.config()) {
         return Err(CoreError::Cache(
             "checkpoint was trained with a different architecture".into(),
         ));
@@ -211,85 +215,29 @@ pub fn load_model(model: &mut Pix2Pix, path: &Path) -> Result<(), CoreError> {
             )))
         }
     };
-    slurp(
-        &mut r,
-        model
-            .generator_mut()
-            .params_mut()
-            .into_iter()
-            .map(|p| p.value.data_mut())
-            .collect(),
-    )?;
-    slurp(
-        &mut r,
-        model
-            .discriminator_mut()
-            .params_mut()
-            .into_iter()
-            .map(|p| p.value.data_mut())
-            .collect(),
-    )?;
-    slurp(
-        &mut r,
-        model
-            .generator_mut()
-            .buffers_mut()
-            .into_iter()
-            .map(|b| b.as_mut_slice())
-            .collect(),
-    )?;
-    slurp(
-        &mut r,
-        model
-            .discriminator_mut()
-            .buffers_mut()
-            .into_iter()
-            .map(|b| b.as_mut_slice())
-            .collect(),
-    )?;
+    slurp_params(r, model.generator_mut().params_mut(), |p| {
+        p.value.data_mut()
+    })?;
+    slurp_params(r, model.discriminator_mut().params_mut(), |p| {
+        p.value.data_mut()
+    })?;
+    slurp_buffers(r, model.generator_mut().buffers_mut())?;
+    slurp_buffers(r, model.discriminator_mut().buffers_mut())?;
     if has_train_state {
-        slurp(
-            &mut r,
-            model
-                .generator_mut()
-                .params_mut()
-                .into_iter()
-                .map(|p| p.m.data_mut())
-                .collect(),
-        )?;
-        slurp(
-            &mut r,
-            model
-                .generator_mut()
-                .params_mut()
-                .into_iter()
-                .map(|p| p.v.data_mut())
-                .collect(),
-        )?;
-        slurp(
-            &mut r,
-            model
-                .discriminator_mut()
-                .params_mut()
-                .into_iter()
-                .map(|p| p.m.data_mut())
-                .collect(),
-        )?;
-        slurp(
-            &mut r,
-            model
-                .discriminator_mut()
-                .params_mut()
-                .into_iter()
-                .map(|p| p.v.data_mut())
-                .collect(),
-        )?;
-        let g_steps = read_u64(&mut r)?;
-        let d_steps = read_u64(&mut r)?;
+        slurp_params(r, model.generator_mut().params_mut(), |p| p.m.data_mut())?;
+        slurp_params(r, model.generator_mut().params_mut(), |p| p.v.data_mut())?;
+        slurp_params(r, model.discriminator_mut().params_mut(), |p| {
+            p.m.data_mut()
+        })?;
+        slurp_params(r, model.discriminator_mut().params_mut(), |p| {
+            p.v.data_mut()
+        })?;
+        let g_steps = read_u64(r)?;
+        let d_steps = read_u64(r)?;
         model.set_optimizer_steps(g_steps, d_steps);
         let mut rng = [0u64; 4];
         for word in &mut rng {
-            *word = read_u64(&mut r)?;
+            *word = read_u64(r)?;
         }
         model.set_rng_state(rng);
     }
@@ -297,9 +245,10 @@ pub fn load_model(model: &mut Pix2Pix, path: &Path) -> Result<(), CoreError> {
 }
 
 /// Builds a fresh model for `config` and loads the checkpoint at `path`
-/// into it — the one-call form the serving engine's model registry uses.
-/// A full training checkpoint (from [`save_checkpoint`]) yields a model
-/// ready to *continue training*; a weights-only one is inference-ready.
+/// — saved by [`save_model`] or [`save_checkpoint`] — into it. A full
+/// training checkpoint yields a model ready to *continue training*
+/// (optimiser moments/steps and the trainer RNG position restored); a
+/// weights-only one is inference-ready.
 ///
 /// # Errors
 ///
@@ -432,6 +381,17 @@ mod tests {
         let mut loaded = load_checkpoint(&config, &path).unwrap();
         assert_eq!(loaded.forecast(&x), expected);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Captured at 155c585: a moved value would orphan every checkpoint
+    /// already on disk.
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        assert_eq!(
+            config_fingerprint(&ExperimentConfig::test()),
+            0xf19b_2668_3607_a557
+        );
+        assert_eq!(config_fingerprint(&cfg()), 0x3869_4d5f_a633_9be6);
     }
 
     #[test]

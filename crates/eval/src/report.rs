@@ -3,6 +3,7 @@
 //! dependency-free JSON emitter for `BENCH_eval.json`.
 
 use pop_core::EvalReport;
+use pop_obs::json::str_lit;
 use pop_pipeline::GenStats;
 
 /// The metric names of one matrix cell, in [`CellMetrics::to_array`]
@@ -240,7 +241,7 @@ impl EvalMatrix {
             "  \"scenarios\": [{}],\n",
             self.scenarios
                 .iter()
-                .map(|s| json_str(s))
+                .map(|s| str_lit(s))
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
@@ -259,8 +260,8 @@ impl EvalMatrix {
         for (i, row) in self.cells.iter().enumerate() {
             for (j, cell) in row.iter().enumerate() {
                 let mut fields = vec![
-                    format!("\"train\": {}", json_str(&self.scenarios[i])),
-                    format!("\"eval\": {}", json_str(&self.scenarios[j])),
+                    format!("\"train\": {}", str_lit(&self.scenarios[i])),
+                    format!("\"eval\": {}", str_lit(&self.scenarios[j])),
                     format!("\"diagonal\": {}", i == j),
                 ];
                 let mean = cell.mean.to_array();
@@ -268,8 +269,8 @@ impl EvalMatrix {
                 for ((name, m), c) in METRIC_NAMES.iter().zip(mean).zip(ci) {
                     fields.push(format!(
                         "\"{name}\": {{ \"mean\": {}, \"ci95\": {} }}",
-                        json_num(m),
-                        json_num(c)
+                        num(m),
+                        num(c)
                     ));
                 }
                 let last = i + 1 == self.cells.len() && j + 1 == row.len();
@@ -299,13 +300,13 @@ impl EvalMatrix {
                 Some(b) => format!(
                     "{{ \"scenario\": {}, \"accuracy\": {}, \"channel_accuracy\": {}, \
                      \"top\": {}, \"pearson\": {}, \"spearman\": {}, \"nrms\": {} }}",
-                    json_str(&self.scenarios[j]),
-                    json_num(b.accuracy),
-                    json_num(b.channel_accuracy),
-                    json_num(b.top_overlap),
-                    json_num(b.pearson),
-                    json_num(b.spearman),
-                    json_num(b.nrms)
+                    str_lit(&self.scenarios[j]),
+                    num(b.accuracy),
+                    num(b.channel_accuracy),
+                    num(b.top_overlap),
+                    num(b.pearson),
+                    num(b.spearman),
+                    num(b.nrms)
                 ),
                 None => "null".to_string(),
             };
@@ -323,35 +324,10 @@ impl EvalMatrix {
     }
 }
 
-/// A JSON string literal with the mandatory escapes (quotes, backslashes,
-/// control characters) — scenario names are arbitrary caller strings, and
-/// an unescaped quote would make the whole document unparseable.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A finite float with deterministic six-decimal formatting; non-finite
-/// values become JSON `null` (and [`EvalMatrix::is_complete`] catches
-/// them upstream).
-fn json_num(v: f32) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
+/// The shared six-decimal float writer (`null` for non-finite values,
+/// which [`EvalMatrix::is_complete`] catches upstream).
+fn num(v: f32) -> String {
+    pop_obs::json::num(f64::from(v))
 }
 
 fn json_metrics(m: Option<CellMetrics>) -> String {
@@ -360,7 +336,7 @@ fn json_metrics(m: Option<CellMetrics>) -> String {
             let fields: Vec<String> = METRIC_NAMES
                 .iter()
                 .zip(m.to_array())
-                .map(|(name, v)| format!("\"{name}\": {}", json_num(v)))
+                .map(|(name, v)| format!("\"{name}\": {}", num(v)))
                 .collect();
             format!("{{ {} }}", fields.join(", "))
         }
@@ -491,10 +467,10 @@ mod tests {
         m.scenarios[0] = "quo\"te\\name".into();
         let json = m.to_json();
         assert!(json.contains(r#""quo\"te\\name""#), "{json}");
-        // Control characters become \u escapes, not raw bytes.
+        // Control characters are escaped, never raw bytes.
         m.scenarios[1] = "tab\there".into();
         let json = m.to_json();
-        assert!(json.contains("tab\\u0009here"), "{json}");
+        assert!(json.contains("tab\\there"), "{json}");
         assert!(!json.contains('\t'));
     }
 }

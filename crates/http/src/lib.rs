@@ -49,5 +49,5 @@ mod service;
 pub use client::{read_response, ClientResponse, HttpClient};
 pub use parser::{ParseError, ParserLimits, Request, RequestParser};
 pub use response::{reason_phrase, Response};
-pub use server::{DrainReport, HttpServer, HttpStats, HttpStatsSnapshot, ServerConfig};
+pub use server::{DrainReport, HttpServer, HttpStatsSnapshot, ServerConfig};
 pub use service::{ForecastService, ServiceBuilder};

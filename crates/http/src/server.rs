@@ -10,15 +10,23 @@
 //! worker finishes its in-flight request before exiting — bounded by the
 //! read deadline. Nothing on a connection path panics (pop-lint roots the
 //! panic rule at every function in this file).
+//!
+//! Transport telemetry is the `http.*` series of [`HttpStats`], resolved
+//! once at start-up from the fronted service's registry
+//! ([`ForecastService::http_stats`]) — not the process-global one, so two
+//! servers in one process count their own connections and a test can
+//! assert exact totals. Each event is one increment; [`HttpStatsSnapshot`]
+//! and the `"http"` section of `/v1/stats` are readings of those series.
 
 use crate::parser::{ParserLimits, RequestParser};
 use crate::response::Response;
 use crate::service::ForecastService;
 use pop_exec::{BoundedQueue, PushError, WorkerPool};
+use pop_obs::{Counter, Gauge, Histogram, Registry};
 use pop_serve::StatsSnapshot;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -59,51 +67,70 @@ impl Default for ServerConfig {
     }
 }
 
-/// Transport-layer counters, mirrored into the global [`pop_obs`]
-/// registry under `http.*` and snapshotted per server for tests and the
-/// `/v1/stats` `"http"` section.
-#[derive(Debug, Default)]
-pub struct HttpStats {
-    connections: AtomicU64,
-    accept_rejected: AtomicU64,
-    requests: AtomicU64,
-    keepalive_reuses: AtomicU64,
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
-    parse_errors: AtomicU64,
-    timeouts: AtomicU64,
-    write_errors: AtomicU64,
-    active: AtomicU64,
+/// The transport layer's series, as handles into the fronted service's
+/// registry (see the module docs).
+#[derive(Debug)]
+pub(crate) struct HttpStats {
+    connections: Arc<Counter>,
+    accept_rejected: Arc<Counter>,
+    pub(crate) requests: Arc<Counter>,
+    keepalive_reuses: Arc<Counter>,
+    responses_2xx: Arc<Counter>,
+    responses_4xx: Arc<Counter>,
+    responses_5xx: Arc<Counter>,
+    queue_full: Arc<Counter>,
+    parse_errors: Arc<Counter>,
+    timeouts: Arc<Counter>,
+    write_errors: Arc<Counter>,
+    request_us: Arc<Histogram>,
+    active: Arc<Gauge>,
 }
 
 impl HttpStats {
+    pub(crate) fn resolve(registry: &Registry) -> HttpStats {
+        HttpStats {
+            connections: registry.counter("http.connections"),
+            accept_rejected: registry.counter("http.accept_rejected"),
+            requests: registry.counter("http.requests"),
+            keepalive_reuses: registry.counter("http.keepalive.reuses"),
+            responses_2xx: registry.counter("http.responses.2xx"),
+            responses_4xx: registry.counter("http.responses.4xx"),
+            responses_5xx: registry.counter("http.responses.5xx"),
+            queue_full: registry.counter("http.queue_full"),
+            parse_errors: registry.counter("http.parse_errors"),
+            timeouts: registry.counter("http.timeouts"),
+            write_errors: registry.counter("http.write_errors"),
+            request_us: registry.histogram("http.request_us"),
+            active: registry.gauge("http.connections.active"),
+        }
+    }
+
     fn record_status(&self, status: u16) {
         match status {
-            200..=299 => self.responses_2xx.fetch_add(1, Ordering::Relaxed),
-            400..=499 => self.responses_4xx.fetch_add(1, Ordering::Relaxed),
-            _ => self.responses_5xx.fetch_add(1, Ordering::Relaxed),
-        };
+            200..=299 => self.responses_2xx.inc(),
+            400..=499 => self.responses_4xx.inc(),
+            _ => self.responses_5xx.inc(),
+        }
     }
 
     /// Point-in-time copy of the counters.
-    pub fn snapshot(&self) -> HttpStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> HttpStatsSnapshot {
         HttpStatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            accept_rejected: self.accept_rejected.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            keepalive_reuses: self.keepalive_reuses.load(Ordering::Relaxed),
-            responses_2xx: self.responses_2xx.load(Ordering::Relaxed),
-            responses_4xx: self.responses_4xx.load(Ordering::Relaxed),
-            responses_5xx: self.responses_5xx.load(Ordering::Relaxed),
-            parse_errors: self.parse_errors.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
+            connections: self.connections.get(),
+            accept_rejected: self.accept_rejected.get(),
+            requests: self.requests.get(),
+            keepalive_reuses: self.keepalive_reuses.get(),
+            responses_2xx: self.responses_2xx.get(),
+            responses_4xx: self.responses_4xx.get(),
+            responses_5xx: self.responses_5xx.get(),
+            parse_errors: self.parse_errors.get(),
+            timeouts: self.timeouts.get(),
+            write_errors: self.write_errors.get(),
         }
     }
 }
 
-/// Point-in-time view of [`HttpStats`].
+/// Point-in-time reading of a server's `http.*` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HttpStatsSnapshot {
     pub connections: u64,
@@ -137,38 +164,6 @@ impl HttpStatsSnapshot {
     }
 }
 
-/// Mirrors of the per-server counters in the global obs registry — the
-/// canonical `http.*` names OBS_NAMES.md inventories.
-#[derive(Debug)]
-struct ObsMirror {
-    connections: Arc<pop_obs::Counter>,
-    requests: Arc<pop_obs::Counter>,
-    keepalive_reuses: Arc<pop_obs::Counter>,
-    queue_full: Arc<pop_obs::Counter>,
-    parse_errors: Arc<pop_obs::Counter>,
-    timeouts: Arc<pop_obs::Counter>,
-    write_errors: Arc<pop_obs::Counter>,
-    request_us: Arc<pop_obs::Histogram>,
-    active: Arc<pop_obs::Gauge>,
-}
-
-impl ObsMirror {
-    fn register() -> ObsMirror {
-        let registry = pop_obs::global();
-        ObsMirror {
-            connections: registry.counter("http.connections"),
-            requests: registry.counter("http.requests"),
-            keepalive_reuses: registry.counter("http.keepalive.reuses"),
-            queue_full: registry.counter("http.queue_full"),
-            parse_errors: registry.counter("http.parse_errors"),
-            timeouts: registry.counter("http.timeouts"),
-            write_errors: registry.counter("http.write_errors"),
-            request_us: registry.histogram("http.request_us"),
-            active: registry.gauge("http.connections.active"),
-        }
-    }
-}
-
 /// Everything [`HttpServer::shutdown`] learned while draining.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrainReport {
@@ -189,7 +184,6 @@ pub struct HttpServer {
     conns: Arc<BoundedQueue<TcpStream>>,
     workers: WorkerPool,
     service: Option<Arc<ForecastService>>,
-    stats: Arc<HttpStats>,
     worker_panics: usize,
 }
 
@@ -208,35 +202,29 @@ impl HttpServer {
             config.conn_backlog.max(1),
             "http_conns",
         ));
-        let stats = Arc::new(HttpStats::default());
-        let obs = Arc::new(ObsMirror::register());
         let service = Arc::new(service);
 
         let accept_thread = {
             let shutdown = Arc::clone(&shutdown);
             let conns = Arc::clone(&conns);
-            let stats = Arc::clone(&stats);
-            let obs = Arc::clone(&obs);
+            let service = Arc::clone(&service);
             std::thread::Builder::new()
                 .name("http-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shutdown, &conns, &stats, &obs))?
+                .spawn(move || accept_loop(&listener, &shutdown, &conns, service.http_stats()))?
         };
 
         let workers = WorkerPool::spawn("http", config.workers.max(1), |_| {
             let conns = Arc::clone(&conns);
             let service = Arc::clone(&service);
-            let stats = Arc::clone(&stats);
-            let obs = Arc::clone(&obs);
             let shutdown = Arc::clone(&shutdown);
             let config = config.clone();
             move || {
+                let stats = service.http_stats();
                 while let Some(stream) = conns.pop() {
                     let _span = pop_obs::span!("http_conn");
-                    stats.active.fetch_add(1, Ordering::Relaxed);
-                    obs.active.set(stats.active.load(Ordering::Relaxed) as f64);
-                    handle_connection(stream, &service, &config, &stats, &obs, &shutdown);
-                    stats.active.fetch_sub(1, Ordering::Relaxed);
-                    obs.active.set(stats.active.load(Ordering::Relaxed) as f64);
+                    stats.active.add(1.0);
+                    handle_connection(stream, &service, &config, stats, &shutdown);
+                    stats.active.add(-1.0);
                 }
             }
         });
@@ -248,7 +236,6 @@ impl HttpServer {
             conns,
             workers,
             service: Some(service),
-            stats,
             worker_panics: 0,
         })
     }
@@ -260,7 +247,10 @@ impl HttpServer {
 
     /// Live transport counters.
     pub fn http_stats(&self) -> HttpStatsSnapshot {
-        self.stats.snapshot()
+        match &self.service {
+            Some(service) => service.http_stats().snapshot(),
+            None => HttpStatsSnapshot::default(),
+        }
     }
 
     /// Live serve-layer counters.
@@ -275,6 +265,7 @@ impl HttpServer {
     /// join every thread, shut the engines down, report what happened.
     pub fn shutdown(mut self) -> DrainReport {
         self.close_and_join();
+        let http = self.http_stats();
         let serve = match self.service.take().map(Arc::try_unwrap) {
             // All worker clones are gone after the join, so this is the
             // expected path: drain the engines and take final counters.
@@ -284,7 +275,7 @@ impl HttpServer {
         };
         DrainReport {
             serve,
-            http: self.stats.snapshot(),
+            http,
             worker_panics: self.worker_panics,
         }
     }
@@ -313,7 +304,6 @@ fn accept_loop(
     shutdown: &AtomicBool,
     conns: &BoundedQueue<TcpStream>,
     stats: &HttpStats,
-    obs: &ObsMirror,
 ) {
     loop {
         let stream = match listener.accept() {
@@ -328,14 +318,13 @@ fn accept_loop(
         if shutdown.load(Ordering::SeqCst) {
             return; // the wake-up self-connection, or a late arrival
         }
-        stats.connections.fetch_add(1, Ordering::Relaxed);
-        obs.connections.inc();
+        stats.connections.inc();
         match conns.try_push(stream) {
             Ok(()) => {}
             Err(PushError::Full(mut stream)) => {
                 // Admission control at the door: answer 503 without
                 // committing a worker, so overload degrades predictably.
-                stats.accept_rejected.fetch_add(1, Ordering::Relaxed);
+                stats.accept_rejected.inc();
                 let _ = Response::error(503, "connection backlog full")
                     .header("Retry-After", "1")
                     .write_to(&mut stream, false);
@@ -350,7 +339,6 @@ fn handle_connection(
     service: &ForecastService,
     config: &ServerConfig,
     stats: &HttpStats,
-    obs: &ObsMirror,
     shutdown: &AtomicBool,
 ) {
     if stream.set_read_timeout(Some(config.read_timeout)).is_err()
@@ -373,34 +361,24 @@ fn handle_connection(
                 Ok(Some(req)) => {
                     let _span = pop_obs::span!("http_request");
                     let started = Instant::now();
-                    stats.requests.fetch_add(1, Ordering::Relaxed);
-                    obs.requests.inc();
+                    stats.requests.inc();
                     if served > 0 {
-                        stats.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
-                        obs.keepalive_reuses.inc();
+                        stats.keepalive_reuses.inc();
                     }
-                    // Only the stats route pays for rendering the
-                    // transport section.
-                    let http_json = if req.path == "/v1/stats" {
-                        Some(stats.snapshot().render_json())
-                    } else {
-                        None
-                    };
-                    let response = service.handle_with(&req, http_json.as_deref());
+                    let response = service.handle(&req);
                     if response.status() == 429 {
-                        obs.queue_full.inc();
+                        stats.queue_full.inc();
                     }
                     served += 1;
                     let keep_alive = req.keep_alive
                         && served < config.max_requests_per_conn
                         && !shutdown.load(Ordering::SeqCst);
                     stats.record_status(response.status());
-                    obs.request_us.record_duration(started.elapsed());
+                    stats.request_us.record_duration(started.elapsed());
                     if response.write_to(&mut stream, keep_alive).is_err() {
                         // Peer went away mid-response: drop the
                         // connection, never the worker.
-                        stats.write_errors.fetch_add(1, Ordering::Relaxed);
-                        obs.write_errors.inc();
+                        stats.write_errors.inc();
                         return;
                     }
                     if !keep_alive {
@@ -409,8 +387,7 @@ fn handle_connection(
                 }
                 Ok(None) => break,
                 Err(err) => {
-                    stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                    obs.parse_errors.inc();
+                    stats.parse_errors.inc();
                     stats.record_status(err.status());
                     let _ =
                         Response::error(err.status(), &err.reason()).write_to(&mut stream, false);
@@ -425,8 +402,7 @@ fn handle_connection(
             Ok(0) => return, // peer closed
             Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                obs.timeouts.inc();
+                stats.timeouts.inc();
                 if parser.buffered() > 0 {
                     // A slow-trickling (slowloris-style) request hit the
                     // read deadline mid-head: answer and hang up.
@@ -437,5 +413,31 @@ fn handle_connection(
             }
             Err(_) => return, // reset / aborted
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Workers opening and closing connections together must leave the
+    /// gauge at exactly zero: each edge is one `Gauge::add`, never a
+    /// `load` + `set` pair that another worker's edge can fall between.
+    #[test]
+    fn active_connections_gauge_ends_at_zero_after_concurrent_open_close() {
+        let registry = Registry::new();
+        let stats = HttpStats::resolve(&registry);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..2_000 {
+                        stats.active.add(1.0);
+                        stats.active.add(-1.0);
+                    }
+                });
+            }
+        });
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("http.connections.active"), Some(0.0));
     }
 }

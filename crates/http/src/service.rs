@@ -3,7 +3,10 @@
 //! A [`ForecastService`] owns one [`ForecastEngine`] per registered model
 //! (plus an optional quantized sibling per model), all recording into a
 //! single shared [`ServeStats`] so `/v1/stats` covers the fleet and
-//! `/v1/models` can report the per-model split. Routing lives in
+//! `/v1/models` can report the per-model split. The server fronting the
+//! service keeps its `http.*` series in that same registry, so the
+//! `"serve"`, `"http"` and `"metrics"` members of `/v1/stats` are three
+//! readings of one set of series. Routing lives in
 //! [`ForecastService::handle`] — a pure `Request -> Response` function the
 //! server worker pool (and any direct test) calls; it never panics: every
 //! failure path is a typed error response, which is what lets pop-lint
@@ -12,15 +15,15 @@
 use crate::api::{self, ApiError, ForecastRequest};
 use crate::parser::Request;
 use crate::response::Response;
+use crate::server::HttpStats;
 use pop_core::Pix2Pix;
 use pop_nn::Tensor;
-use pop_obs::json;
+use pop_obs::{json, Registry};
 use pop_serve::{
-    EngineConfig, ForecastClient, ForecastEngine, ModelStatsSnapshot, ServeError, ServeStats,
-    StatsSnapshot,
+    EngineConfig, ForecastClient, ForecastEngine, ServeError, ServeStats, StatsSnapshot,
 };
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One registered model: its f32 engine, the optional quantized sibling,
 /// and the input geometry requests are validated against.
@@ -133,6 +136,7 @@ impl ServiceBuilder {
         Ok(ForecastService {
             slots,
             stats,
+            http: OnceLock::new(),
             default_model,
         })
     }
@@ -143,6 +147,9 @@ impl ServiceBuilder {
 pub struct ForecastService {
     slots: BTreeMap<String, ModelSlot>,
     stats: Arc<ServeStats>,
+    /// Set by the server that fronts this service; `/v1/stats` answers
+    /// `"http": null` while there is none.
+    http: OnceLock<HttpStats>,
     default_model: String,
 }
 
@@ -151,23 +158,23 @@ impl ForecastService {
         ServiceBuilder::new()
     }
 
+    /// The transport series, resolved from the service's registry on
+    /// first use (a server start-up, never a request).
+    pub(crate) fn http_stats(&self) -> &HttpStats {
+        self.http
+            .get_or_init(|| HttpStats::resolve(self.stats.registry()))
+    }
+
     /// Routes one request. Infallible by construction: anything wrong
     /// becomes an error response.
     pub fn handle(&self, req: &Request) -> Response {
-        self.handle_with(req, None)
-    }
-
-    /// [`ForecastService::handle`] with an optional pre-rendered JSON
-    /// object the server layer injects as the `"http"` member of
-    /// `/v1/stats` (transport counters the service cannot see).
-    pub fn handle_with(&self, req: &Request, http_stats_json: Option<&str>) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => Response::json(
                 200,
                 format!("{{\"status\": \"ok\", \"models\": {}}}", self.slots.len()),
             ),
             ("GET", "/v1/models") => Response::json(200, self.render_models()),
-            ("GET", "/v1/stats") => Response::json(200, self.render_stats(http_stats_json)),
+            ("GET", "/v1/stats") => Response::json(200, self.render_stats()),
             ("POST", "/v1/forecast") => match api::parse_forecast_request(&req.body) {
                 Ok(parsed) => self.answer_forecast(parsed),
                 Err(e) => Response::error(e.status, &e.message),
@@ -280,14 +287,17 @@ impl ForecastService {
         out
     }
 
-    fn render_stats(&self, http_stats_json: Option<&str>) -> String {
+    fn render_stats(&self) -> String {
         let snap = self.stats.snapshot();
         let mut out = String::from("{\"serve\": ");
         out.push_str(&render_snapshot(&snap));
         out.push_str(", \"http\": ");
-        out.push_str(http_stats_json.unwrap_or("null"));
+        match self.http.get() {
+            Some(http) => out.push_str(&http.snapshot().render_json()),
+            None => out.push_str("null"),
+        }
         out.push_str(", \"metrics\": ");
-        out.push_str(&render_metrics());
+        out.push_str(&render_metrics(self.stats.registry()));
         out.push('}');
         out
     }
@@ -359,17 +369,11 @@ fn build_input(features: Vec<f32>, channels: usize, resolution: usize) -> Result
     Ok(Tensor::from_vec(shape, features))
 }
 
+/// One label's counters (engines register their label when they start).
 fn render_model_stats(snap: &StatsSnapshot, label: &str) -> String {
-    let found = snap.per_model.iter().find(|m| m.model == label);
-    let zero = ModelStatsSnapshot {
-        model: label.to_string(),
-        completed: 0,
-        failed: 0,
-        mean_latency_us: 0.0,
-        p50_latency_us: 0,
-        p99_latency_us: 0,
+    let Some(m) = snap.per_model.iter().find(|m| m.model == label) else {
+        return "null".to_string();
     };
-    let m = found.unwrap_or(&zero);
     format!(
         "{{\"completed\": {}, \"failed\": {}, \"mean_latency_us\": {}, \"p50_latency_us\": {}, \"p99_latency_us\": {}}}",
         m.completed,
@@ -412,40 +416,37 @@ fn render_snapshot(snap: &StatsSnapshot) -> String {
     out
 }
 
-/// The global [`pop_obs`] registry as a JSON object — the `/v1/stats`
-/// metrics dump. Registry maps are BTreeMaps, so the order is stable.
-fn render_metrics() -> String {
-    let snap = pop_obs::global().snapshot();
-    let mut out = String::from("{\"counters\": {");
-    for (i, (name, value)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{}: {}", json::str_lit(name), value));
-    }
-    out.push_str("}, \"gauges\": {");
-    for (i, (name, value)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{}: {}", json::str_lit(name), json::num(*value)));
-    }
-    out.push_str("}, \"histograms\": {");
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{}: {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}",
-            json::str_lit(name),
+/// One kind of series as a JSON object: this service's (`serve.*`,
+/// `http.*`) and the process-global ones (`exec.*`, …), name-sorted.
+fn render_series<T>(
+    mut own: Vec<(String, T)>,
+    global: Vec<(String, T)>,
+    value: impl Fn(&T) -> String,
+) -> String {
+    own.extend(global);
+    own.sort_by(|a, b| a.0.cmp(&b.0));
+    let members: Vec<String> = own
+        .iter()
+        .map(|(name, v)| format!("{}: {}", json::str_lit(name), value(v)))
+        .collect();
+    format!("{{{}}}", members.join(", "))
+}
+
+/// The `/v1/stats` metrics dump.
+fn render_metrics(service: &Registry) -> String {
+    let (own, global) = (service.snapshot(), pop_obs::global().snapshot());
+    format!(
+        "{{\"counters\": {}, \"gauges\": {}, \"histograms\": {}}}",
+        render_series(own.counters, global.counters, u64::to_string),
+        render_series(own.gauges, global.gauges, |v| json::num(*v)),
+        render_series(own.histograms, global.histograms, |h| format!(
+            "{{\"count\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}",
             h.count,
             h.percentile(0.50),
             h.percentile(0.99),
             h.max
-        ));
-    }
-    out.push_str("}}");
-    out
+        )),
+    )
 }
 
 #[cfg(test)]
@@ -597,8 +598,9 @@ mod tests {
         assert!(serve.get("completed").unwrap().as_u64().unwrap() >= 1);
         assert!(doc.get("metrics").unwrap().get("counters").is_some());
         assert_eq!(doc.get("http"), Some(&json::Value::Null));
-        // The server layer can inject its own section.
-        let res = svc.handle_with(&get("/v1/stats"), Some("{\"requests\": 5}"));
+        // A server fronting the service counts into the same registry.
+        svc.http_stats().requests.add(5);
+        let res = svc.handle(&get("/v1/stats"));
         let doc = json::parse(std::str::from_utf8(res.body()).unwrap()).unwrap();
         assert_eq!(
             doc.get("http").unwrap().get("requests").unwrap().as_u64(),

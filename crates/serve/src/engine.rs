@@ -4,12 +4,11 @@
 
 use crate::error::ServeError;
 use crate::queue::{Request, RequestQueue};
-use crate::stats::{ServeStats, StatsSnapshot};
+use crate::stats::{PerModel, ServeStats, StatsSnapshot};
 use pop_core::features::tensor_to_image;
-use pop_core::{CoreError, Forecaster, Pix2Pix, QuantizedForecaster, SharedForecaster};
+use pop_core::{CoreError, Forecaster, Pix2Pix, QuantizedForecaster};
 use pop_exec::WorkerPool;
 use pop_nn::Tensor;
-use pop_obs::Histogram;
 use pop_raster::Image;
 use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc};
@@ -76,7 +75,7 @@ struct InputSpec {
 }
 
 /// One worker's private model: the f32 checkpoint or its i8 snapshot
-/// (the registry's alternate replica kind). The quantized variant is a
+/// (the alternate replica kind). The quantized variant is a
 /// cheap `Arc`-free clone of immutable weights and forecasts through
 /// `&self` — no per-worker activation caches to replicate.
 #[derive(Debug)]
@@ -192,20 +191,6 @@ impl ForecastEngine {
         Self::start_replicas(replicas, spec, config, stats)
     }
 
-    /// Starts an engine over a [`SharedForecaster`] (e.g. handed out by the
-    /// [`ModelRegistry`](crate::ModelRegistry)), replicating its current
-    /// weights per worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ForecastEngine::start`] validation failures.
-    pub fn start_shared(
-        model: &SharedForecaster,
-        config: EngineConfig,
-    ) -> Result<Self, ServeError> {
-        Self::start(model.replica(), config)
-    }
-
     /// Starts an engine over an i8 snapshot ([`QuantizedForecaster`]) — the
     /// opt-in quantized replica kind. Every worker clones the same
     /// immutable snapshot; answers land in the quantized latency series of
@@ -261,12 +246,11 @@ impl ForecastEngine {
     ) -> Result<Self, ServeError> {
         config.validate()?;
         let queue = Arc::new(RequestQueue::new(config.queue_capacity));
-        // Resolved here, not in the worker: the registry lookup locks.
-        let histograms = BatchHistograms {
-            queue_wait_us: pop_obs::global().histogram("serve.queue_wait_us"),
-            batch_size: pop_obs::global().histogram("serve.batch_size"),
-            forward_us: pop_obs::global().histogram("serve.forward_us"),
-        };
+        // Resolved here, not in the worker: the registry look-up locks.
+        let per_model = config
+            .model_label
+            .as_deref()
+            .map(|label| stats.per_model(label));
         let workers = WorkerPool::spawn("pop-serve", config.workers, |_| {
             // lint: allow(panic_path) — construction-time: `validate()`
             // guarantees exactly `workers` replicas were built
@@ -274,8 +258,8 @@ impl ForecastEngine {
             let queue = Arc::clone(&queue);
             let stats = Arc::clone(&stats);
             let cfg = config.clone();
-            let histograms = histograms.clone();
-            move || worker_loop(replica, queue, stats, cfg, histograms)
+            let per_model = per_model.clone();
+            move || worker_loop(replica, queue, stats, cfg, per_model)
         });
         Ok(ForecastEngine {
             queue,
@@ -329,39 +313,27 @@ impl Drop for ForecastEngine {
     }
 }
 
-/// The registry histograms a worker records into once per batch.
-#[derive(Clone)]
-struct BatchHistograms {
-    queue_wait_us: Arc<Histogram>,
-    batch_size: Arc<Histogram>,
-    forward_us: Arc<Histogram>,
-}
-
 fn worker_loop(
     mut model: Replica,
     queue: Arc<RequestQueue>,
     stats: Arc<ServeStats>,
     cfg: EngineConfig,
-    histograms: BatchHistograms,
+    per_model: Option<PerModel>,
 ) {
     let quantized = model.quantized();
-    // Resolve the per-model series once (it takes a registration lock);
-    // the per-batch path below only touches atomics.
-    let series = cfg
-        .model_label
-        .as_deref()
-        .map(|label| stats.model_series(label));
-    let record = |ok: bool, latency_us: u64| {
-        stats.record_request_done(ok, latency_us, quantized);
-        if let Some(series) = &series {
-            series.record(ok, latency_us);
+    // Every answer, good or bad, leaves through here: one place counts it.
+    let respond = |req: Request, answer: Result<Tensor, ServeError>| {
+        let latency_us = req.enqueued.elapsed().as_micros() as u64;
+        stats.record_request_done(answer.is_ok(), latency_us, quantized);
+        if let Some(per_model) = &per_model {
+            per_model.record(answer.is_ok(), latency_us);
         }
+        let _ = req.respond.send(answer);
     };
     while let Some(batch) = queue.pop_batch(cfg.max_batch) {
         let popped = Instant::now();
-        histograms.batch_size.record(batch.len() as u64);
         for req in &batch {
-            histograms
+            stats
                 .queue_wait_us
                 .record_duration(popped.saturating_duration_since(req.enqueued));
         }
@@ -382,30 +354,19 @@ fn worker_loop(
         let outputs = std::panic::catch_unwind(AssertUnwindSafe(|| model.forecast_batch(&inputs)));
         let forward_us = started.elapsed().as_micros() as u64;
         stats.record_batch(batch.len(), forward_us);
-        histograms.forward_us.record(forward_us);
+        let outputs = outputs.unwrap_or_else(|panic| {
+            let msg = panic_message(&panic);
+            Err(ServeError::Model(format!("forward panicked: {msg}")))
+        });
         match outputs {
-            Ok(Ok(outputs)) => {
+            Ok(outputs) => {
                 for (req, out) in batch.into_iter().zip(outputs) {
-                    let latency_us = req.enqueued.elapsed().as_micros() as u64;
-                    record(true, latency_us);
-                    let _ = req.respond.send(Ok(out));
+                    respond(req, Ok(out));
                 }
             }
-            Ok(Err(err)) => {
+            Err(err) => {
                 for req in batch {
-                    let latency_us = req.enqueued.elapsed().as_micros() as u64;
-                    record(false, latency_us);
-                    let _ = req.respond.send(Err(err.clone()));
-                }
-            }
-            Err(panic) => {
-                let msg = panic_message(&panic);
-                for req in batch {
-                    let latency_us = req.enqueued.elapsed().as_micros() as u64;
-                    record(false, latency_us);
-                    let _ = req
-                        .respond
-                        .send(Err(ServeError::Model(format!("forward panicked: {msg}"))));
+                    respond(req, Err(err.clone()));
                 }
             }
         }
@@ -489,9 +450,7 @@ impl ForecastClient {
     pub fn submit(&self, x: &Tensor) -> Result<PendingForecast, ServeError> {
         let (req, pending) = self.make_request(x)?;
         self.queue.push(req)?;
-        self.stats
-            .submitted
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.submitted.inc();
         Ok(pending)
     }
 
@@ -505,16 +464,12 @@ impl ForecastClient {
         let (req, pending) = self.make_request(x)?;
         match self.queue.try_push(req) {
             Ok(()) => {
-                self.stats
-                    .submitted
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.stats.submitted.inc();
                 Ok(pending)
             }
             Err(e) => {
                 if e == ServeError::QueueFull {
-                    self.stats
-                        .rejected
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    self.stats.rejected.inc();
                 }
                 Err(e)
             }

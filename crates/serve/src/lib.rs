@@ -30,11 +30,9 @@
 //!   [`pop_core::Forecaster`], so
 //!   [`pop_core::apps::realtime_forecast_with`] can run the §5.4 demo
 //!   through the engine unchanged.
-//! * [`ModelRegistry`] — an LRU cache of loaded checkpoints keyed by path,
-//!   so one process serves several trained models (the paper trains one per
-//!   held-out design) via [`pop_core::model_io`].
 //! * [`StatsSnapshot`] — per-request latency plus aggregate throughput /
-//!   batch-occupancy counters.
+//!   batch-occupancy counters, computed from the named `serve.*` series of
+//!   the engine's own [`ServeStats`] registry.
 //!
 //! # Example
 //!
@@ -61,18 +59,16 @@
 mod engine;
 mod error;
 mod queue;
-mod registry;
 mod stats;
 
 pub use engine::{EngineConfig, ForecastClient, ForecastEngine, PendingForecast};
 pub use error::ServeError;
-pub use registry::ModelRegistry;
-pub use stats::{ModelSeries, ModelStatsSnapshot, ServeStats, StatsSnapshot};
+pub use stats::{ModelStatsSnapshot, ServeStats, StatsSnapshot};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pop_core::{model_io, ExperimentConfig, Forecaster, Pix2Pix};
+    use pop_core::{ExperimentConfig, Forecaster, Pix2Pix};
     use pop_nn::Tensor;
     use std::sync::{Arc, Barrier};
     use std::time::Duration;
@@ -264,23 +260,22 @@ mod tests {
 
     #[test]
     fn engine_reports_queue_wait_and_batch_size() {
-        // The registry is process-global and other tests serve forecasts
-        // too, so compare counts before and after rather than absolutes.
-        let count = |name: &str| {
-            let snap = pop_obs::global().snapshot();
-            snap.histogram(name).map_or(0, |h| h.count)
-        };
-        let (waits, batches) = (count("serve.queue_wait_us"), count("serve.batch_size"));
-        let forwards = count("serve.forward_us");
-        let engine = ForecastEngine::start(tiny_model(14), EngineConfig::default()).unwrap();
+        // The series live in the engine's own registry, so other tests
+        // serving forecasts beside this one cannot move them.
+        let stats = Arc::new(ServeStats::default());
+        let engine = ForecastEngine::start_with_stats(
+            tiny_model(14),
+            EngineConfig::default(),
+            stats.clone(),
+        )
+        .unwrap();
         engine.client().forecast(&input(10)).unwrap();
         engine.shutdown();
-        assert!(
-            count("serve.queue_wait_us") > waits,
-            "one sample per request"
-        );
-        assert!(count("serve.batch_size") > batches, "one sample per batch");
-        assert!(count("serve.forward_us") > forwards, "one sample per batch");
+        let snap = stats.registry().snapshot();
+        let count = |name: &str| snap.histogram(name).map(|h| h.count);
+        assert_eq!(count("serve.queue_wait_us"), Some(1), "one per request");
+        assert_eq!(count("serve.batch_size"), Some(1), "one per batch");
+        assert_eq!(count("serve.forward_us"), Some(1), "one per batch");
     }
 
     #[test]
@@ -360,42 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_caches_and_evicts_lru() {
-        let dir = std::env::temp_dir().join("pop_serve_registry_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = tiny_config();
-        let paths: Vec<_> = (0..3).map(|i| dir.join(format!("m{i}.ckpt"))).collect();
-        for (i, path) in paths.iter().enumerate() {
-            let mut model = tiny_model(20 + i as u64);
-            model_io::save_model(&mut model, path).unwrap();
-        }
-
-        let registry = ModelRegistry::new(2);
-        let a = registry.get_or_load(&config, &paths[0]).unwrap();
-        let _b = registry.get_or_load(&config, &paths[1]).unwrap();
-        assert_eq!(registry.loads(), 2);
-        // Touch A so B becomes the LRU entry, then load C: B is evicted.
-        let a2 = registry.get_or_load(&config, &paths[0]).unwrap();
-        let _c = registry.get_or_load(&config, &paths[2]).unwrap();
-        assert_eq!(registry.len(), 2);
-        assert!(registry.contains(&paths[0]), "recently used survives");
-        assert!(!registry.contains(&paths[1]), "LRU entry evicted");
-        assert!(registry.contains(&paths[2]));
-        assert_eq!(registry.loads(), 3);
-        assert_eq!(registry.hits(), 1);
-
-        // Cached lookups return the *same* shared model.
-        let x = input(5);
-        assert_eq!(a.forecast(&x).unwrap(), a2.forecast(&x).unwrap());
-        // Reloading the evicted checkpoint still works and forecasts
-        // identically to a fresh load (weights come from the same file).
-        let b2 = registry.get_or_load(&config, &paths[1]).unwrap();
-        let mut direct = model_io::load_checkpoint(&config, &paths[1]).unwrap();
-        assert_eq!(b2.forecast(&x).unwrap(), direct.forecast(&x));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn quantized_engine_serves_the_snapshot_and_feeds_quant_stats() {
         // The alternate replica kind end-to-end: a quantized engine must
         // answer exactly what the snapshot answers directly, and its
@@ -441,59 +400,5 @@ mod tests {
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.quant_completed, 0);
         assert_eq!(stats.p50_quant_latency_us, 0);
-    }
-
-    #[test]
-    fn registry_hands_out_cached_quantized_snapshots() {
-        let dir = std::env::temp_dir().join("pop_serve_registry_quant_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = tiny_config();
-        let path = dir.join("m.ckpt");
-        let mut model = tiny_model(31);
-        model_io::save_model(&mut model, &path).unwrap();
-
-        let registry = ModelRegistry::new(2);
-        let q1 = registry.get_or_load_quantized(&config, &path).unwrap();
-        let q2 = registry.get_or_load_quantized(&config, &path).unwrap();
-        assert_eq!(registry.loads(), 1, "one disk load serves both kinds");
-        let x = input(8);
-        let want = Forecaster::forecast(&model.quantized(), &x).unwrap();
-        assert_eq!(Forecaster::forecast(&q1, &x).unwrap(), want);
-        assert_eq!(Forecaster::forecast(&q2, &x).unwrap(), want);
-        // The f32 kind stays available from the same entry.
-        let f = registry.get_or_load(&config, &path).unwrap();
-        assert_eq!(f.forecast(&x).unwrap(), model.forecast(&x));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn registry_rejects_missing_checkpoints() {
-        let registry = ModelRegistry::new(1);
-        let err = registry
-            .get_or_load(&tiny_config(), std::path::Path::new("/nonexistent/m.ckpt"))
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Model(_)));
-        assert!(registry.is_empty());
-    }
-
-    #[test]
-    fn engine_starts_from_registry_models() {
-        let dir = std::env::temp_dir().join("pop_serve_registry_engine_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = tiny_config();
-        let path = dir.join("m.ckpt");
-        let mut model = tiny_model(30);
-        model_io::save_model(&mut model, &path).unwrap();
-
-        let registry = ModelRegistry::new(4);
-        let shared = registry.get_or_load(&config, &path).unwrap();
-        let engine = ForecastEngine::start_shared(&shared, EngineConfig::default()).unwrap();
-        let x = input(6);
-        assert_eq!(
-            engine.client().forecast(&x).unwrap(),
-            model.forecast_image(&x)
-        );
-        engine.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

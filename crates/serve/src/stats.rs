@@ -1,169 +1,166 @@
-//! Serving telemetry: lock-free counters plus a latency histogram the
-//! engine updates on the hot path, snapshotted on demand.
+//! Serving telemetry: every event the engine counts is one named
+//! [`pop_obs`] series, recorded once and snapshotted on demand.
 //!
-//! Latencies feed a per-engine [`pop_obs::Histogram`] (each engine owns
-//! its series — two engines in one process must not pollute each other's
-//! percentiles), so snapshots report true p50/p99 rather than the
-//! mean/max-only view the first serving milestone shipped with.
+//! The series live in a [`Registry`] the [`ServeStats`] owns — one per
+//! engine, or per fleet when a front end shares the stats across its
+//! engines — not in the process-global one: two services in one process
+//! must not pollute each other's percentiles, and a test can assert exact
+//! counts on its own engine while others serve forecasts beside it. The
+//! HTTP front end keeps its `http.*` series in the same registry
+//! ([`ServeStats::registry`]), so one dump covers a service end to end.
+//!
+//! Handles are resolved once (per-model ones at engine start-up) and the
+//! record path is lock-free. [`StatsSnapshot`] stores nothing of its own:
+//! batch counts are read off `serve.batch_size`, forward time off
+//! `serve.forward_us`, latency mean / max / percentiles off
+//! `serve.latency_us`.
 
-use pop_obs::Histogram;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use pop_obs::{Counter, Histogram, Registry};
+use std::sync::Arc;
 
-/// Per-model telemetry: request counters plus a latency histogram, one
-/// series per served model label (the HTTP front end labels each engine
-/// with its registry name, quantized engines with `<name>/quant` — the
-/// same split PR-7 gave the aggregate quantized percentiles).
-///
-/// Handles are `Arc`s handed to workers once at startup; the record path
-/// is the same lock-free increment the aggregate series uses.
-#[derive(Debug, Default)]
-pub struct ModelSeries {
-    completed: AtomicU64,
-    failed: AtomicU64,
-    latency_us: Histogram,
+/// The two series of one model label (the HTTP front end labels each
+/// engine with its model's name, quantized engines with `<name>/quant`):
+/// `serve.model.<label>.latency_us` takes every answered request,
+/// `serve.model.<label>.failed` the ones answered with an error.
+#[derive(Debug, Clone)]
+pub(crate) struct PerModel {
+    latency_us: Arc<Histogram>,
+    failed: Arc<Counter>,
 }
 
-impl ModelSeries {
+impl PerModel {
     pub(crate) fn record(&self, ok: bool, latency_us: u64) {
-        if ok {
-            self.completed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.failed.fetch_add(1, Ordering::Relaxed);
+        if !ok {
+            self.failed.inc();
         }
         self.latency_us.record(latency_us);
     }
 }
 
-/// Aggregate counters shared by the queue, workers and clients. All fields
-/// are monotone; readers take a [`StatsSnapshot`].
-#[derive(Debug, Default)]
+/// The `serve.*` series shared by the queue, workers and clients. All are
+/// monotone; readers take a [`StatsSnapshot`].
+#[derive(Debug)]
 pub struct ServeStats {
+    registry: Registry,
     /// Requests accepted into the queue.
-    pub(crate) submitted: AtomicU64,
+    pub(crate) submitted: Arc<Counter>,
     /// Requests rejected with [`QueueFull`](crate::ServeError::QueueFull).
-    pub(crate) rejected: AtomicU64,
-    /// Requests completed successfully.
-    pub(crate) completed: AtomicU64,
-    /// Requests that failed inside a worker.
-    pub(crate) failed: AtomicU64,
-    /// Forward passes executed.
-    pub(crate) batches: AtomicU64,
-    /// Requests served across all forward passes (`Σ` batch sizes).
-    pub(crate) batched_requests: AtomicU64,
-    /// Largest batch observed.
-    pub(crate) max_batch: AtomicU64,
-    /// Total enqueue→response latency, microseconds.
-    pub(crate) latency_us_total: AtomicU64,
-    /// Worst single-request latency, microseconds.
-    pub(crate) latency_us_max: AtomicU64,
-    /// Total time spent inside generator forward passes, microseconds.
-    pub(crate) forward_us_total: AtomicU64,
-    /// Per-request latency distribution (microseconds) — the percentile
-    /// source. Recording is one atomic increment; see [`pop_obs`].
-    pub(crate) latency_us: Histogram,
-    /// Latencies of requests answered by quantized (i8) replicas — a
+    pub(crate) rejected: Arc<Counter>,
+    completed: Arc<Counter>,
+    failed: Arc<Counter>,
+    /// Enqueue→response latency of every answered request, microseconds.
+    latency_us: Arc<Histogram>,
+    /// The same, for requests answered by quantized (i8) replicas only — a
     /// separate series so a mixed fleet can compare the two replica kinds
     /// from one snapshot.
-    pub(crate) quant_latency_us: Histogram,
-    /// Requests answered by quantized replicas.
-    pub(crate) quant_completed: AtomicU64,
-    /// Per-model series keyed by engine label (see [`ModelSeries`]).
-    /// Registration takes the mutex once per engine startup; workers hold
-    /// the returned `Arc` so the hot path never re-locks.
-    per_model: Mutex<BTreeMap<String, Arc<ModelSeries>>>,
+    quant_latency_us: Arc<Histogram>,
+    /// Enqueue→pop wait of every request a worker took.
+    pub(crate) queue_wait_us: Arc<Histogram>,
+    /// Requests per forward pass.
+    batch_size: Arc<Histogram>,
+    /// Time inside each generator forward pass, microseconds.
+    forward_us: Arc<Histogram>,
+}
+
+impl Default for ServeStats {
+    fn default() -> Self {
+        let registry = Registry::new();
+        ServeStats {
+            submitted: registry.counter("serve.submitted"),
+            rejected: registry.counter("serve.rejected"),
+            completed: registry.counter("serve.completed"),
+            failed: registry.counter("serve.failed"),
+            latency_us: registry.histogram("serve.latency_us"),
+            quant_latency_us: registry.histogram("serve.quant_latency_us"),
+            queue_wait_us: registry.histogram("serve.queue_wait_us"),
+            batch_size: registry.histogram("serve.batch_size"),
+            forward_us: registry.histogram("serve.forward_us"),
+            registry,
+        }
+    }
 }
 
 impl ServeStats {
-    /// The per-model series for `label`, registering it on first use.
-    /// Engines with a [`model_label`](crate::EngineConfig::model_label)
-    /// resolve their series once at worker startup.
-    pub fn model_series(&self, label: &str) -> Arc<ModelSeries> {
-        // Poisoning cannot corrupt the map (insertion is atomic from the
-        // map's point of view), so recover instead of propagating.
-        // lint: allow(blocking) — one registration per engine startup,
-        // before the serve loop; never on the per-batch path.
-        let mut map = self.per_model.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(map.entry(label.to_string()).or_default())
+    /// The registry holding this instance's series — where a front end
+    /// registers its own (`http.*`) and what `/v1/stats` dumps.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
+
+    /// The per-model series for `label`, registered on first use. Engines
+    /// with a [`model_label`](crate::EngineConfig::model_label) resolve
+    /// theirs once, before their workers start (the look-up locks the
+    /// registry).
+    pub(crate) fn per_model(&self, label: &str) -> PerModel {
+        PerModel {
+            latency_us: self
+                .registry
+                .histogram(&format!("serve.model.{label}.latency_us")),
+            failed: self
+                .registry
+                .counter(&format!("serve.model.{label}.failed")),
+        }
+    }
+
     pub(crate) fn record_batch(&self, batch_size: usize, forward_us: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(batch_size as u64, Ordering::Relaxed);
-        self.max_batch
-            .fetch_max(batch_size as u64, Ordering::Relaxed);
-        self.forward_us_total
-            .fetch_add(forward_us, Ordering::Relaxed);
+        self.batch_size.record(batch_size as u64);
+        self.forward_us.record(forward_us);
     }
 
     pub(crate) fn record_request_done(&self, ok: bool, latency_us: u64, quantized: bool) {
         if ok {
-            self.completed.fetch_add(1, Ordering::Relaxed);
+            self.completed.inc();
         } else {
-            self.failed.fetch_add(1, Ordering::Relaxed);
+            self.failed.inc();
         }
-        self.latency_us_total
-            .fetch_add(latency_us, Ordering::Relaxed);
-        self.latency_us_max.fetch_max(latency_us, Ordering::Relaxed);
         self.latency_us.record(latency_us);
         if quantized {
-            self.quant_completed.fetch_add(1, Ordering::Relaxed);
             self.quant_latency_us.record(latency_us);
         }
     }
 
     /// A consistent-enough point-in-time copy of the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let completed = self.completed.load(Ordering::Relaxed);
-        let failed = self.failed.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched_requests = self.batched_requests.load(Ordering::Relaxed);
-        let done = completed + failed;
         let latency = self.latency_us.snapshot();
         let quant_latency = self.quant_latency_us.snapshot();
-        let per_model: Vec<ModelStatsSnapshot> = {
-            let map = self.per_model.lock().unwrap_or_else(|e| e.into_inner());
-            map.iter()
-                .map(|(name, s)| {
-                    let h = s.latency_us.snapshot();
-                    ModelStatsSnapshot {
-                        model: name.clone(),
-                        completed: s.completed.load(Ordering::Relaxed),
-                        failed: s.failed.load(Ordering::Relaxed),
-                        mean_latency_us: if h.count == 0 {
-                            0.0
-                        } else {
-                            h.sum as f64 / h.count as f64
-                        },
-                        p50_latency_us: h.percentile(0.50),
-                        p99_latency_us: h.percentile(0.99),
-                    }
+        let batch_size = self.batch_size.snapshot();
+        let metrics = self.registry.snapshot();
+        let mut per_model: Vec<ModelStatsSnapshot> = metrics
+            .histograms
+            .iter()
+            .filter_map(|(name, h)| {
+                let label = name
+                    .strip_prefix("serve.model.")?
+                    .strip_suffix(".latency_us")?;
+                let failed = metrics
+                    .counter(&format!("serve.model.{label}.failed"))
+                    .unwrap_or(0);
+                Some(ModelStatsSnapshot {
+                    model: label.to_string(),
+                    completed: h.count.saturating_sub(failed),
+                    failed,
+                    mean_latency_us: h.mean(),
+                    p50_latency_us: h.percentile(0.50),
+                    p99_latency_us: h.percentile(0.99),
                 })
-                .collect()
-        };
+            })
+            .collect();
+        // Series names sort by `<label>.latency_us`, not by label.
+        per_model.sort_by(|a, b| a.model.cmp(&b.model));
         StatsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed,
-            failed,
-            batches,
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            mean_batch_occupancy: if batches == 0 {
-                0.0
-            } else {
-                batched_requests as f64 / batches as f64
-            },
-            mean_latency_us: if done == 0 {
-                0.0
-            } else {
-                self.latency_us_total.load(Ordering::Relaxed) as f64 / done as f64
-            },
+            submitted: self.submitted.get(),
+            rejected: self.rejected.get(),
+            completed: self.completed.get(),
+            failed: self.failed.get(),
+            batches: batch_size.count,
+            max_batch: batch_size.max,
+            mean_batch_occupancy: batch_size.mean(),
+            mean_latency_us: latency.mean(),
             p50_latency_us: latency.percentile(0.50),
             p99_latency_us: latency.percentile(0.99),
-            max_latency_us: self.latency_us_max.load(Ordering::Relaxed),
-            forward_us_total: self.forward_us_total.load(Ordering::Relaxed),
-            quant_completed: self.quant_completed.load(Ordering::Relaxed),
+            max_latency_us: latency.max,
+            forward_us_total: self.forward_us.snapshot().sum,
+            quant_completed: quant_latency.count,
             p50_quant_latency_us: quant_latency.percentile(0.50),
             p99_quant_latency_us: quant_latency.percentile(0.99),
             per_model,
@@ -171,7 +168,7 @@ impl ServeStats {
     }
 }
 
-/// Point-in-time view of one model's [`ModelSeries`].
+/// Point-in-time view of one model label's series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelStatsSnapshot {
     /// The engine label (`<name>` for f32, `<name>/quant` for i8 replicas).
@@ -237,7 +234,7 @@ mod tests {
     #[test]
     fn snapshot_derives_means() {
         let s = ServeStats::default();
-        s.submitted.store(10, Ordering::Relaxed);
+        s.submitted.add(10);
         s.record_batch(4, 1000);
         s.record_batch(2, 500);
         for _ in 0..4 {
@@ -321,10 +318,13 @@ mod tests {
     #[test]
     fn per_model_series_split_by_label_in_sorted_order() {
         let s = ServeStats::default();
-        let base = s.model_series("base");
-        let quant = s.model_series("base/quant");
+        let base = s.per_model("base");
+        let quant = s.per_model("base/quant");
         // Re-registration returns the same series, not a fresh one.
-        assert!(Arc::ptr_eq(&base, &s.model_series("base")));
+        assert!(Arc::ptr_eq(
+            &base.latency_us,
+            &s.per_model("base").latency_us
+        ));
         for _ in 0..4 {
             base.record(true, 1000);
         }
