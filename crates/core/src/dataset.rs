@@ -13,7 +13,7 @@
 //! [`DesignContext::generate_pair`] for the per-placement half (place,
 //! route, rasterise, tensors) — because two callers share them:
 //! [`build_design_dataset`] runs them as a plain sequential loop, and the
-//! `pop-pipeline` crate runs the *same* functions on staged worker pools.
+//! `pop-pipeline` crate runs the *same* functions pair-parallel on one pool.
 //! Both paths are therefore bitwise-identical by construction (wall-clock
 //! `PairMeta` timing fields aside; see [`Pair::without_timings`]).
 //!

@@ -7,11 +7,11 @@
 //! worlds:
 //!
 //! * [`Forecaster`] — the object-safe "give me a heat map" contract that
-//!   the §5.4 applications ([`crate::apps`]) consume, implemented both by a
-//!   locked model and by `pop-serve`'s batching client;
-//! * [`SharedForecaster`] — a cloneable `Arc<Mutex<Pix2Pix>>` wrapper that
-//!   turns a trained model into a `&self` forecaster usable from any
-//!   thread.
+//!   the §5.4 applications ([`crate::apps`]) consume, implemented both by
+//!   an exclusively borrowed model and by `pop-serve`'s batching client;
+//! * [`ExclusiveForecaster`] — a `&mut Pix2Pix` behind that contract for a
+//!   single-threaded evaluation loop. Sharing one model between threads is
+//!   `pop-serve`'s job (one replica per worker, no model mutex).
 
 use crate::error::CoreError;
 use crate::features::tensor_to_image;
@@ -19,7 +19,6 @@ use crate::trainer::Pix2Pix;
 use pop_nn::Tensor;
 use pop_raster::Image;
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The inference contract: paint a routing heat map for one input feature
 /// tensor, through a shared (`&self`) receiver.
@@ -54,55 +53,6 @@ pub trait Forecaster {
     /// Propagates [`Forecaster::forecast`] failures.
     fn forecast_batch(&self, xs: &[&Tensor]) -> Result<Vec<Tensor>, CoreError> {
         xs.iter().map(|x| self.forecast(x)).collect()
-    }
-}
-
-/// A trained model behind an `Arc<Mutex>`: cloneable, `Send + Sync`, and a
-/// [`Forecaster`] — the simplest way to share one checkpoint between
-/// threads.
-#[derive(Debug, Clone)]
-pub struct SharedForecaster {
-    inner: Arc<Mutex<Pix2Pix>>,
-}
-
-impl SharedForecaster {
-    /// Wraps a model for shared use.
-    pub fn new(model: Pix2Pix) -> Self {
-        SharedForecaster {
-            inner: Arc::new(Mutex::new(model)),
-        }
-    }
-
-    /// Exclusive access to the underlying model (training, checkpointing).
-    ///
-    /// A poisoned mutex is recovered rather than propagated: inference
-    /// only reads the weights, and a panicking holder cannot leave a
-    /// half-written forward pass behind — parameter updates go through
-    /// whole-tensor swaps.
-    pub fn lock(&self) -> MutexGuard<'_, Pix2Pix> {
-        // lint: allow(blocking) — per-replica model mutex; one worker per
-        // replica, so the acquisition is uncontended by construction.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// A private replica of the current model state (for per-worker model
-    /// parallelism — replicas do not share subsequent training updates).
-    pub fn replica(&self) -> Pix2Pix {
-        self.lock().clone()
-    }
-}
-
-impl Forecaster for SharedForecaster {
-    fn forecast(&self, x: &Tensor) -> Result<Tensor, CoreError> {
-        // lint: allow(blocking) — the model mutex is the forecast itself;
-        // see `SharedForecaster::lock`.
-        Ok(self.lock().forecast(x))
-    }
-
-    fn forecast_batch(&self, xs: &[&Tensor]) -> Result<Vec<Tensor>, CoreError> {
-        // lint: allow(blocking) — the model mutex is the forecast itself;
-        // see `SharedForecaster::lock`.
-        Ok(self.lock().forecast_batch(xs))
     }
 }
 
@@ -150,34 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_forecaster_matches_exclusive_model() {
-        let mut model = tiny_model(3);
-        let x = Tensor::randn([1, 4, 16, 16], 0.0, 0.5, 7);
-        let direct = model.forecast(&x);
-        let shared = SharedForecaster::new(model);
-        assert_eq!(shared.forecast(&x).unwrap(), direct);
-        let img = shared.forecast_image(&x).unwrap();
-        assert_eq!(img.channels(), 3);
-    }
-
-    #[test]
-    fn clones_share_the_same_model() {
-        let shared = SharedForecaster::new(tiny_model(4));
-        let other = shared.clone();
-        let x = Tensor::randn([1, 4, 16, 16], 0.0, 0.5, 8);
-        assert_eq!(shared.forecast(&x).unwrap(), other.forecast(&x).unwrap());
-    }
-
-    #[test]
-    fn replica_is_independent_but_identical() {
-        let shared = SharedForecaster::new(tiny_model(5));
-        let replica = shared.replica();
-        let x = Tensor::randn([1, 4, 16, 16], 0.0, 0.5, 9);
-        let mut replica = replica;
-        assert_eq!(shared.forecast(&x).unwrap(), replica.forecast(&x));
-    }
-
-    #[test]
     fn exclusive_forecaster_matches_the_model_and_batches() {
         let mut model = tiny_model(7);
         let xs: Vec<Tensor> = (0..3)
@@ -212,28 +134,6 @@ mod tests {
             let mut want = x.clone();
             want.scale(2.0);
             assert_eq!(o, &want);
-        }
-    }
-
-    #[test]
-    fn usable_from_many_threads() {
-        let shared = SharedForecaster::new(tiny_model(6));
-        let x = Tensor::randn([1, 4, 16, 16], 0.0, 0.5, 10);
-        let expected = shared.forecast(&x).unwrap();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let f = shared.clone();
-                let x = x.clone();
-                let expected = expected.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..3 {
-                        assert_eq!(f.forecast(&x).unwrap(), expected);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
         }
     }
 }

@@ -60,7 +60,7 @@ mod unet;
 pub use config::{ExperimentConfig, SkipMode};
 pub use disc::PatchDiscriminator;
 pub use error::CoreError;
-pub use forecaster::{ExclusiveForecaster, Forecaster, SharedForecaster};
+pub use forecaster::{ExclusiveForecaster, Forecaster};
 pub use metrics::{EvalReport, MetricSet, PairEval};
 pub use quant::{QuantizedForecaster, QuantizedGenerator};
 pub use trainer::{NoCheckpoint, Pix2Pix, StreamCheckpoint, TrainHistory};

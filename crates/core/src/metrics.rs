@@ -719,18 +719,18 @@ mod tests {
     #[test]
     fn one_inference_pass_feeds_every_metric() {
         use crate::dataset::PairMeta;
-        use crate::{ExperimentConfig, Pix2Pix, SharedForecaster};
+        use crate::{ExclusiveForecaster, ExperimentConfig, Pix2Pix};
         use pop_nn::Tensor;
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         /// Counts how many tensors were actually forecast (and how many
         /// batch calls carried them) on the way to the inner model.
-        struct CountingForecaster {
-            inner: SharedForecaster,
+        struct CountingForecaster<'a> {
+            inner: ExclusiveForecaster<'a>,
             batch_calls: AtomicUsize,
             tensors: AtomicUsize,
         }
-        impl Forecaster for CountingForecaster {
+        impl Forecaster for CountingForecaster<'_> {
             fn forecast(&self, x: &Tensor) -> Result<Tensor, CoreError> {
                 self.batch_calls.fetch_add(1, Ordering::Relaxed);
                 self.tensors.fetch_add(1, Ordering::Relaxed);
@@ -763,8 +763,10 @@ mod tests {
             grid_width: 4,
             grid_height: 4,
         };
+        let mut counted = Pix2Pix::new(&config, 9).unwrap();
+        let mut model = counted.clone();
         let counter = CountingForecaster {
-            inner: SharedForecaster::new(Pix2Pix::new(&config, 9).unwrap()),
+            inner: ExclusiveForecaster::new(&mut counted),
             batch_calls: AtomicUsize::new(0),
             tensors: AtomicUsize::new(0),
         };
@@ -781,7 +783,6 @@ mod tests {
         assert_eq!(report.pairs, 5);
         assert!(report.is_finite(), "{report:?}");
         // The classic wrappers ride the same single-pass machinery.
-        let mut model = counter.inner.replica();
         let (p, s) = congestion_correlation(&mut model, &ds).unwrap();
         assert!((-1.0..=1.0).contains(&p) && (-1.0..=1.0).contains(&s));
         let top = top10_accuracy(&mut model, &ds).unwrap();

@@ -156,7 +156,7 @@ impl Forecaster for QuantizedForecaster {
 mod tests {
     use super::*;
     use crate::dataset::{Pair, PairMeta};
-    use crate::{ExperimentConfig, MetricSet, Pix2Pix, SharedForecaster};
+    use crate::{ExclusiveForecaster, ExperimentConfig, MetricSet, Pix2Pix};
     use pop_nn::Layer;
 
     fn tiny_config() -> ExperimentConfig {
@@ -236,7 +236,7 @@ mod tests {
         let metrics = MetricSet::from_config(&cfg);
         let quant = model.quantized();
         let f32_report = metrics
-            .evaluate_pairs(&SharedForecaster::new(model), &holdout, 0, 0)
+            .evaluate_pairs(&ExclusiveForecaster::new(&mut model), &holdout, 0, 0)
             .map(|evals| metrics.summarize(&evals))
             .unwrap();
         let q_report = metrics

@@ -12,7 +12,7 @@
 //! * [`WorkerPool`] — *owned* state, *long-lived* workers: a handful of
 //!   named `std::thread`s running `'static` closures, joined on drop, so a
 //!   stage (`pop-serve`'s replicas, `pop-http`'s connection workers,
-//!   `pop-pipeline`'s place / route stages) cannot leak threads past its
+//!   `pop-pipeline`'s generation workers) cannot leak threads past its
 //!   owner.
 //! * [`scoped_map`] — *borrowed* state, *spawn per call*: maps a slice on
 //!   `std::thread::scope` workers, results in item order. For cells that

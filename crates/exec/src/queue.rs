@@ -1,5 +1,5 @@
-//! The bounded MPMC queue shared by the serving engine and the
-//! data-generation pipeline.
+//! The bounded MPMC queue shared by the serving engine (requests) and the
+//! HTTP front end (accepted connections).
 //!
 //! Producers use [`BoundedQueue::try_push`] (bounces with
 //! [`PushError::Full`] — backpressure) or [`BoundedQueue::push`] (blocks

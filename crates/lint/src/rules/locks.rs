@@ -111,9 +111,10 @@ pub fn check(cx: &FileCx, cfg: &LintConfig, ledger: &mut AllowLedger, out: &mut 
 ///
 /// Only `Precise` call edges participate: an over-approximated
 /// name-match edge would manufacture deadlock reports between unrelated
-/// types. Guards acquired *at* the checked call site itself (a
-/// guard-returning helper like `SharedForecaster::lock`) are skipped —
-/// the acquisition and the call are the same event, not a nesting.
+/// types. Guards acquired *at* the checked call site itself (a helper
+/// that returns the guard, `fn lock(&self) -> MutexGuard<'_, T>`) are
+/// skipped — the acquisition and the call are the same event, not a
+/// nesting.
 pub fn check_cross(
     g: &crate::graph::CallGraph,
     cfg: &LintConfig,

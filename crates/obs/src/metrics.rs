@@ -178,6 +178,11 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// Sum of all samples recorded so far (exact, not from the buckets).
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
     /// A point-in-time copy of the bucket counts and summary stats.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -460,6 +465,7 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 1000);
         assert_eq!(snap.max, 1000);
+        assert_eq!((h.sum(), snap.sum), (500_500, 500_500));
         let p50 = snap.percentile(0.50);
         let p99 = snap.percentile(0.99);
         // True quantiles are 500 and 990; the report may overstate by one

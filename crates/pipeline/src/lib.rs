@@ -1,23 +1,21 @@
-//! `pop-pipeline` — the streaming, multi-threaded scenario/data-generation
-//! pipeline.
+//! `pop-pipeline` — the multi-threaded scenario/data-generation pipeline.
 //!
 //! Dataset generation is the wall-clock bottleneck of every experiment:
 //! routing hundreds of placements dominates experiment time. This crate
-//! turns the sequential netlist → place → route → raster → tensor loop of
-//! `pop_core::dataset` into a staged, streaming generator on the shared
-//! `pop-exec` concurrency substrate (the same bounded-queue + worker-pool
-//! machinery the serving engine runs on):
+//! runs the sequential netlist → place → route → raster → tensor loop of
+//! `pop_core::dataset` pair-parallel on one `pop-exec` worker pool:
 //!
 //! * [`ScenarioSpec`] — corpora are described *declaratively*: design
 //!   preset, scale, resolution, target fabric utilization, aspect ratio,
 //!   net-degree profile, seed ranges. The [`scenario::registry`] ships
 //!   named scenarios ("smoke", "dense", "wide", "highfanout", …).
-//! * [`generate_corpus`] — four stages (fabric prep / place / route /
-//!   raster+tensors), each on its own worker pool, connected by bounded
-//!   queues; the collector reassembles pairs by `(job, sweep index)`, so
-//!   output is **bitwise-identical** to the sequential path
-//!   ([`generate_corpus_sequential`]) for identical seeds — both drive the
-//!   very same `DesignContext` stage functions.
+//! * [`generate_corpus_with_stats`] — [`PipelineOptions::workers`] threads
+//!   over one work list of two task kinds: *prepare a design* (cache probe,
+//!   netlist, fabric calibration) and *make a pair* (place → route →
+//!   raster + tensors on one thread). Pairs are reassembled by `(job,
+//!   sweep index)`, so output is **bitwise-identical** to the sequential
+//!   path ([`generate_corpus_sequential`]) for identical seeds — both drive
+//!   the very same `DesignContext` stage functions.
 //! * [`EpochPrefetcher`] — a background iterator generating epoch `N + 1`'s
 //!   pairs (fresh placement seeds every epoch) while epoch `N` trains;
 //!   plug it into [`Pix2Pix::train_stream`](pop_core::Pix2Pix::train_stream).
@@ -31,12 +29,13 @@
 //! # Example
 //!
 //! ```
-//! use pop_pipeline::{generate_corpus, scenario, PipelineOptions};
+//! use pop_pipeline::{generate_corpus_with_stats, scenario, PipelineOptions};
 //!
 //! let smoke = scenario::by_name("smoke").unwrap();
-//! let corpus = generate_corpus(&[smoke], &PipelineOptions::with_workers(2))?;
+//! let (corpus, stats) = generate_corpus_with_stats(&[smoke], &PipelineOptions::with_workers(2))?;
 //! assert_eq!(corpus.len(), 1);
 //! assert_eq!(corpus[0].pairs.len(), 2);
+//! assert_eq!(stats.place_stage_runs, 2);
 //! # Ok::<(), pop_pipeline::PipelineError>(())
 //! ```
 
@@ -48,9 +47,8 @@ pub mod scenario;
 pub use error::PipelineError;
 pub use prefetch::{EpochPrefetcher, EpochRing, TrainCheckpoint};
 pub use run::{
-    expand, expand_holdout, generate_corpus, generate_corpus_sequential,
-    generate_corpus_with_stats, generate_holdout_with_stats, generate_jobs,
-    generate_jobs_with_stats, GenStats, PipelineOptions,
+    expand, expand_holdout, generate_corpus_sequential, generate_corpus_with_stats,
+    generate_holdout_with_stats, generate_jobs_with_stats, GenStats, PipelineOptions,
 };
 pub use scenario::{advance_sweep_seeds, DesignJob, ScenarioSpec};
 
@@ -98,10 +96,12 @@ mod tests {
             },
         ];
         let sequential = generate_corpus_sequential(&scenarios).unwrap();
-        let parallel = generate_corpus(&scenarios, &PipelineOptions::with_workers(4)).unwrap();
+        let (parallel, _) =
+            generate_corpus_with_stats(&scenarios, &PipelineOptions::with_workers(4)).unwrap();
         assert_corpora_identical(&parallel, &sequential);
         // And again: the pipeline itself is deterministic run-to-run.
-        let parallel2 = generate_corpus(&scenarios, &PipelineOptions::with_workers(3)).unwrap();
+        let (parallel2, _) =
+            generate_corpus_with_stats(&scenarios, &PipelineOptions::with_workers(3)).unwrap();
         assert_corpora_identical(&parallel2, &sequential);
     }
 
@@ -111,7 +111,8 @@ mod tests {
             variants: 2,
             ..tiny("vars", "diffeq2", 2)
         };
-        let corpus = generate_corpus(&[scenario], &PipelineOptions::with_workers(2)).unwrap();
+        let (corpus, _) =
+            generate_corpus_with_stats(&[scenario], &PipelineOptions::with_workers(2)).unwrap();
         assert_eq!(corpus.len(), 2);
         assert_ne!(corpus[0].name, corpus[1].name);
         // Different netlist seeds must produce different data.
@@ -120,15 +121,16 @@ mod tests {
 
     #[test]
     fn empty_corpus_and_bad_scenarios() {
-        assert!(generate_corpus(&[], &PipelineOptions::default())
+        assert!(generate_corpus_with_stats(&[], &PipelineOptions::default())
             .unwrap()
+            .0
             .is_empty());
         let bad = ScenarioSpec {
             design: "nosuch".into(),
             ..ScenarioSpec::default()
         };
         assert!(matches!(
-            generate_corpus(&[bad], &PipelineOptions::default()),
+            generate_corpus_with_stats(&[bad], &PipelineOptions::default()),
             Err(PipelineError::BadScenario(_))
         ));
     }
@@ -351,7 +353,7 @@ mod tests {
         let mut jobs = expand(&[tiny("bad-config", "diffeq2", 2)]).unwrap();
         jobs[0].config.resolution = 48; // not a power of two
         assert!(matches!(
-            generate_jobs(jobs, &PipelineOptions::with_workers(2)),
+            generate_jobs_with_stats(jobs, &PipelineOptions::with_workers(2)),
             Err(PipelineError::Core(_))
         ));
     }
@@ -360,9 +362,8 @@ mod tests {
     fn options_default_to_available_parallelism() {
         let opts = PipelineOptions::default();
         assert!(opts.workers >= 1);
-        assert!(opts.queue_depth >= 2);
         let four = PipelineOptions::with_workers(4);
         assert_eq!(four.workers, 4);
-        assert_eq!(four.queue_depth, 8);
+        assert_eq!(PipelineOptions::with_workers(0).workers, 1);
     }
 }

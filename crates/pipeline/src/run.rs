@@ -1,26 +1,28 @@
-//! The staged, streaming, **cache-aware** corpus generator.
+//! The **cache-aware** corpus generator: one pool over one work list.
 //!
-//! Four stages, each on its own [`WorkerPool`], connected by bounded
-//! [`BoundedQueue`]s (backpressure keeps memory flat while designs
-//! stream through):
+//! Every (placement, routed truth) pair is independent of every other and
+//! every step of making one is CPU-bound, so the unit of parallelism is the
+//! pair, not the stage: [`PipelineOptions::workers`] threads (one
+//! [`WorkerPool`]) share one work list holding two kinds of task.
 //!
 //! ```text
-//! jobs ─▶ [prep: cache probe → netlist + fabric calibration] ─▶ [place] ─▶ [route]
-//!      ─▶ [raster + tensors → cache write on job completion] ─▶ collector
+//! prepare job j    cache probe / claim → netlist + fabric calibration
+//!                  → its placement sweep joins the list as pair tasks
+//! make pair (j, i) place → route → raster + tensors, on one thread
+//!                  → slot the pair; the job's last pair assembles the
+//!                    dataset, writes the cache entry, releases the claim
 //! ```
 //!
-//! Every stage calls the *same* `pop_core::dataset::DesignContext` stage
+//! Every task calls the *same* `pop_core::dataset::DesignContext` stage
 //! functions the sequential `build_design_dataset` driver uses, and pairs
 //! are reassembled by `(job, sweep index)` — so the output is
 //! bitwise-identical to the sequential path for identical seeds, regardless
 //! of scheduling (wall-clock `PairMeta` timings aside).
 //!
-//! With a [`PipelineOptions::cache_dir`] configured, the prep stage probes
-//! a [`CorpusStore`] per job (keyed by design name + scenario fingerprint)
-//! and short-circuits the place/route/raster stages entirely on a hit; the
-//! raster stage writes each job's dataset back into the store the moment
-//! its last pair lands. A warm re-run therefore streams straight from disk
-//! — [`GenStats`] reports the hit count and how many place/route stage
+//! With a [`PipelineOptions::cache_dir`] configured, a [`CorpusStore`] hit
+//! (keyed by design name + scenario fingerprint) skips calibration and
+//! every pair of that job. A warm re-run therefore streams straight from
+//! disk — [`GenStats`] reports the hit count and how many place/route stage
 //! executions actually ran, which is the observable contract ("zero on
 //! warm") the integrity tests pin down.
 
@@ -30,22 +32,18 @@ use pop_core::dataset::{
     build_design_dataset, ClaimGuard, ClaimOutcome, CorpusStore, DesignContext, DesignDataset, Pair,
 };
 use pop_core::CoreError;
-use pop_exec::{BoundedQueue, WorkerPool};
-use pop_place::{PlaceOptions, Placement};
-use pop_route::RouteResult;
+use pop_exec::WorkerPool;
+use pop_place::PlaceOptions;
+use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Tuning knobs of the parallel generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineOptions {
-    /// Worker threads per heavy stage (placement and routing pools each get
-    /// this many; rasterisation gets half, preparation is capped by the
-    /// number of designs).
+    /// Generation threads: a run starts exactly this many, each making
+    /// whole pairs (place → route → raster) and preparing designs.
     pub workers: usize,
-    /// Depth of the bounded inter-stage queues — the backpressure window.
-    pub queue_depth: usize,
     /// Per-job disk cache ([`CorpusStore`] root): probed before generating,
     /// written as jobs complete. `None` disables caching (always generate).
     pub cache_dir: Option<PathBuf>,
@@ -60,21 +58,15 @@ impl Default for PipelineOptions {
         let parallelism = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        PipelineOptions {
-            workers: parallelism.min(8),
-            queue_depth: 2 * parallelism.clamp(1, 8),
-            cache_dir: None,
-            cache_budget: None,
-        }
+        PipelineOptions::with_workers(parallelism.min(8))
     }
 }
 
 impl PipelineOptions {
-    /// A pool sized for `workers` threads per heavy stage.
+    /// Options for `workers` generation threads (at least one), no cache.
     pub fn with_workers(workers: usize) -> Self {
         PipelineOptions {
             workers: workers.max(1),
-            queue_depth: 2 * workers.max(1),
             cache_dir: None,
             cache_budget: None,
         }
@@ -136,58 +128,321 @@ impl GenStats {
     }
 }
 
-struct PlaceTask {
+/// What a worker does next.
+enum Task<J, P> {
+    Prepare(J),
+    Pair(P),
+}
+
+/// The one work list: jobs not yet prepared and pairs ready to be made.
+/// Generic over both so its hand-out and shutdown rules are testable
+/// without placing or routing anything.
+struct WorkList<J, P> {
+    state: Mutex<ListState<J, P>>,
+    changed: Condvar,
+}
+
+struct ListState<J, P> {
+    jobs: VecDeque<J>,
+    pairs: VecDeque<P>,
+    /// Tasks handed out and not yet finished. A running prepare may still
+    /// add pairs, so an empty list has only ended once this is zero.
+    running: usize,
+}
+
+impl<J, P> WorkList<J, P> {
+    fn new(jobs: impl IntoIterator<Item = J>) -> Self {
+        WorkList {
+            state: Mutex::new(ListState {
+                jobs: jobs.into_iter().collect(),
+                pairs: VecDeque::new(),
+                running: 0,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Every update leaves the deques and the count valid, so a lock
+    /// poisoned by a panicking worker is still good to use — and
+    /// [`Running`]'s drop, which may run during that unwind, must not panic.
+    fn lock(&self) -> MutexGuard<'_, ListState<J, P>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until there is a task, or until the list is empty with
+    /// nothing running (`None`: the worker exits). A ready pair goes before
+    /// an unprepared job: that bounds the designs alive at once by the
+    /// workers plus the jobs with pairs in flight, and no placement or
+    /// routing result ever waits in a queue.
+    fn next(&self) -> Option<(Task<J, P>, Running<'_, J, P>)> {
+        let mut state = self.lock();
+        loop {
+            let task = match state.pairs.pop_front() {
+                Some(pair) => Some(Task::Pair(pair)),
+                None => state.jobs.pop_front().map(Task::Prepare),
+            };
+            if let Some(task) = task {
+                state.running += 1;
+                return Some((task, Running(self)));
+            }
+            if state.running == 0 {
+                return None;
+            }
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A handed-out task's hold on the list: while it lives the list cannot
+/// end. Retiring on drop means a task that unwinds still lets every other
+/// worker see the end instead of waiting on it forever.
+struct Running<'a, J, P>(&'a WorkList<J, P>);
+
+impl<J, P> Running<'_, J, P> {
+    /// Adds the pair tasks a prepared job expands into.
+    fn add_pairs(&self, pairs: impl IntoIterator<Item = P>) {
+        self.0.lock().pairs.extend(pairs);
+        self.0.changed.notify_all();
+    }
+}
+
+impl<J, P> Drop for Running<'_, J, P> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.running -= 1;
+        if state.running == 0 {
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+struct PairTask {
     job: usize,
     index: usize,
     ctx: Arc<DesignContext>,
     popts: PlaceOptions,
 }
 
-struct RouteTask {
-    job: usize,
-    index: usize,
-    ctx: Arc<DesignContext>,
-    popts: PlaceOptions,
-    placement: Placement,
-    place_micros: u64,
-}
-
-struct RasterTask {
-    job: usize,
-    index: usize,
-    ctx: Arc<DesignContext>,
-    popts: PlaceOptions,
-    placement: Placement,
-    routing: RouteResult,
-    place_micros: u64,
-    route_micros: u64,
-}
-
-enum Event {
-    Dataset {
-        job: usize,
-        ds: Box<DesignDataset>,
-        from_cache: bool,
-    },
-    Failed {
-        job: usize,
-        error: CoreError,
-    },
-}
-
-/// Per-job reassembly state shared by the prep and raster stages: the prep
-/// stage parks the job's context here, raster workers fill sweep-index
-/// slots, and whichever worker lands the *last* pair assembles the
-/// dataset (and writes the cache) right there — "caches are written as
-/// jobs complete", not at the end of the run.
+/// Per-job reassembly state: preparing a job parks its context here, pair
+/// tasks fill sweep-index slots, and whichever worker lands the *last*
+/// pair assembles the dataset (and writes the cache) right there —
+/// "caches are written as jobs complete", not at the end of the run.
+#[derive(Default)]
 struct JobSlot {
     ctx: Option<Arc<DesignContext>>,
     pairs: Vec<Option<Pair>>,
     filled: usize,
-    /// Cross-process generation claim, held from the prep-stage cache miss
-    /// until the raster stage has written the entry (the guard is dropped
-    /// *after* the store write, so waiters always find the entry).
+    /// Cross-process generation claim, held from the cache miss until the
+    /// entry has been written (the guard is dropped *after* the store
+    /// write, so waiters always find the entry).
     claim: Option<ClaimGuard>,
+    /// The job's dataset (cached or assembled) or its first failure; read
+    /// in job order once the pool has joined.
+    result: Option<Result<DesignDataset, CoreError>>,
+}
+
+/// Everything one generation run's workers share.
+struct Run {
+    list: WorkList<(usize, DesignJob), PairTask>,
+    slots: Vec<Mutex<JobSlot>>,
+    store: Option<CorpusStore>,
+    /// Serialises cache writes: a write ends in a budget sweep, and two
+    /// sweeps at once each evict the other's new entry (and over-evict,
+    /// counting bytes the other already freed).
+    cache_write: Mutex<()>,
+    /// This run's exact ledger; the global registry's `pipeline.*`
+    /// counters beside it accumulate across runs.
+    ledger: Mutex<GenStats>,
+}
+
+/// Every stage call is wrapped in `catch_unwind` (stage state is immutable
+/// `&self`, so unwinding cannot corrupt it): a panicking stage becomes a
+/// per-job failure instead of killing the worker. This is load-bearing —
+/// a run must not shrink to fewer workers than it was given because one
+/// design's router hit a bug, and the failure has to land in the job's
+/// slot or the caller sees `Incomplete` instead of the cause.
+fn run_stage<T>(op: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)) {
+        Ok(result) => result,
+        Err(panic) => {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown panic".into());
+            Err(CoreError::Pipeline(format!("stage panicked: {msg}")))
+        }
+    }
+}
+
+impl Run {
+    fn slot(&self, job: usize) -> MutexGuard<'_, JobSlot> {
+        self.slots[job].lock().expect("job slot lock")
+    }
+
+    fn ledger(&self) -> MutexGuard<'_, GenStats> {
+        self.ledger.lock().expect("run ledger lock")
+    }
+
+    /// The worker body: tasks until the list ends, failures into the slot.
+    fn work(&self) {
+        while let Some((task, running)) = self.list.next() {
+            let (job, outcome) = match task {
+                Task::Prepare((job, design_job)) => (
+                    job,
+                    self.prepare(job, &design_job)
+                        .map(|pairs| running.add_pairs(pairs)),
+                ),
+                Task::Pair(task) => (task.job, self.make_pair(task)),
+            };
+            if let Err(error) = outcome {
+                self.slot(job).result.get_or_insert(Err(error));
+            }
+        }
+    }
+
+    /// Resolves one job against the cache, or prepares its design and
+    /// returns its placement sweep as pair tasks.
+    fn prepare(&self, job: usize, design_job: &DesignJob) -> Result<Vec<PairTask>, CoreError> {
+        // Cache resolution first: a hit skips fabric calibration AND every
+        // pair of this job. On a miss, `begin` *claims* the entry (a claim
+        // file created exclusively), so concurrent cold runs over one cache
+        // dir wait for each other's generation instead of duplicating it —
+        // the waiter is then served from the cache.
+        let mut claim = None;
+        if let Some(store) = &self.store {
+            match store.begin(&design_job.spec, &design_job.config)? {
+                ClaimOutcome::Cached(ds) => {
+                    self.ledger().cache_hits += 1;
+                    pop_obs::global().counter("pipeline.cache.hits").inc();
+                    self.slot(job).result = Some(Ok(*ds));
+                    return Ok(Vec::new());
+                }
+                ClaimOutcome::Claimed(guard) => {
+                    pop_obs::global().counter("pipeline.cache.misses").inc();
+                    claim = Some(guard);
+                }
+            }
+        }
+        // On failure `claim` (if any) drops here: a failed prepare releases
+        // the entry for other processes.
+        let ctx = {
+            let _span = pop_obs::span!("prep", job = job, design = &design_job.spec.name);
+            run_stage(|| DesignContext::prepare(&design_job.spec, &design_job.config))
+        }?;
+        let ctx = Arc::new(ctx);
+        {
+            let mut slot = self.slot(job);
+            slot.ctx = Some(Arc::clone(&ctx));
+            // Parked with the job so the worker that assembles it releases
+            // the claim only after the cache write.
+            slot.claim = claim;
+        }
+        Ok(ctx
+            .sweep_options()
+            .into_iter()
+            .enumerate()
+            .map(|(index, popts)| PairTask {
+                job,
+                index,
+                ctx: Arc::clone(&ctx),
+                popts,
+            })
+            .collect())
+    }
+
+    /// Places, routes and rasterises one pair on this thread and slots it;
+    /// the job's last pair also assembles and persists the dataset.
+    fn make_pair(&self, task: PairTask) -> Result<(), CoreError> {
+        let (job, index) = (task.job, task.index);
+        self.ledger().place_stage_runs += 1;
+        let (placement, place_micros) = {
+            let _span = pop_obs::span!("place_stage", job = job, pair = index);
+            run_stage(|| task.ctx.place_stage(&task.popts))
+        }?;
+        self.ledger().route_stage_runs += 1;
+        let (routing, route_micros) = {
+            let _span = pop_obs::span!("route_stage", job = job, pair = index);
+            run_stage(|| task.ctx.route_stage(&placement))
+        }?;
+        let pair = {
+            let _span = pop_obs::span!("raster_stage", job = job, pair = index);
+            run_stage(|| {
+                Ok(task.ctx.raster_stage(
+                    index,
+                    &task.popts,
+                    &placement,
+                    &routing,
+                    place_micros,
+                    route_micros,
+                ))
+            })
+        }?;
+        // Release this task's context handle before assembly so the slot's
+        // Arc is the last one standing on a job's final pair and try_unwrap
+        // below reclaims the context without a deep clone (netlist +
+        // routing graph).
+        drop(task);
+        pop_obs::global().counter("pipeline.pairs").inc();
+        // Slot the pair in; the worker landing a job's final pair
+        // assembles the dataset and persists it immediately.
+        let finished = {
+            let mut slot = self.slot(job);
+            slot.pairs[index] = Some(pair);
+            slot.filled += 1;
+            (slot.filled == slot.pairs.len()).then(|| {
+                (
+                    slot.ctx.take(),
+                    std::mem::take(&mut slot.pairs),
+                    slot.claim.take(),
+                )
+            })
+        };
+        let Some((ctx, pairs, claim)) = finished else {
+            return Ok(());
+        };
+        let ctx = ctx.ok_or_else(|| {
+            CoreError::Pipeline("job completed without a prepared context".into())
+        })?;
+        let ctx = Arc::try_unwrap(ctx).unwrap_or_else(|arc| (*arc).clone());
+        let pairs: Vec<Pair> = pairs
+            .into_iter()
+            .map(|p| p.expect("a full slot holds every sweep index"))
+            .collect();
+        let (spec, config) = (ctx.spec.clone(), ctx.config.clone());
+        let ds = ctx.into_dataset(pairs);
+        if let Some(store) = &self.store {
+            // A sick cache must not kill a healthy generation run: the
+            // dataset is delivered regardless, the failure is counted
+            // (GenStats) and warned — only the *next* run pays, by
+            // regenerating this job.
+            let stored = {
+                let _writing = self
+                    .cache_write
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                store.store(&ds, &spec, &config)
+            };
+            if let Err(error) = stored {
+                self.ledger().cache_write_failures += 1;
+                pop_obs::global()
+                    .counter("pipeline.cache.write_failures")
+                    .inc();
+                eprintln!(
+                    "pop-pipeline: cache write failed for '{}' (delivering uncached): {error}",
+                    spec.name
+                );
+            }
+        }
+        // Entry written (or write abandoned): release the generation claim
+        // so cross-process waiters proceed.
+        drop(claim);
+        self.slot(job).result = Some(Ok(ds));
+        Ok(())
+    }
 }
 
 /// Expands scenarios into concrete generation jobs, in scenario order.
@@ -203,22 +458,10 @@ pub fn expand(scenarios: &[ScenarioSpec]) -> Result<Vec<DesignJob>, PipelineErro
     Ok(jobs)
 }
 
-/// Generates every job's dataset on the staged parallel pipeline,
-/// returning datasets in job order.
-///
-/// # Errors
-///
-/// Returns the first stage failure in job order, or
-/// [`PipelineError::Incomplete`] when a worker died without delivering.
-pub fn generate_jobs(
-    jobs: Vec<DesignJob>,
-    opts: &PipelineOptions,
-) -> Result<Vec<DesignDataset>, PipelineError> {
-    generate_jobs_with_stats(jobs, opts).map(|(datasets, _)| datasets)
-}
-
-/// [`generate_jobs`] plus the run's [`GenStats`] — how many jobs came from
-/// the cache and how many place/route stage executions actually ran.
+/// Generates every job's dataset on [`PipelineOptions::workers`] threads,
+/// returning datasets in job order plus the run's [`GenStats`] — how many
+/// jobs came from the cache and how many place/route stage executions
+/// actually ran.
 ///
 /// # Errors
 ///
@@ -232,8 +475,6 @@ pub fn generate_jobs_with_stats(
     if njobs == 0 {
         return Ok((Vec::new(), GenStats::default()));
     }
-    let workers = opts.workers.max(1);
-    let depth = opts.queue_depth.max(1);
     let store = opts.cache_dir.as_ref().map(|dir| {
         let store = CorpusStore::new(dir);
         match opts.cache_budget {
@@ -241,383 +482,50 @@ pub fn generate_jobs_with_stats(
             None => store,
         }
     });
-    let expected: Vec<usize> = jobs.iter().map(|j| j.config.pairs_per_design).collect();
     let names: Vec<String> = jobs.iter().map(|j| j.spec.name.clone()).collect();
-    let slots: Arc<Mutex<Vec<JobSlot>>> = Arc::new(Mutex::new(
-        expected
+    pop_obs::global().counter("pipeline.jobs").add(njobs as u64);
+    let run = Arc::new(Run {
+        slots: jobs
             .iter()
-            .map(|&n| JobSlot {
-                ctx: None,
-                pairs: vec![None; n],
-                filled: 0,
-                claim: None,
+            .map(|j| {
+                Mutex::new(JobSlot {
+                    pairs: vec![None; j.config.pairs_per_design],
+                    ..JobSlot::default()
+                })
             })
             .collect(),
-    ));
-    let place_runs = Arc::new(AtomicUsize::new(0));
-    let route_runs = Arc::new(AtomicUsize::new(0));
-    let cache_write_failures = Arc::new(AtomicUsize::new(0));
-
-    // Global observability: counters mirror the per-run GenStats (which
-    // stays the function's return value — the registry accumulates across
-    // runs, GenStats is this run's exact ledger), queues publish depth
-    // gauges and idle-time histograms under `exec.queue.pipe-*`.
-    let obs = pop_obs::global();
-    let obs_jobs = obs.counter("pipeline.jobs");
-    let obs_pairs = obs.counter("pipeline.pairs");
-    let obs_cache_hits = obs.counter("pipeline.cache.hits");
-    let obs_cache_misses = obs.counter("pipeline.cache.misses");
-    let obs_cache_write_failures = obs.counter("pipeline.cache.write_failures");
-    obs_jobs.add(njobs as u64);
-
-    let q_prep: Arc<BoundedQueue<(usize, DesignJob)>> = Arc::new(BoundedQueue::new(njobs));
-    let q_place: Arc<BoundedQueue<PlaceTask>> = Arc::new(BoundedQueue::named(depth, "pipe-place"));
-    let q_route: Arc<BoundedQueue<RouteTask>> = Arc::new(BoundedQueue::named(depth, "pipe-route"));
-    let q_raster: Arc<BoundedQueue<RasterTask>> =
-        Arc::new(BoundedQueue::named(depth, "pipe-raster"));
-    let (tx, rx) = mpsc::channel::<Event>();
-
-    // Seed the first stage up front (capacity == njobs, so this never
-    // blocks) and close it: prep workers drain it and exit.
-    for (job, j) in jobs.into_iter().enumerate() {
-        q_prep
-            .push((job, j))
-            .unwrap_or_else(|_| unreachable!("prep queue sized to all jobs"));
-    }
-    q_prep.close();
-
-    // Every stage call is wrapped in `catch_unwind` (stage state is
-    // immutable `&self`, so unwinding cannot corrupt it): a panicking stage
-    // becomes a per-job failure instead of killing the worker. This is
-    // load-bearing for shutdown — if a stage's *last* worker died, upstream
-    // workers would block forever in `push` on a queue nobody pops and
-    // nobody has closed yet, and the stage-by-stage join below would hang.
-    fn run_stage<T>(
-        op: impl FnOnce() -> Result<T, CoreError> + std::panic::UnwindSafe,
-    ) -> Result<T, CoreError> {
-        match std::panic::catch_unwind(op) {
-            Ok(result) => result,
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic".into());
-                Err(CoreError::Pipeline(format!("stage panicked: {msg}")))
-            }
-        }
-    }
-
-    let mut prep_pool = WorkerPool::spawn("pop-pipe-prep", workers.min(njobs), |_| {
-        let q_prep = Arc::clone(&q_prep);
-        let q_place = Arc::clone(&q_place);
-        let slots = Arc::clone(&slots);
-        let store = store.clone();
-        let obs_cache_hits = Arc::clone(&obs_cache_hits);
-        let obs_cache_misses = Arc::clone(&obs_cache_misses);
-        let tx = tx.clone();
-        move || {
-            while let Some((job, design_job)) = q_prep.pop() {
-                // Cache resolution first: a hit skips fabric calibration
-                // AND the entire place/route/raster chain for this job. On
-                // a miss, `begin` *claims* the entry (a claim file created
-                // exclusively), so concurrent cold runs over one cache dir
-                // wait for each other's generation instead of duplicating
-                // it — the waiter is then served from the cache.
-                let mut claim = None;
-                if let Some(store) = &store {
-                    match store.begin(&design_job.spec, &design_job.config) {
-                        Ok(ClaimOutcome::Cached(ds)) => {
-                            obs_cache_hits.inc();
-                            let _ = tx.send(Event::Dataset {
-                                job,
-                                ds,
-                                from_cache: true,
-                            });
-                            continue;
-                        }
-                        Ok(ClaimOutcome::Claimed(guard)) => {
-                            obs_cache_misses.inc();
-                            claim = Some(guard);
-                        }
-                        Err(error) => {
-                            let _ = tx.send(Event::Failed { job, error });
-                            continue;
-                        }
-                    }
-                }
-                let prepared = {
-                    let _span = pop_obs::span!("prep", job = job, design = &design_job.spec.name);
-                    run_stage(std::panic::AssertUnwindSafe(|| {
-                        DesignContext::prepare(&design_job.spec, &design_job.config)
-                    }))
-                };
-                match prepared {
-                    Ok(ctx) => {
-                        let ctx = Arc::new(ctx);
-                        {
-                            let mut slots = slots.lock().expect("slot lock");
-                            slots[job].ctx = Some(Arc::clone(&ctx));
-                            // Parked with the job so the raster worker that
-                            // assembles it releases the claim only after
-                            // the cache write.
-                            slots[job].claim = claim;
-                        }
-                        for (index, popts) in ctx.sweep_options().into_iter().enumerate() {
-                            let task = PlaceTask {
-                                job,
-                                index,
-                                ctx: Arc::clone(&ctx),
-                                popts,
-                            };
-                            if q_place.push(task).is_err() {
-                                return; // pipeline tearing down
-                            }
-                        }
-                    }
-                    Err(error) => {
-                        // `claim` (if any) drops here: a failed prepare
-                        // releases the entry for other processes.
-                        let _ = tx.send(Event::Failed { job, error });
-                    }
-                }
-            }
-        }
+        list: WorkList::new(jobs.into_iter().enumerate()),
+        store,
+        cache_write: Mutex::new(()),
+        ledger: Mutex::new(GenStats {
+            jobs: njobs,
+            ..GenStats::default()
+        }),
     });
 
-    let mut place_pool = WorkerPool::spawn("pop-pipe-place", workers, |_| {
-        let q_place = Arc::clone(&q_place);
-        let q_route = Arc::clone(&q_route);
-        let place_runs = Arc::clone(&place_runs);
-        let tx = tx.clone();
-        move || {
-            while let Some(t) = q_place.pop() {
-                place_runs.fetch_add(1, Ordering::Relaxed);
-                let placed = {
-                    let _span = pop_obs::span!("place_stage", job = t.job, pair = t.index);
-                    run_stage(std::panic::AssertUnwindSafe(|| t.ctx.place_stage(&t.popts)))
-                };
-                match placed {
-                    Ok((placement, place_micros)) => {
-                        let task = RouteTask {
-                            job: t.job,
-                            index: t.index,
-                            ctx: t.ctx,
-                            popts: t.popts,
-                            placement,
-                            place_micros,
-                        };
-                        if q_route.push(task).is_err() {
-                            return;
-                        }
-                    }
-                    Err(error) => {
-                        let _ = tx.send(Event::Failed { job: t.job, error });
-                    }
-                }
-            }
-        }
+    let mut pool = WorkerPool::spawn("pop-pipe", opts.workers.max(1), |_| {
+        let run = Arc::clone(&run);
+        move || run.work()
     });
+    // Workers cannot die mid-task (stage panics are caught above), so
+    // every job's slot holds a dataset or a failure; the `Incomplete`
+    // check below is a backstop.
+    let _ = pool.join();
 
-    let mut route_pool = WorkerPool::spawn("pop-pipe-route", workers, |_| {
-        let q_route = Arc::clone(&q_route);
-        let q_raster = Arc::clone(&q_raster);
-        let route_runs = Arc::clone(&route_runs);
-        let tx = tx.clone();
-        move || {
-            while let Some(t) = q_route.pop() {
-                route_runs.fetch_add(1, Ordering::Relaxed);
-                let routed = {
-                    let _span = pop_obs::span!("route_stage", job = t.job, pair = t.index);
-                    run_stage(std::panic::AssertUnwindSafe(|| {
-                        t.ctx.route_stage(&t.placement)
-                    }))
-                };
-                match routed {
-                    Ok((routing, route_micros)) => {
-                        let task = RasterTask {
-                            job: t.job,
-                            index: t.index,
-                            ctx: t.ctx,
-                            popts: t.popts,
-                            placement: t.placement,
-                            routing,
-                            place_micros: t.place_micros,
-                            route_micros,
-                        };
-                        if q_raster.push(task).is_err() {
-                            return;
-                        }
-                    }
-                    Err(error) => {
-                        let _ = tx.send(Event::Failed { job: t.job, error });
-                    }
-                }
-            }
-        }
-    });
-
-    let mut raster_pool = WorkerPool::spawn("pop-pipe-raster", workers.div_ceil(2), |_| {
-        let q_raster = Arc::clone(&q_raster);
-        let slots = Arc::clone(&slots);
-        let store = store.clone();
-        let cache_write_failures = Arc::clone(&cache_write_failures);
-        let obs_pairs = Arc::clone(&obs_pairs);
-        let obs_cache_write_failures = Arc::clone(&obs_cache_write_failures);
-        let tx = tx.clone();
-        move || {
-            while let Some(t) = q_raster.pop() {
-                let RasterTask {
-                    job,
-                    index,
-                    ctx: task_ctx,
-                    popts,
-                    placement,
-                    routing,
-                    place_micros,
-                    route_micros,
-                } = t;
-                let rastered = {
-                    let _span = pop_obs::span!("raster_stage", job = job, pair = index);
-                    run_stage(std::panic::AssertUnwindSafe(|| {
-                        Ok(task_ctx.raster_stage(
-                            index,
-                            &popts,
-                            &placement,
-                            &routing,
-                            place_micros,
-                            route_micros,
-                        ))
-                    }))
-                };
-                // Release this task's context handle before assembly so
-                // the slot's Arc is the last one standing on a job's final
-                // pair and try_unwrap below reclaims the context without a
-                // deep clone (netlist + routing graph).
-                drop(task_ctx);
-                let pair = match rastered {
-                    Ok(pair) => {
-                        obs_pairs.inc();
-                        pair
-                    }
-                    Err(error) => {
-                        let _ = tx.send(Event::Failed { job, error });
-                        continue;
-                    }
-                };
-                // Slot the pair in; the worker landing a job's final pair
-                // assembles the dataset and persists it immediately.
-                let finished = {
-                    let mut slots = slots.lock().expect("slot lock");
-                    let slot = &mut slots[job];
-                    slot.pairs[index] = Some(pair);
-                    slot.filled += 1;
-                    (slot.filled == slot.pairs.len()).then(|| {
-                        (
-                            slot.ctx.take(),
-                            std::mem::take(&mut slot.pairs),
-                            slot.claim.take(),
-                        )
-                    })
-                };
-                let Some((ctx, pairs, claim)) = finished else {
-                    continue;
-                };
-                let Some(ctx) = ctx else {
-                    let _ = tx.send(Event::Failed {
-                        job,
-                        error: CoreError::Pipeline(
-                            "job completed without a prepared context".into(),
-                        ),
-                    });
-                    continue;
-                };
-                let ctx = Arc::try_unwrap(ctx).unwrap_or_else(|arc| (*arc).clone());
-                let pairs: Vec<Pair> = pairs.into_iter().map(Option::unwrap).collect();
-                let (spec, config) = (ctx.spec.clone(), ctx.config.clone());
-                let ds = ctx.into_dataset(pairs);
-                if let Some(store) = &store {
-                    // A sick cache must not kill a healthy generation run:
-                    // the dataset is delivered regardless, the failure is
-                    // counted (GenStats) and warned — only the *next* run
-                    // pays, by regenerating this job.
-                    if let Err(error) = store.store(&ds, &spec, &config) {
-                        cache_write_failures.fetch_add(1, Ordering::Relaxed);
-                        obs_cache_write_failures.inc();
-                        eprintln!(
-                            "pop-pipeline: cache write failed for '{}' (delivering uncached): {error}",
-                            spec.name
-                        );
-                    }
-                }
-                // Entry written (or write abandoned): release the
-                // generation claim so cross-process waiters proceed.
-                drop(claim);
-                let _ = tx.send(Event::Dataset {
-                    job,
-                    ds: Box::new(ds),
-                    from_cache: false,
-                });
-            }
-        }
-    });
-
-    // Graceful drain, stage by stage: once a stage's pool has joined, no
-    // more tasks can enter the next queue, so closing it lets the next
-    // pool drain and exit. Workers cannot die mid-stage (panics are caught
-    // above), so every task reaches the collector as a Pair or a failure;
-    // the completeness check below is a backstop.
-    let _ = prep_pool.join();
-    q_place.close();
-    let _ = place_pool.join();
-    q_route.close();
-    let _ = route_pool.join();
-    q_raster.close();
-    let _ = raster_pool.join();
-    drop(tx);
-
-    // Collect assembled datasets in deterministic job order.
-    let mut collected: Vec<Option<DesignDataset>> = (0..njobs).map(|_| None).collect();
-    let mut cache_hits = 0usize;
-    let mut first_error: Option<(usize, CoreError)> = None;
-    for event in rx {
-        match event {
-            Event::Dataset {
-                job,
-                ds,
-                from_cache,
-            } => {
-                if from_cache {
-                    cache_hits += 1;
-                }
-                collected[job] = Some(*ds);
-            }
-            Event::Failed { job, error } => {
-                if first_error.as_ref().is_none_or(|(j, _)| job < *j) {
-                    first_error = Some((job, error));
-                }
-            }
-        }
-    }
-    if let Some((_, error)) = first_error {
-        return Err(PipelineError::Core(error));
-    }
     let mut datasets = Vec::with_capacity(njobs);
-    for (job, ds) in collected.into_iter().enumerate() {
-        let Some(ds) = ds else {
-            return Err(PipelineError::Incomplete {
-                design: names[job].clone(),
-            });
-        };
-        datasets.push(ds);
+    let mut incomplete = None;
+    for (slot, name) in run.slots.iter().zip(names) {
+        let result = slot.lock().expect("job slot lock").result.take();
+        match result {
+            Some(Ok(ds)) => datasets.push(ds),
+            Some(Err(error)) => return Err(PipelineError::Core(error)),
+            None => incomplete = incomplete.or(Some(name)),
+        }
     }
-    let stats = GenStats {
-        jobs: njobs,
-        cache_hits,
-        place_stage_runs: place_runs.load(Ordering::Relaxed),
-        route_stage_runs: route_runs.load(Ordering::Relaxed),
-        cache_write_failures: cache_write_failures.load(Ordering::Relaxed),
-    };
+    if let Some(design) = incomplete {
+        return Err(PipelineError::Incomplete { design });
+    }
+    let stats = *run.ledger();
     Ok((datasets, stats))
 }
 
@@ -660,21 +568,9 @@ pub fn generate_holdout_with_stats(
 }
 
 /// Generates the corpus described by `scenarios` on the parallel pipeline:
-/// [`expand`] then [`generate_jobs`], datasets in scenario order.
-///
-/// # Errors
-///
-/// Propagates scenario validation and generation failures.
-pub fn generate_corpus(
-    scenarios: &[ScenarioSpec],
-    opts: &PipelineOptions,
-) -> Result<Vec<DesignDataset>, PipelineError> {
-    generate_jobs(expand(scenarios)?, opts)
-}
-
-/// [`generate_corpus`] plus the run's [`GenStats`] (cache hits, actual
-/// place/route stage executions) — the observable a warm-cache re-run is
-/// judged by.
+/// [`expand`] then [`generate_jobs_with_stats`], datasets in scenario order
+/// plus the run's [`GenStats`] (cache hits, actual place/route stage
+/// executions) — the observable a warm-cache re-run is judged by.
 ///
 /// # Errors
 ///
@@ -701,4 +597,131 @@ pub fn generate_corpus_sequential(
         .into_iter()
         .map(|job| build_design_dataset(&job.spec, &job.config).map_err(PipelineError::Core))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Fate {
+        Succeeds,
+        Fails,
+        /// Unwinds inside the worker's `catch_unwind`, as a stage does.
+        Panics,
+        /// Unwinds through the worker loop and kills the thread.
+        KillsWorker,
+    }
+
+    /// A job: its own fate preparing, and the fate of each of its pairs.
+    type Job = (Fate, Vec<Fate>);
+
+    fn act(fate: Fate) -> bool {
+        match fate {
+            Fate::Succeeds => true,
+            Fate::Fails => false,
+            // `resume_unwind` skips the panic hook: no backtrace noise.
+            Fate::Panics | Fate::KillsWorker => resume_unwind(Box::new("task unwound")),
+        }
+    }
+
+    /// Drains `jobs` on `workers` threads shaped like [`Run::work`], then
+    /// asserts every worker left the list within the timeout, every job
+    /// was prepared once and every pair of a prepared job made once.
+    fn assert_each_task_runs_once(jobs: &[Job], workers: usize) {
+        let counters = |n: usize| (0..n).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
+        let shared = Arc::new((
+            WorkList::<(usize, Job), (usize, usize, Fate)>::new(jobs.iter().cloned().enumerate()),
+            counters(jobs.len()),
+            jobs.iter().map(|j| counters(j.1.len())).collect::<Vec<_>>(),
+        ));
+        let spawn = |_| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (list, prepared, made) = (&shared.0, &shared.1, &shared.2);
+                while let Some((task, running)) = list.next() {
+                    let fate = match &task {
+                        Task::Prepare((_, (fate, _))) | Task::Pair((_, _, fate)) => *fate,
+                    };
+                    let step = AssertUnwindSafe(|| match task {
+                        Task::Prepare((job, (fate, pairs))) => {
+                            prepared[job].fetch_add(1, Ordering::Relaxed);
+                            if act(fate) {
+                                let pairs = pairs.into_iter().enumerate();
+                                running.add_pairs(pairs.map(|(i, fate)| (job, i, fate)));
+                            }
+                        }
+                        Task::Pair((job, index, fate)) => {
+                            made[job][index].fetch_add(1, Ordering::Relaxed);
+                            act(fate);
+                        }
+                    });
+                    if fate == Fate::KillsWorker {
+                        step();
+                    } else {
+                        let _ = catch_unwind(step);
+                    }
+                }
+            })
+        };
+        let threads: Vec<_> = (0..workers).map(spawn).collect();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !threads.iter().all(|t| t.is_finished()) {
+            assert!(
+                Instant::now() < deadline,
+                "a worker never saw the end of the list"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for (id, (fate, pairs)) in jobs.iter().enumerate() {
+            let count = |a: &AtomicUsize| a.load(Ordering::Relaxed);
+            assert_eq!(count(&shared.1[id]), 1, "job {id} on {workers} workers");
+            // A job whose prepare did not succeed expands into nothing.
+            let expected = usize::from(*fate == Fate::Succeeds);
+            let made: Vec<usize> = shared.2[id].iter().map(count).collect();
+            assert_eq!(made, vec![expected; pairs.len()], "job {id} pairs");
+        }
+    }
+
+    #[test]
+    fn work_list_hands_every_task_out_once_and_every_worker_sees_the_end() {
+        // xorshift64: random job → k-pairs trees with random failures.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let fate = |r: u64| {
+            *[Fate::Fails, Fate::Panics]
+                .get(r as usize)
+                .unwrap_or(&Fate::Succeeds)
+        };
+        for round in 0..60 {
+            let jobs: Vec<Job> = (0..next(6))
+                .map(|_| (fate(next(6)), (0..next(5)).map(|_| fate(next(6))).collect()))
+                .collect();
+            assert_each_task_runs_once(&jobs, [1, 2, 4][round % 3]);
+        }
+    }
+
+    #[test]
+    fn work_list_ends_when_its_last_running_task_fails_or_unwinds() {
+        use Fate::*;
+        // The other workers are parked on the list while the only running
+        // task fails, panics under `catch_unwind`, or takes its thread
+        // down: each must wake them to an ended list, not strand them.
+        for last in [Fails, Panics, KillsWorker] {
+            for workers in [1, 2, 4] {
+                assert_each_task_runs_once(&[(last, vec![Succeeds; 3])], workers);
+                assert_each_task_runs_once(&[(Succeeds, vec![last])], workers);
+                let two = [(Succeeds, vec![Succeeds, Succeeds]), (last, vec![])];
+                assert_each_task_runs_once(&two, workers);
+            }
+        }
+    }
 }

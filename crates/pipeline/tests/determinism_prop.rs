@@ -1,7 +1,9 @@
 //! Property test: for arbitrary small scenarios, the parallel pipeline is
 //! bitwise-identical to the sequential reference path.
 
-use pop_pipeline::{generate_corpus, generate_corpus_sequential, PipelineOptions, ScenarioSpec};
+use pop_pipeline::{
+    generate_corpus_sequential, generate_corpus_with_stats, PipelineOptions, ScenarioSpec,
+};
 use proptest::prelude::*;
 
 fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
@@ -41,7 +43,8 @@ proptest! {
     fn parallel_pipeline_matches_sequential(scenario in arb_scenario()) {
         let scenarios = [scenario];
         let sequential = generate_corpus_sequential(&scenarios).unwrap();
-        let parallel = generate_corpus(&scenarios, &PipelineOptions::with_workers(4)).unwrap();
+        let (parallel, _) =
+            generate_corpus_with_stats(&scenarios, &PipelineOptions::with_workers(4)).unwrap();
         prop_assert_eq!(parallel.len(), sequential.len());
         for (p, s) in parallel.iter().zip(&sequential) {
             prop_assert_eq!(&p.name, &s.name);

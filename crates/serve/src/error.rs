@@ -33,12 +33,6 @@ impl fmt::Display for ServeError {
 
 impl Error for ServeError {}
 
-impl From<pop_core::CoreError> for ServeError {
-    fn from(e: pop_core::CoreError) -> Self {
-        ServeError::Model(e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,11 +46,5 @@ mod tests {
         assert!(ServeError::BadInput("x".into()).to_string().contains("x"));
         assert!(ServeError::BadConfig("w".into()).to_string().contains("w"));
         assert!(ServeError::Model("y".into()).to_string().contains("y"));
-    }
-
-    #[test]
-    fn core_errors_convert() {
-        let e: ServeError = pop_core::CoreError::Pipeline("boom".into()).into();
-        assert!(matches!(e, ServeError::Model(_)));
     }
 }

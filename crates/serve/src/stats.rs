@@ -159,7 +159,7 @@ impl ServeStats {
             p50_latency_us: latency.percentile(0.50),
             p99_latency_us: latency.percentile(0.99),
             max_latency_us: latency.max,
-            forward_us_total: self.forward_us.snapshot().sum,
+            forward_us_total: self.forward_us.sum(),
             quant_completed: quant_latency.count,
             p50_quant_latency_us: quant_latency.percentile(0.50),
             p99_quant_latency_us: quant_latency.percentile(0.99),

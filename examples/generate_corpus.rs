@@ -1,4 +1,4 @@
-//! End-to-end pipeline smoke: generate a scenario corpus on the staged
+//! End-to-end pipeline smoke: generate a scenario corpus on the
 //! parallel pipeline (optionally through the per-job disk cache), check it
 //! against the sequential reference, and hand the pairs to a resumable
 //! streamed training run.

@@ -19,14 +19,13 @@
 //!   and the JSON [`obs::RunReport`] binaries write via `--trace-out`;
 //! * [`core`] — the paper's contribution: the cGAN congestion forecaster,
 //!   its trainer, dataset pipeline, metrics and applications;
-//! * [`pipeline`] — the streaming, multi-threaded scenario/data-generation
-//!   pipeline: declarative [`pipeline::ScenarioSpec`] corpora, staged
-//!   worker pools producing bitwise-identical datasets in parallel, and
+//! * [`pipeline`] — the multi-threaded scenario/data-generation
+//!   pipeline: declarative [`pipeline::ScenarioSpec`] corpora, one worker
+//!   pool producing bitwise-identical datasets pair-parallel, and
 //!   background epoch prefetch for the trainer;
 //! * [`serve`] — the batched forecast-serving engine: micro-batching
-//!   worker pool, LRU model registry, backpressured clients and serving
-//!   telemetry for running many concurrent forecast streams against
-//!   trained checkpoints;
+//!   worker pool, backpressured clients and serving telemetry for
+//!   running many concurrent forecast streams against trained checkpoints;
 //! * [`http`] — the zero-dependency HTTP/1.1 front end over [`serve`]:
 //!   bounded request parsing, a JSON forecast API with bitwise-exact
 //!   float transport, per-model routing, admission control mapped to
@@ -60,15 +59,16 @@
 
 //! # Generating corpora
 //!
-//! Training/eval corpora are described declaratively and generated on the
-//! staged parallel pipeline (bitwise-identical to the sequential path):
+//! Training/eval corpora are described declaratively and generated
+//! pair-parallel on one worker pool (bitwise-identical to the sequential
+//! path):
 //!
 //! ```
 //! use painting_on_placement as pop;
-//! use pop::pipeline::{generate_corpus, scenario, PipelineOptions};
+//! use pop::pipeline::{generate_corpus_with_stats, scenario, PipelineOptions};
 //!
 //! let smoke = scenario::by_name("smoke").unwrap();
-//! let corpus = generate_corpus(&[smoke], &PipelineOptions::with_workers(2))?;
+//! let (corpus, _stats) = generate_corpus_with_stats(&[smoke], &PipelineOptions::with_workers(2))?;
 //! assert_eq!(corpus[0].pairs.len(), 2);
 //! # Ok::<(), pop::pipeline::PipelineError>(())
 //! ```
