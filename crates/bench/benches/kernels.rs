@@ -7,14 +7,15 @@
 //! `nt` GEMMs of one `train_step`. The forward shapes are derived from the
 //! generator's own channel plan, so the table cannot drift from the model.
 //! They are whole-batch widths: since inference lowers wide layers in
-//! ≤ 512 KiB column groups (`pop-nn`'s `conv.rs`), the outer layers issue
+//! ≤ 512 KiB column groups (`pop-nn`'s `lower.rs`), the outer layers issue
 //! the same `m × k` against `n / 2` … `n / 4` columns, several times.
 //!
 //! Around the GEMMs: `lowering` rows time `im2col` and `col2im` per layer
 //! geometry at batch 1 and 8 (through the public layers — a one-filter
 //! `Conv2d` / one-input-channel `ConvTranspose2d` keeps the layer's whole
 //! lowering and shrinks its GEMM to a sliver), `whole_forward` rows one
-//! `forecast_batch` at batch 1 / 5 / 8; then one whole `train_step`,
+//! `forecast_batch` at batch 1 / 5 / 8 (through the model's inference
+//! plan, like every forecast); then one whole `train_step`,
 //! `Adam::step` against its old three-loop formulation, end-to-end f32 vs
 //! quantized `forecast_batch` throughput and the quantization accuracy
 //! delta.
@@ -30,6 +31,10 @@
 //! the joined one after a second of train steps: a helper that has just
 //! been spawned or has parked may wake on the caller's core, and a fork
 //! measures nothing until the scheduler has moved one of the two.
+//!
+//! The artefact's `block` entry names the register block the timed
+//! instantiation runs (4 rows × two vector registers) and carries the
+//! block-shape sweep that chose it.
 //!
 //! Emits `BENCH_kernels.json` at the workspace root and sanity-parses it
 //! back. `--smoke` runs one timed pass per shape (seconds, not minutes)
@@ -805,6 +810,13 @@ fn cpu_features() -> (String, &'static str) {
     (std::env::consts::ARCH.to_string(), "baseline")
 }
 
+/// The block-shape sweep behind `linalg`'s 4 rows × two registers: a
+/// standalone copy of the kernel over the quick model's twelve forward
+/// GEMMs at batch 5 on the 2-vCPU AVX2 development host, µs per image,
+/// every variant bit-equal to 4 × 8 (recorded when the panel was widened).
+const BLOCK_SWEEP: &str = "avx2 rows x lanes, us per image: 4x8 969, 4x16 815, 4x24 818, \
+     3x16 892, 6x16 1133, 6x8 1046, 8x8 1405; avx-512: 4x16 811, 8x16 1109, 4x32 2623";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -977,11 +989,14 @@ fn main() {
         })
         .collect();
     let notes_json: Vec<String> = notes.iter().map(|n| format!("    \"{n}\"")).collect();
+    let panel_lanes = if instantiation == "avx2" { 16 } else { 8 };
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"smoke\": {smoke},\n  \
          \"host_parallelism\": {host_parallelism},\n  \
          \"cpu_features\": \"{features}\",\n  \
          \"linalg_instantiation\": \"{instantiation}\",\n  \
+         \"block\": {{ \"rows\": 4, \"panel_lanes\": {panel_lanes}, \
+         \"sweep\": \"{BLOCK_SWEEP}\" }},\n  \
          \"serve_shape\": {{ \"config\": \"quick\", \"resolution\": 64, \"batch\": 8 }},\n  \
          \"shapes\": [\n{}\n  ],\n  \
          \"forward_pass\": {{ \"gflops_ref\": {:.4}, \"gflops_new\": {:.4}, \
@@ -1047,6 +1062,7 @@ fn main() {
         "\"join_sites\"",
         "\"site\": \"deconv_backward\"",
         "\"linalg_instantiation\"",
+        "\"panel_lanes\"",
         "\"speedup\"",
         "\"quant_speedup\"",
         "\"notes\"",

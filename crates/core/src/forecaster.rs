@@ -1,24 +1,26 @@
 //! Shared, non-exclusive inference entry points.
 //!
-//! [`Pix2Pix::forecast`] needs `&mut self` because every [`pop_nn::Layer`]
-//! caches activations for a potential backward pass — fine for training,
-//! hostile to serving, where many callers want forecasts from one trained
-//! model concurrently. This module provides the seam between the two
-//! worlds:
+//! [`Pix2Pix`] is a trainer: its methods take `&mut self`, and a forecast
+//! must not race a training step. Serving and evaluation want the
+//! opposite — forecasts through a shared receiver. This module provides
+//! the seam between the two worlds:
 //!
 //! * [`Forecaster`] — the object-safe "give me a heat map" contract that
 //!   the §5.4 applications ([`crate::apps`]) consume, implemented both by
 //!   an exclusively borrowed model and by `pop-serve`'s batching client;
-//! * [`ExclusiveForecaster`] — a `&mut Pix2Pix` behind that contract for a
-//!   single-threaded evaluation loop. Sharing one model between threads is
-//!   `pop-serve`'s job (one replica per worker, no model mutex).
+//! * [`ExclusiveForecaster`] — the model's [`InferencePlan`] behind that
+//!   contract, the model itself borrowed for as long so that it cannot
+//!   train away from the plan. Sharing one model between threads is
+//!   `pop-serve`'s job (every worker runs the same plan, no model mutex).
 
 use crate::error::CoreError;
 use crate::features::tensor_to_image;
+use crate::plan::InferencePlan;
 use crate::trainer::Pix2Pix;
 use pop_nn::Tensor;
 use pop_raster::Image;
-use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// The inference contract: paint a routing heat map for one input feature
 /// tensor, through a shared (`&self`) receiver.
@@ -62,25 +64,27 @@ pub trait Forecaster {
 /// classic `metrics` helpers) drive the same batched single-pass
 /// evaluation code the serving/eval layers use, without a mutex.
 pub struct ExclusiveForecaster<'a> {
-    inner: RefCell<&'a mut Pix2Pix>,
+    plan: Arc<InferencePlan>,
+    model: PhantomData<&'a mut Pix2Pix>,
 }
 
 impl<'a> ExclusiveForecaster<'a> {
     /// Borrows `model` exclusively for forecasting.
     pub fn new(model: &'a mut Pix2Pix) -> Self {
         ExclusiveForecaster {
-            inner: RefCell::new(model),
+            plan: model.plan(),
+            model: PhantomData,
         }
     }
 }
 
 impl Forecaster for ExclusiveForecaster<'_> {
     fn forecast(&self, x: &Tensor) -> Result<Tensor, CoreError> {
-        Ok(self.inner.borrow_mut().forecast(x))
+        Ok(self.plan.forward(x))
     }
 
     fn forecast_batch(&self, xs: &[&Tensor]) -> Result<Vec<Tensor>, CoreError> {
-        Ok(self.inner.borrow_mut().forecast_batch(xs))
+        Ok(self.plan.forecast_batch(xs))
     }
 }
 

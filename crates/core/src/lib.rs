@@ -53,6 +53,7 @@ pub mod features;
 mod forecaster;
 pub mod metrics;
 pub mod model_io;
+mod plan;
 mod quant;
 mod trainer;
 mod unet;
@@ -62,6 +63,7 @@ pub use disc::PatchDiscriminator;
 pub use error::CoreError;
 pub use forecaster::{ExclusiveForecaster, Forecaster};
 pub use metrics::{EvalReport, MetricSet, PairEval};
+pub use plan::InferencePlan;
 pub use quant::{QuantizedForecaster, QuantizedGenerator};
 pub use trainer::{NoCheckpoint, Pix2Pix, StreamCheckpoint, TrainHistory};
 pub use unet::UNetGenerator;

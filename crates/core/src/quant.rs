@@ -6,8 +6,8 @@
 //! [`pop_nn::quant`]), batch-norm running statistics folded into the
 //! quantized weights and biases, dropout dropped (inference identity).
 //! The result is immutable and lock-free (`&self` forward, no activation
-//! caches), so one snapshot serves any number of threads without the
-//! mutex or per-worker replica cloning the f32 path needs.
+//! caches), so one snapshot serves any number of threads — like the f32
+//! [`InferencePlan`](crate::InferencePlan), which keeps full precision.
 //!
 //! Accuracy is gated the same way the eval harness judges models: a
 //! [`MetricSet`](crate::MetricSet) sweep over a held-out split must agree

@@ -3,12 +3,14 @@ use crate::dataset::Pair;
 use crate::disc::PatchDiscriminator;
 use crate::error::CoreError;
 use crate::features::tensor_to_image;
+use crate::plan::InferencePlan;
 use crate::unet::UNetGenerator;
 use pop_nn::loss::{bce_with_logits, l1_loss};
 use pop_nn::{Adam, Layer, Tensor};
 use pop_raster::Image;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Per-epoch training curves — the data behind the paper's Figure 8.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -135,6 +137,10 @@ pub struct Pix2Pix {
     opt_d: Adam,
     config: ExperimentConfig,
     rng: StdRng,
+    // The generator's inference snapshot, built by the first forecast
+    // after the generator last changed: `train_step` and `generator_mut`,
+    // the only `&mut` roads to it, drop the snapshot.
+    plan: Option<Arc<InferencePlan>>,
 }
 
 impl Pix2Pix {
@@ -168,6 +174,7 @@ impl Pix2Pix {
             opt_d: adam,
             config: config.clone(),
             rng: StdRng::seed_from_u64(seed.wrapping_add(0x7EA1)),
+            plan: None,
         })
     }
 
@@ -176,9 +183,19 @@ impl Pix2Pix {
         &self.config
     }
 
-    /// The generator (e.g. for parameter counting).
+    /// The generator (e.g. for parameter counting, or to load weights).
     pub fn generator_mut(&mut self) -> &mut UNetGenerator {
+        self.plan = None;
         &mut self.gen
+    }
+
+    /// The generator as it stands, frozen for inference: what every
+    /// `forecast*` method runs, shareable with threads that must not hold
+    /// the trainer (`pop-serve`'s workers). Built on first use and kept
+    /// until the generator next changes.
+    pub fn plan(&mut self) -> Arc<InferencePlan> {
+        let gen = &self.gen;
+        Arc::clone(self.plan.get_or_insert_with(|| Arc::new(gen.plan())))
     }
 
     /// The discriminator.
@@ -223,6 +240,7 @@ impl Pix2Pix {
         // fake pass starts only after both, so D still accumulates real
         // then fake and its running statistics see the two batches in
         // that order — the sequential step, bit for bit.
+        self.plan = None;
         self.disc.zero_grad();
         let real_pair = x.concat_channels(truth);
         let (disc, gen) = (&mut self.disc, &mut self.gen);
@@ -404,7 +422,7 @@ impl Pix2Pix {
     /// Paints the routing heat map for input features (inference mode — no
     /// dropout, batch-norm running statistics).
     pub fn forecast(&mut self, x: &Tensor) -> Tensor {
-        self.gen.forward(x, false)
+        self.plan().forward(x)
     }
 
     /// Freezes the generator into an opt-in i8 inference snapshot: a
@@ -421,25 +439,20 @@ impl Pix2Pix {
         tensor_to_image(&self.forecast(x))
     }
 
-    /// Forecasts many inputs in one batched forward pass: inputs are
-    /// stacked along the batch dimension, painted together, and split back
-    /// per request. In inference mode every layer treats batch elements
-    /// independently, so each returned tensor is bitwise-identical to the
-    /// corresponding single-input [`Pix2Pix::forecast`] — this is the
-    /// compute core of the `pop-serve` micro-batcher.
+    /// Forecasts many `[1, C, H, W]` inputs in one batched forward pass
+    /// ([`InferencePlan::forecast_batch`]). In inference mode every layer
+    /// treats batch elements independently, so each returned tensor is
+    /// bitwise-identical to the corresponding single-input
+    /// [`Pix2Pix::forecast`] — this is the compute core of the `pop-serve`
+    /// micro-batcher.
     ///
     /// Returns an empty vector for an empty input slice.
     ///
     /// # Panics
     ///
-    /// Panics when inputs disagree on channel/spatial dimensions (see
-    /// [`Tensor::stack_batch`]).
+    /// Panics when inputs disagree on channel/spatial dimensions.
     pub fn forecast_batch(&mut self, xs: &[&Tensor]) -> Vec<Tensor> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let batch = Tensor::stack_batch(xs);
-        self.gen.forward(&batch, false).split_batch()
+        self.plan().forecast_batch(xs)
     }
 
     /// [`Pix2Pix::forecast_batch`] decoded into images.
@@ -603,6 +616,35 @@ mod tests {
         for (img, s) in images.iter().zip(&sequential) {
             assert_eq!(img, &tensor_to_image(s));
         }
+    }
+
+    /// `forecast` runs a plan the model keeps — until a training step or
+    /// an edit through `generator_mut` changes the weights it was read
+    /// from: the next forecast is then a freshly built plan's.
+    #[test]
+    fn the_kept_plan_never_outlives_the_weights_it_was_read_from() {
+        let cfg = tiny_config();
+        let pair = synthetic_pair(&cfg, 1);
+        let mut model = Pix2Pix::new(&cfg, 17).unwrap();
+        let x = Tensor::randn([1, cfg.input_channels(), 16, 16], 0.0, 0.5, 23);
+        let untrained = model.forecast(&x);
+        let kept = model.plan();
+        assert!(
+            Arc::ptr_eq(&kept, &model.plan()),
+            "forecasting keeps the plan"
+        );
+
+        model.train_step(&pair.x, &pair.y);
+        assert!(!Arc::ptr_eq(&kept, &model.plan()), "a train step drops it");
+        let trained = model.forecast(&x);
+        assert_ne!(trained, untrained);
+        assert_eq!(trained, model.generator_mut().plan().forward(&x));
+        assert_eq!(kept.forward(&x), untrained, "the old plan is a snapshot");
+
+        model.generator_mut().params_mut()[0].value.data_mut()[0] += 0.5;
+        let edited = model.forecast(&x);
+        assert_ne!(edited, trained);
+        assert_eq!(edited, model.generator_mut().plan().forward(&x));
     }
 
     #[test]

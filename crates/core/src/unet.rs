@@ -1,7 +1,9 @@
 use crate::config::SkipMode;
+use crate::plan::InferencePlan;
 use crate::quant::{QuantDecBlock, QuantEncBlock, QuantizedGenerator};
 use pop_nn::{
-    BatchNorm2d, Conv2d, ConvTranspose2d, Dropout, Layer, LeakyRelu, Param, Relu, Tanh, Tensor,
+    Activation, BatchNorm2d, Conv2d, ConvTranspose2d, Dropout, Layer, LeakyRelu, Param, Relu, Tanh,
+    Tensor,
 };
 
 /// One encoder block: `Conv(4, stride 2, pad 1) → [BatchNorm] → LeakyReLU`.
@@ -260,6 +262,57 @@ impl UNetGenerator {
         &self.dec_out_ch
     }
 
+    /// The layer-by-layer forward: the training graph, and with
+    /// `train = false` the reference the plan is tested against.
+    fn forward_layers(&mut self, x: &Tensor, train: bool) -> Tensor {
+        assert_eq!(x.c(), self.in_channels, "generator input channels");
+        let depth = self.enc.len();
+        let mut e: Vec<Tensor> = Vec::with_capacity(depth);
+        for block in &mut self.enc {
+            let y = block.forward(e.last().unwrap_or(x), train);
+            e.push(y);
+        }
+        let mut u = self.dec[0].forward(&e[depth - 1], train);
+        for i in 1..depth {
+            u = if self.skip_at[i] {
+                self.dec[i].forward(&u.concat_channels(&e[depth - 1 - i]), train)
+            } else {
+                self.dec[i].forward(&u, train)
+            };
+        }
+        u
+    }
+
+    /// Snapshots this generator for inference ([`InferencePlan`]): each
+    /// block's weights laid out for its GEMM, its batch-norm's running
+    /// statistics and affine and its activation read out, dropout dropped
+    /// (inference identity). The plan's forward is this generator's
+    /// `train = false` forward bit for bit, through `&self`.
+    pub fn plan(&self) -> InferencePlan {
+        let norm = |bn: &Option<BatchNorm2d>| bn.as_ref().map(BatchNorm2d::inference_norm);
+        let enc = self
+            .enc
+            .iter()
+            .map(|b| {
+                b.conv
+                    .plan(norm(&b.bn), Activation::LeakyRelu(b.act.alpha()))
+            })
+            .collect();
+        let dec = self
+            .dec
+            .iter()
+            .map(|b| {
+                let act = match (&b.relu, &b.tanh) {
+                    (Some(_), _) => Activation::Relu,
+                    (None, Some(_)) => Activation::Tanh,
+                    (None, None) => Activation::Identity,
+                };
+                b.deconv.plan(norm(&b.bn), act)
+            })
+            .collect();
+        InferencePlan::from_parts(enc, dec, self.skip_at.clone())
+    }
+
     /// Freezes this generator into an i8 inference snapshot
     /// ([`QuantizedGenerator`]): batch-norm running statistics are folded
     /// into each convolution's weights before quantization, dropout is
@@ -297,22 +350,13 @@ impl UNetGenerator {
 
 impl Layer for UNetGenerator {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.c(), self.in_channels, "generator input channels");
-        let depth = self.enc.len();
-        let mut e: Vec<Tensor> = Vec::with_capacity(depth);
-        for block in &mut self.enc {
-            let y = block.forward(e.last().unwrap_or(x), train);
-            e.push(y);
+        if train {
+            self.forward_layers(x, true)
+        } else {
+            // One inference path: whoever holds only the layers still runs
+            // the plan (a caller that forecasts repeatedly keeps one).
+            self.plan().forward(x)
         }
-        let mut u = self.dec[0].forward(&e[depth - 1], train);
-        for i in 1..depth {
-            u = if self.skip_at[i] {
-                self.dec[i].forward(&u.concat_channels(&e[depth - 1 - i]), train)
-            } else {
-                self.dec[i].forward(&u, train)
-            };
-        }
-        u
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -490,6 +534,69 @@ mod tests {
                 assert_eq!(part, single, "sample {i} diverged under {skip:?}");
             }
         }
+    }
+
+    /// A few optimisation steps, so that batch-norm statistics and affines
+    /// (and the biases) are no longer their initial 0 / 1.
+    fn trained(mut g: UNetGenerator, x: &Tensor) -> UNetGenerator {
+        use pop_nn::Adam;
+        let mut adam = Adam::new(2e-2, 0.5, 0.999, 1e-8);
+        for _ in 0..3 {
+            let y = g.forward(x, true);
+            g.zero_grad();
+            let _ = g.backward(&y);
+            adam.step(&mut g.params_mut());
+        }
+        g
+    }
+
+    /// The plan against the layers it was read from, run one by one in
+    /// inference mode (the forward it replaced): every skip mode, a
+    /// shallow generator on a non-square map and the `explore` depth, one
+    /// request, a few and a full batch — per-request tensors and an NCHW
+    /// batch alike, bit for bit.
+    #[test]
+    fn plan_is_the_layer_by_layer_inference_forward_bit_for_bit() {
+        for skip in [SkipMode::All, SkipMode::Single, SkipMode::None] {
+            for (depth, h, w) in [(3, 16, 24), (6, 64, 64)] {
+                let warm = Tensor::randn([1, 4, h, w], 0.0, 1.0, 3);
+                let mut g = trained(UNetGenerator::new(4, 3, 4, depth, skip, 11), &warm);
+                let plan = g.plan();
+                for batch in [1usize, 3, 8] {
+                    let xs: Vec<Tensor> = (0..batch as u64)
+                        .map(|s| Tensor::randn([1, 4, h, w], 0.0, 1.0, 70 + s))
+                        .collect();
+                    let refs: Vec<&Tensor> = xs.iter().collect();
+                    let got = plan.forecast_batch(&refs);
+                    assert_eq!(got.len(), batch);
+                    for (i, (x, y)) in xs.iter().zip(&got).enumerate() {
+                        let want = g.forward_layers(x, false);
+                        assert_eq!(y, &want, "{skip:?} depth {depth} batch {batch} sample {i}");
+                        assert_eq!(plan.forward(x), want, "{skip:?} depth {depth} alone");
+                    }
+                    let got_refs: Vec<&Tensor> = got.iter().collect();
+                    assert_eq!(
+                        plan.forward(&Tensor::stack_batch(&refs)),
+                        Tensor::stack_batch(&got_refs),
+                        "{skip:?} depth {depth} batch {batch} as one tensor"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Without skips nothing pins the decoder's map to the encoder's: an
+    /// input the encoder rounds down comes back smaller, as it did through
+    /// the layers. With skips the mismatch is a panic, as it was.
+    #[test]
+    fn plan_keeps_the_layers_handling_of_odd_sizes() {
+        let x = Tensor::randn([2, 4, 12, 12], 0.0, 1.0, 5);
+        let mut g = tiny(SkipMode::None);
+        let want = g.forward_layers(&x, false);
+        assert_eq!(want.shape(), [2, 3, 8, 8]);
+        assert_eq!(g.plan().forward(&x), want);
+        let joined = std::panic::catch_unwind(|| tiny(SkipMode::All).plan().forward(&x));
+        assert!(joined.is_err(), "a 2x2 map cannot join a 3x3 skip");
     }
 
     #[test]

@@ -1,23 +1,24 @@
-//! A steady-state inference forward allocates its layer outputs and next
-//! to nothing else: the lowering matrices and GEMM layout buffers come out
-//! of `pop-nn`'s per-thread workspace, which stops growing after the first
-//! forward. Counted with a `#[global_allocator]`, which is why this test
-//! has a binary to itself (and a single `#[test]`: the counters are
+//! A steady-state inference forward allocates the tensors it returns and
+//! next to nothing else: the weights were laid out when the plan was
+//! built, and activations, lowering matrices and GEMM layout buffers come
+//! out of `pop-nn`'s per-thread workspace, which stops growing after the
+//! first forwards. Counted with a `#[global_allocator]`, which is why this
+//! test has a binary to itself (and a single `#[test]`: the counters are
 //! process-wide).
 
-use pop_core::{SkipMode, UNetGenerator};
-use pop_nn::{Layer, Tensor};
+use pop_core::{ExperimentConfig, Pix2Pix, SkipMode, UNetGenerator};
+use pop_nn::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct Counting;
 
 static BYTES: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 fn count(size: usize) {
     BYTES.fetch_add(size, Ordering::Relaxed);
-    LARGEST.fetch_max(size, Ordering::Relaxed);
+    CALLS.fetch_add(1, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards to `System` unchanged; the counters are
@@ -50,70 +51,69 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `(bytes, largest single request)` allocated while `f` runs.
+/// `(bytes, allocator calls)` made while `f` runs.
 fn heap_use<T>(f: impl FnOnce() -> T) -> (usize, usize, T) {
     BYTES.store(0, Ordering::Relaxed);
-    LARGEST.store(0, Ordering::Relaxed);
+    CALLS.store(0, Ordering::Relaxed);
     let out = f();
     (
         BYTES.load(Ordering::Relaxed),
-        LARGEST.load(Ordering::Relaxed),
+        CALLS.load(Ordering::Relaxed),
         out,
     )
 }
 
-/// Floats in every tensor one inference forward of the `explore` generator
-/// (64×64 input, 12 filters, depth 6, all skips) hands from layer to
-/// layer, and in the largest of them.
-fn layer_output_floats(gen: &UNetGenerator, batch: usize) -> (usize, usize) {
-    let depth = gen.depth();
-    let (enc, dec) = (gen.encoder_channels(), gen.decoder_channels());
-    let mut outputs = Vec::new();
-    for (i, &ch) in enc.iter().enumerate() {
-        let side = 64 >> (i + 1);
-        // conv, [batch-norm], leaky-relu
-        let tensors = if i == 0 || i == depth - 1 { 2 } else { 3 };
-        outputs.extend(std::iter::repeat_n(batch * ch * side * side, tensors));
-    }
-    for (i, &ch) in dec.iter().enumerate() {
-        let side = 2 << i;
-        if i > 0 {
-            // the skip concatenation feeding this block
-            outputs.push(batch * (dec[i - 1] + enc[depth - 1 - i]) * (side / 2) * (side / 2));
-        }
-        // deconv, [batch-norm], [dropout's inference copy], relu or tanh
-        let tensors = 2 + usize::from(i < depth - 1) + usize::from(i < 3);
-        outputs.extend(std::iter::repeat_n(batch * ch * side * side, tensors));
-    }
-    (
-        outputs.iter().sum(),
-        outputs.iter().copied().max().unwrap_or(0),
-    )
-}
+/// What a steady-state forward may allocate beyond the tensors it returns
+/// (the `Vec` that holds them, mostly).
+const SLACK: usize = 4096;
 
 #[test]
 fn steady_state_forward_allocates_its_outputs_and_little_else() {
+    // The `explore` generator: 64×64 input, 12 filters, depth 6, all skips.
     let mut gen = UNetGenerator::new(4, 3, 12, 6, SkipMode::All, 11);
+    let parameter_bytes = 4 * gen.parameter_count();
+    let (bytes, _, plan) = heap_use(|| gen.plan());
+    assert!(
+        2 * bytes <= 3 * parameter_bytes,
+        "building the plan allocated {bytes} bytes for {parameter_bytes} bytes of parameters"
+    );
     for batch in [1usize, 8] {
-        let x = Tensor::randn([batch, 4, 64, 64], 0.0, 0.5, 40 + batch as u64);
-        let (total, largest) = layer_output_floats(&gen, batch);
-        // The first forward at a batch size grows the workspace.
-        let first = gen.forward(&x, false);
-        for round in 2..=4 {
-            let (bytes, biggest, y) = heap_use(|| gen.forward(&x, false));
-            assert_eq!(y, first, "batch {batch}, forward {round}");
+        let xs: Vec<Tensor> = (0..batch as u64)
+            .map(|i| Tensor::randn([1, 4, 64, 64], 0.0, 0.5, 40 + i))
+            .collect();
+        let refs: Vec<&Tensor> = xs.iter().collect();
+        let answers = 4 * batch * 3 * 64 * 64;
+        // The first forwards at a batch size grow the workspace (and pack
+        // the transposed-convolution weights that batch width asks for).
+        let first = plan.forecast_batch(&refs);
+        let _ = plan.forecast_batch(&refs);
+        for round in 3..=5 {
+            let (bytes, _, ys) = heap_use(|| plan.forecast_batch(&refs));
+            assert_eq!(ys, first, "batch {batch}, forward {round}");
             assert!(
-                biggest <= 4 * largest,
-                "batch {batch}, forward {round}: one allocation of {biggest} bytes exceeds \
-                 the largest layer output ({} bytes) — a lowering matrix?",
-                4 * largest
-            );
-            assert!(
-                4 * bytes <= 5 * 4 * total,
-                "batch {batch}, forward {round}: {bytes} bytes allocated for {} bytes of \
-                 layer outputs",
-                4 * total
+                (answers..=answers + SLACK).contains(&bytes),
+                "batch {batch}, forward {round}: {bytes} bytes allocated for {answers} bytes \
+                 of answers"
             );
         }
     }
+    // `Pix2Pix` keeps its plan: a forecast after the first allocates what
+    // the plan's own forward allocates, call for call.
+    let config = ExperimentConfig::quick();
+    let mut model = Pix2Pix::new(&config, 7).expect("quick config");
+    let res = config.resolution;
+    let x = Tensor::randn([1, config.input_channels(), res, res], 0.0, 0.5, 9);
+    let first = model.forecast(&x);
+    let _ = model.forecast(&x);
+    let plan = model.plan();
+    let (plan_bytes, plan_calls, y) = heap_use(|| plan.forward(&x));
+    assert_eq!(y, first);
+    let (bytes, calls, y) = heap_use(|| model.forecast(&x));
+    assert_eq!(y, first);
+    assert_eq!(
+        (bytes, calls),
+        (plan_bytes, plan_calls),
+        "a warm `Pix2Pix::forecast` is its plan's forward"
+    );
+    assert!(plan_bytes <= 4 * y.len() + SLACK, "{plan_bytes} bytes");
 }

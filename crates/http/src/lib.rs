@@ -12,8 +12,9 @@
 //!   ([`ParserLimits`]: head size, header count, body size), hardened by
 //!   property tests over arbitrary byte fragments: it never panics, and
 //!   every malformed input maps to a typed [`ParseError`] with a status.
-//! * [`ForecastService`] — named models (each an engine with per-worker
-//!   replicas, plus an optional i8 quantized sibling) behind a pure
+//! * [`ForecastService`] — named models (each an engine whose workers
+//!   share one inference plan, plus an optional i8 quantized sibling)
+//!   behind a pure
 //!   `Request -> Response` router:
 //!
 //!   | Route | Answers |

@@ -1,21 +1,13 @@
-use crate::im2col::{col2im, conv_out_dim, im2col_strided};
-use crate::linalg::{matmul_nn, matmul_nt, matmul_tn};
+use crate::im2col::{col2im, im2col_strided};
+use crate::linalg::{matmul_nn, matmul_nt, matmul_tn, TnWeights};
+use crate::lower::{
+    conv_forward, conv_inference, deconv_forward, Activation, Batch, BatchMut, ConvGeom, Epilogue,
+    Finish, Norm, PlannedConv, PlannedDeconv,
+};
 use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace;
 use crate::Layer;
-
-/// Floats of lowered matrix an inference matmul works on at a time
-/// (512 KiB): what the lowering writes is still in L2 when the matmul
-/// reads it, whatever the batch size — which also keeps the thread's
-/// workspace to a few buffers of about this size.
-const SLAB: usize = 1 << 17;
-
-/// How many of `n` samples, each lowering to `per_sample` floats, go
-/// through one matmul: as many as fit `SLAB`, at least one.
-fn slab_group(per_sample: usize, n: usize) -> usize {
-    (SLAB / per_sample.max(1)).clamp(1, n.max(1))
-}
 
 /// `db += Σ dY`: adds the sum of each channel plane of `dy` (`plane` floats
 /// apiece) onto that channel's bias gradient.
@@ -31,11 +23,7 @@ fn add_plane_sums(bias_grad: &mut [f32], dy: &[f32], plane: usize) {
 /// Figure 5.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
-    in_c: usize,
-    out_c: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
+    geom: ConvGeom,
     weight: Param,
     bias: Param,
     cached_input: Option<Tensor>,
@@ -54,11 +42,13 @@ impl Conv2d {
     pub fn new(in_c: usize, out_c: usize, k: usize, stride: usize, pad: usize, seed: u64) -> Self {
         assert!(k > 0 && stride > 0, "kernel and stride must be positive");
         Conv2d {
-            in_c,
-            out_c,
-            k,
-            stride,
-            pad,
+            geom: ConvGeom {
+                in_c,
+                out_c,
+                k,
+                stride,
+                pad,
+            },
             weight: Param::randn([out_c, in_c, k, k], 0.02, seed ^ 0xC0_u64),
             bias: Param::new(Tensor::zeros([1, out_c, 1, 1])),
             cached_input: None,
@@ -69,12 +59,8 @@ impl Conv2d {
 
     /// Output shape for a given input shape.
     pub fn output_shape(&self, input: [usize; 4]) -> [usize; 4] {
-        [
-            input[0],
-            self.out_c,
-            conv_out_dim(input[2], self.k, self.stride, self.pad),
-            conv_out_dim(input[3], self.k, self.stride, self.pad),
-        ]
+        let (ho, wo) = self.geom.conv_out((input[2], input[3]));
+        [input[0], self.geom.out_c, ho, wo]
     }
 
     /// Number of trainable scalars.
@@ -88,97 +74,71 @@ impl Conv2d {
     /// weights and bias.
     pub fn quantize(&self, affine: Option<(&[f32], &[f32])>) -> crate::quant::QuantizedConv2d {
         crate::quant::QuantizedConv2d::new(
-            self.in_c,
-            self.out_c,
-            self.k,
-            self.stride,
-            self.pad,
+            self.geom.in_c,
+            self.geom.out_c,
+            self.geom.k,
+            self.geom.stride,
+            self.geom.pad,
             self.weight.value.data(),
-            &self.bias.value.data()[..self.out_c],
+            &self.bias.value.data()[..self.geom.out_c],
             affine,
         )
+    }
+
+    /// Freezes the block this convolution opens for inference: a copy of
+    /// the weights and bias, with the inference batch-norm (`norm`, one
+    /// entry per output channel) and the activation that follow it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `norm` does not have one entry per output channel.
+    pub fn plan(&self, norm: Option<Vec<Norm>>, act: Activation) -> PlannedConv {
+        PlannedConv {
+            geom: self.geom,
+            weight: self.weight.value.data().to_vec(),
+            finish: Finish::new(&self.bias.value.data()[..self.geom.out_c], norm, act),
+        }
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.c(), self.in_c, "input channels");
+        assert_eq!(x.c(), self.geom.in_c, "input channels");
         let [n, _, h, w] = x.shape();
-        let ho = conv_out_dim(h, self.k, self.stride, self.pad);
-        let wo = conv_out_dim(w, self.k, self.stride, self.pad);
-        let ckk = self.in_c * self.k * self.k;
-        let p_out = ho * wo;
-        // Unroll samples side by side into one interleaved [ckk, g·ho·wo]
-        // matrix and run a single matmul over it: each output accumulates
-        // over `ckk` in the same order as a per-sample lowering, so results
-        // are bitwise-identical for any batch size, while the matmul's
-        // inner loop is `g×` longer — what makes micro-batched inference
-        // beat single-sample calls on small feature maps. Inference lowers
-        // as many samples per matmul as fit `SLAB`; training lowers the
-        // whole batch, the layout `backward` expects.
-        //
-        // `im2col` writes every element, so the matrix is never zeroed: an
-        // inference forward borrows it from the thread's workspace, a
-        // training forward reuses the capacity `backward` handed back.
-        let group = if train { n } else { slab_group(ckk * p_out, n) };
-        let mut cols = if train {
-            let mut cols = std::mem::take(&mut self.cached_cols);
-            cols.resize(ckk * n * p_out, 0.0);
-            cols
-        } else {
-            workspace::take(ckk * group * p_out)
-        };
-        let mut y_flat = workspace::take(self.out_c * group * p_out);
-        let mut y = Vec::with_capacity(n * self.out_c * p_out);
-        for first in (0..n).step_by(group.max(1)) {
-            let g = group.min(n - first);
-            let gcols = g * p_out;
-            let (cols, y_flat) = (&mut cols[..ckk * gcols], &mut y_flat[..self.out_c * gcols]);
-            for b in 0..g {
-                im2col_strided(
-                    &x.data()[(first + b) * self.in_c * h * w..][..self.in_c * h * w],
-                    self.in_c,
-                    h,
-                    w,
-                    self.k,
-                    self.stride,
-                    self.pad,
-                    cols,
-                    gcols,
-                    b * p_out,
-                );
-            }
-            y_flat.fill(0.0);
-            matmul_nn(
-                self.weight.value.data(),
-                cols,
-                y_flat,
-                self.out_c,
-                ckk,
-                gcols,
-            );
-            // De-interleave [out_c, g·p] to NCHW and add the bias.
-            for b in 0..g {
-                for (c, bv) in self.bias.value.data().iter().enumerate() {
-                    let src = &y_flat[c * gcols + b * p_out..][..p_out];
-                    y.extend(src.iter().map(|s| s + bv));
-                }
-            }
-        }
-        workspace::give(y_flat);
-        // The caches exist only for a backward pass; inference-mode
-        // forwards (the serving hot path) must not retain the k²-scaled
-        // im2col matrix or an input clone between requests.
+        let geom = self.geom;
+        let mut y = Tensor::zeros(self.output_shape(x.shape()));
+        let p_out = y.h() * y.w();
+        let epilogue = Epilogue::bias(&self.bias.value.data()[..geom.out_c]);
+        let out = &mut BatchMut::nchw(y.data_mut(), geom.out_c, p_out);
+        let weight = self.weight.value.data();
         if train {
+            // Training lowers the whole batch into one matrix, the layout
+            // `backward` expects, reusing the capacity `backward` handed
+            // back; `cached_input` and the matrix exist only for that pass.
+            let mut cols = std::mem::take(&mut self.cached_cols);
+            cols.resize(geom.in_c * geom.k * geom.k * n * p_out, 0.0);
+            conv_forward(
+                &geom,
+                weight,
+                &epilogue,
+                Batch::nchw(x),
+                (h, w),
+                n,
+                n,
+                &mut cols,
+                out,
+            );
             self.cached_cols = cols;
             self.cached_p_out = p_out;
             self.cached_input = Some(x.clone());
         } else {
-            workspace::give(cols);
+            // Inference-mode forwards (the discriminator's readout) must not
+            // retain the k²-scaled im2col matrix or an input clone.
+            conv_inference(&geom, weight, &epilogue, Batch::nchw(x), (h, w), n, out);
             self.cached_cols = Vec::new();
             self.cached_input = None;
         }
-        Tensor::from_vec([n, self.out_c, ho, wo], y)
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -188,7 +148,7 @@ impl Layer for Conv2d {
             .expect("Conv2d::backward called before forward");
         let [n, _, h, w] = x.shape();
         let [_, _, ho, wo] = grad_out.shape();
-        let ckk = self.in_c * self.k * self.k;
+        let ckk = self.geom.in_c * self.geom.k * self.geom.k;
         let p_out = self.cached_p_out;
         let ncols = n * p_out;
         let mut cached_cols = std::mem::take(&mut self.cached_cols);
@@ -196,7 +156,8 @@ impl Layer for Conv2d {
         let mut cols_scratch = workspace::take(if n > 1 { ckk * p_out } else { 0 });
         let mut dcols = workspace::take(ckk * p_out);
         for b in 0..n {
-            let dy_n = &grad_out.data()[b * self.out_c * ho * wo..(b + 1) * self.out_c * ho * wo];
+            let dy_n = &grad_out.data()
+                [b * self.geom.out_c * ho * wo..(b + 1) * self.geom.out_c * ho * wo];
             // Per-sample contiguous view of the interleaved cache (the
             // cache *is* contiguous when n == 1).
             let cols_b: &[f32] = if n == 1 {
@@ -219,10 +180,16 @@ impl Layer for Conv2d {
             // has parked.
             let (w_grad, b_grad) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
             let weight = self.weight.value.data();
-            let dx_n = &mut dx.data_mut()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w];
+            let dx_n =
+                &mut dx.data_mut()[b * self.geom.in_c * h * w..(b + 1) * self.geom.in_c * h * w];
             let dcols = &mut dcols[..ckk * p_out];
-            let (in_c, out_c, k, stride, pad) =
-                (self.in_c, self.out_c, self.k, self.stride, self.pad);
+            let (in_c, out_c, k, stride, pad) = (
+                self.geom.in_c,
+                self.geom.out_c,
+                self.geom.k,
+                self.geom.stride,
+                self.geom.pad,
+            );
             pop_exec::join(
                 || {
                     // dX = col2im(Wᵀ @ dY).
@@ -257,11 +224,7 @@ impl Layer for Conv2d {
 /// backward-data pass (`col2im` of `Wᵀ·x`), so gradients line up exactly.
 #[derive(Debug, Clone)]
 pub struct ConvTranspose2d {
-    in_c: usize,
-    out_c: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
+    geom: ConvGeom,
     weight: Param, // [in_c, out_c, k, k]
     bias: Param,
     cached_input: Option<Tensor>,
@@ -276,11 +239,13 @@ impl ConvTranspose2d {
     pub fn new(in_c: usize, out_c: usize, k: usize, stride: usize, pad: usize, seed: u64) -> Self {
         assert!(k > 0 && stride > 0, "kernel and stride must be positive");
         ConvTranspose2d {
-            in_c,
-            out_c,
-            k,
-            stride,
-            pad,
+            geom: ConvGeom {
+                in_c,
+                out_c,
+                k,
+                stride,
+                pad,
+            },
             weight: Param::randn([in_c, out_c, k, k], 0.02, seed ^ 0xDC_u64),
             bias: Param::new(Tensor::zeros([1, out_c, 1, 1])),
             cached_input: None,
@@ -289,12 +254,8 @@ impl ConvTranspose2d {
 
     /// Output spatial size: `(h − 1)·stride − 2·pad + k`.
     pub fn output_shape(&self, input: [usize; 4]) -> [usize; 4] {
-        [
-            input[0],
-            self.out_c,
-            (input[2] - 1) * self.stride + self.k - 2 * self.pad,
-            (input[3] - 1) * self.stride + self.k - 2 * self.pad,
-        ]
+        let (ho, wo) = self.geom.deconv_out((input[2], input[3]));
+        [input[0], self.geom.out_c, ho, wo]
     }
 
     /// Number of trainable scalars.
@@ -309,81 +270,60 @@ impl ConvTranspose2d {
         affine: Option<(&[f32], &[f32])>,
     ) -> crate::quant::QuantizedConvTranspose2d {
         crate::quant::QuantizedConvTranspose2d::new(
-            self.in_c,
-            self.out_c,
-            self.k,
-            self.stride,
-            self.pad,
+            self.geom.in_c,
+            self.geom.out_c,
+            self.geom.k,
+            self.geom.stride,
+            self.geom.pad,
             self.weight.value.data(),
-            &self.bias.value.data()[..self.out_c],
+            &self.bias.value.data()[..self.geom.out_c],
             affine,
         )
+    }
+
+    /// Freezes the block this transposed convolution opens for inference
+    /// — see [`Conv2d::plan`]; the weights are laid out for the GEMM once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `norm` does not have one entry per output channel.
+    pub fn plan(&self, norm: Option<Vec<Norm>>, act: Activation) -> PlannedDeconv {
+        let ckk = self.geom.out_c * self.geom.k * self.geom.k;
+        PlannedDeconv {
+            geom: self.geom,
+            weight: TnWeights::new(self.weight.value.data(), ckk, self.geom.in_c),
+            finish: Finish::new(&self.bias.value.data()[..self.geom.out_c], norm, act),
+        }
     }
 }
 
 impl Layer for ConvTranspose2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.c(), self.in_c, "input channels");
+        assert_eq!(x.c(), self.geom.in_c, "input channels");
         let [n, _, h, w] = x.shape();
-        let out = self.output_shape(x.shape());
-        let (ho, wo) = (out[2], out[3]);
-        // Sanity: the adjoint geometry must invert cleanly.
-        debug_assert_eq!(conv_out_dim(ho, self.k, self.stride, self.pad), h);
-        let ckk = self.out_c * self.k * self.k;
-        let p_in = h * w;
-        let mut y = Tensor::zeros(out);
-        // Batched lowering mirrors Conv2d: interleave a group of samples
-        // into one [in_c, g·h·w] matrix (one sample already is that
-        // matrix), run a single `Wᵀ @ X`, then col2im each sample's column
-        // block straight out of the product. Accumulation order per element
-        // matches the per-sample pass exactly, so any batch size is
-        // bitwise-identical.
-        let group = slab_group(ckk * p_in, n);
-        let mut xt_buf = workspace::take(self.in_c * group * p_in);
-        let mut cols_buf = workspace::take(ckk * group * p_in);
-        let sample = (self.out_c * ho * wo).max(1);
-        for (gi, y_g) in y.data_mut().chunks_mut(group * sample).enumerate() {
-            let (first, g) = (gi * group, y_g.len() / sample);
-            let gcols = g * p_in;
-            let x_g = &x.data()[first * self.in_c * p_in..][..self.in_c * gcols];
-            let xt: &[f32] = if g == 1 {
-                x_g
-            } else {
-                for (b, x_b) in x_g.chunks_exact(self.in_c * p_in).enumerate() {
-                    for (c, plane) in x_b.chunks_exact(p_in).enumerate() {
-                        xt_buf[c * gcols + b * p_in..][..p_in].copy_from_slice(plane);
-                    }
-                }
-                &xt_buf[..self.in_c * gcols]
-            };
-            let cols = &mut cols_buf[..ckk * gcols];
-            cols.fill(0.0);
-            matmul_tn(self.weight.value.data(), xt, cols, ckk, self.in_c, gcols);
-            for (b, y_n) in y_g.chunks_exact_mut(sample).enumerate() {
-                col2im(
-                    cols,
-                    self.out_c,
-                    ho,
-                    wo,
-                    self.k,
-                    self.stride,
-                    self.pad,
-                    y_n,
-                    gcols,
-                    b * p_in,
-                );
-                for (plane, bv) in y_n
-                    .chunks_exact_mut((ho * wo).max(1))
-                    .zip(self.bias.value.data())
-                {
-                    for v in plane {
-                        *v += bv;
-                    }
-                }
-            }
-        }
-        workspace::give(xt_buf);
-        workspace::give(cols_buf);
+        let mut y = Tensor::zeros(self.output_shape(x.shape()));
+        let p_out = y.h() * y.w();
+        // The weights move every step, so `matmul_tn` lays them out per
+        // call; NCHW samples reach it as a dense matrix (one sample is
+        // one, a group is interleaved into one).
+        let (weight, ckk, in_c) = (
+            self.weight.value.data(),
+            self.geom.out_c * self.geom.k * self.geom.k,
+            self.geom.in_c,
+        );
+        deconv_forward(
+            &self.geom,
+            |b, ldb, cols, ncols| {
+                assert_eq!(ldb, ncols, "dense input matrix");
+                cols.fill(0.0);
+                matmul_tn(weight, &b[..in_c * ncols], cols, ckk, in_c, ncols);
+            },
+            &Epilogue::bias(&self.bias.value.data()[..self.geom.out_c]),
+            Batch::nchw(x),
+            (h, w),
+            n,
+            &mut BatchMut::nchw(y.data_mut(), self.geom.out_c, p_out),
+        );
         self.cached_input = if train { Some(x.clone()) } else { None };
         y
     }
@@ -395,21 +335,23 @@ impl Layer for ConvTranspose2d {
             .expect("ConvTranspose2d::backward called before forward");
         let [n, _, h, w] = x.shape();
         let [_, _, ho, wo] = grad_out.shape();
-        let ckk = self.out_c * self.k * self.k;
+        let ckk = self.geom.out_c * self.geom.k * self.geom.k;
         let mut dx = Tensor::zeros(x.shape());
         let mut dcols = workspace::take(ckk * h * w);
         for b in 0..n {
-            let dy_n = &grad_out.data()[b * self.out_c * ho * wo..(b + 1) * self.out_c * ho * wo];
+            let dy_n = &grad_out.data()
+                [b * self.geom.out_c * ho * wo..(b + 1) * self.geom.out_c * ho * wo];
             // dcols = im2col(dY), read by both gradients.
             let dcols = &mut dcols[..ckk * h * w];
             im2col_strided(
                 dy_n,
-                self.out_c,
+                ho * wo,
+                self.geom.out_c,
                 ho,
                 wo,
-                self.k,
-                self.stride,
-                self.pad,
+                self.geom.k,
+                self.geom.stride,
+                self.geom.pad,
                 dcols,
                 h * w,
                 0,
@@ -421,9 +363,10 @@ impl Layer for ConvTranspose2d {
             let dcols = &*dcols;
             let (w_grad, b_grad) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
             let weight = self.weight.value.data();
-            let x_n = &x.data()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w];
-            let dx_n = &mut dx.data_mut()[b * self.in_c * h * w..(b + 1) * self.in_c * h * w];
-            let in_c = self.in_c;
+            let x_n = &x.data()[b * self.geom.in_c * h * w..(b + 1) * self.geom.in_c * h * w];
+            let dx_n =
+                &mut dx.data_mut()[b * self.geom.in_c * h * w..(b + 1) * self.geom.in_c * h * w];
+            let in_c = self.geom.in_c;
             pop_exec::join(
                 || {
                     // dX = W @ dcols.
@@ -557,6 +500,25 @@ mod tests {
             .enumerate()
         {
             assert_eq!(part, single, "deconv sample {i}");
+        }
+    }
+
+    /// One input channel: an NCHW batch is then one row of planes, which
+    /// is a dense `[1, g·h·w]` matrix only by accident of there being no
+    /// second row — it must take the interleaving path, not be mistaken
+    /// for the channel-major layout a plan multiplies in place.
+    #[test]
+    fn single_channel_batches_deconvolve_like_their_samples() {
+        let mut deconv = ConvTranspose2d::new(1, 3, 4, 2, 1, 14);
+        for side in [1, 2] {
+            let xs: Vec<Tensor> = (0..4)
+                .map(|s| Tensor::randn([1, 1, side, side], 0.0, 1.0, 80 + s))
+                .collect();
+            let refs: Vec<&Tensor> = xs.iter().collect();
+            let batched = deconv.forward(&Tensor::stack_batch(&refs), false);
+            for (part, x) in batched.split_batch().iter().zip(&xs) {
+                assert_eq!(part, &deconv.forward(x, false), "side {side}");
+            }
         }
     }
 

@@ -39,11 +39,12 @@ pub fn conv_out_dim(dim: usize, k: usize, stride: usize, pad: usize) -> usize {
     (dim + 2 * pad - k) / stride + 1
 }
 
-/// Unrolls one sample `x: [c, h, w]` into its `[c·k·k, ho·wo]` matrix (zero
-/// padding outside the image), stored as the columns `col_offset ..
-/// col_offset + ho·wo` of `cols`, whose rows are `row_stride` long. Every
-/// element of that column block is written, so `cols` need not be
-/// initialised.
+/// Unrolls one sample `x: [c, h, w]`, its channel planes `channel_stride`
+/// floats apart (`h·w` when the sample is dense), into its
+/// `[c·k·k, ho·wo]` matrix (zero padding outside the image), stored as the
+/// columns `col_offset .. col_offset + ho·wo` of `cols`, whose rows are
+/// `row_stride` long. Every element of that column block is written, so
+/// `cols` need not be initialised.
 ///
 /// This is the batched-convolution primitive: unrolling every sample of an
 /// `[N, C, H, W]` batch side by side produces one `[C·k·k, N·Ho·Wo]`
@@ -53,12 +54,13 @@ pub fn conv_out_dim(dim: usize, k: usize, stride: usize, pad: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics when `x` does not match `c·h·w`, when the sample's columns
-/// (`col_offset + ho·wo`) overrun `row_stride`, or when `cols` is not
-/// exactly `c·k·k` rows of `row_stride`.
+/// Panics when `x` ends before its last plane or planes overlap, when the
+/// sample's columns (`col_offset + ho·wo`) overrun `row_stride`, or when
+/// `cols` is not exactly `c·k·k` rows of `row_stride`.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_strided(
     x: &[f32],
+    channel_stride: usize,
     c: usize,
     h: usize,
     w: usize,
@@ -71,15 +73,13 @@ pub fn im2col_strided(
 ) {
     let ho = conv_out_dim(h, k, stride, pad);
     let wo = conv_out_dim(w, k, stride, pad);
-    assert_eq!(x.len(), c * h * w, "input size");
+    check_planes(x.len(), channel_stride, c, h * w);
     assert!(col_offset + ho * wo <= row_stride, "columns overrun stride");
     assert_eq!(cols.len(), c * k * k * row_stride, "cols size");
     // Slots per phase that a tap can reach, and where tap `kx` starts
     // reading inside the phase buffer.
     let plen = wo + k.saturating_sub(1) / stride;
-    let tap_start: Vec<usize> = (0..k)
-        .map(|kx| (kx % stride) * plen + kx / stride)
-        .collect();
+    let tap_start = Taps::new(k, |kx| (kx % stride) * plen + kx / stride);
     // Image columns some tap reads (the rest fall off the last window).
     let used_w = ((wo - 1) * stride + k).saturating_sub(pad).min(w);
     let mut scratch = workspace::take(stride * plen);
@@ -92,12 +92,13 @@ pub fn im2col_strided(
         for (py, (oy0, ky0)) in padded_rows(stride).enumerate().take((ho - 1) * stride + k) {
             match py.checked_sub(pad).filter(|&iy| iy < h) {
                 Some(iy) => {
-                    split_phases(&x[(ci * h + iy) * w..][..used_w], pad, stride, plen, phases)
+                    let row = &x[ci * channel_stride + iy * w..][..used_w];
+                    split_phases(row, pad, stride, plen, phases)
                 }
                 None => phases.fill(0.0),
             }
             for (oy, ky) in windows(oy0, ky0, stride, k, ho) {
-                for (kx, &start) in tap_start.iter().enumerate() {
+                for (kx, &start) in tap_start.as_slice().iter().enumerate() {
                     let row = (ci * k + ky) * k + kx;
                     cols[row * row_stride + col_offset + oy * wo..][..wo]
                         .copy_from_slice(&phases[start..start + wo]);
@@ -106,6 +107,54 @@ pub fn im2col_strided(
         }
     }
     workspace::give(scratch);
+}
+
+/// Kernel widths whose tap table fits on the stack (the models use 4).
+const INLINE_TAPS: usize = 8;
+
+/// One precomputed entry per kernel column. The lowering runs per sample
+/// per layer, so the table lives on the stack for kernels up to
+/// [`INLINE_TAPS`] wide and a steady-state forward allocates nothing
+/// here; a wider kernel pays one small allocation.
+struct Taps<T> {
+    inline: [T; INLINE_TAPS],
+    spilled: Vec<T>,
+    k: usize,
+}
+
+impl<T: Copy + Default> Taps<T> {
+    fn new(k: usize, entry: impl Fn(usize) -> T) -> Self {
+        let mut taps = Taps {
+            inline: [T::default(); INLINE_TAPS],
+            spilled: Vec::new(),
+            k,
+        };
+        if k > INLINE_TAPS {
+            taps.spilled = (0..k).map(entry).collect();
+        } else {
+            for (kx, slot) in taps.inline[..k].iter_mut().enumerate() {
+                *slot = entry(kx);
+            }
+        }
+        taps
+    }
+
+    fn as_slice(&self) -> &[T] {
+        if self.k > INLINE_TAPS {
+            &self.spilled
+        } else {
+            &self.inline[..self.k]
+        }
+    }
+}
+
+/// `c` planes of `plane` floats, `channel_stride` apart, fit in `len`.
+fn check_planes(len: usize, channel_stride: usize, c: usize, plane: usize) {
+    assert!(channel_stride >= plane, "channel planes overlap");
+    assert!(
+        c == 0 || len >= (c - 1) * channel_stride + plane,
+        "sample size"
+    );
 }
 
 /// `(py / stride, py % stride)` for padded rows `py = 0, 1, …`, counted
@@ -208,9 +257,9 @@ fn tap_span(w: usize, wo: usize, stride: usize, kx: usize, pad: usize) -> (usize
 
 /// Adjoint of [`im2col_strided`]: adds the sample's column block of
 /// `cols` (`c·k·k` rows of `row_stride`, the block starting at
-/// `col_offset`) back onto `x: [c, h, w]`, which must be pre-zeroed by the
-/// caller if accumulation from a clean slate is desired. Bit-identical to
-/// the scatter-add it replaces (see the module doc).
+/// `col_offset`) back onto the dense `x: [c, h, w]`, which must be
+/// pre-zeroed by the caller if accumulation from a clean slate is desired.
+/// Bit-identical to the scatter-add it replaces (see the module doc).
 ///
 /// # Panics
 ///
@@ -230,30 +279,98 @@ pub fn col2im(
     row_stride: usize,
     col_offset: usize,
 ) {
+    assert_eq!(x.len(), c * h * w, "output size");
+    gather_rows(
+        cols,
+        (c, h, w),
+        (k, stride, pad),
+        x,
+        h * w,
+        row_stride,
+        col_offset,
+        true,
+        |_, _| {},
+    );
+}
+
+/// [`col2im`] onto a clean slate that is never written: every pixel of
+/// `x` — planes `channel_stride` apart, old contents not read — becomes
+/// the sum `col2im` leaves in a zeroed `x`, and each finished row of
+/// channel `ci` is then handed to `finish(ci, row)` while it is still in
+/// cache (a transposed convolution's bias, norm and activation).
+///
+/// # Panics
+///
+/// As [`col2im`], with `x` checked as `c` planes `channel_stride` apart.
+#[allow(clippy::too_many_arguments)]
+pub fn col2im_set(
+    cols: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    x: &mut [f32],
+    channel_stride: usize,
+    row_stride: usize,
+    col_offset: usize,
+    finish: impl Fn(usize, &mut [f32]),
+) {
+    check_planes(x.len(), channel_stride, c, h * w);
+    gather_rows(
+        cols,
+        (c, h, w),
+        (k, stride, pad),
+        x,
+        channel_stride,
+        row_stride,
+        col_offset,
+        false,
+        finish,
+    );
+}
+
+/// The row gather behind [`col2im`] (`accumulate`: rows are seeded from
+/// `x`) and [`col2im_set`] (seeded with zero).
+#[allow(clippy::too_many_arguments)]
+fn gather_rows(
+    cols: &[f32],
+    (c, h, w): (usize, usize, usize),
+    (k, stride, pad): (usize, usize, usize),
+    x: &mut [f32],
+    channel_stride: usize,
+    row_stride: usize,
+    col_offset: usize,
+    accumulate: bool,
+    finish: impl Fn(usize, &mut [f32]),
+) {
     let ho = conv_out_dim(h, k, stride, pad);
     let wo = conv_out_dim(w, k, stride, pad);
-    assert_eq!(x.len(), c * h * w, "output size");
     assert!(col_offset + ho * wo <= row_stride, "columns overrun stride");
     assert_eq!(cols.len(), c * k * k * row_stride, "cols size");
     // Per tap `kx`: the in-bounds `ox` interval and where its first pixel
     // (`ix = ox_lo·stride + kx − pad`) sits in the row's phase buffer.
     let plen = w.div_ceil(stride);
-    let taps: Vec<(usize, usize, usize)> = (0..k)
-        .map(|kx| {
-            let (lo, hi) = tap_span(w, wo, stride, kx, pad);
-            let ix0 = if lo < hi { lo * stride + kx - pad } else { 0 };
-            (lo, hi, (ix0 % stride) * plen + ix0 / stride)
-        })
-        .collect();
+    let taps = Taps::new(k, |kx| {
+        let (lo, hi) = tap_span(w, wo, stride, kx, pad);
+        let ix0 = if lo < hi { lo * stride + kx - pad } else { 0 };
+        (lo, hi, (ix0 % stride) * plen + ix0 / stride)
+    });
     let mut scratch = workspace::take(stride * plen);
     let phases = &mut scratch[..stride * plen];
-    for (ci, plane) in x.chunks_exact_mut((h * w).max(1)).enumerate() {
+    for ci in 0..c {
+        let plane = &mut x[ci * channel_stride..][..h * w];
         // Destination row `iy` is padded row `iy + pad`.
         let rows = plane.chunks_exact_mut(w.max(1));
         for (dst, (oy0, ky0)) in rows.zip(padded_rows(stride).skip(pad)) {
-            split_phases(dst, 0, stride, plen, phases);
+            if accumulate {
+                split_phases(dst, 0, stride, plen, phases);
+            } else {
+                phases.fill(0.0);
+            }
             for (oy, ky) in windows(oy0, ky0, stride, k, ho) {
-                for (kx, &(lo, hi, start)) in taps.iter().enumerate() {
+                for (kx, &(lo, hi, start)) in taps.as_slice().iter().enumerate() {
                     let row = (ci * k + ky) * k + kx;
                     let src = &cols[row * row_stride + col_offset + oy * wo..][lo..hi];
                     for (a, s) in phases[start..start + src.len()].iter_mut().zip(src) {
@@ -262,6 +379,7 @@ pub fn col2im(
                 }
             }
             merge_phases(dst, stride, plen, phases);
+            finish(ci, dst);
         }
     }
     workspace::give(scratch);
@@ -287,7 +405,17 @@ mod tests {
         let ho = conv_out_dim(h, k, stride, pad);
         let wo = conv_out_dim(w, k, stride, pad);
         assert_eq!(cols.len(), c * k * k * ho * wo, "cols size");
-        im2col_strided(x, c, h, w, k, stride, pad, cols, ho * wo, 0);
+        im2col_strided(x, h * w, c, h, w, k, stride, pad, cols, ho * wo, 0);
+    }
+
+    /// `dense: [c, plane]` with its planes moved `channel_stride` apart,
+    /// the gaps filled with values no lowering may read or write.
+    fn spread(dense: &[f32], c: usize, plane: usize, channel_stride: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; (c * channel_stride).max(dense.len())];
+        for ci in 0..c {
+            out[ci * channel_stride..][..plane].copy_from_slice(&dense[ci * plane..][..plane]);
+        }
+        out
     }
 
     /// The definition the phase-split code must reproduce bit for bit:
@@ -351,10 +479,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Odd and even sizes, kernels wider and narrower than the stride,
-        /// padding, a wide `row_stride` and a non-zero `col_offset`:
-        /// `im2col_strided` fills exactly its column block with exactly the
-        /// gathered values, and `col2im` adds onto a non-zero destination
-        /// exactly what the scatter-add would, in the same order.
+        /// padding, a wide `row_stride`, a non-zero `col_offset` and planes
+        /// `gap` floats further apart than dense: `im2col_strided` fills
+        /// exactly its column block with exactly the gathered values,
+        /// `col2im` adds onto a non-zero destination exactly what the
+        /// scatter-add would, in the same order, and `col2im_set` leaves in
+        /// an unread destination what the scatter-add leaves in a zeroed
+        /// one, each row then finished once.
         #[test]
         fn lowering_is_bitwise_the_per_element_loops(
             c in 1usize..=5,
@@ -365,6 +496,7 @@ mod tests {
             pad in 0usize..=2,
             before in 0usize..=5,
             after in 0usize..=5,
+            gap in 0usize..=3,
             seed in 0u64..10_000,
         ) {
             let k = k.min(h + 2 * pad).min(w + 2 * pad);
@@ -377,7 +509,9 @@ mod tests {
             for_each_tap(c, h, w, k, stride, pad, row_stride, col_offset, |col, pixel| {
                 want[col] = pixel.map_or(0.0, |i| x[i]);
             });
-            im2col_strided(&x, c, h, w, k, stride, pad, &mut got, row_stride, col_offset);
+            let cs = h * w + gap;
+            let apart = spread(&x, c, h * w, cs);
+            im2col_strided(&apart, cs, c, h, w, k, stride, pad, &mut got, row_stride, col_offset);
             prop_assert_eq!(bits(&got), bits(&want), "im2col");
 
             // Fresh values: what `im2col` gathered would give every pixel one
@@ -392,6 +526,22 @@ mod tests {
             });
             col2im(&cols, c, h, w, k, stride, pad, &mut got, row_stride, col_offset);
             prop_assert_eq!(bits(&got), bits(&want), "col2im");
+
+            let mut zeroed = vec![0.0; c * h * w];
+            for_each_tap(c, h, w, k, stride, pad, row_stride, col_offset, |col, pixel| {
+                if let Some(i) = pixel {
+                    zeroed[i] += cols[col];
+                }
+            });
+            for (ci, plane) in zeroed.chunks_exact_mut((h * w).max(1)).enumerate() {
+                plane.iter_mut().for_each(|v| *v = *v * 0.5 + ci as f32);
+            }
+            let want = spread(&zeroed, c, h * w, cs);
+            let mut got = spread(&values(c * h * w, seed ^ 0x5E7), c, h * w, cs);
+            col2im_set(&cols, c, h, w, k, stride, pad, &mut got, cs, row_stride, col_offset, |ci, row| {
+                row.iter_mut().for_each(|v| *v = *v * 0.5 + ci as f32);
+            });
+            prop_assert_eq!(bits(&got), bits(&want), "col2im_set");
         }
     }
 
@@ -423,8 +573,8 @@ mod tests {
         let a = vec![1.0, 2.0, 3.0, 4.0];
         let b = vec![5.0, 6.0, 7.0, 8.0];
         let mut cols = vec![0.0; 8]; // 1 row of stride 8
-        im2col_strided(&a, 1, 2, 2, 1, 1, 0, &mut cols, 8, 0);
-        im2col_strided(&b, 1, 2, 2, 1, 1, 0, &mut cols, 8, 4);
+        im2col_strided(&a, 4, 1, 2, 2, 1, 1, 0, &mut cols, 8, 0);
+        im2col_strided(&b, 4, 1, 2, 2, 1, 1, 0, &mut cols, 8, 4);
         assert_eq!(cols, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
     }
 
@@ -440,7 +590,7 @@ mod tests {
         // Interleave the same sample at offset `plane` of a 3-sample-wide
         // matrix and compare block-wise.
         let mut wide = vec![-1.0; c * k * k * plane * 3];
-        im2col_strided(&x, c, h, w, k, s, p, &mut wide, plane * 3, plane);
+        im2col_strided(&x, h * w, c, h, w, k, s, p, &mut wide, plane * 3, plane);
         for row in 0..c * k * k {
             assert_eq!(
                 &wide[row * plane * 3 + plane..row * plane * 3 + 2 * plane],

@@ -44,6 +44,7 @@ pub mod gradcheck;
 mod im2col;
 pub mod linalg;
 pub mod loss;
+mod lower;
 mod norm;
 mod param;
 pub mod quant;
@@ -54,9 +55,11 @@ pub use act::{LeakyRelu, Relu, Sigmoid, Tanh};
 pub use adam::Adam;
 pub use conv::{Conv2d, ConvTranspose2d};
 pub use dropout::Dropout;
+pub use lower::{Activation, Batch, BatchMut, ConvGeom, Norm, PlannedConv, PlannedDeconv};
 pub use norm::BatchNorm2d;
 pub use param::Param;
 pub use tensor::Tensor;
+pub use workspace::scratch;
 
 /// The layer contract: stateful forward (caching activations) and backward
 /// (consuming the cache, accumulating parameter gradients, returning the

@@ -1,11 +1,23 @@
 //! Minimal dense matrix kernels used by the convolution layers.
 //!
 //! Row-major `f32` matrices as flat slices, shaped for the autovectorizer:
-//! one register-block kernel (`block_rows`: up to 4 rows × one **8-wide
-//! column panel** of independent accumulators) serves `nn`, `tn` and `nt`,
-//! so the innermost loop is always a fixed-width bundle of independent
-//! multiply-then-adds over contiguous `B` memory — the exact shape LLVM
-//! provably lowers to SIMD without intrinsics.
+//! one register-block kernel (`block_rows`: up to 4 rows × one **column
+//! panel** of independent accumulators, two vector registers wide) serves
+//! `nn`, `tn` and `nt`, so the innermost loop is always a fixed-width
+//! bundle of independent multiply-then-adds over contiguous `B` memory —
+//! the exact shape LLVM provably lowers to SIMD without intrinsics.
+//!
+//! **Two registers per row.** The panel width `NR` is a const parameter of
+//! the kernel source: 8 lanes at the baseline (two `xmm`), 16 under AVX2
+//! (two `ymm`), so a 4-row block always carries eight accumulator chains.
+//! With one register per row the block had four, and the loop ran at the
+//! latency of four dependent adds, not at the multiply and add ports: a
+//! standalone copy of the kernel over the quick model's twelve forward
+//! GEMMs at batch 5 (AVX2 host, µs per image, every variant bit-equal to
+//! 4 × 8) read 969 at 4 × 8, **815 at 4 × 16**, 818 at 4 × 24, 892 at
+//! 3 × 16, 1 133 at 6 × 16, 1 046 at 6 × 8 and 1 405 at 8 × 8 (the wider
+//! blocks spill); an AVX-512 build read 811 at 4 × 16 and worse beyond, so
+//! there is no third instantiation.
 //!
 //! **Bitwise contract.** Register blocking only regroups *independent*
 //! output elements: each `C[i, j]` starts from a seed and adds its `k`
@@ -16,8 +28,8 @@
 //! the operands are laid out for it, and each layout step moves values
 //! without arithmetic:
 //!
-//! * **Column tails** (`n mod 8` columns). The tail columns of `B` and `C`
-//!   are copied once per call into zero-padded `k×8` / `m×8` scratch, run
+//! * **Column tails** (`n mod NR` columns). The tail columns of `B` and `C`
+//!   are copied once per call into zero-padded `k×NR` / `m×NR` scratch, run
 //!   through the same panel kernel, and the real lanes copied back. Lanes
 //!   are independent outputs: the padding lanes compute `0 + a·0 + …` and
 //!   are dropped, the real lanes see the same seed and the same products
@@ -34,10 +46,15 @@
 //!   weight matrices against up to ~20 columns, the pack beyond. Each
 //!   output still folds `k` in ascending order from its `C` seed, and
 //!   `b·a` rounds exactly like `a·b`, so the choice cannot change a bit.
+//!   [`TnWeights`] is the same rule for an `A` that outlives the call
+//!   (inference weights): the pack happens once, not per product.
 //! * **`nt`** packs `Bᵀ` (`k×n`) once and runs the panel kernel
 //!   zero-seeded, then adds the finished dot product onto `C` — the chain
 //!   `0 + a₀b₀ + … + aₖ₋₁bₖ₋₁`, then `c += acc`, that the `nt` reference
 //!   pins (it differs from seeding with `c`, so `nt` keeps its own rule).
+//! * **Overwriting products** ([`matmul_nn_set`], [`TnWeights::product`])
+//!   seed with zero and store the finished chain: the bits `C += A·B`
+//!   leaves in a zeroed `C`, without the pass that zeroes it.
 //!
 //! The old `if aik == 0.0` skip is gone: it broke the fixed-width panel
 //! shape (a data-dependent branch in the hot loop defeats vectorization)
@@ -48,7 +65,8 @@
 //! padding and register block) is `#[inline(always)]` generic code compiled
 //! twice: at the target's baseline, and on x86-64 inside a
 //! `#[target_feature(enable = "avx2")]` wrapper picked per call by
-//! `is_x86_feature_detected!`. AVX2 only widens the registers: `fma` is
+//! `is_x86_feature_detected!`. AVX2 only widens the registers (and with
+//! them the panel — outputs stay independent lanes): `fma` is
 //! never enabled and Rust does not contract `a * b + c`, so the wide build
 //! issues `vmulps` then `vaddps`, each rounding once like the scalar
 //! `mulss`/`addss` — bit-exact, and a unit test runs both instantiations
@@ -60,20 +78,34 @@
 //! regime batched inference creates by widening `n` to `batch · ho · wo`.
 
 use crate::workspace;
+use std::sync::OnceLock;
 
-/// Column-panel width: 8 f32 lanes (one AVX register, two SSE registers).
-const NR: usize = 8;
+/// Column-panel width at the target's baseline: 8 f32 lanes, two SSE
+/// registers per accumulator row.
+const NR_BASE: usize = 8;
+/// Column-panel width under AVX2: 16 lanes, two 256-bit registers per row.
+#[cfg(target_arch = "x86_64")]
+const NR_AVX2: usize = 16;
 /// Row-block height: 4 independent accumulator rows amortise each `B`
 /// panel load across 4 outputs.
 const MR: usize = 4;
+
+/// How an output's chain starts and ends: seeded from `C` and stored back
+/// (`C += A·B`, folding from the old value).
+const ACC: u8 = 0;
+/// Zero-seeded, the finished dot product added onto `C` (the `nt` chain).
+const DOT: u8 = 1;
+/// Zero-seeded and stored over `C`, whose old contents are never read.
+const SET: u8 = 2;
 
 /// Floats of `Aᵀ` that `matmul_tn` packs at a time (64 KiB).
 const PACK: usize = 1 << 14;
 
 /// Column-tile width targeting a ~1 MiB working panel (`rows · tile · 4`
-/// bytes) so it stays inside the L2 cache; a whole number of panels.
-fn col_tile(rows: usize) -> usize {
-    (262_144 / rows.max(1)).max(32) / NR * NR
+/// bytes) so it stays inside the L2 cache; a whole number of `nr`-wide
+/// panels.
+fn col_tile(rows: usize, nr: usize) -> usize {
+    (262_144 / rows.max(1)).max(32) / nr * nr
 }
 
 /// `C += A @ B` where `A` is `m×k`, `B` is `k×n`, `C` is `m×n`.
@@ -85,7 +117,51 @@ pub fn matmul_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    dispatch::<false>(a, b, c, m, k, n);
+    dispatch::<ACC>(a, b, n, c, m, k, n);
+}
+
+/// `C = A @ B`, shapes as in [`matmul_nn`]: every output is the
+/// zero-seeded ascending fold `C += A @ B` leaves in a zeroed `C`, and the
+/// old contents of `C` are not read.
+///
+/// # Panics
+///
+/// Panics when slice lengths do not match the dimensions.
+pub fn matmul_nn_set(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "A size");
+    assert_eq!(b.len(), k * n, "B size");
+    assert_eq!(c.len(), m * n, "C size");
+    dispatch::<SET>(a, b, n, c, m, k, n);
+}
+
+/// Whether `Aᵀ·B` (`A` stored `k×m`, `B` `k×n`) is cheaper as
+/// `Cᵀ = Bᵀ·A` than through a packed `Aᵀ` (see the module doc).
+fn tn_transposes_output(m: usize, k: usize, n: usize) -> bool {
+    n * k + 2 * m * n + n * m * k / 32 < m * k
+}
+
+/// `Aᵀ·B` as `Cᵀ = Bᵀ·A`, lanes over the contiguous `m` axis of the stored
+/// `A` (`k×m`): `Bᵀ` and — unless the product overwrites — `Cᵀ` are
+/// transposed in, `Cᵀ` is transposed back out.
+#[allow(clippy::too_many_arguments)]
+fn tn_by_transposed_output<const SEED: u8>(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let (mut bt, mut ct) = (workspace::take(n * k), workspace::take(n * m));
+    transpose(b, ldb, k, n, &mut bt[..n * k]);
+    if SEED != SET {
+        transpose(c, n, m, n, &mut ct[..n * m]);
+    }
+    dispatch::<SEED>(&bt[..n * k], a, m, &mut ct[..n * m], n, k, m);
+    transpose(&ct[..n * m], m, n, m, c);
+    workspace::give(bt);
+    workspace::give(ct);
 }
 
 /// `C += Aᵀ @ B` where `A` is `k×m`, `B` is `k×n`, `C` is `m×n`.
@@ -103,14 +179,8 @@ pub fn matmul_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    if n * k + 2 * m * n + n * m * k / 32 < m * k {
-        let (mut bt, mut ct) = (workspace::take(n * k), workspace::take(n * m));
-        transpose(b, n, k, n, &mut bt[..n * k]);
-        transpose(c, n, m, n, &mut ct[..n * m]);
-        dispatch::<false>(&bt[..n * k], a, &mut ct[..n * m], n, k, m);
-        transpose(&ct[..n * m], m, n, m, c);
-        workspace::give(bt);
-        workspace::give(ct);
+    if tn_transposes_output(m, k, n) {
+        tn_by_transposed_output::<ACC>(a, b, n, c, m, k, n);
     } else {
         // Pack and multiply a strip of output rows at a time: the kernel
         // reads the strip while it is still in cache, and the workspace
@@ -120,9 +190,66 @@ pub fn matmul_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
         for (strip, c_rows) in c.chunks_mut((rows * n).max(1)).enumerate() {
             let r = c_rows.len() / n.max(1);
             transpose(&a[strip * rows..], m, k, r, &mut at[..r * k]);
-            dispatch::<false>(&at[..r * k], b, c_rows, r, k, n);
+            dispatch::<ACC>(&at[..r * k], b, n, c_rows, r, k, n);
         }
         workspace::give(at);
+    }
+}
+
+/// An `A` (stored `k×m`) that is multiplied as `Aᵀ` many times — the
+/// weights of a transposed convolution at inference. [`matmul_tn`] lays
+/// `A` out per call; this keeps `A` as stored for the `Cᵀ = Bᵀ·A` form and
+/// packs `Aᵀ` the first time a product is wide enough to want it, so a
+/// product moves only `B` and `C`. Which form a width takes is
+/// [`matmul_tn`]'s rule, and so are the bits.
+#[derive(Debug)]
+pub struct TnWeights {
+    stored: Vec<f32>,
+    packed: OnceLock<Vec<f32>>,
+    m: usize,
+    k: usize,
+}
+
+impl TnWeights {
+    /// Copies `a` (`k×m`, row-major).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a` is not `k·m` long.
+    pub fn new(a: &[f32], m: usize, k: usize) -> Self {
+        assert_eq!(a.len(), k * m, "A size");
+        TnWeights {
+            stored: a.to_vec(),
+            packed: OnceLock::new(),
+            m,
+            k,
+        }
+    }
+
+    /// `C = Aᵀ @ B` where `B` is `k×n` with rows `ldb` floats apart (a
+    /// column block of a wider matrix) and `C` is `m×n`, dense: the bits
+    /// [`matmul_tn`] leaves in a zeroed `C`. The old contents of `C` are
+    /// not read.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ldb < n`, when `b` ends before the last row's `n`
+    /// columns, or when `c` is not `m·n` long.
+    pub fn product(&self, b: &[f32], ldb: usize, c: &mut [f32], n: usize) {
+        let (m, k) = (self.m, self.k);
+        assert!(ldb >= n, "B row stride");
+        assert!(k == 0 || b.len() >= (k - 1) * ldb + n, "B size");
+        assert_eq!(c.len(), m * n, "C size");
+        if tn_transposes_output(m, k, n) {
+            tn_by_transposed_output::<SET>(&self.stored, b, ldb, c, m, k, n);
+        } else {
+            let packed = self.packed.get_or_init(|| {
+                let mut at = vec![0.0; m * k];
+                transpose(&self.stored, m, k, m, &mut at);
+                at
+            });
+            dispatch::<SET>(packed, b, ldb, c, m, k, n);
+        }
     }
 }
 
@@ -142,39 +269,51 @@ pub fn matmul_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(c.len(), m * n, "C size");
     let mut bt = workspace::take(k * n);
     transpose(b, k, n, k, &mut bt[..k * n]);
-    dispatch::<true>(a, &bt[..k * n], c, m, k, n);
+    dispatch::<DOT>(a, &bt[..k * n], n, c, m, k, n);
     workspace::give(bt);
 }
 
-/// Runs the kernel in the widest instantiation this CPU supports:
-/// `C += A @ B` with every output seeded from `C` (`ZERO = false`), or
-/// `C += (0 + A @ B)` (`true`, the `nt` chain); all row-major.
-fn dispatch<const ZERO: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `kernel_avx2` is safe code compiled for AVX2; its only
-        // requirement is that the CPU supports AVX2, which the runtime
-        // check on the line above has just established.
-        return unsafe { kernel_avx2::<ZERO>(a, b, c, m, k, n) };
-    }
-    // The compilation target's baseline feature set.
-    nn::<ZERO>(a, b, c, m, k, n);
-}
-
-/// The same kernel with 256-bit registers; callable (through `unsafe`)
-/// only once the CPU is known to support AVX2. `fma` is deliberately not
-/// enabled: multiply and add stay two roundings, as in the baseline.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn kernel_avx2<const ZERO: bool>(
+/// Runs the kernel in the widest instantiation this CPU supports on `A`
+/// (`m×k`, dense), `B` (`k×n`, rows `ldb` apart) and `C` (`m×n`, dense),
+/// each output starting and ending as `SEED` says.
+#[allow(clippy::too_many_arguments)]
+fn dispatch<const SEED: u8>(
     a: &[f32],
     b: &[f32],
+    ldb: usize,
     c: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
 ) {
-    nn::<ZERO>(a, b, c, m, k, n);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `kernel_avx2` is safe code compiled for AVX2; its only
+        // requirement is that the CPU supports AVX2, which the runtime
+        // check on the line above has just established.
+        return unsafe { kernel_avx2::<SEED>(a, b, ldb, c, m, k, n) };
+    }
+    // The compilation target's baseline feature set.
+    nn::<NR_BASE, SEED>(a, b, ldb, c, m, k, n);
+}
+
+/// The same kernel with 256-bit registers and the panel to match;
+/// callable (through `unsafe`) only once the CPU is known to support AVX2.
+/// `fma` is deliberately not enabled: multiply and add stay two roundings,
+/// as in the baseline.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn kernel_avx2<const SEED: u8>(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    nn::<NR_AVX2, SEED>(a, b, ldb, c, m, k, n);
 }
 
 /// `dst` (`cols×rows`) = the first `cols` columns of `src` (`rows` rows,
@@ -198,33 +337,45 @@ fn transpose(src: &[f32], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) 
 /// The kernel's column loop: full panels in cache-sized tiles, then the
 /// zero-padded tail. This and everything it calls is `#[inline(always)]` so
 /// that each caller — `dispatch` at the baseline, `kernel_avx2` — compiles
-/// its own copy under its own target features.
+/// its own copy under its own target features and panel width.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn nn<const ZERO: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+fn nn<const NR: usize, const SEED: u8>(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let full = n - n % NR;
     // The B panel (k rows) is re-streamed for every 4-row block; tile it.
-    let tile = col_tile(k);
+    let tile = col_tile(k, NR);
     let mut j0 = 0;
     while j0 < full {
         let j1 = (j0 + tile).min(full);
-        row_blocks::<ZERO>(a, b, n, c, n, m, k, j0, j1);
+        row_blocks::<NR, SEED>(a, b, ldb, c, n, m, k, j0, j1);
         j0 = j1;
     }
     let tail = n - full;
     if tail == 0 {
         return;
     }
-    // Column tail: one zero-padded panel each of B's and C's last columns.
+    // Column tail: one zero-padded panel each of B's and C's last columns
+    // (an overwriting product reads nothing of C, so copies nothing in).
     let (mut bp, mut cp) = (workspace::take(k * NR), workspace::take(m * NR));
-    for (dst, src) in bp.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
-        dst[..tail].copy_from_slice(&src[full..]);
+    for (kk, dst) in bp[..k * NR].chunks_exact_mut(NR).enumerate() {
+        dst[..tail].copy_from_slice(&b[kk * ldb + full..][..tail]);
         dst[tail..].fill(0.0);
     }
-    for (dst, src) in cp.chunks_exact_mut(NR).zip(c.chunks_exact(n)) {
-        dst[..tail].copy_from_slice(&src[full..]);
-        dst[tail..].fill(0.0);
+    if SEED != SET {
+        for (dst, src) in cp.chunks_exact_mut(NR).zip(c.chunks_exact(n)) {
+            dst[..tail].copy_from_slice(&src[full..]);
+            dst[tail..].fill(0.0);
+        }
     }
-    row_blocks::<ZERO>(a, &bp[..k * NR], NR, &mut cp[..m * NR], NR, m, k, 0, NR);
+    row_blocks::<NR, SEED>(a, &bp[..k * NR], NR, &mut cp[..m * NR], NR, m, k, 0, NR);
     for (src, dst) in cp.chunks_exact(NR).zip(c.chunks_exact_mut(n)) {
         dst[full..].copy_from_slice(&src[..tail]);
     }
@@ -237,7 +388,7 @@ fn nn<const ZERO: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
 /// are `ldb` and `ldc` floats apart.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn row_blocks<const ZERO: bool>(
+fn row_blocks<const NR: usize, const SEED: u8>(
     a: &[f32],
     b: &[f32],
     ldb: usize,
@@ -251,22 +402,22 @@ fn row_blocks<const ZERO: bool>(
     let mut i = 0;
     while i + MR <= m {
         let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-        block_rows::<MR, ZERO>(&rows, b, ldb, c, ldc, i, j0, j1);
+        block_rows::<MR, NR, SEED>(&rows, b, ldb, c, ldc, i, j0, j1);
         i += MR;
     }
     while i < m {
         let rows = [&a[i * k..(i + 1) * k]];
-        block_rows::<1, ZERO>(&rows, b, ldb, c, ldc, i, j0, j1);
+        block_rows::<1, NR, SEED>(&rows, b, ldb, c, ldc, i, j0, j1);
         i += 1;
     }
 }
 
 /// The register-block kernel: `rows` holds R row slices of `A` (each of
 /// length `k`) for output rows `i0..i0+R`; accumulates the `[j0, j1)`
-/// column span of `C` one 8-wide register panel at a time.
+/// column span of `C` one `NR`-wide register panel at a time.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn block_rows<const R: usize, const ZERO: bool>(
+fn block_rows<const R: usize, const NR: usize, const SEED: u8>(
     rows: &[&[f32]; R],
     b: &[f32],
     ldb: usize,
@@ -281,9 +432,9 @@ fn block_rows<const R: usize, const ZERO: bool>(
     while j < j1 {
         // Seed the register block so each output's accumulation chain is
         // exactly the scalar kernel's: from C (`c += a·b` in ascending k),
-        // or from zero with C added at the end (`nt`).
+        // or from zero with C added (`nt`) or overwritten at the end.
         let mut acc = [[0.0f32; NR]; R];
-        if !ZERO {
+        if SEED == ACC {
             for (r, accr) in acc.iter_mut().enumerate() {
                 accr.copy_from_slice(&c[(i0 + r) * ldc + j..(i0 + r) * ldc + j + NR]);
             }
@@ -301,7 +452,7 @@ fn block_rows<const R: usize, const ZERO: bool>(
         }
         for (r, accr) in acc.iter().enumerate() {
             let out = &mut c[(i0 + r) * ldc + j..(i0 + r) * ldc + j + NR];
-            if ZERO {
+            if SEED == DOT {
                 for (cv, av) in out.iter_mut().zip(accr) {
                     *cv += av;
                 }
@@ -392,7 +543,7 @@ mod tests {
         }
     }
 
-    /// Shapes spanning the register-block boundaries: full 4×8 blocks,
+    /// Shapes spanning the register-block boundaries: full 4×NR blocks,
     /// row tails, column tails, and single-row/column degenerates must all
     /// be **bitwise** equal to the naive triple loop (same per-element
     /// fold order), not merely close.
@@ -422,22 +573,23 @@ mod tests {
 
     /// Runs the baseline and the AVX2 instantiation on the same operands.
     #[cfg(target_arch = "x86_64")]
-    fn compare<const ZERO: bool>(a: &[f32], b: &[f32], c0: &[f32], m: usize, k: usize, n: usize) {
+    fn compare<const SEED: u8>(a: &[f32], b: &[f32], c0: &[f32], m: usize, k: usize, n: usize) {
         let mut base = c0.to_vec();
-        nn::<ZERO>(a, b, &mut base, m, k, n);
+        nn::<NR_BASE, SEED>(a, b, n, &mut base, m, k, n);
         let mut wide = c0.to_vec();
         // SAFETY: the caller has checked that this CPU supports AVX2.
-        unsafe { kernel_avx2::<ZERO>(a, b, &mut wide, m, k, n) };
+        unsafe { kernel_avx2::<SEED>(a, b, n, &mut wide, m, k, n) };
         assert_eq!(
             base.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             wide.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "zero-seeded {ZERO} shape ({m},{k},{n})"
+            "seed {SEED} shape ({m},{k},{n})"
         );
     }
 
-    /// The baseline and the AVX2 instantiation are one source: on a host
-    /// with AVX2 (where `dispatch` would otherwise never run the baseline)
-    /// both must produce the same bits, on every layout path.
+    /// The baseline (8-lane panel) and the AVX2 instantiation (16-lane) are
+    /// one source: on a host with AVX2 (where `dispatch` would otherwise
+    /// never run the baseline) both must produce the same bits for every
+    /// seed, on widths either side of each panel and between the two.
     #[test]
     fn instantiations_are_bitwise_identical() {
         #[cfg(target_arch = "x86_64")]
@@ -452,12 +604,17 @@ mod tests {
                 (13, 1, 29),
                 (9, 13, 40),
                 (33, 17, 7),
+                (5, 6, 9),
+                (4, 7, 15),
+                (6, 5, 17),
+                (7, 3, 31),
             ] {
                 let a = randmat(m * k, 9);
                 let b = randmat(k * n, 10);
                 let c0 = randmat(m * n, 11);
-                compare::<false>(&a, &b, &c0, m, k, n);
-                compare::<true>(&a, &b, &c0, m, k, n);
+                compare::<ACC>(&a, &b, &c0, m, k, n);
+                compare::<DOT>(&a, &b, &c0, m, k, n);
+                compare::<SET>(&a, &b, &c0, m, k, n);
             }
             println!("linalg: baseline and avx2 instantiations compared bit for bit");
             return;

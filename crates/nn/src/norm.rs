@@ -1,3 +1,4 @@
+use crate::lower::Norm;
 use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::Layer;
@@ -48,6 +49,21 @@ impl BatchNorm2d {
         self.channels
     }
 
+    /// The inference-mode transform per channel, as the forward applies
+    /// it: the running statistics and the affine, unfolded.
+    pub fn inference_norm(&self) -> Vec<Norm> {
+        (0..self.channels).map(|c| self.norm_of(c)).collect()
+    }
+
+    fn norm_of(&self, c: usize) -> Norm {
+        Norm {
+            mean: self.running_mean[c],
+            inv_std: 1.0 / (self.running_var[c] + self.eps).sqrt(),
+            gamma: self.gamma.value.data()[c],
+            beta: self.beta.value.data()[c],
+        }
+    }
+
     /// The inference-mode transform as a per-channel affine
     /// `y = scale·x + shift` (running statistics baked in) — what a
     /// quantized convolution folds into its weights.
@@ -75,12 +91,8 @@ impl Layer for BatchNorm2d {
             self.cached_xhat = None;
             let mut y = Vec::with_capacity(x.len());
             for (i, src) in x.data().chunks_exact(plane.max(1)).enumerate() {
-                let ci = i % c;
-                let mean = self.running_mean[ci];
-                let inv_std = 1.0 / (self.running_var[ci] + self.eps).sqrt();
-                let g = self.gamma.value.data()[ci];
-                let bta = self.beta.value.data()[ci];
-                y.extend(src.iter().map(|&v| g * ((v - mean) * inv_std) + bta));
+                let norm = self.norm_of(i % c);
+                y.extend(src.iter().map(|&v| norm.apply(v)));
             }
             return Tensor::from_vec(x.shape(), y);
         }

@@ -46,6 +46,17 @@ pub(crate) fn give(buf: Vec<f32>) {
     POOL.with(|pool| pool.borrow_mut().push(buf));
 }
 
+/// Runs `f` on `len` floats of this thread's lowering scratch (contents
+/// unspecified), borrowed for the call and handed back after it — for
+/// callers that keep activations between layers: nested calls get distinct
+/// buffers, and a steady-state caller allocates nothing.
+pub fn scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    let mut buf = take(len);
+    let out = f(&mut buf[..len]);
+    give(buf);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,16 +1,18 @@
 //! Property tests pinning the register-blocked kernels to their scalar
-//! reference semantics across arbitrary shapes — full 4×8 blocks, row
-//! tails, column tails and degenerate single-row/column cases, with the
-//! shape families a uniform draw rarely hits (`n < 8`, `n = 8q + r`,
-//! `m < 4`, `k = 1`, the `n < 8 ≤ m` `tn` layout, column-tile seams)
-//! generated explicitly — plus the quantization round-trip error bound.
+//! reference semantics across arbitrary shapes — full 4×8 and 4×16 blocks
+//! (the panel is 8 lanes at the baseline, 16 under AVX2), row tails,
+//! column tails and degenerate single-row/column cases, with the shape
+//! families a uniform draw rarely hits (`n` below a panel, `n = 8q + r`
+//! and `n = 16q + r`, `m < 4`, `k = 1`, the `n < 8 ≤ m` and `n < 16 ≤ m`
+//! `tn` layouts, column-tile seams at either width) generated explicitly
+//! — plus the quantization round-trip error bound.
 //!
 //! The equality here is **bitwise** (`to_bits`), not approximate: the
 //! kernels' contract is that register blocking regroups independent
 //! outputs without changing any output's fold order (see
 //! `src/linalg.rs`).
 
-use pop_nn::linalg::{matmul_nn, matmul_nt, matmul_tn};
+use pop_nn::linalg::{matmul_nn, matmul_nn_set, matmul_nt, matmul_tn, TnWeights};
 use pop_nn::quant::{dot_q, quantize_symmetric, QMAX};
 use proptest::prelude::*;
 
@@ -69,6 +71,31 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// The overwriting products at one shape: from a `C` full of junk they
+/// leave what the accumulating kernels leave in a zeroed one (`B` handed to
+/// [`TnWeights::product`] as a column block of a wider matrix).
+fn check_overwriting_kernels(a: &[f32], at: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    let mut want = vec![0.0; m * n];
+    ref_accumulate(a, b, &mut want, m, k, n);
+    let junk = fill(m * n, 0xBAD);
+    let mut got = junk.clone();
+    matmul_nn_set(a, b, &mut got, m, k, n);
+    assert_eq!(bits(&got), bits(&want), "nn_set shape ({m}, {k}, {n})");
+
+    let (ldb, first) = (n + 5, 3);
+    let mut wide = fill(k * ldb, 0xB16);
+    for (row, src) in wide.chunks_exact_mut(ldb).zip(b.chunks_exact(n)) {
+        row[first..first + n].copy_from_slice(src);
+    }
+    let weights = TnWeights::new(at, m, k);
+    for _ in 0..2 {
+        // Twice: the second product finds the layout the first one left.
+        let mut got = junk.clone();
+        weights.product(&wide[first..], ldb, &mut got, n);
+        assert_eq!(bits(&got), bits(&want), "tn product shape ({m}, {k}, {n})");
+    }
+}
+
 /// `nn`, `tn` and `nt` at one shape, each bitwise against its scalar
 /// reference from a non-zero starting C.
 fn check_all_kernels(m: usize, k: usize, n: usize, seed: u64) {
@@ -92,6 +119,8 @@ fn check_all_kernels(m: usize, k: usize, n: usize, seed: u64) {
     let mut got = c0;
     matmul_nt(&a, &bt, &mut got, m, k, n);
     assert_eq!(bits(&got), bits(&want), "nt shape ({m}, {k}, {n})");
+
+    check_overwriting_kernels(&a, &at, &b, m, k, n);
 }
 
 /// Column tiles are a whole number of panels wide and shrink with `k`
@@ -101,6 +130,14 @@ fn check_all_kernels(m: usize, k: usize, n: usize, seed: u64) {
 fn column_tile_seams_and_tail_compose() {
     check_all_kernels(5, 8192, 70, 1);
     check_all_kernels(3, 9000, 41, 2);
+}
+
+/// At `k = 6553` a tile is 40 columns of 8-lane panels but 32 of 16-lane
+/// ones: the two instantiations put their seams in different places (one
+/// a multiple of 8 that is not a multiple of 16), and both end in a tail.
+#[test]
+fn column_tile_seams_differ_between_the_panel_widths() {
+    check_all_kernels(5, 6553, 90, 3);
 }
 
 /// `matmul_tn` (A stored `k×m`) against the scalar reference from a
@@ -196,6 +233,44 @@ proptest! {
         seed in 0u64..1000,
     ) {
         check_all_kernels(m, k, 8 * q + r, seed);
+    }
+
+    /// Fewer than 16 columns: under AVX2 the whole product is one
+    /// zero-padded 16-lane panel, at the baseline a full panel and a tail.
+    #[test]
+    fn outputs_narrower_than_the_wide_panel_are_bitwise_naive(
+        m in 1usize..40,
+        k in 1usize..40,
+        n in 1usize..=15,
+        seed in 0u64..1000,
+    ) {
+        check_all_kernels(m, k, n, seed);
+    }
+
+    /// `n = 16q + r`, `r ≠ 0`: full 16-lane panels followed by a padded
+    /// tail (two 8-lane tails' worth at most).
+    #[test]
+    fn column_tails_of_the_wide_panel_are_bitwise_naive(
+        m in 1usize..40,
+        k in 1usize..40,
+        q in 1usize..4,
+        r in 1usize..=15,
+        seed in 0u64..1000,
+    ) {
+        check_all_kernels(m, k, 16 * q + r, seed);
+    }
+
+    /// `n < 16 ≤ m`: where `tn` computes `Cᵀ += Bᵀ·A`, `Cᵀ` has `m`
+    /// columns — wide panels and their tail — and `n` rows; where it packs,
+    /// the product is narrower than one wide panel.
+    #[test]
+    fn tn_below_the_wide_panel_is_bitwise_naive_in_both_layouts(
+        m in 16usize..200,
+        k in 1usize..40,
+        n in 1usize..=15,
+        seed in 0u64..1000,
+    ) {
+        check_all_kernels(m, k, n, seed);
     }
 
     /// Fewer than 4 rows: only the single-row register block runs.

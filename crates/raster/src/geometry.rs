@@ -35,6 +35,10 @@ pub struct Layout {
     lines_x: Vec<usize>,
     lines_y: Vec<usize>,
     gutter: usize,
+    // `locate` of every pixel column / image row, filled once by `new`:
+    // `owner` runs per pixel of every rendered or scored image.
+    cols: Vec<(usize, bool)>,
+    rows: Vec<(usize, bool)>,
 }
 
 impl Layout {
@@ -76,10 +80,13 @@ impl Layout {
         } else {
             usize::from(min_span >= 2)
         };
+        let table = |lines: &[usize]| (0..side).map(|p| Self::locate(lines, gutter, p)).collect();
         Layout {
             grid_w,
             grid_h,
             side,
+            cols: table(&lines_x),
+            rows: table(&lines_y),
             lines_x,
             lines_y,
             gutter,
@@ -120,9 +127,13 @@ impl Layout {
         if px >= self.side || py >= self.side {
             return PixelOwner::Outside;
         }
-        let (tx, gx) = Self::locate(&self.lines_x, self.gutter, px);
+        self.classify(self.cols[px], self.rows[py])
+    }
+
+    /// The owner of a pixel whose column and image row `locate` to
+    /// `(tx, gx)` and `(ty_img, gy_img)`.
+    fn classify(&self, (tx, gx): (usize, bool), (ty_img, gy_img): (usize, bool)) -> PixelOwner {
         // Flip: image row 0 is the top of the die = highest grid y.
-        let (ty_img, gy_img) = Self::locate(&self.lines_y, self.gutter, py);
         let ty = self.grid_h - 1 - ty_img;
         // A y-gutter at the *end* of an image span is visually *below* the
         // tile in image space, which is grid-south: the channel above tile
@@ -192,6 +203,34 @@ mod tests {
                 assert_eq!(a, b);
             }
         }
+    }
+
+    /// The tables `new` fills answer exactly what a search per pixel
+    /// answers, for every pixel and one past each edge — gutter-0 layouts
+    /// (`side` within a pixel of the grid) included.
+    #[test]
+    fn table_owner_equals_search_owner() {
+        for (gw, gh) in [(1, 1), (6, 6), (8, 8), (7, 13)] {
+            let grid = gw.max(gh);
+            for side in [grid, grid + 1, 48, 64, 257] {
+                let l = Layout::new(gw, gh, side);
+                for py in 0..=side {
+                    for px in 0..=side {
+                        let search = if px >= side || py >= side {
+                            PixelOwner::Outside
+                        } else {
+                            l.classify(
+                                Layout::locate(&l.lines_x, l.gutter, px),
+                                Layout::locate(&l.lines_y, l.gutter, py),
+                            )
+                        };
+                        assert_eq!(l.owner(px, py), search, "{gw}x{gh} side {side} ({px},{py})");
+                    }
+                }
+            }
+        }
+        assert_eq!(Layout::new(6, 6, 6).gutter(), 0);
+        assert_eq!(Layout::new(7, 13, 14).gutter(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::error::ServeError;
 use crate::queue::{Request, RequestQueue};
 use crate::stats::{PerModel, ServeStats, StatsSnapshot};
 use pop_core::features::tensor_to_image;
-use pop_core::{CoreError, Forecaster, Pix2Pix, QuantizedForecaster};
+use pop_core::{CoreError, Forecaster, InferencePlan, Pix2Pix, QuantizedForecaster};
 use pop_exec::WorkerPool;
 use pop_nn::Tensor;
 use pop_raster::Image;
@@ -26,8 +26,9 @@ pub struct EngineConfig {
     pub max_wait: Duration,
     /// Bound of the request queue — the backpressure threshold.
     pub queue_capacity: usize,
-    /// Worker threads. Each worker owns a private replica of the model, so
-    /// distinct batches run genuinely in parallel.
+    /// Worker threads. They share one immutable copy of the weights and
+    /// keep their activations to themselves, so distinct batches run
+    /// genuinely in parallel.
     pub workers: usize,
     /// Artificial delay added to every forward pass — a load-shaping /
     /// testing knob simulating a slower model (leave zero in production).
@@ -74,20 +75,20 @@ struct InputSpec {
     resolution: usize,
 }
 
-/// One worker's private model: the f32 checkpoint or its i8 snapshot
-/// (the alternate replica kind). The quantized variant is a
-/// cheap `Arc`-free clone of immutable weights and forecasts through
-/// `&self` — no per-worker activation caches to replicate.
-#[derive(Debug)]
+/// One worker's handle on the model: the engine's one f32 inference plan,
+/// shared, or a clone of the i8 snapshot (the alternate replica kind).
+/// Both are immutable weights forecasting through `&self` — there is no
+/// per-worker trainer or activation cache to replicate.
+#[derive(Debug, Clone)]
 enum Replica {
-    F32(Box<Pix2Pix>),
+    F32(Arc<InferencePlan>),
     Quantized(QuantizedForecaster),
 }
 
 impl Replica {
-    fn forecast_batch(&mut self, xs: &[&Tensor]) -> Result<Vec<Tensor>, ServeError> {
+    fn forecast_batch(&self, xs: &[&Tensor]) -> Result<Vec<Tensor>, ServeError> {
         match self {
-            Replica::F32(model) => Ok(model.forecast_batch(xs)),
+            Replica::F32(plan) => Ok(plan.forecast_batch(xs)),
             // Infallible for spec-checked inputs, but the trait is
             // fallible: route any error to the requests in this batch
             // instead of panicking the worker.
@@ -122,8 +123,10 @@ impl InputSpec {
 /// Requests submitted through [`ForecastClient`]s land in a bounded queue;
 /// each worker pops the oldest request plus any shape-compatible requests
 /// *already queued* (up to [`EngineConfig::max_batch`]), stacks them along
-/// the batch dimension, runs one generator forward on its private model
-/// replica, and splits the painted heat maps back per request.
+/// the batch dimension and runs one forward of the engine's
+/// [`InferencePlan`] — a single copy of the generator's weights, read out
+/// of the checkpoint at start and shared by every worker — which paints
+/// each request's heat map into a tensor of its own.
 /// Inference-mode layers treat batch elements independently, so every
 /// answer is bitwise-identical to an exclusive single-request
 /// [`Pix2Pix::forecast`].
@@ -153,7 +156,9 @@ pub struct ForecastEngine {
 }
 
 impl ForecastEngine {
-    /// Starts an engine serving `model`, replicating it once per worker.
+    /// Starts an engine serving `model`'s generator as it stands: the
+    /// workers share its [`Pix2Pix::plan`], and the trainer itself
+    /// (discriminator, gradients, optimiser state) is dropped.
     ///
     /// # Errors
     ///
@@ -173,7 +178,7 @@ impl ForecastEngine {
     ///
     /// Propagates [`ForecastEngine::start`] validation failures.
     pub fn start_with_stats(
-        model: Pix2Pix,
+        mut model: Pix2Pix,
         config: EngineConfig,
         stats: Arc<ServeStats>,
     ) -> Result<Self, ServeError> {
@@ -181,14 +186,7 @@ impl ForecastEngine {
             channels: model.config().input_channels(),
             resolution: model.config().resolution,
         };
-        // One private replica per worker; the last worker takes the
-        // original model instead of an extra clone.
-        let mut replicas: Vec<Replica> = Vec::with_capacity(config.workers);
-        for _ in 1..config.workers {
-            replicas.push(Replica::F32(Box::new(model.clone())));
-        }
-        replicas.push(Replica::F32(Box::new(model)));
-        Self::start_replicas(replicas, spec, config, stats)
+        Self::start_replicas(Replica::F32(model.plan()), spec, config, stats)
     }
 
     /// Starts an engine over an i8 snapshot ([`QuantizedForecaster`]) — the
@@ -232,14 +230,12 @@ impl ForecastEngine {
             channels: config_hint.input_channels(),
             resolution: config_hint.resolution,
         };
-        let replicas: Vec<Replica> = (0..config.workers)
-            .map(|_| Replica::Quantized(model.clone()))
-            .collect();
-        Self::start_replicas(replicas, spec, config, stats)
+        Self::start_replicas(Replica::Quantized(model), spec, config, stats)
     }
 
+    /// Spawns the workers, each with its own clone of `replica`.
     fn start_replicas(
-        mut replicas: Vec<Replica>,
+        replica: Replica,
         spec: InputSpec,
         config: EngineConfig,
         stats: Arc<ServeStats>,
@@ -252,9 +248,7 @@ impl ForecastEngine {
             .as_deref()
             .map(|label| stats.per_model(label));
         let workers = WorkerPool::spawn("pop-serve", config.workers, |_| {
-            // lint: allow(panic_path) — construction-time: `validate()`
-            // guarantees exactly `workers` replicas were built
-            let replica = replicas.pop().expect("one replica per worker");
+            let replica = replica.clone();
             let queue = Arc::clone(&queue);
             let stats = Arc::clone(&stats);
             let cfg = config.clone();
@@ -314,7 +308,7 @@ impl Drop for ForecastEngine {
 }
 
 fn worker_loop(
-    mut model: Replica,
+    model: Replica,
     queue: Arc<RequestQueue>,
     stats: Arc<ServeStats>,
     cfg: EngineConfig,
@@ -347,10 +341,10 @@ fn worker_loop(
         let started = Instant::now();
         // A panicking forward (impossible for spec-checked inputs, but the
         // model is swappable) must not wedge the whole engine: convert it
-        // into per-request errors and keep serving. Eval-mode forwards
-        // rebuild every layer cache from scratch and trust nothing the
-        // thread's lowering workspace held before (buffers lost to the
-        // unwind are regrown), so the replica stays usable afterwards.
+        // into per-request errors and keep serving. A forward keeps no
+        // state in the replica and trusts nothing the thread's lowering
+        // workspace held before (buffers lost to the unwind are regrown),
+        // so the replica stays usable afterwards.
         let outputs = std::panic::catch_unwind(AssertUnwindSafe(|| model.forecast_batch(&inputs)));
         let forward_us = started.elapsed().as_micros() as u64;
         stats.record_batch(batch.len(), forward_us);
@@ -570,6 +564,28 @@ mod tests {
         (0..n as u64)
             .map(|i| Tensor::randn([1, 4, 16, 16], 0.0, 0.5, seed + i))
             .collect()
+    }
+
+    /// An engine holds the weights once: every worker's replica is a handle
+    /// on the plan the model already had, not a copy of the trainer.
+    #[test]
+    fn workers_share_one_plan() {
+        let mut trainer = model();
+        let plan = trainer.plan();
+        let engine = ForecastEngine::start(
+            trainer,
+            EngineConfig {
+                workers: 2,
+                ..EngineConfig::default()
+            },
+        )
+        .expect("engine starts");
+        assert_eq!(Arc::strong_count(&plan), 3, "ours and one per worker");
+        let x = &inputs_of(1, 40)[0];
+        let served = engine.client().forecast_tensor(x).expect("forecast");
+        assert!(same_bits(&served, &plan.forward(x)));
+        drop(engine);
+        assert_eq!(Arc::strong_count(&plan), 1);
     }
 
     /// A forward that panics part-way leaves the replica — and the

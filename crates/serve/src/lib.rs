@@ -16,10 +16,12 @@
 //!   request plus up to [`EngineConfig::max_batch`] shape-compatible
 //!   requests that are *already queued* — it never sleeps holding a
 //!   request, so batches form exactly when workers are busy and the queue
-//!   backs up, and a lone caller is served at once — stacks them along the
-//!   `nn::Tensor` batch dimension, runs **one** generator forward on a
-//!   private model replica, and splits the painted heat maps back per
-//!   request. Inference-mode layers treat batch elements independently, so
+//!   backs up, and a lone caller is served at once — and runs them through
+//!   **one** forward of the generator's inference plan
+//!   ([`pop_core::InferencePlan`]: one copy of the weights per engine,
+//!   shared by every worker), which reads each request from, and paints
+//!   its heat map into, a tensor of its own.
+//!   Inference-mode layers treat batch elements independently, so
 //!   every answer is bitwise-identical to an exclusive
 //!   [`Pix2Pix::forecast`](pop_core::Pix2Pix::forecast) call.
 //! * [`ForecastClient`] — the cheap, cloneable blocking handle:
