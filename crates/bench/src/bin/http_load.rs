@@ -198,17 +198,9 @@ fn run(addr: SocketAddr, target: &Target, plan: &LoadPlan) -> LoadReport {
                                 latency_us.record_duration(t0.elapsed());
                             }
                             Ok(res) if res.status == 429 => rejected += 1,
-                            Ok(_) | Err(_) => {
-                                errors += 1;
-                                // The server closes errored connections:
-                                // reconnect so one fault doesn't void the
-                                // rest of the loop.
-                                if let Ok(fresh) =
-                                    HttpClient::connect_with_timeout(addr, Duration::from_secs(60))
-                                {
-                                    client = fresh;
-                                }
-                            }
+                            // The client reconnects by itself, so one
+                            // fault doesn't void the rest of the loop.
+                            Ok(_) | Err(_) => errors += 1,
                         }
                         if plan.burst > 0 && (i + 1) % plan.burst == 0 {
                             std::thread::sleep(plan.pause);

@@ -210,7 +210,8 @@ pub fn realtime_forecast(
 /// [`realtime_forecast`] over any shared [`Forecaster`] — the entry point
 /// the serving engine plugs into: an annealer callback can hold a cheap
 /// client handle while a `pop-serve` engine batches its forecasts with
-/// everyone else's.
+/// everyone else's — or, with nobody else asking, runs each on the
+/// annealer's own thread.
 ///
 /// # Errors
 ///

@@ -136,6 +136,16 @@ impl QuantizedForecaster {
     pub fn generator(&self) -> &QuantizedGenerator {
         &self.gen
     }
+
+    /// Heat maps for many inputs from one stacked forward — infallible,
+    /// and inherent so that `pop-serve`'s replica calls it without going
+    /// through the [`Forecaster`] trait (whose other implementors block).
+    pub fn forecast_stacked(&self, xs: &[&Tensor]) -> Vec<Tensor> {
+        if xs.is_empty() {
+            return Vec::new();
+        }
+        self.gen.forward(&Tensor::stack_batch(xs)).split_batch()
+    }
 }
 
 impl Forecaster for QuantizedForecaster {
@@ -144,11 +154,7 @@ impl Forecaster for QuantizedForecaster {
     }
 
     fn forecast_batch(&self, xs: &[&Tensor]) -> Result<Vec<Tensor>, CoreError> {
-        if xs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let batch = Tensor::stack_batch(xs);
-        Ok(self.gen.forward(&batch).split_batch())
+        Ok(self.forecast_stacked(xs))
     }
 }
 

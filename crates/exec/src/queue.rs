@@ -300,6 +300,14 @@ impl<T> BoundedQueue<T> {
         self.lock().closed
     }
 
+    /// True while the queue accepts items and holds none, read under one
+    /// lock: what a producer able to do an item's work itself asks before
+    /// it decides to skip the hand-off.
+    pub fn is_open_and_empty(&self) -> bool {
+        let st = self.lock();
+        !st.closed && st.deque.is_empty()
+    }
+
     /// Current queue depth.
     pub fn len(&self) -> usize {
         // lint: allow(blocking) — depth probe; same few-op critical
@@ -341,15 +349,18 @@ mod tests {
     #[test]
     fn pop_drains_in_fifo_order_then_signals_shutdown() {
         let q = BoundedQueue::new(4);
+        assert!(q.is_open_and_empty());
         for i in 0..3 {
             q.push(i).unwrap();
         }
+        assert!(!q.is_open_and_empty(), "open, not empty");
         q.close();
         assert!(matches!(q.try_push(9), Err(PushError::Closed(9))));
         assert_eq!(q.pop(), Some(0));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
+        assert!(!q.is_open_and_empty(), "empty, not open");
     }
 
     #[test]

@@ -32,10 +32,18 @@ impl ClientResponse {
     }
 }
 
-/// A blocking keep-alive connection to one server.
+/// A blocking keep-alive connection to one server, re-opened when the
+/// server says it is closing it (its per-connection request cap, a drain)
+/// or an exchange fails.
 #[derive(Debug)]
 pub struct HttpClient {
     stream: TcpStream,
+    addr: SocketAddr,
+    timeout: Duration,
+    /// The last exchange failed or its response carried `Connection:
+    /// close`: the socket behind `stream` is no good and the next
+    /// [`HttpClient::send`] connects afresh.
+    reconnect: bool,
 }
 
 impl HttpClient {
@@ -60,7 +68,12 @@ impl HttpClient {
         // Request/response traffic is latency-bound: never trade a
         // round-trip for segment coalescing.
         stream.set_nodelay(true)?;
-        Ok(HttpClient { stream })
+        Ok(HttpClient {
+            stream,
+            addr,
+            timeout,
+            reconnect: false,
+        })
     }
 
     /// Raw access, for fault-injection tests (half-writes, early close).
@@ -86,18 +99,24 @@ impl HttpClient {
         self.send("POST", path, Some(body))
     }
 
-    /// Writes one request and reads one response.
+    /// Writes one request and reads one response, on a fresh connection
+    /// if the previous exchange failed or announced `Connection: close`.
     ///
     /// # Errors
     ///
-    /// Propagates transport failures and malformed responses
-    /// (`ErrorKind::InvalidData`).
+    /// Propagates transport (and reconnect) failures and malformed
+    /// responses (`ErrorKind::InvalidData`).
     pub fn send(
         &mut self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<ClientResponse> {
+        if self.reconnect {
+            *self = Self::connect_with_timeout(self.addr, self.timeout)?;
+        }
+        // Until a response says the connection lives on.
+        self.reconnect = true;
         let body = body.unwrap_or_default();
         let head = format!(
             "{method} {path} HTTP/1.1\r\nHost: pop\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
@@ -111,7 +130,11 @@ impl HttpClient {
         frame.extend_from_slice(body.as_bytes());
         self.stream.write_all(&frame)?;
         self.stream.flush()?;
-        read_response(&mut self.stream)
+        let response = read_response(&mut self.stream)?;
+        self.reconnect = response
+            .header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
+        Ok(response)
     }
 }
 
@@ -195,6 +218,46 @@ pub fn read_response(r: &mut impl Read) -> std::io::Result<ClientResponse> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ForecastService, HttpServer, ServerConfig};
+    use pop_core::{ExperimentConfig, Pix2Pix};
+
+    /// The server caps requests per connection and says so in the last
+    /// response; request cap + 1 used to be written into the closing
+    /// socket and fail.
+    #[test]
+    fn reconnects_after_connection_close_and_after_a_failed_exchange() {
+        let service = ForecastService::builder()
+            .model("m", Pix2Pix::new(&ExperimentConfig::test(), 1).unwrap())
+            .build()
+            .unwrap();
+        let config = ServerConfig {
+            max_requests_per_conn: 3,
+            ..ServerConfig::default()
+        };
+        let server = HttpServer::start(service, config).unwrap();
+        let mut client = HttpClient::connect(server.local_addr()).unwrap();
+        for i in 1..=7 {
+            let res = client.get("/healthz").unwrap();
+            assert_eq!(res.status, 200, "request {i}");
+            let last_on_connection = i % 3 == 0;
+            assert_eq!(
+                res.header("connection") == Some("close"),
+                last_on_connection,
+                "request {i}"
+            );
+        }
+        // A failed exchange is the other reason to start afresh.
+        client
+            .stream_mut()
+            .shutdown(std::net::Shutdown::Both)
+            .unwrap();
+        assert!(client.get("/healthz").is_err(), "the socket is gone");
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+        drop(client); // or the drain waits out the idle connection
+        let report = server.shutdown();
+        assert_eq!(report.http.connections, 4, "3 + 3 + 1 + 1 requests");
+        assert_eq!(report.http.requests, 8);
+    }
 
     #[test]
     fn parses_a_serialized_response() {

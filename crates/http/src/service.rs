@@ -239,24 +239,22 @@ impl ForecastService {
             Ok(t) => t,
             Err(e) => return Response::error(e.status, &e.message),
         };
-        match client.try_submit(&tensor) {
-            Ok(pending) => match pending.wait() {
-                Ok(out) => {
-                    // Rendered once, into the bytes the response owns.
-                    let mut body = Vec::new();
-                    api::write_forecast_response(&mut body, &label, quantized, &out);
-                    Response::json(200, body)
-                }
-                // Engine errors (including a caught worker panic) become
-                // per-request 500s; the connection and the engine live on.
-                Err(e) => Response::error(500, &format!("forecast failed: {e}")),
-            },
+        // Runs on this connection worker when the engine has no backlog.
+        match client.try_forecast_tensor(&tensor) {
+            Ok(out) => {
+                // Rendered once, into the bytes the response owns.
+                let mut body = Vec::new();
+                api::write_forecast_response(&mut body, &label, quantized, &out);
+                Response::json(200, body)
+            }
             Err(ServeError::QueueFull) => {
                 Response::error(429, "forecast queue is full").header("Retry-After", "1")
             }
             Err(ServeError::BadInput(m)) => Response::error(400, &m),
             Err(ServeError::ShuttingDown) => Response::error(503, "service is shutting down"),
-            Err(e) => Response::error(500, &format!("submit failed: {e}")),
+            // Engine errors (including a caught forward panic) become
+            // per-request 500s; the connection and the engine live on.
+            Err(e) => Response::error(500, &format!("forecast failed: {e}")),
         }
     }
 
@@ -606,6 +604,23 @@ mod tests {
             doc.get("http").unwrap().get("requests").unwrap().as_u64(),
             Some(5)
         );
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_lone_forecast_runs_on_the_thread_that_handles_it() {
+        let svc = service();
+        let body = api::render_forecast_request(None, false, &features(13));
+        assert_eq!(svc.handle(&post("/v1/forecast", body)).status(), 200);
+        assert_eq!(svc.queue_depth("base"), Some(0));
+        let snap = svc.stats();
+        assert_eq!((snap.submitted, snap.caller_runs, snap.batches), (1, 1, 1));
+        // The new series is in the dump; the pinned sections do not grow.
+        let res = svc.handle(&get("/v1/stats"));
+        let doc = json::parse(std::str::from_utf8(res.body()).unwrap()).unwrap();
+        let counters = doc.get("metrics").unwrap().get("counters").unwrap();
+        assert_eq!(counters.get("serve.caller_runs").unwrap().as_u64(), Some(1));
+        assert!(doc.get("serve").unwrap().get("caller_runs").is_none());
         svc.shutdown();
     }
 

@@ -1,6 +1,6 @@
 //! The forecast-serving engine: a worker pool draining the request queue
 //! in shape-coalesced batches of whatever is already queued, plus the
-//! blocking client handle.
+//! blocking client handle, which runs a forecast itself when none is.
 
 use crate::error::ServeError;
 use crate::queue::{Request, RequestQueue};
@@ -11,7 +11,7 @@ use pop_exec::WorkerPool;
 use pop_nn::Tensor;
 use pop_raster::Image;
 use std::panic::AssertUnwindSafe;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of a [`ForecastEngine`].
@@ -28,7 +28,8 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Worker threads. They share one immutable copy of the weights and
     /// keep their activations to themselves, so distinct batches run
-    /// genuinely in parallel.
+    /// genuinely in parallel. As many blocking forecasts may run on their
+    /// callers' threads (see [`ForecastEngine`]).
     pub workers: usize,
     /// Artificial delay added to every forward pass — a load-shaping /
     /// testing knob simulating a slower model (leave zero in production).
@@ -75,26 +76,21 @@ struct InputSpec {
     resolution: usize,
 }
 
-/// One worker's handle on the model: the engine's one f32 inference plan,
-/// shared, or a clone of the i8 snapshot (the alternate replica kind).
-/// Both are immutable weights forecasting through `&self` — there is no
-/// per-worker trainer or activation cache to replicate.
-#[derive(Debug, Clone)]
+/// The engine's handle on the model, its f32 inference plan or the i8
+/// snapshot: immutable weights, `&self` forecasts, one for all threads.
+#[derive(Debug)]
 enum Replica {
     F32(Arc<InferencePlan>),
     Quantized(QuantizedForecaster),
 }
 
 impl Replica {
-    fn forecast_batch(&self, xs: &[&Tensor]) -> Result<Vec<Tensor>, ServeError> {
+    fn forecast_batch(&self, xs: &[&Tensor]) -> Vec<Tensor> {
         match self {
-            Replica::F32(plan) => Ok(plan.forecast_batch(xs)),
-            // Infallible for spec-checked inputs, but the trait is
-            // fallible: route any error to the requests in this batch
-            // instead of panicking the worker.
-            Replica::Quantized(q) => q
-                .forecast_batch(xs)
-                .map_err(|e| ServeError::Model(e.to_string())),
+            // By path: pop-lint resolves a method on a pattern binding by
+            // name alone, and blocking `Forecaster`s share this one.
+            Replica::F32(plan) => InferencePlan::forecast_batch(plan, xs),
+            Replica::Quantized(q) => q.forecast_stacked(xs),
         }
     }
 
@@ -133,26 +129,123 @@ impl InputSpec {
 ///
 /// Batching is work-conserving: a worker that holds a request never sleeps
 /// waiting for a second one. Batches form while every worker is busy and
-/// the queue backs up — the only time a fuller batch buys anything — and a
-/// lone caller blocking on one forecast at a time (the §5.4 annealer) is
-/// served at once. The timed straggler window this replaces lost its A/B
-/// at every concurrency measured (2-vCPU host): 2 closed-loop HTTP clients
-/// went 987 → 1 880 requests/s and p50 1.98 → 0.95 ms without it; 32-deep
-/// in-process rounds kept their occupancy (4.9 → 5.1, it always came from
-/// backlog) while queue wait per request fell 754 → 187 µs; and per-item
-/// forward time is flat in the batch size (64×64: ≈ 1.9 ms at batch 1 and
-/// at batch 8), so a fuller batch had nothing left to buy with the
-/// ≥ 500 µs and the timer wake-up every request paid for it.
+/// the queue backs up, which is when a fuller batch pays: a forward of
+/// eight costs about two thirds of eight forwards of one (quick model,
+/// `BENCH_kernels.json`: 882 against 1 340 µs per image). A timed
+/// straggler window lost its A/B at every concurrency measured (README,
+/// "Serving over HTTP"): occupancy always came from backlog.
 ///
-/// Dropping the engine closes the queue, drains already-accepted requests
-/// and joins the workers.
+/// A *blocking* forecast ([`ForecastClient::forecast`], `forecast_tensor`,
+/// `try_forecast_tensor`, the [`Forecaster`] impl) that finds the queue
+/// open and empty runs the plan on the thread that asked, as a batch of
+/// one: there is no batch to join, and the hand-off to a worker and back
+/// cost two thread wake-ups, an input copy and a channel (32×32 model:
+/// 134 µs around a 166 µs forward). At most [`EngineConfig::workers`]
+/// callers do so at once; the next one, and everyone while anything is
+/// queued, takes the queue, so batching from backlog, `QueueFull` and
+/// shutdown are as they were and at most `2 × workers` forwards are in
+/// flight. `submit` / `try_submit` always queue.
+///
+/// Shutdown (or drop) closes the queue, drains accepted requests, joins
+/// the workers and waits for forecasts still running on their callers.
 #[derive(Debug)]
 pub struct ForecastEngine {
-    queue: Arc<RequestQueue>,
-    stats: Arc<ServeStats>,
-    spec: InputSpec,
-    config: EngineConfig,
+    shared: Arc<Shared>,
     workers: WorkerPool,
+}
+
+/// What an engine's workers and clients share.
+#[derive(Debug)]
+struct Shared {
+    replica: Replica,
+    spec: InputSpec,
+    queue: RequestQueue,
+    stats: Arc<ServeStats>,
+    /// Resolved at start, not per batch: the registry look-up locks.
+    per_model: Option<PerModel>,
+    config: EngineConfig,
+    /// Forecasts running on their callers' threads; workers never touch it.
+    callers: Mutex<usize>,
+    /// Signalled when `callers` falls, for shutdown.
+    callers_done: Condvar,
+}
+
+/// A caller's admission to run its own forecast, given back on drop.
+struct CallerTurn<'a>(&'a Shared);
+
+impl Drop for CallerTurn<'_> {
+    fn drop(&mut self) {
+        *self.0.callers() -= 1;
+        self.0.callers_done.notify_all();
+    }
+}
+
+impl Shared {
+    fn callers(&self) -> MutexGuard<'_, usize> {
+        // A bare count: valid wherever a panicking holder left it.
+        self.callers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Admits the calling thread to run one forecast itself: fewer than
+    /// `workers` callers are, and the queue is open and empty. The turn is
+    /// taken *before* that look, so a shutdown closing the queue after it
+    /// finds the turn held and waits.
+    fn caller_turn(&self) -> Option<CallerTurn<'_>> {
+        let mut callers = self.callers();
+        if *callers >= self.config.workers {
+            return None;
+        }
+        *callers += 1;
+        drop(callers);
+        self.queue.is_open_and_empty().then_some(CallerTurn(self))
+    }
+
+    /// Serves one batch on the calling thread — a worker's, or a caller's
+    /// with a batch of one: one forward over `inputs`, one answer per
+    /// request, each counted here (with the queue wait and latency from its
+    /// `enqueued` time) before anyone can see it.
+    fn serve_batch(
+        &self,
+        inputs: &[&Tensor],
+        enqueued: impl Iterator<Item = Instant> + Clone,
+    ) -> Vec<Result<Tensor, ServeError>> {
+        let taken = Instant::now();
+        for at in enqueued.clone() {
+            let waited = taken.saturating_duration_since(at);
+            self.stats.queue_wait_us.record_duration(waited);
+        }
+        if !self.config.forward_delay.is_zero() {
+            // lint: allow(blocking) — synthetic forward-delay pacing for
+            // latency experiments; zero (a no-op) in production configs.
+            std::thread::sleep(self.config.forward_delay);
+        }
+        let _span = pop_obs::span!("serve_batch", size = inputs.len());
+        let started = Instant::now();
+        // A panicking forward (impossible for spec-checked inputs, but the
+        // model is swappable) becomes per-request errors. A forward keeps no
+        // state in the replica and trusts nothing the thread's lowering
+        // workspace held before (buffers lost to the unwind are regrown),
+        // so the replica and the thread — a caller's too — stay usable.
+        let outputs =
+            std::panic::catch_unwind(AssertUnwindSafe(|| self.replica.forecast_batch(inputs)));
+        let forward_us = started.elapsed().as_micros() as u64;
+        self.stats.record_batch(inputs.len(), forward_us);
+        let (ok, quantized) = (outputs.is_ok(), self.replica.quantized());
+        for at in enqueued {
+            let latency_us = at.elapsed().as_micros() as u64;
+            self.stats.record_request_done(ok, latency_us, quantized);
+            if let Some(per_model) = &self.per_model {
+                per_model.record(ok, latency_us);
+            }
+        }
+        match outputs {
+            Ok(outputs) => outputs.into_iter().map(Ok).collect(),
+            Err(panic) => {
+                let msg = format!("forward panicked: {}", panic_message(&panic));
+                vec![Err(ServeError::Model(msg)); inputs.len()]
+            }
+        }
+    }
 }
 
 impl ForecastEngine {
@@ -186,11 +279,11 @@ impl ForecastEngine {
             channels: model.config().input_channels(),
             resolution: model.config().resolution,
         };
-        Self::start_replicas(Replica::F32(model.plan()), spec, config, stats)
+        Self::start_replica(Replica::F32(model.plan()), spec, config, stats)
     }
 
     /// Starts an engine over an i8 snapshot ([`QuantizedForecaster`]) — the
-    /// opt-in quantized replica kind. Every worker clones the same
+    /// opt-in quantized replica kind. Every worker reads the same
     /// immutable snapshot; answers land in the quantized latency series of
     /// [`StatsSnapshot`] (`p50_quant_latency_us` / `p99_quant_latency_us`).
     ///
@@ -230,74 +323,68 @@ impl ForecastEngine {
             channels: config_hint.input_channels(),
             resolution: config_hint.resolution,
         };
-        Self::start_replicas(Replica::Quantized(model), spec, config, stats)
+        Self::start_replica(Replica::Quantized(model), spec, config, stats)
     }
 
-    /// Spawns the workers, each with its own clone of `replica`.
-    fn start_replicas(
+    /// Spawns the workers over the one `replica`.
+    fn start_replica(
         replica: Replica,
         spec: InputSpec,
         config: EngineConfig,
         stats: Arc<ServeStats>,
     ) -> Result<Self, ServeError> {
         config.validate()?;
-        let queue = Arc::new(RequestQueue::new(config.queue_capacity));
-        // Resolved here, not in the worker: the registry look-up locks.
-        let per_model = config
-            .model_label
-            .as_deref()
-            .map(|label| stats.per_model(label));
-        let workers = WorkerPool::spawn("pop-serve", config.workers, |_| {
-            let replica = replica.clone();
-            let queue = Arc::clone(&queue);
-            let stats = Arc::clone(&stats);
-            let cfg = config.clone();
-            let per_model = per_model.clone();
-            move || worker_loop(replica, queue, stats, cfg, per_model)
-        });
-        Ok(ForecastEngine {
-            queue,
-            stats,
+        let shared = Arc::new(Shared {
+            replica,
             spec,
+            queue: RequestQueue::new(config.queue_capacity),
+            per_model: config.model_label.as_deref().map(|l| stats.per_model(l)),
+            stats,
             config,
-            workers,
-        })
+            callers: Mutex::new(0),
+            callers_done: Condvar::new(),
+        });
+        let workers = WorkerPool::spawn("pop-serve", shared.config.workers, |_| {
+            let shared = Arc::clone(&shared);
+            move || worker_loop(&shared)
+        });
+        Ok(ForecastEngine { shared, workers })
     }
 
     /// A cheap cloneable handle for submitting requests.
     pub fn client(&self) -> ForecastClient {
         ForecastClient {
-            queue: Arc::clone(&self.queue),
-            stats: Arc::clone(&self.stats),
-            spec: self.spec,
+            shared: Arc::clone(&self.shared),
         }
     }
 
     /// Live telemetry.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// The configuration the engine runs with.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// Current request-queue depth.
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.shared.queue.len()
     }
 
-    /// Graceful shutdown: stops accepting requests, serves everything
-    /// already queued, joins the workers and returns the final counters.
+    /// Graceful shutdown: stops accepting requests, answers every accepted
+    /// one, joins the workers and returns the final counters.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.close_and_join();
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     fn close_and_join(&mut self) {
-        self.queue.close();
+        self.shared.queue.close();
         let _ = self.workers.join();
+        let callers = self.shared.callers();
+        drop(self.shared.callers_done.wait_while(callers, |n| *n > 0));
     }
 }
 
@@ -307,62 +394,12 @@ impl Drop for ForecastEngine {
     }
 }
 
-fn worker_loop(
-    model: Replica,
-    queue: Arc<RequestQueue>,
-    stats: Arc<ServeStats>,
-    cfg: EngineConfig,
-    per_model: Option<PerModel>,
-) {
-    let quantized = model.quantized();
-    // Every answer, good or bad, leaves through here: one place counts it.
-    let respond = |req: Request, answer: Result<Tensor, ServeError>| {
-        let latency_us = req.enqueued.elapsed().as_micros() as u64;
-        stats.record_request_done(answer.is_ok(), latency_us, quantized);
-        if let Some(per_model) = &per_model {
-            per_model.record(answer.is_ok(), latency_us);
-        }
-        let _ = req.respond.send(answer);
-    };
-    while let Some(batch) = queue.pop_batch(cfg.max_batch) {
-        let popped = Instant::now();
-        for req in &batch {
-            stats
-                .queue_wait_us
-                .record_duration(popped.saturating_duration_since(req.enqueued));
-        }
-        if !cfg.forward_delay.is_zero() {
-            // lint: allow(blocking) — synthetic forward-delay pacing for
-            // latency experiments; zero (a no-op) in production configs.
-            std::thread::sleep(cfg.forward_delay);
-        }
+fn worker_loop(shared: &Shared) {
+    while let Some(batch) = shared.queue.pop_batch(shared.config.max_batch) {
         let inputs: Vec<&Tensor> = batch.iter().map(|r| &r.input).collect();
-        let _span = pop_obs::span!("serve_batch", size = batch.len());
-        let started = Instant::now();
-        // A panicking forward (impossible for spec-checked inputs, but the
-        // model is swappable) must not wedge the whole engine: convert it
-        // into per-request errors and keep serving. A forward keeps no
-        // state in the replica and trusts nothing the thread's lowering
-        // workspace held before (buffers lost to the unwind are regrown),
-        // so the replica stays usable afterwards.
-        let outputs = std::panic::catch_unwind(AssertUnwindSafe(|| model.forecast_batch(&inputs)));
-        let forward_us = started.elapsed().as_micros() as u64;
-        stats.record_batch(batch.len(), forward_us);
-        let outputs = outputs.unwrap_or_else(|panic| {
-            let msg = panic_message(&panic);
-            Err(ServeError::Model(format!("forward panicked: {msg}")))
-        });
-        match outputs {
-            Ok(outputs) => {
-                for (req, out) in batch.into_iter().zip(outputs) {
-                    respond(req, Ok(out));
-                }
-            }
-            Err(err) => {
-                for req in batch {
-                    respond(req, Err(err.clone()));
-                }
-            }
+        let answers = shared.serve_batch(&inputs, batch.iter().map(|r| r.enqueued));
+        for (req, answer) in batch.into_iter().zip(answers) {
+            let _ = req.respond.send(answer);
         }
     }
 }
@@ -392,9 +429,6 @@ impl PendingForecast {
     /// Returns [`ServeError::ShuttingDown`] when the engine terminated
     /// before answering, or the error the worker reported.
     pub fn wait(self) -> Result<Tensor, ServeError> {
-        // lint: allow(blocking) — blocking is this API's contract (client
-        // side of the request-response seam); workers reach it only
-        // through the `Forecaster` trait over-approximation.
         self.rx.recv().map_err(|_| ServeError::ShuttingDown)?
     }
 
@@ -404,7 +438,6 @@ impl PendingForecast {
     ///
     /// Propagates [`PendingForecast::wait`] failures.
     pub fn wait_image(self) -> Result<Image, ServeError> {
-        // lint: allow(blocking) — see `PendingForecast::wait`.
         Ok(tensor_to_image(&self.wait()?))
     }
 }
@@ -412,18 +445,17 @@ impl PendingForecast {
 /// A cheap, cloneable, thread-safe handle onto a [`ForecastEngine`].
 ///
 /// `forecast` is the blocking request-response call the annealer callback
-/// uses; `submit`/`try_submit` expose the asynchronous and backpressure
-/// halves separately.
+/// uses (run on the calling thread when the engine has no backlog — see
+/// [`ForecastEngine`]); `submit`/`try_submit` expose the asynchronous and
+/// backpressure halves separately and always queue.
 #[derive(Debug, Clone)]
 pub struct ForecastClient {
-    queue: Arc<RequestQueue>,
-    stats: Arc<ServeStats>,
-    spec: InputSpec,
+    shared: Arc<Shared>,
 }
 
 impl ForecastClient {
     fn make_request(&self, x: &Tensor) -> Result<(Request, PendingForecast), ServeError> {
-        self.spec.check(x)?;
+        self.shared.spec.check(x)?;
         let (tx, rx) = mpsc::channel();
         Ok((
             Request {
@@ -443,8 +475,8 @@ impl ForecastClient {
     /// take and [`ServeError::ShuttingDown`] after engine shutdown.
     pub fn submit(&self, x: &Tensor) -> Result<PendingForecast, ServeError> {
         let (req, pending) = self.make_request(x)?;
-        self.queue.push(req)?;
-        self.stats.submitted.inc();
+        self.shared.queue.push(req)?;
+        self.shared.stats.submitted.inc();
         Ok(pending)
     }
 
@@ -456,44 +488,72 @@ impl ForecastClient {
     /// saturated, plus every [`ForecastClient::submit`] error.
     pub fn try_submit(&self, x: &Tensor) -> Result<PendingForecast, ServeError> {
         let (req, pending) = self.make_request(x)?;
-        match self.queue.try_push(req) {
+        match self.shared.queue.try_push(req) {
             Ok(()) => {
-                self.stats.submitted.inc();
+                self.shared.stats.submitted.inc();
                 Ok(pending)
             }
             Err(e) => {
                 if e == ServeError::QueueFull {
-                    self.stats.rejected.inc();
+                    self.shared.stats.rejected.inc();
                 }
                 Err(e)
             }
         }
     }
 
-    /// Blocking request-response: submit, wait, decode to an image.
+    /// One forecast, start to answer: on this thread when admitted (see
+    /// [`ForecastEngine`]), otherwise through the queue by way of `queue`.
+    fn forecast_via(
+        &self,
+        x: &Tensor,
+        queue: fn(&Self, &Tensor) -> Result<PendingForecast, ServeError>,
+    ) -> Result<Tensor, ServeError> {
+        let shared = &*self.shared;
+        let Some(_turn) = shared.caller_turn() else {
+            return queue(self, x)?.wait();
+        };
+        shared.spec.check(x)?;
+        shared.stats.submitted.inc();
+        shared.stats.caller_runs.inc();
+        let mut answers = shared.serve_batch(&[x], std::iter::once(Instant::now()));
+        answers.pop().unwrap_or(Err(ServeError::ShuttingDown))
+    }
+
+    /// Blocking request-response, decoded to an image.
     ///
     /// # Errors
     ///
-    /// Propagates submission and transport failures.
+    /// Propagates [`ForecastClient::forecast_tensor`] failures.
     pub fn forecast(&self, x: &Tensor) -> Result<Image, ServeError> {
-        self.submit(x)?.wait_image()
+        Ok(tensor_to_image(&self.forecast_tensor(x)?))
     }
 
     /// Blocking request-response returning the raw `[-1, 1]` tensor.
     ///
     /// # Errors
     ///
-    /// Propagates submission and transport failures.
+    /// Every [`ForecastClient::submit`] error, and [`ServeError::Model`]
+    /// for a forward that failed.
     pub fn forecast_tensor(&self, x: &Tensor) -> Result<Tensor, ServeError> {
-        // lint: allow(blocking) — see `PendingForecast::wait`.
-        self.submit(x)?.wait()
+        self.forecast_via(x, Self::submit)
+    }
+
+    /// [`ForecastClient::forecast_tensor`] for a front end with its own
+    /// backpressure answer: it never waits for queue space.
+    ///
+    /// # Errors
+    ///
+    /// As `forecast_tensor`, and [`ServeError::QueueFull`] (a rejection).
+    pub fn try_forecast_tensor(&self, x: &Tensor) -> Result<Tensor, ServeError> {
+        self.forecast_via(x, Self::try_submit)
     }
 }
 
 /// The engine client plugs directly into the §5.4 applications
 /// ([`pop_core::apps::realtime_forecast_with`]): an annealer thread holds a
-/// `ForecastClient` while the engine batches its snapshots with everyone
-/// else's traffic.
+/// `ForecastClient`, runs its own snapshots while the engine is idle and
+/// has them batched with everyone else's traffic when it is not.
 impl Forecaster for ForecastClient {
     fn forecast(&self, x: &Tensor) -> Result<Tensor, CoreError> {
         self.forecast_tensor(x)
@@ -545,7 +605,7 @@ mod tests {
                     enqueued: Instant::now(),
                     respond: tx,
                 };
-                engine.queue.push(request).expect("queue open");
+                engine.shared.queue.push(request).expect("queue open");
                 PendingForecast { rx }
             })
             .collect();
@@ -566,8 +626,9 @@ mod tests {
             .collect()
     }
 
-    /// An engine holds the weights once: every worker's replica is a handle
-    /// on the plan the model already had, not a copy of the trainer.
+    /// An engine holds the weights once: workers and callers run the plan
+    /// the model already had through one shared handle, not a copy of the
+    /// trainer.
     #[test]
     fn workers_share_one_plan() {
         let mut trainer = model();
@@ -580,12 +641,93 @@ mod tests {
             },
         )
         .expect("engine starts");
-        assert_eq!(Arc::strong_count(&plan), 3, "ours and one per worker");
+        // One per worker until workers and clients came to share one
+        // `Replica`: a caller-run forecast needs the handle too.
+        assert_eq!(Arc::strong_count(&plan), 2, "ours and the engine's");
         let x = &inputs_of(1, 40)[0];
         let served = engine.client().forecast_tensor(x).expect("forecast");
         assert!(same_bits(&served, &plan.forward(x)));
         drop(engine);
         assert_eq!(Arc::strong_count(&plan), 1);
+    }
+
+    /// Callers hold at most `workers` turns, a forecast that finds none
+    /// free queues, and however many threads block on forecasts the count
+    /// of them running their own never passes `workers`.
+    #[test]
+    fn callers_run_at_most_workers_forwards_at_once() {
+        let engine = ForecastEngine::start(
+            model(),
+            EngineConfig {
+                workers: 2,
+                forward_delay: Duration::from_millis(2),
+                ..EngineConfig::default()
+            },
+        )
+        .expect("engine starts");
+        let (shared, client) = (&engine.shared, engine.client());
+        let x = &inputs_of(1, 50)[0];
+        {
+            let turns = [shared.caller_turn(), shared.caller_turn()];
+            assert!(turns.iter().all(Option::is_some));
+            assert!(shared.caller_turn().is_none(), "a third turn of two");
+            client.forecast_tensor(x).expect("served by a worker");
+            assert_eq!(engine.stats().caller_runs, 0);
+        }
+        assert_eq!(*shared.callers(), 0, "turns come back on drop");
+
+        let most_at_once = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..6)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for _ in 0..20 {
+                            client.forecast_tensor(x).expect("forecast");
+                        }
+                    })
+                })
+                .collect();
+            let mut most = 0;
+            while !callers.iter().all(|c| c.is_finished()) {
+                most = most.max(*shared.callers());
+            }
+            most
+        });
+        assert!((1..=2).contains(&most_at_once), "{most_at_once}");
+        let stats = engine.shutdown();
+        assert_eq!(stats.completed, 121);
+        assert!(stats.caller_runs >= 1);
+    }
+
+    /// A forward that panics on a caller's thread is that caller's error
+    /// and nobody else's problem: the plan, and the lowering workspace of
+    /// the thread that unwound, serve the next forecast bit for bit.
+    #[test]
+    fn a_poisoned_forward_on_a_caller_is_its_error_and_its_thread_stays_usable() {
+        let mut trainer = model();
+        let start = |plan, resolution| {
+            let spec = InputSpec {
+                channels: 4,
+                resolution,
+            };
+            let (config, stats) = (EngineConfig::default(), Arc::default());
+            ForecastEngine::start_replica(Replica::F32(plan), spec, config, stats)
+                .expect("engine starts")
+        };
+        // One plan behind two engines; the first is told it serves 12x12,
+        // which the plan's layers take until the decoder's 2x2 map meets
+        // the 3x3 skip connection (see the test below).
+        let (lenient, engine) = (start(trainer.plan(), 12), start(trainer.plan(), 16));
+        let poison = Tensor::randn([1, 4, 12, 12], 0.0, 0.5, 80);
+        match lenient.client().forecast_tensor(&poison) {
+            Err(ServeError::Model(msg)) => assert!(msg.contains("forward panicked"), "{msg}"),
+            other => panic!("expected a model error, got {other:?}"),
+        }
+        let x = &inputs_of(1, 81)[0];
+        let served = engine.client().forecast_tensor(x).expect("forecast");
+        assert!(same_bits(&served, &model().forecast(x)));
+        let (poisoned, clean) = (lenient.shutdown(), engine.shutdown());
+        assert_eq!((poisoned.caller_runs, poisoned.failed), (1, 1));
+        assert_eq!((clean.caller_runs, clean.completed), (1, 1));
     }
 
     /// A forward that panics part-way leaves the replica — and the

@@ -16,7 +16,7 @@
 //!   request plus up to [`EngineConfig::max_batch`] shape-compatible
 //!   requests that are *already queued* — it never sleeps holding a
 //!   request, so batches form exactly when workers are busy and the queue
-//!   backs up, and a lone caller is served at once — and runs them through
+//!   backs up — and runs them through
 //!   **one** forward of the generator's inference plan
 //!   ([`pop_core::InferencePlan`]: one copy of the weights per engine,
 //!   shared by every worker), which reads each request from, and paints
@@ -28,10 +28,15 @@
 //!   [`forecast`](ForecastClient::forecast) for request-response,
 //!   [`submit`](ForecastClient::submit) /
 //!   [`try_submit`](ForecastClient::try_submit) for pipelined use with
-//!   explicit backpressure ([`ServeError::QueueFull`]). It implements
+//!   explicit backpressure ([`ServeError::QueueFull`]). A blocking
+//!   forecast that finds the queue open and empty **runs on the thread
+//!   that asked** (at most `workers` callers at once; counted in
+//!   `serve.caller_runs`): a lone request has no batch to join, so the
+//!   hand-off to a worker and back would be pure overhead. It implements
 //!   [`pop_core::Forecaster`], so
 //!   [`pop_core::apps::realtime_forecast_with`] can run the §5.4 demo
-//!   through the engine unchanged.
+//!   through the engine unchanged — one caller, one snapshot at a time,
+//!   which is exactly that regime.
 //! * [`StatsSnapshot`] — per-request latency plus aggregate throughput /
 //!   batch-occupancy counters, computed from the named `serve.*` series of
 //!   the engine's own [`ServeStats`] registry.
@@ -258,6 +263,98 @@ mod tests {
             let stats = engine.shutdown();
             assert_eq!((stats.completed, stats.failed), (1, 0));
         }
+    }
+
+    #[test]
+    fn a_lone_blocking_forecast_runs_on_its_caller() {
+        let engine = ForecastEngine::start(
+            tiny_model(16),
+            EngineConfig {
+                workers: 1,
+                forward_delay: Duration::from_millis(100),
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let client = engine.client();
+        let x = input(11);
+        let caller = std::thread::spawn(move || client.forecast_tensor(&x).unwrap());
+        // Accepted, and from then until it is answered nothing is queued:
+        // the forward is running on the thread that asked.
+        while engine.stats().submitted == 0 {
+            std::thread::yield_now();
+        }
+        while !caller.is_finished() {
+            assert_eq!(engine.queue_depth(), 0);
+            std::thread::yield_now();
+        }
+        let mut reference = tiny_model(16);
+        assert_eq!(caller.join().unwrap(), reference.forecast(&input(11)));
+        let stats = engine.shutdown();
+        assert_eq!((stats.submitted, stats.caller_runs), (1, 1));
+        assert_eq!((stats.completed, stats.batches, stats.max_batch), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_blocking_forecast_joins_the_queue_behind_backlog() {
+        // The worker is inside a delayed forward and two requests wait: a
+        // blocking forecast must queue behind them and be batched with
+        // them, not run beside the backlog.
+        let engine = ForecastEngine::start(
+            tiny_model(17),
+            EngineConfig {
+                workers: 1,
+                forward_delay: Duration::from_millis(300),
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let client = engine.client();
+        let x = input(12);
+        let first = client.submit(&x).unwrap();
+        while engine.queue_depth() > 0 {
+            std::thread::yield_now(); // until the worker holds it
+        }
+        let queued: Vec<_> = (0..2).map(|_| client.submit(&x).unwrap()).collect();
+        let blocking = client.forecast_tensor(&x).unwrap();
+        assert_eq!(first.wait().unwrap(), blocking);
+        for p in queued {
+            assert_eq!(p.wait().unwrap(), blocking);
+        }
+        let stats = engine.shutdown();
+        assert_eq!(stats.caller_runs, 0);
+        assert_eq!((stats.completed, stats.batches, stats.max_batch), (4, 2, 3));
+    }
+
+    #[test]
+    fn shutdown_waits_for_a_caller_run_forecast_then_the_blocking_path_refuses() {
+        let engine = ForecastEngine::start(
+            tiny_model(18),
+            EngineConfig {
+                workers: 1,
+                forward_delay: Duration::from_millis(200),
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let client = engine.client();
+        let x = input(13);
+        let caller = {
+            let (client, x) = (client.clone(), x.clone());
+            std::thread::spawn(move || client.forecast_tensor(&x))
+        };
+        while engine.stats().submitted == 0 {
+            std::thread::yield_now(); // until the caller is inside its forward
+        }
+        let stats = engine.shutdown();
+        assert_eq!((stats.caller_runs, stats.completed), (1, 1), "counted");
+        caller.join().unwrap().expect("answered, not abandoned");
+        assert_eq!(client.forecast_tensor(&x), Err(ServeError::ShuttingDown));
+        assert_eq!(
+            client.try_forecast_tensor(&x),
+            Err(ServeError::ShuttingDown)
+        );
+        assert!(matches!(client.forecast(&x), Err(ServeError::ShuttingDown)));
     }
 
     #[test]

@@ -82,6 +82,13 @@ impl RequestQueue {
     pub fn len(&self) -> usize {
         self.inner.len()
     }
+
+    /// Accepting requests and holding none: no backlog for a batch to
+    /// form from, so a caller that can run its own forecast loses nothing
+    /// by skipping the queue.
+    pub fn is_open_and_empty(&self) -> bool {
+        self.inner.is_open_and_empty()
+    }
 }
 
 #[cfg(test)]

@@ -42,8 +42,10 @@ impl PerModel {
 #[derive(Debug)]
 pub struct ServeStats {
     registry: Registry,
-    /// Requests accepted into the queue.
+    /// Requests accepted: queued, or run on the thread that asked.
     pub(crate) submitted: Arc<Counter>,
+    /// Accepted requests that skipped the queue and ran on their caller.
+    pub(crate) caller_runs: Arc<Counter>,
     /// Requests rejected with [`QueueFull`](crate::ServeError::QueueFull).
     pub(crate) rejected: Arc<Counter>,
     completed: Arc<Counter>,
@@ -67,6 +69,7 @@ impl Default for ServeStats {
         let registry = Registry::new();
         ServeStats {
             submitted: registry.counter("serve.submitted"),
+            caller_runs: registry.counter("serve.caller_runs"),
             rejected: registry.counter("serve.rejected"),
             completed: registry.counter("serve.completed"),
             failed: registry.counter("serve.failed"),
@@ -149,6 +152,7 @@ impl ServeStats {
         per_model.sort_by(|a, b| a.model.cmp(&b.model));
         StatsSnapshot {
             submitted: self.submitted.get(),
+            caller_runs: self.caller_runs.get(),
             rejected: self.rejected.get(),
             completed: self.completed.get(),
             failed: self.failed.get(),
@@ -188,8 +192,11 @@ pub struct ModelStatsSnapshot {
 /// Point-in-time view of [`ServeStats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
-    /// Requests accepted into the queue.
+    /// Requests accepted: queued, or run on the thread that asked.
     pub submitted: u64,
+    /// Accepted requests that ran on their caller's thread (a blocking
+    /// forecast that found the queue empty), a batch of one each.
+    pub caller_runs: u64,
     /// Requests bounced with `QueueFull`.
     pub rejected: u64,
     /// Requests answered successfully.

@@ -5,7 +5,8 @@
 //! The forecasts are served through a `pop-serve` engine: the annealer loop
 //! only holds a cheap [`ForecastClient`](pop::serve::ForecastClient), so
 //! any number of concurrent placement runs could share the model while the
-//! micro-batcher coalesces their requests.
+//! micro-batcher coalesces their requests. This one runs alone, so every
+//! forecast finds the queue empty and runs on the annealer's own thread.
 //!
 //! Run with: `cargo run --release --example realtime_forecast`
 
@@ -65,9 +66,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let stats = engine.shutdown();
     println!(
-        "served {} forecasts in {} batches (mean latency {:.1} ms)",
+        "served {} forecasts in {} batches, {} on this thread (mean latency {:.1} ms)",
         stats.completed,
         stats.batches,
+        stats.caller_runs,
         stats.mean_latency_us / 1e3
     );
     Ok(())
