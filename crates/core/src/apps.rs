@@ -5,13 +5,13 @@
 use crate::config::ExperimentConfig;
 use crate::dataset::DesignDataset;
 use crate::error::CoreError;
-use crate::features::{assemble_input, tensor_to_image};
+use crate::features::{placement_input, tensor_to_image};
 use crate::forecaster::{ExclusiveForecaster, Forecaster};
 use crate::trainer::Pix2Pix;
 use pop_arch::Arch;
 use pop_netlist::Netlist;
 use pop_place::{Annealer, PlaceOptions};
-use pop_raster::{render_connectivity, render_placement, Image, Layout, PixelOwner};
+use pop_raster::{Image, Layout, PixelOwner};
 
 /// A floorplan region over which congestion is aggregated — the objectives
 /// of Figure 9 ("min-congestion at the upper side / lower side /
@@ -229,10 +229,7 @@ pub fn realtime_forecast_with<F: Forecaster>(
     let mut out = Vec::new();
     while !annealer.is_done() && out.len() < max_snapshots {
         let stats = annealer.step(snapshot_every);
-        let img_place = render_placement(arch, netlist, annealer.placement(), config.resolution);
-        let img_connect =
-            render_connectivity(arch, netlist, annealer.placement(), config.resolution);
-        let x = assemble_input(&img_place, &img_connect, config);
+        let x = placement_input(arch, netlist, annealer.placement(), config);
         let img = forecaster.forecast_image(&x)?;
         let predicted = crate::metrics::image_mean_congestion(arch.width(), arch.height(), &img);
         out.push(RealtimeSnapshot {
@@ -290,10 +287,7 @@ pub fn congestion_aware_place(
     let mut last_pred = 0.0f32;
     while !annealer.is_done() {
         let stats = annealer.step(snapshot_every);
-        let img_place = render_placement(arch, netlist, annealer.placement(), config.resolution);
-        let img_connect =
-            render_connectivity(arch, netlist, annealer.placement(), config.resolution);
-        let x = assemble_input(&img_place, &img_connect, config);
+        let x = placement_input(arch, netlist, annealer.placement(), config);
         let img = model.forecast_image(&x);
         last_pred = crate::metrics::image_mean_congestion(arch.width(), arch.height(), &img);
         snapshots += 1;

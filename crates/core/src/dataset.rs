@@ -25,12 +25,12 @@
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
-use crate::features::{assemble_input, assemble_target};
+use crate::features::{assemble_target, placement_input};
 use pop_arch::Arch;
 use pop_netlist::{generate, Netlist, SyntheticSpec};
 use pop_nn::Tensor;
 use pop_place::{place, sweep::SweepSpec, PlaceOptions, Placement};
-use pop_raster::{render_congestion, render_connectivity, render_placement};
+use pop_raster::render_congestion;
 use pop_route::{min_channel_width, route_on_graph, RouteGraph, RouteOptions, RouteResult};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -266,9 +266,7 @@ impl DesignContext {
         route_micros: u64,
     ) -> Pair {
         let config = &self.config;
-        let img_place = render_placement(&self.arch, &self.netlist, placement, config.resolution);
-        let img_connect =
-            render_connectivity(&self.arch, &self.netlist, placement, config.resolution);
+        let x = placement_input(&self.arch, &self.netlist, placement, config);
         let img_route = render_congestion(
             &self.arch,
             &self.netlist,
@@ -276,7 +274,6 @@ impl DesignContext {
             routing.congestion(),
             config.resolution,
         );
-        let x = assemble_input(&img_place, &img_connect, config);
         let y = assemble_target(&img_route);
         Pair {
             x,

@@ -6,8 +6,44 @@
 //! `λ` (paper: 0.1) before stacking.
 
 use crate::config::ExperimentConfig;
+use pop_arch::Arch;
+use pop_netlist::Netlist;
 use pop_nn::Tensor;
-use pop_raster::{grayscale, Image};
+use pop_place::Placement;
+use pop_raster::{grayscale, render_connectivity, render_placement, Image};
+
+/// The generator input of one placement: `img_place` and `img_connect`
+/// rendered at `config.resolution` and stacked as [`assemble_input`] stacks
+/// them, bit for bit — the one call every in-tree forecast and generated
+/// pair makes. The placement image's planes *become* the tensor's (mapped
+/// in place, the connectivity channel appended): at 256×256 the three-call
+/// spelling holds 2.3 MB of short-lived buffers and spends most of its
+/// time faulting them in.
+pub fn placement_input(
+    arch: &Arch,
+    netlist: &Netlist,
+    placement: &Placement,
+    config: &ExperimentConfig,
+) -> Tensor {
+    let side = config.resolution;
+    let img_place = render_placement(arch, netlist, placement, side);
+    let place = if config.grayscale_input {
+        grayscale(&img_place)
+    } else {
+        img_place
+    };
+    let channels = place.channels() + 1;
+    let mut data = place.into_data();
+    // Grown before anything is allocated behind it, so it grows in place.
+    data.reserve_exact(side * side);
+    for v in &mut data {
+        *v = *v * 2.0 - 1.0;
+    }
+    let lambda = config.lambda_connect;
+    let img_connect = render_connectivity(arch, netlist, placement, side);
+    data.extend(img_connect.data().iter().map(|&v| lambda * v));
+    Tensor::from_vec([1, channels, side, side], data)
+}
 
 /// Builds the generator input from the placement and connectivity images.
 ///

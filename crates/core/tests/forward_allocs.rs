@@ -8,60 +8,12 @@
 
 use pop_core::{ExperimentConfig, Pix2Pix, SkipMode, UNetGenerator};
 use pop_nn::Tensor;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-struct Counting;
-
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-static CALLS: AtomicUsize = AtomicUsize::new(0);
-
-fn count(size: usize) {
-    BYTES.fetch_add(size, Ordering::Relaxed);
-    CALLS.fetch_add(1, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards to `System` unchanged; the counters are
-// relaxed atomics that touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's contract for `alloc_zeroed`, passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via the methods above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size.saturating_sub(layout.size()));
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+mod common;
+use common::{heap_use, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// `(bytes, allocator calls)` made while `f` runs.
-fn heap_use<T>(f: impl FnOnce() -> T) -> (usize, usize, T) {
-    BYTES.store(0, Ordering::Relaxed);
-    CALLS.store(0, Ordering::Relaxed);
-    let out = f();
-    (
-        BYTES.load(Ordering::Relaxed),
-        CALLS.load(Ordering::Relaxed),
-        out,
-    )
-}
 
 /// What a steady-state forward may allocate beyond the tensors it returns
 /// (the `Vec` that holds them, mostly).

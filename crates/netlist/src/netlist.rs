@@ -91,6 +91,8 @@ pub struct Netlist {
     nets: Vec<Net>,
     /// For each block, the nets it is a terminal of (driver or sink).
     block_nets: Vec<Vec<NetId>>,
+    /// See [`Netlist::edge_runs`].
+    edge_runs: Vec<(BlockId, BlockId, u32)>,
 }
 
 impl Netlist {
@@ -129,11 +131,21 @@ impl Netlist {
                 block_nets[term.index()].push(net.id);
             }
         }
+        let mut edges: Vec<(BlockId, BlockId)> = nets
+            .iter()
+            .flat_map(|net| net.sinks.iter().map(move |&sink| (net.driver, sink)))
+            .collect();
+        edges.sort_unstable();
+        let edge_runs = edges
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0].0, run[0].1, run.len() as u32))
+            .collect();
         Ok(Netlist {
             name: name.into(),
             blocks,
             nets,
             block_nets,
+            edge_runs,
         })
     }
 
@@ -170,6 +182,15 @@ impl Netlist {
     #[inline]
     pub fn nets_of(&self, block: BlockId) -> &[NetId] {
         &self.block_nets[block.index()]
+    }
+
+    /// The distinct `(driver, sink, multiplicity)` edges, sorted by
+    /// `(driver, sink)` — many nets join the same two blocks, and whoever
+    /// draws or weighs edges handles each ordered pair once. Computed by
+    /// [`Netlist::new`]; the multiplicities sum to the sinks of all nets.
+    #[inline]
+    pub fn edge_runs(&self) -> &[(BlockId, BlockId, u32)] {
+        &self.edge_runs
     }
 
     /// Number of blocks of each kind that need placement sites, as
@@ -240,6 +261,61 @@ mod tests {
         assert_eq!(nl.nets_of(BlockId(2)), &[NetId(0)]);
         assert_eq!(nl.stats().luts, 6);
         assert_eq!(nl.stats().ffs, 3);
+    }
+
+    #[test]
+    fn edge_runs_are_the_sorted_distinct_edges_with_their_counts() {
+        let net = |id: u32, driver: u32, sinks: &[u32]| Net {
+            id: NetId(id),
+            driver: BlockId(driver),
+            sinks: sinks.iter().map(|&s| BlockId(s)).collect(),
+        };
+        // 2 → 0 three times, 0 → 2 (the other direction: its own run)
+        // once, given out of order.
+        let nets = vec![
+            net(0, 2, &[3, 0]),
+            net(1, 0, &[2, 1]),
+            net(2, 2, &[0]),
+            net(3, 2, &[0, 1]),
+        ];
+        let nl = Netlist::new("t", blocks(4), nets).unwrap();
+        let b = BlockId;
+        assert_eq!(
+            nl.edge_runs(),
+            &[
+                (b(0), b(1), 1),
+                (b(0), b(2), 1),
+                (b(2), b(0), 3),
+                (b(2), b(1), 1),
+                (b(2), b(3), 1)
+            ]
+        );
+        assert_eq!(nl.clone().edge_runs(), nl.edge_runs());
+        let through_text = crate::text::from_text(&crate::text::to_text(&nl)).unwrap();
+        assert_eq!(through_text.edge_runs(), nl.edge_runs());
+        assert!(Netlist::new("t", blocks(4), vec![])
+            .unwrap()
+            .edge_runs()
+            .is_empty());
+    }
+
+    #[test]
+    fn edge_runs_of_a_generated_design_cover_every_sink_once() {
+        let nl = crate::generate(&crate::presets::by_name("SHA").unwrap().scaled(0.1));
+        let runs = nl.edge_runs();
+        assert!(runs.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        let sinks: usize = nl.nets().iter().map(|net| net.sinks.len()).sum();
+        assert_eq!(runs.iter().map(|r| r.2 as usize).sum::<usize>(), sinks);
+        assert!(runs.len() < sinks, "a design repeats block pairs");
+        for &(driver, sink, count) in runs {
+            let edges = nl
+                .nets()
+                .iter()
+                .filter(|net| net.driver == driver)
+                .filter(|net| net.sinks.contains(&sink))
+                .count();
+            assert_eq!(edges, count as usize, "{driver} -> {sink}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 use pop_arch::ChannelId;
+use std::ops::Range;
 
 /// What a pixel of the rendered image depicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,6 +129,25 @@ impl Layout {
             return PixelOwner::Outside;
         }
         self.classify(self.cols[px], self.rows[py])
+    }
+
+    /// Calls `paint(owner, xs, ys)` for every pixel rectangle whose columns
+    /// `locate` alike and whose rows do — a tile's block, a channel strip,
+    /// a junction: what [`Layout::owner`] answers per pixel, per rectangle.
+    pub(crate) fn for_each_rect(
+        &self,
+        mut paint: impl FnMut(PixelOwner, Range<usize>, Range<usize>),
+    ) {
+        let mut y = 0;
+        for rows in self.rows.chunk_by(|a, b| a == b) {
+            let mut x = 0;
+            for cols in self.cols.chunk_by(|a, b| a == b) {
+                let owner = self.classify(cols[0], rows[0]);
+                paint(owner, x..x + cols.len(), y..y + rows.len());
+                x += cols.len();
+            }
+            y += rows.len();
+        }
     }
 
     /// The owner of a pixel whose column and image row `locate` to

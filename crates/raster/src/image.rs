@@ -2,6 +2,7 @@ use std::error::Error;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// An 8-bit RGB colour.
@@ -106,13 +107,24 @@ impl Image {
 
     /// Creates an image filled with an RGB colour (3 channels).
     pub fn filled_rgb(width: usize, height: usize, color: Rgb8) -> Self {
-        let mut img = Image::zeros(width, height, 3);
-        for y in 0..height {
-            for x in 0..width {
-                img.set_rgb8(x, y, color);
+        assert!(width > 0 && height > 0, "empty image");
+        let mut data = Vec::with_capacity(3 * width * height);
+        for v in [color.r, color.g, color.b] {
+            data.resize(data.len() + width * height, v as f32 / 255.0);
+        }
+        Image::from_data(width, height, 3, data)
+    }
+
+    /// Writes `color` into the pixel rectangle `xs × ys` of a 3-channel
+    /// image: one slice fill per plane and row.
+    pub(crate) fn fill_rect(&mut self, xs: Range<usize>, ys: Range<usize>, color: Rgb8) {
+        assert!(self.channels >= 3 && xs.end <= self.width && ys.end <= self.height);
+        for (c, v) in [color.r, color.g, color.b].into_iter().enumerate() {
+            let plane = &mut self.data[c * self.width * self.height..];
+            for y in ys.clone() {
+                plane[y * self.width..][xs.clone()].fill(v as f32 / 255.0);
             }
         }
-        img
     }
 
     /// Wraps raw CHW data.
@@ -152,6 +164,12 @@ impl Image {
     #[inline]
     pub fn data(&self) -> &[f32] {
         &self.data
+    }
+
+    /// The raw CHW data, by value.
+    #[inline]
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
     }
 
     /// Mutable raw CHW data.
