@@ -11,9 +11,10 @@
 //! the same `m × k` against `n / 2` … `n / 4` columns, several times.
 //!
 //! Around the GEMMs: `lowering` rows time `im2col` and `col2im` per layer
-//! geometry at batch 1 and 8 (through the public layers — a one-filter
-//! `Conv2d` / one-input-channel `ConvTranspose2d` keeps the layer's whole
-//! lowering and shrinks its GEMM to a sliver), `whole_forward` rows one
+//! geometry at batch 1 and 8 as the inference plan runs them (a one-filter
+//! `PlannedConv` / one-input-channel `PlannedDeconv` on a channel-major slab
+//! keeps the block's whole lowering, in the plan's sample groups, and
+//! shrinks its GEMM to a sliver), `whole_forward` rows one
 //! `forecast_batch` at batch 1 / 5 / 8 (through the model's inference
 //! plan, like every forecast); then one whole `train_step`,
 //! `Adam::step` against its old three-loop formulation, end-to-end f32 vs
@@ -47,7 +48,7 @@
 
 use pop_core::{ExperimentConfig, Forecaster, Pix2Pix, UNetGenerator};
 use pop_nn::linalg::{matmul_nn, matmul_nt, matmul_tn};
-use pop_nn::{Adam, Conv2d, ConvTranspose2d, Layer, Param, Tensor};
+use pop_nn::{Activation, Adam, Batch, BatchMut, Conv2d, ConvTranspose2d, Layer, Param, Tensor};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -433,30 +434,42 @@ struct LoweringResult {
     secs: f64,
 }
 
-/// `im2col` / `col2im` at one layer's geometry, through the public layers:
-/// a `Conv2d` with one filter lowers exactly what the real layer lowers
-/// and multiplies `1/out_c` of it; a `ConvTranspose2d` with one input
-/// channel scatters the real layer's `cols` out of a rank-one product.
-/// What is timed is everything the layer does around its GEMM — lowering,
-/// scratch buffers, bias, output layout — plus that sliver of GEMM.
+/// `im2col` / `col2im` at one layer's geometry, as the inference plan runs
+/// them: `batch` samples laid channel-major (the layout every plan layer
+/// but the first reads and every one but the last writes), lowered in the
+/// plan's sample groups. A `PlannedConv` with one filter lowers exactly
+/// what the real block lowers and multiplies `1/out_c` of it; a
+/// `PlannedDeconv` with one input channel gathers the real block's `cols`
+/// out of a rank-one product. What is timed is everything the block does
+/// around its GEMM — lowering, scratch buffers, bias, output layout — plus
+/// that sliver of GEMM.
 fn bench_lowering(l: &LayerGeom, batch: usize, smoke: bool) -> LoweringResult {
-    let (mut layer, in_c): (Box<dyn Layer>, usize) = if l.deconv {
-        (Box::new(ConvTranspose2d::new(1, l.out_c, 4, 2, 1, 3)), 1)
+    let (dims, plane) = ((l.side, l.side), l.side * l.side);
+    let (in_c, out_c, out_plane) = if l.deconv {
+        (1, l.out_c, 4 * plane)
     } else {
-        (Box::new(Conv2d::new(l.in_c, 1, 4, 2, 1, 3)), l.in_c)
+        (l.in_c, 1, plane / 4)
     };
-    let x = Tensor::randn([batch, in_c, l.side, l.side], 0.0, 0.5, 5);
+    let x = Tensor::randn([1, in_c, l.side, batch * l.side], 0.0, 0.5, 5);
+    let input = Batch::channel_major(x.data(), batch, plane);
+    let mut y = vec![0.0f32; out_c * batch * out_plane];
+    let block: Box<dyn Fn(&mut BatchMut<'_>)> = if l.deconv {
+        let block = ConvTranspose2d::new(1, out_c, 4, 2, 1, 3).plan(None, Activation::Identity);
+        Box::new(move |y| block.forward(input, dims, batch, y))
+    } else {
+        let block = Conv2d::new(in_c, 1, 4, 2, 1, 3).plan(None, Activation::Identity);
+        Box::new(move |y| block.forward(input, dims, batch, y))
+    };
+    let mut forward = || block(&mut BatchMut::channel_major(&mut y, batch, out_plane));
     let t0 = Instant::now();
-    let _ = layer.forward(&x, false);
+    forward();
     let pilot = t0.elapsed().as_secs_f64().max(1e-6);
     let (reps, iters) = if smoke {
         (1, 1)
     } else {
         (5, ((0.02 / pilot).ceil() as usize).clamp(2, 2000))
     };
-    let secs = time_per_call(reps, iters, || {
-        std::hint::black_box(layer.forward(&x, false));
-    });
+    let secs = time_per_call(reps, iters, &mut forward);
     let op = if l.deconv { "col2im" } else { "im2col" };
     println!("b{batch} {op}/{}: {:.1} us", l.name(), secs * 1e6);
     LoweringResult {

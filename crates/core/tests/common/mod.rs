@@ -1,22 +1,28 @@
 //! A counting `#[global_allocator]` for the allocation pins: each test
 //! binary that includes this module installs [`Counting`] as its global
-//! allocator and has a single `#[test]` (the counters are process-wide).
+//! allocator. The counters are the calling thread's own, so what other
+//! threads allocate meanwhile (the test harness, another test) is not
+//! counted against the code under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 pub struct Counting;
 
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-static CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading them allocates
+    // nothing and works at any point of the thread's life.
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
 
 fn count(size: usize) {
-    BYTES.fetch_add(size, Ordering::Relaxed);
-    CALLS.fetch_add(1, Ordering::Relaxed);
+    let _ = BYTES.try_with(|b| b.set(b.get() + size));
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
 // SAFETY: every method forwards to `System` unchanged; the counters are
-// relaxed atomics that touch no allocator state.
+// thread-local cells that touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -42,14 +48,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-/// `(bytes, allocator calls)` made while `f` runs.
+/// `(bytes, allocator calls)` this thread made while `f` ran.
 pub fn heap_use<T>(f: impl FnOnce() -> T) -> (usize, usize, T) {
-    BYTES.store(0, Ordering::Relaxed);
-    CALLS.store(0, Ordering::Relaxed);
+    let (bytes, calls) = (BYTES.with(Cell::get), CALLS.with(Cell::get));
     let out = f();
     (
-        BYTES.load(Ordering::Relaxed),
-        CALLS.load(Ordering::Relaxed),
+        BYTES.with(Cell::get) - bytes,
+        CALLS.with(Cell::get) - calls,
         out,
     )
 }

@@ -4,8 +4,7 @@
 //! counts) — the same number of allocator calls whatever the netlist: the
 //! distinct edges were sorted once, by `Netlist::new`, not collected per
 //! image. Counted with a `#[global_allocator]`, which is why this test has
-//! a binary to itself (and a single `#[test]`: the counters are
-//! process-wide).
+//! a binary to itself (the counters are the calling thread's).
 
 use pop_arch::Arch;
 use pop_core::features::placement_input;

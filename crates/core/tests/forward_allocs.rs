@@ -3,8 +3,7 @@
 //! built, and activations, lowering matrices and GEMM layout buffers come
 //! out of `pop-nn`'s per-thread workspace, which stops growing after the
 //! first forwards. Counted with a `#[global_allocator]`, which is why this
-//! test has a binary to itself (and a single `#[test]`: the counters are
-//! process-wide).
+//! test has a binary to itself (the counters are the calling thread's).
 
 use pop_core::{ExperimentConfig, Pix2Pix, SkipMode, UNetGenerator};
 use pop_nn::Tensor;

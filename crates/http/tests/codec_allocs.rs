@@ -1,25 +1,39 @@
 //! The forecast codec allocates per message, not per number: decoding a
 //! request and encoding a response each cost a handful of heap calls
 //! whatever the tensor size. Counted with a `#[global_allocator]`, which
-//! is why this test has a binary to itself (and a single `#[test]`: the
-//! counter is process-wide).
+//! is why this test has a binary to itself; the counter is the calling
+//! thread's own, so nothing another thread allocates is counted.
 
 use pop_http::api;
 use pop_nn::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct Counting;
 
-static CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading it allocates
+    // nothing and works at any point of the thread's life.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: every method forwards to `System` unchanged; the counter is a
-// relaxed atomic that touches no allocator state.
+// thread-local cell that touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's contract for `alloc`, passed through.
         unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract for `alloc_zeroed`, passed through.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -28,7 +42,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's contract for `realloc`, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -37,11 +51,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap calls (`alloc` + `realloc`) made by `f` on this thread's watch.
+/// Heap calls (`alloc`, `alloc_zeroed`, `realloc`) this thread made while
+/// `f` ran.
 fn heap_calls<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = CALLS.with(Cell::get);
     let out = f();
-    (CALLS.load(Ordering::Relaxed) - before, out)
+    (CALLS.with(Cell::get) - before, out)
 }
 
 #[test]

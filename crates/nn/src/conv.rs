@@ -1,5 +1,5 @@
-use crate::im2col::{col2im, im2col_strided};
-use crate::linalg::{matmul_nn, matmul_nt, matmul_tn, TnWeights};
+use crate::im2col::{col2im, im2col};
+use crate::linalg::{matmul_nn, matmul_nt, matmul_tn_set, TnWeights};
 use crate::lower::{
     conv_forward, conv_inference, deconv_forward, Activation, Batch, BatchMut, ConvGeom, Epilogue,
     Finish, Norm, PlannedConv, PlannedDeconv,
@@ -113,8 +113,9 @@ impl Layer for Conv2d {
         let weight = self.weight.value.data();
         if train {
             // Training lowers the whole batch into one matrix, the layout
-            // `backward` expects, reusing the capacity `backward` handed
-            // back; `cached_input` and the matrix exist only for that pass.
+            // `backward` expects, reusing the one `backward` handed back:
+            // `im2col` writes every element, so only growth is zeroed.
+            // `cached_input` and the matrix exist only for that pass.
             let mut cols = std::mem::take(&mut self.cached_cols);
             cols.resize(geom.in_c * geom.k * geom.k * n * p_out, 0.0);
             conv_forward(
@@ -151,7 +152,7 @@ impl Layer for Conv2d {
         let ckk = self.geom.in_c * self.geom.k * self.geom.k;
         let p_out = self.cached_p_out;
         let ncols = n * p_out;
-        let mut cached_cols = std::mem::take(&mut self.cached_cols);
+        let cached_cols = std::mem::take(&mut self.cached_cols);
         let mut dx = Tensor::zeros(x.shape());
         let mut cols_scratch = workspace::take(if n > 1 { ckk * p_out } else { 0 });
         let mut dcols = workspace::take(ckk * p_out);
@@ -175,7 +176,7 @@ impl Layer for Conv2d {
             // side, `weight.grad` on the other — so they are one `join`:
             // each side runs exactly the arithmetic it runs alone. The
             // weight gradient stays on the caller because it is the
-            // heavier half at most layers (`nt` packs `colsᵀ` first), and
+            // heavier half at most layers (`nt` transposes an operand), and
             // the forked half is the one that starts late when the helper
             // has parked.
             let (w_grad, b_grad) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
@@ -183,19 +184,13 @@ impl Layer for Conv2d {
             let dx_n =
                 &mut dx.data_mut()[b * self.geom.in_c * h * w..(b + 1) * self.geom.in_c * h * w];
             let dcols = &mut dcols[..ckk * p_out];
-            let (in_c, out_c, k, stride, pad) = (
-                self.geom.in_c,
-                self.geom.out_c,
-                self.geom.k,
-                self.geom.stride,
-                self.geom.pad,
-            );
+            let (c, out_c) = ((self.geom.in_c, 1), self.geom.out_c);
+            let window = (self.geom.k, self.geom.stride, self.geom.pad);
             pop_exec::join(
                 || {
                     // dX = col2im(Wᵀ @ dY).
-                    dcols.fill(0.0);
-                    matmul_tn(weight, dy_n, dcols, ckk, out_c, ho * wo);
-                    col2im(dcols, in_c, h, w, k, stride, pad, dx_n, p_out, 0);
+                    matmul_tn_set(weight, dy_n, dcols, ckk, out_c, ho * wo);
+                    col2im(dcols, c, (h, w), window, dx_n, h * w, (p_out, 0), |_, _| {});
                     add_plane_sums(b_grad, dy_n, ho * wo);
                 },
                 // dW += dY @ colsᵀ.
@@ -204,9 +199,8 @@ impl Layer for Conv2d {
         }
         workspace::give(cols_scratch);
         workspace::give(dcols);
-        // Hand the matrix's capacity to the next training forward, empty:
-        // outside forward → backward the layer caches nothing.
-        cached_cols.clear();
+        // Hand the matrix to the next training forward at its length, so
+        // that forward does not zero it again.
         self.cached_cols = cached_cols;
         dx
     }
@@ -315,8 +309,7 @@ impl Layer for ConvTranspose2d {
             &self.geom,
             |b, ldb, cols, ncols| {
                 assert_eq!(ldb, ncols, "dense input matrix");
-                cols.fill(0.0);
-                matmul_tn(weight, &b[..in_c * ncols], cols, ckk, in_c, ncols);
+                matmul_tn_set(weight, &b[..in_c * ncols], cols, ckk, in_c, ncols);
             },
             &Epilogue::bias(&self.bias.value.data()[..self.geom.out_c]),
             Batch::nchw(x),
@@ -343,19 +336,11 @@ impl Layer for ConvTranspose2d {
                 [b * self.geom.out_c * ho * wo..(b + 1) * self.geom.out_c * ho * wo];
             // dcols = im2col(dY), read by both gradients.
             let dcols = &mut dcols[..ckk * h * w];
-            im2col_strided(
-                dy_n,
-                ho * wo,
-                self.geom.out_c,
-                ho,
-                wo,
-                self.geom.k,
-                self.geom.stride,
-                self.geom.pad,
-                dcols,
-                h * w,
-                0,
+            let (c, window) = (
+                (self.geom.out_c, 1),
+                (self.geom.k, self.geom.stride, self.geom.pad),
             );
+            im2col(dy_n, ho * wo, c, (ho, wo), window, dcols, (h * w, 0));
             // As in `Conv2d::backward`: shared reads (`dcols`, `dY`, `x`,
             // the weights), disjoint writes (this sample's `dx` and
             // `bias.grad` against `weight.grad`), one `join`, the weight

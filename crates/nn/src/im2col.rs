@@ -3,30 +3,44 @@
 //! A `[C, H, W]` feature map is unrolled into a `[C·k·k, Ho·Wo]` matrix so
 //! convolution becomes one matrix multiply; `col2im` is the exact adjoint
 //! (scatter-add), which is what the backward-data pass and the transposed
-//! convolution's forward pass need.
+//! convolution's forward pass need. Both take a **group** of samples whose
+//! planes of one channel lie side by side (one sample, or a slab laid
+//! channel-major over the batch) and move whole planes, not rows.
 //!
-//! Both move whole rows, never single strided elements. Tap `kx` of output
-//! column `ox` touches padded image column `ox·stride + kx`; split a row
-//! into its `stride` **phases** (phase `p` holds padded columns `p`,
-//! `p + stride`, …) and that is `phase[kx mod stride][ox + kx div stride]`
-//! — contiguous in `ox`. So `im2col` splits each image row once and every
-//! tap row is a `copy_from_slice`; `col2im` accumulates contiguous slices
-//! of `cols` onto the phases of a destination row and interleaves them
-//! back. Stride 1 is the one-phase case of the same code.
+//! **Phase planes.** Tap `(ky, kx)` of output `(oy, ox)` reads pixel
+//! `(oy·s + ky − p, ox·s + kx − p)`. Each channel is dealt once into its
+//! `s²` phase planes — phase `(qy, qx)` holds pixel `(iy, ix)` with
+//! `iy mod s = qy`, `ix mod s = qx` at `(iy div s, ix div s)` — and then
+//! that pixel is in phase `((ky − p) mod s, (kx − p) mod s)` at
+//! `(oy + (ky − p) div s, ox + (kx − p) div s)`: a tap's row of the matrix
+//! is one phase plane shifted by a constant, zero where the shift leaves
+//! the image. At stride 1 the phase plane is the channel's own plane.
 //!
-//! **Fold order of `col2im`.** The adjoint is defined as the scatter
-//! `for (c, ky, kx, oy, ox): x[c, oy·s + ky − p, ox·s + kx − p] += cols[…]`.
-//! A destination pixel receives at most one term per tap `(ky, kx)` (the
-//! tap fixes `oy` and `ox`), so the scatter adds its terms in ascending
-//! `(ky, kx)` order onto the pixel's current value. The gather below walks
-//! one destination row at a time: it seeds the row's phases from the
-//! destination, then for ascending `ky`, ascending `kx`, adds that tap's
-//! slice — the same terms in the same order per pixel, so every output is
-//! bit-identical to the scatter's (`0.0 + t₁ + t₂ + …` for a zeroed
-//! destination), while distinct pixels of a phase are independent lanes
-//! the compiler vectorises.
+//! **Runs.** Where a phase plane is `ho` rows of pitch `wo` (every
+//! stride-2, k = 4, pad-1 layer of the models on even maps), a tap's whole
+//! row over the group is **one** shifted copy; otherwise it is one copy per
+//! output row (the discriminator's stride-1 layers). A merged copy also
+//! carries entries between rows and samples whose pixel is padding; those,
+//! and the padding no copy reaches, are then written zero. `im2col` only
+//! moves values, so it is exact.
+//!
+//! **`col2im` is the mirror**: per channel each phase plane is `+0.0` plus
+//! its taps' shifted blocks of the matrix in ascending `(ky, kx)`, through
+//! the same runs, then interleaved into the destination once and handed to
+//! `finish`. The scatter-add it replaces gives a pixel `0.0 + t₁ + t₂ + …`
+//! over its in-image taps in ascending `(ky, kx)` (a tap fixes `oy` and
+//! `ox`). A merged run may also add entries whose pixel is padding — under
+//! a constant shift an entry that wraps into the next row or sample always
+//! names a pixel outside the image — so those are zeroed first and add
+//! `+0.0`. That changes no bit: under round-to-nearest a sum seeded with
+//! `+0.0` is never `−0.0` (`x + y` is `−0.0` only when both are), and
+//! `v + 0.0 = v` for every other `v`, NaN and ∞ included.
 
 use crate::workspace;
+
+/// Two sizes that travel together: `(h, w)`, `(c, g)`, `(row_stride,
+/// col_offset)`, `(first, g)`.
+pub(crate) type Pair = (usize, usize);
 
 /// Output spatial size of a convolution: `(dim + 2·pad − k)/stride + 1`.
 ///
@@ -39,72 +53,95 @@ pub fn conv_out_dim(dim: usize, k: usize, stride: usize, pad: usize) -> usize {
     (dim + 2 * pad - k) / stride + 1
 }
 
-/// Unrolls one sample `x: [c, h, w]`, its channel planes `channel_stride`
-/// floats apart (`h·w` when the sample is dense), into its
-/// `[c·k·k, ho·wo]` matrix (zero padding outside the image), stored as the
-/// columns `col_offset .. col_offset + ho·wo` of `cols`, whose rows are
-/// `row_stride` long. Every element of that column block is written, so
-/// `cols` need not be initialised.
+/// Unrolls a group of `g` samples of `c` channels of `h×w` (`dims`) into
+/// their `[c·k·k, g·ho·wo]` matrix (zero padding outside the image),
+/// stored as the columns `col_offset .. col_offset + g·ho·wo` of `cols`,
+/// whose rows are `row_stride` long (`at = (row_stride, col_offset)`).
+/// Channel `ci` of the group is the `g` dense planes at
+/// `x[ci·channel_stride..]`, and sample `b` lands in the columns from
+/// `col_offset + b·ho·wo`. `window` is `(k, stride, pad)`.
+/// Every element of the column block is written, so `cols` need not be
+/// initialised.
 ///
-/// This is the batched-convolution primitive: unrolling every sample of an
-/// `[N, C, H, W]` batch side by side produces one `[C·k·k, N·Ho·Wo]`
-/// matrix, so the whole batch runs through a single matmul whose inner
-/// loop is `N×` longer — the win that makes micro-batched inference beat
+/// Unrolling a whole batch side by side produces one `[C·k·k, N·Ho·Wo]`
+/// matrix, so the batch runs through a single matmul whose inner loop is
+/// `N×` longer — the win that makes micro-batched inference beat
 /// sequential single-sample calls on small feature maps.
 ///
 /// # Panics
 ///
-/// Panics when `x` ends before its last plane or planes overlap, when the
-/// sample's columns (`col_offset + ho·wo`) overrun `row_stride`, or when
-/// `cols` is not exactly `c·k·k` rows of `row_stride`.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_strided(
+/// Panics when `x` ends before its last channel or channels overlap, when
+/// the group's columns overrun `row_stride`, or when `cols` is not exactly
+/// `c·k·k` rows of `row_stride`.
+pub fn im2col(
     x: &[f32],
     channel_stride: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
+    (c, g): (usize, usize),
+    dims: (usize, usize),
+    window: (usize, usize, usize),
     cols: &mut [f32],
-    row_stride: usize,
-    col_offset: usize,
+    at: (usize, usize),
 ) {
-    let ho = conv_out_dim(h, k, stride, pad);
-    let wo = conv_out_dim(w, k, stride, pad);
-    check_planes(x.len(), channel_stride, c, h * w);
-    assert!(col_offset + ho * wo <= row_stride, "columns overrun stride");
-    assert_eq!(cols.len(), c * k * k * row_stride, "cols size");
-    // Slots per phase that a tap can reach, and where tap `kx` starts
-    // reading inside the phase buffer.
-    let plen = wo + k.saturating_sub(1) / stride;
-    let tap_start = Taps::new(k, |kx| (kx % stride) * plen + kx / stride);
-    // Image columns some tap reads (the rest fall off the last window).
-    let used_w = ((wo - 1) * stride + k).saturating_sub(pad).min(w);
-    let mut scratch = workspace::take(stride * plen);
-    let phases = &mut scratch[..stride * plen];
-    // Every image row lands in the same slots; the others are the zero
-    // padding and stay zero from here on.
-    phases.fill(0.0);
+    let (planes, (row_stride, col_offset)) = (Planes::new(g, dims, window), at);
+    planes.check(c, (x.len(), channel_stride), (cols.len(), at));
+    let mut scratch = workspace::take(planes.s * planes.s * planes.phase_len);
     for ci in 0..c {
-        // The padded rows some window covers.
-        for (py, (oy0, ky0)) in padded_rows(stride).enumerate().take((ho - 1) * stride + k) {
-            match py.checked_sub(pad).filter(|&iy| iy < h) {
-                Some(iy) => {
-                    let row = &x[ci * channel_stride + iy * w..][..used_w];
-                    split_phases(row, pad, stride, plen, phases)
-                }
-                None => phases.fill(0.0),
-            }
-            for (oy, ky) in windows(oy0, ky0, stride, k, ho) {
-                for (kx, &start) in tap_start.as_slice().iter().enumerate() {
-                    let row = (ci * k + ky) * k + kx;
-                    cols[row * row_stride + col_offset + oy * wo..][..wo]
-                        .copy_from_slice(&phases[start..start + wo]);
-                }
-            }
+        let src = &x[ci * channel_stride..][..planes.group];
+        let phases = if planes.s == 1 {
+            src
+        } else {
+            planes.deal(src, &mut scratch);
+            &scratch[..]
+        };
+        for (t, (ty, tx, phase)) in planes.taps().enumerate() {
+            let row = (ci * planes.k * planes.k + t) * row_stride + col_offset;
+            let out = &mut cols[row..][..planes.block];
+            planes.runs(ty, tx, |col, from, len| {
+                out[col..col + len].copy_from_slice(&phases[phase + from..][..len]);
+            });
+            planes.zero_padding(ty, tx, out);
         }
+    }
+    workspace::give(scratch);
+}
+
+/// Adjoint of [`im2col`] onto a clean slate that is never read: every
+/// pixel of the group in `x` — laid out as [`im2col`] reads it, old
+/// contents not read — becomes the sum the scatter-add of the group's
+/// column block of `cols` leaves in a zeroed `x` (see the module doc), and
+/// each finished channel (its `g` planes) is then handed to
+/// `finish(ci, planes)` while it is still in cache (a transposed
+/// convolution's bias, norm and activation). Entries of the block whose
+/// pixel is padding may be overwritten with zero.
+///
+/// # Panics
+///
+/// As [`im2col`], with `x` checked as the group's `c` channels
+/// `channel_stride` apart.
+#[allow(clippy::too_many_arguments)]
+pub fn col2im(
+    cols: &mut [f32],
+    (c, g): (usize, usize),
+    dims: (usize, usize),
+    window: (usize, usize, usize),
+    x: &mut [f32],
+    channel_stride: usize,
+    at: (usize, usize),
+    finish: impl Fn(usize, &mut [f32]),
+) {
+    let planes = Planes::new(g, dims, window);
+    planes.check(c, (x.len(), channel_stride), (cols.len(), at));
+    let rows = planes.k * planes.k * at.0;
+    let mut scratch = workspace::take(planes.s * planes.s * planes.phase_len);
+    for (ci, taps) in cols.chunks_exact_mut(rows.max(1)).enumerate().take(c) {
+        let dst = &mut x[ci * channel_stride..][..planes.group];
+        if planes.s == 1 {
+            planes.sum_taps(taps, at, dst);
+        } else {
+            planes.sum_taps(taps, at, &mut scratch);
+            planes.interleave(&scratch, dst);
+        }
+        finish(ci, dst);
     }
     workspace::give(scratch);
 }
@@ -112,8 +149,8 @@ pub fn im2col_strided(
 /// Kernel widths whose tap table fits on the stack (the models use 4).
 const INLINE_TAPS: usize = 8;
 
-/// One precomputed entry per kernel column. The lowering runs per sample
-/// per layer, so the table lives on the stack for kernels up to
+/// One precomputed entry per kernel row or column. The lowering runs per
+/// group per layer, so the table lives on the stack for kernels up to
 /// [`INLINE_TAPS`] wide and a steady-state forward allocates nothing
 /// here; a wider kernel pays one small allocation.
 struct Taps<T> {
@@ -148,251 +185,287 @@ impl<T: Copy + Default> Taps<T> {
     }
 }
 
-/// `c` planes of `plane` floats, `channel_stride` apart, fit in `len`.
-fn check_planes(len: usize, channel_stride: usize, c: usize, plane: usize) {
-    assert!(channel_stride >= plane, "channel planes overlap");
-    assert!(
-        c == 0 || len >= (c - 1) * channel_stride + plane,
-        "sample size"
-    );
+/// Where one tap reads along one axis.
+#[derive(Debug, Clone, Copy, Default)]
+struct AxisTap {
+    /// The phase it reads: `(tap − pad) mod stride`.
+    phase: usize,
+    /// Output `o` reads slot `o + shift` of the phase: `(tap − pad) div
+    /// stride`.
+    shift: isize,
+    /// The outputs `lo .. hi` whose pixel is inside the image.
+    lo: usize,
+    hi: usize,
 }
 
-/// `(py / stride, py % stride)` for padded rows `py = 0, 1, …`, counted
-/// rather than divided (this runs once per image row).
-fn padded_rows(stride: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..).flat_map(move |oy0| (0..stride).map(move |ky0| (oy0, ky0)))
+impl AxisTap {
+    /// Tap `kk` along an axis of `dim` pixels and `out` outputs.
+    fn new(kk: usize, (dim, out): (usize, usize), stride: usize, pad: usize) -> Self {
+        let (t, s) = (kk as isize - pad as isize, stride as isize);
+        let (phase, shift) = (t.rem_euclid(s) as usize, t.div_euclid(s));
+        // The phase's pixels: `phase`, `phase + stride`, … below `dim`.
+        let len = ((dim + stride - 1 - phase) / stride) as isize;
+        let hi = (len - shift).clamp(0, out as isize) as usize;
+        let lo = ((-shift).max(0) as usize).min(hi);
+        AxisTap {
+            phase,
+            shift,
+            lo,
+            hi,
+        }
+    }
 }
 
-/// The windows `(oy, ky)` covering padded row `oy0·stride + ky0`
-/// (`ky0 < stride`): `oy·stride + ky` equal to it with `ky < k`, `oy < ho`,
-/// in ascending `ky`.
-fn windows(
-    oy0: usize,
-    ky0: usize,
-    stride: usize,
+/// Whether tap `(ty, tx)` reads no pixel of the image at all.
+fn outside(ty: AxisTap, tx: AxisTap) -> bool {
+    ty.lo == ty.hi || tx.lo == tx.hi
+}
+
+/// One lowering's geometry: a group of `g` samples of `h×w` through a
+/// `k×k` window at stride `s`, and where every tap reads. Phase
+/// `(qy, qx)` of the group is `g` planes of `hq` rows of pitch `pq`,
+/// `phase_len` floats from `(qy·s + qx)·phase_len` on.
+struct Planes {
+    g: usize,
+    h: usize,
+    w: usize,
     k: usize,
+    s: usize,
     ho: usize,
-) -> impl Iterator<Item = (usize, usize)> {
-    std::iter::successors(Some((oy0, ky0)), move |&(oy, ky)| {
-        oy.checked_sub(1).map(|oy| (oy, ky + stride))
-    })
-    .take_while(move |&(_, ky)| ky < k)
-    .filter(move |&(oy, _)| oy < ho)
+    wo: usize,
+    hq: usize,
+    pq: usize,
+    /// Floats of a channel of the group, of its block of a matrix row, and
+    /// of a phase plane.
+    group: usize,
+    block: usize,
+    phase_len: usize,
+    rows: Taps<AxisTap>,
+    cols: Taps<AxisTap>,
 }
 
-/// Deals `row` — whose first element sits at padded column `first` — into
-/// `stride` phases of `plen` slots: padded column `j` goes to slot
-/// `j / stride` of phase `j % stride`. Slots no element lands in are left
-/// as they were.
-fn split_phases(row: &[f32], first: usize, stride: usize, plen: usize, phases: &mut [f32]) {
-    // One source, instantiated with the stride as a constant where the
-    // models use it: a constant stride turns the loop into wide loads and
-    // shuffles, a run-time one leaves it scalar.
-    match stride {
-        1 => split::<1>(row, first, 1, plen, phases),
-        2 => split::<2>(row, first, 2, plen, phases),
-        _ => split::<0>(row, first, stride, plen, phases),
-    }
-}
-
-fn split<const S: usize>(row: &[f32], first: usize, stride: usize, plen: usize, out: &mut [f32]) {
-    let stride = if S == 0 { stride } else { S };
-    for p in 0..stride {
-        // Phase `p` takes `row[i0]`, `row[i0 + stride]`, ….
-        let i0 = (p + stride - first % stride) % stride;
-        let Some(src) = row.get(i0..) else { continue };
-        let dst = &mut out[p * plen + (first + i0) / stride..];
-        let groups = src.chunks_exact(stride);
-        if let Some(&last) = groups.remainder().first() {
-            dst[groups.len()] = last;
-        }
-        for (slot, group) in dst.iter_mut().zip(groups) {
-            *slot = group[0];
+impl Planes {
+    fn new(g: usize, (h, w): (usize, usize), (k, s, pad): (usize, usize, usize)) -> Self {
+        let (ho, wo) = (conv_out_dim(h, k, s, pad), conv_out_dim(w, k, s, pad));
+        let (hq, pq) = (h.div_ceil(s), w.div_ceil(s));
+        Planes {
+            g,
+            h,
+            w,
+            k,
+            s,
+            ho,
+            wo,
+            hq,
+            pq,
+            group: g * h * w,
+            block: g * ho * wo,
+            phase_len: g * hq * pq,
+            rows: Taps::new(k, |ky| AxisTap::new(ky, (h, ho), s, pad)),
+            cols: Taps::new(k, |kx| AxisTap::new(kx, (w, wo), s, pad)),
         }
     }
-}
 
-/// The inverse of [`split_phases`] for `first = 0`: reads `row` back out
-/// of its phases.
-fn merge_phases(row: &mut [f32], stride: usize, plen: usize, phases: &[f32]) {
-    match stride {
-        1 => merge::<1>(row, 1, plen, phases),
-        2 => merge::<2>(row, 2, plen, phases),
-        _ => merge::<0>(row, stride, plen, phases),
+    /// `c` channels `channel_stride` apart fit in `len` floats, and `cols`
+    /// floats are `c·k²` rows of `row_stride` that hold the group's block
+    /// at `col_offset`.
+    fn check(&self, c: usize, (len, channel_stride): Pair, (cols, at): (usize, Pair)) {
+        let (row_stride, col_offset) = at;
+        assert!(channel_stride >= self.group, "channel planes overlap");
+        let last = c.saturating_sub(1) * channel_stride;
+        assert!(c == 0 || len >= last + self.group, "sample size");
+        let fits = col_offset + self.block <= row_stride;
+        assert!(fits, "columns overrun stride");
+        assert_eq!(cols, c * self.k * self.k * row_stride, "cols size");
     }
-}
 
-fn merge<const S: usize>(row: &mut [f32], stride: usize, plen: usize, phases: &[f32]) {
-    let stride = if S == 0 { stride } else { S };
-    for (p, src) in phases.chunks_exact(plen).enumerate().take(stride) {
-        let Some(dst) = row.get_mut(p..) else {
-            continue;
+    /// Whether a tap's row is one run over the group: the phase plane is
+    /// the output plane's shape.
+    fn merged(&self) -> bool {
+        (self.hq, self.pq) == (self.ho, self.wo)
+    }
+
+    /// The taps in ascending `(ky, kx)`, each with where its phase plane
+    /// starts.
+    fn taps(&self) -> impl Iterator<Item = (AxisTap, AxisTap, usize)> + '_ {
+        self.rows.as_slice().iter().flat_map(move |&ty| {
+            self.cols.as_slice().iter().map(move |&tx| {
+                let phase = ty.phase * self.s + tx.phase;
+                (ty, tx, phase * self.phase_len)
+            })
+        })
+    }
+
+    /// Calls `run(col, from, len)` for each run of tap `(ty, tx)`: entries
+    /// `col .. col + len` of its block of the matrix row against
+    /// `from .. from + len` of its phase plane. A run spans the first to the
+    /// last in-image entry of its rows.
+    fn runs(&self, ty: AxisTap, tx: AxisTap, mut run: impl FnMut(usize, usize, usize)) {
+        if outside(ty, tx) {
+            return;
+        }
+        // Matrix and phase-plane index of output `(oy, ox)` of sample `b`.
+        let index = |b: usize, oy: usize, ox: usize| {
+            let py = oy.wrapping_add_signed(ty.shift);
+            let px = ox.wrapping_add_signed(tx.shift);
+            (
+                (b * self.ho + oy) * self.wo + ox,
+                (b * self.hq + py) * self.pq + px,
+            )
         };
-        let mut groups = dst.chunks_exact_mut(stride);
-        let whole = groups.len();
-        for (group, &v) in groups.by_ref().zip(src) {
-            group[0] = v;
+        if self.merged() {
+            let first = index(0, ty.lo, tx.lo);
+            let last = index(self.g - 1, ty.hi - 1, tx.hi - 1);
+            return run(first.0, first.1, last.0 + 1 - first.0);
         }
-        if let Some(last) = groups.into_remainder().first_mut() {
-            *last = src[whole];
+        for b in 0..self.g {
+            for oy in ty.lo..ty.hi {
+                let (col, from) = index(b, oy, tx.lo);
+                run(col, from, tx.hi - tx.lo);
+            }
         }
     }
-}
 
-/// The half-open output-x interval `[ox_lo, ox_hi)` for which kernel tap
-/// `kx` reads in-bounds input (`0 ≤ ox·stride + kx − pad < w`); outside it
-/// the tap sees zero padding.
-fn tap_span(w: usize, wo: usize, stride: usize, kx: usize, pad: usize) -> (usize, usize) {
-    let lo = if pad > kx {
-        (pad - kx).div_ceil(stride)
-    } else {
-        0
-    };
-    let hi = (w + pad)
-        .checked_sub(kx + 1)
-        .map(|last| (last / stride + 1).min(wo))
-        .unwrap_or(0);
-    (lo.min(hi), hi)
-}
+    /// Zeroes the entries of tap `(ty, tx)`'s block whose pixel is padding
+    /// — a row or two and a column or two of each sample — one strided
+    /// pass over the group per position, not a call per row or sample.
+    fn zero_padding(&self, ty: AxisTap, tx: AxisTap, block: &mut [f32]) {
+        if outside(ty, tx) {
+            return block.fill(0.0);
+        }
+        let (ho, wo) = (self.ho, self.wo);
+        for i in (0..ty.lo * wo).chain(ty.hi * wo..ho * wo) {
+            block[i..]
+                .iter_mut()
+                .step_by(ho * wo)
+                .for_each(|v| *v = 0.0);
+        }
+        for ox in (0..tx.lo).chain(tx.hi..wo) {
+            block[ox..].iter_mut().step_by(wo).for_each(|v| *v = 0.0);
+        }
+    }
 
-/// Adjoint of [`im2col_strided`]: adds the sample's column block of
-/// `cols` (`c·k·k` rows of `row_stride`, the block starting at
-/// `col_offset`) back onto the dense `x: [c, h, w]`, which must be
-/// pre-zeroed by the caller if accumulation from a clean slate is desired.
-/// Bit-identical to the scatter-add it replaces (see the module doc).
-///
-/// # Panics
-///
-/// Panics when `x` does not match `c·h·w`, when the block overruns
-/// `row_stride`, or when `cols` is not exactly `c·k·k` rows of
-/// `row_stride`.
-#[allow(clippy::too_many_arguments)]
-pub fn col2im(
-    cols: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    x: &mut [f32],
-    row_stride: usize,
-    col_offset: usize,
-) {
-    assert_eq!(x.len(), c * h * w, "output size");
-    gather_rows(
-        cols,
-        (c, h, w),
-        (k, stride, pad),
-        x,
-        h * w,
-        row_stride,
-        col_offset,
-        true,
-        |_, _| {},
-    );
-}
-
-/// [`col2im`] onto a clean slate that is never written: every pixel of
-/// `x` — planes `channel_stride` apart, old contents not read — becomes
-/// the sum `col2im` leaves in a zeroed `x`, and each finished row of
-/// channel `ci` is then handed to `finish(ci, row)` while it is still in
-/// cache (a transposed convolution's bias, norm and activation).
-///
-/// # Panics
-///
-/// As [`col2im`], with `x` checked as `c` planes `channel_stride` apart.
-#[allow(clippy::too_many_arguments)]
-pub fn col2im_set(
-    cols: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    x: &mut [f32],
-    channel_stride: usize,
-    row_stride: usize,
-    col_offset: usize,
-    finish: impl Fn(usize, &mut [f32]),
-) {
-    check_planes(x.len(), channel_stride, c, h * w);
-    gather_rows(
-        cols,
-        (c, h, w),
-        (k, stride, pad),
-        x,
-        channel_stride,
-        row_stride,
-        col_offset,
-        false,
-        finish,
-    );
-}
-
-/// The row gather behind [`col2im`] (`accumulate`: rows are seeded from
-/// `x`) and [`col2im_set`] (seeded with zero).
-#[allow(clippy::too_many_arguments)]
-fn gather_rows(
-    cols: &[f32],
-    (c, h, w): (usize, usize, usize),
-    (k, stride, pad): (usize, usize, usize),
-    x: &mut [f32],
-    channel_stride: usize,
-    row_stride: usize,
-    col_offset: usize,
-    accumulate: bool,
-    finish: impl Fn(usize, &mut [f32]),
-) {
-    let ho = conv_out_dim(h, k, stride, pad);
-    let wo = conv_out_dim(w, k, stride, pad);
-    assert!(col_offset + ho * wo <= row_stride, "columns overrun stride");
-    assert_eq!(cols.len(), c * k * k * row_stride, "cols size");
-    // Per tap `kx`: the in-bounds `ox` interval and where its first pixel
-    // (`ix = ox_lo·stride + kx − pad`) sits in the row's phase buffer.
-    let plen = w.div_ceil(stride);
-    let taps = Taps::new(k, |kx| {
-        let (lo, hi) = tap_span(w, wo, stride, kx, pad);
-        let ix0 = if lo < hi { lo * stride + kx - pad } else { 0 };
-        (lo, hi, (ix0 % stride) * plen + ix0 / stride)
-    });
-    let mut scratch = workspace::take(stride * plen);
-    let phases = &mut scratch[..stride * plen];
-    for ci in 0..c {
-        let plane = &mut x[ci * channel_stride..][..h * w];
-        // Destination row `iy` is padded row `iy + pad`.
-        let rows = plane.chunks_exact_mut(w.max(1));
-        for (dst, (oy0, ky0)) in rows.zip(padded_rows(stride).skip(pad)) {
-            if accumulate {
-                split_phases(dst, 0, stride, plen, phases);
-            } else {
-                phases.fill(0.0);
+    /// Sets `phases` to `+0.0` plus each tap's block of `taps` (one
+    /// channel's `k²` matrix rows, `(row_stride, col_offset)`) added
+    /// through its runs, in ascending `(ky, kx)` — once the block's padding
+    /// entries are zero where a run can pass over them.
+    fn sum_taps(&self, taps: &mut [f32], (row_stride, col_offset): Pair, phases: &mut [f32]) {
+        phases[..self.s * self.s * self.phase_len].fill(0.0);
+        for (t, (ty, tx, phase)) in self.taps().enumerate() {
+            let src = &mut taps[t * row_stride + col_offset..][..self.block];
+            if self.merged() && !outside(ty, tx) {
+                self.zero_padding(ty, tx, src);
             }
-            for (oy, ky) in windows(oy0, ky0, stride, k, ho) {
-                for (kx, &(lo, hi, start)) in taps.as_slice().iter().enumerate() {
-                    let row = (ci * k + ky) * k + kx;
-                    let src = &cols[row * row_stride + col_offset + oy * wo..][lo..hi];
-                    for (a, s) in phases[start..start + src.len()].iter_mut().zip(src) {
-                        *a += *s;
-                    }
+            self.runs(ty, tx, |col, to, len| {
+                for (a, v) in phases[phase + to..][..len]
+                    .iter_mut()
+                    .zip(&src[col..col + len])
+                {
+                    *a += *v;
+                }
+            });
+        }
+    }
+
+    /// Deals one channel of the group into its phase planes.
+    fn deal(&self, planes: &[f32], phases: &mut [f32]) {
+        self.for_rows(|row, at| {
+            split_phases(
+                &planes[row..][..self.w],
+                self.s,
+                self.phase_len,
+                &mut phases[at..],
+            );
+        });
+    }
+
+    /// The inverse of [`Planes::deal`].
+    fn interleave(&self, phases: &[f32], planes: &mut [f32]) {
+        self.for_rows(|row, at| {
+            merge_phases(
+                &mut planes[row..][..self.w],
+                self.s,
+                self.phase_len,
+                &phases[at..],
+            );
+        });
+    }
+
+    /// Calls `f(row, at)` for every image row of a channel of the group:
+    /// where it starts in the group's planes, and in the first phase plane
+    /// it is dealt to.
+    fn for_rows(&self, mut f: impl FnMut(usize, usize)) {
+        for qy in 0..self.s.min(self.h) {
+            for b in 0..self.g {
+                let first = (qy * self.s * self.g + b) * self.hq;
+                for (t, iy) in (qy..self.h).step_by(self.s).enumerate() {
+                    f((b * self.h + iy) * self.w, (first + t) * self.pq);
                 }
             }
-            merge_phases(dst, stride, plen, phases);
-            finish(ci, dst);
         }
     }
-    workspace::give(scratch);
+}
+
+/// Deals `row` into `stride` phases `pitch` floats apart in `out`: element
+/// `j` goes to slot `j div stride` of phase `j mod stride`.
+fn split_phases(row: &[f32], stride: usize, pitch: usize, out: &mut [f32]) {
+    if stride == 2 {
+        // One pass over pairs, which the compiler turns into wide loads
+        // and shuffles; a general stride stays a loop per phase.
+        let (even, odd) = out.split_at_mut(pitch);
+        let pairs = row.chunks_exact(2);
+        if let [last] = pairs.remainder() {
+            even[pairs.len()] = *last;
+        }
+        for ((e, o), pair) in even.iter_mut().zip(odd.iter_mut()).zip(pairs) {
+            (*e, *o) = (pair[0], pair[1]);
+        }
+        return;
+    }
+    for p in 0..stride.min(row.len()) {
+        for (slot, v) in out[p * pitch..]
+            .iter_mut()
+            .zip(row[p..].iter().step_by(stride))
+        {
+            *slot = *v;
+        }
+    }
+}
+
+/// The inverse of [`split_phases`].
+fn merge_phases(row: &mut [f32], stride: usize, pitch: usize, phases: &[f32]) {
+    if stride == 2 {
+        let (even, odd) = phases.split_at(pitch);
+        let mut pairs = row.chunks_exact_mut(2);
+        let whole = pairs.len();
+        for ((pair, e), o) in pairs.by_ref().zip(even).zip(odd) {
+            (pair[0], pair[1]) = (*e, *o);
+        }
+        if let [last] = pairs.into_remainder() {
+            *last = even[whole];
+        }
+        return;
+    }
+    for p in 0..stride.min(row.len()) {
+        for (v, slot) in row[p..]
+            .iter_mut()
+            .step_by(stride)
+            .zip(&phases[p * pitch..])
+        {
+            *v = *slot;
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::RefCell;
 
     /// One sample into a matrix of exactly its own width.
     #[allow(clippy::too_many_arguments)]
-    fn im2col(
+    fn im2col_dense(
         x: &[f32],
         c: usize,
         h: usize,
@@ -405,26 +478,25 @@ mod tests {
         let ho = conv_out_dim(h, k, stride, pad);
         let wo = conv_out_dim(w, k, stride, pad);
         assert_eq!(cols.len(), c * k * k * ho * wo, "cols size");
-        im2col_strided(x, h * w, c, h, w, k, stride, pad, cols, ho * wo, 0);
+        im2col(
+            x,
+            h * w,
+            (c, 1),
+            (h, w),
+            (k, stride, pad),
+            cols,
+            (ho * wo, 0),
+        );
     }
 
-    /// `dense: [c, plane]` with its planes moved `channel_stride` apart,
-    /// the gaps filled with values no lowering may read or write.
-    fn spread(dense: &[f32], c: usize, plane: usize, channel_stride: usize) -> Vec<f32> {
-        let mut out = vec![f32::NAN; (c * channel_stride).max(dense.len())];
-        for ci in 0..c {
-            out[ci * channel_stride..][..plane].copy_from_slice(&dense[ci * plane..][..plane]);
-        }
-        out
-    }
-
-    /// The definition the phase-split code must reproduce bit for bit:
-    /// one bounds-checked element per `(c, ky, kx, oy, ox)`, in that loop
-    /// order — the order the strided gather and scatter-add loops this
-    /// module used to have visited them in. `visit(col, pixel)` gets the
-    /// index into `cols` and, when the tap is inside the image, into `x`.
+    /// The definition the plane lowering must reproduce bit for bit, for
+    /// one sample: one bounds-checked element per `(c, ky, kx, oy, ox)`, in
+    /// that loop order — the order the strided gather and scatter-add loops
+    /// this module once had visited them in. `visit(col, pixel)` gets the
+    /// index into `cols` and, when the tap is inside the image, into the
+    /// dense sample `[c, h, w]`.
     #[allow(clippy::too_many_arguments)]
-    fn for_each_tap(
+    pub(crate) fn for_each_tap(
         c: usize,
         h: usize,
         w: usize,
@@ -455,8 +527,12 @@ mod tests {
     }
 
     /// Deterministic values in `[-1, 1)` with exact `±0.0` sprinkled in
-    /// (`0.0 + -0.0` is where a reordered fold would first show).
-    fn values(len: usize, seed: u64) -> Vec<f32> {
+    /// (`0.0 + -0.0` is where a reordered fold would first show), or — for
+    /// `seed == NEG_ZEROS` — nothing but `−0.0`.
+    pub(crate) fn values(len: usize, seed: u64) -> Vec<f32> {
+        if seed == NEG_ZEROS {
+            return vec![-0.0; len];
+        }
         (0..len as u64)
             .map(|i| {
                 let x = i
@@ -471,24 +547,35 @@ mod tests {
             .collect()
     }
 
-    fn bits(v: &[f32]) -> Vec<u32> {
+    /// The seed for which [`values`] is all `−0.0`: every sum `col2im`
+    /// makes of them must come out `+0.0`.
+    pub(crate) const NEG_ZEROS: u64 = u64::MAX;
+
+    pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The finishing pass the tests hand `col2im`: it keeps the sign of a
+    /// zero in channel 0, and applying it twice would show.
+    pub(crate) fn finish(ci: usize, v: f32) -> f32 {
+        v * 0.5 - ci as f32
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Odd and even sizes, kernels wider and narrower than the stride,
-        /// padding, a wide `row_stride`, a non-zero `col_offset` and planes
-        /// `gap` floats further apart than dense: `im2col_strided` fills
-        /// exactly its column block with exactly the gathered values,
-        /// `col2im` adds onto a non-zero destination exactly what the
-        /// scatter-add would, in the same order, and `col2im_set` leaves in
-        /// an unread destination what the scatter-add leaves in a zeroed
-        /// one, each row then finished once.
+        /// padding, groups of one to four samples at a non-zero
+        /// `col_offset` of a wider matrix, and channels `gap` floats further
+        /// apart than the group, the gaps NaN: `im2col` fills exactly its
+        /// column block with exactly the gathered values, and `col2im`
+        /// leaves in an unread destination what the scatter-add leaves in a
+        /// zeroed one, each channel then finished once and the gaps neither
+        /// read nor written. One case in eight, every input is `−0.0`.
         #[test]
         fn lowering_is_bitwise_the_per_element_loops(
             c in 1usize..=5,
+            g in 1usize..=4,
             h in 1usize..=19,
             w in 1usize..=19,
             k in 1usize..=5,
@@ -497,51 +584,63 @@ mod tests {
             before in 0usize..=5,
             after in 0usize..=5,
             gap in 0usize..=3,
-            seed in 0u64..10_000,
+            seed in 0u64..80_000,
         ) {
+            let input = |salt: u64| if seed % 8 == 0 { NEG_ZEROS } else { seed ^ salt };
             let k = k.min(h + 2 * pad).min(w + 2 * pad);
-            let block = conv_out_dim(h, k, stride, pad) * conv_out_dim(w, k, stride, pad);
-            let (row_stride, col_offset) = (before + block + after, before);
-            let x = values(c * h * w, seed);
+            let (plane, window) = (h * w, (k, stride, pad));
+            let p_out = conv_out_dim(h, k, stride, pad) * conv_out_dim(w, k, stride, pad);
+            let (row_stride, col_offset) = (before + g * p_out + after, before);
+            // `[g][c][plane]`, laid channel-major: channel `ci`'s planes
+            // side by side, `cs` floats from one channel to the next.
+            let xs = values(g * c * plane, input(0));
+            let cs = g * plane + gap;
+            let laid = |dense: &[f32]| {
+                let mut out = vec![f32::NAN; c * cs];
+                for (i, v) in dense.iter().enumerate() {
+                    let (b, ci, p) = (i / (c * plane), i / plane % c, i % plane);
+                    out[ci * cs + b * plane + p] = *v;
+                }
+                out
+            };
 
             let mut want = values(c * k * k * row_stride, seed ^ 0xC01);
             let mut got = want.clone();
-            for_each_tap(c, h, w, k, stride, pad, row_stride, col_offset, |col, pixel| {
-                want[col] = pixel.map_or(0.0, |i| x[i]);
-            });
-            let cs = h * w + gap;
-            let apart = spread(&x, c, h * w, cs);
-            im2col_strided(&apart, cs, c, h, w, k, stride, pad, &mut got, row_stride, col_offset);
+            for b in 0..g {
+                for_each_tap(c, h, w, k, stride, pad, row_stride, col_offset + b * p_out, |col, pixel| {
+                    want[col] = pixel.map_or(0.0, |i| xs[b * c * plane + i]);
+                });
+            }
+            im2col(&laid(&xs), cs, (c, g), (h, w), window, &mut got, (row_stride, col_offset));
             prop_assert_eq!(bits(&got), bits(&want), "im2col");
 
             // Fresh values: what `im2col` gathered would give every pixel one
-            // repeated term, and any fold order the same sum.
-            let cols = values(c * k * k * row_stride, seed ^ 0xADD);
-            let mut want = values(c * h * w, seed ^ 0xD57);
-            let mut got = want.clone();
-            for_each_tap(c, h, w, k, stride, pad, row_stride, col_offset, |col, pixel| {
-                if let Some(i) = pixel {
-                    want[i] += cols[col];
-                }
-            });
-            col2im(&cols, c, h, w, k, stride, pad, &mut got, row_stride, col_offset);
-            prop_assert_eq!(bits(&got), bits(&want), "col2im");
-
-            let mut zeroed = vec![0.0; c * h * w];
-            for_each_tap(c, h, w, k, stride, pad, row_stride, col_offset, |col, pixel| {
-                if let Some(i) = pixel {
-                    zeroed[i] += cols[col];
-                }
-            });
-            for (ci, plane) in zeroed.chunks_exact_mut((h * w).max(1)).enumerate() {
-                plane.iter_mut().for_each(|v| *v = *v * 0.5 + ci as f32);
+            // repeated term, and any fold order the same sum. Outside the
+            // group's block the matrix is NaN, which no sum may read.
+            let mut cols = values(c * k * k * row_stride, input(0xADD));
+            for row in cols.chunks_exact_mut(row_stride) {
+                row[..col_offset].fill(f32::NAN);
+                row[col_offset + g * p_out..].fill(f32::NAN);
             }
-            let want = spread(&zeroed, c, h * w, cs);
-            let mut got = spread(&values(c * h * w, seed ^ 0x5E7), c, h * w, cs);
-            col2im_set(&cols, c, h, w, k, stride, pad, &mut got, cs, row_stride, col_offset, |ci, row| {
-                row.iter_mut().for_each(|v| *v = *v * 0.5 + ci as f32);
+            let mut sums = vec![0.0; g * c * plane];
+            for b in 0..g {
+                for_each_tap(c, h, w, k, stride, pad, row_stride, col_offset + b * p_out, |col, pixel| {
+                    if let Some(i) = pixel {
+                        sums[b * c * plane + i] += cols[col];
+                    }
+                });
+            }
+            for (i, v) in sums.iter_mut().enumerate() {
+                *v = finish(i / plane % c, *v);
+            }
+            let finished = RefCell::new(vec![0; c]);
+            let mut got = laid(&values(g * c * plane, seed ^ 0x5E7));
+            col2im(&mut cols, (c, g), (h, w), window, &mut got, cs, (row_stride, col_offset), |ci, planes| {
+                finished.borrow_mut()[ci] += planes.len();
+                planes.iter_mut().for_each(|v| *v = finish(ci, *v));
             });
-            prop_assert_eq!(bits(&got), bits(&want), "col2im_set");
+            prop_assert_eq!(bits(&got), bits(&laid(&sums)), "col2im");
+            prop_assert_eq!(finished.into_inner(), vec![g * plane; c], "finished once");
         }
     }
 
@@ -563,19 +662,22 @@ mod tests {
         // k=1, s=1, p=0 is a no-op reshape.
         let x: Vec<f32> = (0..12).map(|v| v as f32).collect();
         let mut cols = vec![0.0; 12];
-        im2col(&x, 3, 2, 2, 1, 1, 0, &mut cols);
+        im2col_dense(&x, 3, 2, 2, 1, 1, 0, &mut cols);
         assert_eq!(cols, x);
     }
 
     #[test]
     fn im2col_strided_interleaves_samples() {
-        // Two 1-channel 2x2 samples with k=1 (no-op unroll) side by side.
-        let a = vec![1.0, 2.0, 3.0, 4.0];
-        let b = vec![5.0, 6.0, 7.0, 8.0];
+        // Two 1-channel 2x2 samples with k=1 (no-op unroll) side by side,
+        // one at a time or as one group.
+        let ab = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         let mut cols = vec![0.0; 8]; // 1 row of stride 8
-        im2col_strided(&a, 4, 1, 2, 2, 1, 1, 0, &mut cols, 8, 0);
-        im2col_strided(&b, 4, 1, 2, 2, 1, 1, 0, &mut cols, 8, 4);
-        assert_eq!(cols, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        im2col(&ab[..4], 4, (1, 1), (2, 2), (1, 1, 0), &mut cols, (8, 0));
+        im2col(&ab[4..], 4, (1, 1), (2, 2), (1, 1, 0), &mut cols, (8, 4));
+        assert_eq!(cols, ab);
+        let mut group = vec![0.0; 8];
+        im2col(&ab, 8, (1, 2), (2, 2), (1, 1, 0), &mut group, (8, 0));
+        assert_eq!(group, ab);
     }
 
     #[test]
@@ -586,11 +688,19 @@ mod tests {
         let plane = ho * wo;
         let x: Vec<f32> = (0..c * h * w).map(|i| (i as f32 * 0.61).sin()).collect();
         let mut plain = vec![0.0; c * k * k * plane];
-        im2col(&x, c, h, w, k, s, p, &mut plain);
+        im2col_dense(&x, c, h, w, k, s, p, &mut plain);
         // Interleave the same sample at offset `plane` of a 3-sample-wide
         // matrix and compare block-wise.
         let mut wide = vec![-1.0; c * k * k * plane * 3];
-        im2col_strided(&x, h * w, c, h, w, k, s, p, &mut wide, plane * 3, plane);
+        im2col(
+            &x,
+            h * w,
+            (c, 1),
+            (h, w),
+            (k, s, p),
+            &mut wide,
+            (plane * 3, plane),
+        );
         for row in 0..c * k * k {
             assert_eq!(
                 &wide[row * plane * 3 + plane..row * plane * 3 + 2 * plane],
@@ -605,7 +715,7 @@ mod tests {
         // 1 channel, 2x2 input, k=3, s=1, p=1 -> 2x2 output positions.
         let x = vec![1.0, 2.0, 3.0, 4.0];
         let mut cols = vec![0.0; 9 * 4];
-        im2col(&x, 1, 2, 2, 3, 1, 1, &mut cols);
+        im2col_dense(&x, 1, 2, 2, 3, 1, 1, &mut cols);
         // Centre tap (ky=1,kx=1) row must equal the input itself.
         let centre = &cols[4 * 4..5 * 4];
         assert_eq!(centre, &x[..]);
@@ -627,14 +737,24 @@ mod tests {
             .map(|i| (i as f32 * 0.53).cos())
             .collect();
         let mut ix = vec![0.0; y.len()];
-        im2col(&x, c, h, w, k, s, p, &mut ix);
+        im2col_dense(&x, c, h, w, k, s, p, &mut ix);
         let lhs: f64 = ix
             .iter()
             .zip(&y)
             .map(|(a, b)| (*a as f64) * (*b as f64))
             .sum();
         let mut cy = vec![0.0; x.len()];
-        col2im(&y, c, h, w, k, s, p, &mut cy, ho * wo, 0);
+        let mut y = y;
+        col2im(
+            &mut y,
+            (c, 1),
+            (h, w),
+            (k, s, p),
+            &mut cy,
+            h * w,
+            (ho * wo, 0),
+            |_, _| {},
+        );
         let rhs: f64 = x
             .iter()
             .zip(&cy)
@@ -645,9 +765,18 @@ mod tests {
 
     #[test]
     fn col2im_accumulates() {
-        let cols = vec![1.0; 9 * 4];
-        let mut x = vec![0.0; 4];
-        col2im(&cols, 1, 2, 2, 3, 1, 1, &mut x, 4, 0);
+        let mut cols = vec![1.0; 9 * 4];
+        let mut x = vec![f32::NAN; 4];
+        col2im(
+            &mut cols,
+            (1, 1),
+            (2, 2),
+            (3, 1, 1),
+            &mut x,
+            4,
+            (4, 0),
+            |_, _| {},
+        );
         // Every output position's 3x3 window covers each input pixel at
         // least once; values must be > 1 due to overlap.
         assert!(x.iter().all(|&v| v >= 2.0), "{x:?}");

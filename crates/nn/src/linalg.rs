@@ -48,13 +48,17 @@
 //!   `b·a` rounds exactly like `a·b`, so the choice cannot change a bit.
 //!   [`TnWeights`] is the same rule for an `A` that outlives the call
 //!   (inference weights): the pack happens once, not per product.
-//! * **`nt`** packs `Bᵀ` (`k×n`) once and runs the panel kernel
-//!   zero-seeded, then adds the finished dot product onto `C` — the chain
-//!   `0 + a₀b₀ + … + aₖ₋₁bₖ₋₁`, then `c += acc`, that the `nt` reference
-//!   pins (it differs from seeding with `c`, so `nt` keeps its own rule).
-//! * **Overwriting products** ([`matmul_nn_set`], [`TnWeights::product`])
-//!   seed with zero and store the finished chain: the bits `C += A·B`
-//!   leaves in a zeroed `C`, without the pass that zeroes it.
+//! * **`nt` picks its layout by element count too**, for the chain
+//!   `0 + a₀b₀ + … + aₖ₋₁bₖ₋₁`, then `c += acc`, that its reference pins:
+//!   pack `Bᵀ` and add each finished dot onto `C` (`n·k` moved), or compute
+//!   `T = B·Aᵀ` zero-seeded and add it onto `C` transposed (`m·k + 2·m·n`).
+//!   The kernel streams `m·n·k/4` elements either way, so that term
+//!   cancels; on the 14 weight-gradient shapes of a train step the smaller
+//!   count was the faster layout every time (`12×1024×112`: 0.53×).
+//! * **Overwriting products** ([`matmul_nn_set`], `matmul_tn_set`,
+//!   [`TnWeights::product`]) seed with zero and store the finished chain:
+//!   the bits `C += A·B` leaves in a zeroed `C`, without the pass that
+//!   zeroes it.
 //!
 //! The old `if aik == 0.0` skip is gone: it broke the fixed-width panel
 //! shape (a data-dependent branch in the hot loop defeats vectorization)
@@ -176,11 +180,26 @@ fn tn_by_transposed_output<const SEED: u8>(
 ///
 /// Panics when slice lengths do not match the dimensions.
 pub fn matmul_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    tn::<ACC>(a, b, c, m, k, n);
+}
+
+/// `C = Aᵀ @ B`, shapes as in [`matmul_tn`]: the bits [`matmul_tn`] leaves
+/// in a zeroed `C`, whose old contents are not read.
+///
+/// # Panics
+///
+/// Panics when slice lengths do not match the dimensions.
+pub(crate) fn matmul_tn_set(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    tn::<SET>(a, b, c, m, k, n);
+}
+
+/// `Aᵀ @ B` onto `C`, each output starting and ending as `SEED` says.
+fn tn<const SEED: u8>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
     if tn_transposes_output(m, k, n) {
-        tn_by_transposed_output::<ACC>(a, b, n, c, m, k, n);
+        tn_by_transposed_output::<SEED>(a, b, n, c, m, k, n);
     } else {
         // Pack and multiply a strip of output rows at a time: the kernel
         // reads the strip while it is still in cache, and the workspace
@@ -190,7 +209,7 @@ pub fn matmul_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
         for (strip, c_rows) in c.chunks_mut((rows * n).max(1)).enumerate() {
             let r = c_rows.len() / n.max(1);
             transpose(&a[strip * rows..], m, k, r, &mut at[..r * k]);
-            dispatch::<ACC>(&at[..r * k], b, n, c_rows, r, k, n);
+            dispatch::<SEED>(&at[..r * k], b, n, c_rows, r, k, n);
         }
         workspace::give(at);
     }
@@ -255,10 +274,10 @@ impl TnWeights {
 
 /// `C += A @ Bᵀ` where `A` is `m×k`, `B` is `n×k`, `C` is `m×n`.
 ///
-/// Backward-only (weight gradients). Packs `Bᵀ` once (O(n·k) against
-/// O(m·n·k) compute) and runs the panel kernel zero-seeded, adding each
-/// finished dot product onto `C`: every output is still a zero-seeded dot
-/// folded in ascending `k`, then one add — bitwise the scalar chain.
+/// Backward-only (weight gradients): every output is a zero-seeded dot
+/// folded in ascending `k`, then one add onto `C` — through a packed `Bᵀ`,
+/// or as `T = B·Aᵀ` added onto `C` transposed where that moves fewer
+/// elements (see the module doc).
 ///
 /// # Panics
 ///
@@ -267,10 +286,29 @@ pub fn matmul_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), n * k, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    let mut bt = workspace::take(k * n);
-    transpose(b, k, n, k, &mut bt[..k * n]);
-    dispatch::<DOT>(a, &bt[..k * n], n, c, m, k, n);
-    workspace::give(bt);
+    if nt_transposes_output(m, k, n) {
+        let (mut at, mut t) = (workspace::take(k * m), workspace::take(n * m));
+        transpose(a, k, m, k, &mut at[..k * m]);
+        dispatch::<SET>(b, &at[..k * m], m, &mut t[..n * m], n, k, m);
+        for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+            for (cv, tv) in c_row.iter_mut().zip(t[i..].iter().step_by(m)) {
+                *cv += tv;
+            }
+        }
+        workspace::give(at);
+        workspace::give(t);
+    } else {
+        let mut bt = workspace::take(k * n);
+        transpose(b, k, n, k, &mut bt[..k * n]);
+        dispatch::<DOT>(a, &bt[..k * n], n, c, m, k, n);
+        workspace::give(bt);
+    }
+}
+
+/// Whether `A·Bᵀ` (`A` `m×k`, `B` `n×k`) moves fewer elements as `T = B·Aᵀ`
+/// added onto `C` transposed than through a packed `Bᵀ`.
+fn nt_transposes_output(m: usize, k: usize, n: usize) -> bool {
+    m * k + 2 * m * n < n * k
 }
 
 /// Runs the kernel in the widest instantiation this CPU supports on `A`
@@ -620,6 +658,28 @@ mod tests {
             return;
         }
         println!("linalg: SKIPPED instantiation comparison — this CPU has no AVX2");
+    }
+
+    /// From a `C` full of NaN, the overwriting `tn` leaves the bits
+    /// `matmul_tn` leaves in a zeroed one, in both of its layouts.
+    #[test]
+    fn tn_set_is_tn_into_zeros() {
+        let shapes = [(96, 24, 7), (96, 24, 8), (3, 8, 4), (48, 7, 1), (5, 6, 40)];
+        for &(m, k, n) in &shapes {
+            let at = randmat(k * m, 12);
+            let b = randmat(k * n, 13);
+            let mut want = vec![0.0; m * n];
+            matmul_tn(&at, &b, &mut want, m, k, n);
+            let mut got = vec![f32::NAN; m * n];
+            matmul_tn_set(&at, &b, &mut got, m, k, n);
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "shape ({m},{k},{n})"
+            );
+        }
+        let layouts = shapes.map(|(m, k, n)| tn_transposes_output(m, k, n));
+        assert!(layouts.contains(&true) && layouts.contains(&false));
     }
 
     #[test]

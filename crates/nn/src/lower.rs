@@ -17,7 +17,7 @@
 //! it is still in cache, with the per-element expressions of the separate
 //! layers in their order, so fusing them changes no bit either.
 
-use crate::im2col::{col2im_set, conv_out_dim, im2col_strided};
+use crate::im2col::{col2im, conv_out_dim, im2col, Pair};
 use crate::linalg::{matmul_nn_set, TnWeights};
 use crate::tensor::Tensor;
 use crate::workspace::scratch;
@@ -186,6 +186,21 @@ impl<'a> BatchMut<'a> {
             BatchMut::Tensors(ys) => (ys[s].data_mut(), plane),
         }
     }
+
+    /// As [`Batch::columns`].
+    fn columns(&mut self, first: usize, g: usize, plane: usize) -> Option<(&mut [f32], usize)> {
+        match self {
+            BatchMut::Strided {
+                buf,
+                sample_stride,
+                channel_stride,
+            } if g == 1 || (*sample_stride == plane && *channel_stride >= g * plane) => {
+                Some((&mut buf[first * *sample_stride..], *channel_stride))
+            }
+            BatchMut::Tensors(ys) if g == 1 => Some((ys[first].data_mut(), plane)),
+            _ => None,
+        }
+    }
 }
 
 /// One channel of an inference batch-norm: the running statistics and the
@@ -336,22 +351,7 @@ pub(crate) fn conv_forward(
             let g = group.min(n - first);
             let gcols = g * p_out;
             let (cols, y_flat) = (&mut cols[..ckk * gcols], &mut y_flat[..geom.out_c * gcols]);
-            for b in 0..g {
-                let (x_b, channel_stride) = x.sample(first + b, h * w);
-                im2col_strided(
-                    x_b,
-                    channel_stride,
-                    geom.in_c,
-                    h,
-                    w,
-                    geom.k,
-                    geom.stride,
-                    geom.pad,
-                    cols,
-                    gcols,
-                    b * p_out,
-                );
-            }
+            im2col_group(geom, x, (h, w), (first, g), cols);
             matmul_nn_set(weight, cols, y_flat, geom.out_c, ckk, gcols);
             // De-interleave [out_c, g·p] into the destination's planes.
             for b in 0..g {
@@ -389,10 +389,11 @@ pub(crate) fn conv_inference(
 /// a group of samples (`[in_c, g·h·w]`, read in place when they lie
 /// channel-major, interleaved first otherwise) is multiplied once —
 /// `product(b, ldb, cols, g·h·w)` must set `cols` (`[out_c·k², g·h·w]`) to
-/// `Wᵀ @ b` for `b`'s rows `ldb` apart — and each sample's column block
-/// gathered (`col2im`) straight into its place in `y`, every finished row
-/// passing through `epilogue`. Accumulation order per element matches a
-/// per-sample pass exactly, so any batch size is bitwise-identical.
+/// `Wᵀ @ b` for `b`'s rows `ldb` apart — and the matrix gathered
+/// (`col2im`) straight into the group's places in `y`, every finished
+/// channel passing through `epilogue`. Accumulation order per element
+/// matches a per-sample pass exactly, so any batch size is
+/// bitwise-identical.
 pub(crate) fn deconv_forward(
     geom: &ConvGeom,
     product: impl Fn(&[f32], usize, &mut [f32], usize),
@@ -436,26 +437,57 @@ pub(crate) fn deconv_forward(
                 };
                 let cols = &mut cols[..ckk * gcols];
                 product(b, ldb, cols, gcols);
-                for s in 0..g {
-                    let (y_s, channel_stride) = y.sample(first + s, ho * wo);
-                    col2im_set(
-                        cols,
-                        geom.out_c,
-                        ho,
-                        wo,
-                        geom.k,
-                        geom.stride,
-                        geom.pad,
-                        y_s,
-                        channel_stride,
-                        gcols,
-                        s * p_in,
-                        |c, row| epilogue.apply(c, row),
-                    );
-                }
+                col2im_group(geom, cols, (ho, wo), (first, g), y, |c, planes| {
+                    epilogue.apply(c, planes)
+                });
             }
         })
     });
+}
+
+/// Lowers samples `first .. first + g` of `x` (`dims` each) into `cols`,
+/// the group's `[in_c·k², g·ho·wo]` matrix: in one pass where they lie
+/// channel-major, a sample at a time otherwise.
+fn im2col_group(geom: &ConvGeom, x: Batch<'_>, dims: Pair, (first, g): Pair, cols: &mut [f32]) {
+    let (plane, (ho, wo)) = (dims.0 * dims.1, geom.conv_out(dims));
+    let (window, block) = ((geom.k, geom.stride, geom.pad), ho * wo);
+    let mut lower = |x, cs, b, n| {
+        let at = (g * block, b * block);
+        im2col(x, cs, (geom.in_c, n), dims, window, cols, at);
+    };
+    match x.columns(first, g, plane) {
+        Some((x, cs)) => lower(x, cs, 0, g),
+        None => (0..g).for_each(|b| {
+            let (x, cs) = x.sample(first + b, plane);
+            lower(x, cs, b, 1);
+        }),
+    }
+}
+
+/// The adjoint of [`im2col_group`] for a transposed convolution: `cols`
+/// (`[out_c·k², g·h·w]`) gathered into samples `first .. first + g` of `y`
+/// (`dims` each), every finished channel passed to `finish`.
+fn col2im_group(
+    geom: &ConvGeom,
+    cols: &mut [f32],
+    dims: Pair,
+    (first, g): Pair,
+    y: &mut BatchMut<'_>,
+    finish: impl Fn(usize, &mut [f32]),
+) {
+    let (plane, (h, w)) = (dims.0 * dims.1, geom.conv_out(dims));
+    let (window, block) = ((geom.k, geom.stride, geom.pad), h * w);
+    let mut raise = |y: &mut [f32], cs, b, n| {
+        let at = (g * block, b * block);
+        col2im(cols, (geom.out_c, n), dims, window, y, cs, at, &finish);
+    };
+    if let Some((y, cs)) = y.columns(first, g, plane) {
+        return raise(y, cs, 0, g);
+    }
+    for b in 0..g {
+        let (y, cs) = y.sample(first + b, plane);
+        raise(y, cs, b, 1);
+    }
 }
 
 /// A convolution block frozen for inference: the weights, and what
@@ -511,5 +543,164 @@ impl PlannedDeconv {
         };
         let epilogue = self.finish.epilogue();
         deconv_forward(&self.geom, product, &epilogue, x, dims, n, y);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::im2col::tests::{bits, finish, for_each_tap, values, NEG_ZEROS};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+
+    /// `n` samples of `c` planes of `h×w` in one of the three layouts the
+    /// lowering meets — channel-major over the batch (`0`), NCHW (`1`),
+    /// each planes `gap` floats further apart than dense and the gaps NaN,
+    /// or one tensor per sample (`2`) — holding `dense` (`[n][c][h·w]`).
+    struct Laid {
+        buf: Vec<f32>,
+        tensors: Vec<Tensor>,
+        strides: (usize, usize),
+    }
+
+    impl Laid {
+        fn new(
+            layout: usize,
+            dense: &[f32],
+            (n, c): (usize, usize),
+            (h, w): (usize, usize),
+            gap: usize,
+        ) -> Self {
+            let plane = h * w;
+            if layout == 2 {
+                let tensors = dense
+                    .chunks_exact(c * plane)
+                    .map(|s| Tensor::from_vec([1, c, h, w], s.to_vec()))
+                    .collect();
+                return Laid {
+                    buf: Vec::new(),
+                    tensors,
+                    strides: (0, 0),
+                };
+            }
+            let strides = match layout {
+                0 => (plane, n * plane + gap),
+                _ => (c * (plane + gap), plane + gap),
+            };
+            let mut buf = vec![f32::NAN; n * c * (plane + gap)];
+            for (i, v) in dense.iter().enumerate() {
+                let (s, ci, p) = (i / (c * plane), i / plane % c, i % plane);
+                buf[s * strides.0 + ci * strides.1 + p] = *v;
+            }
+            Laid {
+                buf,
+                tensors: Vec::new(),
+                strides,
+            }
+        }
+
+        fn batch<'a>(&'a self, refs: &'a [&'a Tensor]) -> Batch<'a> {
+            match self.tensors.is_empty() {
+                true => Batch::Strided {
+                    buf: &self.buf,
+                    sample_stride: self.strides.0,
+                    channel_stride: self.strides.1,
+                },
+                false => Batch::Tensors(refs),
+            }
+        }
+
+        fn batch_mut(&mut self) -> BatchMut<'_> {
+            match self.tensors.is_empty() {
+                true => BatchMut::Strided {
+                    buf: &mut self.buf,
+                    sample_stride: self.strides.0,
+                    channel_stride: self.strides.1,
+                },
+                false => BatchMut::Tensors(&mut self.tensors),
+            }
+        }
+
+        /// Every float held, gaps included.
+        fn bits(&self) -> Vec<u32> {
+            let tensors = self.tensors.iter().flat_map(|t| t.data());
+            bits(&self.buf.iter().chain(tensors).copied().collect::<Vec<_>>())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// A group of 1..=9 of a batch's samples, from each layout a batch
+        /// comes in, lowered and gathered back as the layers and the plan
+        /// do it — one pass over a channel-major slab, a sample at a time
+        /// otherwise — against the per-element loops, bit for bit: `im2col`
+        /// writes the group's matrix and reads no gap; `col2im` writes the
+        /// group's samples and nothing else, each channel of the group
+        /// finished once, in whole rows. One case in eight, every input is
+        /// `−0.0`.
+        #[test]
+        fn groups_lower_bitwise_from_every_layout(
+            layout in 0usize..3,
+            first in 0usize..=2,
+            g in 1usize..=9,
+            after in 0usize..=1,
+            c in 1usize..=3,
+            h in 1usize..=12,
+            w in 1usize..=12,
+            k in 1usize..=5,
+            stride in 1usize..=3,
+            pad in 0usize..=2,
+            gap in 0usize..=2,
+            seed in 0u64..80_000,
+        ) {
+            let input = |salt: u64| if seed % 8 == 0 { NEG_ZEROS } else { seed ^ salt };
+            let k = k.min(h + 2 * pad).min(w + 2 * pad);
+            let geom = ConvGeom { in_c: c, out_c: c, k, stride, pad };
+            let (n, plane) = (first + g + after, h * w);
+            let p_out = {
+                let (ho, wo) = geom.conv_out((h, w));
+                ho * wo
+            };
+            let (rows, row_stride) = (c * k * k, g * p_out);
+
+            let xs = values(n * c * plane, input(0));
+            let laid = Laid::new(layout, &xs, (n, c), (h, w), gap);
+            let refs: Vec<&Tensor> = laid.tensors.iter().collect();
+            let mut want = vec![0.0; rows * row_stride];
+            for b in 0..g {
+                for_each_tap(c, h, w, k, stride, pad, row_stride, b * p_out, |col, pixel| {
+                    want[col] = pixel.map_or(0.0, |i| xs[(first + b) * c * plane + i]);
+                });
+            }
+            let mut got = values(rows * row_stride, seed ^ 0xC01);
+            im2col_group(&geom, laid.batch(&refs), (h, w), (first, g), &mut got);
+            prop_assert_eq!(bits(&got), bits(&want), "im2col, layout {}", layout);
+
+            let cols = values(rows * row_stride, input(0xADD));
+            let mut sums = values(n * c * plane, seed ^ 0x5E7);
+            let mut out = Laid::new(layout, &sums, (n, c), (h, w), gap);
+            let group = &mut sums[first * c * plane..(first + g) * c * plane];
+            group.fill(0.0);
+            for b in 0..g {
+                for_each_tap(c, h, w, k, stride, pad, row_stride, b * p_out, |col, pixel| {
+                    if let Some(i) = pixel {
+                        group[b * c * plane + i] += cols[col];
+                    }
+                });
+            }
+            for (i, v) in group.iter_mut().enumerate() {
+                *v = finish(i / plane % c, *v);
+            }
+            let finished = RefCell::new(vec![0; c]);
+            col2im_group(&geom, &mut cols.clone(), (h, w), (first, g), &mut out.batch_mut(), |ci, planes| {
+                prop_assert_eq!(planes.len() % w, 0, "whole rows");
+                finished.borrow_mut()[ci] += planes.len();
+                planes.iter_mut().for_each(|v| *v = finish(ci, *v));
+            });
+            let want = Laid::new(layout, &sums, (n, c), (h, w), gap);
+            prop_assert_eq!(out.bits(), want.bits(), "col2im, layout {}", layout);
+            prop_assert_eq!(finished.into_inner(), vec![g * plane; c], "finished once");
+        }
     }
 }

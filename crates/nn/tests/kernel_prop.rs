@@ -4,8 +4,9 @@
 //! column tails and degenerate single-row/column cases, with the shape
 //! families a uniform draw rarely hits (`n` below a panel, `n = 8q + r`
 //! and `n = 16q + r`, `m < 4`, `k = 1`, the `n < 8 ≤ m` and `n < 16 ≤ m`
-//! `tn` layouts, column-tile seams at either width) generated explicitly
-//! — plus the quantization round-trip error bound.
+//! `tn` layouts, both sides of the `tn` and `nt` layout rules, column-tile
+//! seams at either width) generated explicitly — plus the quantization
+//! round-trip error bound.
 //!
 //! The equality here is **bitwise** (`to_bits`), not approximate: the
 //! kernels' contract is that register blocking regroups independent
@@ -206,6 +207,81 @@ fn tn_layout_rule_is_bitwise_naive_on_both_sides() {
         ] {
             check(m, k, batch * p);
         }
+    }
+    assert!(
+        transposed >= 10 && packed >= 10,
+        "both layouts exercised ({transposed} transposed, {packed} packed)"
+    );
+}
+
+/// `matmul_nt` (B stored `n×k`) against the scalar reference from a
+/// non-zero C, and whether the shape takes the transposed-output layout.
+fn check_nt(m: usize, k: usize, n: usize, seed: u64) -> bool {
+    let a = fill(m * k, seed);
+    let bt = fill(n * k, seed ^ 0x0F0F);
+    let c0 = fill(m * n, seed ^ 0xF0F0);
+    let mut got = c0.clone();
+    matmul_nt(&a, &bt, &mut got, m, k, n);
+    let mut want = c0;
+    ref_nt(&a, &bt, &mut want, m, k, n);
+    assert_eq!(bits(&got), bits(&want), "nt shape ({m}, {k}, {n})");
+    m * k + 2 * m * n < n * k
+}
+
+/// `matmul_nt` chooses between packing `Bᵀ` and adding `T = B·Aᵀ` onto `C`
+/// transposed by which moves fewer elements (`n·k` against
+/// `m·k + 2·m·n`). Both sides of that rule — the boundary itself, `m = 1`,
+/// `n = 1`, `k = 1` — and the fourteen weight-gradient shapes of a
+/// quick-model train step give the reference bits.
+#[test]
+fn nt_layout_rule_is_bitwise_naive_on_both_sides() {
+    let mut transposed = 0;
+    let mut packed = 0;
+    let mut check = |m, k, n| {
+        if check_nt(m, k, n, (m * 31 + k * 7 + n) as u64) {
+            transposed += 1;
+        } else {
+            packed += 1;
+        }
+    };
+    // 8·40 + 16·n against 40·n: n = 13 packs, n = 14 transposes; and the
+    // neighbours of the boundary in m and k.
+    for n in [1, 7, 12, 13, 14, 15, 40] {
+        check(8, 40, n);
+        check(7, 41, n);
+        check(9, 39, n);
+    }
+    // Narrow and degenerate operands on either side.
+    for (m, k, n) in [
+        (1, 1, 1),
+        (1, 300, 17),
+        (3, 64, 1),
+        (300, 1, 5),
+        (5, 200, 33),
+        (40, 1, 5),
+        (6, 1, 33),
+        (2, 500, 9),
+    ] {
+        check(m, k, n);
+    }
+    // (out_c, ho·wo, in_c·16) of a conv, (in_c, h·w, out_c·16) of a deconv.
+    for (m, k, n) in [
+        (12, 1024, 64),
+        (24, 256, 192),
+        (48, 64, 384),
+        (96, 16, 768),
+        (96, 4, 1536),
+        (96, 1, 1536),
+        (192, 4, 1536),
+        (192, 16, 768),
+        (96, 64, 384),
+        (48, 256, 192),
+        (24, 1024, 48),
+        (12, 1024, 112),
+        (96, 49, 768),
+        (1, 36, 1536),
+    ] {
+        check(m, k, n);
     }
     assert!(
         transposed >= 10 && packed >= 10,
