@@ -16,8 +16,10 @@
 //! keeps the block's whole lowering, in the plan's sample groups, and
 //! shrinks its GEMM to a sliver), `whole_forward` rows one
 //! `forecast_batch` at batch 1 / 5 / 8 (through the model's inference
-//! plan, like every forecast); then one whole `train_step`,
-//! `Adam::step` against its old three-loop formulation, end-to-end f32 vs
+//! plan, like every forecast); then one whole `train_step` with the split
+//! of its wall clock the step records (`train.fork_us` … `train.opt_g_us`),
+//! `Adam::step` against its old three-loop formulation (fresh gradients
+//! every step: the step clears what it reads), end-to-end f32 vs
 //! quantized `forecast_batch` throughput and the quantization accuracy
 //! delta.
 //!
@@ -567,6 +569,9 @@ fn bench_inference(smoke: bool) -> InferenceResult {
 struct TrainResult {
     /// `(inline, joined)` seconds of one whole `train_step`.
     train_secs: (f64, f64),
+    /// `(inline, joined)` mean µs per timed step of each [`STEP_LEDGER`]
+    /// row.
+    split_us: ([f64; 5], [f64; 5]),
     adam_params: usize,
     adam_ref_secs: f64,
     /// `(inline, joined)` seconds of one `Adam::step`.
@@ -700,10 +705,90 @@ fn ref_adam_step(adam: &Adam, t: i32, params: &mut [Param]) {
     }
 }
 
-/// One whole batch-1 `train_step` of the quick model, `Adam::step` over the
-/// generator's parameters (old three-loop formulation vs the fused pass,
-/// same gradients, bit-equal weights afterwards) and every join site, each
-/// inline and joined.
+/// Min-of-`reps` seconds per `Adam::step` over `params`, each step on
+/// `grads` copied in outside the clock: the step clears the gradients it
+/// reads, and stepping on what it left would time updates from zero
+/// gradients, with moments decaying towards subnormals.
+fn time_adam_step(
+    reps: usize,
+    iters: usize,
+    adam: &mut Adam,
+    params: &mut [Param],
+    grads: &[Tensor],
+) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let mut elapsed = Duration::ZERO;
+        for _ in 0..iters {
+            for (p, g) in params.iter_mut().zip(grads) {
+                p.grad.data_mut().copy_from_slice(g.data());
+            }
+            let mut list: Vec<&mut Param> = params.iter_mut().collect();
+            let t = Instant::now();
+            adam.step(&mut list);
+            elapsed += t.elapsed();
+        }
+        best = best.min(elapsed.as_secs_f64() / iters as f64);
+    }
+    best
+}
+
+/// The registry histograms every `train_step` records: its four phases,
+/// which add up to the last, the whole step.
+const STEP_LEDGER: [&str; 5] = [
+    "train.fork_us",
+    "train.d_fake_us",
+    "train.g_backward_us",
+    "train.opt_g_us",
+    "train.step_us",
+];
+
+/// `(count, sum)` of each [`STEP_LEDGER`] histogram, now.
+fn step_ledger() -> [(u64, u64); 5] {
+    let snapshot = pop_obs::global().snapshot();
+    STEP_LEDGER.map(|name| {
+        snapshot
+            .histogram(name)
+            .map_or((0, 0), |h| (h.count, h.sum))
+    })
+}
+
+/// Mean µs per step of each [`STEP_LEDGER`] row over the steps recorded
+/// since the reading `before`.
+fn step_split_since(before: [(u64, u64); 5]) -> [f64; 5] {
+    let after = step_ledger();
+    std::array::from_fn(|i| {
+        let steps = (after[i].0 - before[i].0).max(1);
+        (after[i].1 - before[i].1) as f64 / steps as f64
+    })
+}
+
+/// `fork 2702 + d_fake 1180 + g_backward 2338 + opt_g 590 = 6810 us`.
+fn split_line(split: &[f64; 5]) -> String {
+    format!(
+        "fork {:.0} + d_fake {:.0} + g_backward {:.0} + opt_g {:.0} = {:.0} us",
+        split[0], split[1], split[2], split[3], split[4]
+    )
+}
+
+/// `{ "fork": 2702.0, …, "step": 6810.0 }`, keyed by the rows' middle names.
+fn split_json(split: &[f64; 5]) -> String {
+    let fields: Vec<String> = STEP_LEDGER
+        .iter()
+        .zip(split)
+        .map(|(name, us)| {
+            let key = name.trim_start_matches("train.").trim_end_matches("_us");
+            format!("\"{key}\": {us:.1}")
+        })
+        .collect();
+    format!("{{ {} }}", fields.join(", "))
+}
+
+/// One whole batch-1 `train_step` of the quick model with the split of its
+/// wall clock, `Adam::step` over the generator's parameters (old
+/// three-loop formulation vs the fused pass, same gradients, bit-equal
+/// weights and moments afterwards) and every join site, each inline and
+/// joined.
 fn bench_training(layers: &[LayerGeom], smoke: bool) -> (TrainResult, Vec<SiteResult>) {
     let config = ExperimentConfig::quick();
     let mut model = Pix2Pix::new(&config, 7).expect("quick config");
@@ -718,10 +803,15 @@ fn bench_training(layers: &[LayerGeom], smoke: bool) -> (TrainResult, Vec<SiteRe
         .into_iter()
         .map(|p| p.clone())
         .collect();
-    for (i, p) in new_params.iter_mut().enumerate() {
-        p.grad = Tensor::randn(p.value.shape(), 0.0, 0.1, 50 + i as u64);
-    }
+    let grads: Vec<Tensor> = (50..)
+        .zip(&new_params)
+        .map(|(seed, p)| Tensor::randn(p.value.shape(), 0.0, 0.1, seed))
+        .collect();
+    // The reference keeps its gradients, so it steps on `grads` every time.
     let mut ref_params = new_params.clone();
+    for (p, g) in ref_params.iter_mut().zip(&grads) {
+        p.grad = g.clone();
+    }
     let adam_params = new_params.iter().map(Param::len).sum();
     let mut adam = Adam::paper();
     // The two passes below take `2 · reps · iters` fused steps: the
@@ -733,31 +823,35 @@ fn bench_training(layers: &[LayerGeom], smoke: bool) -> (TrainResult, Vec<SiteRe
         ref_adam_step(&adam, t, &mut ref_params);
     });
 
-    // One pass over everything that forks: `(train_step, adam_step, sites)`
-    // seconds, after `warm_up` of train steps.
+    // One pass over everything that forks: `(train_step, its split,
+    // adam_step, sites)`, after `warm_up` of train steps.
     let mut sites = join_sites(layers, &config, &mut model);
     let mut pass = |warm_up: Duration| {
         let started = Instant::now();
         while started.elapsed() < warm_up {
             let _ = model.train_step(&x, &truth);
         }
+        let before = step_ledger();
         let train = time_per_call(reps, iters, || {
             let _ = model.train_step(&x, &truth);
         });
-        let adam = time_per_call(reps, iters, || {
-            adam.step(&mut new_params.iter_mut().collect::<Vec<_>>());
-        });
+        let split = step_split_since(before);
+        let adam = time_adam_step(reps, iters, &mut adam, &mut new_params, &grads);
         let site_secs: Vec<f64> = sites.iter_mut().map(|s| s.backward_secs(samples)).collect();
-        (train, adam, site_secs)
+        (train, split, adam, site_secs)
     };
     // Inline: from the caller half of an outer join, where the helper is
     // taken. Joined: plainly, once a second of forks has given the
     // scheduler time to put the helper on a core of its own.
     let ((), inline) = pop_exec::join(|| (), || pass(Duration::ZERO));
     let joined = pass(Duration::from_secs(if smoke { 0 } else { 1 }));
+    let same = ref_params.iter().zip(&new_params).all(|(r, n)| {
+        let cleared = n.grad.data().iter().all(|g| g.to_bits() == 0);
+        r.value == n.value && r.m == n.m && r.v == n.v && cleared
+    });
     assert!(
-        ref_params == new_params,
-        "fused Adam diverged from the three-loop formulation"
+        same,
+        "fused Adam diverged from the three-loop formulation or left a gradient"
     );
 
     println!(
@@ -767,12 +861,18 @@ fn bench_training(layers: &[LayerGeom], smoke: bool) -> (TrainResult, Vec<SiteRe
         joined.0 * 1e3,
         inline.0 / joined.0,
         adam_ref_secs * 1e6,
-        inline.1 * 1e6,
-        joined.1 * 1e6,
+        inline.2 * 1e6,
+        joined.2 * 1e6,
     );
+    for (way, split) in [("inline", &inline.1), ("joined", &joined.1)] {
+        println!(
+            "train_step split, {way} (mean of the timed steps): {}",
+            split_line(split)
+        );
+    }
     let site_rows = sites
         .iter()
-        .zip(inline.2.iter().zip(&joined.2))
+        .zip(inline.3.iter().zip(&joined.3))
         .map(|(s, (&inline, &joined))| {
             println!(
                 "join site {}/{}: inline {:.1} us, joined {:.1} us, {:.2}x",
@@ -791,9 +891,10 @@ fn bench_training(layers: &[LayerGeom], smoke: bool) -> (TrainResult, Vec<SiteRe
         .collect();
     let training = TrainResult {
         train_secs: (inline.0, joined.0),
+        split_us: (inline.1, joined.1),
         adam_params,
         adam_ref_secs,
-        adam_secs: (inline.1, joined.1),
+        adam_secs: (inline.2, joined.2),
     };
     (training, site_rows)
 }
@@ -1020,9 +1121,10 @@ fn main() {
          \"whole_forward\": [\n{}\n  ],\n  \
          \"train_step\": {{ \"config\": \"quick\", \"batch\": 1, \
          \"host_parallelism\": {host_parallelism}, \"ms_inline\": {:.4}, \
-         \"ms_joined\": {:.4}, \"speedup\": {:.4} }},\n  \
-         \"adam_step\": {{ \"params\": {}, \"us_ref\": {:.1}, \"us_inline\": {:.1}, \
-         \"us_joined\": {:.1}, \"speedup\": {:.4} }},\n  \
+         \"ms_joined\": {:.4}, \"speedup\": {:.4}, \"split_us_inline\": {}, \
+         \"split_us_joined\": {} }},\n  \
+         \"adam_step\": {{ \"params\": {}, \"gradients\": \"fresh per step\", \
+         \"us_ref\": {:.1}, \"us_inline\": {:.1}, \"us_joined\": {:.1}, \"speedup\": {:.4} }},\n  \
          \"join_sites\": [\n{}\n  ],\n  \
          \"inference\": {{ \"f32_images_per_sec\": {:.4}, \
          \"quant_images_per_sec\": {:.4}, \"quant_speedup\": {:.4}, \
@@ -1040,6 +1142,8 @@ fn main() {
         training.train_secs.0 * 1e3,
         training.train_secs.1 * 1e3,
         training.train_secs.0 / training.train_secs.1,
+        split_json(&training.split_us.0),
+        split_json(&training.split_us.1),
         training.adam_params,
         training.adam_ref_secs * 1e6,
         training.adam_secs.0 * 1e6,
@@ -1071,7 +1175,9 @@ fn main() {
         "\"train_step\"",
         "\"ms_inline\"",
         "\"ms_joined\"",
+        "\"split_us_joined\": { \"fork\"",
         "\"adam_step\"",
+        "\"gradients\": \"fresh per step\"",
         "\"join_sites\"",
         "\"site\": \"deconv_backward\"",
         "\"linalg_instantiation\"",

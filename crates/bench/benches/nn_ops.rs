@@ -1,7 +1,7 @@
 //! Criterion bench: neural-network layer kernels (the substrate replacing
 //! TensorFlow).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pop_nn::{Adam, BatchNorm2d, Conv2d, ConvTranspose2d, Layer, Param, Tensor};
 
 fn bench_nn_ops(c: &mut Criterion) {
@@ -41,17 +41,28 @@ fn bench_nn_ops(c: &mut Criterion) {
     });
 
     // One optimiser step over ~1 M scalars — the quick model's generator
-    // is 1.03 M — in a few tensors, as `train_step` issues it twice.
+    // is 1.03 M — in a few tensors, as `train_step` issues it twice. The
+    // step clears the gradients it reads, so each one gets a fresh set,
+    // swapped in outside the clock (the cleared set is dropped outside it).
     let mut params: Vec<Param> = (0..4)
-        .map(|i| {
-            let mut p = Param::randn([64, 64, 8, 8], 0.02, 10 + i);
-            p.grad = Tensor::randn([64, 64, 8, 8], 0.0, 0.1, 20 + i);
-            p
-        })
+        .map(|i| Param::randn([64, 64, 8, 8], 0.02, 10 + i))
+        .collect();
+    let grads: Vec<Tensor> = (0..4)
+        .map(|i| Tensor::randn([64, 64, 8, 8], 0.0, 0.1, 20 + i))
         .collect();
     let mut adam = Adam::paper();
     group.bench_function("adam_step_1m", |b| {
-        b.iter(|| adam.step(&mut params.iter_mut().collect::<Vec<_>>()))
+        b.iter_batched(
+            || grads.clone(),
+            |mut fresh| {
+                for (p, g) in params.iter_mut().zip(&mut fresh) {
+                    std::mem::swap(&mut p.grad, g);
+                }
+                adam.step(&mut params.iter_mut().collect::<Vec<_>>());
+                fresh
+            },
+            BatchSize::LargeInput,
+        )
     });
 
     group.finish();

@@ -7,10 +7,12 @@ use crate::plan::InferencePlan;
 use crate::unet::UNetGenerator;
 use pop_nn::loss::{bce_with_logits, l1_loss};
 use pop_nn::{Adam, Layer, Tensor};
+use pop_obs::Histogram;
 use pop_raster::Image;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Per-epoch training curves — the data behind the paper's Figure 8.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -123,12 +125,61 @@ pub struct StepLosses {
     pub g_l1: f32,
 }
 
+/// Where a train step's wall clock goes: registry histograms for its four
+/// phases, which add up to `train.step_us`. The phases are the D real pass
+/// beside the G forward (`train.fork_us`), the D fake pass and D's Adam
+/// step (`train.d_fake_us`), the G step's backward through D and G
+/// (`train.g_backward_us`), and G's Adam step (`train.opt_g_us`).
+struct StepLedger {
+    phases: [Arc<Histogram>; 4],
+    step: Arc<Histogram>,
+}
+
+impl StepLedger {
+    /// The global registry's handles, looked up once per process.
+    fn global() -> &'static StepLedger {
+        static LEDGER: OnceLock<StepLedger> = OnceLock::new();
+        LEDGER.get_or_init(|| {
+            let obs = pop_obs::global();
+            StepLedger {
+                phases: [
+                    obs.histogram("train.fork_us"),
+                    obs.histogram("train.d_fake_us"),
+                    obs.histogram("train.g_backward_us"),
+                    obs.histogram("train.opt_g_us"),
+                ],
+                step: obs.histogram("train.step_us"),
+            }
+        })
+    }
+
+    /// Records one step from the time elapsed at the end of each phase.
+    /// A phase's sample is the difference of two whole-µs readings, so the
+    /// four phases' sums add up to `train.step_us`'s exactly.
+    fn record(&self, phase_ends: [Duration; 4]) {
+        let mut before = 0;
+        for (histogram, end) in self.phases.iter().zip(phase_ends) {
+            let end = end.as_micros() as u64;
+            histogram.record(end - before);
+            before = end;
+        }
+        self.step.record(before);
+    }
+}
+
 /// The conditional GAN of §4: U-Net generator + patch discriminator trained
 /// with `cL(G, D) + λ·E‖g − G(x, z)‖₁` (both Adam, paper hyper-parameters).
 ///
 /// Train/fine-tune on [`Pair`]s, then [`Pix2Pix::forecast_image`] a heat
 /// map from fresh placement features in one forward pass — the operation
 /// the paper times at ~0.09 s/image against minutes of routing.
+///
+/// Every parameter gradient of both networks is zero between train steps.
+/// [`Adam::step`] clears the gradients it reads, and
+/// [`Pix2Pix::train_step`] clears the ones no optimiser reads, so a step
+/// that follows a step zeroes nothing else. Layers handed out by
+/// [`Pix2Pix::generator_mut`] or [`Pix2Pix::discriminator_mut`] may be
+/// left with gradients, so the next step zeroes both networks once first.
 #[derive(Debug, Clone)]
 pub struct Pix2Pix {
     gen: UNetGenerator,
@@ -141,6 +192,9 @@ pub struct Pix2Pix {
     // after the generator last changed: `train_step` and `generator_mut`,
     // the only `&mut` roads to it, drop the snapshot.
     plan: Option<Arc<InferencePlan>>,
+    // Set when `generator_mut` / `discriminator_mut` hand out layers that
+    // a caller may have run a backward through.
+    grads_handed_out: bool,
 }
 
 impl Pix2Pix {
@@ -175,6 +229,7 @@ impl Pix2Pix {
             config: config.clone(),
             rng: StdRng::seed_from_u64(seed.wrapping_add(0x7EA1)),
             plan: None,
+            grads_handed_out: false,
         })
     }
 
@@ -186,6 +241,7 @@ impl Pix2Pix {
     /// The generator (e.g. for parameter counting, or to load weights).
     pub fn generator_mut(&mut self) -> &mut UNetGenerator {
         self.plan = None;
+        self.grads_handed_out = true;
         &mut self.gen
     }
 
@@ -200,6 +256,7 @@ impl Pix2Pix {
 
     /// The discriminator.
     pub fn discriminator_mut(&mut self) -> &mut PatchDiscriminator {
+        self.grads_handed_out = true;
         &mut self.disc
     }
 
@@ -228,8 +285,17 @@ impl Pix2Pix {
     }
 
     /// One cGAN optimisation step on a single `(x, truth)` pair (the paper
-    /// trains with batch size 1).
+    /// trains with batch size 1). Records the step's wall clock and its
+    /// four phases in the global registry (`train.step_us`,
+    /// `train.fork_us`, `train.d_fake_us`, `train.g_backward_us`,
+    /// `train.opt_g_us`).
     pub fn train_step(&mut self, x: &Tensor, truth: &Tensor) -> StepLosses {
+        let started = Instant::now();
+        self.plan = None;
+        if std::mem::take(&mut self.grads_handed_out) {
+            self.gen.zero_grad();
+            self.disc.zero_grad();
+        }
         // ---- Discriminator step: maximise log D(x,g) + log(1-D(G(x,z))).
         //
         // The real half of it needs only `(x, truth)`, and the generator
@@ -240,8 +306,6 @@ impl Pix2Pix {
         // fake pass starts only after both, so D still accumulates real
         // then fake and its running statistics see the two batches in
         // that order — the sequential step, bit for bit.
-        self.plan = None;
-        self.disc.zero_grad();
         let real_pair = x.concat_channels(truth);
         let (disc, gen) = (&mut self.disc, &mut self.gen);
         let (d_real, fake) = pop_exec::join(
@@ -255,6 +319,7 @@ impl Pix2Pix {
             // Generator forward (training mode: dropout provides z).
             || gen.forward(x, true),
         );
+        let forked = started.elapsed();
 
         let fake_pair = x.concat_channels(&fake);
         let logits_fake = self.disc.forward(&fake_pair, true);
@@ -262,14 +327,16 @@ impl Pix2Pix {
         g_fake.scale(0.5);
         let _ = self.disc.backward(&g_fake);
         self.opt_d.step(&mut self.disc.params_mut());
+        let d_stepped = started.elapsed();
 
         // ---- Generator step: minimise log(1-D(G(x,z))) (non-saturating
         // form: maximise log D) + λ·L1.
-        self.disc.zero_grad();
-        self.gen.zero_grad();
         let logits = self.disc.forward(&fake_pair, true);
         let (g_gan, g_grad) = bce_with_logits(&logits, 1.0);
         let d_input_grad = self.disc.backward(&g_grad);
+        // That backward also added onto D's weight gradients, which no
+        // optimiser reads: clear them, as Adam cleared everything else.
+        self.disc.zero_grad();
         let (_, mut fake_grad) = d_input_grad.split_channels(x.c());
 
         let (l1_raw, l1_grad) = l1_loss(&fake, truth);
@@ -279,9 +346,9 @@ impl Pix2Pix {
             fake_grad.add_assign(&weighted);
         }
         let _ = self.gen.backward(&fake_grad);
+        let g_backward = started.elapsed();
         self.opt_g.step(&mut self.gen.params_mut());
-        self.gen.zero_grad();
-        self.disc.zero_grad();
+        StepLedger::global().record([forked, d_stepped, g_backward, started.elapsed()]);
 
         StepLosses {
             d_loss: 0.5 * (d_real + d_fake),
@@ -379,7 +446,6 @@ impl Pix2Pix {
             pairs = pairs.len()
         );
         let obs = pop_obs::global();
-        let step_us = obs.histogram("train.step_us");
         // Fisher-Yates with the trainer's RNG: deterministic by seed.
         for i in (1..order.len()).rev() {
             let j = self.rng.gen_range(0..=i);
@@ -389,9 +455,7 @@ impl Pix2Pix {
         let mut sum_d = 0.0f64;
         let mut sum_l1 = 0.0f64;
         for &idx in order.iter() {
-            let step_started = std::time::Instant::now();
             let losses = self.train_step(&pairs[idx].x, &pairs[idx].y);
-            step_us.record_duration(step_started.elapsed());
             let g_total = losses.g_gan
                 + if self.config.use_l1 {
                     self.config.lambda_l1 * losses.g_l1
@@ -645,6 +709,83 @@ mod tests {
         let edited = model.forecast(&x);
         assert_ne!(edited, trained);
         assert_eq!(edited, model.generator_mut().plan().forward(&x));
+    }
+
+    /// Every parameter gradient of both networks, as bits.
+    fn grad_bits(model: &mut Pix2Pix) -> Vec<u32> {
+        let bits = |params: Vec<&mut pop_nn::Param>| -> Vec<u32> {
+            let grads = params.iter().flat_map(|p| p.grad.data());
+            grads.map(|g| g.to_bits()).collect()
+        };
+        let mut all = bits(model.generator_mut().params_mut());
+        all.extend(bits(model.discriminator_mut().params_mut()));
+        all
+    }
+
+    /// Gradients are zero between steps: Adam clears what it reads, the
+    /// step clears what nothing reads. A backward run through the layers
+    /// `generator_mut` / `discriminator_mut` hand out leaves gradients
+    /// behind, and the next step is still bit-equal to one after a model
+    /// whose gradients were zeroed by hand.
+    #[test]
+    fn gradients_are_zero_between_steps_and_a_stray_backward_changes_nothing() {
+        let cfg = tiny_config();
+        let pairs: Vec<Pair> = (0..2).map(|s| synthetic_pair(&cfg, s)).collect();
+        let mut zeroed = Pix2Pix::new(&cfg, 41).unwrap();
+        let mut stray = zeroed.clone();
+        for step in 0..4 {
+            let pair = &pairs[step % 2];
+            let want = zeroed.train_step(&pair.x, &pair.y);
+            assert_eq!(stray.train_step(&pair.x, &pair.y), want, "step {step}");
+            for model in [&mut zeroed, &mut stray] {
+                assert!(
+                    grad_bits(model).iter().all(|&g| g == 0),
+                    "a gradient survived step {step}"
+                );
+                // The same forwards in both models, so dropout and
+                // batch-norm state move alike; only the gradients differ.
+                let gen = model.generator_mut();
+                let fake = gen.forward(&pair.x, true);
+                let _ = gen.backward(&fake);
+                let disc = model.discriminator_mut();
+                let logits = disc.forward(&pair.x.concat_channels(&fake), true);
+                let _ = disc.backward(&logits);
+            }
+            assert!(grad_bits(&mut stray).iter().any(|&g| g != 0));
+            zeroed.generator_mut().zero_grad();
+            zeroed.discriminator_mut().zero_grad();
+        }
+        let weights = |model: &mut Pix2Pix| {
+            let params = model.generator_mut().params_mut();
+            let values = params.iter().flat_map(|p| p.value.data());
+            values.map(|w| w.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(weights(&mut stray), weights(&mut zeroed));
+    }
+
+    /// Each phase is recorded as a difference of whole-µs readings, so the
+    /// phases' sums add up to the step's exactly, whatever the rounding.
+    #[test]
+    fn step_phases_add_up_to_the_step() {
+        let ledger = StepLedger {
+            phases: std::array::from_fn(|_| Arc::new(Histogram::new())),
+            step: Arc::new(Histogram::new()),
+        };
+        for ends_ns in [[1_600, 3_200, 4_900, 7_400], [999, 1_998, 2_997, 3_996]] {
+            ledger.record(ends_ns.map(Duration::from_nanos));
+        }
+        let sums: Vec<u64> = ledger.phases.iter().map(|h| h.sum()).collect();
+        assert_eq!(sums, [1, 3, 2, 4]);
+        assert_eq!(sums.iter().sum::<u64>(), ledger.step.sum());
+        assert_eq!(ledger.step.count(), 2);
+
+        let global = || pop_obs::global().snapshot();
+        let count = |name: &str| global().histogram(name).map_or(0, |h| h.count);
+        let before = count("train.g_backward_us");
+        let cfg = tiny_config();
+        let pair = synthetic_pair(&cfg, 1);
+        Pix2Pix::new(&cfg, 2).unwrap().train_step(&pair.x, &pair.y);
+        assert!(count("train.g_backward_us") > before);
     }
 
     #[test]

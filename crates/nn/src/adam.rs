@@ -45,40 +45,26 @@ impl Adam {
         self.t = t;
     }
 
-    /// Applies one update to every parameter from its accumulated gradient,
-    /// then leaves the gradients untouched (call
-    /// [`Layer::zero_grad`](crate::Layer::zero_grad) before the next
-    /// accumulation).
+    /// Applies one update to every parameter from its accumulated gradient
+    /// and **clears each gradient it reads**: every `grad` is `0.0` when
+    /// this returns, ready for the next accumulation, so a training loop
+    /// needs no [`Layer::zero_grad`](crate::Layer::zero_grad) between steps.
     pub fn step(&mut self, params: &mut [&mut Param]) {
         self.t += 1;
         // `powi` takes an `i32`; saturate rather than wrap so a restored
         // step count above `i32::MAX` cannot turn βᵗ into β⁻ⁿ.
         let t = i32::try_from(self.t).unwrap_or(i32::MAX);
-        let bc1 = 1.0 - self.beta1.powi(t);
-        let bc2 = 1.0 - self.beta2.powi(t);
-        let Adam {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            ..
-        } = *self;
-        // One pass per parameter over (value, m, v, grad): the moments are
-        // updated and consumed in registers, with the same per-element
-        // expressions (and so the same roundings) as three separate loops.
-        let update = |params: &mut [&mut Param]| {
-            for p in params.iter_mut() {
-                let moments = p.m.data_mut().iter_mut().zip(p.v.data_mut());
-                let weights = p.value.data_mut().iter_mut().zip(p.grad.data());
-                for ((m, v), (w, &g)) in moments.zip(weights) {
-                    *m = beta1 * *m + (1.0 - beta1) * g;
-                    *v = beta2 * *v + (1.0 - beta2) * g * g;
-                    let mhat = *m / bc1;
-                    let vhat = *v / bc2;
-                    *w -= lr * mhat / (vhat.sqrt() + eps);
-                }
-            }
+        let bc = (1.0 - self.beta1.powi(t), 1.0 - self.beta2.powi(t));
+        // `x / 1.0 == x` for every `x`, so once β₁'s correction has rounded
+        // to 1.0 (β₁ = 0.5 from step 25 on) its divide is dropped and the
+        // bits stay those of the divide.
+        let update: fn(&Adam, (f32, f32), &mut [&mut Param]) = if bc.0 == 1.0 {
+            fused::<false>
+        } else {
+            fused::<true>
         };
+        let adam = &*self;
+        let update = |params: &mut [&mut Param]| update(adam, bc, params);
         // A scalar's update reads and writes that scalar's own value,
         // moments and gradient and nothing else, so any two parts of the
         // list are independent: cut it where half the scalars lie (the
@@ -91,6 +77,33 @@ impl Adam {
         }
         let (head, tail) = params.split_at_mut(cut);
         pop_exec::join(|| update(head), || update(tail));
+    }
+}
+
+/// One pass per parameter over `(value, m, v, grad)`: the moments are
+/// updated and consumed in registers, with the same per-element
+/// expressions (and so the same roundings) as three separate loops, and
+/// the gradient is cleared behind the read. `DIV_M` says whether β₁'s bias
+/// correction still divides.
+fn fused<const DIV_M: bool>(adam: &Adam, (bc1, bc2): (f32, f32), params: &mut [&mut Param]) {
+    let Adam {
+        lr,
+        beta1,
+        beta2,
+        eps,
+        ..
+    } = *adam;
+    for p in params.iter_mut() {
+        let moments = p.m.data_mut().iter_mut().zip(p.v.data_mut());
+        let weights = p.value.data_mut().iter_mut().zip(p.grad.data_mut());
+        for ((m, v), (w, g)) in moments.zip(weights) {
+            let g = std::mem::take(g);
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let mhat = if DIV_M { *m / bc1 } else { *m };
+            let vhat = *v / bc2;
+            *w -= lr * mhat / (vhat.sqrt() + eps);
+        }
     }
 }
 
@@ -179,6 +192,46 @@ mod tests {
                 ("v", &fused.v, &reference.v),
             ] {
                 assert_eq!(bits(a), bits(b), "{name} after step {step}");
+            }
+        }
+    }
+
+    /// With the paper's betas, steps 1..=40 cross step 25, where β₁'s
+    /// correction rounds to 1.0 and its divide is dropped; resumed at step
+    /// 20 000 both corrections are 1.0 (β₂'s still divides, by 1.0). Every
+    /// step equals the three-loop reference bit for bit, and leaves every
+    /// gradient exactly `+0.0`.
+    #[test]
+    fn every_correction_branch_is_the_three_loop_formulation_and_clears_grads() {
+        assert_ne!(1.0 - 0.5f32.powi(24), 1.0);
+        assert_eq!(1.0 - 0.5f32.powi(25), 1.0);
+        assert_ne!(1.0 - 0.999f32.powi(40), 1.0);
+        assert_eq!(1.0 - 0.999f32.powi(20_001), 1.0);
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (mut adam, start, steps) in [(Adam::paper(), 0u64, 40u64), (Adam::paper(), 20_000, 5)] {
+            let mut fused = [
+                Param::randn([1, 3, 7, 7], 0.02, 5),
+                Param::randn([2, 1, 4, 4], 0.02, 6),
+            ];
+            let mut reference = fused.clone();
+            adam.set_steps(start);
+            for t in start + 1..=start + steps {
+                for (i, (f, r)) in fused.iter_mut().zip(&mut reference).enumerate() {
+                    let grad = Tensor::randn(f.value.shape(), 0.0, 0.3, 100 * t + i as u64);
+                    f.grad = grad.clone();
+                    r.grad = grad;
+                    three_loop_step(&adam, t, r);
+                }
+                adam.step(&mut fused.iter_mut().collect::<Vec<_>>());
+                for (f, r) in fused.iter().zip(&reference) {
+                    assert_eq!(bits(&f.value), bits(&r.value), "value after step {t}");
+                    assert_eq!(bits(&f.m), bits(&r.m), "m after step {t}");
+                    assert_eq!(bits(&f.v), bits(&r.v), "v after step {t}");
+                    assert!(
+                        f.grad.data().iter().all(|g| g.to_bits() == 0),
+                        "grad not cleared after step {t}"
+                    );
+                }
             }
         }
     }

@@ -90,7 +90,11 @@ pub trait Layer {
         Vec::new()
     }
 
-    /// Zeroes all accumulated parameter gradients.
+    /// Zeroes all accumulated parameter gradients. `backward` adds onto
+    /// them, so they must be zero before an accumulation starts;
+    /// [`Adam::step`] leaves the gradients it reads at zero, so this is
+    /// needed only after a backward pass whose gradients no optimiser
+    /// consumes.
     fn zero_grad(&mut self) {
         for p in self.params_mut() {
             p.zero_grad();

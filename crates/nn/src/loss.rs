@@ -37,6 +37,8 @@ pub fn bce_with_logits(logits: &Tensor, target: f32) -> (f32, Tensor) {
 pub fn l1_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     assert_eq!(pred.shape(), target.shape(), "l1 shape mismatch");
     let n = pred.len() as f32;
+    // `−1/n` is `−(1/n)`: round-to-nearest is symmetric in sign.
+    let step = 1.0 / n;
     let mut grad = Tensor::zeros(pred.shape());
     let mut total = 0.0f64;
     for ((g, &p), &t) in grad
@@ -47,13 +49,10 @@ pub fn l1_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     {
         let d = p - t;
         total += d.abs() as f64;
-        *g = if d > 0.0 {
-            1.0 / n
-        } else if d < 0.0 {
-            -1.0 / n
-        } else {
-            0.0
-        };
+        // The sign as −1, 0 or +1 (0 for NaN) from two compares, times the
+        // step: no branch on the sign of a difference between two images.
+        let sign = i32::from(d > 0.0) - i32::from(d < 0.0);
+        *g = sign as f32 * step;
     }
     ((total / n as f64) as f32, grad)
 }
@@ -61,6 +60,8 @@ pub fn l1_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::act::tests::{awkward, bits};
+    use proptest::prelude::*;
 
     #[test]
     fn bce_at_zero_logit() {
@@ -110,6 +111,59 @@ mod tests {
         let (loss, grad) = l1_loss(&p, &t);
         assert!((loss - 0.75).abs() < 1e-6); // (0 + 2 + 1 + 0)/4
         assert_eq!(grad.data(), &[0.0, 0.25, -0.25, 0.0]);
+    }
+
+    /// The three-way branch `l1_loss`'s gradient was, kept as its oracle.
+    fn l1_loss_branching(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
+        let n = pred.len() as f32;
+        let mut grad = Tensor::zeros(pred.shape());
+        let mut total = 0.0f64;
+        for ((g, &p), &t) in grad
+            .data_mut()
+            .iter_mut()
+            .zip(pred.data())
+            .zip(target.data())
+        {
+            let d = p - t;
+            total += d.abs() as f64;
+            *g = if d > 0.0 {
+                1.0 / n
+            } else if d < 0.0 {
+                -1.0 / n
+            } else {
+                0.0
+            };
+        }
+        ((total / n as f64) as f32, grad)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Loss and gradient bits equal the branching loop's at batch 1
+        /// and 2, over signed zeros, infinities (so `∞ − ∞`), NaN and
+        /// subnormal differences.
+        #[test]
+        fn l1_is_the_branching_loop_bit_for_bit(
+            n in 1usize..=2,
+            c in 1usize..=3,
+            side in 1usize..=9,
+            seed in 0u64..u64::MAX,
+        ) {
+            let shape = [n, c, side, side];
+            let len = n * c * side * side;
+            let p = Tensor::from_vec(shape, awkward(seed, len));
+            let mut t = Tensor::from_vec(shape, awkward(seed.rotate_left(17), len));
+            // Ties too: every third target equals its prediction.
+            for i in (0..len).step_by(3) {
+                t.data_mut()[i] = p.data()[i];
+            }
+            let (loss, grad) = l1_loss(&p, &t);
+            let (want_loss, want_grad) = l1_loss_branching(&p, &t);
+            let loss_bits = |l: f32| bits(&Tensor::from_vec([1; 4], vec![l]));
+            prop_assert_eq!(loss_bits(loss), loss_bits(want_loss));
+            prop_assert_eq!(bits(&grad), bits(&want_grad));
+        }
     }
 
     #[test]

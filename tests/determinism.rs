@@ -155,6 +155,78 @@ fn training_bits_do_not_depend_on_who_ran_which_half() {
     }
 }
 
+/// Thirty steps of a depth-5 model — whose bottleneck is 1×1, like the
+/// quick model's — pinned across commits. The constants were captured at
+/// the commit before `Adam::step` began clearing gradients and dropping a
+/// bias-correction divide that has rounded to 1.0 (`f93b8a7`), in debug
+/// and in release alike. Thirty steps reach that exact-1.0 correction
+/// (β₁ = 0.5 from step 25), which the six steps below never do.
+#[test]
+fn thirty_deep_steps_match_the_cross_commit_golden() {
+    let config = ExperimentConfig {
+        depth: 5,
+        ..ExperimentConfig::test()
+    };
+    let mut model = Pix2Pix::new(&config, 5151).unwrap();
+    let res = config.resolution;
+    let xs = randn_inputs(&config, 3, 1100);
+    let ys: Vec<Tensor> = (0..3)
+        .map(|i| Tensor::randn([1, 3, res, res], 0.0, 0.5, 1150 + i))
+        .collect();
+    let losses: Vec<[u32; 3]> = (0..30)
+        .map(|step| {
+            let l = model.train_step(&xs[step % 3], &ys[step % 3]);
+            [l.d_loss.to_bits(), l.g_gan.to_bits(), l.g_l1.to_bits()]
+        })
+        .collect();
+    assert_eq!(
+        losses,
+        [
+            [1060675330, 1060427594, 1053905117],
+            [1060278972, 1060551815, 1053945706],
+            [1060684704, 1060925100, 1053730122],
+            [1059592282, 1060889154, 1053844742],
+            [1059249422, 1061381312, 1053908153],
+            [1059922700, 1061417854, 1053658597],
+            [1058833038, 1061649763, 1053837017],
+            [1058502674, 1062089801, 1053930804],
+            [1059314990, 1061970311, 1053679999],
+            [1058211190, 1062357488, 1053888537],
+            [1057662598, 1063184166, 1053921831],
+            [1058655684, 1062910294, 1053690560],
+            [1057601388, 1063167098, 1053859826],
+            [1056944452, 1064149215, 1053891060],
+            [1058036522, 1063764139, 1053672183],
+            [1056988788, 1064088051, 1053830228],
+            [1055521858, 1065200638, 1053865981],
+            [1057433530, 1064663419, 1053669154],
+            [1055907232, 1064890063, 1053814180],
+            [1053999340, 1066002256, 1053813756],
+            [1056373005, 1065682720, 1053599281],
+            [1054746272, 1065764227, 1053830222],
+            [1052695781, 1066609405, 1053849392],
+            [1054964166, 1066311752, 1053610550],
+            [1053586699, 1066344523, 1053788857],
+            [1051439724, 1067391056, 1053839766],
+            [1053495862, 1067019984, 1053586138],
+            [1052521588, 1066967982, 1053830720],
+            [1050532014, 1067978910, 1053808718],
+            [1052253690, 1067607544, 1053596478],
+        ],
+        "StepLosses bits (d_loss, g_gan, g_l1) per step"
+    );
+    assert_eq!(
+        fnv_params(model.generator_mut().params_mut()),
+        0x0df6_6b5d_d706_d8f6,
+        "generator weights + Adam moments"
+    );
+    assert_eq!(
+        fnv_params(model.discriminator_mut().params_mut()),
+        0xc33a_260e_ad57_bd01,
+        "discriminator weights + Adam moments"
+    );
+}
+
 /// Training is pinned **across commits**, not just across two runs of one
 /// build: the constants below were captured at the commit before the GEMM
 /// tail / packed `nt` / fused Adam rewrite (PR 13's tree) and every later
