@@ -632,7 +632,7 @@ struct Site {
 
 impl Site {
     fn new(site: &'static str, name: String, mut layer: Box<dyn Layer>, x: Tensor) -> Self {
-        let dy = Tensor::randn(layer.forward(&x, true).shape(), 0.0, 0.5, 9);
+        let dy = Tensor::randn(layer.forward(&x).shape(), 0.0, 0.5, 9);
         let _ = layer.backward(&dy);
         Site {
             site,
@@ -649,7 +649,7 @@ impl Site {
     fn backward_secs(&mut self, samples: usize) -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..samples {
-            let _ = self.layer.forward(&self.x, true);
+            let _ = self.layer.forward(&self.x);
             let t = Instant::now();
             std::hint::black_box(self.layer.backward(&self.dy));
             best = best.min(t.elapsed().as_secs_f64());

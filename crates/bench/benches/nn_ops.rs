@@ -10,25 +10,21 @@ fn bench_nn_ops(c: &mut Criterion) {
 
     let x = Tensor::randn([1, 16, 32, 32], 0.0, 1.0, 1);
     let mut conv = Conv2d::new(16, 32, 4, 2, 1, 2);
-    group.bench_function("conv2d_fwd_16x32x32", |b| b.iter(|| conv.forward(&x, true)));
-    let y = conv.forward(&x, true);
+    group.bench_function("conv2d_fwd_16x32x32", |b| b.iter(|| conv.forward(&x)));
+    let y = conv.forward(&x);
     group.bench_function("conv2d_fwd_bwd_16x32x32", |b| {
         b.iter(|| {
-            let _ = conv.forward(&x, true);
+            let _ = conv.forward(&x);
             conv.backward(&y)
         })
     });
 
     let xt = Tensor::randn([1, 32, 16, 16], 0.0, 1.0, 3);
     let mut deconv = ConvTranspose2d::new(32, 16, 4, 2, 1, 4);
-    group.bench_function("deconv_fwd_32x16x16", |b| {
-        b.iter(|| deconv.forward(&xt, true))
-    });
+    group.bench_function("deconv_fwd_32x16x16", |b| b.iter(|| deconv.forward(&xt)));
 
     let mut bn = BatchNorm2d::new(16);
-    group.bench_function("batchnorm_fwd_16x32x32", |b| {
-        b.iter(|| bn.forward(&x, true))
-    });
+    group.bench_function("batchnorm_fwd_16x32x32", |b| b.iter(|| bn.forward(&x)));
 
     group.bench_function("matmul_64x256x256", |b| {
         let a = vec![0.5f32; 64 * 256];

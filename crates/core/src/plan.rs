@@ -1,9 +1,9 @@
 //! The generator frozen for inference.
 //!
-//! [`UNetGenerator`](crate::UNetGenerator) is a training graph: every layer
-//! caches what its backward pass needs, so even an inference forward wants
-//! `&mut self`, and each layer hands the next a freshly allocated tensor.
-//! [`InferencePlan`] is what
+//! [`UNetGenerator`](crate::UNetGenerator) is a training graph: batch
+//! statistics, dropout, every layer caching what its backward pass needs
+//! (so `&mut self`), each handing the next a fresh tensor. The one
+//! inference path, [`InferencePlan`], is what
 //! [`UNetGenerator::plan`](crate::UNetGenerator::plan) reads out of it
 //! once — per block the weights laid out for their GEMM, the running-stat
 //! batch-norm scalars and the activation — behind a `&self` forward that
@@ -16,9 +16,9 @@
 //! write that block's first channels (the previous decoder block's
 //! output), the level's own encoder block wrote the rest (the skip) on the
 //! way down — no concatenation, and requests are read from, and answers
-//! written to, their own tensors. Every element goes through the
-//! arithmetic of the layer-by-layer forward in its order, so the output is
-//! that forward's, bit for bit.
+//! written to, their own tensors. Every element goes through the layers'
+//! arithmetic in their order (batch-norm by running statistics, no
+//! dropout), so the output is theirs, bit for bit.
 
 use pop_nn::{scratch, Batch, BatchMut, PlannedConv, PlannedDeconv, Tensor};
 

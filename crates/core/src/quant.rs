@@ -71,9 +71,8 @@ impl QuantizedGenerator {
     }
 
     /// Inference forward — mirrors the f32
-    /// [`UNetGenerator`](crate::UNetGenerator) eval-mode pass exactly
-    /// (encoder stack, skip concatenation, decoder stack), with quantized
-    /// convolutions.
+    /// [`InferencePlan`](crate::InferencePlan) exactly (encoder stack, skip
+    /// concatenation, decoder stack), with quantized convolutions.
     ///
     /// # Panics
     ///
@@ -163,7 +162,6 @@ mod tests {
     use super::*;
     use crate::dataset::{Pair, PairMeta};
     use crate::{ExclusiveForecaster, ExperimentConfig, MetricSet, Pix2Pix};
-    use pop_nn::Layer;
 
     fn tiny_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -198,7 +196,7 @@ mod tests {
         let mut model = Pix2Pix::new(&cfg, 21).unwrap();
         let q = model.quantized();
         let x = Tensor::randn([2, cfg.input_channels(), 16, 16], 0.0, 0.5, 22);
-        let want = model.generator_mut().forward(&x, false);
+        let want = model.forecast(&x);
         let got = q.forecast(&x).unwrap();
         assert_eq!(got.shape(), want.shape());
         // Tanh output is in [-1, 1]; the stacked quantization error through

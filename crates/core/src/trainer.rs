@@ -310,19 +310,19 @@ impl Pix2Pix {
         let (disc, gen) = (&mut self.disc, &mut self.gen);
         let (d_real, fake) = pop_exec::join(
             || {
-                let logits_real = disc.forward(&real_pair, true);
+                let logits_real = disc.forward(&real_pair);
                 let (d_real, mut g_real) = bce_with_logits(&logits_real, 1.0);
                 g_real.scale(0.5);
                 let _ = disc.backward(&g_real);
                 d_real
             },
             // Generator forward (training mode: dropout provides z).
-            || gen.forward(x, true),
+            || gen.forward(x),
         );
         let forked = started.elapsed();
 
         let fake_pair = x.concat_channels(&fake);
-        let logits_fake = self.disc.forward(&fake_pair, true);
+        let logits_fake = self.disc.forward(&fake_pair);
         let (d_fake, mut g_fake) = bce_with_logits(&logits_fake, 0.0);
         g_fake.scale(0.5);
         let _ = self.disc.backward(&g_fake);
@@ -331,7 +331,7 @@ impl Pix2Pix {
 
         // ---- Generator step: minimise log(1-D(G(x,z))) (non-saturating
         // form: maximise log D) + λ·L1.
-        let logits = self.disc.forward(&fake_pair, true);
+        let logits = self.disc.forward(&fake_pair);
         let (g_gan, g_grad) = bce_with_logits(&logits, 1.0);
         let d_input_grad = self.disc.backward(&g_grad);
         // That backward also added onto D's weight gradients, which no
@@ -504,8 +504,8 @@ impl Pix2Pix {
     }
 
     /// Forecasts many `[1, C, H, W]` inputs in one batched forward pass
-    /// ([`InferencePlan::forecast_batch`]). In inference mode every layer
-    /// treats batch elements independently, so each returned tensor is
+    /// ([`InferencePlan::forecast_batch`]). The plan treats batch elements
+    /// independently, so each returned tensor is
     /// bitwise-identical to the corresponding single-input
     /// [`Pix2Pix::forecast`] — this is the compute core of the `pop-serve`
     /// micro-batcher.
@@ -673,7 +673,8 @@ mod tests {
         let batched = model.forecast_batch(&refs);
         assert_eq!(batched.len(), 5);
         for (b, s) in batched.iter().zip(&sequential) {
-            // Bitwise equality: eval-mode layers are batch-independent.
+            // Bitwise equality: the plan treats batch elements
+            // independently.
             assert_eq!(b, s);
         }
         let images = model.forecast_batch_images(&refs);
@@ -745,10 +746,10 @@ mod tests {
                 // The same forwards in both models, so dropout and
                 // batch-norm state move alike; only the gradients differ.
                 let gen = model.generator_mut();
-                let fake = gen.forward(&pair.x, true);
+                let fake = gen.forward(&pair.x);
                 let _ = gen.backward(&fake);
                 let disc = model.discriminator_mut();
-                let logits = disc.forward(&pair.x.concat_channels(&fake), true);
+                let logits = disc.forward(&pair.x.concat_channels(&fake));
                 let _ = disc.backward(&logits);
             }
             assert!(grad_bits(&mut stray).iter().any(|&g| g != 0));

@@ -15,13 +15,13 @@ struct EncBlock {
 }
 
 impl EncBlock {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.conv.forward(x, train);
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = self.conv.forward(x);
         let y = match &mut self.bn {
-            Some(bn) => bn.forward(&y, train),
+            Some(bn) => bn.forward(&y),
             None => y,
         };
-        self.act.forward(&y, train)
+        self.act.forward(&y)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -62,20 +62,20 @@ struct DecBlock {
 }
 
 impl DecBlock {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.deconv.forward(x, train);
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = self.deconv.forward(x);
         let y = match &mut self.bn {
-            Some(bn) => bn.forward(&y, train),
+            Some(bn) => bn.forward(&y),
             None => y,
         };
         let y = match &mut self.dropout {
-            Some(d) => d.forward(&y, train),
+            Some(d) => d.forward(&y),
             None => y,
         };
         if let Some(r) = &mut self.relu {
-            r.forward(&y, train)
+            r.forward(&y)
         } else if let Some(t) = &mut self.tanh {
-            t.forward(&y, train)
+            t.forward(&y)
         } else {
             y
         }
@@ -262,32 +262,12 @@ impl UNetGenerator {
         &self.dec_out_ch
     }
 
-    /// The layer-by-layer forward: the training graph, and with
-    /// `train = false` the reference the plan is tested against.
-    fn forward_layers(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.c(), self.in_channels, "generator input channels");
-        let depth = self.enc.len();
-        let mut e: Vec<Tensor> = Vec::with_capacity(depth);
-        for block in &mut self.enc {
-            let y = block.forward(e.last().unwrap_or(x), train);
-            e.push(y);
-        }
-        let mut u = self.dec[0].forward(&e[depth - 1], train);
-        for i in 1..depth {
-            u = if self.skip_at[i] {
-                self.dec[i].forward(&u.concat_channels(&e[depth - 1 - i]), train)
-            } else {
-                self.dec[i].forward(&u, train)
-            };
-        }
-        u
-    }
-
     /// Snapshots this generator for inference ([`InferencePlan`]): each
     /// block's weights laid out for its GEMM, its batch-norm's running
     /// statistics and affine and its activation read out, dropout dropped
-    /// (inference identity). The plan's forward is this generator's
-    /// `train = false` forward bit for bit, through `&self`.
+    /// (inference identity). The plan's forward is this generator's layers
+    /// run one by one with batch-norm by running statistics, bit for bit,
+    /// through `&self`.
     pub fn plan(&self) -> InferencePlan {
         let norm = |bn: &Option<BatchNorm2d>| bn.as_ref().map(BatchNorm2d::inference_norm);
         let enc = self
@@ -349,14 +329,23 @@ impl UNetGenerator {
 }
 
 impl Layer for UNetGenerator {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.forward_layers(x, true)
-        } else {
-            // One inference path: whoever holds only the layers still runs
-            // the plan (a caller that forecasts repeatedly keeps one).
-            self.plan().forward(x)
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        assert_eq!(x.c(), self.in_channels, "generator input channels");
+        let depth = self.enc.len();
+        let mut e: Vec<Tensor> = Vec::with_capacity(depth);
+        for block in &mut self.enc {
+            let y = block.forward(e.last().unwrap_or(x));
+            e.push(y);
         }
+        let mut u = self.dec[0].forward(&e[depth - 1]);
+        for i in 1..depth {
+            u = if self.skip_at[i] {
+                self.dec[i].forward(&u.concat_channels(&e[depth - 1 - i]))
+            } else {
+                self.dec[i].forward(&u)
+            };
+        }
+        u
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -422,7 +411,7 @@ mod tests {
         for skip in [SkipMode::All, SkipMode::Single, SkipMode::None] {
             let mut g = tiny(skip);
             let x = Tensor::randn([1, 4, 16, 16], 0.0, 1.0, 1);
-            let y = g.forward(&x, true);
+            let y = g.forward(&x);
             assert_eq!(y.shape(), [1, 3, 16, 16], "{skip:?}");
             // Output is tanh-bounded.
             assert!(y.data().iter().all(|v| (-1.0..=1.0).contains(v)));
@@ -434,7 +423,7 @@ mod tests {
         for skip in [SkipMode::All, SkipMode::Single, SkipMode::None] {
             let mut g = tiny(skip);
             let x = Tensor::randn([1, 4, 16, 16], 0.0, 1.0, 2);
-            let y = g.forward(&x, true);
+            let y = g.forward(&x);
             let dx = g.backward(&y);
             assert_eq!(dx.shape(), x.shape(), "{skip:?}");
             assert!(dx.data().iter().all(|v| v.is_finite()));
@@ -484,9 +473,9 @@ mod tests {
     fn gradients_flow_to_all_parameters() {
         let mut g = tiny(SkipMode::All);
         let x = Tensor::randn([1, 4, 16, 16], 0.0, 1.0, 3);
-        let y = g.forward(&x, true);
+        let y = g.forward(&x);
         g.zero_grad();
-        let _ = g.forward(&x, true);
+        let _ = g.forward(&x);
         let _ = g.backward(&Tensor::full(y.shape(), 1.0));
         for (i, p) in g.params_mut().iter().enumerate() {
             let mag: f32 = p.grad.data().iter().map(|v| v.abs()).sum();
@@ -501,10 +490,10 @@ mod tests {
         let x = Tensor::randn([1, 2, 8, 8], 0.0, 0.5, 6);
         let target = Tensor::full([1, 1, 8, 8], 0.5);
         let mut adam = Adam::new(2e-3, 0.5, 0.999, 1e-8);
-        let (first, _) = l1_loss(&g.forward(&x, true), &target);
+        let (first, _) = l1_loss(&g.forward(&x), &target);
         let mut last = first;
         for _ in 0..30 {
-            let y = g.forward(&x, true);
+            let y = g.forward(&x);
             let (l, grad) = l1_loss(&y, &target);
             last = l;
             g.zero_grad();
@@ -517,18 +506,18 @@ mod tests {
     #[test]
     fn batched_eval_forward_is_bitwise_identical_to_per_sample() {
         // The serving engine's correctness hinges on this: stacking inputs
-        // along the batch axis and forwarding once (eval mode, dropout off,
+        // along the batch axis and running the plan once (dropout off,
         // batch-norm running stats) must reproduce each per-sample forward
         // bit for bit — conv/norm/activation all treat batch elements
         // independently at inference.
         for skip in [SkipMode::All, SkipMode::Single, SkipMode::None] {
-            let mut g = tiny(skip);
+            let plan = tiny(skip).plan();
             let xs: Vec<Tensor> = (0..4)
                 .map(|s| Tensor::randn([1, 4, 16, 16], 0.0, 1.0, 50 + s))
                 .collect();
-            let singles: Vec<Tensor> = xs.iter().map(|x| g.forward(x, false)).collect();
+            let singles: Vec<Tensor> = xs.iter().map(|x| plan.forward(x)).collect();
             let refs: Vec<&Tensor> = xs.iter().collect();
-            let batched = g.forward(&Tensor::stack_batch(&refs), false);
+            let batched = plan.forward(&Tensor::stack_batch(&refs));
             assert_eq!(batched.n(), 4);
             for (i, (part, single)) in batched.split_batch().iter().zip(&singles).enumerate() {
                 assert_eq!(part, single, "sample {i} diverged under {skip:?}");
@@ -542,7 +531,7 @@ mod tests {
         use pop_nn::Adam;
         let mut adam = Adam::new(2e-2, 0.5, 0.999, 1e-8);
         for _ in 0..3 {
-            let y = g.forward(x, true);
+            let y = g.forward(x);
             g.zero_grad();
             let _ = g.backward(&y);
             adam.step(&mut g.params_mut());
@@ -550,8 +539,43 @@ mod tests {
         g
     }
 
-    /// The plan against the layers it was read from, run one by one in
-    /// inference mode (the forward it replaced): every skip mode, a
+    /// The inference forward, layer by layer, as the plan replaced it:
+    /// every layer's own forward, except that each batch-norm applies its
+    /// running statistics (`inference_norm`) and dropout is skipped.
+    fn reference(g: &mut UNetGenerator, x: &Tensor) -> Tensor {
+        fn norm(bn: &Option<BatchNorm2d>, mut y: Tensor) -> Tensor {
+            if let Some(bn) = bn {
+                let (norms, plane) = (bn.inference_norm(), y.h() * y.w());
+                for (i, p) in y.data_mut().chunks_exact_mut(plane).enumerate() {
+                    let n = norms[i % norms.len()];
+                    p.iter_mut().for_each(|v| *v = n.apply(*v));
+                }
+            }
+            y
+        }
+        let depth = g.enc.len();
+        let mut e: Vec<Tensor> = Vec::with_capacity(depth);
+        for b in &mut g.enc {
+            let y = norm(&b.bn, b.conv.forward(e.last().unwrap_or(x)));
+            e.push(b.act.forward(&y));
+        }
+        let mut u = e[depth - 1].clone();
+        for (i, b) in g.dec.iter_mut().enumerate() {
+            if i > 0 && g.skip_at[i] {
+                u = u.concat_channels(&e[depth - 1 - i]);
+            }
+            let y = norm(&b.bn, b.deconv.forward(&u));
+            u = match (&mut b.relu, &mut b.tanh) {
+                (Some(r), _) => r.forward(&y),
+                (None, Some(t)) => t.forward(&y),
+                (None, None) => y,
+            };
+        }
+        u
+    }
+
+    /// The plan against the layers it was read from, run one by one as
+    /// `reference` runs them (the forward it replaced): every skip mode, a
     /// shallow generator on a non-square map and the `explore` depth, one
     /// request, a few and a full batch — per-request tensors and an NCHW
     /// batch alike, bit for bit.
@@ -570,7 +594,7 @@ mod tests {
                     let got = plan.forecast_batch(&refs);
                     assert_eq!(got.len(), batch);
                     for (i, (x, y)) in xs.iter().zip(&got).enumerate() {
-                        let want = g.forward_layers(x, false);
+                        let want = reference(&mut g, x);
                         assert_eq!(y, &want, "{skip:?} depth {depth} batch {batch} sample {i}");
                         assert_eq!(plan.forward(x), want, "{skip:?} depth {depth} alone");
                     }
@@ -592,7 +616,7 @@ mod tests {
     fn plan_keeps_the_layers_handling_of_odd_sizes() {
         let x = Tensor::randn([2, 4, 12, 12], 0.0, 1.0, 5);
         let mut g = tiny(SkipMode::None);
-        let want = g.forward_layers(&x, false);
+        let want = reference(&mut g, &x);
         assert_eq!(want.shape(), [2, 3, 8, 8]);
         assert_eq!(g.plan().forward(&x), want);
         let joined = std::panic::catch_unwind(|| tiny(SkipMode::All).plan().forward(&x));
@@ -601,10 +625,10 @@ mod tests {
 
     #[test]
     fn inference_is_deterministic_without_dropout() {
-        let mut g = tiny(SkipMode::All);
+        let g = tiny(SkipMode::All);
         let x = Tensor::randn([1, 4, 16, 16], 0.0, 1.0, 7);
-        let a = g.forward(&x, false);
-        let b = g.forward(&x, false);
+        let a = g.plan().forward(&x);
+        let b = g.plan().forward(&x);
         assert_eq!(a, b);
     }
 }

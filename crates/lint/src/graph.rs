@@ -25,6 +25,7 @@ use crate::lexer::Kind;
 use crate::parser::{FileItems, KEYWORDS};
 use crate::symtab::{FnId, SymTab};
 use crate::LintConfig;
+use pop_obs::json::str_lit;
 use std::collections::{BTreeMap, VecDeque};
 
 pub const PANIC_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
@@ -284,9 +285,9 @@ impl CallGraph {
             }
             let facts = &self.nodes[id].facts;
             out.push_str(&format!(
-                "{{\"id\":{id},\"name\":\"{}\",\"file\":\"{}\",\"line\":{},\"can_panic_direct\":{},\"wall_clock\":{},\"blocking\":{}}}",
-                escape(&def.qualified()),
-                escape(&def.file),
+                "{{\"id\":{id},\"name\":{},\"file\":{},\"line\":{},\"can_panic_direct\":{},\"wall_clock\":{},\"blocking\":{}}}",
+                str_lit(&def.qualified()),
+                str_lit(&def.file),
                 def.item.line,
                 !facts.panic_sites.is_empty(),
                 !facts.wall_clock.is_empty(),
@@ -326,6 +327,7 @@ impl CallGraph {
     }
 }
 
+/// A DOT label's string escaping.
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -1413,15 +1415,23 @@ mod tests {
 
     #[test]
     fn dumps_emit_nodes_edges_and_stats() {
-        let g = build(&[(
-            "crates/core/src/model.rs",
-            "pub fn a() { b(); }\npub fn b() {}",
-        )]);
+        let path = "crates/core/src/mo\"d\\el\u{1}.rs";
+        let g = build(&[(path, "pub fn a() { b(); }\npub fn b() {}")]);
         let dot = g.to_dot();
         assert!(dot.contains("digraph pop_call_graph"));
         assert!(dot.contains("->"));
         let json = g.to_json();
         assert!(json.contains("\"edges\":["));
         assert!(json.contains("\"resolution_rate\""));
+        assert!(
+            json.bytes().all(|b| b >= 0x20),
+            "raw control byte in {json}"
+        );
+        let doc = pop_obs::json::parse(&json).expect("the dump is JSON");
+        let fns = doc.get("fns").and_then(|f| f.as_array()).expect("fns");
+        assert_eq!(fns.len(), 2);
+        for f in fns {
+            assert_eq!(f.get("file").and_then(|v| v.as_str()), Some(path));
+        }
     }
 }

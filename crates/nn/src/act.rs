@@ -47,9 +47,8 @@ impl Default for LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        // The input is kept only for a backward pass.
-        self.cached_input = train.then(|| x.clone());
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.cached_input = Some(x.clone());
         let alpha = self.alpha;
         map(x, |v| if v < 0.0 { v * alpha } else { v })
     }
@@ -80,8 +79,8 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.cached_input = train.then(|| x.clone());
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.cached_input = Some(x.clone());
         map(x, |v| if v < 0.0 { 0.0 } else { v })
     }
 
@@ -109,9 +108,9 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         let y = map(x, f32::tanh);
-        self.cached_output = train.then(|| y.clone());
+        self.cached_output = Some(y.clone());
         y
     }
 
@@ -121,40 +120,6 @@ impl Layer for Tanh {
             .take()
             .expect("Tanh::backward called before forward");
         map_grad(grad_out, &y, |g, y| g * (1.0 - y * y))
-    }
-}
-
-/// Logistic sigmoid — the discriminator's final "true/fake" squashing
-/// ("followed by sigmoid function for binary classification", §4.3).
-///
-/// Training uses [`loss::bce_with_logits`](crate::loss::bce_with_logits)
-/// *instead of* this layer for numerical stability; the layer exists for
-/// inference-time probability readout.
-#[derive(Debug, Clone, Default)]
-pub struct Sigmoid {
-    cached_output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid activation.
-    pub fn new() -> Self {
-        Sigmoid::default()
-    }
-}
-
-impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = map(x, |v| 1.0 / (1.0 + (-v).exp()));
-        self.cached_output = train.then(|| y.clone());
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self
-            .cached_output
-            .take()
-            .expect("Sigmoid::backward called before forward");
-        map_grad(grad_out, &y, |g, y| g * (y * (1.0 - y)))
     }
 }
 
@@ -231,7 +196,7 @@ pub(crate) mod tests {
             let g = Tensor::from_vec(shape, awkward(seed.rotate_left(29), len));
 
             let mut leaky = LeakyRelu::new(0.2);
-            let _ = leaky.forward(&x, true);
+            let _ = leaky.forward(&x);
             let want = patched(&g, &x, |g, x| {
                 if x < 0.0 {
                     *g *= 0.2;
@@ -240,7 +205,7 @@ pub(crate) mod tests {
             prop_assert_eq!(bits(&leaky.backward(&g)), bits(&want), "LeakyRelu");
 
             let mut relu = Relu::new();
-            let _ = relu.forward(&x, true);
+            let _ = relu.forward(&x);
             let want = patched(&g, &x, |g, x| {
                 if x <= 0.0 {
                     *g = 0.0;
@@ -249,14 +214,9 @@ pub(crate) mod tests {
             prop_assert_eq!(bits(&relu.backward(&g)), bits(&want), "Relu");
 
             let mut tanh = Tanh::new();
-            let y = tanh.forward(&x, true);
+            let y = tanh.forward(&x);
             let want = patched(&g, &y, |g, y| *g *= 1.0 - y * y);
             prop_assert_eq!(bits(&tanh.backward(&g)), bits(&want), "Tanh");
-
-            let mut sigmoid = Sigmoid::new();
-            let y = sigmoid.forward(&x, true);
-            let want = patched(&g, &y, |g, y| *g *= y * (1.0 - y));
-            prop_assert_eq!(bits(&sigmoid.backward(&g)), bits(&want), "Sigmoid");
         }
     }
 
@@ -266,7 +226,7 @@ pub(crate) mod tests {
     fn leaky_relu_grad_follows_the_input_sign_not_the_output() {
         let mut act = LeakyRelu::new(0.2);
         let x = Tensor::from_vec([1, 1, 1, 2], vec![-1.4e-45, -0.0]);
-        let y = act.forward(&x, true);
+        let y = act.forward(&x);
         assert_eq!(bits(&y), [(-0.0f32).to_bits(); 2]);
         let dx = act.backward(&Tensor::full([1, 1, 1, 2], 1.0));
         assert_eq!(dx.data(), &[0.2, 1.0]);
@@ -276,7 +236,7 @@ pub(crate) mod tests {
     fn leaky_relu_values_and_grad() {
         let mut act = LeakyRelu::new(0.2);
         let x = Tensor::from_vec([1, 1, 1, 4], vec![-2.0, -0.5, 0.5, 2.0]);
-        let y = act.forward(&x, true);
+        let y = act.forward(&x);
         assert_eq!(y.data(), &[-0.4, -0.1, 0.5, 2.0]);
         let g = Tensor::full([1, 1, 1, 4], 1.0);
         let dx = act.backward(&g);
@@ -287,7 +247,7 @@ pub(crate) mod tests {
     fn relu_values_and_grad() {
         let mut act = Relu::new();
         let x = Tensor::from_vec([1, 1, 1, 3], vec![-1.0, 0.0, 2.0]);
-        let y = act.forward(&x, true);
+        let y = act.forward(&x);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
         let dx = act.backward(&Tensor::full([1, 1, 1, 3], 3.0));
         assert_eq!(dx.data(), &[0.0, 0.0, 3.0]);
@@ -297,24 +257,12 @@ pub(crate) mod tests {
     fn tanh_range_and_grad() {
         let mut act = Tanh::new();
         let x = Tensor::from_vec([1, 1, 1, 3], vec![-10.0, 0.0, 10.0]);
-        let y = act.forward(&x, true);
+        let y = act.forward(&x);
         assert!(y.data()[0] > -1.0001 && y.data()[0] < -0.999);
         assert_eq!(y.data()[1], 0.0);
         let dx = act.backward(&Tensor::full([1, 1, 1, 3], 1.0));
         // d tanh at 0 is 1; at ±10 almost 0.
         assert!((dx.data()[1] - 1.0).abs() < 1e-6);
         assert!(dx.data()[0] < 1e-6);
-    }
-
-    #[test]
-    fn sigmoid_values() {
-        let mut act = Sigmoid::new();
-        let x = Tensor::from_vec([1, 1, 1, 3], vec![-100.0, 0.0, 100.0]);
-        let y = act.forward(&x, true);
-        assert!(y.data()[0] < 1e-6);
-        assert_eq!(y.data()[1], 0.5);
-        assert!(y.data()[2] > 1.0 - 1e-6);
-        let dx = act.backward(&Tensor::full([1, 1, 1, 3], 1.0));
-        assert!((dx.data()[1] - 0.25).abs() < 1e-6);
     }
 }

@@ -1,8 +1,8 @@
 use crate::im2col::{col2im, im2col};
 use crate::linalg::{matmul_nn, matmul_nt, matmul_tn_set, TnWeights};
 use crate::lower::{
-    conv_forward, conv_inference, deconv_forward, Activation, Batch, BatchMut, ConvGeom, Epilogue,
-    Finish, Norm, PlannedConv, PlannedDeconv,
+    conv_forward, deconv_forward, Activation, Batch, BatchMut, ConvGeom, Epilogue, Finish, Norm,
+    PlannedConv, PlannedDeconv,
 };
 use crate::param::Param;
 use crate::tensor::Tensor;
@@ -70,8 +70,8 @@ impl Conv2d {
 
     /// i8 weight quantization with per-output-channel scales; `affine`
     /// optionally folds a following per-channel inference transform
-    /// `y = a·conv + s` (batch-norm in eval mode) into the quantized
-    /// weights and bias.
+    /// `y = a·conv + s` (batch-norm by running statistics) into the
+    /// quantized weights and bias.
     pub fn quantize(&self, affine: Option<(&[f32], &[f32])>) -> crate::quant::QuantizedConv2d {
         crate::quant::QuantizedConv2d::new(
             self.geom.in_c,
@@ -102,43 +102,31 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         assert_eq!(x.c(), self.geom.in_c, "input channels");
         let [n, _, h, w] = x.shape();
         let geom = self.geom;
         let mut y = Tensor::zeros(self.output_shape(x.shape()));
         let p_out = y.h() * y.w();
-        let epilogue = Epilogue::bias(&self.bias.value.data()[..geom.out_c]);
-        let out = &mut BatchMut::nchw(y.data_mut(), geom.out_c, p_out);
-        let weight = self.weight.value.data();
-        if train {
-            // Training lowers the whole batch into one matrix, the layout
-            // `backward` expects, reusing the one `backward` handed back:
-            // `im2col` writes every element, so only growth is zeroed.
-            // `cached_input` and the matrix exist only for that pass.
-            let mut cols = std::mem::take(&mut self.cached_cols);
-            cols.resize(geom.in_c * geom.k * geom.k * n * p_out, 0.0);
-            conv_forward(
-                &geom,
-                weight,
-                &epilogue,
-                Batch::nchw(x),
-                (h, w),
-                n,
-                n,
-                &mut cols,
-                out,
-            );
-            self.cached_cols = cols;
-            self.cached_p_out = p_out;
-            self.cached_input = Some(x.clone());
-        } else {
-            // Inference-mode forwards (the discriminator's readout) must not
-            // retain the k²-scaled im2col matrix or an input clone.
-            conv_inference(&geom, weight, &epilogue, Batch::nchw(x), (h, w), n, out);
-            self.cached_cols = Vec::new();
-            self.cached_input = None;
-        }
+        // The whole batch is lowered into one matrix, the layout `backward`
+        // expects, reusing the one `backward` handed back: `im2col` writes
+        // every element, so only growth is zeroed.
+        let mut cols = std::mem::take(&mut self.cached_cols);
+        cols.resize(geom.in_c * geom.k * geom.k * n * p_out, 0.0);
+        conv_forward(
+            &geom,
+            self.weight.value.data(),
+            &Epilogue::bias(&self.bias.value.data()[..geom.out_c]),
+            Batch::nchw(x),
+            (h, w),
+            n,
+            n,
+            &mut cols,
+            &mut BatchMut::nchw(y.data_mut(), geom.out_c, p_out),
+        );
+        self.cached_cols = cols;
+        self.cached_p_out = p_out;
+        self.cached_input = Some(x.clone());
         y
     }
 
@@ -292,7 +280,7 @@ impl ConvTranspose2d {
 }
 
 impl Layer for ConvTranspose2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         assert_eq!(x.c(), self.geom.in_c, "input channels");
         let [n, _, h, w] = x.shape();
         let mut y = Tensor::zeros(self.output_shape(x.shape()));
@@ -317,7 +305,7 @@ impl Layer for ConvTranspose2d {
             n,
             &mut BatchMut::nchw(y.data_mut(), self.geom.out_c, p_out),
         );
-        self.cached_input = if train { Some(x.clone()) } else { None };
+        self.cached_input = Some(x.clone());
         y
     }
 
@@ -379,7 +367,7 @@ mod tests {
     fn conv_halves_spatial_size() {
         let mut conv = Conv2d::new(4, 8, 4, 2, 1, 1);
         let x = Tensor::randn([2, 4, 16, 16], 0.0, 1.0, 2);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert_eq!(y.shape(), [2, 8, 8, 8]);
         assert_eq!(conv.output_shape(x.shape()), y.shape());
     }
@@ -388,7 +376,7 @@ mod tests {
     fn deconv_doubles_spatial_size() {
         let mut deconv = ConvTranspose2d::new(8, 4, 4, 2, 1, 1);
         let x = Tensor::randn([2, 8, 8, 8], 0.0, 1.0, 2);
-        let y = deconv.forward(&x, true);
+        let y = deconv.forward(&x);
         assert_eq!(y.shape(), [2, 4, 16, 16]);
     }
 
@@ -396,7 +384,7 @@ mod tests {
     fn conv_backward_shapes() {
         let mut conv = Conv2d::new(3, 5, 4, 2, 1, 3);
         let x = Tensor::randn([1, 3, 8, 8], 0.0, 1.0, 4);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         let dx = conv.backward(&y);
         assert_eq!(dx.shape(), x.shape());
         // Gradients accumulated.
@@ -411,7 +399,7 @@ mod tests {
         conv.weight.value.data_mut()[0] = 2.0;
         conv.bias.value.data_mut()[0] = 0.5;
         let x = Tensor::from_vec([1, 1, 1, 3], vec![1.0, 2.0, 3.0]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert_eq!(y.data(), &[2.5, 4.5, 6.5]);
     }
 
@@ -434,8 +422,8 @@ mod tests {
 
         let x = Tensor::randn([1, cin, 8, 8], 0.0, 1.0, 9);
         let y = Tensor::randn([1, cout, 4, 4], 0.0, 1.0, 10);
-        let cx = conv.forward(&x, true);
-        let dy = deconv.forward(&y, true);
+        let cx = conv.forward(&x);
+        let dy = deconv.forward(&y);
         let lhs: f64 = cx
             .data()
             .iter()
@@ -461,14 +449,11 @@ mod tests {
         let xs: Vec<Tensor> = (0..4)
             .map(|s| Tensor::randn([1, 3, 8, 8], 0.0, 1.0, 40 + s))
             .collect();
-        let conv_singles: Vec<Tensor> = xs.iter().map(|x| conv.forward(x, false)).collect();
-        let deconv_singles: Vec<Tensor> = conv_singles
-            .iter()
-            .map(|y| deconv.forward(y, false))
-            .collect();
+        let conv_singles: Vec<Tensor> = xs.iter().map(|x| conv.forward(x)).collect();
+        let deconv_singles: Vec<Tensor> = conv_singles.iter().map(|y| deconv.forward(y)).collect();
         let refs: Vec<&Tensor> = xs.iter().collect();
         let batch = Tensor::stack_batch(&refs);
-        let conv_batched = conv.forward(&batch, false);
+        let conv_batched = conv.forward(&batch);
         for (i, (part, single)) in conv_batched
             .split_batch()
             .iter()
@@ -477,7 +462,7 @@ mod tests {
         {
             assert_eq!(part, single, "conv sample {i}");
         }
-        let deconv_batched = deconv.forward(&conv_batched, false);
+        let deconv_batched = deconv.forward(&conv_batched);
         for (i, (part, single)) in deconv_batched
             .split_batch()
             .iter()
@@ -500,9 +485,9 @@ mod tests {
                 .map(|s| Tensor::randn([1, 1, side, side], 0.0, 1.0, 80 + s))
                 .collect();
             let refs: Vec<&Tensor> = xs.iter().collect();
-            let batched = deconv.forward(&Tensor::stack_batch(&refs), false);
+            let batched = deconv.forward(&Tensor::stack_batch(&refs));
             for (part, x) in batched.split_batch().iter().zip(&xs) {
-                assert_eq!(part, &deconv.forward(x, false), "side {side}");
+                assert_eq!(part, &deconv.forward(x), "side {side}");
             }
         }
     }
@@ -518,13 +503,13 @@ mod tests {
         let mut single = Conv2d::new(2, 3, 4, 2, 1, 13);
         let mut dxs = Vec::new();
         for x in &xs {
-            let y = single.forward(x, true);
+            let y = single.forward(x);
             dxs.push(single.backward(&y));
         }
         let mut batched = Conv2d::new(2, 3, 4, 2, 1, 13);
         let refs: Vec<&Tensor> = xs.iter().collect();
         let xb = Tensor::stack_batch(&refs);
-        let yb = batched.forward(&xb, true);
+        let yb = batched.forward(&xb);
         let dxb = batched.backward(&yb);
         for (i, (part, dx)) in dxb.split_batch().iter().zip(&dxs).enumerate() {
             assert_eq!(part, dx, "dx sample {i}");

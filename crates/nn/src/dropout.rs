@@ -39,8 +39,8 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        if self.p == 0.0 {
             self.cached_mask = None;
             return x.clone();
         }
@@ -80,18 +80,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eval_mode_is_identity() {
-        let mut d = Dropout::new(0.5, 1);
-        let x = Tensor::randn([1, 2, 4, 4], 0.0, 1.0, 2);
-        let y = d.forward(&x, false);
-        assert_eq!(x, y);
-    }
-
-    #[test]
     fn train_mode_zeroes_about_p_and_rescales() {
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::full([1, 1, 64, 64], 1.0);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
         let frac = zeros as f32 / y.len() as f32;
         assert!((0.4..0.6).contains(&frac), "drop fraction {frac}");
@@ -105,7 +97,7 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.5, 4);
         let x = Tensor::full([1, 1, 8, 8], 1.0);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         let dx = d.backward(&Tensor::full([1, 1, 8, 8], 1.0));
         for (yv, gv) in y.data().iter().zip(dx.data()) {
             assert_eq!(yv, gv, "mask must match between passes");
@@ -116,6 +108,6 @@ mod tests {
     fn zero_probability_is_identity_even_training() {
         let mut d = Dropout::new(0.0, 5);
         let x = Tensor::randn([1, 1, 4, 4], 0.0, 1.0, 6);
-        assert_eq!(d.forward(&x, true), x);
+        assert_eq!(d.forward(&x), x);
     }
 }

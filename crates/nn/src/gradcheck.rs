@@ -26,7 +26,7 @@ impl GradCheck {
 }
 
 fn probe_loss<L: Layer>(layer: &mut L, x: &Tensor, r: &Tensor) -> f64 {
-    let y = layer.forward(x, true);
+    let y = layer.forward(x);
     assert_eq!(y.shape(), r.shape(), "probe shape");
     y.data()
         .iter()
@@ -47,10 +47,10 @@ pub fn check_input_grad<L: Layer>(
     samples: usize,
 ) -> GradCheck {
     // Output-gradient probe r: fixed pseudo-random pattern.
-    let y = layer.forward(x, true);
+    let y = layer.forward(x);
     let r = Tensor::randn(y.shape(), 0.0, 1.0, 0x5eed);
     // Analytic gradient.
-    let _ = layer.forward(x, true);
+    let _ = layer.forward(x);
     let dx = layer.backward(&r);
 
     let mut worst = GradCheck {
@@ -81,10 +81,10 @@ pub fn check_param_grads<L: Layer>(
     eps: f32,
     samples: usize,
 ) -> GradCheck {
-    let y = layer.forward(x, true);
+    let y = layer.forward(x);
     let r = Tensor::randn(y.shape(), 0.0, 1.0, 0x5eed);
     layer.zero_grad();
-    let _ = layer.forward(x, true);
+    let _ = layer.forward(x);
     let _ = layer.backward(&r);
     let analytic: Vec<Vec<f32>> = layer
         .params_mut()
@@ -127,7 +127,7 @@ fn accumulate(worst: &mut GradCheck, analytic: f32, numeric: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchNorm2d, Conv2d, ConvTranspose2d, LeakyRelu, Relu, Sigmoid, Tanh};
+    use crate::{BatchNorm2d, Conv2d, ConvTranspose2d, LeakyRelu, Relu, Tanh};
 
     const EPS: f32 = 1e-2;
     const TOL: f32 = 2e-2;
@@ -171,8 +171,6 @@ mod tests {
         assert!(gi.passes(TOL), "relu: {gi:?}");
         let gi = check_input_grad(&mut Tanh::new(), &x, EPS, 30);
         assert!(gi.passes(TOL), "tanh: {gi:?}");
-        let gi = check_input_grad(&mut Sigmoid::new(), &x, EPS, 30);
-        assert!(gi.passes(TOL), "sigmoid: {gi:?}");
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! framework from scratch (DESIGN.md §2 row 6):
 //!
 //! * [`Tensor`] — dense `f32` NCHW tensors;
-//! * [`Layer`] — the forward/backward contract, with implementations for
-//!   [`Conv2d`], [`ConvTranspose2d`], [`BatchNorm2d`], [`LeakyRelu`],
-//!   [`Relu`], [`Tanh`], [`Sigmoid`] and [`Dropout`] — exactly the blocks
-//!   of the paper's Figure 5 architecture;
+//! * [`Layer`] — the training forward/backward contract, with
+//!   implementations for [`Conv2d`], [`ConvTranspose2d`], [`BatchNorm2d`],
+//!   [`LeakyRelu`], [`Relu`], [`Tanh`] and [`Dropout`] — exactly the
+//!   blocks of the paper's Figure 5 architecture (the discriminator's
+//!   sigmoid lives in its loss, [`loss::bce_with_logits`]);
+//! * [`PlannedConv`] / [`PlannedDeconv`] — a convolution block frozen for
+//!   inference by [`Conv2d::plan`] / [`ConvTranspose2d::plan`]: its
+//!   batch-norm by running statistics ([`BatchNorm2d::inference_norm`])
+//!   and its activation applied in the GEMM's epilogue, dropout dropped;
 //! * [`loss`] — the stable binary-cross-entropy-with-logits of the GAN
 //!   objective (Equation 2) and the L1 term of §4.4/§5.3;
 //! * [`Adam`] — the optimiser with the paper's hyper-parameters
@@ -28,7 +33,7 @@
 //!
 //! let mut conv = Conv2d::new(3, 8, 4, 2, 1, 7);
 //! let x = Tensor::randn([1, 3, 16, 16], 0.0, 1.0, 42);
-//! let y = conv.forward(&x, true);
+//! let y = conv.forward(&x);
 //! assert_eq!(y.shape(), [1, 8, 8, 8]);
 //! let dx = conv.backward(&y); // pretend dL/dy = y
 //! assert_eq!(dx.shape(), x.shape());
@@ -51,7 +56,7 @@ pub mod quant;
 mod tensor;
 mod workspace;
 
-pub use act::{LeakyRelu, Relu, Sigmoid, Tanh};
+pub use act::{LeakyRelu, Relu, Tanh};
 pub use adam::Adam;
 pub use conv::{Conv2d, ConvTranspose2d};
 pub use dropout::Dropout;
@@ -61,15 +66,17 @@ pub use param::Param;
 pub use tensor::Tensor;
 pub use workspace::scratch;
 
-/// The layer contract: stateful forward (caching activations) and backward
-/// (consuming the cache, accumulating parameter gradients, returning the
-/// input gradient).
+/// The layer contract: the training forward (caching activations) and
+/// backward (consuming the cache, accumulating parameter gradients,
+/// returning the input gradient).
 ///
-/// `train` switches batch-norm to batch statistics and enables dropout —
-/// at inference pass `false`.
+/// A forward is always the training forward: batch-norm normalises by the
+/// batch's statistics (and moves its running ones), dropout drops.
+/// Inference is a plan read out of the layers ([`Conv2d::plan`],
+/// [`ConvTranspose2d::plan`]), which needs only `&self`.
 pub trait Layer {
     /// Computes the layer output, caching whatever `backward` will need.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    fn forward(&mut self, x: &Tensor) -> Tensor;
 
     /// Propagates `grad_out` (dL/d-output) to dL/d-input, accumulating
     /// parameter gradients internally.

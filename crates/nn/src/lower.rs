@@ -218,8 +218,9 @@ pub struct Norm {
 }
 
 impl Norm {
-    /// `γ·((v − mean)·inv_std) + β`, the expression (and rounding order)
-    /// of [`BatchNorm2d`](crate::BatchNorm2d)'s inference forward.
+    /// `γ·((v − mean)·inv_std) + β`: the expression (and rounding order)
+    /// of [`BatchNorm2d`](crate::BatchNorm2d)'s forward, with the running
+    /// statistics in place of the batch's.
     #[inline(always)]
     pub fn apply(self, v: f32) -> f32 {
         self.gamma * ((v - self.mean) * self.inv_std) + self.beta
@@ -366,25 +367,6 @@ pub(crate) fn conv_forward(
     });
 }
 
-/// [`conv_forward`] for inference: as many samples per matmul as fit
-/// `SLAB`, the lowered matrix borrowed from the thread's workspace.
-pub(crate) fn conv_inference(
-    geom: &ConvGeom,
-    weight: &[f32],
-    epilogue: &Epilogue<'_>,
-    x: Batch<'_>,
-    dims: (usize, usize),
-    n: usize,
-    y: &mut BatchMut<'_>,
-) {
-    let (ho, wo) = geom.conv_out(dims);
-    let per_sample = geom.in_c * geom.k * geom.k * ho * wo;
-    let group = slab_group(per_sample, n);
-    scratch(per_sample * group, |cols| {
-        conv_forward(geom, weight, epilogue, x, dims, n, group, cols, y)
-    });
-}
-
 /// A transposed-convolution forward, the adjoint of [`conv_forward`]:
 /// a group of samples (`[in_c, g·h·w]`, read in place when they lie
 /// channel-major, interleaved first otherwise) is multiplied once —
@@ -505,14 +487,21 @@ impl PlannedConv {
         &self.geom
     }
 
-    /// Runs the block on `n` samples of `[in_c, h, w]`, `dims = (h, w)`.
+    /// Runs the block on `n` samples of `[in_c, h, w]`, `dims = (h, w)`:
+    /// as many samples per matmul as fit `SLAB`, the lowered matrix
+    /// borrowed from the thread's workspace.
     ///
     /// # Panics
     ///
     /// Panics when `x` or `y` is too small for `n` samples of that shape.
     pub fn forward(&self, x: Batch<'_>, dims: (usize, usize), n: usize, y: &mut BatchMut<'_>) {
-        let epilogue = self.finish.epilogue();
-        conv_inference(&self.geom, &self.weight, &epilogue, x, dims, n, y);
+        let (geom, epilogue) = (&self.geom, self.finish.epilogue());
+        let (ho, wo) = geom.conv_out(dims);
+        let per_sample = geom.in_c * geom.k * geom.k * ho * wo;
+        let group = slab_group(per_sample, n);
+        scratch(per_sample * group, |cols| {
+            conv_forward(geom, &self.weight, &epilogue, x, dims, n, group, cols, y)
+        });
     }
 }
 

@@ -11,8 +11,9 @@ use crate::Layer;
 /// 1 this behaves like instance normalisation, which is exactly how pix2pix
 /// is trained.
 ///
-/// Training uses batch statistics and maintains running estimates
-/// (momentum 0.1) that inference (`train = false`) consumes.
+/// The forward normalises by the batch's statistics and moves running
+/// estimates of them (momentum 0.1); inference reads those out through
+/// [`BatchNorm2d::inference_norm`] into a planned block's epilogue.
 #[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     channels: usize,
@@ -22,7 +23,7 @@ pub struct BatchNorm2d {
     beta: Param,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    // Backward cache (training mode).
+    // Backward cache.
     cached_xhat: Option<Tensor>,
     cached_inv_std: Vec<f32>,
 }
@@ -49,22 +50,21 @@ impl BatchNorm2d {
         self.channels
     }
 
-    /// The inference-mode transform per channel, as the forward applies
-    /// it: the running statistics and the affine, unfolded.
+    /// The inference transform per channel: the running statistics and
+    /// the affine, unfolded (`γ·((v − mean)·inv_std) + β`, see
+    /// [`Norm::apply`]).
     pub fn inference_norm(&self) -> Vec<Norm> {
-        (0..self.channels).map(|c| self.norm_of(c)).collect()
+        (0..self.channels)
+            .map(|c| Norm {
+                mean: self.running_mean[c],
+                inv_std: 1.0 / (self.running_var[c] + self.eps).sqrt(),
+                gamma: self.gamma.value.data()[c],
+                beta: self.beta.value.data()[c],
+            })
+            .collect()
     }
 
-    fn norm_of(&self, c: usize) -> Norm {
-        Norm {
-            mean: self.running_mean[c],
-            inv_std: 1.0 / (self.running_var[c] + self.eps).sqrt(),
-            gamma: self.gamma.value.data()[c],
-            beta: self.beta.value.data()[c],
-        }
-    }
-
-    /// The inference-mode transform as a per-channel affine
+    /// The inference transform as a per-channel affine
     /// `y = scale·x + shift` (running statistics baked in) — what a
     /// quantized convolution folds into its weights.
     pub fn inference_affine(&self) -> (Vec<f32>, Vec<f32>) {
@@ -81,21 +81,10 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         assert_eq!(x.c(), self.channels, "channel count");
         let [n, c, h, w] = x.shape();
         let plane = h * w;
-        if !train {
-            // Inference normalises by the running statistics and keeps
-            // nothing for a backward pass: one output, one pass.
-            self.cached_xhat = None;
-            let mut y = Vec::with_capacity(x.len());
-            for (i, src) in x.data().chunks_exact(plane.max(1)).enumerate() {
-                let norm = self.norm_of(i % c);
-                y.extend(src.iter().map(|&v| norm.apply(v)));
-            }
-            return Tensor::from_vec(x.shape(), y);
-        }
         let m = (n * h * w) as f32;
         let mut y = Tensor::zeros(x.shape());
         let mut xhat = Tensor::zeros(x.shape());
@@ -149,7 +138,7 @@ impl Layer for BatchNorm2d {
         let xhat = self
             .cached_xhat
             .take()
-            .expect("BatchNorm2d::backward called before training forward");
+            .expect("BatchNorm2d::backward called before forward");
         let [n, c, h, w] = grad_out.shape();
         let m = (n * h * w) as f32;
         let plane = h * w;
@@ -199,7 +188,7 @@ mod tests {
     fn training_output_is_normalised() {
         let mut bn = BatchNorm2d::new(2);
         let x = Tensor::randn([1, 2, 8, 8], 3.0, 2.0, 5);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         // Per-channel mean ~0, var ~1.
         let plane = 64;
         for c in 0..2 {
@@ -217,12 +206,12 @@ mod tests {
         // Train on a fixed distribution several times to move running stats.
         for seed in 0..30 {
             let x = Tensor::randn([1, 1, 16, 16], 5.0, 1.0, seed);
-            let _ = bn.forward(&x, true);
+            let _ = bn.forward(&x);
         }
         // Eval on the same distribution: output should be near standard.
         let x = Tensor::randn([1, 1, 16, 16], 5.0, 1.0, 99);
-        let y = bn.forward(&x, false);
-        let mean = y.mean();
+        let norm = bn.inference_norm()[0];
+        let mean = x.data().iter().map(|&v| norm.apply(v)).sum::<f32>() / x.len() as f32;
         assert!(mean.abs() < 0.5, "eval mean {mean}");
     }
 
@@ -232,7 +221,7 @@ mod tests {
         bn.gamma.value.data_mut()[0] = 2.0;
         bn.beta.value.data_mut()[0] = 1.0;
         let x = Tensor::randn([1, 1, 4, 4], 0.0, 1.0, 1);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         let mean = y.mean();
         assert!((mean - 1.0).abs() < 1e-4, "shifted mean {mean}");
     }
@@ -241,7 +230,7 @@ mod tests {
     fn backward_shapes_and_zero_mean_grad() {
         let mut bn = BatchNorm2d::new(3);
         let x = Tensor::randn([2, 3, 4, 4], 0.0, 1.0, 2);
-        let _ = bn.forward(&x, true);
+        let _ = bn.forward(&x);
         let dy = Tensor::randn([2, 3, 4, 4], 0.0, 1.0, 3);
         let dx = bn.backward(&dy);
         assert_eq!(dx.shape(), x.shape());
@@ -262,7 +251,7 @@ mod tests {
     fn single_element_stats_do_not_nan() {
         let mut bn = BatchNorm2d::new(4);
         let x = Tensor::randn([1, 4, 1, 1], 0.0, 1.0, 7);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         assert!(y.data().iter().all(|v| v.is_finite()));
         let dx = bn.backward(&Tensor::full([1, 4, 1, 1], 1.0));
         assert!(dx.data().iter().all(|v| v.is_finite()));

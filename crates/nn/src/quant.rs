@@ -723,7 +723,7 @@ mod tests {
         let mut conv = Conv2d::new(3, 5, 4, 2, 1, 9);
         let qconv = conv.quantize(None);
         let x = Tensor::randn([2, 3, 8, 8], 0.0, 1.0, 10);
-        let want = conv.forward(&x, false);
+        let want = conv.forward(&x);
         let got = qconv.forward(&x);
         assert_eq!(got.shape(), want.shape());
         let maxabs = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
@@ -740,7 +740,7 @@ mod tests {
         let mut deconv = ConvTranspose2d::new(6, 3, 4, 2, 1, 11);
         let qdeconv = deconv.quantize(None);
         let x = Tensor::randn([2, 6, 4, 4], 0.0, 1.0, 12);
-        let want = deconv.forward(&x, false);
+        let want = deconv.forward(&x);
         let got = qdeconv.forward(&x);
         assert_eq!(got.shape(), want.shape());
         let maxabs = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
@@ -761,7 +761,7 @@ mod tests {
         let s = [0.1f32, -0.2, 0.3];
         let qconv = conv.quantize(Some((&a, &s)));
         let x = Tensor::randn([1, 2, 8, 8], 0.0, 1.0, 14);
-        let f = conv.forward(&x, false);
+        let f = conv.forward(&x);
         let mut want = f.clone();
         let [_, _, ho, wo] = f.shape();
         for c in 0..3 {

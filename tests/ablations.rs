@@ -5,7 +5,6 @@
 use painting_on_placement as pop;
 use pop::core::{dataset, ExperimentConfig, Pix2Pix, SkipMode};
 use pop::netlist::presets;
-use pop::nn::Layer;
 
 fn base_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -91,6 +90,6 @@ fn grayscale_ablation_shrinks_input() {
     // And the dataset produces matching tensors.
     let ds = dataset::build_design_dataset(&presets::by_name("diffeq1").unwrap(), &gray).unwrap();
     assert_eq!(ds.pairs[0].x.shape()[1], 2);
-    let y = gray_model.generator_mut().forward(&ds.pairs[0].x, false);
+    let y = gray_model.forecast(&ds.pairs[0].x);
     assert_eq!(y.shape(), ds.pairs[0].y.shape());
 }

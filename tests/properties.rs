@@ -153,9 +153,9 @@ proptest! {
         let mut conv = Conv2d::new(cin, cout, 4, 2, 1, 1);
         let mut deconv = ConvTranspose2d::new(cout, cin, 4, 2, 1, 2);
         let x = Tensor::randn([1, cin, size, size], 0.0, 1.0, 3);
-        let y = conv.forward(&x, false);
+        let y = conv.forward(&x);
         prop_assert_eq!(y.shape(), [1, cout, size / 2, size / 2]);
-        let z = deconv.forward(&y, false);
+        let z = deconv.forward(&y);
         prop_assert_eq!(z.shape(), x.shape());
     }
 }
