@@ -15,7 +15,7 @@ const CROSSING: [f32; 51] = [
 ];
 
 /// Returns `q(n)` for a net with `terminals` terminals.
-fn crossing_factor(terminals: usize) -> f32 {
+pub(crate) fn crossing_factor(terminals: usize) -> f32 {
     CROSSING[terminals.min(50)]
 }
 

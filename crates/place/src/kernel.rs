@@ -6,7 +6,7 @@
 //! the schedule (temperature, range limit, acceptance) and the RNG stay
 //! with the annealer, which passes its [`SitePools`] and RNG per call.
 
-use crate::cost::CostModel;
+use crate::cost::{crossing_factor, CostModel};
 use crate::error::PlaceError;
 use crate::placement::{required_site_kind, Placement};
 use pop_arch::{Arch, SiteId, SiteKind};
@@ -60,21 +60,42 @@ impl SitePools {
     }
 }
 
+/// One net's terminals and cost factors, as [`MoveKernel`] reads them.
+#[derive(Debug, Clone, Copy)]
+struct FlatNet {
+    /// The net's terminals are `terms[start..end]`.
+    start: u32,
+    end: u32,
+    /// [`CostModel::net_weight`].
+    weight: f32,
+    /// The `q(n)` crossing correction.
+    q: f32,
+}
+
 /// Placement state plus incremental cost bookkeeping for annealing moves.
 ///
-/// Holds the placement, the per-net cost cache and the stamp/touched
-/// scratch used to dedup affected nets. Target pool and RNG are per-call.
+/// Holds the placement, every block's site centre, the nets' terminals
+/// back to back, the per-net cost cache and the stamp/touched scratch used
+/// to dedup affected nets. Target pool and RNG are per-call.
 #[derive(Debug)]
 pub(crate) struct MoveKernel<'a> {
     arch: &'a Arch,
     netlist: &'a Netlist,
-    model: CostModel,
     placement: Placement,
+    /// [`Placement::position`] of every block, kept current by
+    /// [`MoveKernel::propose`] and [`MoveKernel::undo`].
+    positions: Vec<(f32, f32)>,
+    nets: Vec<FlatNet>,
+    /// Every net's terminals (block indices), net after net.
+    terms: Vec<u32>,
     net_costs: Vec<f32>,
     total_cost: f64,
     net_stamp: Vec<u64>,
     stamp: u64,
     touched: Vec<NetId>,
+    /// The touched nets' costs before the last proposal, parallel to
+    /// `touched`: what [`MoveKernel::undo`] restores.
+    saved: Vec<f32>,
 }
 
 impl<'a> MoveKernel<'a> {
@@ -85,23 +106,59 @@ impl<'a> MoveKernel<'a> {
         model: CostModel,
         placement: Placement,
     ) -> Self {
-        let net_costs: Vec<f32> = netlist
+        let positions = (0..placement.len())
+            .map(|b| placement.position(arch, BlockId(b as u32)))
+            .collect();
+        let mut terms = Vec::new();
+        let nets = netlist
             .nets()
             .iter()
-            .map(|n| model.net_cost(arch, netlist, &placement, n))
+            .map(|n| {
+                let start = terms.len() as u32;
+                terms.extend(n.terminals().map(|b| b.0));
+                FlatNet {
+                    start,
+                    end: terms.len() as u32,
+                    weight: model.net_weight(n),
+                    q: crossing_factor(n.degree()),
+                }
+            })
             .collect();
-        let total_cost: f64 = net_costs.iter().map(|&c| c as f64).sum();
-        MoveKernel {
+        let mut kernel = MoveKernel {
             arch,
             netlist,
-            model,
             placement,
-            net_costs,
-            total_cost,
+            positions,
+            nets,
+            terms,
+            net_costs: vec![0.0; netlist.nets().len()],
+            total_cost: 0.0,
             net_stamp: vec![0; netlist.nets().len()],
             stamp: 0,
             touched: Vec::new(),
+            saved: Vec::new(),
+        };
+        kernel.refresh_costs();
+        kernel
+    }
+
+    /// [`CostModel::net_cost`] of net `n`, from the cached positions:
+    /// `w · (q · (bb_width + bb_height))`, rounded as the model rounds it.
+    #[inline]
+    fn net_cost(&self, n: usize) -> f32 {
+        let net = self.nets[n];
+        let mut min_x = f32::MAX;
+        let mut max_x = f32::MIN;
+        let mut min_y = f32::MAX;
+        let mut max_y = f32::MIN;
+        for &b in &self.terms[net.start as usize..net.end as usize] {
+            let (x, y) = self.positions[b as usize];
+            min_x = min_x.min(x);
+            max_x = max_x.max(x);
+            min_y = min_y.min(y);
+            max_y = max_y.max(y);
         }
+        net.weight * (net.q * ((max_x - min_x) + (max_y - min_y)))
     }
 
     /// Proposes and applies a move of `block` to a random in-range site of
@@ -139,43 +196,42 @@ impl<'a> MoveKernel<'a> {
             }
         }
 
-        let old_cost: f64 = self
-            .touched
-            .iter()
-            .map(|&n| self.net_costs[n.index()] as f64)
-            .sum();
+        self.saved.clear();
+        self.saved
+            .extend(self.touched.iter().map(|&n| self.net_costs[n.index()]));
+        let old_cost: f64 = self.saved.iter().map(|&c| c as f64).sum();
         self.placement.displace(block, target);
+        let from = self.positions[block.index()];
+        self.positions[block.index()] = self.arch.site(target).center();
+        if let Some(e) = evicted {
+            self.positions[e.index()] = from;
+        }
         let mut new_cost = 0.0f64;
         for i in 0..self.touched.len() {
-            let n = self.touched[i];
-            let c = self.model.net_cost(
-                self.arch,
-                self.netlist,
-                &self.placement,
-                self.netlist.net(n),
-            );
-            self.net_costs[n.index()] = c;
+            let n = self.touched[i].index();
+            let c = self.net_cost(n);
+            self.net_costs[n] = c;
             new_cost += c as f64;
         }
         self.total_cost += new_cost - old_cost;
         Some((new_cost - old_cost, target, old_site))
     }
 
-    /// Undoes a move previously applied by [`MoveKernel::propose`].
+    /// Undoes a move previously applied by [`MoveKernel::propose`],
+    /// restoring the net costs it saved: with every block back on its
+    /// site, a recompute would give those values bit for bit.
     pub(crate) fn undo(&mut self, block: BlockId, old_site: SiteId) {
-        self.placement.displace(block, old_site);
+        let evicted = self.placement.displace(block, old_site);
+        let target = self.positions[block.index()];
+        self.positions[block.index()] = self.arch.site(old_site).center();
+        if let Some(e) = evicted {
+            self.positions[e.index()] = target;
+        }
         let mut delta = 0.0f64;
-        for i in 0..self.touched.len() {
-            let n = self.touched[i];
-            let old = self.net_costs[n.index()] as f64;
-            let c = self.model.net_cost(
-                self.arch,
-                self.netlist,
-                &self.placement,
-                self.netlist.net(n),
-            );
-            self.net_costs[n.index()] = c;
-            delta += c as f64 - old;
+        for (&n, &saved) in self.touched.iter().zip(&self.saved) {
+            let n = n.index();
+            delta += saved as f64 - self.net_costs[n] as f64;
+            self.net_costs[n] = saved;
         }
         self.total_cost += delta;
     }
@@ -240,11 +296,9 @@ impl<'a> MoveKernel<'a> {
     /// float drift.
     pub(crate) fn refresh_costs(&mut self) {
         let mut total = 0.0f64;
-        for (i, n) in self.netlist.nets().iter().enumerate() {
-            let c = self
-                .model
-                .net_cost(self.arch, self.netlist, &self.placement, n);
-            self.net_costs[i] = c;
+        for n in 0..self.nets.len() {
+            let c = self.net_cost(n);
+            self.net_costs[n] = c;
             total += c as f64;
         }
         self.total_cost = total;
@@ -339,4 +393,184 @@ pub(crate) fn random_initial_placement(
         cursors[k] += 1;
     }
     Ok(Placement::from_assignment(site_of, arch.sites().len()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::options::PlaceAlgorithm;
+    use pop_netlist::{generate, presets};
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+
+    /// The kernel as it was before it cached anything: every net cost
+    /// recomputed through [`CostModel::net_cost`] on propose *and* on undo.
+    struct Reference<'a> {
+        arch: &'a Arch,
+        netlist: &'a Netlist,
+        model: CostModel,
+        placement: Placement,
+        net_costs: Vec<f32>,
+        total_cost: f64,
+        touched: Vec<NetId>,
+    }
+
+    impl<'a> Reference<'a> {
+        fn new(arch: &'a Arch, netlist: &'a Netlist, model: CostModel, p: Placement) -> Self {
+            let net_costs: Vec<f32> = netlist
+                .nets()
+                .iter()
+                .map(|n| model.net_cost(arch, netlist, &p, n))
+                .collect();
+            let total_cost = net_costs.iter().map(|&c| c as f64).sum();
+            Reference {
+                arch,
+                netlist,
+                model,
+                placement: p,
+                net_costs,
+                total_cost,
+                touched: Vec::new(),
+            }
+        }
+
+        fn cost(&self, n: NetId) -> f32 {
+            let net = self.netlist.net(n);
+            self.model
+                .net_cost(self.arch, self.netlist, &self.placement, net)
+        }
+
+        fn apply(&mut self, block: BlockId, target: SiteId) -> f64 {
+            self.touched.clear();
+            let evicted = self.placement.block_at(target);
+            for b in std::iter::once(block).chain(evicted) {
+                for &n in self.netlist.nets_of(b) {
+                    if !self.touched.contains(&n) {
+                        self.touched.push(n);
+                    }
+                }
+            }
+            let old_cost: f64 = self
+                .touched
+                .iter()
+                .map(|&n| self.net_costs[n.index()] as f64)
+                .sum();
+            self.placement.displace(block, target);
+            let mut new_cost = 0.0f64;
+            for i in 0..self.touched.len() {
+                let n = self.touched[i];
+                let c = self.cost(n);
+                self.net_costs[n.index()] = c;
+                new_cost += c as f64;
+            }
+            self.total_cost += new_cost - old_cost;
+            new_cost - old_cost
+        }
+
+        fn undo(&mut self, block: BlockId, old_site: SiteId) {
+            self.placement.displace(block, old_site);
+            let mut delta = 0.0f64;
+            for i in 0..self.touched.len() {
+                let n = self.touched[i];
+                let old = self.net_costs[n.index()] as f64;
+                let c = self.cost(n);
+                self.net_costs[n.index()] = c;
+                delta += c as f64 - old;
+            }
+            self.total_cost += delta;
+        }
+
+        fn refresh(&mut self) {
+            let mut total = 0.0f64;
+            for i in 0..self.net_costs.len() {
+                let c = self.cost(NetId(i as u32));
+                self.net_costs[i] = c;
+                total += c as f64;
+            }
+            self.total_cost = total;
+        }
+    }
+
+    /// Every cache of `kernel` against a recompute on its placement, and
+    /// its total against the reference's, bit for bit.
+    fn assert_agrees(kernel: &MoveKernel, reference: &Reference, model: CostModel, call: &str) {
+        let (arch, netlist, p) = (kernel.arch, kernel.netlist, kernel.placement());
+        assert_eq!(p, &reference.placement, "after {call}: placements differ");
+        for (i, net) in netlist.nets().iter().enumerate() {
+            let expected = model.net_cost(arch, netlist, p, net);
+            assert_eq!(
+                kernel.net_costs[i].to_bits(),
+                expected.to_bits(),
+                "after {call}: net {i} cached {} vs {expected}",
+                kernel.net_costs[i]
+            );
+        }
+        for b in 0..p.len() {
+            let expected = p.position(arch, BlockId(b as u32));
+            assert_eq!(
+                kernel.positions[b], expected,
+                "after {call}: block {b}'s cached position"
+            );
+        }
+        assert_eq!(
+            kernel.total_cost().to_bits(),
+            reference.total_cost.to_bits(),
+            "after {call}: total {} vs reference {}",
+            kernel.total_cost(),
+            reference.total_cost
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random propose / accept / undo / refresh sequences on small
+        /// diffeq1 and SHA fabrics under both cost functions: after every
+        /// call each cached net cost is `CostModel::net_cost` of the
+        /// current placement, each cached position is
+        /// `Placement::position`, and the total is the recomputing
+        /// reference's, all bit for bit.
+        #[test]
+        fn cached_costs_and_positions_track_a_recomputing_reference(
+            design in 0usize..2,
+            timing in 0usize..2,
+            seed in 0u64..1_000_000,
+            moves in 50usize..400,
+        ) {
+            let (name, scale) = [("diffeq1", 0.05), ("SHA", 0.02)][design];
+            let netlist = generate(&presets::by_name(name).unwrap().scaled(scale));
+            let (c, i, m, x) = netlist.site_demand();
+            let arch = Arch::auto_size(c, i, m, x, 12, 1.3).unwrap();
+            let algorithm = [PlaceAlgorithm::BoundingBox, PlaceAlgorithm::PathTiming][timing];
+            let model = CostModel::new(algorithm);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let placement = random_initial_placement(&arch, &netlist, &mut rng).unwrap();
+            let pools = SitePools::whole_fabric(&arch);
+            let mut kernel = MoveKernel::new(&arch, &netlist, model, placement.clone());
+            let mut reference = Reference::new(&arch, &netlist, model, placement);
+            assert_agrees(&kernel, &reference, model, "new");
+            let max_rlim = arch.width().max(arch.height()) as f64;
+            for _ in 0..moves {
+                let block = BlockId(rng.gen_range(0..netlist.blocks().len() as u32));
+                let rlim = rng.gen_range(1.0..=max_rlim);
+                if let Some((delta, target, old_site)) =
+                    kernel.propose(&mut rng, &pools, block, rlim)
+                {
+                    let expected = reference.apply(block, target);
+                    assert_eq!(delta.to_bits(), expected.to_bits(), "propose delta");
+                    assert_agrees(&kernel, &reference, model, "propose");
+                    if rng.gen_bool(0.6) {
+                        kernel.undo(block, old_site);
+                        reference.undo(block, old_site);
+                        assert_agrees(&kernel, &reference, model, "undo");
+                    }
+                }
+                if rng.gen_range(0..64) == 0 {
+                    kernel.refresh_costs();
+                    reference.refresh();
+                    assert_agrees(&kernel, &reference, model, "refresh_costs");
+                }
+            }
+        }
+    }
 }

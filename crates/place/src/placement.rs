@@ -57,9 +57,9 @@ impl Placement {
         arch.site(self.site_of(block)).center()
     }
 
-    /// Moves `block` to `site`, returning the previous occupant of `site`
-    /// (which is left unplaced — callers must re-place it, as the annealer's
-    /// swap move does).
+    /// Moves `block` to `site`, returning the previous occupant of `site`,
+    /// which this moves into the site `block` vacated: the annealer's swap
+    /// move. Calling it again with `block`'s old site swaps them back.
     pub(crate) fn displace(&mut self, block: BlockId, site: SiteId) -> Option<BlockId> {
         let old_site = self.site_of[block.index()];
         let evicted = self.block_at[site.index()];

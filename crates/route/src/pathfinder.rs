@@ -123,6 +123,23 @@ fn heap_key(priority: f32, node: u32) -> Reverse<u64> {
     Reverse(u64::from(ordered) << 32 | u64::from(node))
 }
 
+/// The priority half of a [`heap_key`].
+#[inline]
+fn key_priority(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
+/// One node's A* state, valid while `stamp` is the router's search epoch.
+#[derive(Clone, Copy)]
+struct Visit {
+    stamp: u32,
+    g: f32,
+    parent: u32,
+    /// The ordered priority bits of the node's latest heap entry: an entry
+    /// popped with other bits is stale.
+    priority: u32,
+}
+
 /// One variable-length row per net, stored back to back in net order, so
 /// that a copy of the whole is two `memcpy`s.
 struct Rows<T> {
@@ -187,11 +204,11 @@ struct Router<'a> {
     cost: Vec<f32>,
     pres_fac: f32,
     astar_fac: f32,
-    // A* scratch, epoch-stamped to avoid O(V) clears per net.
-    visit_stamp: Vec<u64>,
-    g_cost: Vec<f32>,
-    parent: Vec<u32>,
-    epoch: u64,
+    // A* scratch, epoch-stamped to avoid O(V) clears per search.
+    visits: Vec<Visit>,
+    /// The epoch of the search a node was last a sink of.
+    sink_stamp: Vec<u32>,
+    epoch: u32,
     // Tree membership stamp.
     tree_stamp: Vec<u64>,
     tree_epoch: u64,
@@ -213,9 +230,16 @@ impl<'a> Router<'a> {
             cost: vec![0.0; n],
             pres_fac: options.pres_fac_init,
             astar_fac: options.astar_fac,
-            visit_stamp: vec![0; n],
-            g_cost: vec![0.0; n],
-            parent: vec![NO_PARENT; n],
+            visits: vec![
+                Visit {
+                    stamp: 0,
+                    g: 0.0,
+                    parent: NO_PARENT,
+                    priority: 0,
+                };
+                n
+            ],
+            sink_stamp: vec![0; n],
             epoch: 0,
             tree_stamp: vec![0; n],
             tree_epoch: 0,
@@ -290,37 +314,46 @@ impl<'a> Router<'a> {
             }
             let target = sink_pos(sink);
 
-            self.epoch += 1;
+            self.next_epoch();
             self.heap.clear();
+            for &s in sinks {
+                self.sink_stamp[s as usize] = self.epoch;
+            }
 
             // Seed: tree nodes at zero g (their cost is already paid),
             // otherwise the net's source access segments.
             if out.len() == first {
                 for &s in sources {
                     let g = self.cost[s as usize];
-                    self.visit(s as usize, g, NO_PARENT);
-                    self.heap.push(heap_key(g + self.h(s as usize, target), s));
+                    self.push(s, g, g + self.h(s as usize, target), NO_PARENT);
                 }
             } else {
                 for &t in &out[first..] {
-                    self.visit(t as usize, 0.0, NO_PARENT);
-                    self.heap.push(heap_key(self.h(t as usize, target), t));
+                    self.push(t, 0.0, self.h(t as usize, target), NO_PARENT);
                 }
             }
 
             let mut found: Option<u32> = None;
             while let Some(Reverse(key)) = self.heap.pop() {
                 let node = key as u32;
-                if sinks.contains(&node) {
+                let g = self.visits[node as usize].g;
+                // A node's keys only fall (its g does, and h is fixed for
+                // the search), so a key other than its latest is larger and
+                // pops after it: the node was expanded at this g already,
+                // and was no sink, or the search would have ended there.
+                // Expanding it again would push nothing.
+                if key_priority(key) != self.visits[node as usize].priority {
+                    continue;
+                }
+                if self.sink_stamp[node as usize] == self.epoch {
                     found = Some(node);
                     break;
                 }
-                let g = self.g_cost[node as usize];
                 for &m in graph.neighbors(node as usize) {
                     let ng = g + self.cost[m as usize];
-                    if self.visit_stamp[m as usize] != self.epoch || ng < self.g_cost[m as usize] {
-                        self.visit(m as usize, ng, node);
-                        self.heap.push(heap_key(ng + self.h(m as usize, target), m));
+                    let seen = self.visits[m as usize];
+                    if seen.stamp != self.epoch || ng < seen.g {
+                        self.push(m, ng, ng + self.h(m as usize, target), node);
                     }
                 }
             }
@@ -338,7 +371,7 @@ impl<'a> Router<'a> {
                 }
                 self.tree_stamp[c] = self.tree_epoch;
                 out.push(cur);
-                let p = self.parent[c];
+                let p = self.visits[c].parent;
                 if p == NO_PARENT {
                     break;
                 }
@@ -349,11 +382,30 @@ impl<'a> Router<'a> {
         Ok(())
     }
 
+    /// Starts a new search: every node's [`Visit`] becomes stale.
+    fn next_epoch(&mut self) {
+        if self.epoch == u32::MAX {
+            for v in &mut self.visits {
+                v.stamp = 0;
+            }
+            self.sink_stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Records that `node` is reached at cost `g` from `parent` and queues
+    /// it at `priority`.
     #[inline]
-    fn visit(&mut self, node: usize, g: f32, parent: u32) {
-        self.visit_stamp[node] = self.epoch;
-        self.g_cost[node] = g;
-        self.parent[node] = parent;
+    fn push(&mut self, node: u32, g: f32, priority: f32, parent: u32) {
+        let key = heap_key(priority, node);
+        self.visits[node as usize] = Visit {
+            stamp: self.epoch,
+            g,
+            parent,
+            priority: key_priority(key.0),
+        };
+        self.heap.push(key);
     }
 
     #[inline]
@@ -397,13 +449,15 @@ impl Negotiated {
 /// The negotiated-congestion loop behind [`route_on_graph`] and every probe
 /// of [`min_channel_width`]: rip up and re-route every net, in netlist
 /// order, until no segment holds more than `capacity` nets or
-/// `options.max_iterations` passes have run.
+/// `options.max_iterations` passes have run. Each pass records its
+/// overused segments in the `route.overuse` histogram.
 fn negotiate(
     graph: &RouteGraph,
     terminals: &Rows<(u32, u32)>,
     capacity: u32,
     options: &RouteOptions,
 ) -> Result<Negotiated, RouteError> {
+    let overuse = pop_obs::global().histogram("route.overuse");
     let mut router = Router::new(graph, capacity, options);
     // `current` holds the last pass's trees while `next` is being routed.
     let (mut current, mut next) = (Rows::new(), Rows::new());
@@ -437,6 +491,7 @@ fn negotiate(
                 router.history[n] += options.hist_fac * over as f32;
             }
         }
+        overuse.record(overused as u64);
 
         if overused < best.overused {
             best.overused = overused;
@@ -660,6 +715,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn search_epochs_wrap_without_changing_a_route() {
+        let (arch, netlist, placement) = setup();
+        let graph = RouteGraph::new(&arch);
+        let terminals = resolve_terminals(&arch, &graph, &netlist, &placement).unwrap();
+        let options = RouteOptions::default();
+        let mut router = Router::new(&graph, arch.channel_width() as u32, &options);
+        let pass = |router: &mut Router| {
+            let mut out = Vec::new();
+            for net in 0..terminals.ends.len() {
+                let row = terminals.row(net);
+                router.route_net(row, NetId(net as u32), &mut out).unwrap();
+            }
+            out
+        };
+        // The second pass starts at the wrap. Every node carries the first
+        // epoch after it, at a g that nothing beats: a search that trusted
+        // those stamps would find no path.
+        let fresh = pass(&mut router);
+        let searches = router.epoch;
+        for v in &mut router.visits {
+            v.stamp = 1;
+            v.g = f32::NEG_INFINITY;
+        }
+        router.epoch = u32::MAX;
+        let wrapped = pass(&mut router);
+        assert_eq!(router.epoch, searches, "the epoch wrapped");
+        assert_eq!(wrapped, fresh);
     }
 
     #[test]
