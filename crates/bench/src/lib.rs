@@ -1,30 +1,34 @@
-//! Shared harness for the per-table / per-figure experiment binaries.
+//! The paper's evaluation, reproduced: one suite ([`repro`], run by the
+//! `repro` binary) with a section per artefact of the paper's evaluation,
+//! plus the scenario matrix (`eval_matrix`), the HTTP demo server
+//! (`http_serve`), its load generator (`http_load`) and the Criterion
+//! benches.
 //!
-//! Every binary regenerates one artefact of the paper's evaluation section
-//! (see DESIGN.md §4 for the index):
+//! | section            | paper artefact                                  |
+//! |--------------------|--------------------------------------------------|
+//! | `table2`           | Table 2 (Acc.1 / Acc.2 / Top10)                  |
+//! | `speedup`          | §5.1 (routing vs inference runtime)              |
+//! | `baseline_rudy`    | RUDY analytical baseline under Table 2's metrics |
+//! | `fig7_ablation`    | Figure 7 (ablation heat maps)                    |
+//! | `fig8_losses`      | Figure 8 (training-loss curves)                  |
+//! | `fig9_constrained` | Figure 9 (constrained exploration)               |
+//! | `sec52_grayscale`  | §5.2 (colour scheme vs grayscale)                |
+//! | `realtime`         | §5.4 (forecast during annealing)                 |
+//! | `aware_placement`  | §1 motivation (forecast-guided placement)        |
+//! | `figure2`          | Figures 2 and 4 (motivating images)              |
 //!
-//! | binary            | paper artefact                          |
-//! |-------------------|------------------------------------------|
-//! | `table2`          | Table 2 (Acc.1 / Acc.2 / Top10)          |
-//! | `fig7_ablation`   | Figure 7 (ablation heat maps)            |
-//! | `fig8_losses`     | Figure 8 (training-loss curves)          |
-//! | `fig9_constrained`| Figure 9 (constrained exploration)       |
-//! | `sec52_grayscale` | §5.2 (colour scheme vs grayscale)        |
-//! | `speedup`         | §5.1 (routing vs inference runtime)      |
-//! | `realtime`        | §5.4 (forecast during annealing)         |
-//! | `figure2`         | Figure 2 (motivating images)             |
-//! | `min_width`       | Figure 2 caption (channel width factor)  |
-//!
+//! `cargo run --release --bin repro -- [section ...]` runs the named
+//! sections (every one when none is named), always in the order above.
 //! The experiment scale is selected with the `POP_SCALE` environment
 //! variable: `test` (seconds), `quick` (default; minutes) or `paper`
 //! (the paper-exact configuration — GPU-scale budgets required).
 //! Datasets are cached under `POP_CACHE_DIR` (default `target/pop-cache`)
 //! and outputs land in `POP_OUT_DIR` (default `bench_results/`).
 
-use pop_core::dataset::{build_or_load, DesignDataset};
 use pop_core::ExperimentConfig;
-use pop_netlist::presets;
 use std::path::PathBuf;
+
+pub mod repro;
 
 /// Resolves the experiment configuration from `POP_SCALE`.
 pub fn config_from_env() -> ExperimentConfig {
@@ -56,30 +60,6 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Builds (or loads from cache) the dataset of one named design.
-///
-/// # Panics
-///
-/// Panics when the design name is unknown or the pipeline fails — these
-/// binaries are top-level experiment drivers.
-pub fn dataset_for(name: &str, config: &ExperimentConfig) -> DesignDataset {
-    let spec = presets::by_name(name).unwrap_or_else(|| panic!("unknown design {name}"));
-    let cache = cache_dir();
-    eprintln!(
-        "[data] {name}: building or loading (cache: {})",
-        cache.display()
-    );
-    build_or_load(&spec, config, Some(&cache)).expect("dataset pipeline")
-}
-
-/// Builds (or loads) all eight Table 2 datasets, in paper order.
-pub fn all_datasets(config: &ExperimentConfig) -> Vec<DesignDataset> {
-    presets::all()
-        .iter()
-        .map(|s| dataset_for(&s.name, config))
-        .collect()
-}
-
 /// Formats a ratio as a percentage with one decimal.
 pub fn pct(x: f32) -> String {
     format!("{:.1}%", x * 100.0)
@@ -104,6 +84,7 @@ pub const PAPER_TABLE2: [PaperRow; 8] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pop_netlist::presets;
 
     #[test]
     fn env_config_defaults_to_quick() {

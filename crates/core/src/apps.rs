@@ -6,7 +6,7 @@ use crate::config::ExperimentConfig;
 use crate::dataset::DesignDataset;
 use crate::error::CoreError;
 use crate::features::{placement_input, tensor_to_image};
-use crate::forecaster::{ExclusiveForecaster, Forecaster};
+use crate::forecaster::Forecaster;
 use crate::trainer::Pix2Pix;
 use pop_arch::Arch;
 use pop_netlist::Netlist;
@@ -180,38 +180,14 @@ pub struct RealtimeSnapshot {
 }
 
 /// Forecasts congestion *while the design is being placed*: steps the
-/// annealer, renders the in-flight placement, and runs the generator on it
-/// — the paper's "visualizing the simulated annealing placement algorithm"
-/// demo, producing the series its GIF animates.
-///
-/// # Errors
-///
-/// Propagates placement construction failures.
-pub fn realtime_forecast(
-    model: &mut Pix2Pix,
-    arch: &Arch,
-    netlist: &Netlist,
-    place_options: &PlaceOptions,
-    config: &ExperimentConfig,
-    snapshot_every: u64,
-    max_snapshots: usize,
-) -> Result<Vec<RealtimeSnapshot>, CoreError> {
-    realtime_forecast_with(
-        &ExclusiveForecaster::new(model),
-        arch,
-        netlist,
-        place_options,
-        config,
-        snapshot_every,
-        max_snapshots,
-    )
-}
-
-/// [`realtime_forecast`] over any shared [`Forecaster`] — the entry point
-/// the serving engine plugs into: an annealer callback can hold a cheap
-/// client handle while a `pop-serve` engine batches its forecasts with
-/// everyone else's — or, with nobody else asking, runs each on the
-/// annealer's own thread.
+/// annealer `snapshot_every` moves at a time, renders the in-flight
+/// placement, and forecasts it — the paper's "visualizing the simulated
+/// annealing placement algorithm" demo, producing the series its GIF
+/// animates. Any [`Forecaster`] will do: an
+/// [`ExclusiveForecaster`](crate::ExclusiveForecaster) over a
+/// model, or a cheap client handle of a `pop-serve` engine that batches
+/// these forecasts with everyone else's (or, with nobody else asking,
+/// runs each on the annealer's own thread).
 ///
 /// # Errors
 ///

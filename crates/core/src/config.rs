@@ -19,8 +19,7 @@ pub enum SkipMode {
 /// base 64 filters, 250 epochs, 200 placements per design).
 /// [`ExperimentConfig::quick`] is the CPU-sized default used by the
 /// benchmark harness; [`ExperimentConfig::test`] is the miniature used by
-/// unit/integration tests. All scale knobs and the substitution rationale
-/// are documented in DESIGN.md §2.
+/// unit/integration tests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Image side `w` (input and output are `w×w`; must be a power of two).

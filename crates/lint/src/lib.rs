@@ -71,7 +71,6 @@ impl LintConfig {
             panic_files: vec![
                 "crates/serve/src/engine.rs".into(),
                 "crates/serve/src/queue.rs".into(),
-                "crates/serve/src/registry.rs".into(),
                 "crates/serve/src/lib.rs".into(),
                 "crates/exec/src/queue.rs".into(),
                 "crates/exec/src/parked.rs".into(),

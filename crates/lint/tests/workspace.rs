@@ -31,6 +31,24 @@ fn workspace_self_run_is_clean() {
 }
 
 #[test]
+fn every_scoped_path_exists() {
+    // A rule scoped to a deleted file checks nothing and says so nowhere:
+    // the file and prefix scopes must name paths in the workspace.
+    let root = workspace_root();
+    let config = LintConfig::workspace();
+    let scoped = config
+        .panic_files
+        .iter()
+        .chain(config.hot_loop_roots.iter().map(|(file, _)| file))
+        .chain(&config.lock_prefixes);
+    let missing: Vec<&String> = scoped.filter(|p| !root.join(p).exists()).collect();
+    assert!(
+        missing.is_empty(),
+        "scoped paths that do not exist: {missing:?}"
+    );
+}
+
+#[test]
 fn injected_wall_clock_in_fingerprint_fails_the_lint() {
     let root = workspace_root();
     let rel = "crates/core/src/dataset.rs";

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 
 /// Parameters of the synthetic benchmark generator.
 ///
-/// Substitutes for the unavailable VTR BLIF benchmarks (DESIGN.md §2 row 2):
+/// Substitutes for the unavailable VTR BLIF benchmarks:
 /// what the congestion predictor sees is the *image* of a placed design, so
 /// the generator's job is to produce netlists of the right size, fanout
 /// profile and spatial locality — not to be logically meaningful circuits.

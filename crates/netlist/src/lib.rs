@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on eight VTR designs (`diffeq1` … `bfly`). The BLIF
 //! sources and VTR's packer are not available here, so this crate provides
-//! the substitute mandated by the reproduction plan (see `DESIGN.md` §2):
+//! a synthetic substitute:
 //!
 //! * [`Netlist`] — the packed netlist `Graph(V, E)`: blocks (CLBs holding
 //!   several BLEs, I/O pads, memories, multipliers) and multi-terminal nets;

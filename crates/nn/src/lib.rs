@@ -2,7 +2,7 @@
 //!
 //! The paper trains its model in TensorFlow on a GPU; neither is available
 //! here, so this crate implements the required subset of a deep-learning
-//! framework from scratch (DESIGN.md §2 row 6):
+//! framework in plain Rust:
 //!
 //! * [`Tensor`] — dense `f32` NCHW tensors;
 //! * [`Layer`] — the training forward/backward contract, with

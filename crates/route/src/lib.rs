@@ -2,7 +2,7 @@
 //!
 //! Ground truth in the paper is "the congestion heat map … measuring the
 //! utilization of the routing channels" after VPR's detailed routing. This
-//! crate supplies that substrate (DESIGN.md §2 row 4):
+//! crate supplies that substrate in place of VPR:
 //!
 //! * a routing-resource graph at channel-segment granularity
 //!   ([`RouteGraph`]): one node per [`pop_arch::ChannelId`] with capacity
