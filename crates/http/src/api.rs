@@ -26,6 +26,15 @@
 //! scans every shortest form back (`write_f32_matches_core_fmt_exhaustively`),
 //! and `tests/http_golden.rs` pins bitwise HTTP-vs-in-process equality.
 //!
+//! Both tensor bodies cost about what their bytes cost. The writer puts
+//! an exact one-digit integer (a feature map's `0`s and `1`s) down as its
+//! digit. The reader's array loop scans element after element on a local
+//! slice and hands an element to the per-element path only when it cannot
+//! finish it exactly: more than 19 digits, an exponent past `±22`, an
+//! `f32` midpoint, a value outside the normal range, or malformed input.
+//! A body spelled that way (CI posts one with 21-digit mantissas) decodes
+//! to the same bits, just slower.
+//!
 //! Accepted grammar, relative to the `Value`-tree parser this replaced:
 //! numbers are strict RFC 8259 (`+1`, `01`, `1.`, `.5` are now 400s —
 //! they parsed only because `str::parse` is lax), nesting beyond

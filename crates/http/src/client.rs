@@ -4,8 +4,9 @@
 //! the closed-loop bench needs to measure server-side queueing rather
 //! than connection setup.
 
-use crate::parser::{find_head_end, read_into, HEAD_READ};
-use std::io::{ErrorKind, Read, Write};
+use crate::parser::{content_length, find_head_end, read_into, HEAD_READ, MAX_READ};
+use crate::response::write_frame;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -122,14 +123,9 @@ impl HttpClient {
             "{method} {path} HTTP/1.1\r\nHost: pop\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
             body.len()
         );
-        // One write per request: a torn head/body pair costs a Nagle +
-        // delayed-ACK round-trip (~40ms) per exchange. Sized once, so the
-        // body is copied exactly once.
-        let mut frame = Vec::with_capacity(head.len() + body.len());
-        frame.extend_from_slice(head.as_bytes());
-        frame.extend_from_slice(body.as_bytes());
-        self.stream.write_all(&frame)?;
-        self.stream.flush()?;
+        // One gathered write per request: a torn head/body pair costs a
+        // Nagle + delayed-ACK round-trip (~40ms) per exchange.
+        write_frame(&mut self.stream, head.as_bytes(), body.as_bytes())?;
         let response = read_response(&mut self.stream)?;
         self.reconnect = response
             .header("connection")
@@ -178,40 +174,43 @@ pub fn read_response(r: &mut impl Read) -> std::io::Result<ClientResponse> {
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad("missing status code"))?;
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
     for line in lines {
         if line.is_empty() {
             continue;
         }
         let (name, value) = line.split_once(':').ok_or_else(|| bad("bad header"))?;
-        let name = name.to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            content_length = value.parse().map_err(|_| bad("bad content-length"))?;
-        }
-        headers.push((name, value));
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
-    // The head said how long the body is: read exactly what is still owed,
-    // straight into the buffer the body is returned in.
-    let total = head_end
-        .consumed
-        .checked_add(content_length)
+    let content_length = content_length(&headers)
+        .ok()
+        .and_then(|n| usize::try_from(n).ok())
         .ok_or_else(|| bad("bad content-length"))?;
-    while buf.len() < total {
-        let owed = total - buf.len();
-        if read_into(r, &mut buf, owed)? == 0 {
+    // The body gets its own buffer: what came in with the head, then what
+    // is still owed, read straight into it, so no byte is moved twice. The
+    // claimed length only caps the buffer: it grows, when full, by what
+    // has arrived plus one read, so a peer that claims a terabyte and
+    // sends ten bytes costs one read's worth.
+    let arrived = buf.get(head_end.consumed..).unwrap_or_default();
+    let arrived = arrived.get(..content_length).unwrap_or(arrived);
+    let mut body = Vec::with_capacity(content_length.min(arrived.len() + MAX_READ));
+    body.extend_from_slice(arrived);
+    while body.len() < content_length {
+        let owed = content_length - body.len();
+        if body.len() == body.capacity() {
+            body.reserve_exact(owed.min(body.len() + MAX_READ));
+        }
+        let room = body.capacity() - body.len();
+        if read_into(r, &mut body, owed.min(room))? == 0 {
             return Err(std::io::Error::new(
                 ErrorKind::UnexpectedEof,
                 "connection closed mid-body",
             ));
         }
     }
-    buf.truncate(total);
-    buf.drain(..head_end.consumed);
     Ok(ClientResponse {
         status,
         headers,
-        body: buf,
+        body,
     })
 }
 
@@ -278,5 +277,26 @@ mod tests {
             read_response(&mut raw.as_slice()).unwrap_err().kind(),
             ErrorKind::InvalidData
         );
+    }
+
+    /// One `Content-Length` rule in both directions: the parser's.
+    #[test]
+    fn content_length_is_digits_and_duplicates_must_agree() {
+        for raw in [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd".as_slice(),
+            b"HTTP/1.1 200 OK\r\nContent-Length: +3\r\n\r\nabc",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 3 3\r\n\r\nabc",
+            b"HTTP/1.1 200 OK\r\nContent-Length: \r\n\r\nabc",
+        ] {
+            let err = read_response(&mut &raw[..]).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                ErrorKind::InvalidData,
+                "{:?}",
+                String::from_utf8_lossy(raw)
+            );
+        }
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabcdef";
+        assert_eq!(read_response(&mut raw.as_slice()).unwrap().body, b"abc");
     }
 }

@@ -110,7 +110,7 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Most bytes one socket read asks for.
-const MAX_READ: usize = 64 * 1024;
+pub(crate) const MAX_READ: usize = 64 * 1024;
 /// What a read asks for while the length of what is coming is unknown.
 pub(crate) const HEAD_READ: usize = 4096;
 
@@ -359,11 +359,17 @@ fn parse_request_line(line: &str) -> Result<(String, String, bool), ParseError> 
     Ok((method.to_string(), path.to_string(), keep_alive_default))
 }
 
-fn content_length(headers: &[(String, String)]) -> Result<u64, ParseError> {
+/// The body length the (lower-cased) `headers` declare, 0 if none: RFC
+/// 9110's `1*DIGIT` only (no sign, no list), and every duplicate must say
+/// the same. Requests and responses both go through it.
+pub(crate) fn content_length(headers: &[(String, String)]) -> Result<u64, ParseError> {
     let mut result: Option<u64> = None;
     for (name, value) in headers {
         if name != "content-length" {
             continue;
+        }
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(ParseError::Bad("invalid content-length"));
         }
         let parsed: u64 = value
             .parse()
@@ -506,6 +512,21 @@ mod tests {
                 String::from_utf8_lossy(raw)
             );
         }
+    }
+
+    #[test]
+    fn content_length_is_ascii_digits_only() {
+        for value in ["+5", " +5", "0x5", "5,5", "5 5", "٥"] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nabcde");
+            let err = parse_all(raw.as_bytes()).unwrap_err();
+            assert_eq!(err, ParseError::Bad("invalid content-length"), "{value:?}");
+            assert_eq!(err.status(), 400);
+        }
+        let req =
+            parse_all(b"POST / HTTP/1.1\r\nContent-Length: 05\r\nContent-Length: 5\r\n\r\nabcde")
+                .unwrap()
+                .unwrap();
+        assert_eq!(req.body, b"abcde", "equal duplicates agree");
     }
 
     #[test]

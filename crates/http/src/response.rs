@@ -1,6 +1,6 @@
 //! HTTP/1.1 response assembly and serialization.
 
-use std::io::Write;
+use std::io::{ErrorKind, IoSlice, Write};
 
 /// An HTTP response under construction. Serialization always emits
 /// `Content-Length` (no chunked encoding) and an explicit `Connection`
@@ -79,16 +79,32 @@ impl Response {
         } else {
             "Connection: close\r\n\r\n"
         });
-        // One buffer, one write: a head-then-body write pair over a bare
-        // TcpStream tears the response across two segments and can stall
-        // ~40ms against Nagle + delayed-ACK peers. Sized once, so the body
-        // is copied exactly once.
-        let mut frame = Vec::with_capacity(head.len() + self.body.len());
-        frame.extend_from_slice(head.as_bytes());
-        frame.extend_from_slice(&self.body);
-        w.write_all(&frame)?;
-        w.flush()
+        write_frame(w, head.as_bytes(), &self.body)
     }
+}
+
+/// Writes `head` then `body` and flushes, gathering both into each
+/// `write_vectored` call. One call, not a head-then-body write pair: over
+/// a bare `TcpStream` the pair tears the message across two segments and
+/// can stall ~40ms against Nagle + delayed-ACK peers. Nothing is copied
+/// into a frame first.
+///
+/// # Errors
+///
+/// Propagates write failures; a writer that takes nothing is `WriteZero`.
+pub(crate) fn write_frame(w: &mut impl Write, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let mut slices = [IoSlice::new(head), IoSlice::new(body)];
+    let mut unwritten = &mut slices[..];
+    IoSlice::advance_slices(&mut unwritten, 0);
+    while !unwritten.is_empty() {
+        match w.write_vectored(unwritten) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unwritten, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.flush()
 }
 
 /// The standard reason phrase for the statuses this server emits.
@@ -123,6 +139,35 @@ mod tests {
         assert!(text.contains("Content-Type: application/json\r\n"));
         assert!(text.contains("Content-Length: 12\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n\r\n{\"ok\": true}"));
+    }
+
+    /// A writer that takes at most 7 bytes of the first non-empty slice
+    /// per call, as `Write::write_vectored`'s default does.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_where_they_stopped() {
+        let r = Response::json(200, "{\"data\": [0.5, 1, 2]}".to_string());
+        let (mut whole, mut trickled) = (Vec::new(), Trickle(Vec::new()));
+        r.write_to(&mut whole, true).unwrap();
+        r.write_to(&mut trickled, true).unwrap();
+        assert_eq!(trickled.0, whole);
+        assert!(whole.ends_with(b"\r\n\r\n{\"data\": [0.5, 1, 2]}"));
+        let mut empty = Vec::new();
+        write_frame(&mut empty, b"", b"").unwrap();
+        assert!(empty.is_empty());
     }
 
     #[test]

@@ -189,6 +189,18 @@ pub fn write_f32(out: &mut Vec<u8>, v: f32) {
         out.extend_from_slice(if bits == 0 { b"0" } else { b"-0" });
         return;
     }
+    // A one-digit integer is its own digit: the `1`s of a feature map
+    // need no search and no layout.
+    if (1.0f32.to_bits()..=9.0f32.to_bits()).contains(&magnitude) {
+        let int = v.abs() as u8;
+        if f32::from(int) == v.abs() {
+            if bits >> 31 == 1 {
+                out.push(b'-');
+            }
+            out.push(b'0' + int);
+            return;
+        }
+    }
     let (mut digits, mut exp10) = shortest_decimal(magnitude);
     while digits % 10 == 0 {
         digits /= 10;

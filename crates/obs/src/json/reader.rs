@@ -3,7 +3,17 @@
 //! [`Reader`] walks a document in place and hands out scalars, object
 //! keys and — the reason it exists — whole `f32` arrays, without building
 //! anything per number. [`super::parse`] builds its [`super::Value`] tree
-//! on the same methods, so there is exactly one scanner to harden.
+//! on the same methods, so there is exactly one scanner to harden:
+//! [`scan_number`], a free function over a byte slice.
+//!
+//! [`Reader::read_f32_array`] is where a tensor body spends its time, so
+//! it walks a local slice — scan, optional whitespace, `,`, repeat — and
+//! writes the cursor back once per run. An element the scanner cannot
+//! finish exactly (more than 19 digits, an exponent past `±22`, a decimal
+//! whose nearest `f64` is an `f32` midpoint, a value outside the `f32`
+//! normal range, anything malformed) is read alone by the per-element
+//! path, [`Reader::read_f32`], so results, errors and error offsets are
+//! that path's (`f32_array_loop_is_the_per_element_path` pins it).
 //!
 //! It sits behind network request bodies, so nothing here indexes a
 //! slice, unwraps, or recurses: the cursor is the unread tail of the
@@ -75,9 +85,7 @@ impl<'a> Reader<'a> {
     /// The next non-whitespace byte, unconsumed: `{`, `[`, `"`, `t`/`f`,
     /// `n`, or the start of a number.
     pub fn peek(&mut self) -> Option<u8> {
-        while let [b' ' | b'\t' | b'\n' | b'\r', tail @ ..] = self.rest {
-            self.rest = tail;
-        }
+        self.rest = skip_whitespace(self.rest);
         self.rest.first().copied()
     }
 
@@ -269,85 +277,21 @@ impl<'a> Reader<'a> {
         self.literal(b"null")
     }
 
-    /// Consumes a run of ASCII digits, appending them to `mantissa`
-    /// (wrapping: exact while at most 19 digits went in), and returns how
-    /// many there were.
-    fn digits(&mut self, mantissa: &mut u64) -> usize {
-        let before = self.rest.len();
-        // Eight at a time while they last.
-        while let Some((eight, tail)) = self
-            .rest
-            .split_first_chunk::<8>()
-            .and_then(|(chunk, tail)| Some((eight_digits(u64::from_le_bytes(*chunk))?, tail)))
-        {
-            *mantissa = mantissa.wrapping_mul(100_000_000).wrapping_add(eight);
-            self.rest = tail;
-        }
-        while let [digit @ b'0'..=b'9', tail @ ..] = self.rest {
-            *mantissa = mantissa
-                .wrapping_mul(10)
-                .wrapping_add(u64::from(digit - b'0'));
-            self.rest = tail;
-        }
-        before - self.rest.len()
-    }
-
     /// Scans one number: its nearest `f64`, and its text for the callers
     /// that must round the decimal itself.
     fn number(&mut self) -> Result<(f64, &'a [u8]), ParseError> {
         self.peek();
-        let start = self.rest;
-        let negative = self.eat(b'-');
-        let leading_zero = self.rest.first() == Some(&b'0');
-        let mut mantissa = 0u64;
-        let mut digits = self.digits(&mut mantissa);
-        if digits == 0 || (leading_zero && digits > 1) {
+        let scan = scan_number(self.rest);
+        let used = scan.as_ref().map_or_else(|&at| at, |scan| scan.len);
+        let (text, tail) = self.rest.split_at_checked(used).unwrap_or((self.rest, &[]));
+        self.rest = tail;
+        let Ok(scan) = scan else {
             return Err(self.err("invalid number"));
-        }
-        let mut exp10 = 0i32;
-        if self.eat(b'.') {
-            let frac_digits = self.digits(&mut mantissa);
-            if frac_digits == 0 {
-                return Err(self.err("invalid number"));
-            }
-            digits += frac_digits;
-            exp10 = i32::try_from(frac_digits).map_or(i32::MIN, |n| -n);
-        }
-        if let [b'e' | b'E', tail @ ..] = self.rest {
-            self.rest = tail;
-            let minus = self.eat(b'-');
-            if !minus {
-                self.eat(b'+');
-            }
-            let mut exponent = 0u64;
-            let exp_digits = self.digits(&mut exponent);
-            if exp_digits == 0 {
-                return Err(self.err("invalid number"));
-            }
-            // More than 19 digits wrapped; whatever they spell, `str::parse`
-            // below gets to read it.
-            let exponent = if exp_digits > 19 { u64::MAX } else { exponent };
-            let exponent = i32::try_from(exponent).unwrap_or(i32::MAX);
-            exp10 = exp10.saturating_add(if minus { -exponent } else { exponent });
-        }
+        };
         self.fresh = false;
-        let text = start
-            .get(..start.len() - self.rest.len())
-            .unwrap_or_default();
-        let nearest = match EXACT_POW10.get(exp10.unsigned_abs() as usize) {
-            Some(&pow10) if digits <= 19 && mantissa < 1 << 53 => {
-                let magnitude = if exp10 < 0 {
-                    mantissa as f64 / pow10
-                } else {
-                    mantissa as f64 * pow10
-                };
-                if negative {
-                    -magnitude
-                } else {
-                    magnitude
-                }
-            }
-            _ => self.parse_text(text)?,
+        let nearest = match scan.nearest {
+            Some(nearest) => nearest,
+            None => self.parse_text(text)?,
         };
         Ok((nearest, text))
     }
@@ -364,12 +308,8 @@ impl<'a> Reader<'a> {
     /// Reads one RFC 8259 number,
     /// `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`, as the nearest `f64`.
     ///
-    /// The digits are scanned into an integer mantissa `m` and a decimal
-    /// exponent `e`. When `m < 2^53` and `|e| <= 22` both `m` and `10^|e|`
-    /// are exact `f64`s, so one IEEE multiply or divide rounds the true
-    /// value `m·10^e` once — the correctly rounded result, which is what
-    /// `str::parse::<f64>` returns (Clinger's fast path). Everything else
-    /// goes through `str::parse` itself.
+    /// The scanner rounds it by Clinger's fast path where that is exact;
+    /// everything else goes through `str::parse` itself.
     ///
     /// # Errors
     ///
@@ -395,13 +335,9 @@ impl<'a> Reader<'a> {
     /// As [`read_f64`](Self::read_f64).
     pub(super) fn read_f32(&mut self) -> Result<f32, ParseError> {
         let (nearest, text) = self.number()?;
-        let magnitude = nearest.abs();
-        let midpoint = nearest.to_bits() & 0x1fff_ffff == 0x1000_0000;
-        let normal = f64::from(f32::MIN_POSITIVE)..=f64::from(f32::MAX);
-        if magnitude == 0.0 || (!midpoint && normal.contains(&magnitude)) {
-            Ok(nearest as f32)
-        } else {
-            self.parse_text(text)
+        match narrow(nearest) {
+            Some(v) => Ok(v),
+            None => self.parse_text(text),
         }
     }
 
@@ -423,6 +359,10 @@ impl<'a> Reader<'a> {
     /// Reads an array of numbers, appending each as its nearest `f32` —
     /// one correct rounding of the decimal, not two via `f64` — to `out`.
     ///
+    /// Elements are read in runs over a local slice; an element a run
+    /// cannot finish exactly is read alone by the per-element path, so
+    /// results, errors and error offsets are that path's.
+    ///
     /// Capacity follows the input: when `out` fills up it is grown to what
     /// the bytes left would hold at the density seen so far, so the
     /// allocation count does not depend on the element count and nothing
@@ -435,18 +375,46 @@ impl<'a> Reader<'a> {
         self.begin_array()?;
         let (start, base) = (self.rest.len(), out.len());
         while self.next_element()? {
+            if !self.f32_run(out, start, base) {
+                out.push(self.read_f32()?);
+            }
+        }
+        Ok(())
+    }
+
+    /// From the cursor on an element: number, optional whitespace, `,`,
+    /// repeat, for as long as [`scan_number`] finishes each number exactly
+    /// and [`narrow`] takes it. The cursor is written back once. Returns
+    /// `true` when the run ended after an element (a `]`, or an error for
+    /// [`next_element`](Self::next_element) to raise), and `false` when it
+    /// stopped on an element it could not finish, which is left unread.
+    fn f32_run(&mut self, out: &mut Vec<f32>, start: usize, base: usize) -> bool {
+        let mut rest = self.rest;
+        let ended_after_element = loop {
             if out.len() == out.capacity() {
                 // An element is at least 2 bytes (`0,`); before any has
                 // been read, guess 8.
-                let scanned = start - self.rest.len();
-                let bytes_each = scanned
+                let bytes_each = (start - rest.len())
                     .checked_div(out.len() - base)
                     .map_or(8, |n| n.max(2));
-                out.reserve(self.rest.len() / bytes_each + 1);
+                out.reserve(rest.len() / bytes_each + 1);
             }
-            out.push(self.read_f32()?);
-        }
-        Ok(())
+            let element = skip_whitespace(rest);
+            let Some((v, len)) = scan_number(element)
+                .ok()
+                .and_then(|scan| Some((narrow(scan.nearest?)?, scan.len)))
+            else {
+                break false;
+            };
+            out.push(v);
+            rest = skip_whitespace(element.get(len..).unwrap_or_default());
+            match rest {
+                [b',', tail @ ..] => rest = tail,
+                _ => break true,
+            }
+        };
+        self.rest = rest;
+        ended_after_element
     }
 
     /// Skips one value of any type, validating it. Iterative: the open
@@ -490,6 +458,126 @@ impl<'a> Reader<'a> {
             }
         }
     }
+}
+
+/// `bytes` past any leading JSON whitespace.
+fn skip_whitespace(mut bytes: &[u8]) -> &[u8] {
+    while let [b' ' | b'\t' | b'\n' | b'\r', tail @ ..] = bytes {
+        bytes = tail;
+    }
+    bytes
+}
+
+/// A number [`scan_number`] found.
+struct Scan {
+    /// How many bytes it spans.
+    len: usize,
+    /// Its nearest `f64` when Clinger's fast path computes it exactly;
+    /// `None` leaves the rounding to `str::parse` over those bytes.
+    nearest: Option<f64>,
+}
+
+/// Scans the RFC 8259 number, `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`,
+/// at the front of `bytes` — the one number scanner; every reader method
+/// that reads a number goes through it. `Err(at)`: the grammar fails `at`
+/// bytes in.
+///
+/// The digits are scanned into an integer mantissa `m` and a decimal
+/// exponent `e`. When `m < 2^53` and `|e| <= 22` both `m` and `10^|e|` are
+/// exact `f64`s, so one IEEE multiply or divide rounds the true value
+/// `m·10^e` once — the correctly rounded result, which is what
+/// `str::parse::<f64>` returns (Clinger's fast path).
+///
+/// Always inlined: in the array loop its result then never leaves
+/// registers.
+#[inline(always)]
+fn scan_number(bytes: &[u8]) -> Result<Scan, usize> {
+    // The sign is stepped over without a branch: in a tensor it comes and
+    // goes at random.
+    let negative = bytes.first() == Some(&b'-');
+    let mut rest = bytes.get(usize::from(negative)..).unwrap_or_default();
+    let leading_zero = rest.first() == Some(&b'0');
+    let (mut mantissa, mut digits) = take_digits(&mut rest, 0);
+    let at = |rest: &[u8]| bytes.len() - rest.len();
+    if digits == 0 || (leading_zero && digits > 1) {
+        return Err(at(rest));
+    }
+    let mut exp10 = 0i32;
+    if let [b'.', tail @ ..] = rest {
+        rest = tail;
+        let frac_digits;
+        (mantissa, frac_digits) = take_digits(&mut rest, mantissa);
+        if frac_digits == 0 {
+            return Err(at(rest));
+        }
+        digits += frac_digits;
+        exp10 = i32::try_from(frac_digits).map_or(i32::MIN, |n| -n);
+    }
+    if let [b'e' | b'E', tail @ ..] = rest {
+        rest = tail;
+        let minus = rest.first() == Some(&b'-');
+        if let [b'-' | b'+', tail @ ..] = rest {
+            rest = tail;
+        }
+        let (exponent, exp_digits) = take_digits(&mut rest, 0);
+        if exp_digits == 0 {
+            return Err(at(rest));
+        }
+        // More than 19 digits wrapped; whatever they spell, `str::parse`
+        // gets to read it.
+        let exponent = if exp_digits > 19 { u64::MAX } else { exponent };
+        let exponent = i32::try_from(exponent).unwrap_or(i32::MAX);
+        exp10 = exp10.saturating_add(if minus { -exponent } else { exponent });
+    }
+    let nearest = match EXACT_POW10.get(exp10.unsigned_abs() as usize) {
+        Some(&pow10) if digits <= 19 && mantissa < 1 << 53 => {
+            let magnitude = if exp10 < 0 {
+                mantissa as f64 / pow10
+            } else {
+                mantissa as f64 * pow10
+            };
+            Some(if negative { -magnitude } else { magnitude })
+        }
+        _ => None,
+    };
+    Ok(Scan {
+        len: at(rest),
+        nearest,
+    })
+}
+
+/// Consumes a run of ASCII digits from the front of `rest`, appending them
+/// to `mantissa` (wrapping: exact while at most 19 digits went in), and
+/// returns the new mantissa and how many digits there were.
+#[inline(always)]
+fn take_digits(rest: &mut &[u8], mut mantissa: u64) -> (u64, usize) {
+    let before = rest.len();
+    // Eight at a time while they last.
+    while let Some((eight, tail)) = rest
+        .split_first_chunk::<8>()
+        .and_then(|(chunk, tail)| Some((eight_digits(u64::from_le_bytes(*chunk))?, tail)))
+    {
+        mantissa = mantissa.wrapping_mul(100_000_000).wrapping_add(eight);
+        *rest = tail;
+    }
+    while let [digit @ b'0'..=b'9', tail @ ..] = *rest {
+        mantissa = mantissa
+            .wrapping_mul(10)
+            .wrapping_add(u64::from(digit - b'0'));
+        *rest = tail;
+    }
+    (mantissa, before - rest.len())
+}
+
+/// `nearest` — the nearest `f64` to a decimal — rounded to `f32`, when
+/// that is the decimal's own nearest `f32`; `None` when it may not be and
+/// `str::parse::<f32>` must decide (see [`Reader::read_f32`]): an `f32`
+/// midpoint, or outside the `f32` normal range.
+fn narrow(nearest: f64) -> Option<f32> {
+    let magnitude = nearest.abs();
+    let midpoint = nearest.to_bits() & 0x1fff_ffff == 0x1000_0000;
+    let normal = f64::from(f32::MIN_POSITIVE)..=f64::from(f32::MAX);
+    (magnitude == 0.0 || (!midpoint && normal.contains(&magnitude))).then_some(nearest as f32)
 }
 
 /// The value of eight ASCII digits packed little-endian (first digit in

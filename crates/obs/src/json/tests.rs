@@ -304,8 +304,25 @@ fn write_f32_matches_core_fmt_on_a_strided_sweep() {
     assert_eq!(buf, b"nullnull");
 }
 
-/// All 2³² patterns, split over the host's cores: ~17 min on 2 vCPUs in release
-/// (`cargo test --release -p pop-obs -- --ignored exhaustive`).
+/// Reads `doc` — `[` then the shortest forms of `bits`, comma-separated —
+/// back through `read_f32_array`, which must return every pattern; then
+/// empties both for the next batch.
+fn check_f32_batch(doc: &mut Vec<u8>, bits: &mut Vec<u32>) {
+    doc.push(b']');
+    let mut back = Vec::new();
+    Reader::new(doc)
+        .read_f32_array(&mut back)
+        .expect("own output scans");
+    let back: Vec<u32> = back.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(back, *bits);
+    doc.clear();
+    doc.push(b'[');
+    bits.clear();
+}
+
+/// All 2³² patterns, split over the host's cores, each read back alone and
+/// again in batches through the array loop: ~25 min on 2 vCPUs in
+/// release (`cargo test --release -p pop-obs -- --ignored exhaustive`).
 #[test]
 #[ignore = "exhaustive: every f32 bit pattern"]
 fn write_f32_matches_core_fmt_exhaustively() {
@@ -314,12 +331,27 @@ fn write_f32_matches_core_fmt_exhaustively() {
         let workers: Vec<_> = (0..threads)
             .map(|t| {
                 scope.spawn(move || {
-                    let mut buf = Vec::new();
+                    let (mut buf, mut doc, mut batch) = (Vec::new(), vec![b'['], Vec::new());
+                    let mut wrong = Vec::new();
                     let (lo, hi) = ((t << 32) / threads, ((t + 1) << 32) / threads);
-                    (lo..hi)
-                        .map(|bits| bits as u32)
-                        .filter(|&bits| check_f32_bits(bits, &mut buf))
-                        .collect::<Vec<u32>>()
+                    for bits in (lo..hi).map(|bits| bits as u32) {
+                        if check_f32_bits(bits, &mut buf) {
+                            wrong.push(bits);
+                        }
+                        if !f32::from_bits(bits).is_finite() {
+                            continue;
+                        }
+                        if !batch.is_empty() {
+                            doc.extend_from_slice(b", ");
+                        }
+                        doc.extend_from_slice(&buf);
+                        batch.push(bits);
+                        if batch.len() == 4096 {
+                            check_f32_batch(&mut doc, &mut batch);
+                        }
+                    }
+                    check_f32_batch(&mut doc, &mut batch);
+                    wrong
                 })
             })
             .collect();
@@ -460,8 +492,124 @@ fn assert_refines_oracle(bytes: &[u8]) {
     assert_eq!(Ok(new), oracle::parse(text), "{text:?}");
 }
 
+/// `read_f32_array` over `bytes`, then the end of the document: the bits,
+/// or the first error.
+fn read_f32s_by_array(bytes: &[u8]) -> Result<Vec<u32>, ParseError> {
+    let mut reader = Reader::new(bytes);
+    let mut out = Vec::new();
+    reader.read_f32_array(&mut out)?;
+    reader.finish()?;
+    Ok(out.iter().map(|v| v.to_bits()).collect())
+}
+
+/// The same through the per-element path: `next_element` and `read_f32`
+/// one element at a time.
+fn read_f32s_by_element(bytes: &[u8]) -> Result<Vec<u32>, ParseError> {
+    let mut reader = Reader::new(bytes);
+    let mut out = Vec::new();
+    reader.begin_array()?;
+    while reader.next_element()? {
+        out.push(reader.read_f32()?.to_bits());
+    }
+    reader.finish()?;
+    Ok(out)
+}
+
+/// One element for an array-loop test, and the bits it must read back as:
+/// `write_f32` output, hand-written forms past the loop's exact path, or
+/// (rarely) something malformed, which has none.
+fn gen_f32_element(rng: &mut StdRng) -> (String, Option<u32>) {
+    const HAND_WRITTEN: [&str; 14] = [
+        // 0x15AE43FD: its nearest f64 is an f32 midpoint, past the fast path.
+        "0.00000000000000000000000007038531",
+        // Short enough for the fast path, and their nearest f64s are f32
+        // midpoints that round to even on the wrong side.
+        "32.61575508117676",
+        "-3.543471336364746e+01",
+        "1.000000059604644775390625",
+        "-1.0000000596046447753906250000000001",
+        "12345678901234567890123",
+        "0.1000000000000000000000000001",
+        "1.5e3",
+        "-2E-7",
+        "7e-46",
+        "3.4028236e38",
+        "1e400",
+        "-0.0e+0",
+        "5.000000000e-01",
+    ];
+    const MALFORMED: [&str; 8] = ["01", "1.", "-", "+1", "1e", ".5", "\"x\"", "1.e5"];
+    let text = match rng.gen_range(0u8..20) {
+        0..=2 => HAND_WRITTEN[rng.gen_range(0..HAND_WRITTEN.len())].to_string(),
+        3 if rng.gen_bool(0.2) => {
+            return (
+                MALFORMED[rng.gen_range(0..MALFORMED.len())].to_string(),
+                None,
+            )
+        }
+        4 => gen_number(rng),
+        picked => {
+            let bits = match picked {
+                5 => rng.gen_range(0u32..0x0080_0000) | rng.gen_range(0u32..2) << 31, // subnormal or ±0
+                6 => [0, 0x8000_0000, 0x3f80_0000, 0xbf80_0000][rng.gen_range(0usize..4)],
+                _ => rng.gen(),
+            };
+            let v = f32::from_bits(bits);
+            if !v.is_finite() {
+                return ("0".to_string(), Some(0));
+            }
+            let mut text = Vec::new();
+            write_f32(&mut text, v);
+            return (String::from_utf8(text).expect("ASCII"), Some(bits));
+        }
+    };
+    let bits = text.parse::<f32>().expect("a valid number").to_bits();
+    (text, Some(bits))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The array loop is the per-element path: the same bits for every
+    /// element (each one `str::parse::<f32>`'s, or the pattern `write_f32`
+    /// wrote), and, for the array cut at any byte, the same error — offset
+    /// and message alike.
+    #[test]
+    fn f32_array_loop_is_the_per_element_path(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut doc = String::from("[");
+        let mut want = Some(Vec::new());
+        for i in 0..rng.gen_range(0usize..32) {
+            if i > 0 {
+                gen_ws(&mut rng, &mut doc);
+                doc.push(',');
+            }
+            gen_ws(&mut rng, &mut doc);
+            let (text, bits) = gen_f32_element(&mut rng);
+            doc.push_str(&text);
+            want = want.zip(bits).map(|(mut want, bits)| {
+                want.push(bits);
+                want
+            });
+        }
+        gen_ws(&mut rng, &mut doc);
+        doc.push(']');
+        let got = read_f32s_by_array(doc.as_bytes());
+        prop_assert_eq!(&got, &read_f32s_by_element(doc.as_bytes()), "{:?}", doc);
+        if let Some(want) = want {
+            prop_assert_eq!(got, Ok(want), "{:?}", doc);
+        } else {
+            prop_assert!(got.is_err(), "{:?}", doc);
+        }
+        for cut in 0..doc.len() {
+            let cut = &doc.as_bytes()[..cut];
+            prop_assert_eq!(
+                read_f32s_by_array(cut),
+                read_f32s_by_element(cut),
+                "{:?}", String::from_utf8_lossy(cut)
+            );
+        }
+    }
 
     /// On generated documents the reader-built and the tree-built results
     /// are the same value.
