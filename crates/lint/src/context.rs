@@ -1,9 +1,12 @@
 //! Per-file analysis context shared by every rule engine: the token
-//! stream plus cheap structural facts — which tokens sit in test code,
-//! which sit inside `use` statements, the enclosing function of every
-//! token, and the `// lint: allow(rule)` escape hatches.
+//! stream, the file's items (parsed once, here, by [`crate::parser`]),
+//! cheap structural facts — which tokens sit in test code, which sit
+//! inside `use` statements, the `// lint: allow(rule)` escape hatches —
+//! and the one token cursor the parser and the call graph both read
+//! through (`*_at` positions index `code`, not `toks`).
 
 use crate::lexer::{lex, Kind, Tok};
+use crate::parser::{self, FileItems};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One workspace source file, by workspace-relative path.
@@ -47,10 +50,9 @@ pub struct FileCx<'a> {
     in_test: Vec<bool>,
     /// Per-`toks` index: inside a `use …;` statement.
     in_use: Vec<bool>,
-    /// Per-`toks` index: enclosing fn, as an index into `fn_names`.
-    fn_of: Vec<Option<u32>>,
-    fn_names: Vec<String>,
     pub allows: Vec<Allow>,
+    /// The file's fns, types, traits and `use` aliases.
+    pub items: FileItems,
 }
 
 impl<'a> FileCx<'a> {
@@ -72,18 +74,18 @@ impl<'a> FileCx<'a> {
             mark_test_regions(&toks, &code, &file.text)
         };
         let in_use = mark_use_statements(&toks, &code, &file.text);
-        let (fn_of, fn_names) = map_enclosing_fns(&toks, &code, &file.text);
         let allows = collect_allows(&toks, &code, &in_test, &file.text);
-        FileCx {
+        let mut cx = FileCx {
             file,
             toks,
             code,
             in_test,
             in_use,
-            fn_of,
-            fn_names,
             allows,
-        }
+            items: FileItems::default(),
+        };
+        cx.items = parser::parse(&cx);
+        cx
     }
 
     pub fn text(&self, tok: &Tok) -> &'a str {
@@ -100,27 +102,104 @@ impl<'a> FileCx<'a> {
         self.in_use[i]
     }
 
-    /// Name of the function enclosing `toks` index `i`, if any.
+    /// Name of the fn whose body (braces included) holds `toks` index
+    /// `i`, comments too. A fn nested in a body answers as its outer fn,
+    /// as the call graph attributes it.
     pub fn enclosing_fn(&self, i: usize) -> Option<&str> {
-        self.fn_of[i].map(|f| self.fn_names[f as usize].as_str())
+        self.items
+            .fns
+            .iter()
+            .find(|f| {
+                f.body
+                    .is_some_and(|(open, close)| self.code[open] <= i && i <= self.code[close])
+            })
+            .map(|f| f.name.as_str())
     }
 
-    /// Opaque id of the enclosing fn — distinguishes two fns that share a
-    /// name (e.g. `lock` on two impls) for scan-boundary detection.
-    pub fn fn_id(&self, i: usize) -> Option<u32> {
-        self.fn_of[i]
+    /// The code token at `code` position `pos`.
+    fn tok_at(&self, pos: usize) -> Option<&Tok> {
+        self.code.get(pos).map(|&i| &self.toks[i])
     }
 
-    /// The code token following `toks` index `i` (skipping comments).
-    pub fn next_code(&self, i: usize) -> Option<usize> {
-        let pos = self.code.partition_point(|&c| c <= i);
-        self.code.get(pos).copied()
+    /// Text of the code token at `pos` (`""` past the end).
+    pub(crate) fn text_at(&self, pos: usize) -> &'a str {
+        self.tok_at(pos).map_or("", |t| t.text(&self.file.text))
     }
 
-    /// The code token preceding `toks` index `i` (skipping comments).
-    pub fn prev_code(&self, i: usize) -> Option<usize> {
-        let pos = self.code.partition_point(|&c| c < i);
-        pos.checked_sub(1).map(|p| self.code[p])
+    pub(crate) fn kind_at(&self, pos: usize) -> Option<Kind> {
+        self.tok_at(pos).map(|t| t.kind)
+    }
+
+    pub(crate) fn line_at(&self, pos: usize) -> u32 {
+        self.tok_at(pos).map_or(0, |t| t.line)
+    }
+
+    pub(crate) fn is_punct(&self, pos: usize, p: &str) -> bool {
+        self.kind_at(pos) == Some(Kind::Punct) && self.text_at(pos) == p
+    }
+
+    /// Two adjacent punct bytes (`::`, `->`) with no gap between them.
+    pub(crate) fn is_punct2(&self, pos: usize, a: &str, b: &str) -> bool {
+        self.is_punct(pos, a)
+            && self.is_punct(pos + 1, b)
+            && self.tok_at(pos).map(|t| t.end) == self.tok_at(pos + 1).map(|t| t.start)
+    }
+
+    /// Position of the opener of the `(…)` / `[…]` group whose closer is
+    /// at `close` (0 when unbalanced).
+    pub(crate) fn group_open(&self, close: usize) -> usize {
+        let (open, shut) = if self.text_at(close) == "]" {
+            ("[", "]")
+        } else {
+            ("(", ")")
+        };
+        let mut depth = 0usize;
+        for pos in (0..=close).rev() {
+            let t = self.text_at(pos);
+            if t == shut {
+                depth += 1;
+            } else if t == open {
+                depth -= 1;
+                if depth == 0 {
+                    return pos;
+                }
+            }
+        }
+        0
+    }
+
+    /// Position just past the balanced group opening at `start`: `(…)`,
+    /// `[…]`, `{…}`, or generics `<…>`, inside which a `->` arrow is not
+    /// a closer and `(…)` / `[…]` groups are skipped whole. Any other
+    /// token is a group of one.
+    pub(crate) fn skip_group(&self, start: usize) -> usize {
+        let (open, close) = match self.text_at(start) {
+            "(" => ("(", ")"),
+            "[" => ("[", "]"),
+            "{" => ("{", "}"),
+            "<" => ("<", ">"),
+            _ => return start + 1,
+        };
+        let generics = open == "<";
+        let mut depth = 0usize;
+        let mut pos = start;
+        while pos < self.code.len() {
+            let t = self.text_at(pos);
+            if generics && (t == "(" || t == "[") {
+                pos = self.skip_group(pos);
+                continue;
+            }
+            if t == open {
+                depth += 1;
+            } else if t == close && !(generics && self.is_punct2(pos - 1, "-", ">")) {
+                depth -= 1;
+                if depth == 0 {
+                    return pos + 1;
+                }
+            }
+            pos += 1;
+        }
+        pos
     }
 }
 
@@ -234,53 +313,6 @@ fn mark_use_statements(toks: &[Tok], code: &[usize], src: &str) -> Vec<bool> {
         }
     }
     in_use
-}
-
-/// Computes, for every token, the name of its innermost enclosing `fn`.
-fn map_enclosing_fns(toks: &[Tok], code: &[usize], src: &str) -> (Vec<Option<u32>>, Vec<String>) {
-    let mut fn_of = vec![None; toks.len()];
-    let mut names: Vec<String> = Vec::new();
-    let mut stack: Vec<(u32, usize)> = Vec::new(); // (name index, depth)
-    let mut pending: Option<u32> = None;
-    let mut depth = 0usize;
-    let mut code_pos = 0usize;
-    for (i, tok) in toks.iter().enumerate() {
-        // Current innermost fn applies to this token (comments included,
-        // so SAFETY comments attribute to the right context).
-        fn_of[i] = stack.last().map(|&(f, _)| f);
-        if matches!(tok.kind, Kind::LineComment | Kind::BlockComment) {
-            continue;
-        }
-        debug_assert_eq!(code[code_pos], i);
-        match (tok.kind, tok.text(src)) {
-            (Kind::Ident, "fn") => {
-                if let Some(&j) = code.get(code_pos + 1) {
-                    if toks[j].kind == Kind::Ident {
-                        names.push(toks[j].text(src).to_string());
-                        pending = Some((names.len() - 1) as u32);
-                    }
-                }
-            }
-            (Kind::Punct, "{") => {
-                depth += 1;
-                if let Some(f) = pending.take() {
-                    stack.push((f, depth));
-                    fn_of[i] = Some(f);
-                }
-            }
-            (Kind::Punct, "}") => {
-                if stack.last().is_some_and(|&(_, d)| d == depth) {
-                    stack.pop();
-                }
-                depth = depth.saturating_sub(1);
-            }
-            // A `;` before the body: trait method declaration, no body.
-            (Kind::Punct, ";") => pending = None,
-            _ => {}
-        }
-        code_pos += 1;
-    }
-    (fn_of, names)
 }
 
 /// Collects `// lint: allow(rule)` annotations. An annotation suppresses

@@ -1,6 +1,7 @@
 //! The workspace call graph: per-fn facts (panic sites, wall-clock,
-//! blocking primitives, lock acquisitions) plus resolved call edges, and
-//! the reachability machinery the transitive rules run on.
+//! blocking primitives, lock acquisitions and their nesting) plus
+//! resolved call edges, and the reachability machinery the transitive
+//! rules run on.
 //!
 //! Resolution policy (documented in the README "Static analysis"
 //! section):
@@ -22,7 +23,7 @@
 
 use crate::context::FileCx;
 use crate::lexer::Kind;
-use crate::parser::{FileItems, KEYWORDS};
+use crate::parser::{deref_transparent, type_path, KEYWORDS};
 use crate::symtab::{FnId, SymTab};
 use crate::LintConfig;
 use pop_obs::json::str_lit;
@@ -62,6 +63,9 @@ pub struct FnFacts {
     pub blocking: Vec<Site>,
     /// Direct `.lock()` acquisitions: `(canonical name, line)`.
     pub lock_acquires: Vec<(String, u32)>,
+    /// Guards taken while another guard of this fn is live:
+    /// `((held, since line), (acquired, line))`.
+    pub nested_locks: Vec<((String, u32), (String, u32))>,
     /// Body mentions `Fnv1a` — a determinism root.
     pub uses_fnv: bool,
     /// Returns a `MutexGuard` over exactly one directly-acquired lock:
@@ -139,47 +143,42 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds facts and edges for every non-test fn. `cxs` and `parsed`
-    /// are parallel to the scanned file list the symbol table was built
-    /// from.
-    pub fn build(
-        cxs: &[FileCx],
-        parsed: &[(String, FileItems)],
-        tab: SymTab,
-        cfg: &LintConfig,
-    ) -> Self {
-        let mut nodes: Vec<FnNode> = vec![FnNode::default(); tab.fns.len()];
-        // Pre-pass: guard-returning helpers, so held-lock tracking in the
-        // main pass can charge their call sites with the acquisition.
-        let mut guards: Vec<Option<String>> = vec![None; tab.fns.len()];
-        for (id, def) in tab.fns.iter().enumerate() {
-            if def.item.ret_raw.as_deref() != Some("MutexGuard") || !cfg.in_lock_scope(&def.file) {
-                continue;
+    /// Builds the symbol table, then facts and edges for every non-test
+    /// fn of the scanned files.
+    pub fn build(cxs: &[FileCx], cfg: &LintConfig) -> Self {
+        let tab = SymTab::build(cxs);
+        let scan = |id: FnId, guards: &[Option<String>]| {
+            let def = &tab.fns[id];
+            let mut scan = BodyScan::new(&cxs[def.file_idx], &tab, cfg, id, guards);
+            if let Some(body) = def.item.body {
+                scan.run(body);
             }
-            let acquires = direct_lock_acquires(&cxs[def.file_idx], def, cfg);
-            if acquires.len() == 1 {
-                guards[id] = Some(acquires[0].0.clone());
-            }
-        }
+            (scan.facts, scan.calls)
+        };
+        // Guard helpers first: a `MutexGuard`-returning fn over exactly one
+        // acquisition charges its callers with that lock in the main pass.
+        let no_guards = vec![None; tab.fns.len()];
+        let guards: Vec<Option<String>> = (0..tab.fns.len())
+            .map(|id| {
+                if tab.fns[id].item.ret_raw.as_deref() != Some("MutexGuard") {
+                    return None;
+                }
+                match scan(id, &no_guards).0.lock_acquires.as_slice() {
+                    [(lock, _)] => Some(lock.clone()),
+                    _ => None,
+                }
+            })
+            .collect();
         let mut stats = GraphStats {
             files: cxs.len(),
             fns: tab.fns.len(),
             ..GraphStats::default()
         };
+        let mut nodes: Vec<FnNode> = Vec::with_capacity(tab.fns.len());
         for id in 0..tab.fns.len() {
-            let def = &tab.fns[id];
-            let Some(body) = def.item.body else { continue };
-            let mut scan = BodyScan::new(
-                &cxs[def.file_idx],
-                &tab,
-                cfg,
-                id,
-                &guards,
-                &parsed[def.file_idx].1.uses,
-            );
-            scan.run(body);
-            stats.call_sites += scan.calls.len();
-            for c in &scan.calls {
+            let (mut facts, calls) = scan(id, &guards);
+            stats.call_sites += calls.len();
+            for c in &calls {
                 stats.edges += c.targets.len();
                 match c.verdict {
                     Verdict::Precise => stats.precise += 1,
@@ -188,12 +187,8 @@ impl CallGraph {
                     Verdict::ApproxExternal => stats.approx_external += 1,
                 }
             }
-            let mut facts = scan.facts;
             facts.returns_guard_of = guards[id].clone();
-            nodes[id] = FnNode {
-                facts,
-                calls: scan.calls,
-            };
+            nodes.push(FnNode { facts, calls });
         }
         CallGraph { tab, nodes, stats }
     }
@@ -332,32 +327,6 @@ fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Cheap pre-pass: direct `.lock()` sites of one fn, canonicalized.
-fn direct_lock_acquires(
-    cx: &FileCx,
-    def: &crate::symtab::FnDef,
-    cfg: &LintConfig,
-) -> Vec<(String, u32)> {
-    let Some((open, close)) = def.item.body else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for pos in open + 1..close {
-        let tok = &cx.toks[cx.code[pos]];
-        if tok.kind != Kind::Ident || cx.text(tok) != "lock" {
-            continue;
-        }
-        let prev = pos.checked_sub(1).map(|p| cx.text(&cx.toks[cx.code[p]]));
-        let next = cx.code.get(pos + 1).map(|&n| cx.text(&cx.toks[n]));
-        let next2 = cx.code.get(pos + 2).map(|&n| cx.text(&cx.toks[n]));
-        if prev == Some(".") && next == Some("(") && next2 == Some(")") {
-            let receiver = crate::rules::locks::receiver_chain(cx, pos - 1);
-            out.push((cfg.canonical_lock(&cx.file.rel_path, &receiver), tok.line));
-        }
-    }
-    out
-}
-
 /// Inferred value type during a body scan.
 #[derive(Debug, Clone, PartialEq)]
 enum Ty {
@@ -388,7 +357,9 @@ impl Ty {
     }
 }
 
-/// A guard held during the scan (mirrors the locks rule's liveness model).
+/// A guard held during the scan. Liveness without an AST: a `let`-bound
+/// guard lives until its block closes or `drop(name)`; a temporary
+/// (`self.inner.lock().…;`) until the end of its statement.
 struct HeldG {
     canonical: String,
     line: u32,
@@ -403,7 +374,6 @@ struct BodyScan<'a, 'b> {
     cfg: &'a LintConfig,
     me: FnId,
     guards: &'a [Option<String>],
-    uses: &'a [(String, Vec<String>)],
     /// Lexical scopes of local bindings.
     locals: Vec<BTreeMap<String, Ty>>,
     held: Vec<HeldG>,
@@ -422,7 +392,6 @@ impl<'a, 'b> BodyScan<'a, 'b> {
         cfg: &'a LintConfig,
         me: FnId,
         guards: &'a [Option<String>],
-        uses: &'a [(String, Vec<String>)],
     ) -> Self {
         let def = &tab.fns[me];
         let mut params = BTreeMap::new();
@@ -436,7 +405,6 @@ impl<'a, 'b> BodyScan<'a, 'b> {
             cfg,
             me,
             guards,
-            uses,
             locals: vec![params],
             held: Vec::new(),
             depth: 0,
@@ -445,59 +413,6 @@ impl<'a, 'b> BodyScan<'a, 'b> {
             facts: FnFacts::default(),
             calls: Vec::new(),
         }
-    }
-
-    fn text_at(&self, pos: usize) -> &str {
-        self.cx
-            .code
-            .get(pos)
-            .map(|&i| self.cx.toks[i].text(&self.cx.file.text))
-            .unwrap_or("")
-    }
-
-    fn kind_at(&self, pos: usize) -> Option<Kind> {
-        self.cx.code.get(pos).map(|&i| self.cx.toks[i].kind)
-    }
-
-    fn is_punct2(&self, pos: usize, a: &str, b: &str) -> bool {
-        let Some(&i) = self.cx.code.get(pos) else {
-            return false;
-        };
-        let Some(&j) = self.cx.code.get(pos + 1) else {
-            return false;
-        };
-        let (ta, tb) = (&self.cx.toks[i], &self.cx.toks[j]);
-        ta.kind == Kind::Punct
-            && tb.kind == Kind::Punct
-            && ta.text(&self.cx.file.text) == a
-            && tb.text(&self.cx.file.text) == b
-            && ta.end == tb.start
-    }
-
-    /// Position just past a balanced group opening at `start`.
-    fn skip_group(&self, start: usize) -> usize {
-        let (open, close) = match self.text_at(start) {
-            "(" => ("(", ")"),
-            "[" => ("[", "]"),
-            "{" => ("{", "}"),
-            "<" => ("<", ">"),
-            _ => return start + 1,
-        };
-        let mut depth = 0usize;
-        let mut pos = start;
-        while pos < self.cx.code.len() {
-            let t = self.text_at(pos);
-            if t == open {
-                depth += 1;
-            } else if t == close {
-                depth -= 1;
-                if depth == 0 {
-                    return pos + 1;
-                }
-            }
-            pos += 1;
-        }
-        pos
     }
 
     fn lookup_local(&self, name: &str) -> Option<Ty> {
@@ -515,14 +430,6 @@ impl<'a, 'b> BodyScan<'a, 'b> {
         }
     }
 
-    fn line_of(&self, pos: usize) -> u32 {
-        self.cx
-            .code
-            .get(pos)
-            .map(|&i| self.cx.toks[i].line)
-            .unwrap_or(0)
-    }
-
     fn self_ty(&self) -> Ty {
         self.tab.fns[self.me]
             .item
@@ -536,9 +443,8 @@ impl<'a, 'b> BodyScan<'a, 'b> {
         let mut pos = open + 1;
         while pos < close {
             self.shields.retain(|&end| pos < end);
-            let kind = self.kind_at(pos);
-            let text = self.text_at(pos).to_string();
-            match (kind, text.as_str()) {
+            let text = self.cx.text_at(pos);
+            match (self.cx.kind_at(pos), text) {
                 (Some(Kind::Punct), "{") => {
                     self.depth += 1;
                     self.locals.push(BTreeMap::new());
@@ -554,28 +460,27 @@ impl<'a, 'b> BodyScan<'a, 'b> {
                 (Some(Kind::Punct), ";") => self.held.retain(|h| !h.temp),
                 // `call(…)[i]` / `arr[i][j]` indexing sugar.
                 (Some(Kind::Punct), ")") | (Some(Kind::Punct), "]")
-                    if self.text_at(pos + 1) == "["
+                    if self.cx.text_at(pos + 1) == "["
                         && !self.cx.is_test(self.cx.code[pos])
                         && !self.cx.is_use(self.cx.code[pos]) =>
                 {
                     self.facts.panic_sites.push(Site {
-                        line: self.line_of(pos + 1),
+                        line: self.cx.line_at(pos + 1),
                         what: "indexing sugar (`[…]`)".to_string(),
                     });
                 }
                 (Some(Kind::Ident), "let") => self.handle_let(pos),
                 (Some(Kind::Ident), "drop")
-                    if self.text_at(pos + 1) == "(" && self.text_at(pos + 3) == ")" =>
+                    if self.cx.text_at(pos + 1) == "(" && self.cx.text_at(pos + 3) == ")" =>
                 {
-                    let arg = self.text_at(pos + 2).to_string();
-                    self.held
-                        .retain(|h| h.bound.as_deref() != Some(arg.as_str()));
+                    let arg = self.cx.text_at(pos + 2);
+                    self.held.retain(|h| h.bound.as_deref() != Some(arg));
                 }
                 // A `drop` that is not the single-binding release form must
                 // not fall through to `handle_ident`: it would register a
                 // call site that Approx-resolves onto `Drop::drop` impls.
                 (Some(Kind::Ident), "drop") => {}
-                (Some(Kind::Ident), _) => self.handle_ident(pos, &text),
+                (Some(Kind::Ident), _) => self.handle_ident(pos, text),
                 _ => {}
             }
             pos += 1;
@@ -585,25 +490,25 @@ impl<'a, 'b> BodyScan<'a, 'b> {
     /// `let [mut] name [: Type] = …` — record the binding's type.
     fn handle_let(&mut self, let_pos: usize) {
         let mut pos = let_pos + 1;
-        if self.text_at(pos) == "mut" {
+        if self.cx.text_at(pos) == "mut" {
             pos += 1;
         }
-        if self.kind_at(pos) != Some(Kind::Ident) {
+        if self.cx.kind_at(pos) != Some(Kind::Ident) {
             return; // tuple/struct pattern — locals stay unknown
         }
-        let name = self.text_at(pos).to_string();
+        let name = self.cx.text_at(pos).to_string();
         if KEYWORDS.contains(&name.as_str()) || name.chars().next().is_some_and(char::is_uppercase)
         {
             return; // `let Some(x) = …` / `let Ok(x) = …` patterns
         }
         pos += 1;
         // Explicit ascription wins.
-        if self.text_at(pos) == ":" && !self.is_punct2(pos, ":", ":") {
+        if self.cx.text_at(pos) == ":" && !self.cx.is_punct2(pos, ":", ":") {
             let head = self.type_head_after(pos + 1);
             self.bind(name, Ty::from_head(head.as_deref(), self.tab));
             return;
         }
-        if self.text_at(pos) != "=" || self.text_at(pos + 1) == "=" {
+        if self.cx.text_at(pos) != "=" || self.cx.text_at(pos + 1) == "=" {
             return;
         }
         let ty = self.rhs_type(pos + 1);
@@ -611,38 +516,17 @@ impl<'a, 'b> BodyScan<'a, 'b> {
     }
 
     /// Head of a written type starting at `pos` (deref-stripped).
-    fn type_head_after(&self, mut pos: usize) -> Option<String> {
-        loop {
-            match (self.kind_at(pos), self.text_at(pos)) {
-                (Some(Kind::Punct), "&") | (Some(Kind::Punct), "*") => pos += 1,
-                (Some(Kind::Lifetime), _) => pos += 1,
-                (Some(Kind::Ident), "mut" | "dyn" | "impl" | "const") => pos += 1,
-                _ => break,
-            }
-        }
-        if self.kind_at(pos) != Some(Kind::Ident) {
-            return None;
-        }
-        let mut head = self.text_at(pos).to_string();
-        pos += 1;
-        while self.is_punct2(pos, ":", ":") {
-            pos += 2;
-            if self.kind_at(pos) == Some(Kind::Ident) {
-                head = self.text_at(pos).to_string();
-                pos += 1;
-            } else {
-                break;
-            }
-        }
-        if crate::parser::deref_transparent(&head) && self.text_at(pos) == "<" {
+    fn type_head_after(&self, pos: usize) -> Option<String> {
+        let (head, pos) = type_path(self.cx, pos).ok()?;
+        if deref_transparent(&head) && self.cx.text_at(pos) == "<" {
             // Take the last generic argument — the payload for every
             // wrapper in the transparent list.
-            let close = self.skip_group(pos);
+            let close = self.cx.skip_group(pos);
             let mut depth = 0usize;
             let mut last_start = pos + 1;
             let mut p = pos;
             while p + 1 < close {
-                match self.text_at(p) {
+                match self.cx.text_at(p) {
                     "<" => depth += 1,
                     ">" => depth = depth.saturating_sub(1),
                     "," if depth == 1 => last_start = p + 1,
@@ -658,13 +542,13 @@ impl<'a, 'b> BodyScan<'a, 'b> {
     /// Best-effort type of the expression starting at `pos` (a `let` rhs).
     fn rhs_type(&mut self, mut pos: usize) -> Ty {
         loop {
-            match (self.kind_at(pos), self.text_at(pos)) {
+            match (self.cx.kind_at(pos), self.cx.text_at(pos)) {
                 (Some(Kind::Punct), "&") => pos += 1,
                 (Some(Kind::Ident), "mut") => pos += 1,
                 _ => break,
             }
         }
-        match self.kind_at(pos) {
+        match self.cx.kind_at(pos) {
             Some(Kind::Num) | Some(Kind::Str) | Some(Kind::Char) => Ty::Ext,
             Some(Kind::Ident) => {
                 let (ty, after) = self.primary_type(pos);
@@ -677,27 +561,27 @@ impl<'a, 'b> BodyScan<'a, 'b> {
     /// Type of a primary expression head: local, `self`, path, call, or
     /// struct literal. Returns the type and the position just past it.
     fn primary_type(&mut self, pos: usize) -> (Ty, usize) {
-        if self.kind_at(pos) != Some(Kind::Ident) {
+        if self.cx.kind_at(pos) != Some(Kind::Ident) {
             return (Ty::Unk, pos + 1);
         }
-        let name = self.text_at(pos).to_string();
+        let name = self.cx.text_at(pos).to_string();
         if name == "self" {
             return (self.self_ty(), pos + 1);
         }
         // Macro invocation: `format!(…)` and friends are external values.
-        if self.text_at(pos + 1) == "!" {
+        if self.cx.text_at(pos + 1) == "!" {
             return (Ty::Ext, pos + 1);
         }
         // Path expression: collect segments, `seg :: seg :: …`.
-        if self.is_punct2(pos + 1, ":", ":") {
+        if self.cx.is_punct2(pos + 1, ":", ":") {
             let mut segs = vec![name];
             let mut p = pos + 1;
-            while self.is_punct2(p, ":", ":") && self.kind_at(p + 2) == Some(Kind::Ident) {
-                segs.push(self.text_at(p + 2).to_string());
+            while self.cx.is_punct2(p, ":", ":") && self.cx.kind_at(p + 2) == Some(Kind::Ident) {
+                segs.push(self.cx.text_at(p + 2).to_string());
                 p += 3;
             }
             let after = p; // position past the last segment
-            if self.text_at(after) == "(" {
+            if self.cx.text_at(after) == "(" {
                 // Path call: type from the resolved targets' return type.
                 let (targets, verdict) = self.resolve_path_call(&segs);
                 let ty = if targets.is_empty() && verdict == Verdict::External {
@@ -705,7 +589,7 @@ impl<'a, 'b> BodyScan<'a, 'b> {
                 } else {
                     self.common_ret(&targets)
                 };
-                return (ty, self.skip_group(after));
+                return (ty, self.cx.skip_group(after));
             }
             let last = segs.last().cloned().unwrap_or_default();
             if last.chars().next().is_some_and(char::is_uppercase) && segs.len() >= 2 {
@@ -730,16 +614,16 @@ impl<'a, 'b> BodyScan<'a, 'b> {
             return (ty, pos + 1);
         }
         if name.chars().next().is_some_and(char::is_uppercase) {
-            if self.text_at(pos + 1) == "{" && self.tab.is_type(&name) {
+            if self.cx.text_at(pos + 1) == "{" && self.tab.is_type(&name) {
                 // Struct literal.
-                return (Ty::Ws(name), self.skip_group(pos + 1));
+                return (Ty::Ws(name), self.cx.skip_group(pos + 1));
             }
             return (Ty::Unk, pos + 1);
         }
-        if self.text_at(pos + 1) == "(" {
+        if self.cx.text_at(pos + 1) == "(" {
             // Free-fn call result.
             let ids = self.tab.free_fns(&name, &self.tab.fns[self.me].file);
-            return (self.common_ret(&ids), self.skip_group(pos + 1));
+            return (self.common_ret(&ids), self.cx.skip_group(pos + 1));
         }
         (Ty::Unk, pos + 1)
     }
@@ -747,21 +631,21 @@ impl<'a, 'b> BodyScan<'a, 'b> {
     /// Applies a `.field` / `.method(…)` / `?` postfix chain to `ty`.
     fn apply_postfix(&mut self, mut ty: Ty, mut pos: usize) -> Ty {
         loop {
-            if self.text_at(pos) == "?" {
+            if self.cx.text_at(pos) == "?" {
                 pos += 1;
                 continue;
             }
-            if self.text_at(pos) != "." || self.kind_at(pos + 1) != Some(Kind::Ident) {
+            if self.cx.text_at(pos) != "." || self.cx.kind_at(pos + 1) != Some(Kind::Ident) {
                 return ty;
             }
-            let seg = self.text_at(pos + 1).to_string();
+            let seg = self.cx.text_at(pos + 1).to_string();
             let mut call_open = pos + 2;
-            if self.is_punct2(call_open, ":", ":") && self.text_at(call_open + 2) == "<" {
-                call_open = self.skip_group(call_open + 2); // turbofish
+            if self.cx.is_punct2(call_open, ":", ":") && self.cx.text_at(call_open + 2) == "<" {
+                call_open = self.cx.skip_group(call_open + 2); // turbofish
             }
-            if self.text_at(call_open) == "(" {
+            if self.cx.text_at(call_open) == "(" {
                 ty = self.method_ret(&ty, &seg);
-                pos = self.skip_group(call_open);
+                pos = self.cx.skip_group(call_open);
             } else {
                 ty = self.field_ty(&ty, &seg);
                 pos += 2;
@@ -831,13 +715,10 @@ impl<'a, 'b> BodyScan<'a, 'b> {
         if self.cx.is_use(i) || self.cx.is_test(i) {
             return;
         }
-        let line = self.line_of(pos);
-        let prev = pos
-            .checked_sub(1)
-            .map(|p| self.text_at(p).to_string())
-            .unwrap_or_default();
-        let prev_dot = prev == "." && pos.checked_sub(2).is_none_or(|p| self.text_at(p) != ".");
-        let next = self.text_at(pos + 1).to_string();
+        let line = self.cx.line_at(pos);
+        let prev = pos.checked_sub(1).map_or("", |p| self.cx.text_at(p));
+        let prev_dot = prev == "." && pos.checked_sub(2).is_none_or(|p| self.cx.text_at(p) != ".");
+        let next = self.cx.text_at(pos + 1);
 
         // --- facts -------------------------------------------------------
         if WALL_CLOCK_TYPES.contains(&text) {
@@ -878,7 +759,7 @@ impl<'a, 'b> BodyScan<'a, 'b> {
         // punct before their `[`, so only ident-adjacent brackets fire).
         if next == "[" && !KEYWORDS.contains(&text) {
             self.facts.panic_sites.push(Site {
-                line: self.line_of(pos + 1),
+                line: self.cx.line_at(pos + 1),
                 what: "indexing sugar (`[…]`)".to_string(),
             });
         }
@@ -899,44 +780,37 @@ impl<'a, 'b> BodyScan<'a, 'b> {
                 });
             }
             // `.lock()` with no args: the lock-order acquisition model.
-            if text == "lock" && self.text_at(pos + 2) == ")" && self.lock_scope {
-                let receiver = crate::rules::locks::receiver_chain(self.cx, pos - 1);
+            let mut lock_site = None;
+            if text == "lock" && self.cx.text_at(pos + 2) == ")" && self.lock_scope {
+                let receiver = receiver_chain(self.cx, pos - 1);
                 let canonical = self.cfg.canonical_lock(&self.cx.file.rel_path, &receiver);
                 self.facts.lock_acquires.push((canonical.clone(), line));
-                let bound = crate::rules::locks::let_binding(self.cx, pos);
-                let depth = self.depth;
-                self.held.push(HeldG {
-                    canonical,
-                    line,
-                    temp: bound.is_none(),
-                    bound,
-                    depth,
-                });
+                lock_site = Some(canonical);
             }
-            self.record_method_call(pos, text, line);
+            self.record_method_call(pos, text, line, lock_site);
             return;
         }
 
         // --- shield ------------------------------------------------------
         if text == "catch_unwind" && next == "(" {
-            let end = self.skip_group(pos + 1);
+            let end = self.cx.skip_group(pos + 1);
             self.shields.push(end);
             return;
         }
 
         // --- path calls --------------------------------------------------
-        if self.is_punct2(pos + 1, ":", ":") && !prev_dot && prev != ":" {
+        if self.cx.is_punct2(pos + 1, ":", ":") && !prev_dot && prev != ":" {
             let mut segs = vec![text.to_string()];
             let mut p = pos + 1;
-            while self.is_punct2(p, ":", ":") && self.kind_at(p + 2) == Some(Kind::Ident) {
-                segs.push(self.text_at(p + 2).to_string());
+            while self.cx.is_punct2(p, ":", ":") && self.cx.kind_at(p + 2) == Some(Kind::Ident) {
+                segs.push(self.cx.text_at(p + 2).to_string());
                 p += 3;
             }
             let mut call_open = p;
-            if self.is_punct2(p, ":", ":") && self.text_at(p + 2) == "<" {
-                call_open = self.skip_group(p + 2); // turbofish
+            if self.cx.is_punct2(p, ":", ":") && self.cx.text_at(p + 2) == "<" {
+                call_open = self.cx.skip_group(p + 2); // turbofish
             }
-            if self.text_at(call_open) != "(" {
+            if self.cx.text_at(call_open) != "(" {
                 return;
             }
             let last = segs.last().cloned().unwrap_or_default();
@@ -970,7 +844,8 @@ impl<'a, 'b> BodyScan<'a, 'b> {
     }
 
     /// Records a method call site: receiver typing, resolution, held set.
-    fn record_method_call(&mut self, pos: usize, name: &str, line: u32) {
+    /// `lock_site` is the lock a `.lock()` call takes by its own text.
+    fn record_method_call(&mut self, pos: usize, name: &str, line: u32, lock_site: Option<String>) {
         let recv_ty = self.receiver_type(pos);
         let (targets, verdict) = match recv_ty {
             Ty::Ws(t) => {
@@ -1001,21 +876,35 @@ impl<'a, 'b> BodyScan<'a, 'b> {
                 }
             }
         };
-        // A precise call to a guard-returning helper acquires its lock.
-        if self.lock_scope && verdict == Verdict::Precise && targets.len() == 1 {
-            if let Some(l) = self.guards[targets[0]].clone() {
-                let bound = crate::rules::locks::let_binding(self.cx, pos);
-                let depth = self.depth;
-                self.held.push(HeldG {
-                    canonical: l,
-                    line,
-                    temp: bound.is_none(),
-                    bound,
-                    depth,
-                });
-            }
+        // A precise call to a guard-returning helper acquires the helper's
+        // lock. One call is one acquisition: a helper named `lock` is not
+        // also the `.lock()` its text spells.
+        let helper = match targets.as_slice() {
+            [t] if self.lock_scope && verdict == Verdict::Precise => self.guards[*t].clone(),
+            _ => None,
+        };
+        if let Some(lock) = helper.or(lock_site) {
+            self.acquire(lock, line, pos);
         }
         self.push_call(name.to_string(), line, targets, verdict);
+    }
+
+    /// Takes a guard at the call whose name ident is at `pos`: nested
+    /// under every guard still live, then live itself.
+    fn acquire(&mut self, canonical: String, line: u32, pos: usize) {
+        for h in &self.held {
+            self.facts
+                .nested_locks
+                .push(((h.canonical.clone(), h.line), (canonical.clone(), line)));
+        }
+        let bound = let_binding(self.cx, pos);
+        self.held.push(HeldG {
+            canonical,
+            line,
+            temp: bound.is_none(),
+            bound,
+            depth: self.depth,
+        });
     }
 
     /// Type of the receiver of the method call whose name ident is at
@@ -1032,21 +921,23 @@ impl<'a, 'b> BodyScan<'a, 'b> {
             let Some(prev) = p.checked_sub(1) else {
                 break Ty::Unk;
             };
-            match (self.kind_at(prev), self.text_at(prev)) {
+            match (self.cx.kind_at(prev), self.cx.text_at(prev)) {
                 (Some(Kind::Punct), "?") => {
                     p = prev;
                     continue;
                 }
                 (Some(Kind::Ident), name) => {
                     let name = name.to_string();
-                    let before_dot = prev.checked_sub(1).is_some_and(|q| self.text_at(q) == ".");
+                    let before_dot = prev
+                        .checked_sub(1)
+                        .is_some_and(|q| self.cx.text_at(q) == ".");
                     let before_path = prev
                         .checked_sub(2)
-                        .is_some_and(|q| self.is_punct2(q, ":", ":"));
+                        .is_some_and(|q| self.cx.is_punct2(q, ":", ":"));
                     if before_path {
                         // `a::b::CONST.method()` — type the path head.
                         let mut start = prev;
-                        while start >= 2 && self.is_punct2(start - 2, ":", ":") {
+                        while start >= 2 && self.cx.is_punct2(start - 2, ":", ":") {
                             start -= 3;
                         }
                         let (ty, _) = self.primary_type(start);
@@ -1073,55 +964,35 @@ impl<'a, 'b> BodyScan<'a, 'b> {
                     }
                     break Ty::Unk;
                 }
-                (Some(Kind::Punct), ")") | (Some(Kind::Punct), "]") => {
-                    // Walk back over the balanced group.
-                    let closer = self.text_at(prev).to_string();
-                    let opener = if closer == ")" { "(" } else { "[" };
-                    let mut depth = 0usize;
-                    let mut q = prev;
-                    loop {
-                        let t = self.text_at(q);
-                        if t == closer {
-                            depth += 1;
-                        } else if t == opener {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        let Some(qq) = q.checked_sub(1) else { break };
-                        q = qq;
-                    }
-                    if closer == "]" {
-                        break Ty::Unk; // index result — element unknown
-                    }
-                    let Some(before) = q.checked_sub(1) else {
+                (Some(Kind::Punct), "]") => break Ty::Unk, // index result — element unknown
+                (Some(Kind::Punct), ")") => {
+                    let Some(before) = self.cx.group_open(prev).checked_sub(1) else {
                         break Ty::Unk;
                     };
-                    if self.kind_at(before) != Some(Kind::Ident) {
+                    if self.cx.kind_at(before) != Some(Kind::Ident) {
                         break Ty::Unk; // closure call result etc.
                     }
-                    let name = self.text_at(before).to_string();
+                    let name = self.cx.text_at(before).to_string();
                     if before
                         .checked_sub(1)
-                        .is_some_and(|r| self.text_at(r) == ".")
+                        .is_some_and(|r| self.cx.text_at(r) == ".")
                     {
                         segs.push(Seg::Call(name));
                         p = before - 1;
                         continue;
                     }
-                    if before >= 2 && self.is_punct2(before - 2, ":", ":") {
+                    if before >= 2 && self.cx.is_punct2(before - 2, ":", ":") {
                         // `a::b::f(…).method()` — resolve the path call.
                         let mut start = before;
-                        while start >= 2 && self.is_punct2(start - 2, ":", ":") {
+                        while start >= 2 && self.cx.is_punct2(start - 2, ":", ":") {
                             start -= 3;
                         }
-                        let mut path = vec![self.text_at(start).to_string()];
+                        let mut path = vec![self.cx.text_at(start).to_string()];
                         let mut r = start + 1;
-                        while self.is_punct2(r, ":", ":")
-                            && self.kind_at(r + 2) == Some(Kind::Ident)
+                        while self.cx.is_punct2(r, ":", ":")
+                            && self.cx.kind_at(r + 2) == Some(Kind::Ident)
                         {
-                            path.push(self.text_at(r + 2).to_string());
+                            path.push(self.cx.text_at(r + 2).to_string());
                             r += 3;
                         }
                         let (targets, verdict) = self.resolve_path_call(&path);
@@ -1162,7 +1033,13 @@ impl<'a, 'b> BodyScan<'a, 'b> {
         // Expand a `use` alias on the leading segment, then normalize
         // `crate`/`self`/`super` heads (a `use crate::…` alias reintroduces
         // one, hence alias expansion first).
-        if let Some((_, path)) = self.uses.iter().find(|(alias, _)| *alias == qual[0]) {
+        if let Some((_, path)) = self
+            .cx
+            .items
+            .uses
+            .iter()
+            .find(|(alias, _)| *alias == qual[0])
+        {
             let mut expanded = path.clone();
             expanded.extend(qual.drain(1..));
             qual = expanded;
@@ -1256,21 +1133,70 @@ impl<'a, 'b> BodyScan<'a, 'b> {
     }
 }
 
+/// The dotted receiver chain ending at the `.` at `dot_pos`, e.g.
+/// `self.inner` for `self.inner.lock()`. Call results (`registry().lock()`)
+/// and indexing (`slots[i].lock()`) reduce to the name before the group.
+fn receiver_chain(cx: &FileCx, dot_pos: usize) -> String {
+    let mut parts: Vec<&str> = Vec::new();
+    let mut p = dot_pos;
+    while let Some(prev) = p.checked_sub(1) {
+        match (cx.kind_at(prev), cx.text_at(prev)) {
+            (Some(Kind::Ident), name) => {
+                parts.push(name);
+                // Continue only through a `.` chain.
+                if prev == 0 || cx.text_at(prev - 1) != "." {
+                    break;
+                }
+                p = prev - 1;
+            }
+            (Some(Kind::Punct), ")" | "]") => {
+                // Skip the balanced group, then take the name before it.
+                let open = cx.group_open(prev);
+                if open > 0 && cx.kind_at(open - 1) == Some(Kind::Ident) {
+                    parts.push(cx.text_at(open - 1));
+                }
+                break;
+            }
+            _ => break,
+        }
+    }
+    parts.reverse();
+    parts.join(".")
+}
+
+/// The name a `let [mut] name = …` statement binds, when the call whose
+/// name ident is at `pos` sits in one.
+fn let_binding(cx: &FileCx, pos: usize) -> Option<String> {
+    // Walk back to the statement boundary, remembering the first `=`.
+    let mut head = pos;
+    let mut eq = None;
+    while head > 0 && !matches!(cx.text_at(head - 1), ";" | "{" | "}") {
+        head -= 1;
+        if cx.is_punct(head, "=") {
+            eq = Some(head);
+        }
+    }
+    let eq = eq?;
+    if cx.text_at(head) != "let" {
+        return None;
+    }
+    let name = if cx.text_at(head + 1) == "mut" {
+        head + 2
+    } else {
+        head + 1
+    };
+    (cx.kind_at(name) == Some(Kind::Ident) && name < eq).then(|| cx.text_at(name).to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::SourceFile;
-    use crate::parser;
 
     fn build(files: &[(&str, &str)]) -> CallGraph {
         let sources: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::new(*p, *s)).collect();
         let cxs: Vec<FileCx> = sources.iter().map(FileCx::new).collect();
-        let parsed: Vec<(String, FileItems)> = cxs
-            .iter()
-            .map(|cx| (cx.file.rel_path.clone(), parser::parse(cx)))
-            .collect();
-        let tab = SymTab::build(&parsed);
-        CallGraph::build(&cxs, &parsed, tab, &LintConfig::workspace())
+        CallGraph::build(&cxs, &crate::lock_fixture_config())
     }
 
     fn id_of(g: &CallGraph, display: &str) -> FnId {

@@ -32,6 +32,16 @@ pub struct LockAlias {
     pub canonical: String,
 }
 
+impl LockAlias {
+    pub(crate) fn new(file_suffix: &str, receivers: &[&str], canonical: &str) -> Self {
+        LockAlias {
+            file_suffix: file_suffix.to_string(),
+            receivers: receivers.iter().map(|r| r.to_string()).collect(),
+            canonical: canonical.to_string(),
+        }
+    }
+}
+
 /// Rule scoping: which files each rule family applies to, the declared
 /// lock order, and the receiver→lock alias table.
 #[derive(Debug, Clone)]
@@ -60,11 +70,6 @@ impl LintConfig {
     /// The workspace's own scoping — the config `cargo run -p pop-lint`
     /// uses.
     pub fn workspace() -> Self {
-        let alias = |file_suffix: &str, receivers: &[&str], canonical: &str| LockAlias {
-            file_suffix: file_suffix.to_string(),
-            receivers: receivers.iter().map(|r| r.to_string()).collect(),
-            canonical: canonical.to_string(),
-        };
         LintConfig {
             determinism_roots: vec!["fingerprint".into(), "baseline_fingerprint".into()],
             hot_loop_roots: vec![("crates/serve/src/engine.rs".into(), "worker_loop".into())],
@@ -79,61 +84,33 @@ impl LintConfig {
                 "crates/http/src/server.rs".into(),
                 "crates/http/src/service.rs".into(),
             ],
-            lock_prefixes: vec![
-                "crates/exec/src/".into(),
-                "crates/serve/src/".into(),
-                // The model mutex lives in core; its acquisition sites must
-                // feed the cross-fn order check so serve/exec callers are
-                // charged with `core.forecaster.model`.
-                "crates/core/src/forecaster.rs".into(),
-            ],
+            lock_prefixes: vec!["crates/exec/src/".into(), "crates/serve/src/".into()],
             names_exclude_prefixes: vec!["crates/obs/".into(), "crates/lint/".into()],
-            // Outer→inner: the registry may reach into a model and the
-            // model may use exec primitives, never the reverse.
+            // Outer→inner: serve may reach into exec primitives, never the
+            // reverse. No two of these nest today (the engine drops its
+            // caller count before it looks at the queue).
             lock_order: vec![
-                "serve.registry.inner".into(),
-                "core.forecaster.model".into(),
+                "serve.engine.callers".into(),
                 "exec.queue.state".into(),
-                "exec.pool.state".into(),
+                "exec.parked.mutex".into(),
                 "exec.scoped.slot".into(),
             ],
             lock_aliases: vec![
-                alias(
+                // `BoundedQueue::lock(&self)` wraps `self.state.lock()`, so
+                // a bare `self.lock()` in this file takes the same mutex.
+                LockAlias::new(
                     "crates/exec/src/queue.rs",
-                    &["state", "st"],
+                    &["state", "self"],
                     "exec.queue.state",
                 ),
-                alias(
-                    "crates/exec/src/parked.rs",
-                    &["state", "st"],
-                    "exec.pool.state",
-                ),
-                alias(
-                    "crates/exec/src/scoped.rs",
-                    &["slots", "slot"],
-                    "exec.scoped.slot",
-                ),
-                // `Registry::lock(&self)` wraps `self.inner.lock()`, so a
-                // bare `self.lock()` in this file acquires the same mutex.
-                alias(
-                    "crates/serve/src/registry.rs",
-                    &["inner", "self"],
-                    "serve.registry.inner",
-                ),
-                alias(
-                    "crates/serve/src/registry.rs",
-                    &["model"],
-                    "core.forecaster.model",
-                ),
-                alias(
+                // Every mutex here (the pool state, a fork's two slots) is
+                // taken through the one `lock(mutex)` helper: one name.
+                LockAlias::new("crates/exec/src/parked.rs", &["mutex"], "exec.parked.mutex"),
+                LockAlias::new("crates/exec/src/scoped.rs", &["slots"], "exec.scoped.slot"),
+                LockAlias::new(
                     "crates/serve/src/engine.rs",
-                    &["model"],
-                    "core.forecaster.model",
-                ),
-                alias(
-                    "crates/core/src/forecaster.rs",
-                    &["inner", "self"],
-                    "core.forecaster.model",
+                    &["callers"],
+                    "serve.engine.callers",
                 ),
             ],
         }
@@ -208,6 +185,7 @@ pub fn lint_files_graph(
     let mut unsafe_sites: Vec<rules::unsafe_audit::UnsafeSite> = Vec::new();
     let mut obs_names: Vec<rules::names::ObsName> = Vec::new();
 
+    // The front end: each file lexed, marked and parsed once.
     let cxs: Vec<FileCx> = files.iter().map(FileCx::new).collect();
     let mut ledgers: Vec<(String, AllowLedger)> = cxs
         .iter()
@@ -215,8 +193,7 @@ pub fn lint_files_graph(
         .collect();
 
     // Per-file syntactic passes.
-    for (cx, (_, ledger)) in cxs.iter().zip(ledgers.iter_mut()) {
-        rules::locks::check(cx, cfg, ledger, &mut report.findings);
+    for cx in &cxs {
         rules::unsafe_audit::check(cx, &mut report.findings, &mut unsafe_sites);
         rules::names::extract(cx, cfg, &mut obs_names);
         for a in &cx.allows {
@@ -228,23 +205,18 @@ pub fn lint_files_graph(
         }
     }
 
-    // Interprocedural passes: parse items, build the symbol table and the
-    // call graph, then run the reachability rules on it.
+    // Interprocedural passes: build the symbol table and the call graph,
+    // then run the reachability rules on it.
     let graph = {
         let _span = pop_obs::span!("lint_graph_build");
-        let parsed: Vec<(String, parser::FileItems)> = cxs
-            .iter()
-            .map(|cx| (cx.file.rel_path.clone(), parser::parse(cx)))
-            .collect();
-        let tab = symtab::SymTab::build(&parsed);
-        graph::CallGraph::build(&cxs, &parsed, tab, cfg)
+        graph::CallGraph::build(&cxs, cfg)
     };
     {
         let _span = pop_obs::span!("lint_graph_rules");
         rules::determinism::check(&graph, cfg, &mut ledgers, &mut report.findings);
         rules::panic_path::check(&graph, cfg, &mut ledgers, &mut report.findings);
         rules::blocking::check(&graph, cfg, &mut ledgers, &mut report.findings);
-        rules::locks::check_cross(&graph, cfg, &mut ledgers, &mut report.findings);
+        rules::locks::check(&graph, cfg, &mut ledgers, &mut report.findings);
     }
 
     rules::unsafe_audit::diff_inventory(&unsafe_sites, &inv.unsafe_sites, &mut report.findings);
@@ -387,6 +359,38 @@ pub fn write_inventories(root: &Path, report: &LintReport) -> io::Result<()> {
         names_md.push_str(&format!("- {entry}\n"));
     }
     std::fs::write(root.join("OBS_NAMES.md"), names_md)
+}
+
+/// Lints in-memory `(path, source)` fixtures under `cfg` and keeps the
+/// findings of `rules`: the rule modules' tests run the whole lint.
+#[cfg(test)]
+pub(crate) fn fixture_findings(
+    files: &[(&str, &str)],
+    cfg: &LintConfig,
+    rules: &[&str],
+) -> Vec<Finding> {
+    let files: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::new(*p, *s)).collect();
+    let mut report = lint_files(&files, cfg, &Inventories::default());
+    report.findings.retain(|f| rules.contains(&f.rule.as_str()));
+    report.findings
+}
+
+/// The workspace config with the lock fixtures' `serve/src/registry.rs`
+/// order: its `inner` mutex (also taken through a `self.lock()` helper)
+/// before a model's.
+#[cfg(test)]
+pub(crate) fn lock_fixture_config() -> LintConfig {
+    const REGISTRY: &str = "crates/serve/src/registry.rs";
+    let mut cfg = LintConfig::workspace();
+    cfg.lock_order = vec![
+        "serve.registry.inner".into(),
+        "core.forecaster.model".into(),
+    ];
+    cfg.lock_aliases.extend([
+        LockAlias::new(REGISTRY, &["inner", "self"], "serve.registry.inner"),
+        LockAlias::new(REGISTRY, &["model"], "core.forecaster.model"),
+    ]);
+    cfg
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! graph over-approximates or counts unresolved, never a crash.
 
 use crate::context::FileCx;
-use crate::lexer::{Kind, Tok};
+use crate::lexer::Kind;
 
 /// One `fn` item: its identity, signature surface and body span.
 #[derive(Debug, Clone)]
@@ -91,9 +91,38 @@ pub const KEYWORDS: &[&str] = &[
 
 /// Parses the file's items. Single forward pass over the code tokens with
 /// a scope stack; expression braces inside bodies are tracked only for
-/// depth.
-pub fn parse(cx: &FileCx) -> FileItems {
+/// depth. [`FileCx::new`] is the one caller: read `cx.items`.
+pub(crate) fn parse(cx: &FileCx) -> FileItems {
     Parser::new(cx).run()
+}
+
+/// The path a type at `pos` names, past any `&` / `*` / lifetime / `mut`
+/// / `dyn` / `impl` / `const` prefix: its last segment before any wrapper
+/// stripping (`&std::sync::MutexGuard<…>` → `MutexGuard`) and the
+/// position just past it, or `Err` with the position of whatever else
+/// starts the type.
+pub(crate) fn type_path(cx: &FileCx, mut pos: usize) -> Result<(String, usize), usize> {
+    loop {
+        match (cx.kind_at(pos), cx.text_at(pos)) {
+            (Some(Kind::Punct), "&" | "*") | (Some(Kind::Lifetime), _) => pos += 1,
+            (Some(Kind::Ident), "mut" | "dyn" | "impl" | "const") => pos += 1,
+            _ => break,
+        }
+    }
+    if cx.kind_at(pos) != Some(Kind::Ident) {
+        return Err(pos);
+    }
+    let mut head = cx.text_at(pos);
+    pos += 1;
+    while cx.is_punct2(pos, ":", ":") {
+        pos += 2;
+        if cx.kind_at(pos) != Some(Kind::Ident) {
+            break;
+        }
+        head = cx.text_at(pos);
+        pos += 1;
+    }
+    Ok((head.to_string(), pos))
 }
 
 struct Parser<'a, 'b> {
@@ -115,32 +144,10 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
     }
 
-    fn tok(&self, pos: usize) -> Option<&Tok> {
-        self.cx.code.get(pos).map(|&i| &self.cx.toks[i])
-    }
-
-    fn text(&self, pos: usize) -> &str {
-        self.tok(pos).map_or("", |t| t.text(&self.cx.file.text))
-    }
-
-    fn is_punct(&self, pos: usize, p: &str) -> bool {
-        self.tok(pos)
-            .is_some_and(|t| t.kind == Kind::Punct && t.text(&self.cx.file.text) == p)
-    }
-
-    /// Two adjacent punct bytes (`::`, `->`) with no gap between them.
-    fn is_punct2(&self, pos: usize, a: &str, b: &str) -> bool {
-        self.is_punct(pos, a)
-            && self.is_punct(pos + 1, b)
-            && self.tok(pos).map(|t| t.end) == self.tok(pos + 1).map(|t| t.start)
-    }
-
     fn run(mut self) -> FileItems {
         let mut pos = 0usize;
         while pos < self.cx.code.len() {
-            let kind = self.tok(pos).map(|t| t.kind);
-            let text = self.text(pos).to_string();
-            match (kind, text.as_str()) {
+            match (self.cx.kind_at(pos), self.cx.text_at(pos)) {
                 (Some(Kind::Ident), "fn") => pos = self.parse_fn(pos),
                 (Some(Kind::Ident), "impl") => pos = self.parse_impl_header(pos),
                 (Some(Kind::Ident), "trait") => pos = self.parse_trait_header(pos),
@@ -166,104 +173,24 @@ impl<'a, 'b> Parser<'a, 'b> {
         self.out
     }
 
-    /// Skips a balanced `<…>` generics run starting at `pos` (which must
-    /// sit on `<`). `->` arrows and `>>` closers are handled; returns the
-    /// position just past the closing `>`.
-    fn skip_generics(&self, mut pos: usize) -> usize {
-        debug_assert!(self.is_punct(pos, "<"));
-        let mut depth = 0usize;
-        while pos < self.cx.code.len() {
-            if self.is_punct(pos, "<") {
-                depth += 1;
-            } else if self.is_punct(pos, ">") {
-                // `->` inside a generic `Fn() -> T` bound is not a closer.
-                let arrow = pos > 0 && self.is_punct2(pos - 1, "-", ">");
-                if !arrow {
-                    depth -= 1;
-                    if depth == 0 {
-                        return pos + 1;
-                    }
-                }
-            } else if self.is_punct(pos, "(") || self.is_punct(pos, "[") {
-                pos = self.skip_balanced(pos);
-                continue;
-            }
-            pos += 1;
-        }
-        pos
-    }
-
-    /// Skips a balanced `(…)` / `[…]` / `{…}` group starting at its opener;
-    /// returns the position just past the closer.
-    fn skip_balanced(&self, start: usize) -> usize {
-        let (open, close) = match self.text(start) {
-            "(" => ("(", ")"),
-            "[" => ("[", "]"),
-            "{" => ("{", "}"),
-            _ => return start + 1,
-        };
-        let mut depth = 0usize;
-        let mut pos = start;
-        while pos < self.cx.code.len() {
-            if self.is_punct(pos, open) {
-                depth += 1;
-            } else if self.is_punct(pos, close) {
-                depth -= 1;
-                if depth == 0 {
-                    return pos + 1;
-                }
-            }
-            pos += 1;
-        }
-        pos
-    }
-
     /// Parses a type starting at `pos`, returning its head name (the
     /// workspace-relevant identifier after stripping references, `mut`,
     /// `dyn`/`impl`, and deref-transparent wrappers) and the position just
     /// past the type. Returns `None` for heads we cannot or do not want to
     /// name (tuples, slices, fn pointers, primitives stay `Some` — the
     /// symbol table simply won't know them).
-    fn parse_type(&self, mut pos: usize) -> (Option<String>, usize) {
-        loop {
-            if self.is_punct(pos, "&") || self.is_punct(pos, "*") {
-                pos += 1;
-                continue;
-            }
-            match self.tok(pos).map(|t| t.kind) {
-                Some(Kind::Lifetime) => {
-                    pos += 1;
-                    continue;
-                }
-                Some(Kind::Ident) if matches!(self.text(pos), "mut" | "dyn" | "impl" | "const") => {
-                    pos += 1;
-                    continue;
-                }
-                _ => break,
-            }
-        }
-        if self.is_punct(pos, "(") || self.is_punct(pos, "[") {
+    fn parse_type(&self, pos: usize) -> (Option<String>, usize) {
+        let (head, mut pos) = match type_path(self.cx, pos) {
+            Ok(path) => path,
             // Tuple / slice / array type: no single head.
-            return (None, self.skip_balanced(pos));
-        }
-        if self.tok(pos).map(|t| t.kind) != Some(Kind::Ident) {
-            return (None, pos + 1);
-        }
-        // Walk the path `a::b::C`, remembering the last segment.
-        let mut head = self.text(pos).to_string();
-        pos += 1;
-        while self.is_punct2(pos, ":", ":") {
-            pos += 2;
-            if self.tok(pos).map(|t| t.kind) == Some(Kind::Ident) {
-                head = self.text(pos).to_string();
-                pos += 1;
-            } else {
-                break;
+            Err(at) if self.cx.is_punct(at, "(") || self.cx.is_punct(at, "[") => {
+                return (None, self.cx.skip_group(at))
             }
-        }
-        if self.is_punct(pos, "<") {
+            Err(at) => return (None, at + 1),
+        };
+        if self.cx.is_punct(pos, "<") {
             let inner_start = pos + 1;
-            pos = self.skip_generics(pos);
+            pos = self.cx.skip_group(pos);
             if DEREF_TRANSPARENT.contains(&head.as_str()) {
                 // `Arc<Mutex<T>>` → `T`; `MutexGuard<'a, T>` → `T`
                 // (lifetimes are skipped, the *last* argument is the
@@ -284,39 +211,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         (Some(head), pos)
     }
 
-    /// Last path identifier of the type at `pos`, before any wrapper
-    /// stripping — `std::sync::MutexGuard<…>` → `MutexGuard`.
-    fn raw_head(&self, mut pos: usize) -> Option<String> {
-        loop {
-            if self.is_punct(pos, "&") || self.is_punct(pos, "*") {
-                pos += 1;
-                continue;
-            }
-            match self.tok(pos).map(|t| t.kind) {
-                Some(Kind::Lifetime) => pos += 1,
-                Some(Kind::Ident) if matches!(self.text(pos), "mut" | "dyn" | "impl" | "const") => {
-                    pos += 1
-                }
-                _ => break,
-            }
-        }
-        if self.tok(pos).map(|t| t.kind) != Some(Kind::Ident) {
-            return None;
-        }
-        let mut head = self.text(pos).to_string();
-        pos += 1;
-        while self.is_punct2(pos, ":", ":") {
-            pos += 2;
-            if self.tok(pos).map(|t| t.kind) == Some(Kind::Ident) {
-                head = self.text(pos).to_string();
-                pos += 1;
-            } else {
-                break;
-            }
-        }
-        Some(head)
-    }
-
     /// Head of the last top-level type argument in `code[[start, end))` —
     /// the payload of a deref-transparent wrapper.
     fn last_generic_arg_head(&self, start: usize, end: usize) -> Option<String> {
@@ -324,14 +218,14 @@ impl<'a, 'b> Parser<'a, 'b> {
         let mut pos = start;
         let mut depth = 0usize;
         while pos < end {
-            if self.is_punct(pos, "<") && !(pos > 0 && self.is_punct2(pos - 1, "-", ">")) {
+            if self.cx.is_punct(pos, "<") && !(pos > 0 && self.cx.is_punct2(pos - 1, "-", ">")) {
                 depth += 1;
-            } else if self.is_punct(pos, ">") && !self.is_punct2(pos - 1, "-", ">") {
+            } else if self.cx.is_punct(pos, ">") && !self.cx.is_punct2(pos - 1, "-", ">") {
                 depth = depth.saturating_sub(1);
-            } else if self.is_punct(pos, "(") || self.is_punct(pos, "[") {
-                pos = self.skip_balanced(pos);
+            } else if self.cx.is_punct(pos, "(") || self.cx.is_punct(pos, "[") {
+                pos = self.cx.skip_group(pos);
                 continue;
-            } else if self.is_punct(pos, ",") && depth == 0 {
+            } else if self.cx.is_punct(pos, ",") && depth == 0 {
                 arg_start = pos + 1;
             }
             pos += 1;
@@ -342,15 +236,12 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     fn parse_fn(&mut self, fn_pos: usize) -> usize {
-        let Some(name_tok) = self.tok(fn_pos + 1) else {
-            return fn_pos + 1;
-        };
-        if name_tok.kind != Kind::Ident {
+        if self.cx.kind_at(fn_pos + 1) != Some(Kind::Ident) {
             // `fn(usize) -> T` function-pointer type position.
             return fn_pos + 1;
         }
-        let name = name_tok.text(&self.cx.file.text).to_string();
-        let line = self.tok(fn_pos).map_or(0, |t| t.line);
+        let name = self.cx.text_at(fn_pos + 1).to_string();
+        let line = self.cx.line_at(fn_pos);
         let is_test = self.cx.is_test(self.cx.code[fn_pos]);
         let (self_ty, trait_ty) = self
             .impls
@@ -359,29 +250,30 @@ impl<'a, 'b> Parser<'a, 'b> {
             .unwrap_or((None, None));
 
         let mut pos = fn_pos + 2;
-        if self.is_punct(pos, "<") {
-            pos = self.skip_generics(pos);
+        if self.cx.is_punct(pos, "<") {
+            pos = self.cx.skip_group(pos);
         }
         let mut params = Vec::new();
-        if self.is_punct(pos, "(") {
-            let close = self.skip_balanced(pos);
+        if self.cx.is_punct(pos, "(") {
+            let close = self.cx.skip_group(pos);
             params = self.parse_params(pos + 1, close - 1, self_ty.as_deref());
             pos = close;
         }
         let mut ret = None;
         let mut ret_raw = None;
-        if self.is_punct2(pos, "-", ">") {
-            ret_raw = self.raw_head(pos + 2);
+        if self.cx.is_punct2(pos, "-", ">") {
+            ret_raw = type_path(self.cx, pos + 2).ok().map(|(head, _)| head);
             let (head, after) = self.parse_type(pos + 2);
             ret = head;
             pos = after;
         }
         // Skip a `where` clause: runs to the body `{` or a `;`.
-        while pos < self.cx.code.len() && !self.is_punct(pos, "{") && !self.is_punct(pos, ";") {
+        while pos < self.cx.code.len() && !self.cx.is_punct(pos, "{") && !self.cx.is_punct(pos, ";")
+        {
             pos += 1;
         }
-        let body = if self.is_punct(pos, "{") {
-            let end = self.skip_balanced(pos);
+        let body = if self.cx.is_punct(pos, "{") {
+            let end = self.cx.skip_group(pos);
             Some((pos, end - 1))
         } else {
             None
@@ -414,37 +306,40 @@ impl<'a, 'b> Parser<'a, 'b> {
         // `self: Arc<Self>`).
         let mut scan = pos;
         while scan < end
-            && (self.is_punct(scan, "&")
-                || self.tok(scan).map(|t| t.kind) == Some(Kind::Lifetime)
-                || self.text(scan) == "mut")
+            && (self.cx.is_punct(scan, "&")
+                || self.cx.kind_at(scan) == Some(Kind::Lifetime)
+                || self.cx.text_at(scan) == "mut")
         {
             scan += 1;
         }
-        if scan < end && self.text(scan) == "self" {
+        if scan < end && self.cx.text_at(scan) == "self" {
             params.push(("self".to_string(), self_ty.map(str::to_string)));
             pos = scan + 1;
         }
         // Each further param: `name: Type` at group depth 0.
         let depth = 0usize;
         while pos < end {
-            if self.is_punct(pos, "(") || self.is_punct(pos, "[") || self.is_punct(pos, "{") {
-                pos = self.skip_balanced(pos);
+            if self.cx.is_punct(pos, "(")
+                || self.cx.is_punct(pos, "[")
+                || self.cx.is_punct(pos, "{")
+            {
+                pos = self.cx.skip_group(pos);
                 continue;
             }
-            if self.is_punct(pos, "<") {
-                pos = self.skip_generics(pos);
+            if self.cx.is_punct(pos, "<") {
+                pos = self.cx.skip_group(pos);
                 continue;
             }
-            if self.is_punct(pos, ",") && depth == 0 {
+            if self.cx.is_punct(pos, ",") && depth == 0 {
                 pos += 1;
                 continue;
             }
             // `name :` (single colon — `::` is a path) opens a type.
-            if self.tok(pos).map(|t| t.kind) == Some(Kind::Ident)
-                && self.is_punct(pos + 1, ":")
-                && !self.is_punct2(pos + 1, ":", ":")
+            if self.cx.kind_at(pos) == Some(Kind::Ident)
+                && self.cx.is_punct(pos + 1, ":")
+                && !self.cx.is_punct2(pos + 1, ":", ":")
             {
-                let pname = self.text(pos).to_string();
+                let pname = self.cx.text_at(pos).to_string();
                 let (head, after) = self.parse_type(pos + 2);
                 if !KEYWORDS.contains(&pname.as_str()) {
                     params.push((pname, head));
@@ -460,12 +355,12 @@ impl<'a, 'b> Parser<'a, 'b> {
 
     fn parse_impl_header(&mut self, impl_pos: usize) -> usize {
         let mut pos = impl_pos + 1;
-        if self.is_punct(pos, "<") {
-            pos = self.skip_generics(pos);
+        if self.cx.is_punct(pos, "<") {
+            pos = self.cx.skip_group(pos);
         }
         let (first, after) = self.parse_type(pos);
         pos = after;
-        let (self_ty, trait_ty) = if self.text(pos) == "for" {
+        let (self_ty, trait_ty) = if self.cx.text_at(pos) == "for" {
             let (target, after) = self.parse_type(pos + 1);
             pos = after;
             (target, first)
@@ -473,10 +368,11 @@ impl<'a, 'b> Parser<'a, 'b> {
             (first, None)
         };
         // Run to the opening brace (skipping any `where` clause).
-        while pos < self.cx.code.len() && !self.is_punct(pos, "{") && !self.is_punct(pos, ";") {
+        while pos < self.cx.code.len() && !self.cx.is_punct(pos, "{") && !self.cx.is_punct(pos, ";")
+        {
             pos += 1;
         }
-        if self.is_punct(pos, "{") {
+        if self.cx.is_punct(pos, "{") {
             self.depth += 1;
             self.impls.push((self_ty, trait_ty, self.depth));
             return pos + 1;
@@ -485,23 +381,21 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     fn parse_trait_header(&mut self, trait_pos: usize) -> usize {
-        let Some(name_tok) = self.tok(trait_pos + 1) else {
-            return trait_pos + 1;
-        };
-        if name_tok.kind != Kind::Ident {
+        if self.cx.kind_at(trait_pos + 1) != Some(Kind::Ident) {
             return trait_pos + 1;
         }
-        let name = name_tok.text(&self.cx.file.text).to_string();
+        let name = self.cx.text_at(trait_pos + 1).to_string();
         self.out.traits.push(name.clone());
         let mut pos = trait_pos + 2;
-        while pos < self.cx.code.len() && !self.is_punct(pos, "{") && !self.is_punct(pos, ";") {
-            if self.is_punct(pos, "<") {
-                pos = self.skip_generics(pos);
+        while pos < self.cx.code.len() && !self.cx.is_punct(pos, "{") && !self.cx.is_punct(pos, ";")
+        {
+            if self.cx.is_punct(pos, "<") {
+                pos = self.cx.skip_group(pos);
                 continue;
             }
             pos += 1;
         }
-        if self.is_punct(pos, "{") {
+        if self.cx.is_punct(pos, "{") {
             self.depth += 1;
             self.impls.push((None, Some(name), self.depth));
             return pos + 1;
@@ -510,34 +404,31 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     fn parse_struct(&mut self, struct_pos: usize) -> usize {
-        let Some(name_tok) = self.tok(struct_pos + 1) else {
-            return struct_pos + 1;
-        };
-        if name_tok.kind != Kind::Ident {
+        if self.cx.kind_at(struct_pos + 1) != Some(Kind::Ident) {
             return struct_pos + 1;
         }
-        let name = name_tok.text(&self.cx.file.text).to_string();
+        let name = self.cx.text_at(struct_pos + 1).to_string();
         let mut pos = struct_pos + 2;
-        if self.is_punct(pos, "<") {
-            pos = self.skip_generics(pos);
+        if self.cx.is_punct(pos, "<") {
+            pos = self.cx.skip_group(pos);
         }
         while pos < self.cx.code.len()
-            && !self.is_punct(pos, "{")
-            && !self.is_punct(pos, ";")
-            && !self.is_punct(pos, "(")
+            && !self.cx.is_punct(pos, "{")
+            && !self.cx.is_punct(pos, ";")
+            && !self.cx.is_punct(pos, "(")
         {
             pos += 1;
         }
         let mut fields = Vec::new();
-        if self.is_punct(pos, "{") {
-            let close = self.skip_balanced(pos);
+        if self.cx.is_punct(pos, "{") {
+            let close = self.cx.skip_group(pos);
             let mut p = pos + 1;
             while p < close - 1 {
-                if self.tok(p).map(|t| t.kind) == Some(Kind::Ident)
-                    && self.is_punct(p + 1, ":")
-                    && !self.is_punct2(p + 1, ":", ":")
+                if self.cx.kind_at(p) == Some(Kind::Ident)
+                    && self.cx.is_punct(p + 1, ":")
+                    && !self.cx.is_punct2(p + 1, ":", ":")
                 {
-                    let fname = self.text(p).to_string();
+                    let fname = self.cx.text_at(p).to_string();
                     let (head, after) = self.parse_type(p + 2);
                     if !KEYWORDS.contains(&fname.as_str()) {
                         fields.push((fname, head));
@@ -546,14 +437,16 @@ impl<'a, 'b> Parser<'a, 'b> {
                     p = after;
                     let mut d = 0usize;
                     while p < close - 1 {
-                        if self.is_punct(p, "<") && !self.is_punct2(p.wrapping_sub(1), "-", ">") {
+                        if self.cx.is_punct(p, "<")
+                            && !self.cx.is_punct2(p.wrapping_sub(1), "-", ">")
+                        {
                             d += 1;
-                        } else if self.is_punct(p, ">") {
+                        } else if self.cx.is_punct(p, ">") {
                             d = d.saturating_sub(1);
-                        } else if self.is_punct(p, "(") || self.is_punct(p, "[") {
-                            p = self.skip_balanced(p);
+                        } else if self.cx.is_punct(p, "(") || self.cx.is_punct(p, "[") {
+                            p = self.cx.skip_group(p);
                             continue;
-                        } else if self.is_punct(p, ",") && d == 0 {
+                        } else if self.cx.is_punct(p, ",") && d == 0 {
                             break;
                         }
                         p += 1;
@@ -564,9 +457,9 @@ impl<'a, 'b> Parser<'a, 'b> {
             self.out.types.push(TypeItem { name, fields });
             return close;
         }
-        if self.is_punct(pos, "(") {
+        if self.cx.is_punct(pos, "(") {
             // Tuple struct: fields are positional, skip them.
-            let close = self.skip_balanced(pos);
+            let close = self.cx.skip_group(pos);
             self.out.types.push(TypeItem { name, fields });
             return close;
         }
@@ -575,26 +468,24 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     fn parse_enum(&mut self, enum_pos: usize) -> usize {
-        let Some(name_tok) = self.tok(enum_pos + 1) else {
-            return enum_pos + 1;
-        };
-        if name_tok.kind != Kind::Ident {
+        if self.cx.kind_at(enum_pos + 1) != Some(Kind::Ident) {
             return enum_pos + 1;
         }
-        let name = name_tok.text(&self.cx.file.text).to_string();
+        let name = self.cx.text_at(enum_pos + 1).to_string();
         self.out.types.push(TypeItem {
             name,
             fields: Vec::new(),
         });
         let mut pos = enum_pos + 2;
-        if self.is_punct(pos, "<") {
-            pos = self.skip_generics(pos);
+        if self.cx.is_punct(pos, "<") {
+            pos = self.cx.skip_group(pos);
         }
-        while pos < self.cx.code.len() && !self.is_punct(pos, "{") && !self.is_punct(pos, ";") {
+        while pos < self.cx.code.len() && !self.cx.is_punct(pos, "{") && !self.cx.is_punct(pos, ";")
+        {
             pos += 1;
         }
-        if self.is_punct(pos, "{") {
-            return self.skip_balanced(pos);
+        if self.cx.is_punct(pos, "{") {
+            return self.cx.skip_group(pos);
         }
         pos + 1
     }
@@ -605,7 +496,7 @@ impl<'a, 'b> Parser<'a, 'b> {
             return use_pos + 1;
         }
         let mut end = use_pos + 1;
-        while end < self.cx.code.len() && !self.is_punct(end, ";") {
+        while end < self.cx.code.len() && !self.cx.is_punct(end, ";") {
             end += 1;
         }
         let mut prefix = Vec::new();
@@ -619,21 +510,16 @@ impl<'a, 'b> Parser<'a, 'b> {
         let mut aliased = false;
         let mut pos = start;
         while pos < end {
-            match (self.tok(pos).map(|t| t.kind), self.text(pos)) {
-                (Some(Kind::Ident), "as") => {
-                    if let Some(alias_tok) = self.tok(pos + 1) {
-                        if alias_tok.kind == Kind::Ident {
-                            let alias = alias_tok.text(&self.cx.file.text).to_string();
-                            self.out.uses.push((alias, prefix.clone()));
-                            // `as` renames: the original last segment gets
-                            // no default alias of its own.
-                            aliased = true;
-                            pos += 2;
-                            continue;
-                        }
-                    }
-                    pos += 1;
+            match (self.cx.kind_at(pos), self.cx.text_at(pos)) {
+                (Some(Kind::Ident), "as") if self.cx.kind_at(pos + 1) == Some(Kind::Ident) => {
+                    let alias = self.cx.text_at(pos + 1).to_string();
+                    self.out.uses.push((alias, prefix.clone()));
+                    // `as` renames: the original last segment gets no
+                    // default alias of its own.
+                    aliased = true;
+                    pos += 2;
                 }
+                (Some(Kind::Ident), "as") => pos += 1,
                 (Some(Kind::Ident), "self") => {
                     // `use a::b::{self, c}` — `self` aliases `b`.
                     if let Some(last) = prefix.last().cloned() {
@@ -648,7 +534,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                 }
                 (Some(Kind::Punct), ":") => pos += 1,
                 (Some(Kind::Punct), "{") => {
-                    let close = self.skip_balanced(pos);
+                    let close = self.cx.skip_group(pos);
                     let sub = prefix.clone();
                     self.collect_use_group(pos + 1, close - 1, &sub);
                     // The group terminates this branch.
@@ -684,14 +570,14 @@ impl<'a, 'b> Parser<'a, 'b> {
         let mut pos = start;
         while pos <= end {
             let at_end = pos == end;
-            if at_end || self.is_punct(pos, ",") {
+            if at_end || self.cx.is_punct(pos, ",") {
                 if item_start < pos {
                     let mut sub = prefix.to_vec();
                     self.collect_use_tree(item_start, pos, &mut sub);
                 }
                 item_start = pos + 1;
-            } else if self.is_punct(pos, "{") {
-                pos = self.skip_balanced(pos);
+            } else if self.cx.is_punct(pos, "{") {
+                pos = self.cx.skip_group(pos);
                 continue;
             }
             pos += 1;
@@ -705,9 +591,7 @@ mod tests {
     use crate::context::SourceFile;
 
     fn parse_src(src: &str) -> FileItems {
-        let file = SourceFile::new("crates/x/src/lib.rs", src);
-        let cx = FileCx::new(&file);
-        parse(&cx)
+        FileCx::new(&SourceFile::new("crates/x/src/lib.rs", src)).items
     }
 
     #[test]
@@ -829,8 +713,7 @@ mod tests {
         let src = "fn a() { inner(); }\nfn b() {}";
         let file = SourceFile::new("crates/x/src/lib.rs", src);
         let cx = FileCx::new(&file);
-        let items = parse(&cx);
-        let (open, close) = items.fns[0].body.unwrap();
+        let (open, close) = cx.items.fns[0].body.unwrap();
         assert_eq!(cx.toks[cx.code[open]].text(src), "{");
         assert_eq!(cx.toks[cx.code[close]].text(src), "}");
         // `inner` sits inside fn a's body span.

@@ -74,28 +74,11 @@ pub fn check(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::context::{FileCx, SourceFile};
-    use crate::parser::{self, FileItems};
-    use crate::symtab::SymTab;
-    use crate::LintConfig;
+    use crate::report::Finding;
+    use crate::{fixture_findings, LintConfig};
 
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
-        let sources: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::new(*p, *s)).collect();
-        let cxs: Vec<FileCx> = sources.iter().map(FileCx::new).collect();
-        let mut ledgers: Vec<(String, AllowLedger)> = cxs
-            .iter()
-            .map(|cx| (cx.file.rel_path.clone(), AllowLedger::new(&cx.allows)))
-            .collect();
-        let parsed: Vec<(String, FileItems)> = cxs
-            .iter()
-            .map(|cx| (cx.file.rel_path.clone(), parser::parse(cx)))
-            .collect();
-        let tab = SymTab::build(&parsed);
-        let g = CallGraph::build(&cxs, &parsed, tab, &LintConfig::workspace());
-        let mut out = Vec::new();
-        check(&g, &LintConfig::workspace(), &mut ledgers, &mut out);
-        out
+        fixture_findings(files, &LintConfig::workspace(), &["blocking"])
     }
 
     const ENGINE: &str = "crates/serve/src/engine.rs";

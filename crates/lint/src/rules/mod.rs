@@ -1,8 +1,9 @@
-//! The rule engines. `unsafe_audit`, `names` and the intra-fn half of
-//! `locks` walk one [`crate::context::FileCx`]; `determinism`,
-//! `panic_path`, `blocking` and the cross-fn half of `locks` are
-//! reachability analyses over the [`crate::graph::CallGraph`] built in
-//! [`crate::lint_files`] once every file is scanned.
+//! The rule engines. `unsafe_audit` and `names` walk one
+//! [`crate::context::FileCx`]; `determinism`, `panic_path`, `blocking`
+//! and `locks` read the [`crate::graph::CallGraph`] built in
+//! [`crate::lint_files`] once every file is scanned — the first three as
+//! reachability analyses, `locks` from the per-fn lock facts and the
+//! held locks at each call.
 
 pub mod blocking;
 pub mod determinism;

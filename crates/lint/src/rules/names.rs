@@ -49,11 +49,11 @@ pub fn extract(cx: &FileCx, cfg: &LintConfig, names: &mut Vec<ObsName>) {
             continue;
         }
         let text = cx.text(tok);
-        let prev = pos.checked_sub(1).map(|p| cx.text(&cx.toks[cx.code[p]]));
-        let next = cx.code.get(pos + 1).map(|&n| cx.text(&cx.toks[n]));
-        let kind = if METRIC_METHODS.contains(&text) && prev == Some(".") && next == Some("(") {
+        let prev = pos.checked_sub(1).map_or("", |p| cx.text_at(p));
+        let next = cx.text_at(pos + 1);
+        let kind = if METRIC_METHODS.contains(&text) && prev == "." && next == "(" {
             text
-        } else if text == "span" && next == Some("!") {
+        } else if text == "span" && next == "!" {
             "span"
         } else {
             continue;
@@ -74,7 +74,7 @@ pub fn extract(cx: &FileCx, cfg: &LintConfig, names: &mut Vec<ObsName>) {
 fn first_string_in_call(cx: &FileCx, pos: usize) -> Option<(String, u32)> {
     let mut d = pos;
     // Walk to the opening paren (skips the `!` of `span!(`).
-    while d < cx.code.len() && cx.text(&cx.toks[cx.code[d]]) != "(" {
+    while d < cx.code.len() && cx.text_at(d) != "(" {
         d += 1;
     }
     let mut depth = 0usize;

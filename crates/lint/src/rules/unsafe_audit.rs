@@ -40,11 +40,10 @@ pub fn check(cx: &FileCx, out: &mut Vec<Finding>, sites: &mut Vec<UnsafeSite>) {
             continue;
         }
         // What kind of site is it? (purely for the inventory context)
-        let next = cx.code.get(pos + 1).map(|&n| cx.text(&cx.toks[n]));
-        let flavor = match next {
-            Some("impl") => "unsafe impl",
-            Some("fn") => "unsafe fn",
-            Some("{") => "unsafe block",
+        let flavor = match cx.text_at(pos + 1) {
+            "impl" => "unsafe impl",
+            "fn" => "unsafe fn",
+            "{" => "unsafe block",
             _ => "unsafe",
         };
         let context = match cx.enclosing_fn(i) {
@@ -174,6 +173,16 @@ mod tests {
         );
         assert!(out.is_empty());
         assert_eq!(sites[0].summary, "caller guarantees p is valid for reads.");
+    }
+
+    #[test]
+    fn array_return_type_keeps_the_enclosing_fn() {
+        // The `;` of `[i32; 4]` is not a bodyless declaration's `;`.
+        let (out, sites) = run(
+            "fn dots(w: &[i16]) -> [i32; 4] {\n    // SAFETY: the caller checked SSE2.\n    unsafe { kernel(w) }\n}",
+        );
+        assert!(out.is_empty());
+        assert_eq!(sites[0].context, "unsafe block in dots");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! target non-workspace code (std paths, receivers typed to foreign
 //! types, constructors) resolve to nothing.
 
-use crate::parser::{FileItems, FnItem};
+use crate::context::FileCx;
+use crate::parser::FnItem;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Index of one fn in [`SymTab::fns`] — the node id of the call graph.
@@ -99,11 +100,11 @@ pub fn module_path(rel_path: &str) -> Vec<String> {
 }
 
 impl SymTab {
-    /// Builds the table from per-file parse results (parallel to the
-    /// scanned file list).
-    pub fn build(files: &[(String, FileItems)]) -> Self {
+    /// Builds the table from the scanned files' parsed items.
+    pub fn build(cxs: &[FileCx]) -> Self {
         let mut tab = SymTab::default();
-        for (file_idx, (rel_path, items)) in files.iter().enumerate() {
+        for (file_idx, cx) in cxs.iter().enumerate() {
+            let (rel_path, items) = (&cx.file.rel_path, &cx.items);
             let module = module_path(rel_path);
             for t in &items.types {
                 tab.types.insert(t.name.clone());
@@ -277,19 +278,11 @@ impl SymTab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{FileCx, SourceFile};
-    use crate::parser;
+    use crate::context::SourceFile;
 
     fn build(files: &[(&str, &str)]) -> SymTab {
-        let parsed: Vec<(String, FileItems)> = files
-            .iter()
-            .map(|(path, src)| {
-                let file = SourceFile::new(*path, *src);
-                let cx = FileCx::new(&file);
-                (path.to_string(), parser::parse(&cx))
-            })
-            .collect();
-        SymTab::build(&parsed)
+        let sources: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::new(*p, *s)).collect();
+        SymTab::build(&sources.iter().map(FileCx::new).collect::<Vec<_>>())
     }
 
     #[test]

@@ -6,8 +6,6 @@
 use pop_lint::context::{FileCx, SourceFile};
 use pop_lint::graph::{CallGraph, Verdict};
 use pop_lint::lexer::{lex, Kind};
-use pop_lint::parser;
-use pop_lint::symtab::SymTab;
 use pop_lint::LintConfig;
 use proptest::prelude::*;
 
@@ -34,7 +32,7 @@ proptest! {
     /// Hostile-but-structured fragments (the shapes that trip hand-rolled
     /// lexers: unterminated strings, nested comment openers, stray
     /// quotes) also lex totally, and the whole FileCx front end — test
-    /// marking, fn mapping, allow collection — survives them.
+    /// marking, allow collection, item parsing — survives them.
     #[test]
     fn front_end_never_panics_on_fragment_soup(picks in collection::vec(0usize..12, 12)) {
         const FRAGMENTS: [&str; 12] = [
@@ -48,8 +46,7 @@ proptest! {
             .collect::<Vec<_>>()
             .join("\n");
         let file = SourceFile::new("crates/x/src/soup.rs", src);
-        let cx = FileCx::new(&file);
-        let _ = parser::parse(&cx); // must not panic either
+        let _ = FileCx::new(&file);
     }
 
     /// Round trip: a generated stream of `n` fns — each padded with a
@@ -86,18 +83,15 @@ proptest! {
         }
 
         let file = SourceFile::new("crates/x/src/gen.rs", src);
-        let cx = FileCx::new(&file);
-        let parsed = vec![(cx.file.rel_path.clone(), parser::parse(&cx))];
-        prop_assert_eq!(parsed[0].1.fns.len(), n, "every fn recovered");
-        for (i, f) in parsed[0].1.fns.iter().enumerate() {
+        let cxs = vec![FileCx::new(&file)];
+        prop_assert_eq!(cxs[0].items.fns.len(), n, "every fn recovered");
+        for (i, f) in cxs[0].items.fns.iter().enumerate() {
             prop_assert_eq!(&f.name, &name(i));
             prop_assert_eq!(f.line, expected_lines[i], "fn {} line", f.name);
             prop_assert!(f.body.is_some(), "fn {} body span", f.name);
         }
 
-        let tab = SymTab::build(&parsed);
-        let cxs = vec![FileCx::new(&file)];
-        let g = CallGraph::build(&cxs, &parsed, tab, &LintConfig::workspace());
+        let g = CallGraph::build(&cxs, &LintConfig::workspace());
         for (i, &caller_line) in expected_lines.iter().enumerate().take(n - 1) {
             let callee = name(i + 1);
             let call = g.nodes[i]

@@ -3,7 +3,7 @@
 //! must fail the lint (proving the CI gate is live, not vacuous).
 
 use pop_lint::context::SourceFile;
-use pop_lint::{lint_files, read_inventories, run_workspace, LintConfig};
+use pop_lint::{lint_files, read_inventories, run_workspace, run_workspace_graph, LintConfig};
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -40,11 +40,60 @@ fn every_scoped_path_exists() {
         .panic_files
         .iter()
         .chain(config.hot_loop_roots.iter().map(|(file, _)| file))
-        .chain(&config.lock_prefixes);
+        .chain(&config.lock_prefixes)
+        .chain(config.lock_aliases.iter().map(|a| &a.file_suffix));
     let missing: Vec<&String> = scoped.filter(|p| !root.join(p).exists()).collect();
     assert!(
         missing.is_empty(),
         "scoped paths that do not exist: {missing:?}"
+    );
+}
+
+#[test]
+fn every_declared_lock_is_taken() {
+    // A lock order over names no acquisition produces checks nothing: the
+    // config must describe the workspace's actual mutexes, each of them.
+    let config = LintConfig::workspace();
+    let (_, graph) = run_workspace_graph(&workspace_root()).expect("scan succeeds");
+    let acquisitions: Vec<(&str, &str)> = graph
+        .tab
+        .fns
+        .iter()
+        .zip(&graph.nodes)
+        .flat_map(|(def, node)| {
+            let file = def.file.as_str();
+            node.facts
+                .lock_acquires
+                .iter()
+                .map(move |(lock, _)| (file, lock.as_str()))
+        })
+        .filter(|(file, _)| config.in_lock_scope(file))
+        .collect();
+    let untaken: Vec<&String> = config
+        .lock_order
+        .iter()
+        .filter(|l| !acquisitions.iter().any(|(_, a)| a == l))
+        .collect();
+    assert!(
+        untaken.is_empty(),
+        "declared locks nothing acquires: {untaken:?}"
+    );
+    let undeclared: Vec<&(&str, &str)> = acquisitions
+        .iter()
+        .filter(|(_, a)| !config.lock_order.iter().any(|l| l == a))
+        .collect();
+    assert!(
+        undeclared.is_empty(),
+        "acquisitions outside the lock order: {undeclared:?}"
+    );
+    let empty: Vec<&String> = config
+        .lock_prefixes
+        .iter()
+        .filter(|p| !acquisitions.iter().any(|(f, _)| f.starts_with(p.as_str())))
+        .collect();
+    assert!(
+        empty.is_empty(),
+        "lock prefixes without an acquisition: {empty:?}"
     );
 }
 
