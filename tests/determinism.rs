@@ -90,6 +90,18 @@ fn fnv_params(params: Vec<&mut pop::nn::Param>) -> u64 {
         .flat_map(|t| t.data()))
 }
 
+/// What the weights do not show: the generator's and the discriminator's
+/// batch-norm running statistics (FNV over every buffer's bits, in
+/// `buffers_mut` order) and the discriminator's readout on `pair`.
+fn running_state(model: &mut Pix2Pix, pair: &Tensor) -> (u64, u64, u32) {
+    let fnv_buffers = |buffers: Vec<&mut Vec<f32>>| fnv(buffers.iter().flat_map(|b| b.iter()));
+    (
+        fnv_buffers(model.generator_mut().buffers_mut()),
+        fnv_buffers(model.discriminator_mut().buffers_mut()),
+        model.discriminator_mut().probability(pair).to_bits(),
+    )
+}
+
 fn randn_inputs(config: &ExperimentConfig, count: u64, seed: u64) -> Vec<Tensor> {
     let shape = [
         1,
@@ -160,7 +172,9 @@ fn training_bits_do_not_depend_on_who_ran_which_half() {
 /// the commit before `Adam::step` began clearing gradients and dropping a
 /// bias-correction divide that has rounded to 1.0 (`f93b8a7`), in debug
 /// and in release alike. Thirty steps reach that exact-1.0 correction
-/// (β₁ = 0.5 from step 25), which the six steps below never do.
+/// (β₁ = 0.5 from step 25), which the six steps below never do. Both
+/// networks' batch-norm running statistics and the discriminator's readout
+/// were added later, captured from the step as it stood then.
 #[test]
 fn thirty_deep_steps_match_the_cross_commit_golden() {
     let config = ExperimentConfig {
@@ -225,6 +239,14 @@ fn thirty_deep_steps_match_the_cross_commit_golden() {
         0xc33a_260e_ad57_bd01,
         "discriminator weights + Adam moments"
     );
+    let pair = xs[0].concat_channels(&ys[0]);
+    assert_eq!(
+        running_state(&mut model, &pair),
+        (0x5dae_fac1_416b_3bb2, 0x286c_f2b6_9cca_bd34, 0x3f17_ad5a),
+        "running statistics (generator, discriminator) and D's readout, \
+         captured before the discriminator's passes kept their activations \
+         apart from its layers"
+    );
 }
 
 /// Training is pinned **across commits**, not just across two runs of one
@@ -233,6 +255,10 @@ fn thirty_deep_steps_match_the_cross_commit_golden() {
 /// kernel change must reproduce them bit for bit — losses, generator and
 /// discriminator weights, Adam `m`/`v`, and the forecasts of the trained
 /// model at batch sizes whose GEMM `n` has a `< 8` tail at some level.
+/// Both networks' batch-norm running statistics and the discriminator's
+/// readout were added later, captured from the step as it stood then: the
+/// weights alone would not notice running statistics committed out of
+/// order.
 #[test]
 fn training_and_forecasts_match_the_cross_commit_golden() {
     let config = ExperimentConfig::test();
@@ -268,6 +294,14 @@ fn training_and_forecasts_match_the_cross_commit_golden() {
         fnv_params(model.discriminator_mut().params_mut()),
         0x4873_8ccc_908c_f9c5,
         "discriminator weights + Adam moments"
+    );
+    let pair = xs[0].concat_channels(&ys[0]);
+    assert_eq!(
+        running_state(&mut model, &pair),
+        (0xba64_a6af_5fb4_6180, 0x2501_86a5_8b77_3f56, 0x3efc_8e58),
+        "running statistics (generator, discriminator) and D's readout, \
+         captured before the discriminator's passes kept their activations \
+         apart from its layers"
     );
 
     // Forecasts: the trained model (GEMM n = 4·b at the bottleneck), and a
