@@ -21,10 +21,12 @@
 //! `Adam::step` against its old three-loop formulation (fresh gradients
 //! every step: the step clears what it reads), end-to-end f32 vs
 //! quantized `forecast_batch` throughput and the quantization accuracy
-//! delta.
+//! delta. In full mode only, `train_step_paper` times one `train_step` at
+//! the paper's size (`ExperimentConfig::paper()`, 256×256) with its split.
 //!
-//! A train step forks at three places through `pop_exec::join`, so the
-//! training rows are measured both ways: `inline` from inside the caller
+//! A train step forks through `pop_exec::join` (D's real pass beside the
+//! G forward, and inside the layers), so the training rows are measured
+//! both ways: `inline` from inside the caller
 //! half of an outer `join` (the helper is busy, every join the code
 //! issues runs both halves on the caller — the serial path) and `joined`
 //! plainly (forks when the host has a second core; `host_parallelism` is
@@ -899,6 +901,47 @@ fn bench_training(layers: &[LayerGeom], smoke: bool) -> (TrainResult, Vec<SiteRe
     (training, site_rows)
 }
 
+/// One batch-1 `train_step` at `ExperimentConfig::paper()` (256×256, base
+/// filters 64, depth 8), `(inline, joined)`: seconds and the split.
+struct PaperStep {
+    secs: (f64, f64),
+    split_us: ([f64; 5], [f64; 5]),
+}
+
+/// The first full-size training row: one untimed step (the thread
+/// workspaces and the first-touched pages grow in it, and the helper is
+/// woken), then one step joined and one inline, each with the split it
+/// records. Full mode only: a step takes seconds and the model ≈ 1 GB.
+fn bench_paper_step() -> PaperStep {
+    let config = ExperimentConfig::paper();
+    let mut model = Pix2Pix::new(&config, 7).expect("paper config");
+    let res = config.resolution;
+    let x = Tensor::randn([1, config.input_channels(), res, res], 0.0, 0.5, 1);
+    let truth = Tensor::randn([1, 3, res, res], 0.0, 0.5, 2);
+    let _ = model.train_step(&x, &truth);
+    let mut step = || {
+        let before = step_ledger();
+        let t = Instant::now();
+        let _ = model.train_step(&x, &truth);
+        (t.elapsed().as_secs_f64(), step_split_since(before))
+    };
+    let joined = step();
+    let ((), inline) = pop_exec::join(|| (), step);
+    println!(
+        "train_step (paper, batch 1): inline {:.0} ms, joined {:.0} ms, {:.2}x",
+        inline.0 * 1e3,
+        joined.0 * 1e3,
+        inline.0 / joined.0
+    );
+    for (way, split) in [("inline", &inline.1), ("joined", &joined.1)] {
+        println!("train_step_paper split, {way}: {}", split_line(split));
+    }
+    PaperStep {
+        secs: (inline.0, joined.0),
+        split_us: (inline.1, joined.1),
+    }
+}
+
 /// The x86 features this host reports, and which `linalg` instantiation
 /// its runtime dispatch therefore picks.
 fn cpu_features() -> (String, &'static str) {
@@ -1009,6 +1052,7 @@ fn main() {
         .collect();
 
     let (training, join_sites) = bench_training(&layers, smoke);
+    let paper_step = (!smoke).then(bench_paper_step);
     let inference = bench_inference(smoke);
 
     if !smoke {
@@ -1102,6 +1146,18 @@ fn main() {
             )
         })
         .collect();
+    let paper_step_json = paper_step.map_or(String::new(), |p| {
+        format!(
+            "  \"train_step_paper\": {{ \"config\": \"paper\", \"batch\": 1, \
+             \"ms_inline\": {:.1}, \"ms_joined\": {:.1}, \"speedup\": {:.4}, \
+             \"split_us_inline\": {}, \"split_us_joined\": {} }},\n",
+            p.secs.0 * 1e3,
+            p.secs.1 * 1e3,
+            p.secs.0 / p.secs.1,
+            split_json(&p.split_us.0),
+            split_json(&p.split_us.1),
+        )
+    });
     let notes_json: Vec<String> = notes.iter().map(|n| format!("    \"{n}\"")).collect();
     let panel_lanes = if instantiation == "avx2" { 16 } else { 8 };
     let json = format!(
@@ -1122,7 +1178,7 @@ fn main() {
          \"train_step\": {{ \"config\": \"quick\", \"batch\": 1, \
          \"host_parallelism\": {host_parallelism}, \"ms_inline\": {:.4}, \
          \"ms_joined\": {:.4}, \"speedup\": {:.4}, \"split_us_inline\": {}, \
-         \"split_us_joined\": {} }},\n  \
+         \"split_us_joined\": {} }},\n{}  \
          \"adam_step\": {{ \"params\": {}, \"gradients\": \"fresh per step\", \
          \"us_ref\": {:.1}, \"us_inline\": {:.1}, \"us_joined\": {:.1}, \"speedup\": {:.4} }},\n  \
          \"join_sites\": [\n{}\n  ],\n  \
@@ -1144,6 +1200,7 @@ fn main() {
         training.train_secs.0 / training.train_secs.1,
         split_json(&training.split_us.0),
         split_json(&training.split_us.1),
+        paper_step_json,
         training.adam_params,
         training.adam_ref_secs * 1e6,
         training.adam_secs.0 * 1e6,

@@ -1,4 +1,40 @@
-use pop_nn::{Activation, Batch, BatchMut, BatchNorm2d, Conv2d, Layer, LeakyRelu, Param, Tensor};
+use pop_nn::{
+    Activation, Batch, BatchMut, BatchNorm2d, Conv2d, ConvCache, Layer, LeakyRelu, NormCache,
+    Param, Tensor,
+};
+
+/// The activations one training pass through a [`PatchDiscriminator`]
+/// keeps for its backward pass, per layer: the convolution's lowered input,
+/// the batch-norm's `x̂`, `1/σ` and batch statistics, the activation's
+/// input. They live here rather than in the layers, so that two passes —
+/// the real pair's and the fake pair's — can run over one discriminator at
+/// once. Keep one per concurrent pass and reuse it: its lowering buffers
+/// keep their length from pass to pass.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DiscPass {
+    convs: Vec<ConvCache>,
+    norms: Vec<NormCache>,
+    acts: Vec<Option<Tensor>>,
+}
+
+/// A discriminator's parameter gradients, moved out of its parameters by
+/// [`PatchDiscriminator::with_grads`] (no copy): per convolution
+/// `[weight, bias]`, per batch-norm `[γ, β]`.
+#[derive(Debug)]
+pub(crate) struct DiscGrads {
+    convs: Vec<[Tensor; 2]>,
+    norms: Vec<Option<[Tensor; 2]>>,
+}
+
+/// The gradients of a two-parameter layer (`params_mut` order), moved out
+/// of it — or, given `grads`, moved back in.
+fn swap_grads(params: Vec<&mut Param>, grads: Option<[Tensor; 2]>) -> [Tensor; 2] {
+    let mut grads = grads.unwrap_or_default();
+    for (param, grad) in params.into_iter().zip(&mut grads) {
+        std::mem::swap(&mut param.grad, grad);
+    }
+    grads
+}
 
 /// The paper's discriminator (Figure 5, right half): a stack of
 /// convolutional layers with batch normalisation, ending in a patch of
@@ -11,7 +47,9 @@ use pop_nn::{Activation, Batch, BatchMut, BatchNorm2d, Conv2d, Layer, LeakyRelu,
 /// a 30×30 patch of real/fake decisions. Smaller resolutions reduce the
 /// stride-2 count so the final patch stays at least 1×1.
 ///
-/// Training feeds the [`Layer`] forward's raw logits to
+/// Training feeds a training pass's raw logits (the [`Layer`] forward, or
+/// the trainer's passes, which keep their activations apart so that the
+/// real and the fake pair's passes can run at once) to
 /// [`bce_with_logits`](pop_nn::loss::bce_with_logits); [`Self::probability`]
 /// reads out through planned blocks ([`Conv2d::plan`]), then the sigmoid.
 #[derive(Debug, Clone)]
@@ -20,6 +58,8 @@ pub struct PatchDiscriminator {
     bns: Vec<Option<BatchNorm2d>>,
     acts: Vec<Option<LeakyRelu>>,
     in_channels: usize,
+    // The pass the `Layer` impl runs.
+    pass: DiscPass,
 }
 
 impl PatchDiscriminator {
@@ -74,6 +114,7 @@ impl PatchDiscriminator {
             bns,
             acts,
             in_channels,
+            pass: DiscPass::default(),
         }
     }
 
@@ -121,34 +162,117 @@ impl PatchDiscriminator {
     }
 }
 
-impl Layer for PatchDiscriminator {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+impl PatchDiscriminator {
+    /// The training forward of `x` (batch statistics), reading only the
+    /// weights: what the backward pass needs goes to `pass`, and the
+    /// batch-norm running statistics wait for [`Self::commit`]. Passes with
+    /// their own [`DiscPass`] may run at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` does not have the discriminator's input channels.
+    pub(crate) fn forward_pass(&self, x: &Tensor, pass: &mut DiscPass) -> Tensor {
         assert_eq!(x.c(), self.in_channels, "discriminator input channels");
-        let mut cur = x.clone();
-        for i in 0..self.convs.len() {
-            cur = self.convs[i].forward(&cur);
-            if let Some(bn) = &mut self.bns[i] {
-                cur = bn.forward(&cur);
+        let layers = self.convs.len();
+        pass.convs.resize_with(layers, Default::default);
+        pass.norms.resize_with(layers, Default::default);
+        pass.acts.resize_with(layers, Default::default);
+        let mut cur: Option<Tensor> = None;
+        for i in 0..layers {
+            let input = cur.as_ref().unwrap_or(x);
+            let mut y = self.convs[i].forward_pass(input, &mut pass.convs[i]);
+            if let Some(bn) = &self.bns[i] {
+                y = bn.forward_pass(&y, &mut pass.norms[i]);
             }
-            if let Some(act) = &mut self.acts[i] {
-                cur = act.forward(&cur);
+            if let Some(act) = &self.acts[i] {
+                y = act.forward_pass(y, &mut pass.acts[i]);
+            }
+            cur = Some(y);
+        }
+        cur.expect("a discriminator has layers")
+    }
+
+    /// Moves the batch-norm running statistics by the batch statistics of
+    /// the forward that filled `pass`. Commit passes in the order their
+    /// forwards would have run one after another.
+    pub(crate) fn commit(&mut self, pass: &DiscPass) {
+        for (bn, cache) in self.bns.iter_mut().zip(&pass.norms) {
+            if let Some(bn) = bn {
+                bn.commit(cache);
             }
         }
-        cur
+    }
+
+    /// The backward pass of the forward that filled `pass`: returns the
+    /// input gradient and, given `grads`, adds every parameter gradient
+    /// onto them. Without `grads` it computes the input gradient alone —
+    /// no weight, bias, γ or β gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pass` holds no forward.
+    pub(crate) fn backward_pass(
+        &self,
+        pass: &mut DiscPass,
+        grad_out: &Tensor,
+        mut grads: Option<&mut DiscGrads>,
+    ) -> Tensor {
+        let mut g: Option<Tensor> = None;
+        for i in (0..self.convs.len()).rev() {
+            if let Some(act) = &self.acts[i] {
+                g = Some(act.backward_pass(&mut pass.acts[i], g.as_ref().unwrap_or(grad_out)));
+            }
+            if let Some(bn) = &self.bns[i] {
+                let grads = grads.as_deref_mut().and_then(|g| g.norms[i].as_mut());
+                let dy = g.as_ref().unwrap_or(grad_out);
+                g = Some(bn.backward_pass(&mut pass.norms[i], dy, grads));
+            }
+            let grads = grads.as_deref_mut().map(|g| &mut g.convs[i]);
+            let dy = g.as_ref().unwrap_or(grad_out);
+            g = Some(self.convs[i].backward_pass(&mut pass.convs[i], dy, grads));
+        }
+        g.expect("a discriminator has layers")
+    }
+
+    /// Runs `f` on this discriminator with its parameter gradients moved
+    /// out beside it, then moves them back: a backward pass inside `f` adds
+    /// onto the gradients while other passes read the weights.
+    pub(crate) fn with_grads<R>(&mut self, f: impl FnOnce(&Self, &mut DiscGrads) -> R) -> R {
+        let convs = self.convs.iter_mut();
+        let norms = self.bns.iter_mut().map(Option::as_mut);
+        let mut grads = DiscGrads {
+            convs: convs.map(|c| swap_grads(c.params_mut(), None)).collect(),
+            norms: norms
+                .map(|bn| bn.map(|bn| swap_grads(bn.params_mut(), None)))
+                .collect(),
+        };
+        let out = f(self, &mut grads);
+        for (conv, g) in self.convs.iter_mut().zip(grads.convs) {
+            swap_grads(conv.params_mut(), Some(g));
+        }
+        for (bn, g) in self.bns.iter_mut().zip(grads.norms) {
+            if let (Some(bn), Some(g)) = (bn, g) {
+                swap_grads(bn.params_mut(), Some(g));
+            }
+        }
+        out
+    }
+}
+
+impl Layer for PatchDiscriminator {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut pass = std::mem::take(&mut self.pass);
+        let y = self.forward_pass(x, &mut pass);
+        self.commit(&pass);
+        self.pass = pass;
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for i in (0..self.convs.len()).rev() {
-            if let Some(act) = &mut self.acts[i] {
-                g = act.backward(&g);
-            }
-            if let Some(bn) = &mut self.bns[i] {
-                g = bn.backward(&g);
-            }
-            g = self.convs[i].backward(&g);
-        }
-        g
+        let mut pass = std::mem::take(&mut self.pass);
+        let dx = self.with_grads(|d, grads| d.backward_pass(&mut pass, grad_out, Some(grads)));
+        self.pass = pass;
+        dx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -276,6 +400,92 @@ mod tests {
             bits
         };
         assert_eq!(step(true), step(false));
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every gradient, then — after one Adam step — every weight, Adam
+    /// moment and running statistic, as bits.
+    fn step_bits(d: &mut PatchDiscriminator) -> Vec<u32> {
+        use pop_nn::Adam;
+        let mut out: Vec<u32> = d.params_mut().iter().flat_map(|p| bits(&p.grad)).collect();
+        Adam::paper().step(&mut d.params_mut());
+        for p in d.params_mut() {
+            out.extend([&p.value, &p.m, &p.v].into_iter().flat_map(bits));
+        }
+        for b in d.buffers_mut() {
+            out.extend(b.iter().map(|v| v.to_bits()));
+        }
+        out
+    }
+
+    /// A D step as the trainer schedules it — real forward, fake forward,
+    /// real backward, fake backward, each pass on its own `DiscPass`, the
+    /// running statistics committed real then fake — is the sequential step
+    /// through the `Layer` impl (the real pair's forward and backward, then
+    /// the fake pair's), bit for bit: gradients, weights and moments after
+    /// Adam, running statistics. Forked wherever the helper is free, and
+    /// with every join inline.
+    #[test]
+    fn interleaved_passes_are_the_sequential_step_bit_for_bit() {
+        use pop_nn::loss::bce_with_logits;
+        let pairs = [
+            (Tensor::randn([1, 4, 32, 32], 0.5, 1.0, 60), 1.0),
+            (Tensor::randn([1, 4, 32, 32], -0.5, 1.0, 61), 0.0),
+        ];
+        let sequential = {
+            let mut d = trained(32);
+            for (x, target) in &pairs {
+                let (_, g) = bce_with_logits(&d.forward(x), *target);
+                let _ = d.backward(&g);
+            }
+            step_bits(&mut d)
+        };
+        let interleaved = || {
+            let mut d = trained(32);
+            let mut passes = [DiscPass::default(), DiscPass::default()];
+            let logits: Vec<Tensor> = (passes.iter_mut().zip(&pairs))
+                .map(|(pass, (x, _))| d.forward_pass(x, pass))
+                .collect();
+            passes.iter().for_each(|pass| d.commit(pass));
+            d.with_grads(|d, grads| {
+                for ((pass, logits), (_, target)) in passes.iter_mut().zip(&logits).zip(&pairs) {
+                    let (_, g) = bce_with_logits(logits, *target);
+                    let _ = d.backward_pass(pass, &g, Some(grads));
+                }
+            });
+            step_bits(&mut d)
+        };
+        let ((), inline) = pop_exec::join(|| (), interleaved);
+        assert!(inline == sequential, "every join inline");
+        assert!(interleaved() == sequential, "forked");
+    }
+
+    /// Without gradients to add onto, a backward pass returns the input
+    /// gradient `Layer::backward` returns, and adds no weight, bias, γ or
+    /// β gradient; forked wherever the helper is free, and inline.
+    #[test]
+    fn input_gradient_only_backward_is_layer_backwards_gradient() {
+        let x = Tensor::randn([1, 4, 32, 32], 0.0, 1.0, 70);
+        let mut d = trained(32);
+        d.zero_grad();
+        let logits = d.forward(&x);
+        let want = d.backward(&logits);
+        let run = |d: &mut PatchDiscriminator| {
+            let mut pass = DiscPass::default();
+            let logits = d.forward_pass(&x, &mut pass);
+            let dx = d.backward_pass(&mut pass, &logits, None);
+            let zero = |p: &&mut Param| p.grad.data().iter().all(|g| g.to_bits() == 0);
+            (bits(&dx), d.params_mut().iter().all(zero))
+        };
+        let mut fresh = trained(32);
+        let ((), inline) = pop_exec::join(|| (), || run(&mut fresh));
+        for (way, (dx, untouched)) in [("forked", run(&mut trained(32))), ("inline", inline)] {
+            assert_eq!(dx, bits(&want), "{way}");
+            assert!(untouched, "{way}: a parameter gradient moved");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use crate::config::ExperimentConfig;
 use crate::dataset::Pair;
-use crate::disc::PatchDiscriminator;
+use crate::disc::{DiscPass, PatchDiscriminator};
 use crate::error::CoreError;
 use crate::features::tensor_to_image;
 use crate::plan::InferencePlan;
@@ -126,10 +126,12 @@ pub struct StepLosses {
 }
 
 /// Where a train step's wall clock goes: registry histograms for its four
-/// phases, which add up to `train.step_us`. The phases are the D real pass
-/// beside the G forward (`train.fork_us`), the D fake pass and D's Adam
-/// step (`train.d_fake_us`), the G step's backward through D and G
-/// (`train.g_backward_us`), and G's Adam step (`train.opt_g_us`).
+/// phases, which add up to `train.step_us`. The phases are the fork
+/// (`train.fork_us`: D's real pass, forward and backward, beside the G
+/// forward followed by D's fake forward), the D fake backward and D's Adam
+/// step (`train.d_fake_us`), the G step's forward and input-gradient
+/// backward through D, then G's backward (`train.g_backward_us`), and G's
+/// Adam step (`train.opt_g_us`).
 struct StepLedger {
     phases: [Arc<Histogram>; 4],
     step: Arc<Histogram>,
@@ -176,8 +178,8 @@ impl StepLedger {
 ///
 /// Every parameter gradient of both networks is zero between train steps.
 /// [`Adam::step`] clears the gradients it reads, and
-/// [`Pix2Pix::train_step`] clears the ones no optimiser reads, so a step
-/// that follows a step zeroes nothing else. Layers handed out by
+/// [`Pix2Pix::train_step`] computes no gradient that no optimiser reads, so
+/// a step that follows a step zeroes nothing. Layers handed out by
 /// [`Pix2Pix::generator_mut`] or [`Pix2Pix::discriminator_mut`] may be
 /// left with gradients, so the next step zeroes both networks once first.
 #[derive(Debug, Clone)]
@@ -195,6 +197,10 @@ pub struct Pix2Pix {
     // Set when `generator_mut` / `discriminator_mut` hand out layers that
     // a caller may have run a backward through.
     grads_handed_out: bool,
+    // The discriminator's activations of a step's real pass and of its
+    // fake passes, kept so their buffers keep their length.
+    d_real: DiscPass,
+    d_fake: DiscPass,
 }
 
 impl Pix2Pix {
@@ -230,6 +236,8 @@ impl Pix2Pix {
             rng: StdRng::seed_from_u64(seed.wrapping_add(0x7EA1)),
             plan: None,
             grads_handed_out: false,
+            d_real: DiscPass::default(),
+            d_fake: DiscPass::default(),
         })
     }
 
@@ -289,6 +297,14 @@ impl Pix2Pix {
     /// four phases in the global registry (`train.step_us`,
     /// `train.fork_us`, `train.d_fake_us`, `train.g_backward_us`,
     /// `train.opt_g_us`).
+    ///
+    /// The step forks once for its critical path: D's real pass (forward
+    /// and backward) runs on [`pop_exec::join`]'s helper while the caller
+    /// runs G's forward and then D's forward on the fake pair. Inside the
+    /// layers, the backward passes fork their two gradients, the
+    /// convolutions' training forwards their output-channel rows, and the
+    /// G step's input-gradient-only backward through D its `Wᵀ·dY` rows.
+    /// The bits are those of the passes run one after another.
     pub fn train_step(&mut self, x: &Tensor, truth: &Tensor) -> StepLosses {
         let started = Instant::now();
         self.plan = None;
@@ -299,44 +315,55 @@ impl Pix2Pix {
         // ---- Discriminator step: maximise log D(x,g) + log(1-D(G(x,z))).
         //
         // The real half of it needs only `(x, truth)`, and the generator
-        // forward needs only `x`, so the two run side by side: the real
-        // pass touches nothing but D (its caches, gradients and batch-norm
-        // running statistics), the forward nothing but G (its caches, and
-        // the dropout RNG that provides z lives in G's own layers). The
-        // fake pass starts only after both, so D still accumulates real
-        // then fake and its running statistics see the two batches in
-        // that order — the sequential step, bit for bit.
+        // forward needs only `x`, so the two run side by side, and the
+        // fake pair's D forward follows the generator's on the caller. The
+        // two D passes read the same weights and keep their activations
+        // and batch statistics apart (`DiscPass`); the real backward adds
+        // onto D's gradients, which `with_grads` moves out beside the
+        // weights for the fork. G's side touches nothing of G but its
+        // caches and the dropout RNG that provides z. The fake backward
+        // follows the join, so D accumulates real then fake, and the
+        // running statistics are committed real then fake — the
+        // sequential step, bit for bit.
         let real_pair = x.concat_channels(truth);
-        let (disc, gen) = (&mut self.disc, &mut self.gen);
-        let (d_real, fake) = pop_exec::join(
-            || {
-                let logits_real = disc.forward(&real_pair);
-                let (d_real, mut g_real) = bce_with_logits(&logits_real, 1.0);
-                g_real.scale(0.5);
-                let _ = disc.backward(&g_real);
-                d_real
-            },
-            // Generator forward (training mode: dropout provides z).
-            || gen.forward(x),
-        );
+        let (gen, d_real, d_fake) = (&mut self.gen, &mut self.d_real, &mut self.d_fake);
+        let (d_real_loss, (fake, fake_pair, logits_fake)) = self.disc.with_grads(|disc, grads| {
+            pop_exec::join(
+                || {
+                    let logits_real = disc.forward_pass(&real_pair, d_real);
+                    let (d_real_loss, mut g_real) = bce_with_logits(&logits_real, 1.0);
+                    g_real.scale(0.5);
+                    let _ = disc.backward_pass(d_real, &g_real, Some(grads));
+                    d_real_loss
+                },
+                || {
+                    // Generator forward (training mode: dropout provides z).
+                    let fake = gen.forward(x);
+                    let fake_pair = x.concat_channels(&fake);
+                    let logits_fake = disc.forward_pass(&fake_pair, d_fake);
+                    (fake, fake_pair, logits_fake)
+                },
+            )
+        });
+        self.disc.commit(&self.d_real);
+        self.disc.commit(&self.d_fake);
         let forked = started.elapsed();
 
-        let fake_pair = x.concat_channels(&fake);
-        let logits_fake = self.disc.forward(&fake_pair);
-        let (d_fake, mut g_fake) = bce_with_logits(&logits_fake, 0.0);
+        let (d_fake_loss, mut g_fake) = bce_with_logits(&logits_fake, 0.0);
         g_fake.scale(0.5);
-        let _ = self.disc.backward(&g_fake);
+        let d_fake = &mut self.d_fake;
+        self.disc
+            .with_grads(|disc, grads| disc.backward_pass(d_fake, &g_fake, Some(grads)));
         self.opt_d.step(&mut self.disc.params_mut());
         let d_stepped = started.elapsed();
 
         // ---- Generator step: minimise log(1-D(G(x,z))) (non-saturating
-        // form: maximise log D) + λ·L1.
-        let logits = self.disc.forward(&fake_pair);
+        // form: maximise log D) + λ·L1. The pass through D is for its input
+        // gradient only: D's parameter gradients would be discarded.
+        let logits = self.disc.forward_pass(&fake_pair, &mut self.d_fake);
+        self.disc.commit(&self.d_fake);
         let (g_gan, g_grad) = bce_with_logits(&logits, 1.0);
-        let d_input_grad = self.disc.backward(&g_grad);
-        // That backward also added onto D's weight gradients, which no
-        // optimiser reads: clear them, as Adam cleared everything else.
-        self.disc.zero_grad();
+        let d_input_grad = self.disc.backward_pass(&mut self.d_fake, &g_grad, None);
         let (_, mut fake_grad) = d_input_grad.split_channels(x.c());
 
         let (l1_raw, l1_grad) = l1_loss(&fake, truth);
@@ -351,7 +378,7 @@ impl Pix2Pix {
         StepLedger::global().record([forked, d_stepped, g_backward, started.elapsed()]);
 
         StepLosses {
-            d_loss: 0.5 * (d_real + d_fake),
+            d_loss: 0.5 * (d_real_loss + d_fake_loss),
             g_gan,
             g_l1: l1_raw,
         }
@@ -762,6 +789,81 @@ mod tests {
             values.map(|w| w.to_bits()).collect::<Vec<_>>()
         };
         assert_eq!(weights(&mut stray), weights(&mut zeroed));
+    }
+
+    /// The train step as it ran before the discriminator's passes kept
+    /// their own activations: D's real pass, the G forward, D's fake pass
+    /// and Adam step one after another through the layers, then the G
+    /// step's full backward through D, whose parameter gradients are
+    /// cleared unread.
+    fn sequential_step(model: &mut Pix2Pix, x: &Tensor, truth: &Tensor) -> StepLosses {
+        model.plan = None;
+        let logits_real = model.disc.forward(&x.concat_channels(truth));
+        let (d_real, mut g_real) = bce_with_logits(&logits_real, 1.0);
+        g_real.scale(0.5);
+        let _ = model.disc.backward(&g_real);
+        let fake = model.gen.forward(x);
+        let fake_pair = x.concat_channels(&fake);
+        let logits_fake = model.disc.forward(&fake_pair);
+        let (d_fake, mut g_fake) = bce_with_logits(&logits_fake, 0.0);
+        g_fake.scale(0.5);
+        let _ = model.disc.backward(&g_fake);
+        model.opt_d.step(&mut model.disc.params_mut());
+
+        let logits = model.disc.forward(&fake_pair);
+        let (g_gan, g_grad) = bce_with_logits(&logits, 1.0);
+        let d_input_grad = model.disc.backward(&g_grad);
+        model.disc.zero_grad();
+        let (_, mut fake_grad) = d_input_grad.split_channels(x.c());
+        let (l1_raw, l1_grad) = l1_loss(&fake, truth);
+        if model.config.use_l1 {
+            let mut weighted = l1_grad;
+            weighted.scale(model.config.lambda_l1);
+            fake_grad.add_assign(&weighted);
+        }
+        let _ = model.gen.backward(&fake_grad);
+        model.opt_g.step(&mut model.gen.params_mut());
+        StepLosses {
+            d_loss: 0.5 * (d_real + d_fake),
+            g_gan,
+            g_l1: l1_raw,
+        }
+    }
+
+    /// Both networks' weights, Adam moments, gradients and running
+    /// statistics, as bits.
+    fn state_bits(model: &mut Pix2Pix) -> Vec<u32> {
+        let mut out = Vec::new();
+        for net in [&mut model.gen as &mut dyn Layer, &mut model.disc] {
+            for p in net.params_mut() {
+                let tensors = [&p.value, &p.m, &p.v, &p.grad];
+                out.extend(tensors.iter().flat_map(|t| t.data()).map(|v| v.to_bits()));
+            }
+            for b in net.buffers_mut() {
+                out.extend(b.iter().map(|v| v.to_bits()));
+            }
+        }
+        out
+    }
+
+    /// Four steps of `train_step` are four sequential steps bit for bit —
+    /// losses, weights, moments, gradients (zero) and running statistics —
+    /// forked wherever the helper is free and with every join inline.
+    #[test]
+    fn train_step_is_the_sequential_step_bit_for_bit() {
+        let cfg = tiny_config();
+        let pairs: Vec<Pair> = (0..2).map(|s| synthetic_pair(&cfg, s)).collect();
+        let run = |step: fn(&mut Pix2Pix, &Tensor, &Tensor) -> StepLosses| {
+            let mut model = Pix2Pix::new(&cfg, 43).unwrap();
+            let losses: Vec<StepLosses> = (0..4)
+                .map(|i| step(&mut model, &pairs[i % 2].x, &pairs[i % 2].y))
+                .collect();
+            (losses, state_bits(&mut model))
+        };
+        let want = run(sequential_step);
+        let ((), inline) = pop_exec::join(|| (), || run(Pix2Pix::train_step));
+        assert!(inline == want, "every join inline");
+        assert!(run(Pix2Pix::train_step) == want, "forked");
     }
 
     /// Each phase is recorded as a difference of whole-µs readings, so the

@@ -46,22 +46,43 @@ impl Default for LeakyRelu {
     }
 }
 
-impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cached_input = Some(x.clone());
+impl LeakyRelu {
+    /// The forward of `x`, which it keeps in `input` for the backward pass
+    /// — taken by value, so a caller done with `x` hands it over uncopied.
+    pub fn forward_pass(&self, x: Tensor, input: &mut Option<Tensor>) -> Tensor {
         let alpha = self.alpha;
-        map(x, |v| if v < 0.0 { v * alpha } else { v })
+        let y = map(&x, |v| if v < 0.0 { v * alpha } else { v });
+        *input = Some(x);
+        y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
+    /// The input gradient of the forward that filled `input`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `input` holds no forward.
+    pub fn backward_pass(&self, input: &mut Option<Tensor>, grad_out: &Tensor) -> Tensor {
+        let x = input
             .take()
             .expect("LeakyRelu::backward called before forward");
         // The sign is read off the input, not the output: `α·x` of a
         // negative subnormal can round to `−0.0`, which is not `< 0`.
         let alpha = self.alpha;
         map_grad(grad_out, &x, |g, x| if x < 0.0 { g * alpha } else { g })
+    }
+}
+
+impl Layer for LeakyRelu {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut input = None;
+        let y = self.forward_pass(x.clone(), &mut input);
+        self.cached_input = input;
+        y
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut input = self.cached_input.take();
+        self.backward_pass(&mut input, grad_out)
     }
 }
 

@@ -1,5 +1,7 @@
 use crate::im2col::{col2im, im2col};
-use crate::linalg::{matmul_nn, matmul_nt, matmul_tn_set, TnWeights};
+use crate::linalg::{
+    matmul_nn, matmul_nn_set_forked, matmul_nt, matmul_tn_set, matmul_tn_set_forked, TnWeights,
+};
 use crate::lower::{
     conv_forward, deconv_forward, Activation, Batch, BatchMut, ConvGeom, Epilogue, Finish, Norm,
     PlannedConv, PlannedDeconv,
@@ -17,6 +19,22 @@ fn add_plane_sums(bias_grad: &mut [f32], dy: &[f32], plane: usize) {
     }
 }
 
+/// What a convolution's training forward leaves for its backward pass.
+///
+/// [`Conv2d::forward_pass`] fills one and [`Conv2d::backward_pass`]
+/// consumes it, so a caller that keeps its own can run several passes of one
+/// layer at once; the [`Layer`] impl keeps one in the layer.
+#[derive(Debug, Clone, Default)]
+pub struct ConvCache {
+    // The input's shape, until a backward pass consumes it.
+    input: Option<[usize; 4]>,
+    // Interleaved im2col matrix of the forward: `[ckk, n·ho·wo]` with
+    // sample `b` occupying columns `b·ho·wo .. (b+1)·ho·wo`. It stays at its
+    // length after the backward pass, so the next forward does not zero it
+    // again.
+    cols: Vec<f32>,
+}
+
 /// 2-D convolution (`k×k` kernel, stride, zero padding) lowered to im2col +
 /// matmul. pix2pix uses `k=4, stride=2, pad=1` throughout the encoder,
 /// halving the spatial size per layer — the left column of the paper's
@@ -26,11 +44,7 @@ pub struct Conv2d {
     geom: ConvGeom,
     weight: Param,
     bias: Param,
-    cached_input: Option<Tensor>,
-    // Interleaved im2col matrix of the last forward: `[ckk, n·ho·wo]` with
-    // sample `b` occupying columns `b·ho·wo .. (b+1)·ho·wo`.
-    cached_cols: Vec<f32>,
-    cached_p_out: usize,
+    cache: ConvCache,
 }
 
 impl Conv2d {
@@ -51,9 +65,7 @@ impl Conv2d {
             },
             weight: Param::randn([out_c, in_c, k, k], 0.02, seed ^ 0xC0_u64),
             bias: Param::new(Tensor::zeros([1, out_c, 1, 1])),
-            cached_input: None,
-            cached_cols: Vec::new(),
-            cached_p_out: 0,
+            cache: ConvCache::default(),
         }
     }
 
@@ -99,58 +111,89 @@ impl Conv2d {
             finish: Finish::new(&self.bias.value.data()[..self.geom.out_c], norm, act),
         }
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// The training forward, reading only the weights: what the backward
+    /// pass needs goes to `cache`. The GEMM's output-channel rows are split
+    /// in whole row blocks across [`pop_exec::join`]'s helper when it is
+    /// free; the bits do not depend on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` does not have `in_c` channels.
+    pub fn forward_pass(&self, x: &Tensor, cache: &mut ConvCache) -> Tensor {
         assert_eq!(x.c(), self.geom.in_c, "input channels");
         let [n, _, h, w] = x.shape();
         let geom = self.geom;
         let mut y = Tensor::zeros(self.output_shape(x.shape()));
         let p_out = y.h() * y.w();
-        // The whole batch is lowered into one matrix, the layout `backward`
-        // expects, reusing the one `backward` handed back: `im2col` writes
+        // The whole batch is lowered into one matrix, the layout
+        // `backward_pass` expects, reusing the cache's: `im2col` writes
         // every element, so only growth is zeroed.
-        let mut cols = std::mem::take(&mut self.cached_cols);
-        cols.resize(geom.in_c * geom.k * geom.k * n * p_out, 0.0);
+        let ckk = geom.in_c * geom.k * geom.k;
+        cache.cols.resize(ckk * n * p_out, 0.0);
         conv_forward(
             &geom,
+            matmul_nn_set_forked,
             self.weight.value.data(),
             &Epilogue::bias(&self.bias.value.data()[..geom.out_c]),
             Batch::nchw(x),
             (h, w),
             n,
             n,
-            &mut cols,
+            &mut cache.cols,
             &mut BatchMut::nchw(y.data_mut(), geom.out_c, p_out),
         );
-        self.cached_cols = cols;
-        self.cached_p_out = p_out;
-        self.cached_input = Some(x.clone());
+        cache.input = Some(x.shape());
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
+    /// The backward pass of the forward that filled `cache`: returns the
+    /// input gradient and, given `grads` (`[weight, bias]`-shaped, the
+    /// order of [`Layer::params_mut`]), adds the parameter gradients onto
+    /// them. Without `grads` it computes the input gradient alone, its
+    /// `Wᵀ·dY` product split in output-row strips across
+    /// [`pop_exec::join`]'s helper.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cache` holds no forward.
+    pub fn backward_pass(
+        &self,
+        cache: &mut ConvCache,
+        grad_out: &Tensor,
+        mut grads: Option<&mut [Tensor; 2]>,
+    ) -> Tensor {
+        let shape = cache
+            .input
             .take()
             .expect("Conv2d::backward called before forward");
-        let [n, _, h, w] = x.shape();
+        let [n, _, h, w] = shape;
         let [_, _, ho, wo] = grad_out.shape();
         let ckk = self.geom.in_c * self.geom.k * self.geom.k;
-        let p_out = self.cached_p_out;
+        let p_out = ho * wo;
         let ncols = n * p_out;
-        let cached_cols = std::mem::take(&mut self.cached_cols);
-        let mut dx = Tensor::zeros(x.shape());
+        let cached_cols = &cache.cols;
+        let mut dx = Tensor::zeros(shape);
         let mut cols_scratch = workspace::take(if n > 1 { ckk * p_out } else { 0 });
         let mut dcols = workspace::take(ckk * p_out);
+        let weight = self.weight.value.data();
+        let (c, out_c) = ((self.geom.in_c, 1), self.geom.out_c);
+        let window = (self.geom.k, self.geom.stride, self.geom.pad);
         for b in 0..n {
-            let dy_n = &grad_out.data()
-                [b * self.geom.out_c * ho * wo..(b + 1) * self.geom.out_c * ho * wo];
+            let dy_n = &grad_out.data()[b * out_c * p_out..(b + 1) * out_c * p_out];
+            let dx_n =
+                &mut dx.data_mut()[b * self.geom.in_c * h * w..(b + 1) * self.geom.in_c * h * w];
+            let dcols = &mut dcols[..ckk * p_out];
+            let Some([w_grad, b_grad]) = grads.as_deref_mut() else {
+                // dX = col2im(Wᵀ @ dY), nothing else.
+                matmul_tn_set_forked(weight, dy_n, dcols, ckk, out_c, p_out);
+                col2im(dcols, c, (h, w), window, dx_n, h * w, (p_out, 0), |_, _| {});
+                continue;
+            };
             // Per-sample contiguous view of the interleaved cache (the
             // cache *is* contiguous when n == 1).
             let cols_b: &[f32] = if n == 1 {
-                &cached_cols
+                cached_cols
             } else {
                 for r in 0..ckk {
                     cols_scratch[r * p_out..(r + 1) * p_out].copy_from_slice(
@@ -160,36 +203,48 @@ impl Layer for Conv2d {
                 &cols_scratch[..ckk * p_out]
             };
             // The two gradients read the same `dY` and write disjoint
-            // memory — `dcols`, this sample's `dx` and `bias.grad` on one
-            // side, `weight.grad` on the other — so they are one `join`:
-            // each side runs exactly the arithmetic it runs alone. The
-            // weight gradient stays on the caller because it is the
+            // memory — `dcols`, this sample's `dx` and the bias gradient on
+            // one side, the weight gradient on the other — so they are one
+            // `join`: each side runs exactly the arithmetic it runs alone.
+            // The weight gradient stays on the caller because it is the
             // heavier half at most layers (`nt` transposes an operand), and
             // the forked half is the one that starts late when the helper
             // has parked.
-            let (w_grad, b_grad) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-            let weight = self.weight.value.data();
-            let dx_n =
-                &mut dx.data_mut()[b * self.geom.in_c * h * w..(b + 1) * self.geom.in_c * h * w];
-            let dcols = &mut dcols[..ckk * p_out];
-            let (c, out_c) = ((self.geom.in_c, 1), self.geom.out_c);
-            let window = (self.geom.k, self.geom.stride, self.geom.pad);
+            let (w_grad, b_grad) = (w_grad.data_mut(), b_grad.data_mut());
             pop_exec::join(
                 || {
                     // dX = col2im(Wᵀ @ dY).
-                    matmul_tn_set(weight, dy_n, dcols, ckk, out_c, ho * wo);
+                    matmul_tn_set(weight, dy_n, dcols, ckk, out_c, p_out);
                     col2im(dcols, c, (h, w), window, dx_n, h * w, (p_out, 0), |_, _| {});
-                    add_plane_sums(b_grad, dy_n, ho * wo);
+                    add_plane_sums(b_grad, dy_n, p_out);
                 },
                 // dW += dY @ colsᵀ.
-                || matmul_nt(dy_n, cols_b, w_grad, out_c, ho * wo, ckk),
+                || matmul_nt(dy_n, cols_b, w_grad, out_c, p_out, ckk),
             );
         }
         workspace::give(cols_scratch);
         workspace::give(dcols);
-        // Hand the matrix to the next training forward at its length, so
-        // that forward does not zero it again.
-        self.cached_cols = cached_cols;
+        dx
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut cache = std::mem::take(&mut self.cache);
+        let y = self.forward_pass(x, &mut cache);
+        self.cache = cache;
+        y
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut cache = std::mem::take(&mut self.cache);
+        let mut grads = [
+            std::mem::take(&mut self.weight.grad),
+            std::mem::take(&mut self.bias.grad),
+        ];
+        let dx = self.backward_pass(&mut cache, grad_out, Some(&mut grads));
+        [self.weight.grad, self.bias.grad] = grads;
+        self.cache = cache;
         dx
     }
 
@@ -527,6 +582,90 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 3, 1, 1, 0);
         let g = Tensor::zeros([1, 1, 4, 4]);
         let _ = conv.backward(&g);
+    }
+
+    /// The training forward before it forked its GEMM: the same lowering
+    /// through the unsplit [`crate::linalg::matmul_nn_set`].
+    fn unsplit_forward(conv: &Conv2d, x: &Tensor) -> (Tensor, Vec<f32>) {
+        let [n, _, h, w] = x.shape();
+        let geom = conv.geom;
+        let mut y = Tensor::zeros(conv.output_shape(x.shape()));
+        let p_out = y.h() * y.w();
+        let mut cols = vec![0.0; geom.in_c * geom.k * geom.k * n * p_out];
+        conv_forward(
+            &geom,
+            crate::linalg::matmul_nn_set,
+            conv.weight.value.data(),
+            &Epilogue::bias(conv.bias.value.data()),
+            Batch::nchw(x),
+            (h, w),
+            n,
+            n,
+            &mut cols,
+            &mut BatchMut::nchw(y.data_mut(), geom.out_c, p_out),
+        );
+        (y, cols)
+    }
+
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The training forward splits its output-channel rows across the
+    /// join helper in whole row blocks (none below 8 channels, 4 | 4 at 8,
+    /// 4 | 8 at 12, 48 | 48 at 96): output and kept lowering bit-equal to
+    /// the unsplit product, at batch 1 and 3, forked wherever the helper is
+    /// free and with every join inline.
+    #[test]
+    fn row_split_forward_is_the_unsplit_forward_bit_for_bit() {
+        for out_c in [1, 4, 8, 12, 96] {
+            for n in [1, 3] {
+                let mut conv = Conv2d::new(5, out_c, 4, 2, 1, 20 + out_c as u64);
+                let bias = Tensor::randn([1, out_c, 1, 1], 0.0, 0.1, 3);
+                conv.bias.value = bias;
+                let x = Tensor::randn([n, 5, 12, 12], 0.0, 1.0, 30 + n as u64);
+                let (want, want_cols) = unsplit_forward(&conv, &x);
+                let run = || {
+                    let mut cache = ConvCache::default();
+                    let y = conv.forward_pass(&x, &mut cache);
+                    (bits(y.data()), bits(&cache.cols))
+                };
+                let ((), inline) = pop_exec::join(|| (), run);
+                for (way, got) in [("forked", run()), ("inline", inline)] {
+                    assert_eq!(
+                        got.0,
+                        bits(want.data()),
+                        "{way} output, out_c {out_c}, n {n}"
+                    );
+                    assert_eq!(got.1, bits(&want_cols), "{way} cols, out_c {out_c}, n {n}");
+                }
+            }
+        }
+    }
+
+    /// Without gradients to add onto, a backward pass returns the input
+    /// gradient `Layer::backward` returns — its `Wᵀ·dY` rows forked or
+    /// inline — and leaves every parameter gradient where it was.
+    #[test]
+    fn input_gradient_only_backward_is_layer_backwards_gradient() {
+        for (out_c, n) in [(1, 1), (8, 1), (12, 2), (96, 1)] {
+            let mut conv = Conv2d::new(6, out_c, 4, 2, 1, 40 + out_c as u64);
+            let x = Tensor::randn([n, 6, 10, 10], 0.0, 1.0, 41);
+            let dy = Tensor::randn(conv.output_shape(x.shape()), 0.0, 1.0, 42);
+            let _ = conv.forward(&x);
+            let want = conv.backward(&dy);
+            let grads = [conv.weight.grad.clone(), conv.bias.grad.clone()];
+            let run = || {
+                let mut cache = ConvCache::default();
+                let _ = conv.forward_pass(&x, &mut cache);
+                bits(conv.backward_pass(&mut cache, &dy, None).data())
+            };
+            let ((), inline) = pop_exec::join(|| (), run);
+            for (way, got) in [("forked", run()), ("inline", inline)] {
+                assert_eq!(got, bits(want.data()), "{way} dx, out_c {out_c}, n {n}");
+            }
+            assert_eq!([conv.weight.grad.clone(), conv.bias.grad.clone()], grads);
+        }
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //! each layer caches what its backward pass needs, and composite models
 //! (the U-Net in [`pop-core`](../pop_core/index.html)) call `backward` in
 //! reverse order, routing gradients through skip connections explicitly.
+//! [`Conv2d`], [`BatchNorm2d`] and [`LeakyRelu`] also expose the pass
+//! functions their [`Layer`] impls wrap (`forward_pass` / `backward_pass`,
+//! and [`BatchNorm2d::commit`] for the running statistics), which keep that
+//! cache in a value the caller owns ([`ConvCache`], [`NormCache`]), read
+//! only the weights, and take the gradients to add onto as an argument —
+//! none, for a backward that wants only the input gradient. The
+//! discriminator runs its real and fake passes side by side through them.
 //!
 //! # Example
 //!
@@ -58,10 +65,10 @@ mod workspace;
 
 pub use act::{LeakyRelu, Relu, Tanh};
 pub use adam::Adam;
-pub use conv::{Conv2d, ConvTranspose2d};
+pub use conv::{Conv2d, ConvCache, ConvTranspose2d};
 pub use dropout::Dropout;
 pub use lower::{Activation, Batch, BatchMut, ConvGeom, Norm, PlannedConv, PlannedDeconv};
-pub use norm::BatchNorm2d;
+pub use norm::{BatchNorm2d, NormCache};
 pub use param::Param;
 pub use tensor::Tensor;
 pub use workspace::scratch;

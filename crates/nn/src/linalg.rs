@@ -29,11 +29,14 @@
 //! without arithmetic:
 //!
 //! * **Column tails** (`n mod NR` columns). The tail columns of `B` and `C`
-//!   are copied once per call into zero-padded `k×NR` / `m×NR` scratch, run
-//!   through the same panel kernel, and the real lanes copied back. Lanes
+//!   are copied once per call into zero-padded `k×W` / `m×W` scratch, run
+//!   through the same panel kernel at width `W`, and the real lanes copied
+//!   back. `W` is the narrowest of 4, 8 and `NR` that holds the tail: the
+//!   U-Net's 1×1 and 2×2 levels multiply with `n = 1` or `4`, where a
+//!   16-lane panel would spend 15 or 12 of its lanes on padding. Lanes
 //!   are independent outputs: the padding lanes compute `0 + a·0 + …` and
 //!   are dropped, the real lanes see the same seed and the same products
-//!   in the same order as in a full panel.
+//!   in the same order as in a full panel, whatever its width.
 //! * **`tn` picks its layout by element count.** `A` arrives transposed,
 //!   so something is transposed per call: either `Aᵀ` is packed (`m·k`
 //!   elements moved, a strip of rows at a time) or the product is computed
@@ -80,6 +83,12 @@
 //! `matmul_nn` / `matmul_tn` additionally tile over columns so the
 //! re-streamed `B` panel stays cache-resident when `n` is large — the
 //! regime batched inference creates by widening `n` to `batch · ho · wo`.
+//!
+//! **Forked rows.** Training's overwriting products can also split their
+//! output rows in two at a multiple of the row block and hand one strip to
+//! [`pop_exec::join`]'s helper (`matmul_nn_set_forked`,
+//! `matmul_tn_set_forked`). Rows are independent outputs, so the bits are
+//! the unsplit product's whoever runs which strip; inference never forks.
 
 use crate::workspace;
 use std::sync::OnceLock;
@@ -145,11 +154,12 @@ fn tn_transposes_output(m: usize, k: usize, n: usize) -> bool {
 }
 
 /// `Aᵀ·B` as `Cᵀ = Bᵀ·A`, lanes over the contiguous `m` axis of the stored
-/// `A` (`k×m`): `Bᵀ` and — unless the product overwrites — `Cᵀ` are
-/// transposed in, `Cᵀ` is transposed back out.
+/// `A` (the first `m` columns of `k` rows, `lda` floats apart): `Bᵀ` and —
+/// unless the product overwrites — `Cᵀ` are transposed in, `Cᵀ` is
+/// transposed back out.
 #[allow(clippy::too_many_arguments)]
 fn tn_by_transposed_output<const SEED: u8>(
-    a: &[f32],
+    (a, lda): (&[f32], usize),
     b: &[f32],
     ldb: usize,
     c: &mut [f32],
@@ -162,7 +172,7 @@ fn tn_by_transposed_output<const SEED: u8>(
     if SEED != SET {
         transpose(c, n, m, n, &mut ct[..n * m]);
     }
-    dispatch::<SEED>(&bt[..n * k], a, m, &mut ct[..n * m], n, k, m);
+    dispatch::<SEED>(&bt[..n * k], a, lda, &mut ct[..n * m], n, k, m);
     transpose(&ct[..n * m], m, n, m, c);
     workspace::give(bt);
     workspace::give(ct);
@@ -198,8 +208,22 @@ fn tn<const SEED: u8>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
+    tn_strip::<SEED>((a, m), b, c, m, k, n);
+}
+
+/// [`tn`] for the output rows that are the first `m` columns of `A` (`k`
+/// rows, `lda` floats apart): a strip of a wider product, laid out by its
+/// own shape.
+fn tn_strip<const SEED: u8>(
+    (a, lda): (&[f32], usize),
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     if tn_transposes_output(m, k, n) {
-        tn_by_transposed_output::<SEED>(a, b, n, c, m, k, n);
+        tn_by_transposed_output::<SEED>((a, lda), b, n, c, m, k, n);
     } else {
         // Pack and multiply a strip of output rows at a time: the kernel
         // reads the strip while it is still in cache, and the workspace
@@ -208,11 +232,71 @@ fn tn<const SEED: u8>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
         let mut at = workspace::take(rows * k);
         for (strip, c_rows) in c.chunks_mut((rows * n).max(1)).enumerate() {
             let r = c_rows.len() / n.max(1);
-            transpose(&a[strip * rows..], m, k, r, &mut at[..r * k]);
+            transpose(&a[strip * rows..], lda, k, r, &mut at[..r * k]);
             dispatch::<SEED>(&at[..r * k], b, n, c_rows, r, k, n);
         }
         workspace::give(at);
     }
+}
+
+/// Runs `strip(first_row, rows, c_rows)` over the `m` output rows of `C`
+/// (`n` floats each) split in two at half of them, rounded down to whole
+/// row blocks: the upper strip forked to [`pop_exec::join`]'s helper, the
+/// lower on the caller — or the whole of `C` on the caller below two row
+/// blocks. Rows are independent outputs, so the bits are the unsplit
+/// product's whoever runs which strip.
+fn forked_rows(c: &mut [f32], m: usize, n: usize, strip: impl Fn(usize, usize, &mut [f32]) + Sync) {
+    let mid = m / 2 / MR * MR;
+    if mid == 0 {
+        return strip(0, m, c);
+    }
+    let (c_lo, c_hi) = c.split_at_mut(mid * n);
+    pop_exec::join(|| strip(mid, m - mid, c_hi), || strip(0, mid, c_lo));
+}
+
+/// [`matmul_nn_set`] with its output rows split across
+/// [`pop_exec::join`]'s helper (see [`forked_rows`]).
+///
+/// # Panics
+///
+/// Panics when slice lengths do not match the dimensions.
+pub(crate) fn matmul_nn_set_forked(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), m * k, "A size");
+    assert_eq!(b.len(), k * n, "B size");
+    assert_eq!(c.len(), m * n, "C size");
+    forked_rows(c, m, n, |first, rows, c| {
+        let a = &a[first * k..(first + rows) * k];
+        dispatch::<SET>(a, b, n, c, rows, k, n);
+    });
+}
+
+/// [`matmul_tn_set`] with its output rows split across
+/// [`pop_exec::join`]'s helper (see [`forked_rows`]).
+///
+/// # Panics
+///
+/// Panics when slice lengths do not match the dimensions.
+pub(crate) fn matmul_tn_set_forked(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), k * m, "A size");
+    assert_eq!(b.len(), k * n, "B size");
+    assert_eq!(c.len(), m * n, "C size");
+    forked_rows(c, m, n, |first, rows, c| {
+        tn_strip::<SET>((&a[first..], m), b, c, rows, k, n)
+    });
 }
 
 /// An `A` (stored `k×m`) that is multiplied as `Aᵀ` many times — the
@@ -260,7 +344,7 @@ impl TnWeights {
         assert!(k == 0 || b.len() >= (k - 1) * ldb + n, "B size");
         assert_eq!(c.len(), m * n, "C size");
         if tn_transposes_output(m, k, n) {
-            tn_by_transposed_output::<SET>(&self.stored, b, ldb, c, m, k, n);
+            tn_by_transposed_output::<SET>((&self.stored, m), b, ldb, c, m, k, n);
         } else {
             let packed = self.packed.get_or_init(|| {
                 let mut at = vec![0.0; m * k];
@@ -373,9 +457,10 @@ fn transpose(src: &[f32], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) 
 }
 
 /// The kernel's column loop: full panels in cache-sized tiles, then the
-/// zero-padded tail. This and everything it calls is `#[inline(always)]` so
-/// that each caller — `dispatch` at the baseline, `kernel_avx2` — compiles
-/// its own copy under its own target features and panel width.
+/// zero-padded tail in the narrowest panel that holds it. This and
+/// everything it calls is `#[inline(always)]` so that each caller —
+/// `dispatch` at the baseline, `kernel_avx2` — compiles its own copy under
+/// its own target features and panel width.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn nn<const NR: usize, const SEED: u8>(
@@ -396,25 +481,43 @@ fn nn<const NR: usize, const SEED: u8>(
         row_blocks::<NR, SEED>(a, b, ldb, c, n, m, k, j0, j1);
         j0 = j1;
     }
-    let tail = n - full;
-    if tail == 0 {
-        return;
+    match n - full {
+        0 => {}
+        1..=4 => padded_tail::<4, SEED>(a, b, ldb, c, m, k, n, full),
+        5..=8 if NR > 8 => padded_tail::<8, SEED>(a, b, ldb, c, m, k, n, full),
+        _ => padded_tail::<NR, SEED>(a, b, ldb, c, m, k, n, full),
     }
-    // Column tail: one zero-padded panel each of B's and C's last columns
-    // (an overwriting product reads nothing of C, so copies nothing in).
-    let (mut bp, mut cp) = (workspace::take(k * NR), workspace::take(m * NR));
-    for (kk, dst) in bp[..k * NR].chunks_exact_mut(NR).enumerate() {
+}
+
+/// The columns of `B` and `C` from `full` on — at most `W` — through one
+/// zero-padded `W`-lane panel each (an overwriting product reads nothing
+/// of C, so copies nothing in).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn padded_tail<const W: usize, const SEED: u8>(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    full: usize,
+) {
+    let tail = n - full;
+    let (mut bp, mut cp) = (workspace::take(k * W), workspace::take(m * W));
+    for (kk, dst) in bp[..k * W].chunks_exact_mut(W).enumerate() {
         dst[..tail].copy_from_slice(&b[kk * ldb + full..][..tail]);
         dst[tail..].fill(0.0);
     }
     if SEED != SET {
-        for (dst, src) in cp.chunks_exact_mut(NR).zip(c.chunks_exact(n)) {
+        for (dst, src) in cp.chunks_exact_mut(W).zip(c.chunks_exact(n)) {
             dst[..tail].copy_from_slice(&src[full..]);
             dst[tail..].fill(0.0);
         }
     }
-    row_blocks::<NR, SEED>(a, &bp[..k * NR], NR, &mut cp[..m * NR], NR, m, k, 0, NR);
-    for (src, dst) in cp.chunks_exact(NR).zip(c.chunks_exact_mut(n)) {
+    row_blocks::<W, SEED>(a, &bp[..k * W], W, &mut cp[..m * W], W, m, k, 0, W);
+    for (src, dst) in cp.chunks_exact(W).zip(c.chunks_exact_mut(n)) {
         dst[full..].copy_from_slice(&src[..tail]);
     }
     workspace::give(bp);
@@ -627,12 +730,23 @@ mod tests {
     /// The baseline (8-lane panel) and the AVX2 instantiation (16-lane) are
     /// one source: on a host with AVX2 (where `dispatch` would otherwise
     /// never run the baseline) both must produce the same bits for every
-    /// seed, on widths either side of each panel and between the two.
+    /// seed, on widths either side of each panel and between the two, and
+    /// on every narrow tail (a 4-lane panel up to 4 columns, an 8-lane one
+    /// up to 8) after zero, one and two full panels of either width.
     #[test]
     fn instantiations_are_bitwise_identical() {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            for &(m, k, n) in &[
+            let narrow_tails = (1..=8)
+                .chain(
+                    [1, 2]
+                        .iter()
+                        .flat_map(|q| [16 * q + 1, 16 * q + 4, 16 * q + 8]),
+                )
+                .chain([1, 2].iter().flat_map(|q| [8 * q + 1, 8 * q + 4]))
+                .map(|n| (6, 9, n));
+            for &(m, k, n) in [
+                (4, 5, 8),
                 (4, 5, 8),
                 (7, 11, 23),
                 (1, 1, 1),
@@ -646,7 +760,10 @@ mod tests {
                 (4, 7, 15),
                 (6, 5, 17),
                 (7, 3, 31),
-            ] {
+            ]
+            .iter()
+            .chain(&narrow_tails.collect::<Vec<_>>())
+            {
                 let a = randmat(m * k, 9);
                 let b = randmat(k * n, 10);
                 let c0 = randmat(m * n, 11);
@@ -680,6 +797,35 @@ mod tests {
         }
         let layouts = shapes.map(|(m, k, n)| tn_transposes_output(m, k, n));
         assert!(layouts.contains(&true) && layouts.contains(&false));
+    }
+
+    /// The forked overwriting products split their output rows at a whole
+    /// row block (none below 8 rows, 4 | 4 at 8, 4 | 8 at 12, 48 | 48 at
+    /// 96) and leave the unsplit products' bits — `tn` in both of its
+    /// layouts — forked wherever the helper is free and with every join
+    /// inline.
+    #[test]
+    fn forked_products_are_the_unsplit_products() {
+        for m in [1, 4, 8, 12, 96] {
+            for (k, n) in [(24, 7), (24, 100), (5, 1), (300, 4)] {
+                let (a, b) = (randmat(m * k, 14), randmat(k * n, 15));
+                let mut want = (vec![0.0; m * n], vec![0.0; m * n]);
+                matmul_nn_set(&a, &b, &mut want.0, m, k, n);
+                matmul_tn_set(&a, &b, &mut want.1, m, k, n);
+                let run = || {
+                    let mut got = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+                    matmul_nn_set_forked(&a, &b, &mut got.0, m, k, n);
+                    matmul_tn_set_forked(&a, &b, &mut got.1, m, k, n);
+                    got
+                };
+                let ((), inline) = pop_exec::join(|| (), run);
+                for (way, got) in [("forked", run()), ("inline", inline)] {
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.0), bits(&want.0), "{way} nn ({m},{k},{n})");
+                    assert_eq!(bits(&got.1), bits(&want.1), "{way} tn ({m},{k},{n})");
+                }
+            }
+        }
     }
 
     #[test]

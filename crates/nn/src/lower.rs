@@ -326,14 +326,20 @@ fn activate(row: &mut [f32], pre: impl Fn(f32) -> f32, act: Activation) {
     }
 }
 
+/// The overwriting GEMM a convolution forward multiplies with:
+/// `(A, B, C, m, k, n)` sets `C = A @ B` ([`matmul_nn_set`], or its forked
+/// twin in a training forward).
+pub(crate) type Product = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
 /// A convolution forward: `x` (`n` samples of `[in_c, h, w]`) lowered
 /// `group` samples at a time into `cols` (at least `in_c·k²` rows of
-/// `group·ho·wo`), multiplied by `weight` (`[out_c, in_c·k²]`), finished by
-/// `epilogue` and written to `y`. A training forward passes `group = n`
-/// and keeps `cols` for its backward pass.
+/// `group·ho·wo`), multiplied by `weight` (`[out_c, in_c·k²]`) through
+/// `product`, finished by `epilogue` and written to `y`. A training forward
+/// passes `group = n` and keeps `cols` for its backward pass.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_forward(
     geom: &ConvGeom,
+    product: Product,
     weight: &[f32],
     epilogue: &Epilogue<'_>,
     x: Batch<'_>,
@@ -353,7 +359,7 @@ pub(crate) fn conv_forward(
             let gcols = g * p_out;
             let (cols, y_flat) = (&mut cols[..ckk * gcols], &mut y_flat[..geom.out_c * gcols]);
             im2col_group(geom, x, (h, w), (first, g), cols);
-            matmul_nn_set(weight, cols, y_flat, geom.out_c, ckk, gcols);
+            product(weight, cols, y_flat, geom.out_c, ckk, gcols);
             // De-interleave [out_c, g·p] into the destination's planes.
             for b in 0..g {
                 let (y_b, channel_stride) = y.sample(first + b, p_out);
@@ -500,7 +506,18 @@ impl PlannedConv {
         let per_sample = geom.in_c * geom.k * geom.k * ho * wo;
         let group = slab_group(per_sample, n);
         scratch(per_sample * group, |cols| {
-            conv_forward(geom, &self.weight, &epilogue, x, dims, n, group, cols, y)
+            conv_forward(
+                geom,
+                matmul_nn_set,
+                &self.weight,
+                &epilogue,
+                x,
+                dims,
+                n,
+                group,
+                cols,
+                y,
+            )
         });
     }
 }

@@ -3,6 +3,22 @@ use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::Layer;
 
+/// What a batch-norm training forward leaves: `x̂` and `1/σ` for the
+/// backward pass, and the batch statistics until
+/// [`BatchNorm2d::commit`] moves the running ones by them.
+///
+/// [`BatchNorm2d::forward_pass`] fills one, so a caller that keeps its own
+/// can run several passes of one layer at once and commit their statistics
+/// in the order it chooses; the [`Layer`] impl keeps one in the layer and
+/// commits at once.
+#[derive(Debug, Clone, Default)]
+pub struct NormCache {
+    xhat: Option<Tensor>,
+    inv_std: Vec<f32>,
+    mean: Vec<f32>,
+    var: Vec<f32>,
+}
+
 /// 2-D batch normalisation over `(N, H, W)` per channel.
 ///
 /// Figure 5's discriminator uses "convolutional layers (with batch
@@ -23,9 +39,7 @@ pub struct BatchNorm2d {
     beta: Param,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    // Backward cache.
-    cached_xhat: Option<Tensor>,
-    cached_inv_std: Vec<f32>,
+    cache: NormCache,
 }
 
 impl BatchNorm2d {
@@ -40,8 +54,7 @@ impl BatchNorm2d {
             beta: Param::new(Tensor::zeros([1, channels, 1, 1])),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
-            cached_xhat: None,
-            cached_inv_std: vec![0.0; channels],
+            cache: NormCache::default(),
         }
     }
 
@@ -78,16 +91,24 @@ impl BatchNorm2d {
         }
         (scale, shift)
     }
-}
 
-impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// The training forward, normalising by the batch's statistics and
+    /// reading only the affine: what the backward pass and [`Self::commit`]
+    /// need goes to `cache`. The running statistics do not move.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` does not have this layer's channel count.
+    pub fn forward_pass(&self, x: &Tensor, cache: &mut NormCache) -> Tensor {
         assert_eq!(x.c(), self.channels, "channel count");
         let [n, c, h, w] = x.shape();
         let plane = h * w;
         let m = (n * h * w) as f32;
         let mut y = Tensor::zeros(x.shape());
         let mut xhat = Tensor::zeros(x.shape());
+        for v in [&mut cache.inv_std, &mut cache.mean, &mut cache.var] {
+            v.resize(c, 0.0);
+        }
         for ci in 0..c {
             let mut sum = 0.0f64;
             for b in 0..n {
@@ -107,12 +128,10 @@ impl Layer for BatchNorm2d {
                     .sum::<f64>();
             }
             let var = (var_sum / m as f64) as f32;
-            self.running_mean[ci] =
-                (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
-            self.running_var[ci] =
-                (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
+            cache.mean[ci] = mean;
+            cache.var[ci] = var;
             let inv_std = 1.0 / (var + self.eps).sqrt();
-            self.cached_inv_std[ci] = inv_std;
+            cache.inv_std[ci] = inv_std;
             let g = self.gamma.value.data()[ci];
             let bta = self.beta.value.data()[ci];
             for b in 0..n {
@@ -130,13 +149,40 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        self.cached_xhat = Some(xhat);
+        cache.xhat = Some(xhat);
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let xhat = self
-            .cached_xhat
+    /// Moves the running statistics by the batch statistics of the forward
+    /// that filled `cache` (momentum 0.1).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cache` holds no forward of this layer.
+    pub fn commit(&mut self, cache: &NormCache) {
+        assert_eq!(cache.mean.len(), self.channels, "a forward's statistics");
+        let stats = self.running_mean.iter_mut().zip(&mut self.running_var);
+        for ((rm, rv), (&mean, &var)) in stats.zip(cache.mean.iter().zip(&cache.var)) {
+            *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
+            *rv = (1.0 - self.momentum) * *rv + self.momentum * var;
+        }
+    }
+
+    /// The backward pass of the forward that filled `cache`: returns the
+    /// input gradient and, given `grads` (`[γ, β]`-shaped, the order of
+    /// [`Layer::params_mut`]), adds the affine's gradients onto them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cache` holds no forward.
+    pub fn backward_pass(
+        &self,
+        cache: &mut NormCache,
+        grad_out: &Tensor,
+        mut grads: Option<&mut [Tensor; 2]>,
+    ) -> Tensor {
+        let xhat = cache
+            .xhat
             .take()
             .expect("BatchNorm2d::backward called before forward");
         let [n, c, h, w] = grad_out.shape();
@@ -145,7 +191,7 @@ impl Layer for BatchNorm2d {
         let mut dx = Tensor::zeros(grad_out.shape());
         for ci in 0..c {
             let g = self.gamma.value.data()[ci];
-            let inv_std = self.cached_inv_std[ci];
+            let inv_std = cache.inv_std[ci];
             let mut sum_dy = 0.0f64;
             let mut sum_dy_xhat = 0.0f64;
             for b in 0..n {
@@ -156,8 +202,10 @@ impl Layer for BatchNorm2d {
                     sum_dy_xhat += (*yv as f64) * (*xv as f64);
                 }
             }
-            self.beta.grad.data_mut()[ci] += sum_dy as f32;
-            self.gamma.grad.data_mut()[ci] += sum_dy_xhat as f32;
+            if let Some([gamma, beta]) = grads.as_deref_mut() {
+                beta.data_mut()[ci] += sum_dy as f32;
+                gamma.data_mut()[ci] += sum_dy_xhat as f32;
+            }
             let k = g * inv_std / m;
             for b in 0..n {
                 let dy = &grad_out.data()[(b * c + ci) * plane..(b * c + ci + 1) * plane];
@@ -168,6 +216,28 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
+        dx
+    }
+}
+
+impl Layer for BatchNorm2d {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut cache = std::mem::take(&mut self.cache);
+        let y = self.forward_pass(x, &mut cache);
+        self.commit(&cache);
+        self.cache = cache;
+        y
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut cache = std::mem::take(&mut self.cache);
+        let mut grads = [
+            std::mem::take(&mut self.gamma.grad),
+            std::mem::take(&mut self.beta.grad),
+        ];
+        let dx = self.backward_pass(&mut cache, grad_out, Some(&mut grads));
+        [self.gamma.grad, self.beta.grad] = grads;
+        self.cache = cache;
         dx
     }
 

@@ -6,7 +6,8 @@ use std::fmt;
 ///
 /// The only tensor rank this workload needs is 4 (batch, channels, height,
 /// width); vectors and matrices are expressed with singleton dimensions.
-#[derive(Clone, PartialEq)]
+/// The default is the empty `0×0×0×0` tensor.
+#[derive(Clone, Default, PartialEq)]
 pub struct Tensor {
     shape: [usize; 4],
     data: Vec<f32>,

@@ -141,6 +141,24 @@ fn column_tile_seams_differ_between_the_panel_widths() {
     check_all_kernels(5, 6553, 90, 3);
 }
 
+/// The tails that take a narrower panel than the instantiation's own:
+/// `n = 1..=8` (the whole product one 4- or 8-lane panel; at the baseline
+/// `n = 8` is a full panel) and `n = 16q + {1, 4, 8}` (full panels, then a
+/// 4- or 8-lane tail under AVX2; a 4-lane tail or none at the baseline),
+/// over row counts either side of a row block and depths from 1. This
+/// binary runs whichever instantiation the host dispatches to; the unit
+/// test `instantiations_are_bitwise_identical` runs the same tails through
+/// both on an AVX2 host.
+#[test]
+fn narrow_tails_are_bitwise_naive() {
+    let widths = (1..=8).chain((1..=3).flat_map(|q| [16 * q + 1, 16 * q + 4, 16 * q + 8]));
+    for n in widths {
+        for (m, k) in [(1, 1), (3, 7), (4, 16), (9, 33), (96, 24)] {
+            check_all_kernels(m, k, n, (m * 131 + k * 7 + n) as u64);
+        }
+    }
+}
+
 /// `matmul_tn` (A stored `k×m`) against the scalar reference from a
 /// non-zero C, and whether the shape takes the transposed-output layout.
 fn check_tn(m: usize, k: usize, n: usize, seed: u64) -> bool {
