@@ -373,6 +373,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The exact bytes of a record file written from fixed records: a
+    /// moved byte would turn every cached baseline on disk into a miss.
+    #[test]
+    fn baseline_file_bytes_are_pinned() {
+        let evals: Vec<PairEval> = (0..3)
+            .map(|i| PairEval {
+                accuracy: 0.5 + i as f32 / 8.0,
+                channel_accuracy: 0.25 + i as f32 / 16.0,
+                nrms: 1.0 / (i + 2) as f32,
+                pred_congestion: 0.75 * i as f32,
+                true_congestion: 0.125 + i as f32,
+            })
+            .collect();
+        let dir = std::env::temp_dir().join("pop_baseline_golden_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("golden.popbl");
+        write_baseline_file(&path, 0x0123_4567_89ab_cdef, &evals, 1.5).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let mut h = Fnv1a::new();
+        h.eat_bytes(&bytes);
+        assert_eq!((bytes.len(), h.finish()), (84, 0x8efc_71d9_b31f_97a9));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn replay_mismatch_is_detected() {
         let config = ExperimentConfig {
