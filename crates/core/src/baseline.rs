@@ -8,8 +8,9 @@
 //! placement sweep of a generated dataset, computes RUDY estimates, and
 //! scores them against the dataset's routed ground truth.
 
+use crate::codec::{atomic_write, Fnv1a, Put, Reader};
 use crate::config::ExperimentConfig;
-use crate::dataset::{atomic_write, design_fabric, fingerprint, DesignDataset, Fnv1a};
+use crate::dataset::{design_fabric, fingerprint, DesignDataset};
 use crate::error::CoreError;
 use crate::features::{assemble_target, tensor_to_image};
 use crate::metrics::PairEval;
@@ -18,7 +19,6 @@ use pop_place::{place, sweep::SweepSpec};
 use pop_raster::metrics::per_pixel_accuracy;
 use pop_raster::{render_congestion, Image};
 use pop_route::{rudy_estimate, CongestionMap};
-use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Baseline quality numbers, directly comparable to a Table 2 row.
@@ -172,9 +172,8 @@ fn rudy_pair_evals_uncounted(
 
 /// Baseline-record cache format magic (versioned: bump on layout change).
 const BASELINE_MAGIC: &[u8; 8] = b"POPBL01\n";
-/// Upper bound on a plausible record count — mirrors the corpus store's
-/// stance that a corrupt length must fail loudly, not allocate wildly.
-const MAX_BASELINE_RECORDS: usize = 1 << 20;
+/// One record: five `f32` fields.
+const RECORD_BYTES: u64 = 5 * 4;
 
 /// Fingerprint of everything a cached baseline record set depends on: the
 /// corpus identity (the same [`fingerprint`] that keys the pipeline's
@@ -199,77 +198,65 @@ pub fn baseline_entry_path(dir: &Path, spec: &SyntheticSpec, fp: u64) -> PathBuf
     dir.join(format!("{}-{fp:016x}.popbl", spec.name))
 }
 
-fn write_baseline_file(
+/// Writes a baseline record file: the header `POPBL01\n ‖ fp:u64`, then
+/// `calibration:f32 ‖ records:u32` and five `f32` fields per record.
+/// Atomic.
+///
+/// # Errors
+///
+/// Propagates I/O failures.
+pub fn write_baseline_file(
     path: &Path,
     fp: u64,
     evals: &[PairEval],
     calibration: f32,
 ) -> std::io::Result<()> {
-    use std::io::Write;
     atomic_write(path, |w| {
-        w.write_all(BASELINE_MAGIC)?;
-        w.write_all(&fp.to_le_bytes())?;
-        w.write_all(&calibration.to_le_bytes())?;
-        w.write_all(&(evals.len() as u32).to_le_bytes())?;
+        w.put_header(BASELINE_MAGIC, fp)?;
+        w.put_f32(calibration)?;
+        w.put_usize(evals.len())?;
         for e in evals {
-            for v in [
+            w.put_f32s(&[
                 e.accuracy,
                 e.channel_accuracy,
                 e.nrms,
                 e.pred_congestion,
                 e.true_congestion,
-            ] {
-                w.write_all(&v.to_le_bytes())?;
-            }
+            ])?;
         }
         Ok(())
     })
 }
 
-/// Parses a baseline cache file; `None` on any mismatch or damage (the
-/// caller falls back to a replay, so staleness is never an error).
-fn read_baseline_file(path: &Path, fp: u64, n_pairs: usize) -> Option<(Vec<PairEval>, f32)> {
-    let mut r = std::io::BufReader::new(std::fs::File::open(path).ok()?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).ok()?;
-    if &magic != BASELINE_MAGIC {
-        return None;
-    }
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b8).ok()?;
-    if u64::from_le_bytes(b8) != fp {
-        return None;
-    }
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4).ok()?;
-    let calibration = f32::from_le_bytes(b4);
-    r.read_exact(&mut b4).ok()?;
-    let n = u32::from_le_bytes(b4) as usize;
-    if n != n_pairs || n > MAX_BASELINE_RECORDS {
+/// Reads a baseline record file written by [`write_baseline_file`];
+/// `None` on any mismatch or damage — a stale key, another pair count,
+/// truncation, a non-finite field, trailing bytes — since the caller falls
+/// back to a replay, staleness is never an error.
+pub fn read_baseline_file(path: &Path, fp: u64, n_pairs: usize) -> Option<(Vec<PairEval>, f32)> {
+    let mut r = Reader::open(path).ok()?;
+    r.header(BASELINE_MAGIC, fp).ok()?;
+    let calibration = r.f32().ok()?;
+    let n = r.count(RECORD_BYTES).ok()?;
+    if n != n_pairs {
         return None;
     }
     let mut evals = Vec::with_capacity(n);
     for _ in 0..n {
         let mut f = [0.0f32; 5];
-        for v in &mut f {
-            r.read_exact(&mut b4).ok()?;
-            *v = f32::from_le_bytes(b4);
-        }
+        r.f32s_into(&mut f).ok()?;
         if f.iter().any(|v| !v.is_finite()) {
             return None;
         }
+        let [accuracy, channel_accuracy, nrms, pred_congestion, true_congestion] = f;
         evals.push(PairEval {
-            accuracy: f[0],
-            channel_accuracy: f[1],
-            nrms: f[2],
-            pred_congestion: f[3],
-            true_congestion: f[4],
+            accuracy,
+            channel_accuracy,
+            nrms,
+            pred_congestion,
+            true_congestion,
         });
     }
-    // Trailing garbage means the file is not what we wrote: treat as stale.
-    if r.read(&mut b4).ok()? != 0 {
-        return None;
-    }
+    r.finish().ok()?;
     Some((evals, calibration))
 }
 

@@ -369,7 +369,7 @@ mod tests {
         for (res, logits_fnv, probability) in GOLDEN {
             let x = Tensor::randn([2, 4, res, res], 0.0, 1.0, 90 + res as u64);
             let d = trained(res);
-            let mut h = crate::dataset::Fnv1a::new();
+            let mut h = crate::codec::Fnv1a::new();
             d.logits(&x)
                 .data()
                 .iter()

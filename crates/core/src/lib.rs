@@ -15,7 +15,8 @@
 //!    plots;
 //! 5. [`dataset`] regenerates the paper's data: placement-option sweeps,
 //!    ground-truth routing, rasterisation and tensor assembly, with a disk
-//!    cache;
+//!    cache whose files, like every other cached artefact, go through
+//!    [`codec`];
 //! 6. [`metrics`] computes Table 2's Acc.1/Acc.2 per-pixel accuracies and
 //!    Top10 retrieval metric;
 //! 7. [`apps`] implements §5.4: congestion-aware placement exploration,
@@ -45,6 +46,7 @@
 
 pub mod apps;
 pub mod baseline;
+pub mod codec;
 mod config;
 pub mod dataset;
 mod disc;

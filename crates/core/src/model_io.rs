@@ -16,12 +16,16 @@
 //!   epoch, so the weights on disk never run ahead of (or behind) the
 //!   corpus progress marker.
 //!
-//! All writes are atomic (tmp + rename via
-//! [`dataset::atomic_write`](crate::dataset::atomic_write)): a crash
-//! mid-save leaves the previous checkpoint intact, never a truncated one.
+//! The file goes through [`crate::codec`]: the header `POPCKPT3 ‖
+//! config fingerprint:u64`, a train-state flag byte, then each section as
+//! `tensors:u32` and per tensor `len:u32` plus its bulk `f32` body. All
+//! writes are atomic ([`atomic_write`]): a crash mid-save leaves the
+//! previous checkpoint intact, never a truncated one. A load that finds a
+//! foreign or stale header, a tensor of the wrong size, truncation or
+//! trailing bytes returns [`CoreError::Cache`].
 
+use crate::codec::{atomic_write, Fnv1a, Put, Reader};
 use crate::config::ExperimentConfig;
-use crate::dataset::{atomic_write, Fnv1a};
 use crate::error::CoreError;
 use crate::trainer::Pix2Pix;
 use pop_nn::Layer;
@@ -45,20 +49,18 @@ fn config_fingerprint(config: &ExperimentConfig) -> u64 {
 }
 
 fn dump(w: &mut impl Write, params: &[Vec<f32>]) -> std::io::Result<()> {
-    w.write_all(&(params.len() as u32).to_le_bytes())?;
+    w.put_usize(params.len())?;
     for p in params {
-        w.write_all(&(p.len() as u32).to_le_bytes())?;
-        for v in p {
-            w.write_all(&v.to_le_bytes())?;
-        }
+        w.put_usize(p.len())?;
+        w.put_f32s(p)?;
     }
     Ok(())
 }
 
-fn slurp(r: &mut impl Read, targets: Vec<&mut [f32]>) -> Result<(), CoreError> {
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let n = u32::from_le_bytes(b4) as usize;
+/// Reads one section [`dump`] wrote into `targets`, which fix every count
+/// and size: the file can only confirm them, never size an allocation.
+fn slurp(r: &mut Reader<impl Read>, targets: Vec<&mut [f32]>) -> Result<(), CoreError> {
+    let n = r.u32()? as usize;
     if n != targets.len() {
         return Err(CoreError::Cache(format!(
             "checkpoint has {n} tensors, model has {}",
@@ -66,26 +68,16 @@ fn slurp(r: &mut impl Read, targets: Vec<&mut [f32]>) -> Result<(), CoreError> {
         )));
     }
     for t in targets {
-        r.read_exact(&mut b4)?;
-        let len = u32::from_le_bytes(b4) as usize;
+        let len = r.u32()? as usize;
         if len != t.len() {
             return Err(CoreError::Cache(format!(
                 "tensor size mismatch: {len} vs {}",
                 t.len()
             )));
         }
-        for v in t.iter_mut() {
-            r.read_exact(&mut b4)?;
-            *v = f32::from_le_bytes(b4);
-        }
+        r.f32s_into(t)?;
     }
     Ok(())
-}
-
-fn read_u64(r: &mut impl Read) -> std::io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 /// Collects a snapshot of one network section, `select` picking which
@@ -129,8 +121,7 @@ fn write_model(model: &mut Pix2Pix, path: &Path, with_train_state: bool) -> Resu
     });
 
     atomic_write(path, |w| {
-        w.write_all(MAGIC)?;
-        w.write_all(&fingerprint.to_le_bytes())?;
+        w.put_header(MAGIC, fingerprint)?;
         w.write_all(&[u8::from(with_train_state)])?;
         dump(w, &gen_params)?;
         dump(w, &disc_params)?;
@@ -141,10 +132,10 @@ fn write_model(model: &mut Pix2Pix, path: &Path, with_train_state: bool) -> Resu
             dump(w, gen_v)?;
             dump(w, disc_m)?;
             dump(w, disc_v)?;
-            w.write_all(&g_steps.to_le_bytes())?;
-            w.write_all(&d_steps.to_le_bytes())?;
-            for word in rng {
-                w.write_all(&word.to_le_bytes())?;
+            w.put_u64(*g_steps)?;
+            w.put_u64(*d_steps)?;
+            for &word in rng {
+                w.put_u64(word)?;
             }
         }
         Ok(())
@@ -176,14 +167,14 @@ pub fn save_checkpoint(model: &mut Pix2Pix, path: &Path) -> Result<(), CoreError
 
 /// [`slurp`] into one tensor of each parameter (`select` picks which).
 fn slurp_params<'a>(
-    r: &mut impl Read,
+    r: &mut Reader<impl Read>,
     params: Vec<&'a mut pop_nn::Param>,
     select: fn(&'a mut pop_nn::Param) -> &'a mut [f32],
 ) -> Result<(), CoreError> {
     slurp(r, params.into_iter().map(select).collect())
 }
 
-fn slurp_buffers(r: &mut impl Read, buffers: Vec<&mut Vec<f32>>) -> Result<(), CoreError> {
+fn slurp_buffers(r: &mut Reader<impl Read>, buffers: Vec<&mut Vec<f32>>) -> Result<(), CoreError> {
     slurp(r, buffers.into_iter().map(Vec::as_mut_slice).collect())
 }
 
@@ -193,20 +184,11 @@ fn slurp_buffers(r: &mut impl Read, buffers: Vec<&mut Vec<f32>>) -> Result<(), C
 /// private: [`load_checkpoint`] only ever hands it a model it drops on
 /// failure, so no caller can observe the half-loaded state.
 fn load_model(model: &mut Pix2Pix, path: &Path) -> Result<(), CoreError> {
-    let r = &mut std::io::BufReader::new(std::fs::File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(CoreError::Cache("bad checkpoint magic".into()));
-    }
-    if read_u64(r)? != config_fingerprint(model.config()) {
-        return Err(CoreError::Cache(
-            "checkpoint was trained with a different architecture".into(),
-        ));
-    }
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let has_train_state = match flag[0] {
+    let mut reader = Reader::open(path)?;
+    let r = &mut reader;
+    r.header(MAGIC, config_fingerprint(model.config()))
+        .map_err(|e| CoreError::Cache(format!("checkpoint {}: {e}", path.display())))?;
+    let has_train_state = match r.u8()? {
         0 => false,
         1 => true,
         other => {
@@ -232,15 +214,16 @@ fn load_model(model: &mut Pix2Pix, path: &Path) -> Result<(), CoreError> {
         slurp_params(r, model.discriminator_mut().params_mut(), |p| {
             p.v.data_mut()
         })?;
-        let g_steps = read_u64(r)?;
-        let d_steps = read_u64(r)?;
+        let g_steps = r.u64()?;
+        let d_steps = r.u64()?;
         model.set_optimizer_steps(g_steps, d_steps);
         let mut rng = [0u64; 4];
         for word in &mut rng {
-            *word = read_u64(r)?;
+            *word = r.u64()?;
         }
         model.set_rng_state(rng);
     }
+    reader.finish()?;
     Ok(())
 }
 

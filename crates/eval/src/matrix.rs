@@ -6,7 +6,8 @@
 use crate::error::EvalError;
 use crate::report::{CellMetrics, CellStats, EvalMatrix};
 use pop_core::baseline::rudy_pair_evals_cached;
-use pop_core::dataset::{DesignDataset, Fnv1a, Pair};
+use pop_core::codec::Fnv1a;
+use pop_core::dataset::{DesignDataset, Pair};
 use pop_core::metrics::PairEval;
 use pop_core::{CoreError, EvalReport, ExclusiveForecaster, MetricSet, Pix2Pix};
 use pop_exec::scoped_map;

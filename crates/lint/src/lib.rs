@@ -83,6 +83,9 @@ impl LintConfig {
                 // connection worker, so the whole request path is rooted.
                 "crates/http/src/server.rs".into(),
                 "crates/http/src/service.rs".into(),
+                // The on-disk codec every cache and checkpoint load decodes
+                // through: hostile bytes must come back as an error.
+                "crates/core/src/codec.rs".into(),
             ],
             lock_prefixes: vec!["crates/exec/src/".into(), "crates/serve/src/".into()],
             names_exclude_prefixes: vec!["crates/obs/".into(), "crates/lint/".into()],

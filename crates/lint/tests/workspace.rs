@@ -100,8 +100,8 @@ fn every_declared_lock_is_taken() {
 #[test]
 fn injected_wall_clock_in_fingerprint_fails_the_lint() {
     let root = workspace_root();
-    let rel = "crates/core/src/dataset.rs";
-    let original = std::fs::read_to_string(root.join(rel)).expect("dataset.rs readable");
+    let rel = "crates/core/src/dataset/store.rs";
+    let original = std::fs::read_to_string(root.join(rel)).expect("store.rs readable");
 
     // Inject an `Instant::now()` into the body of `fn fingerprint` — the
     // exact leak the determinism rule exists to catch.
@@ -148,8 +148,8 @@ fn injected_two_hop_system_time_helper_fails_the_lint() {
     // file-scoped rule would still have caught this (same file), the real
     // point is the chain in the finding.
     let root = workspace_root();
-    let rel = "crates/core/src/dataset.rs";
-    let original = std::fs::read_to_string(root.join(rel)).expect("dataset.rs readable");
+    let rel = "crates/core/src/dataset/store.rs";
+    let original = std::fs::read_to_string(root.join(rel)).expect("store.rs readable");
 
     let needle = "pub fn fingerprint(";
     let at = original.find(needle).expect("fingerprint fn present");

@@ -25,7 +25,8 @@
 use crate::error::PipelineError;
 use crate::run::{expand, generate_jobs_with_stats, GenStats, PipelineOptions};
 use crate::scenario::{DesignJob, ScenarioSpec};
-use pop_core::dataset::{atomic_write, fingerprint, read_pair, write_pair, Fnv1a, Pair};
+use pop_core::codec::{atomic_write, Fnv1a, Put, Reader};
+use pop_core::dataset::{fingerprint, read_pair, write_pair, Pair, PAIR_MIN_BYTES};
 use pop_core::{model_io, CoreError, ExperimentConfig, Pix2Pix, StreamCheckpoint};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -33,9 +34,6 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 const RING_MAGIC: &[u8; 8] = b"POPRING1";
-/// Decode-time bound mirroring the dataset cache's: a corrupt epoch header
-/// must not drive a huge allocation.
-const MAX_RING_PAIRS: usize = 1 << 20;
 
 /// A bounded on-disk ring of generated epochs plus a training-progress
 /// marker — the persistence half of resumable streaming.
@@ -44,7 +42,9 @@ const MAX_RING_PAIRS: usize = 1 << 20;
 ///
 /// * `epoch-<e>.pope` — the spilled pairs of epoch `e`, keyed by a
 ///   fingerprint of the epoch's (seed-shifted) generation jobs; at most
-///   `capacity` of these are kept (oldest pruned first);
+///   `capacity` of these are kept (oldest pruned first). Through
+///   [`pop_core::codec`]: the header `POPRING1 ‖ key:u64`, then `epoch:u64
+///   ‖ pairs:u32` and the pair records;
 /// * `progress` — how many epochs the *trainer* has fully consumed,
 ///   advanced through the [`StreamCheckpoint`] handshake.
 ///
@@ -106,8 +106,7 @@ impl EpochRing {
     /// or generated under a different scenario key — all of which mean
     /// "regenerate").
     pub fn load_epoch(&self, key: u64, epoch: usize) -> Option<Vec<Pair>> {
-        let mut r = std::io::BufReader::new(std::fs::File::open(self.epoch_path(epoch)).ok()?);
-        parse_epoch(&mut r, key, epoch).ok().flatten()
+        parse_epoch(Reader::open(&self.epoch_path(epoch)).ok()?, key, epoch).ok()
     }
 
     /// Atomically spills one epoch's pairs, then prunes the ring down to
@@ -117,24 +116,11 @@ impl EpochRing {
     ///
     /// Propagates I/O failures.
     pub fn store_epoch(&self, key: u64, epoch: usize, pairs: &[Pair]) -> std::io::Result<()> {
-        // Mirror the reader's bound at write time so an oversized epoch
-        // fails loudly instead of becoming a spill the reader forever
-        // rejects as corrupt.
-        if pairs.len() > MAX_RING_PAIRS {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("epoch exceeds {MAX_RING_PAIRS} pairs"),
-            ));
-        }
         atomic_write(&self.epoch_path(epoch), |w| {
-            w.write_all(RING_MAGIC)?;
-            w.write_all(&key.to_le_bytes())?;
-            w.write_all(&(epoch as u64).to_le_bytes())?;
-            w.write_all(&(pairs.len() as u32).to_le_bytes())?;
-            for p in pairs {
-                write_pair(w, p)?;
-            }
-            Ok(())
+            w.put_header(RING_MAGIC, key)?;
+            w.put_u64(epoch as u64)?;
+            w.put_usize(pairs.len())?;
+            pairs.iter().try_for_each(|p| write_pair(w, p))
         })?;
         self.prune(
             self.completed_epochs()
@@ -165,35 +151,21 @@ impl EpochRing {
     }
 }
 
-fn parse_epoch(r: &mut impl Read, key: u64, epoch: usize) -> std::io::Result<Option<Vec<Pair>>> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != RING_MAGIC {
-        return Ok(None);
+/// Decodes a spill; any damage — a stale key or epoch, truncation, an
+/// out-of-bounds count, trailing bytes — is an error the caller reads as
+/// a miss.
+fn parse_epoch(mut r: Reader<impl Read>, key: u64, epoch: usize) -> std::io::Result<Vec<Pair>> {
+    r.header(RING_MAGIC, key)?;
+    if r.u64()? != epoch as u64 {
+        return Err(pop_core::codec::damage("spill of another epoch"));
     }
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b8)?;
-    if u64::from_le_bytes(b8) != key {
-        return Ok(None);
-    }
-    r.read_exact(&mut b8)?;
-    if u64::from_le_bytes(b8) != epoch as u64 {
-        return Ok(None);
-    }
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let n = u32::from_le_bytes(b4) as usize;
-    if n > MAX_RING_PAIRS {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "corrupt epoch spill: pair count",
-        ));
-    }
+    let n = r.count(PAIR_MIN_BYTES)?;
     let mut pairs = Vec::with_capacity(n);
     for _ in 0..n {
-        pairs.push(read_pair(r)?);
+        pairs.push(read_pair(&mut r)?);
     }
-    Ok(Some(pairs))
+    r.finish()?;
+    Ok(pairs)
 }
 
 /// The trainer-side half of the resume handshake: `train_stream_resumable`

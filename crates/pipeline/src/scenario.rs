@@ -80,7 +80,7 @@ impl Default for ScenarioSpec {
 
 /// Deterministic seed mixer (FNV-1a over the inputs) for variant seeds.
 fn mix_seed(base: u64, variant: u64) -> u64 {
-    let mut h = pop_core::dataset::Fnv1a::new();
+    let mut h = pop_core::codec::Fnv1a::new();
     h.eat(base);
     h.eat(variant);
     h.finish()

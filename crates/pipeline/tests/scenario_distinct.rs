@@ -7,7 +7,8 @@
 //! bite; this test pins that with full-pipeline checksums.
 
 use pop_arch::Arch;
-use pop_core::dataset::{DesignDataset, Fnv1a};
+use pop_core::codec::Fnv1a;
+use pop_core::dataset::DesignDataset;
 use pop_pipeline::{generate_corpus_sequential, scenario, ScenarioSpec};
 
 /// One-pair, one-variant slice of a registry scenario: enough to

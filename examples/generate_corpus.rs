@@ -61,7 +61,7 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
 /// (the cache round-trips it bitwise, so cold-vs-warm runs must agree on
 /// the full checksum).
 fn corpus_checksum(corpus: &[DesignDataset]) -> u64 {
-    let mut h = pop::core::dataset::Fnv1a::new();
+    let mut h = pop::core::codec::Fnv1a::new();
     for ds in corpus {
         h.eat_bytes(ds.name.as_bytes());
         h.eat(ds.channel_width as u64);

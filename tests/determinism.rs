@@ -75,7 +75,7 @@ fn dataset_tensors_are_bit_identical_across_builds() {
 /// FNV-1a over `f32` bit patterns — one number that moves if any value
 /// moves by one ulp.
 fn fnv<'a>(values: impl IntoIterator<Item = &'a f32>) -> u64 {
-    let mut h = dataset::Fnv1a::new();
+    let mut h = pop::core::codec::Fnv1a::new();
     for v in values {
         h.eat(v.to_bits() as u64);
     }
