@@ -17,8 +17,8 @@ use crate::metrics::PairEval;
 use pop_netlist::SyntheticSpec;
 use pop_place::{place, sweep::SweepSpec};
 use pop_raster::metrics::per_pixel_accuracy;
-use pop_raster::{render_congestion, Image};
-use pop_route::{rudy_estimate, CongestionMap};
+use pop_raster::render_congestion;
+use pop_route::rudy_estimate;
 use std::path::{Path, PathBuf};
 
 /// Baseline quality numbers, directly comparable to a Table 2 row.
@@ -38,20 +38,6 @@ pub struct BaselineReport {
     pub top10: f32,
     /// Calibration factor applied to the raw RUDY densities.
     pub calibration: f32,
-}
-
-/// Renders a RUDY estimate as a heat-map image (same encoding as the
-/// ground truth, so image metrics apply unchanged).
-pub fn rudy_forecast_image(
-    arch: &pop_arch::Arch,
-    netlist: &pop_netlist::Netlist,
-    placement: &pop_place::Placement,
-    calibration: f32,
-    side: usize,
-) -> (Image, CongestionMap) {
-    let est = rudy_estimate(arch, netlist, placement, calibration);
-    let img = render_congestion(arch, netlist, placement, &est, side);
-    (img, est)
 }
 
 /// Scores RUDY against a generated dataset's ground truth.
@@ -115,14 +101,6 @@ pub fn rudy_pair_evals(
     config: &ExperimentConfig,
 ) -> Result<(Vec<PairEval>, f32), CoreError> {
     pop_obs::global().counter("eval.baseline.replay").inc();
-    rudy_pair_evals_uncounted(ds, spec, config)
-}
-
-fn rudy_pair_evals_uncounted(
-    ds: &DesignDataset,
-    spec: &SyntheticSpec,
-    config: &ExperimentConfig,
-) -> Result<(Vec<PairEval>, f32), CoreError> {
     let (arch, netlist, _) = design_fabric(spec, config)?;
     let sweep = SweepSpec {
         base_seed: config.seed,
@@ -172,8 +150,6 @@ fn rudy_pair_evals_uncounted(
 
 /// Baseline-record cache format magic (versioned: bump on layout change).
 const BASELINE_MAGIC: &[u8; 8] = b"POPBL01\n";
-/// One record: five `f32` fields.
-const RECORD_BYTES: u64 = 5 * 4;
 
 /// Fingerprint of everything a cached baseline record set depends on: the
 /// corpus identity (the same [`fingerprint`] that keys the pipeline's
@@ -236,7 +212,7 @@ pub fn read_baseline_file(path: &Path, fp: u64, n_pairs: usize) -> Option<(Vec<P
     let mut r = Reader::open(path).ok()?;
     r.header(BASELINE_MAGIC, fp).ok()?;
     let calibration = r.f32().ok()?;
-    let n = r.count(RECORD_BYTES).ok()?;
+    let n = r.count(5 * 4).ok()?; // five `f32` fields per record
     if n != n_pairs {
         return None;
     }

@@ -1,25 +1,20 @@
-//! The one on-disk codec every cache-shaped file in the workspace goes
-//! through: `.popds` corpus entries, `.pope` epoch spills, `.popbl`
-//! baseline records and `POPCKPT3` model checkpoints.
+//! The one on-disk codec of `.popds` corpus entries, `.pope` epoch
+//! spills, `.popbl` baseline records and `POPCKPT3` model checkpoints.
 //!
-//! * **Layout.** Every file opens with the shared header `magic[8] ‖
-//!   key:u64` (the key is the fingerprint the file was written under),
-//!   followed by the format's own little-endian fields. [`Put`] writes
-//!   them; [`Reader`] reads them back.
+//! * **Layout.** Every file opens with `magic[8] ‖ key:u64` (the key is
+//!   the fingerprint it was written under), then the format's own
+//!   little-endian fields: [`Put`] writes them, [`Reader`] reads them.
 //! * **Length bound.** A [`Reader`] knows how many bytes the open file
-//!   has left, taken from the handle's own metadata (not the path, so a
-//!   concurrent rename cannot change it). Every count is checked against
-//!   those bytes *before* anything is allocated for it, so decoding an
-//!   `L`-byte file allocates a small multiple of `L` whatever its header
-//!   claims.
-//! * **Damage.** A wrong magic, a stale key, truncation, a count the file
-//!   cannot hold, a malformed field and trailing bytes after the last
-//!   field ([`Reader::finish`]) are all `InvalidData` / `UnexpectedEof`
-//!   errors. The cache formats read any of them as a miss and regenerate
-//!   the entry; a checkpoint load returns it.
-//! * **Durability.** [`atomic_write`] writes a sibling temporary file and
-//!   renames it into place, so a crash never leaves a truncated file
-//!   under a valid name.
+//!   has left (from the handle's own metadata, so a concurrent rename
+//!   cannot change it) and checks every count against them before it
+//!   sizes an allocation: an `L`-byte file costs a small multiple of `L`.
+//! * **Damage.** A wrong magic, a stale key, truncation, an oversized
+//!   count, a malformed field and trailing bytes ([`Reader::finish`]) are
+//!   all `InvalidData`. A cache reads that as a miss and regenerates the
+//!   entry; a checkpoint load returns it.
+//! * **Durability.** [`atomic_write`] renames a finished temporary file
+//!   into place, so a crash never leaves a truncated file under a valid
+//!   name.
 
 use pop_nn::Tensor;
 use std::fs::File;
@@ -65,12 +60,11 @@ impl Fnv1a {
     }
 }
 
-static NONCE: AtomicU64 = AtomicU64::new(0);
-
 /// A number no earlier call in this process returned: with the process
 /// id it names temporary files and claim stamps uniquely.
 pub(crate) fn nonce() -> u64 {
-    NONCE.fetch_add(1, Ordering::Relaxed)
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Writes `path` atomically: the content goes to a uniquely-named `.tmp`
@@ -110,7 +104,7 @@ pub fn atomic_write(
 }
 
 /// The damage error every decoder reports (`InvalidData`).
-pub fn damage(what: &str) -> io::Error {
+fn damage(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("damaged file: {what}"))
 }
 
@@ -129,18 +123,13 @@ pub trait Put: Write {
         self.put_u64(key)
     }
 
-    /// A `u32` field.
-    fn put_u32(&mut self, v: u32) -> io::Result<()> {
-        self.write_all(&v.to_le_bytes())
-    }
-
-    /// A `usize` in a `u32` field (counts, lengths, indices); a value the
-    /// field cannot hold fails with `InvalidInput` instead of wrapping.
+    /// A `usize` in a `u32` field (counts, lengths, indices, widths); a
+    /// value the field cannot hold fails with `InvalidInput`.
     fn put_usize(&mut self, v: usize) -> io::Result<()> {
         let v = u32::try_from(v).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidInput, "value exceeds a u32 field")
         })?;
-        self.put_u32(v)
+        self.write_all(&v.to_le_bytes())
     }
 
     /// A `u64` field.
@@ -184,7 +173,10 @@ pub trait Put: Write {
 
 impl<W: Write + ?Sized> Put for W {}
 
-/// A decoder over `R` that knows how many bytes the file has left.
+/// A decoder over `R` that knows how many bytes the file has left. Every
+/// read fails with `InvalidData` on damage (a mismatched header, a count
+/// the file cannot hold, a malformed field) and on truncation, which it
+/// detects before reading.
 #[derive(Debug)]
 pub struct Reader<R> {
     inner: R,
@@ -192,11 +184,8 @@ pub struct Reader<R> {
 }
 
 impl Reader<BufReader<File>> {
-    /// Opens `path`, bounded by the length its open handle reports.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the open (e.g. `NotFound`) or metadata failure.
+    /// Opens `path`, bounded by the length its open handle reports; a
+    /// failure to open (e.g. `NotFound`) passes through as it is.
     pub fn open(path: &Path) -> io::Result<Self> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
@@ -211,15 +200,9 @@ impl<R: Read> Reader<R> {
     }
 
     fn fill(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        let n = buf.len() as u64;
-        if n > self.left {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "damaged file: truncated",
-            ));
-        }
+        self.ensure(buf.len(), 1)?;
         self.inner.read_exact(buf)?;
-        self.left -= n;
+        self.left -= buf.len() as u64;
         Ok(())
     }
 
@@ -229,78 +212,50 @@ impl<R: Read> Reader<R> {
         Ok(b)
     }
 
+    /// Checks that `n` items of at least `item_bytes` each fit in the
+    /// bytes left: the guard before every read and every allocation.
+    fn ensure(&self, n: usize, item_bytes: u64) -> io::Result<()> {
+        match (n as u64).checked_mul(item_bytes) {
+            Some(need) if need <= self.left => Ok(()),
+            _ => Err(damage("truncated, or a count past the end")),
+        }
+    }
+
     /// Checks the shared header: the format's `magic`, then the `key` the
-    /// caller expects. Either mismatch is damage (a foreign or stale file).
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` on a mismatch, `UnexpectedEof` on truncation.
+    /// caller expects. Either mismatch (a foreign or stale file) is damage.
     pub fn header(&mut self, magic: &[u8; 8], key: u64) -> io::Result<()> {
         if &self.array::<8>()? != magic {
-            return Err(damage(&format!("not a {} file", magic.escape_ascii())));
+            return Err(damage("wrong magic"));
         }
-        let found = self.u64()?;
-        if found != key {
-            return Err(damage(&format!(
-                "key {found:016x}, expected {key:016x} (written for another configuration)"
-            )));
+        if self.u64()? != key {
+            return Err(damage("key mismatch: written for another configuration"));
         }
         Ok(())
     }
 
     /// A `u8` field.
-    ///
-    /// # Errors
-    ///
-    /// `UnexpectedEof` on truncation.
     pub fn u8(&mut self) -> io::Result<u8> {
         Ok(u8::from_le_bytes(self.array()?))
     }
 
     /// A `u32` field.
-    ///
-    /// # Errors
-    ///
-    /// `UnexpectedEof` on truncation.
     pub fn u32(&mut self) -> io::Result<u32> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// A `u64` field.
-    ///
-    /// # Errors
-    ///
-    /// `UnexpectedEof` on truncation.
     pub fn u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// An `f32` field.
-    ///
-    /// # Errors
-    ///
-    /// `UnexpectedEof` on truncation.
     pub fn f32(&mut self) -> io::Result<f32> {
         Ok(f32::from_le_bytes(self.array()?))
-    }
-
-    /// Checks that `n` items of at least `item_bytes` each fit in the
-    /// bytes left — the allocation guard every count passes through.
-    fn ensure(&self, n: usize, item_bytes: u64) -> io::Result<()> {
-        let need = (n as u64).checked_mul(item_bytes);
-        if need.is_none_or(|need| need > self.left) {
-            return Err(damage("count exceeds the bytes left"));
-        }
-        Ok(())
     }
 
     /// A `u32` count of items that take at least `item_bytes` each,
     /// rejected unless that many fit in the bytes left. Only a count that
     /// passed here may size an allocation.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for a count the file cannot hold.
     pub fn count(&mut self, item_bytes: u64) -> io::Result<usize> {
         let n = self.u32()? as usize;
         self.ensure(n, item_bytes)?;
@@ -308,10 +263,6 @@ impl<R: Read> Reader<R> {
     }
 
     /// A length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for an oversized length or invalid UTF-8.
     pub fn string(&mut self) -> io::Result<String> {
         let mut bytes = vec![0u8; self.count(1)?];
         self.fill(&mut bytes)?;
@@ -319,10 +270,6 @@ impl<R: Read> Reader<R> {
     }
 
     /// Fills `out` from a bulk `f32` body (no length prefix).
-    ///
-    /// # Errors
-    ///
-    /// `UnexpectedEof` when the file holds fewer values.
     pub fn f32s_into(&mut self, out: &mut [f32]) -> io::Result<()> {
         let mut buf = [0u8; 4 * BULK];
         for chunk in out.chunks_mut(BULK) {
@@ -338,11 +285,6 @@ impl<R: Read> Reader<R> {
     }
 
     /// The tensor record written by [`Put::put_tensor`].
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for an implausible shape or a body the file cannot
-    /// hold; `UnexpectedEof` on truncation.
     pub fn tensor(&mut self) -> io::Result<Tensor> {
         let mut shape = [0usize; 4];
         for d in &mut shape {
@@ -362,10 +304,6 @@ impl<R: Read> Reader<R> {
 
     /// Ends the decode, handing back the inner reader: bytes left over
     /// mean the file is not what was written, so they are damage too.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` when bytes remain.
     pub fn finish(self) -> io::Result<R> {
         if self.left != 0 {
             return Err(damage("trailing bytes"));
@@ -387,7 +325,7 @@ mod tests {
         let t = Tensor::from_vec([1, 2, 3, 1], vec![0.5, -1.0, 2.25, 0.0, -0.0, 1e-30]);
         let mut buf = Vec::new();
         buf.put_header(b"POPTEST1", 7).unwrap();
-        buf.put_u32(3).unwrap();
+        buf.put_usize(3).unwrap();
         buf.put_f32(1.5).unwrap();
         buf.put_str("diffeq2").unwrap();
         buf.put_tensor(&t).unwrap();
@@ -428,7 +366,7 @@ mod tests {
         );
         assert_eq!(
             kind(reader(&buf[..12]).header(b"POPTEST1", 7)),
-            io::ErrorKind::UnexpectedEof
+            io::ErrorKind::InvalidData
         );
         buf.push(0);
         let mut r = reader(&buf);
@@ -440,12 +378,12 @@ mod tests {
     fn counts_and_shapes_are_bounded_by_the_bytes_left() {
         // A count of 5 four-byte items needs 20 more bytes.
         let mut buf = Vec::new();
-        buf.put_u32(5).unwrap();
+        buf.put_usize(5).unwrap();
         buf.extend_from_slice(&[0; 19]);
         assert!(reader(&buf).count(4).is_err());
         buf.push(0);
         assert_eq!(reader(&buf).count(4).unwrap(), 5);
-        // A huge count never reaches the multiply's overflow.
+        // A count whose byte total overflows is rejected, not wrapped.
         let max = u32::MAX.to_le_bytes();
         assert!(reader(&max).count(u64::MAX).is_err());
         // An empty tensor with an absurd dimension is rejected, as is a
@@ -453,7 +391,7 @@ mod tests {
         for shape in [[0, 1 << 31, 1, 1], [1, 1, 64, 64]] {
             let mut buf = Vec::new();
             for d in shape {
-                buf.put_u32(d).unwrap();
+                buf.put_usize(d).unwrap();
             }
             assert!(reader(&buf).tensor().is_err(), "{shape:?}");
         }

@@ -8,25 +8,18 @@
 //! options, route every placement, rasterise `img_place`/`img_connect`/
 //! `img_route` and assemble tensors.
 //!
-//! Three parts:
-//!
-//! * this module: the [`Pair`] / [`DesignDataset`] types, their record
-//!   codec ([`write_pair`] / [`read_pair`]), [`augment_flips`] and
-//!   [`leave_one_out`];
-//! * the stages — [`DesignContext::prepare`] for the per-design half
-//!   (netlist, calibration, routing graph) and
-//!   [`DesignContext::generate_pair`] for the per-placement half (place,
-//!   route, rasterise, tensors). Two callers share them:
-//!   [`build_design_dataset`] runs them as a plain sequential loop, and
-//!   the `pop-pipeline` crate runs the *same* functions pair-parallel on
-//!   one pool. Both paths are therefore bitwise-identical by construction
-//!   (wall-clock `PairMeta` timing fields aside; see
-//!   [`Pair::without_timings`]);
-//! * the disk cache, [`CorpusStore`], keyed by a [`fingerprint`] of
-//!   *every* scenario parameter that affects the data (the full synthetic
-//!   spec, the config and the cache format version), because routing
-//!   hundreds of placements dominates experiment wall-time. Its files go
-//!   through [`crate::codec`].
+//! This module holds the [`Pair`] / [`DesignDataset`] types with their
+//! record codec, [`augment_flips`] and [`leave_one_out`]. The stages are
+//! [`DesignContext::prepare`] (the per-design half: netlist, calibration,
+//! routing graph) and [`DesignContext::generate_pair`] (the per-placement
+//! half: place, route, rasterise, tensors); [`build_design_dataset`] runs
+//! them as a plain loop and `pop-pipeline` runs the *same* functions
+//! pair-parallel, so both are bitwise-identical by construction
+//! (wall-clock `PairMeta` timing fields aside; see
+//! [`Pair::without_timings`]). [`CorpusStore`] caches datasets on disk
+//! through [`crate::codec`], keyed by a [`fingerprint`] of *every*
+//! parameter that affects the data, because routing hundreds of
+//! placements dominates experiment wall-time.
 
 use crate::codec::{Put, Reader};
 use pop_nn::Tensor;
@@ -34,8 +27,6 @@ use std::io::{self, Read, Write};
 
 mod stage;
 mod store;
-#[cfg(test)]
-mod tests;
 
 /// The hasher's home is [`crate::codec`]; the re-export keeps this older
 /// path resolving for callers outside the workspace.
@@ -159,8 +150,7 @@ pub fn write_pair(w: &mut impl Write, p: &Pair) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Truncated or out-of-bounds records surface as
-/// [`io::ErrorKind::UnexpectedEof`] / [`io::ErrorKind::InvalidData`].
+/// A truncated or out-of-bounds record is [`io::ErrorKind::InvalidData`].
 pub fn read_pair(r: &mut Reader<impl Read>) -> io::Result<Pair> {
     // Fields evaluate in the order written, which is the record's order.
     let meta = PairMeta {
@@ -229,3 +219,6 @@ pub fn leave_one_out<'a>(
         .collect();
     (train, test)
 }
+
+#[cfg(test)]
+mod tests;

@@ -74,21 +74,8 @@ pub fn fingerprint(spec: &SyntheticSpec, config: &ExperimentConfig) -> u64 {
     h.finish()
 }
 
-fn write_dataset_file(path: &Path, ds: &DesignDataset, fp: u64) -> io::Result<()> {
-    atomic_write(path, |w| {
-        w.put_header(MAGIC, fp)?;
-        w.put_usize(ds.pairs.len())?;
-        w.put_usize(ds.channel_width)?;
-        w.put_usize(ds.grid_width)?;
-        w.put_usize(ds.grid_height)?;
-        ds.pairs.iter().try_for_each(|p| write_pair(w, p))
-    })
-}
-
-/// Decodes a dataset file and hands back its open handle. Every damage
-/// mode — wrong magic, stale fingerprint, truncation, an out-of-bounds
-/// count, trailing bytes — is an error, which [`CorpusStore::load`] reads
-/// as a miss.
+/// Decodes a dataset file and hands back its open handle; any damage is
+/// an error, which [`CorpusStore::load`] reads as a miss.
 fn read_dataset_file(
     mut r: Reader<BufReader<File>>,
     fp: u64,
@@ -218,11 +205,9 @@ impl CorpusStore {
         ))
     }
 
-    /// Loads the cached dataset for one job; `Ok(None)` on a miss: an
-    /// absent entry, or a stale or damaged one (wrong magic, stale
-    /// fingerprint, truncation, an out-of-bounds count, trailing bytes),
-    /// which the caller regenerates and overwrites — a damaged cache
-    /// self-heals.
+    /// Loads the cached dataset for one job; `Ok(None)` on a miss (absent,
+    /// stale or damaged entry), which the caller regenerates and
+    /// overwrites — a damaged cache self-heals.
     ///
     /// # Errors
     ///
@@ -242,9 +227,8 @@ impl CorpusStore {
         let Ok((ds, file)) = read_dataset_file(r, fingerprint(spec, config), &spec.name) else {
             return Ok(None);
         };
-        // LRU touch (best-effort) through the handle just read: a hit must
-        // protect its entry from the size-budget sweep. mtime is LRU
-        // metadata, not key material.
+        // LRU touch (best-effort) through the handle just read, so a hit
+        // survives the size-budget sweep. mtime is LRU metadata only.
         let now = std::time::SystemTime::now();
         let _ = file.set_times(std::fs::FileTimes::new().set_modified(now));
         Ok(Some(ds))
@@ -266,7 +250,14 @@ impl CorpusStore {
         config: &ExperimentConfig,
     ) -> Result<(), CoreError> {
         let path = self.entry_path(spec, config);
-        write_dataset_file(&path, ds, fingerprint(spec, config))?;
+        atomic_write(&path, |w| {
+            w.put_header(MAGIC, fingerprint(spec, config))?;
+            w.put_usize(ds.pairs.len())?;
+            w.put_usize(ds.channel_width)?;
+            w.put_usize(ds.grid_width)?;
+            w.put_usize(ds.grid_height)?;
+            ds.pairs.iter().try_for_each(|p| write_pair(w, p))
+        })?;
         self.sweep_protecting(Some(&path));
         Ok(())
     }
@@ -372,13 +363,7 @@ impl CorpusStore {
                     // staleness from content (mtime granularity and clock
                     // skew make content sturdier), and the full stamp lets
                     // release verify the claim is still *ours*.
-                    // The claim stamp is wall time, not key material.
-                    let now = std::time::SystemTime::now()
-                        .duration_since(std::time::UNIX_EPOCH)
-                        .map(|d| d.as_secs())
-                        .unwrap_or(0);
-                    let nonce = nonce();
-                    let stamp = format!("{}.{} {}\n", std::process::id(), nonce, now);
+                    let stamp = format!("{}.{} {}\n", std::process::id(), nonce(), unix_secs());
                     let _ = file.write_all(stamp.as_bytes());
                     note_wait(wait_start);
                     return Ok(ClaimOutcome::Claimed(ClaimGuard { path: claim, stamp }));
@@ -426,14 +411,16 @@ impl CorpusStore {
         let Some(stamped) = stamped else {
             return true; // garbled claim: break it
         };
-        // Stale-claim arbitration compares wall time against the stamp;
-        // no fingerprint involvement.
-        let now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        now.abs_diff(stamped) > self.claim_stale_after.as_secs()
+        unix_secs().abs_diff(stamped) > self.claim_stale_after.as_secs()
     }
+}
+
+/// Wall-clock seconds since the Unix epoch, for claim stamps and their
+/// staleness: wall time, never key material.
+fn unix_secs() -> u64 {
+    let now = std::time::SystemTime::now();
+    now.duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs())
 }
 
 /// Builds (or loads from `cache_dir`) the dataset for one preset.
@@ -446,15 +433,13 @@ pub fn build_or_load(
     config: &ExperimentConfig,
     cache_dir: Option<&Path>,
 ) -> Result<DesignDataset, CoreError> {
-    let store = cache_dir.map(CorpusStore::new);
-    if let Some(store) = &store {
-        if let Some(ds) = store.load(spec, config)? {
-            return Ok(ds);
-        }
+    let Some(store) = cache_dir.map(CorpusStore::new) else {
+        return build_design_dataset(spec, config);
+    };
+    if let Some(ds) = store.load(spec, config)? {
+        return Ok(ds);
     }
     let ds = build_design_dataset(spec, config)?;
-    if let Some(store) = &store {
-        store.store(&ds, spec, config)?;
-    }
+    store.store(&ds, spec, config)?;
     Ok(ds)
 }

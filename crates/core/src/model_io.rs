@@ -16,13 +16,11 @@
 //!   epoch, so the weights on disk never run ahead of (or behind) the
 //!   corpus progress marker.
 //!
-//! The file goes through [`crate::codec`]: the header `POPCKPT3 ‖
-//! config fingerprint:u64`, a train-state flag byte, then each section as
-//! `tensors:u32` and per tensor `len:u32` plus its bulk `f32` body. All
-//! writes are atomic ([`atomic_write`]): a crash mid-save leaves the
-//! previous checkpoint intact, never a truncated one. A load that finds a
-//! foreign or stale header, a tensor of the wrong size, truncation or
-//! trailing bytes returns [`CoreError::Cache`].
+//! The file goes through [`crate::codec`]: `POPCKPT3 ‖ fingerprint:u64`,
+//! a train-state flag byte, then sections of `tensors:u32` and per tensor
+//! `len:u32` plus its body. Saves are atomic ([`atomic_write`]), so a
+//! crash mid-save leaves the previous checkpoint intact; a damaged or
+//! foreign file loads as [`CoreError::Cache`].
 
 use crate::codec::{atomic_write, Fnv1a, Put, Reader};
 use crate::config::ExperimentConfig;
@@ -48,13 +46,31 @@ fn config_fingerprint(config: &ExperimentConfig) -> u64 {
     h.finish()
 }
 
-fn dump(w: &mut impl Write, params: &[Vec<f32>]) -> std::io::Result<()> {
-    w.put_usize(params.len())?;
-    for p in params {
-        w.put_usize(p.len())?;
-        w.put_f32s(p)?;
+/// Writes one section: `tensors:u32`, then per tensor `len:u32` and its
+/// bulk body.
+fn dump<'a>(
+    w: &mut impl Write,
+    tensors: impl ExactSizeIterator<Item = &'a [f32]>,
+) -> std::io::Result<()> {
+    w.put_usize(tensors.len())?;
+    for t in tensors {
+        w.put_usize(t.len())?;
+        w.put_f32s(t)?;
     }
     Ok(())
+}
+
+/// [`dump`] of one tensor of each parameter (`select` picks which).
+fn dump_params(
+    w: &mut impl Write,
+    params: Vec<&mut pop_nn::Param>,
+    select: fn(&pop_nn::Param) -> &[f32],
+) -> std::io::Result<()> {
+    dump(w, params.iter().map(|p| select(p)))
+}
+
+fn dump_buffers(w: &mut impl Write, buffers: Vec<&mut Vec<f32>>) -> std::io::Result<()> {
+    dump(w, buffers.iter().map(|b| b.as_slice()))
 }
 
 /// Reads one section [`dump`] wrote into `targets`, which fix every count
@@ -80,61 +96,26 @@ fn slurp(r: &mut Reader<impl Read>, targets: Vec<&mut [f32]>) -> Result<(), Core
     Ok(())
 }
 
-/// Collects a snapshot of one network section, `select` picking which
-/// tensor of each parameter to dump (values for weights, `m`/`v` for the
-/// Adam moments).
-fn snapshot(
-    params: &mut [&mut pop_nn::Param],
-    select: impl Fn(&pop_nn::Param) -> &[f32],
-) -> Vec<Vec<f32>> {
-    params.iter().map(|p| select(p).to_vec()).collect()
-}
-
 fn write_model(model: &mut Pix2Pix, path: &Path, with_train_state: bool) -> Result<(), CoreError> {
     let fingerprint = config_fingerprint(model.config());
-
-    let gen_params = snapshot(&mut model.generator_mut().params_mut(), |p| p.value.data());
-    let disc_params = snapshot(&mut model.discriminator_mut().params_mut(), |p| {
-        p.value.data()
-    });
-    let gen_bufs: Vec<Vec<f32>> = model
-        .generator_mut()
-        .buffers_mut()
-        .iter()
-        .map(|b| b.to_vec())
-        .collect();
-    let disc_bufs: Vec<Vec<f32>> = model
-        .discriminator_mut()
-        .buffers_mut()
-        .iter()
-        .map(|b| b.to_vec())
-        .collect();
-    let train_state = with_train_state.then(|| {
-        (
-            snapshot(&mut model.generator_mut().params_mut(), |p| p.m.data()),
-            snapshot(&mut model.generator_mut().params_mut(), |p| p.v.data()),
-            snapshot(&mut model.discriminator_mut().params_mut(), |p| p.m.data()),
-            snapshot(&mut model.discriminator_mut().params_mut(), |p| p.v.data()),
-            model.optimizer_steps(),
-            model.rng_state(),
-        )
-    });
-
     atomic_write(path, |w| {
         w.put_header(MAGIC, fingerprint)?;
         w.write_all(&[u8::from(with_train_state)])?;
-        dump(w, &gen_params)?;
-        dump(w, &disc_params)?;
-        dump(w, &gen_bufs)?;
-        dump(w, &disc_bufs)?;
-        if let Some((gen_m, gen_v, disc_m, disc_v, (g_steps, d_steps), rng)) = &train_state {
-            dump(w, gen_m)?;
-            dump(w, gen_v)?;
-            dump(w, disc_m)?;
-            dump(w, disc_v)?;
-            w.put_u64(*g_steps)?;
-            w.put_u64(*d_steps)?;
-            for &word in rng {
+        dump_params(w, model.generator_mut().params_mut(), |p| p.value.data())?;
+        dump_params(w, model.discriminator_mut().params_mut(), |p| {
+            p.value.data()
+        })?;
+        dump_buffers(w, model.generator_mut().buffers_mut())?;
+        dump_buffers(w, model.discriminator_mut().buffers_mut())?;
+        if with_train_state {
+            dump_params(w, model.generator_mut().params_mut(), |p| p.m.data())?;
+            dump_params(w, model.generator_mut().params_mut(), |p| p.v.data())?;
+            dump_params(w, model.discriminator_mut().params_mut(), |p| p.m.data())?;
+            dump_params(w, model.discriminator_mut().params_mut(), |p| p.v.data())?;
+            let (g_steps, d_steps) = model.optimizer_steps();
+            w.put_u64(g_steps)?;
+            w.put_u64(d_steps)?;
+            for word in model.rng_state() {
                 w.put_u64(word)?;
             }
         }

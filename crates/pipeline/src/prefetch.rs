@@ -28,7 +28,7 @@ use crate::scenario::{DesignJob, ScenarioSpec};
 use pop_core::codec::{atomic_write, Fnv1a, Put, Reader};
 use pop_core::dataset::{fingerprint, read_pair, write_pair, Pair, PAIR_MIN_BYTES};
 use pop_core::{model_io, CoreError, ExperimentConfig, Pix2Pix, StreamCheckpoint};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -106,7 +106,18 @@ impl EpochRing {
     /// or generated under a different scenario key — all of which mean
     /// "regenerate").
     pub fn load_epoch(&self, key: u64, epoch: usize) -> Option<Vec<Pair>> {
-        parse_epoch(Reader::open(&self.epoch_path(epoch)).ok()?, key, epoch).ok()
+        let mut r = Reader::open(&self.epoch_path(epoch)).ok()?;
+        r.header(RING_MAGIC, key).ok()?;
+        if r.u64().ok()? != epoch as u64 {
+            return None;
+        }
+        let n = r.count(PAIR_MIN_BYTES).ok()?;
+        let mut pairs = Vec::with_capacity(n);
+        for _ in 0..n {
+            pairs.push(read_pair(&mut r).ok()?);
+        }
+        r.finish().ok()?;
+        Some(pairs)
     }
 
     /// Atomically spills one epoch's pairs, then prunes the ring down to
@@ -149,23 +160,6 @@ impl EpochRing {
             }
         }
     }
-}
-
-/// Decodes a spill; any damage — a stale key or epoch, truncation, an
-/// out-of-bounds count, trailing bytes — is an error the caller reads as
-/// a miss.
-fn parse_epoch(mut r: Reader<impl Read>, key: u64, epoch: usize) -> std::io::Result<Vec<Pair>> {
-    r.header(RING_MAGIC, key)?;
-    if r.u64()? != epoch as u64 {
-        return Err(pop_core::codec::damage("spill of another epoch"));
-    }
-    let n = r.count(PAIR_MIN_BYTES)?;
-    let mut pairs = Vec::with_capacity(n);
-    for _ in 0..n {
-        pairs.push(read_pair(&mut r)?);
-    }
-    r.finish()?;
-    Ok(pairs)
 }
 
 /// The trainer-side half of the resume handshake: `train_stream_resumable`
