@@ -112,8 +112,9 @@ fn damage(what: &str) -> io::Error {
 /// product it keeps a zero-element tensor from carrying a 2³¹ dimension.
 const MAX_TENSOR_DIM: usize = 1 << 20;
 
-/// Values staged per bulk read or write (a 16 KiB stack buffer).
-const BULK: usize = 4096;
+/// Values staged per bulk read or write: a whole tensor at the usual
+/// resolutions, so a body costs one read or write call.
+const BULK: usize = 1 << 16;
 
 /// Little-endian field writers for every [`Write`].
 pub trait Put: Write {
@@ -148,16 +149,14 @@ pub trait Put: Write {
         self.write_all(s.as_bytes())
     }
 
-    /// A bulk `f32` body (no length prefix), staged through a stack
-    /// buffer rather than one write per value.
+    /// A bulk `f32` body (no length prefix), staged in [`BULK`]-value
+    /// chunks rather than one write per value.
     fn put_f32s(&mut self, values: &[f32]) -> io::Result<()> {
-        let mut buf = [0u8; 4 * BULK];
+        let mut bytes = Vec::with_capacity(4 * values.len().min(BULK));
         for chunk in values.chunks(BULK) {
-            let (bytes, _) = buf.split_at_mut(4 * chunk.len());
-            for (b, v) in bytes.chunks_exact_mut(4).zip(chunk) {
-                b.copy_from_slice(&v.to_le_bytes());
-            }
-            self.write_all(bytes)?;
+            bytes.clear();
+            bytes.extend(chunk.iter().flat_map(|v| v.to_le_bytes()));
+            self.write_all(&bytes)?;
         }
         Ok(())
     }
@@ -271,9 +270,11 @@ impl<R: Read> Reader<R> {
 
     /// Fills `out` from a bulk `f32` body (no length prefix).
     pub fn f32s_into(&mut self, out: &mut [f32]) -> io::Result<()> {
-        let mut buf = [0u8; 4 * BULK];
+        // Checked first, so the file's length bounds the staging buffer.
+        self.ensure(out.len(), 4)?;
+        let mut bytes = vec![0u8; 4 * out.len().min(BULK)];
         for chunk in out.chunks_mut(BULK) {
-            let (bytes, _) = buf.split_at_mut(4 * chunk.len());
+            let (bytes, _) = bytes.split_at_mut(4 * chunk.len());
             self.fill(bytes)?;
             for (v, b) in chunk.iter_mut().zip(bytes.chunks_exact(4)) {
                 let mut word = [0u8; 4];

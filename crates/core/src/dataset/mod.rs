@@ -28,8 +28,7 @@ use std::io::{self, Read, Write};
 mod stage;
 mod store;
 
-/// The hasher's home is [`crate::codec`]; the re-export keeps this older
-/// path resolving for callers outside the workspace.
+/// Re-exported from [`crate::codec`] for callers outside the workspace.
 pub use crate::codec::Fnv1a;
 pub use stage::{build_design_dataset, calibrated_width, design_fabric, DesignContext};
 pub use store::{
@@ -119,9 +118,8 @@ pub struct DesignDataset {
     pub grid_height: usize,
 }
 
-/// The smallest pair record — an empty name, the fixed meta fields and
-/// two empty tensors. A pair count is checked against the bytes left at
-/// this size per pair.
+/// The smallest pair record (an empty name, the fixed meta fields, two
+/// empty tensors): the size a pair count is checked against.
 pub const PAIR_MIN_BYTES: u64 = 4 + 36 + 2 * 16;
 
 /// Writes one [`Pair`] record (full provenance + tensors). The record is

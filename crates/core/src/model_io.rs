@@ -172,11 +172,7 @@ fn load_model(model: &mut Pix2Pix, path: &Path) -> Result<(), CoreError> {
     let has_train_state = match r.u8()? {
         0 => false,
         1 => true,
-        other => {
-            return Err(CoreError::Cache(format!(
-                "bad checkpoint train-state flag {other}"
-            )))
-        }
+        other => return Err(CoreError::Cache(format!("bad train-state flag {other}"))),
     };
     slurp_params(r, model.generator_mut().params_mut(), |p| {
         p.value.data_mut()
