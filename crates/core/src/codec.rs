@@ -149,7 +149,7 @@ pub trait Put: Write {
         self.write_all(s.as_bytes())
     }
 
-    /// A bulk `f32` body (no length prefix), staged in [`BULK`]-value
+    /// A bulk `f32` body (no length prefix), staged in 64K-value
     /// chunks rather than one write per value.
     fn put_f32s(&mut self, values: &[f32]) -> io::Result<()> {
         let mut bytes = Vec::with_capacity(4 * values.len().min(BULK));
@@ -322,24 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn fields_round_trip() {
-        let t = Tensor::from_vec([1, 2, 3, 1], vec![0.5, -1.0, 2.25, 0.0, -0.0, 1e-30]);
-        let mut buf = Vec::new();
-        buf.put_header(b"POPTEST1", 7).unwrap();
-        buf.put_usize(3).unwrap();
-        buf.put_f32(1.5).unwrap();
-        buf.put_str("diffeq2").unwrap();
-        buf.put_tensor(&t).unwrap();
-        let mut r = reader(&buf);
-        r.header(b"POPTEST1", 7).unwrap();
-        assert_eq!(r.u32().unwrap(), 3);
-        assert_eq!(r.f32().unwrap(), 1.5);
-        assert_eq!(r.string().unwrap(), "diffeq2");
-        assert_eq!(r.tensor().unwrap(), t);
-        r.finish().unwrap();
-    }
-
-    #[test]
     fn bulk_bodies_cross_the_staging_buffer() {
         let values: Vec<f32> = (0..2 * BULK + 3).map(|i| i as f32 - 7.5).collect();
         let mut buf = Vec::new();
@@ -350,29 +332,6 @@ mod tests {
         r.f32s_into(&mut back).unwrap();
         assert_eq!(back, values);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn header_mismatches_and_trailing_bytes_are_damage() {
-        let mut buf = Vec::new();
-        buf.put_header(b"POPTEST1", 7).unwrap();
-        let kind = |r: io::Result<()>| r.unwrap_err().kind();
-        assert_eq!(
-            kind(reader(&buf).header(b"POPTEST2", 7)),
-            io::ErrorKind::InvalidData
-        );
-        assert_eq!(
-            kind(reader(&buf).header(b"POPTEST1", 8)),
-            io::ErrorKind::InvalidData
-        );
-        assert_eq!(
-            kind(reader(&buf[..12]).header(b"POPTEST1", 7)),
-            io::ErrorKind::InvalidData
-        );
-        buf.push(0);
-        let mut r = reader(&buf);
-        r.header(b"POPTEST1", 7).unwrap();
-        assert!(r.finish().is_err());
     }
 
     #[test]
