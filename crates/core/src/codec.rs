@@ -1,5 +1,5 @@
-//! The one on-disk codec of `.popds` corpus entries, `.pope` epoch
-//! spills, `.popbl` baseline records and `POPCKPT3` model checkpoints.
+//! The one on-disk codec of the three file formats: `.popds` corpus
+//! entries, `.popbl` baseline records and `POPCKPT3` model checkpoints.
 //!
 //! * **Layout.** Every file opens with `magic[8] ‖ key:u64` (the key is
 //!   the fingerprint it was written under), then the format's own
@@ -23,7 +23,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The FNV-1a accumulator every cache key in the workspace hashes with —
-/// the scenario fingerprint, the pipeline's epoch-ring keys and the smoke
+/// the scenario fingerprint, the model-checkpoint key and the smoke
 /// example's corpus checksum all fold through this one implementation,
 /// so the constants can never drift apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

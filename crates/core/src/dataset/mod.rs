@@ -120,17 +120,16 @@ pub struct DesignDataset {
 
 /// The smallest pair record (an empty name, the fixed meta fields, two
 /// empty tensors): the size a pair count is checked against.
-pub const PAIR_MIN_BYTES: u64 = 4 + 36 + 2 * 16;
+const PAIR_MIN_BYTES: u64 = 4 + 36 + 2 * 16;
 
-/// Writes one [`Pair`] record (full provenance + tensors). The record is
-/// self-contained — it carries its design name — so the same layout
-/// serves `.popds` dataset files and the pipeline's epoch-spill ring.
+/// Writes one [`Pair`] record of a `.popds` file (full provenance +
+/// tensors; the record carries its own design name).
 ///
 /// # Errors
 ///
 /// Propagates I/O failures; an index or name length past a `u32` field
 /// is `InvalidInput`.
-pub fn write_pair(w: &mut impl Write, p: &Pair) -> io::Result<()> {
+fn write_pair(w: &mut impl Write, p: &Pair) -> io::Result<()> {
     let m = &p.meta;
     w.put_str(&m.design)?;
     w.put_usize(m.index)?;
@@ -149,7 +148,7 @@ pub fn write_pair(w: &mut impl Write, p: &Pair) -> io::Result<()> {
 /// # Errors
 ///
 /// A truncated or out-of-bounds record is [`io::ErrorKind::InvalidData`].
-pub fn read_pair(r: &mut Reader<impl Read>) -> io::Result<Pair> {
+fn read_pair(r: &mut Reader<impl Read>) -> io::Result<Pair> {
     // Fields evaluate in the order written, which is the record's order.
     let meta = PairMeta {
         design: r.string()?,

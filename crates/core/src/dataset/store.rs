@@ -19,9 +19,8 @@ use std::time::Instant;
 /// Bumped whenever the on-disk layout *or* the fingerprint recipe changes,
 /// so caches written by older builds can never be silently loaded.
 ///
-/// v4: pair records are self-contained (each carries its design name), so
-/// the same record layout serves both `.popds` dataset files and the
-/// pipeline's epoch-spill ring; writes are atomic (tmp + rename).
+/// v4: pair records are self-contained (each carries its design name);
+/// writes are atomic (tmp + rename).
 ///
 /// v5: the fingerprint folds in a placement-strategy word (there were two
 /// annealers then; it is the constant `0` now that there is one). The
@@ -42,8 +41,8 @@ pub(super) const MAGIC: &[u8; 8] = b"POPDS004";
 /// the data path (including the fabric slack/aspect scenario parameters).
 ///
 /// Public because cache *keys* are part of the system's contract: the
-/// pipeline's [`CorpusStore`] names per-job cache files by it, and the
-/// epoch-spill ring folds per-job fingerprints into its epoch keys.
+/// [`CorpusStore`] names per-job cache files by it, so every streamed
+/// training epoch — a set of seed-shifted jobs — has its own entries.
 pub fn fingerprint(spec: &SyntheticSpec, config: &ExperimentConfig) -> u64 {
     let mut h = Fnv1a::new();
     h.eat(CACHE_FORMAT_VERSION as u64);

@@ -12,9 +12,9 @@
 //!   streaming training run needs to resume as if it was never
 //!   interrupted. This is the model-side half of the
 //!   [`StreamCheckpoint`](crate::StreamCheckpoint) handshake —
-//!   `pop-pipeline`'s `TrainCheckpoint` saves it before acknowledging each
-//!   epoch, so the weights on disk never run ahead of (or behind) the
-//!   corpus progress marker.
+//!   `pop-pipeline`'s `TrainCheckpoint` saves it before advancing its
+//!   progress marker, so the marker never claims an epoch the weights on
+//!   disk have not trained.
 //!
 //! The file goes through [`crate::codec`]: `POPCKPT3 ‖ fingerprint:u64`,
 //! a train-state flag byte, then sections of `tensors:u32` and per tensor

@@ -76,7 +76,10 @@ impl TrainHistory {
 }
 
 /// The resume handshake between [`Pix2Pix::train_stream_resumable`] and a
-/// resumable epoch source (e.g. the pipeline's spill-to-disk epoch ring).
+/// resumable epoch source (e.g. `pop-pipeline`'s `TrainCheckpoint`, whose
+/// `completed_epochs()` starts the epoch prefetcher where the interrupted
+/// run stopped; the epochs themselves come back from the corpus store or
+/// regenerate from seeds).
 ///
 /// The contract that makes interrupted streaming runs resumable:
 ///
@@ -442,7 +445,7 @@ impl Pix2Pix {
             if pairs.is_empty() {
                 // An empty epoch is trivially complete: acknowledge it so
                 // the positional numbering stays in sync with the source's
-                // epoch indexing (spill files are keyed by epoch index),
+                // epoch indexing (epoch `e` draws seeds shifted by `e`),
                 // but record nothing in the history.
                 checkpoint.epoch_completed(epoch, self);
                 epoch += 1;

@@ -15,7 +15,6 @@ use pop_pipeline::{
     generate_jobs_with_stats, DesignJob, EpochPrefetcher, GenStats, PipelineError, PipelineOptions,
     ScenarioSpec,
 };
-use std::sync::{Arc, Mutex};
 
 /// Everything one cross-scenario evaluation run needs: the scenario axis
 /// plus the training, splitting, replication and fan-out knobs.
@@ -142,15 +141,15 @@ fn model_seed(base: u64, replicate: usize) -> u64 {
 
 /// Trains every replicate's model on one scenario. Replicate 0 streams
 /// through the epoch prefetcher (epoch `N + 1` generates — through the
-/// cache-aware pipeline, counters folded into `stats` — while epoch `N`
-/// trains) and, with more replicates requested, buffers each epoch as it
-/// passes; replicates `1..R` then replay the buffered corpus. Replicates
+/// cache-aware pipeline, its counters folded into `stats` — while epoch
+/// `N` trains) and, with more replicates requested, buffers each epoch as
+/// it passes; replicates `1..R` then replay the buffered corpus. Replicates
 /// vary only the model/trainer seed, so the corpus is generated **once**
 /// per scenario whatever the replicate count — cache dir or not.
 fn train_replicates(
     scenario: &ScenarioSpec,
     spec: &MatrixSpec,
-    stats: &Arc<Mutex<GenStats>>,
+    stats: &mut GenStats,
 ) -> Result<Vec<Pix2Pix>, EvalError> {
     let mut config = scenario.config();
     if let Some(filters) = spec.model_filters {
@@ -158,17 +157,16 @@ fn train_replicates(
     }
     let mut replicas = Vec::with_capacity(spec.replicates);
     let mut model = Pix2Pix::new(&config, model_seed(spec.seed, 0))?;
-    let prefetcher = EpochPrefetcher::start_observed(
+    let mut prefetcher = EpochPrefetcher::start(
         vec![scenario.clone()],
         spec.options.clone(),
-        spec.train_epochs,
+        0..spec.train_epochs,
         1,
-        Arc::clone(stats),
     );
     let mut gen_error: Option<PipelineError> = None;
     let mut buffered: Vec<Vec<Pair>> = Vec::new();
     let buffer = spec.replicates > 1;
-    let _ = model.train_stream(prefetcher.map_while(|r| match r {
+    let _ = model.train_stream(prefetcher.by_ref().map_while(|r| match r {
         Ok(pairs) => {
             if buffer {
                 buffered.push(pairs.clone());
@@ -183,6 +181,7 @@ fn train_replicates(
     if let Some(e) = gen_error {
         return Err(EvalError::Pipeline(e));
     }
+    stats.absorb(prefetcher.stats());
     replicas.push(model);
     for r in 1..spec.replicates {
         let mut model = Pix2Pix::new(&config, model_seed(spec.seed, r))?;
@@ -300,7 +299,7 @@ fn rudy_baseline(
 pub fn evaluate_matrix(spec: &MatrixSpec) -> Result<EvalMatrix, EvalError> {
     spec.validate()?;
     let k = spec.scenarios.len();
-    let stats = Arc::new(Mutex::new(GenStats::default()));
+    let mut stats = GenStats::default();
 
     // 1. Held-out splits (same designs, sweep seeds past every training
     // epoch; their jobs are kept for the RUDY sweep replay).
@@ -310,7 +309,7 @@ pub fn evaluate_matrix(spec: &MatrixSpec) -> Result<EvalMatrix, EvalError> {
         let _span = pop_obs::span!("eval_holdout", scenario = &scenario.name);
         let jobs = scenario.holdout_jobs(spec.eval_pairs, spec.train_epochs)?;
         let (sets, gen) = generate_jobs_with_stats(jobs.clone(), &spec.options)?;
-        stats.lock().expect("stats lock").absorb(gen);
+        stats.absorb(gen);
         eval_jobs.push(jobs);
         eval_sets.push(sets);
     }
@@ -321,7 +320,7 @@ pub fn evaluate_matrix(spec: &MatrixSpec) -> Result<EvalMatrix, EvalError> {
     let mut models: Vec<Vec<Pix2Pix>> = Vec::with_capacity(k);
     for scenario in &spec.scenarios {
         let _span = pop_obs::span!("eval_train", scenario = &scenario.name);
-        models.push(train_replicates(scenario, spec, &stats)?);
+        models.push(train_replicates(scenario, spec, &mut stats)?);
     }
 
     // 3. Cell fan-out: all (train, eval, replicate) triples, claimed by
@@ -361,7 +360,6 @@ pub fn evaluate_matrix(spec: &MatrixSpec) -> Result<EvalMatrix, EvalError> {
         vec![None; k]
     };
 
-    let corpus = *stats.lock().expect("stats lock");
     Ok(EvalMatrix {
         scenarios: spec.scenarios.iter().map(|s| s.name.clone()).collect(),
         resolution: spec.scenarios[0].resolution,
@@ -370,7 +368,7 @@ pub fn evaluate_matrix(spec: &MatrixSpec) -> Result<EvalMatrix, EvalError> {
         replicates: spec.replicates,
         cells,
         baseline,
-        corpus,
+        corpus: stats,
     })
 }
 

@@ -16,10 +16,6 @@ pub enum PipelineError {
         /// The design whose pairs went missing.
         design: String,
     },
-    /// The epoch-spill ring or its progress marker could not be written —
-    /// the stream would not be resumable, so the failure is surfaced
-    /// instead of silently degrading.
-    Checkpoint(String),
 }
 
 impl fmt::Display for PipelineError {
@@ -29,9 +25,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Core(e) => write!(f, "generation stage failed: {e}"),
             PipelineError::Incomplete { design } => {
                 write!(f, "pipeline lost a worker while generating '{design}'")
-            }
-            PipelineError::Checkpoint(msg) => {
-                write!(f, "epoch checkpoint failed: {msg}")
             }
         }
     }

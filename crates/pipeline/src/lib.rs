@@ -22,9 +22,9 @@
 //! * **Caching & resume** — [`PipelineOptions::cache_dir`] turns on a
 //!   per-job [`CorpusStore`](pop_core::dataset::CorpusStore): warm re-runs
 //!   stream straight from disk with **zero** place/route executions
-//!   ([`GenStats`] proves it), and [`EpochRing`] +
-//!   [`EpochPrefetcher::start_with_ring`] spill generated epochs so an
-//!   interrupted `train_stream` run resumes mid-corpus.
+//!   ([`GenStats`] proves it). A [`TrainCheckpoint`] keeps the progress
+//!   marker and the model, so an interrupted `train_stream` run resumes
+//!   mid-corpus and reads its remaining epochs back from the store.
 //!
 //! # Example
 //!
@@ -45,7 +45,7 @@ mod run;
 pub mod scenario;
 
 pub use error::PipelineError;
-pub use prefetch::{EpochPrefetcher, EpochRing, TrainCheckpoint};
+pub use prefetch::{EpochPrefetcher, TrainCheckpoint};
 pub use run::{
     expand, expand_holdout, generate_corpus_sequential, generate_corpus_with_stats,
     generate_holdout_with_stats, generate_jobs_with_stats, GenStats, PipelineOptions,
@@ -285,13 +285,13 @@ mod tests {
         // split.
         let scenario = tiny("holdout-disjoint", "diffeq2", 2);
         let train_epochs = 2;
-        let epochs = EpochPrefetcher::start(
+        let epochs: Vec<_> = EpochPrefetcher::start(
             vec![scenario.clone()],
             PipelineOptions::with_workers(2),
-            train_epochs,
+            0..train_epochs,
             1,
         )
-        .collect_epochs()
+        .collect::<Result<_, _>>()
         .unwrap();
         let train_seeds: Vec<u64> = epochs.iter().flatten().map(|p| p.meta.place_seed).collect();
         assert_eq!(train_seeds.len(), 4, "2 epochs x 2 pairs");

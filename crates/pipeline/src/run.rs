@@ -110,8 +110,8 @@ pub struct GenStats {
 
 impl GenStats {
     /// Folds another run's counters into this one — consumers spanning
-    /// many generation runs (the epoch prefetcher's observed mode, the
-    /// eval harness's per-scenario hold-out splits) accumulate one total.
+    /// many generation runs (the epoch prefetcher's epochs, the eval
+    /// harness's per-scenario hold-out splits) accumulate one total.
     pub fn absorb(&mut self, other: GenStats) {
         self.jobs += other.jobs;
         self.cache_hits += other.cache_hits;

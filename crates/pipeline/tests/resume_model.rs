@@ -1,13 +1,12 @@
 //! Kill/resume integration test for the *model-state* half of resumable
 //! streaming: an interrupted `train_stream_resumable` run wired through a
 //! [`TrainCheckpoint`] must continue from the checkpointed weights and
-//! optimiser state (loss continuity), not from fresh initialisation — the
-//! PR 3 follow-on bug where only the epoch ring resumed.
+//! optimiser state (loss continuity), not from fresh initialisation: a
+//! resumed data stream under re-initialised weights would silently skip
+//! the epochs it had trained.
 
-use pop_core::Pix2Pix;
-use pop_pipeline::{
-    scenario, EpochPrefetcher, EpochRing, PipelineOptions, ScenarioSpec, TrainCheckpoint,
-};
+use pop_core::{Pix2Pix, StreamCheckpoint};
+use pop_pipeline::{scenario, EpochPrefetcher, PipelineOptions, ScenarioSpec, TrainCheckpoint};
 
 fn tiny() -> ScenarioSpec {
     ScenarioSpec {
@@ -22,8 +21,7 @@ fn killed_training_resumes_from_checkpointed_weights_not_fresh() {
     let config = spec.config();
     let dir = std::env::temp_dir().join("pop_resume_model_test");
     let _ = std::fs::remove_dir_all(&dir);
-    let ring = EpochRing::new(dir.join("ring"), 8);
-    let mut checkpoint = TrainCheckpoint::new(ring.clone(), dir.join("model.ckpt"));
+    let mut checkpoint = TrainCheckpoint::new(&dir);
 
     // A fresh checkpoint restores nothing.
     assert!(checkpoint.restore(&config).unwrap().is_none());
@@ -33,12 +31,11 @@ fn killed_training_resumes_from_checkpointed_weights_not_fresh() {
     let total_epochs = 5;
     let trained_before_kill = 3;
     let mut model = Pix2Pix::new(&config, 7).unwrap();
-    let mut first = EpochPrefetcher::start_with_ring(
+    let mut first = EpochPrefetcher::start(
         vec![spec.clone()],
         PipelineOptions::with_workers(2),
-        total_epochs,
+        checkpoint.completed_epochs()..total_epochs,
         1,
-        ring.clone(),
     );
     let head: Vec<_> = (&mut first)
         .take(trained_before_kill)
@@ -53,7 +50,7 @@ fn killed_training_resumes_from_checkpointed_weights_not_fresh() {
     drop(model); // the "kill": the in-memory model is gone
 
     // --- Resume: the checkpoint rebuilds the killed model exactly…
-    assert_eq!(ring.completed_epochs(), trained_before_kill);
+    assert_eq!(checkpoint.completed_epochs(), trained_before_kill);
     let mut resumed = checkpoint
         .restore(&config)
         .unwrap()
@@ -69,18 +66,16 @@ fn killed_training_resumes_from_checkpointed_weights_not_fresh() {
     );
 
     // …and training continues over exactly the remaining epochs.
-    let rest = EpochPrefetcher::start_with_ring(
+    let rest = EpochPrefetcher::start(
         vec![spec.clone()],
         PipelineOptions::with_workers(2),
-        total_epochs,
+        checkpoint.completed_epochs()..total_epochs,
         1,
-        ring.clone(),
     );
-    assert_eq!(rest.first_epoch(), trained_before_kill);
     let tail: Vec<_> = rest.collect::<Result<_, _>>().unwrap();
     assert_eq!(tail.len(), total_epochs - trained_before_kill);
     let history_b = resumed.train_stream_resumable(tail.clone(), &mut checkpoint);
-    assert_eq!(ring.completed_epochs(), total_epochs);
+    assert_eq!(checkpoint.completed_epochs(), total_epochs);
 
     // --- Loss continuity: the resumed model picks up where the killed run
     // left off. A *fresh* model on the same remaining epochs sits near its

@@ -12,18 +12,19 @@
 //! * `--cache-dir DIR` — generate through a `CorpusStore` rooted at `DIR`:
 //!   the first run is cold (writes per-job caches as jobs complete), a
 //!   re-run is warm (100% cache hits, zero place/route stage executions)
-//!   and must produce a bitwise-identical corpus checksum. The streaming
-//!   training demo spills its epochs to `DIR/ring`. Concurrent cold runs
-//!   over one `DIR` coordinate through per-entry claim files: the second
-//!   process waits for the first instead of duplicating its work.
+//!   and must produce a bitwise-identical corpus checksum. The streamed
+//!   training epochs are store entries too, and the training checkpoint
+//!   lives in `DIR/checkpoint`. Concurrent cold runs over one `DIR`
+//!   coordinate through per-entry claim files: the second process waits
+//!   for the first instead of duplicating its work.
 //! * `--cache-budget BYTES` — bound the store's total size (suffixes
 //!   `K`/`M`/`G` accepted); least-recently-used entries are swept after
 //!   each write.
-//! * `--resume` — honour the epoch ring's progress marker **and** the
-//!   model checkpoint saved next to it: an interrupted run picks up at
-//!   the first untrained epoch *with the trained weights* instead of
-//!   regenerating data from seeds and weights from init. Without the flag
-//!   the ring (and model) are reset and training starts from epoch 0.
+//! * `--resume` — honour the checkpoint's progress marker **and** the
+//!   model saved next to it: an interrupted run picks up at the first
+//!   untrained epoch *with the trained weights*, streaming the remaining
+//!   epochs from the store. Without the flag the checkpoint is reset and
+//!   training starts from epoch 0.
 //! * `--trace-out PATH` — enable span tracing and write a
 //!   `pop_obs::RunReport` (span tree + metric snapshot + wall clock) to
 //!   `PATH` at exit. The run self-validates the report: it parses the
@@ -33,9 +34,9 @@
 
 use painting_on_placement as pop;
 use pop::core::dataset::DesignDataset;
-use pop::core::Pix2Pix;
+use pop::core::{Pix2Pix, StreamCheckpoint};
 use pop::pipeline::{
-    generate_corpus_sequential, generate_corpus_with_stats, scenario, EpochPrefetcher, EpochRing,
+    generate_corpus_sequential, generate_corpus_with_stats, scenario, EpochPrefetcher,
     PipelineOptions, TrainCheckpoint,
 };
 
@@ -202,60 +203,57 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("corpus checksum: {:016x}", corpus_checksum(&corpus));
 
-    // Background prefetch feeding the streaming trainer: epoch 2 generates
-    // while epoch 1 trains. With a cache dir, epochs spill into an
-    // EpochRing so an interrupted (or re-run) training session resumes
-    // from the last completed epoch instead of regenerating from seeds.
+    // Streamed training on fresh placements per epoch, generated on the
+    // prefetcher's thread. With a cache dir, `DIR/checkpoint` holds the
+    // progress marker and the model, so an interrupted (or re-run) session
+    // resumes from the last completed epoch; the epochs it still needs are
+    // store entries, read back instead of regenerated.
     let epochs = 2;
     let config = spec.config();
-    let history = match &cache_dir {
-        Some(dir) => {
-            let ring_dir = dir.join("ring");
-            if !resume {
-                let _ = std::fs::remove_dir_all(&ring_dir);
-            }
-            let ring = EpochRing::new(&ring_dir, epochs.max(2));
-            // Weights checkpoint alongside the epoch ring: a resumed run
-            // continues from the trained model, not fresh initialisation.
-            let mut checkpoint = TrainCheckpoint::new(ring.clone(), ring_dir.join("model.ckpt"));
-            let mut model = match checkpoint.restore(&config)? {
-                Some(model) if resume => {
-                    println!(
-                        "model checkpoint: restored weights + optimiser state ({} epoch(s) already trained)",
-                        ring.completed_epochs()
-                    );
-                    model
-                }
-                _ => {
-                    if resume && ring.completed_epochs() > 0 {
-                        // Trained epochs but no model checkpoint (data-only
-                        // ring from an older run, or a deleted file):
-                        // resuming the data stream under fresh weights
-                        // would silently skip training — reset the ring so
-                        // data and weights restart together.
-                        println!(
-                            "model checkpoint missing: resetting the epoch ring so data and                              weights restart together"
-                        );
-                        let _ = std::fs::remove_dir_all(&ring_dir);
-                    }
-                    Pix2Pix::new(&config, 7)?
-                }
-            };
-            let prefetcher =
-                EpochPrefetcher::start_with_ring(vec![spec], opts, epochs, 1, ring.clone());
+    let mut checkpoint = cache_dir
+        .as_ref()
+        .map(|dir| TrainCheckpoint::new(dir.join("checkpoint")));
+    let mut restored = None;
+    if let Some(ckpt) = &checkpoint {
+        if resume {
+            restored = ckpt.restore(&config)?;
+        }
+        if restored.is_some() {
             println!(
-                "streaming training resumed at epoch {}",
-                prefetcher.first_epoch()
+                "model checkpoint: restored weights + optimiser state ({} epoch(s) already trained)",
+                ckpt.completed_epochs()
             );
-            let stream: Result<Vec<_>, _> = prefetcher.collect();
-            model.train_stream_resumable(stream?, &mut checkpoint)
+        } else {
+            if resume && ckpt.completed_epochs() > 0 {
+                // Trained epochs but no model (a deleted file): resuming
+                // the data stream under fresh weights would silently skip
+                // training, so data and weights restart together.
+                println!(
+                    "model checkpoint missing: clearing the training checkpoint \
+                     so data and weights restart together"
+                );
+            }
+            let _ = std::fs::remove_dir_all(ckpt.dir());
         }
-        None => {
-            let mut model = Pix2Pix::new(&config, 7)?;
-            let prefetcher = EpochPrefetcher::start(vec![spec], opts, epochs, 1);
-            let stream: Result<Vec<_>, _> = prefetcher.collect();
-            model.train_stream(stream?)
-        }
+    }
+    let mut model = match restored {
+        Some(model) => model,
+        None => Pix2Pix::new(&config, 7)?,
+    };
+    let first = checkpoint.as_ref().map_or(0, |c| c.completed_epochs());
+    if checkpoint.is_some() {
+        println!("streaming training resumed at epoch {first}");
+    }
+    let mut prefetcher = EpochPrefetcher::start(vec![spec], opts, first..epochs, 1);
+    let stream = prefetcher.by_ref().collect::<Result<Vec<_>, _>>()?;
+    let streamed = prefetcher.stats();
+    println!(
+        "streamed epoch stats: {}/{} cache hits (place-stage runs: {}, route-stage runs: {})",
+        streamed.cache_hits, streamed.jobs, streamed.place_stage_runs, streamed.route_stage_runs
+    );
+    let history = match &mut checkpoint {
+        Some(ckpt) => model.train_stream_resumable(stream, ckpt),
+        None => model.train_stream(stream),
     };
     println!(
         "streamed {} training epoch(s); final G loss {:.4}",

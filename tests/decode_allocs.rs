@@ -17,7 +17,6 @@ use pop::core::dataset::{fingerprint, CorpusStore, DesignDataset, Pair, PairMeta
 use pop::core::{model_io, ExperimentConfig, PairEval, Pix2Pix};
 use pop::netlist::presets;
 use pop::nn::Tensor;
-use pop::pipeline::EpochRing;
 use std::path::Path;
 
 #[global_allocator]
@@ -111,7 +110,7 @@ fn decoding_allocates_at_most_four_times_the_file() {
         .collect();
     let ds = DesignDataset {
         name: spec.name.clone(),
-        pairs: pairs.clone(),
+        pairs,
         channel_width: 6,
         grid_width: 5,
         grid_height: 4,
@@ -122,35 +121,6 @@ fn decoding_allocates_at_most_four_times_the_file() {
         assert!(store.load(&spec, &config).unwrap().is_some());
     });
     check("popds: valid", valid.len(), cost);
-
-    // `.pope`: POPRING1 ‖ key ‖ epoch ‖ pairs ‖ records.
-    let ring = EpochRing::new(dir.join("ring"), 2);
-    let path = ring.dir().join("epoch-000000.pope");
-    let head = |n: u32| le(&[b"POPRING1", &7u64.to_le_bytes(), &[0; 8], &n.to_le_bytes()]);
-    let crafted = [
-        ("pope: 2^20 pairs", head(1 << 20)),
-        (
-            "pope: 2^28-element tensor",
-            le(&[
-                &head(1),
-                &0u32.to_le_bytes(),
-                &META,
-                &dims([1 << 14, 1 << 14, 1, 1]),
-            ]),
-        ),
-    ];
-    for (what, bytes) in &crafted {
-        let cost = decode_cost(&path, bytes, || {
-            assert!(ring.load_epoch(7, 0).is_none(), "{what}");
-        });
-        check(what, bytes.len(), cost);
-    }
-    ring.store_epoch(7, 0, &pairs).unwrap();
-    let valid = std::fs::read(&path).unwrap();
-    let cost = decode_cost(&path, &valid, || {
-        assert!(ring.load_epoch(7, 0).is_some());
-    });
-    check("pope: valid", valid.len(), cost);
 
     // `.popbl`: POPBL01\n ‖ key ‖ calibration ‖ records ‖ five f32 each.
     let path = dir.join("baseline.popbl");

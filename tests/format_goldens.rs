@@ -1,6 +1,6 @@
-//! Byte goldens for the on-disk formats: a `.popds` corpus entry, a
-//! `.pope` epoch spill and both checkpoint flavours, each written from
-//! fixed inputs and pinned as the length and FNV-1a of its exact bytes.
+//! Byte goldens for the on-disk formats: a `.popds` corpus entry and both
+//! checkpoint flavours, each written from fixed inputs and pinned as the
+//! length and FNV-1a of its exact bytes.
 //! (The `.popbl` golden lives beside its private writer in `baseline.rs`.)
 //!
 //! A refactor of the codecs must leave every value here untouched: a
@@ -13,7 +13,6 @@ use pop::core::dataset::{CorpusStore, DesignDataset, Pair, PairMeta};
 use pop::core::{model_io, ExperimentConfig, Pix2Pix};
 use pop::netlist::presets;
 use pop::nn::Tensor;
-use pop::pipeline::EpochRing;
 use std::path::{Path, PathBuf};
 
 /// 64-bit FNV-1a, spelled out here so the pin does not depend on the
@@ -76,19 +75,6 @@ fn corpus_entry_bytes_are_pinned() {
     assert_eq!(
         pin(&store.entry_path(&spec, &config)),
         (5_648, 0x0bda_3c90_6c1c_dcf3)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn epoch_spill_bytes_are_pinned() {
-    let dir = scratch("pope");
-    let ring = EpochRing::new(&dir, 4);
-    ring.store_epoch(0x0123_4567_89ab_cdef, 2, &pairs())
-        .unwrap();
-    assert_eq!(
-        pin(&dir.join("epoch-000002.pope")),
-        (5_644, 0x3575_5ba4_9517_9ec8)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,10 +1,9 @@
-//! One hostile-bytes harness over the four on-disk decoders — `.popds`
-//! corpus entries, `.pope` epoch spills, `.popbl` baseline records and
-//! model checkpoints — in the pattern of the HTTP parser and JSON reader
-//! fuzz suites: one table of formats, every property run over all of
-//! them.
+//! One hostile-bytes harness over the three on-disk decoders — `.popds`
+//! corpus entries, `.popbl` baseline records and model checkpoints — in
+//! the pattern of the HTTP parser and JSON reader fuzz suites: one table
+//! of formats, every property run over all of them.
 //!
-//! Damage is a miss for the three caches (the caller regenerates the
+//! Damage is a miss for the two caches (the caller regenerates the
 //! entry) and an `Err` for a checkpoint; it is never a panic, and never a
 //! hit. Damage here means a cut at any byte, one appended byte, arbitrary
 //! bytes after a valid header, and arbitrary bytes written over a valid
@@ -16,7 +15,6 @@ use pop::core::dataset::{CorpusStore, DesignDataset, Pair, PairMeta};
 use pop::core::{model_io, ExperimentConfig, PairEval, Pix2Pix};
 use pop::netlist::presets;
 use pop::nn::Tensor;
-use pop::pipeline::EpochRing;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -58,7 +56,7 @@ fn pairs() -> Vec<Pair> {
         .collect()
 }
 
-/// The four formats, each with a valid file written under a scratch
+/// The three formats, each with a valid file written under a scratch
 /// directory named by `tag`.
 fn formats(tag: &str) -> Vec<Format> {
     let dir = std::env::temp_dir().join(format!("pop_hostile_bytes_{tag}"));
@@ -76,10 +74,6 @@ fn formats(tag: &str) -> Vec<Format> {
     };
     store.store(&ds, &spec, &config).unwrap();
     let popds = store.entry_path(&spec, &config);
-
-    let ring = EpochRing::new(dir.join("ring"), 2);
-    ring.store_epoch(7, 0, &pairs()).unwrap();
-    let pope = ring.dir().join("epoch-000000.pope");
 
     let popbl = dir.join("baseline.popbl");
     let evals = vec![
@@ -115,17 +109,6 @@ fn formats(tag: &str) -> Vec<Format> {
                 Ok(Some(_)) => Outcome::Hit,
                 Ok(None) => Outcome::Miss,
                 Err(_) => Outcome::Err,
-            }),
-        },
-        Format {
-            name: ".pope",
-            valid: read(&pope),
-            path: pope,
-            header_len: 16,
-            damage: Outcome::Miss,
-            decode: Box::new(move || match ring.load_epoch(7, 0) {
-                Some(_) => Outcome::Hit,
-                None => Outcome::Miss,
             }),
         },
         Format {
