@@ -132,12 +132,25 @@ impl EpochPrefetcher {
     ) -> Self {
         let stats = Arc::new(Mutex::new(GenStats::default()));
         let sink = Arc::clone(&stats);
+        Self::spawn(epochs, depth, stats, move |epoch| {
+            epoch_pairs(&scenarios, epoch, &opts, &sink)
+        })
+    }
+
+    /// The stream of `produce(e)` for each `e` of `epochs`, produced on a
+    /// background thread, `depth` epochs ahead at most.
+    fn spawn(
+        epochs: Range<usize>,
+        depth: usize,
+        stats: Arc<Mutex<GenStats>>,
+        mut produce: impl FnMut(usize) -> Result<Vec<Pair>, PipelineError> + Send + 'static,
+    ) -> Self {
         let (tx, rx) = mpsc::sync_channel(depth.max(1));
         let producer = std::thread::Builder::new()
             .name("pop-pipe-prefetch".into())
             .spawn(move || {
                 for epoch in epochs {
-                    let result = epoch_pairs(&scenarios, epoch, &opts, &sink);
+                    let result = produce(epoch);
                     let failed = result.is_err();
                     // Stop when the consumer hung up, or after delivering
                     // an error: nothing sensible follows it.
@@ -320,6 +333,26 @@ mod tests {
             Some(Err(PipelineError::BadScenario(_)))
         ));
         assert!(prefetcher.next().is_none());
+    }
+
+    #[test]
+    fn a_producer_panic_ends_the_stream_in_an_error() {
+        let stream = EpochPrefetcher::spawn(0..3, 1, Arc::default(), |epoch| {
+            assert_ne!(epoch, 1, "generator bug at epoch 1");
+            Ok(Vec::new())
+        })
+        .collect::<Result<Vec<_>, _>>();
+        match stream {
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(msg.contains("epoch 1"), "{msg}");
+                assert!(msg.contains("generator bug at epoch 1"), "{msg}");
+            }
+            Ok(epochs) => panic!(
+                "a stream that lost its producer read as complete, with {} of 3 epochs",
+                epochs.len()
+            ),
+        }
     }
 
     #[test]
