@@ -16,6 +16,14 @@ pub enum PipelineError {
         /// The design whose pairs went missing.
         design: String,
     },
+    /// An epoch stream's producer thread panicked before it had sent
+    /// every epoch of its range: the stream ends here, short.
+    Truncated {
+        /// The first epoch that was not delivered.
+        epoch: usize,
+        /// The producer's panic message.
+        panic: String,
+    },
 }
 
 impl fmt::Display for PipelineError {
@@ -26,6 +34,10 @@ impl fmt::Display for PipelineError {
             PipelineError::Incomplete { design } => {
                 write!(f, "pipeline lost a worker while generating '{design}'")
             }
+            PipelineError::Truncated { epoch, panic } => write!(
+                f,
+                "epoch stream truncated at epoch {epoch}: its producer panicked: {panic}"
+            ),
         }
     }
 }

@@ -20,7 +20,7 @@
 //! they regenerate from seeds, bit for bit apart from timings.
 
 use crate::error::PipelineError;
-use crate::run::{expand, generate_jobs_with_stats, GenStats, PipelineOptions};
+use crate::run::{expand, generate_jobs_with_stats, panic_message, GenStats, PipelineOptions};
 use crate::scenario::{DesignJob, ScenarioSpec};
 use pop_core::codec::atomic_write;
 use pop_core::dataset::Pair;
@@ -109,6 +109,12 @@ impl StreamCheckpoint for TrainCheckpoint {
 
 /// A background iterator of per-epoch training pairs.
 ///
+/// The stream yields every epoch of its range, or ends in an `Err`: a
+/// generation error is yielded as the item of its epoch, and a producer
+/// thread that panicked before sending its whole range ends the stream
+/// with [`PipelineError::Truncated`] — a short stream never reads as a
+/// complete one.
+///
 /// Dropping the prefetcher early (e.g. the trainer stopped) disconnects
 /// the channel; the generator thread notices on its next send and exits.
 #[derive(Debug)]
@@ -116,6 +122,8 @@ pub struct EpochPrefetcher {
     rx: Option<mpsc::Receiver<Result<Vec<Pair>, PipelineError>>>,
     producer: Option<JoinHandle<()>>,
     stats: Arc<Mutex<GenStats>>,
+    /// The epoch the next item belongs to.
+    next_epoch: usize,
 }
 
 impl EpochPrefetcher {
@@ -146,6 +154,7 @@ impl EpochPrefetcher {
         mut produce: impl FnMut(usize) -> Result<Vec<Pair>, PipelineError> + Send + 'static,
     ) -> Self {
         let (tx, rx) = mpsc::sync_channel(depth.max(1));
+        let next_epoch = epochs.start;
         let producer = std::thread::Builder::new()
             .name("pop-pipe-prefetch".into())
             .spawn(move || {
@@ -164,6 +173,7 @@ impl EpochPrefetcher {
             rx: Some(rx),
             producer: Some(producer),
             stats,
+            next_epoch,
         }
     }
 
@@ -209,13 +219,25 @@ impl Iterator for EpochPrefetcher {
     type Item = Result<Vec<Pair>, PipelineError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.rx.as_ref()?.recv().ok()
+        if let Ok(item) = self.rx.as_ref()?.recv() {
+            self.next_epoch += 1;
+            return Some(item);
+        }
+        // The producer hung up: after its whole range, after delivering an
+        // error, or because it panicked.
+        self.rx = None;
+        let panicked = self.producer.take()?.join().err()?;
+        Some(Err(PipelineError::Truncated {
+            epoch: self.next_epoch,
+            panic: panic_message(&*panicked),
+        }))
     }
 }
 
 impl Drop for EpochPrefetcher {
     fn drop(&mut self) {
         // Disconnect first so a blocked producer send unblocks, then join.
+        // A consumer that stopped listening has no use for a late panic.
         self.rx = None;
         if let Some(h) = self.producer.take() {
             let _ = h.join();
@@ -337,13 +359,15 @@ mod tests {
 
     #[test]
     fn a_producer_panic_ends_the_stream_in_an_error() {
-        let stream = EpochPrefetcher::spawn(0..3, 1, Arc::default(), |epoch| {
+        let mut prefetcher = EpochPrefetcher::spawn(0..3, 1, Arc::default(), |epoch| {
             assert_ne!(epoch, 1, "generator bug at epoch 1");
             Ok(Vec::new())
-        })
-        .collect::<Result<Vec<_>, _>>();
+        });
+        let stream = prefetcher.by_ref().collect::<Result<Vec<_>, _>>();
+        assert!(prefetcher.next().is_none(), "the error ends the stream");
         match stream {
             Err(e) => {
+                assert!(matches!(e, PipelineError::Truncated { epoch: 1, .. }));
                 let msg = e.to_string();
                 assert!(msg.contains("epoch 1"), "{msg}");
                 assert!(msg.contains("generator bug at epoch 1"), "{msg}");

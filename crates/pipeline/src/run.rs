@@ -267,15 +267,20 @@ struct Run {
 fn run_stage<T>(op: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)) {
         Ok(result) => result,
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".into());
-            Err(CoreError::Pipeline(format!("stage panicked: {msg}")))
-        }
+        Err(panic) => Err(CoreError::Pipeline(format!(
+            "stage panicked: {}",
+            panic_message(&*panic)
+        ))),
     }
+}
+
+/// The message a panic carried (`panic!`'s `&str` or `String`).
+pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".into())
 }
 
 impl Run {
