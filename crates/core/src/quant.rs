@@ -17,7 +17,7 @@
 use crate::error::CoreError;
 use crate::forecaster::Forecaster;
 use pop_nn::quant::{QuantizedConv2d, QuantizedConvTranspose2d};
-use pop_nn::Tensor;
+use pop_nn::{tanh_in_place, Tensor};
 
 /// One quantized encoder block: conv (BN folded) → LeakyReLU.
 #[derive(Debug, Clone)]
@@ -101,9 +101,7 @@ impl QuantizedGenerator {
             };
             let mut y = self.dec[i].deconv.forward(&input);
             if self.dec[i].tanh {
-                for v in y.data_mut() {
-                    *v = v.tanh();
-                }
+                tanh_in_place(y.data_mut());
             } else {
                 for v in y.data_mut() {
                     if *v < 0.0 {

@@ -1,3 +1,4 @@
+use crate::tanh::tanh_in_place;
 use crate::tensor::Tensor;
 use crate::Layer;
 
@@ -115,7 +116,7 @@ impl Layer for Relu {
 }
 
 /// Hyperbolic tangent — the generator's output activation (images live in
-/// `[−1, 1]` during training).
+/// `[−1, 1]` during training), by [`tanh_in_place`](crate::tanh_in_place).
 #[derive(Debug, Clone, Default)]
 pub struct Tanh {
     cached_output: Option<Tensor>,
@@ -130,7 +131,8 @@ impl Tanh {
 
 impl Layer for Tanh {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = map(x, f32::tanh);
+        let mut y = x.clone();
+        tanh_in_place(y.data_mut());
         self.cached_output = Some(y.clone());
         y
     }

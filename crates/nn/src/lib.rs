@@ -14,6 +14,15 @@
 //!   inference by [`Conv2d::plan`] / [`ConvTranspose2d::plan`]: its
 //!   batch-norm by running statistics ([`BatchNorm2d::inference_norm`])
 //!   and its activation applied in the GEMM's epilogue, dropout dropped;
+//! * [`tanh_in_place`] — the generator's output `tanh` over a slice:
+//!   glibc's fdlibm `tanhf`, which `f32::tanh` calls on glibc hosts,
+//!   rewritten so that each lane computes every path and selects one. Its
+//!   contract is bitwise, like the GEMM's ([`linalg`]): for every one of
+//!   the 2³² `f32` inputs it stores the bits glibc 2.36's `tanhf` returns
+//!   (NaN to the same NaN, quieted), in both instantiations (baseline and
+//!   AVX2, never `fma`), whatever libm the host links. The [`Tanh`] layer,
+//!   the plans' `tanh` epilogue ([`Activation::Tanh`]) and the quantized
+//!   decoder all call it;
 //! * [`loss`] — the stable binary-cross-entropy-with-logits of the GAN
 //!   objective (Equation 2) and the L1 term of §4.4/§5.3;
 //! * [`Adam`] — the optimiser with the paper's hyper-parameters
@@ -60,6 +69,7 @@ mod lower;
 mod norm;
 mod param;
 pub mod quant;
+mod tanh;
 mod tensor;
 mod workspace;
 
@@ -70,6 +80,7 @@ pub use dropout::Dropout;
 pub use lower::{Activation, Batch, BatchMut, ConvGeom, Norm, PlannedConv, PlannedDeconv};
 pub use norm::{BatchNorm2d, NormCache};
 pub use param::Param;
+pub use tanh::tanh_in_place;
 pub use tensor::Tensor;
 pub use workspace::scratch;
 

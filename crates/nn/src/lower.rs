@@ -19,6 +19,7 @@
 
 use crate::im2col::{col2im, conv_out_dim, im2col, Pair};
 use crate::linalg::{matmul_nn_set, TnWeights};
+use crate::tanh::tanh_in_place;
 use crate::tensor::Tensor;
 use crate::workspace::scratch;
 
@@ -236,7 +237,7 @@ pub enum Activation {
     LeakyRelu(f32),
     /// `v` if non-negative, else zero.
     Relu,
-    /// `tanh(v)`.
+    /// `tanh(v)`, by [`tanh_in_place`](crate::tanh_in_place).
     Tanh,
 }
 
@@ -309,7 +310,8 @@ impl Finish {
     }
 }
 
-/// `v ← act(pre(v))` over `row`, one branch-free loop per activation.
+/// `v ← act(pre(v))` over `row`, one branch-free loop per activation (two
+/// for `tanh`: `pre`, then the kernel).
 #[inline(always)]
 fn activate(row: &mut [f32], pre: impl Fn(f32) -> f32, act: Activation) {
     match act {
@@ -322,7 +324,10 @@ fn activate(row: &mut [f32], pre: impl Fn(f32) -> f32, act: Activation) {
             let y = pre(*v);
             *v = if y < 0.0 { 0.0 } else { y };
         }),
-        Activation::Tanh => row.iter_mut().for_each(|v| *v = pre(*v).tanh()),
+        Activation::Tanh => {
+            row.iter_mut().for_each(|v| *v = pre(*v));
+            tanh_in_place(row);
+        }
     }
 }
 
