@@ -50,6 +50,8 @@
 //!
 //! Run with `cargo bench -p pop-bench --bench kernels [-- --smoke]`.
 
+use pop_core::dataset::DesignContext;
+use pop_core::features::placement_input;
 use pop_core::{ExperimentConfig, Forecaster, Pix2Pix, UNetGenerator};
 use pop_nn::linalg::{matmul_nn, matmul_nt, matmul_tn};
 use pop_nn::{Activation, Adam, Batch, BatchMut, Conv2d, ConvTranspose2d, Layer, Param, Tensor};
@@ -504,6 +506,99 @@ fn bench_whole_forward(batch: usize, smoke: bool) -> f64 {
         secs * 1e6 / batch as f64
     );
     secs
+}
+
+struct TanhResult {
+    input: &'static str,
+    /// Seconds per 64×64×3 image: `f32::tanh` per element, then the kernel.
+    secs: (f64, f64),
+    /// Whether the kernel stored `f32::tanh`'s bits for every element.
+    bit_equal: bool,
+}
+
+/// The generator's final `tanh` over one batch-8 output of the `explore`
+/// workload's model (`ExperimentConfig::quick()`, seed 11, on eight SHA
+/// placements at scale 0.1, seed 1): `f32::tanh` per element against
+/// `pop_nn::tanh_in_place`, on the model's real pre-activations and on an
+/// even `[-3, 3]` sweep. The pre-activations are read back from the
+/// forecast as `atanh` (in f64): exact up to rounding while no output
+/// saturates to ±1, which the bench asserts. Both loops start from a copy
+/// of the inputs, so the copy is in both rows.
+fn bench_tanh(smoke: bool) -> Vec<TanhResult> {
+    const BATCH: usize = 8;
+    let config = ExperimentConfig::quick();
+    let mut model = Pix2Pix::new(&config, 11).expect("quick config");
+    let spec = pop_netlist::presets::by_name("SHA").expect("a Table-2 preset");
+    let design = ExperimentConfig {
+        design_scale: 0.1,
+        pairs_per_design: BATCH,
+        seed: 1,
+        ..config.clone()
+    };
+    let ctx = DesignContext::prepare(&spec, &design).expect("the preset prepares");
+    let xs: Vec<Tensor> = ctx
+        .sweep_options()
+        .iter()
+        .map(|popts| {
+            let placement = ctx.place_stage(popts).expect("the preset places").0;
+            placement_input(&ctx.arch, &ctx.netlist, &placement, &design)
+        })
+        .collect();
+    let refs: Vec<&Tensor> = xs.iter().collect();
+    let forecast: Vec<f32> = model
+        .forecast_batch(&refs)
+        .iter()
+        .flat_map(|y| y.data().to_vec())
+        .collect();
+    assert!(
+        forecast.iter().all(|y| y.abs() < 1.0),
+        "a saturated output has no pre-activation to read back"
+    );
+    let pre: Vec<f32> = forecast
+        .iter()
+        .map(|&y| (y as f64).atanh() as f32)
+        .collect();
+    let n = pre.len();
+    let sweep: Vec<f32> = (0..n)
+        .map(|i| (-3.0 + 6.0 * i as f64 / (n - 1) as f64) as f32)
+        .collect();
+    let (reps, iters) = if smoke { (1, 1) } else { (7, 200) };
+    [("explore_preactivations", pre), ("sweep_-3_3", sweep)]
+        .into_iter()
+        .map(|(input, xs)| {
+            let mut libm = xs.clone();
+            libm.iter_mut().for_each(|v| *v = v.tanh());
+            let mut kernel = xs.clone();
+            pop_nn::tanh_in_place(&mut kernel);
+            let bit_equal = libm
+                .iter()
+                .zip(&kernel)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            let libm_secs = time_per_call(reps, iters, || {
+                libm.copy_from_slice(&xs);
+                libm.iter_mut().for_each(|v| *v = v.tanh());
+                std::hint::black_box(&mut libm);
+            });
+            let kernel_secs = time_per_call(reps, iters, || {
+                kernel.copy_from_slice(&xs);
+                pop_nn::tanh_in_place(&mut kernel);
+                std::hint::black_box(&mut kernel);
+            });
+            let per_image = (libm_secs / BATCH as f64, kernel_secs / BATCH as f64);
+            println!(
+                "tanh ({input}): libm {:.1} us, kernel {:.1} us per 64x64x3 image \
+                 ({:.2}x, bit-equal to f32::tanh: {bit_equal})",
+                per_image.0 * 1e6,
+                per_image.1 * 1e6,
+                per_image.0 / per_image.1
+            );
+            TanhResult {
+                input,
+                secs: per_image,
+                bit_equal,
+            }
+        })
+        .collect()
 }
 
 struct InferenceResult {
@@ -1051,6 +1146,7 @@ fn main() {
         .map(|&batch| (batch, bench_whole_forward(batch, smoke)))
         .collect();
 
+    let tanh = bench_tanh(smoke);
     let (training, join_sites) = bench_training(&layers, smoke);
     let paper_step = (!smoke).then(bench_paper_step);
     let inference = bench_inference(smoke);
@@ -1146,6 +1242,20 @@ fn main() {
             )
         })
         .collect();
+    let tanh_json: Vec<String> = tanh
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{ \"input\": \"{}\", \"us_per_image_libm\": {:.1}, \
+                 \"us_per_image_kernel\": {:.1}, \"speedup\": {:.4}, \"bit_equal\": {} }}",
+                r.input,
+                r.secs.0 * 1e6,
+                r.secs.1 * 1e6,
+                r.secs.0 / r.secs.1,
+                r.bit_equal
+            )
+        })
+        .collect();
     let paper_step_json = paper_step.map_or(String::new(), |p| {
         format!(
             "  \"train_step_paper\": {{ \"config\": \"paper\", \"batch\": 1, \
@@ -1175,6 +1285,7 @@ fn main() {
          \"speedup\": {:.4} }},\n  \
          \"lowering\": [\n{}\n  ],\n  \
          \"whole_forward\": [\n{}\n  ],\n  \
+         \"tanh\": [\n{}\n  ],\n  \
          \"train_step\": {{ \"config\": \"quick\", \"batch\": 1, \
          \"host_parallelism\": {host_parallelism}, \"ms_inline\": {:.4}, \
          \"ms_joined\": {:.4}, \"speedup\": {:.4}, \"split_us_inline\": {}, \
@@ -1195,6 +1306,7 @@ fn main() {
         bwd_ref / bwd_new,
         lowering_json.join(",\n"),
         whole_forward_json.join(",\n"),
+        tanh_json.join(",\n"),
         training.train_secs.0 * 1e3,
         training.train_secs.1 * 1e3,
         training.train_secs.0 / training.train_secs.1,
@@ -1228,6 +1340,8 @@ fn main() {
         "\"op\": \"col2im\"",
         "\"whole_forward\"",
         "\"us_per_image\"",
+        "\"tanh\": [",
+        "\"us_per_image_kernel\"",
         "\"batch\": 1",
         "\"train_step\"",
         "\"ms_inline\"",
