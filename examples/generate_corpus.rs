@@ -244,17 +244,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if checkpoint.is_some() {
         println!("streaming training resumed at epoch {first}");
     }
+    // Epoch N + 1 generates while epoch N trains; the first generation
+    // error stops training and is returned.
     let mut prefetcher = EpochPrefetcher::start(vec![spec], opts, first..epochs, 1);
-    let stream = prefetcher.by_ref().collect::<Result<Vec<_>, _>>()?;
+    let mut failed = None;
+    let stream = prefetcher
+        .by_ref()
+        .map_while(|epoch| epoch.map_err(|e| failed = Some(e)).ok());
+    let history = match &mut checkpoint {
+        Some(ckpt) => model.train_stream_resumable(stream, ckpt),
+        None => model.train_stream(stream),
+    };
+    if let Some(e) = failed {
+        return Err(e.into());
+    }
     let streamed = prefetcher.stats();
     println!(
         "streamed epoch stats: {}/{} cache hits (place-stage runs: {}, route-stage runs: {})",
         streamed.cache_hits, streamed.jobs, streamed.place_stage_runs, streamed.route_stage_runs
     );
-    let history = match &mut checkpoint {
-        Some(ckpt) => model.train_stream_resumable(stream, ckpt),
-        None => model.train_stream(stream),
-    };
     println!(
         "streamed {} training epoch(s); final G loss {:.4}",
         history.generator_loss.len(),

@@ -138,8 +138,11 @@ fn six_golden_steps() -> (Vec<[u32; 3]>, u64, u64) {
     )
 }
 
-/// A train step forks at three places through `pop_exec::join`, and
-/// whether a given join forks depends on what else the process is doing.
+/// A train step forks through `pop_exec::join` at five kinds of place: D's
+/// real pass beside the G forward (then D's fake forward), the row-split
+/// training conv GEMMs, the input-gradient `Wᵀ·dY` strips, each conv /
+/// deconv backward's dX beside its dW, and Adam's two halves. Whether a
+/// given join forks depends on what else the process is doing.
 /// None of that may reach the numbers: the same steps run plainly (forks
 /// wherever the helper is free), from inside the caller half of an outer
 /// join (the helper is taken: every join runs inline — the serial path,
