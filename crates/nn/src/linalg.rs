@@ -78,10 +78,9 @@
 //! issues `vmulps` then `vaddps`, each rounding once like the scalar
 //! `mulss`/`addss` — bit-exact, and a unit test runs both instantiations
 //! against each other. Other targets compile the baseline only; the layout
-//! steps above (transposes) are plain code outside the kernel. The
-//! dispatch is generic over what it runs ([`Wide`]): the `tanh` kernel
-//! ([`tanh_in_place`](crate::tanh_in_place)) is its other client, so the
-//! crate has one AVX2 check and one `unsafe` call.
+//! steps above (transposes) are plain code outside the kernel. The `tanh`
+//! kernel ([`tanh_in_place`](crate::tanh_in_place)) is instantiated the
+//! same way, behind its own check.
 //!
 //! `matmul_nn` / `matmul_tn` additionally tile over columns so the
 //! re-streamed `B` panel stays cache-resident when `n` is large — the
@@ -98,7 +97,7 @@ use std::sync::OnceLock;
 
 /// Column-panel width at the target's baseline: 8 f32 lanes, two SSE
 /// registers per accumulator row.
-pub(crate) const NR_BASE: usize = 8;
+const NR_BASE: usize = 8;
 /// Column-panel width under AVX2: 16 lanes, two 256-bit registers per row.
 #[cfg(target_arch = "x86_64")]
 const NR_AVX2: usize = 16;
@@ -133,7 +132,7 @@ pub fn matmul_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    gemm::<ACC>(a, b, n, c, m, k, n);
+    dispatch::<ACC>(a, b, n, c, m, k, n);
 }
 
 /// `C = A @ B`, shapes as in [`matmul_nn`]: every output is the
@@ -147,7 +146,7 @@ pub fn matmul_nn_set(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n:
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    gemm::<SET>(a, b, n, c, m, k, n);
+    dispatch::<SET>(a, b, n, c, m, k, n);
 }
 
 /// Whether `Aᵀ·B` (`A` stored `k×m`, `B` `k×n`) is cheaper as
@@ -175,7 +174,7 @@ fn tn_by_transposed_output<const SEED: u8>(
     if SEED != SET {
         transpose(c, n, m, n, &mut ct[..n * m]);
     }
-    gemm::<SEED>(&bt[..n * k], a, lda, &mut ct[..n * m], n, k, m);
+    dispatch::<SEED>(&bt[..n * k], a, lda, &mut ct[..n * m], n, k, m);
     transpose(&ct[..n * m], m, n, m, c);
     workspace::give(bt);
     workspace::give(ct);
@@ -236,7 +235,7 @@ fn tn_strip<const SEED: u8>(
         for (strip, c_rows) in c.chunks_mut((rows * n).max(1)).enumerate() {
             let r = c_rows.len() / n.max(1);
             transpose(&a[strip * rows..], lda, k, r, &mut at[..r * k]);
-            gemm::<SEED>(&at[..r * k], b, n, c_rows, r, k, n);
+            dispatch::<SEED>(&at[..r * k], b, n, c_rows, r, k, n);
         }
         workspace::give(at);
     }
@@ -276,7 +275,7 @@ pub(crate) fn matmul_nn_set_forked(
     assert_eq!(c.len(), m * n, "C size");
     forked_rows(c, m, n, |first, rows, c| {
         let a = &a[first * k..(first + rows) * k];
-        gemm::<SET>(a, b, n, c, rows, k, n);
+        dispatch::<SET>(a, b, n, c, rows, k, n);
     });
 }
 
@@ -354,7 +353,7 @@ impl TnWeights {
                 transpose(&self.stored, m, k, m, &mut at);
                 at
             });
-            gemm::<SET>(packed, b, ldb, c, m, k, n);
+            dispatch::<SET>(packed, b, ldb, c, m, k, n);
         }
     }
 }
@@ -376,7 +375,7 @@ pub fn matmul_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     if nt_transposes_output(m, k, n) {
         let (mut at, mut t) = (workspace::take(k * m), workspace::take(n * m));
         transpose(a, k, m, k, &mut at[..k * m]);
-        gemm::<SET>(b, &at[..k * m], m, &mut t[..n * m], n, k, m);
+        dispatch::<SET>(b, &at[..k * m], m, &mut t[..n * m], n, k, m);
         for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
             for (cv, tv) in c_row.iter_mut().zip(t[i..].iter().step_by(m)) {
                 *cv += tv;
@@ -387,7 +386,7 @@ pub fn matmul_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     } else {
         let mut bt = workspace::take(k * n);
         transpose(b, k, n, k, &mut bt[..k * n]);
-        gemm::<DOT>(a, &bt[..k * n], n, c, m, k, n);
+        dispatch::<DOT>(a, &bt[..k * n], n, c, m, k, n);
         workspace::give(bt);
     }
 }
@@ -398,63 +397,11 @@ fn nt_transposes_output(m: usize, k: usize, n: usize) -> bool {
     m * k + 2 * m * n < n * k
 }
 
-/// Code with one `#[inline(always)]` source that [`dispatch`] compiles
-/// twice — at the target's baseline and under AVX2 — and runs in the
-/// widest instantiation the CPU supports: the GEMM kernel ([`Gemm`]) and
-/// the `tanh` kernel ([`tanh_in_place`](crate::tanh_in_place)). `NR` is the
-/// f32 lanes of two vector registers at the instantiation's width.
-pub(crate) trait Wide {
-    /// The code, at `NR` lanes per register pair.
-    fn run<const NR: usize>(self);
-}
-
-/// Runs `kernel` in the widest instantiation this CPU supports.
-pub(crate) fn dispatch<K: Wide>(kernel: K) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `kernel_avx2` is safe code compiled for AVX2; its only
-        // requirement is that the CPU supports AVX2, which the runtime
-        // check on the line above has just established.
-        return unsafe { kernel_avx2(kernel) };
-    }
-    // The compilation target's baseline feature set.
-    kernel.run::<NR_BASE>();
-}
-
-/// `kernel` with 256-bit registers and `NR` to match; callable (through
-/// `unsafe`) only once the CPU is known to support AVX2. `fma` is
-/// deliberately not enabled: a multiply and an add stay two roundings, as
-/// in the baseline.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub(crate) fn kernel_avx2<K: Wide>(kernel: K) {
-    kernel.run::<NR_AVX2>();
-}
-
-/// One product for [`dispatch`]: `A` (`m×k`, dense), `B` (`k×n`, rows
-/// `ldb` apart) and `C` (`m×n`, dense), each output starting and ending as
-/// `SEED` says.
-struct Gemm<'a, const SEED: u8> {
-    a: &'a [f32],
-    b: &'a [f32],
-    ldb: usize,
-    c: &'a mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-}
-
-impl<const SEED: u8> Wide for Gemm<'_, SEED> {
-    #[inline(always)]
-    fn run<const NR: usize>(self) {
-        nn::<NR, SEED>(self.a, self.b, self.ldb, self.c, self.m, self.k, self.n);
-    }
-}
-
-/// Runs the GEMM kernel in the widest instantiation this CPU supports (see
-/// [`Gemm`]).
+/// Runs the kernel in the widest instantiation this CPU supports on `A`
+/// (`m×k`, dense), `B` (`k×n`, rows `ldb` apart) and `C` (`m×n`, dense),
+/// each output starting and ending as `SEED` says.
 #[allow(clippy::too_many_arguments)]
-fn gemm<const SEED: u8>(
+fn dispatch<const SEED: u8>(
     a: &[f32],
     b: &[f32],
     ldb: usize,
@@ -463,15 +410,34 @@ fn gemm<const SEED: u8>(
     k: usize,
     n: usize,
 ) {
-    dispatch(Gemm::<SEED> {
-        a,
-        b,
-        ldb,
-        c,
-        m,
-        k,
-        n,
-    });
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `kernel_avx2` is safe code compiled for AVX2; its only
+        // requirement is that the CPU supports AVX2, which the runtime
+        // check on the line above has just established.
+        return unsafe { kernel_avx2::<SEED>(a, b, ldb, c, m, k, n) };
+    }
+    // The compilation target's baseline feature set.
+    nn::<NR_BASE, SEED>(a, b, ldb, c, m, k, n);
+}
+
+/// The same kernel with 256-bit registers and the panel to match;
+/// callable (through `unsafe`) only once the CPU is known to support AVX2.
+/// `fma` is deliberately not enabled: multiply and add stay two roundings,
+/// as in the baseline.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn kernel_avx2<const SEED: u8>(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    nn::<NR_AVX2, SEED>(a, b, ldb, c, m, k, n);
 }
 
 /// `dst` (`cols×rows`) = the first `cols` columns of `src` (`rows` rows,
@@ -754,17 +720,8 @@ mod tests {
         let mut base = c0.to_vec();
         nn::<NR_BASE, SEED>(a, b, n, &mut base, m, k, n);
         let mut wide = c0.to_vec();
-        let wide_gemm = Gemm::<SEED> {
-            a,
-            b,
-            ldb: n,
-            c: &mut wide,
-            m,
-            k,
-            n,
-        };
         // SAFETY: the caller has checked that this CPU supports AVX2.
-        unsafe { kernel_avx2(wide_gemm) };
+        unsafe { kernel_avx2::<SEED>(a, b, n, &mut wide, m, k, n) };
         assert_eq!(
             base.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             wide.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -19,16 +19,15 @@
 //! the oracle against the host's `f32::tanh`.
 //!
 //! **One source, two instantiations.** The loop is `#[inline(always)]`
-//! code that [`linalg`](crate::linalg)'s dispatch compiles at the target's
-//! baseline and under AVX2 (`vmulps`/`vaddps`/`vdivps`, never `fma`: Rust
-//! does not contract `a * b + c`), as it does the GEMM's panel kernel.
-//! Lanes are independent, so the width cannot change a bit.
+//! code compiled at the target's baseline and inside an AVX2 wrapper picked
+//! per call by `is_x86_feature_detected!` (`vmulps`/`vaddps`/`vdivps`,
+//! never `fma`: Rust does not contract `a * b + c`), as
+//! [`linalg`](crate::linalg)'s panel kernel is. Lanes are independent, so
+//! the width cannot change a bit.
 //!
 //! Aside from speed (≈ 5 ns an element against glibc's 9–14 on the
 //! 2-vCPU AVX2 development host), the forecast's bits no longer depend on
 //! which libm the host links.
-
-use crate::linalg::{dispatch, Wide};
 
 // fdlibm's constants, spelled as in glibc's `s_expm1f.c` / `s_tanhf.c`.
 const LN2_HI: f32 = 6.931_381_225_6e-1; // 0x3f317180
@@ -62,25 +61,37 @@ fn trunc(v: f32) -> f32 {
 /// `tanh` of every element of `xs`, in place: glibc's `tanhf`, bit for bit
 /// (see the module doc).
 pub fn tanh_in_place(xs: &mut [f32]) {
-    dispatch(Lanes(xs));
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `tanh_avx2` is safe code compiled for AVX2; its only
+        // requirement is that the CPU supports AVX2, which the runtime
+        // check on the line above has just established.
+        return unsafe { tanh_avx2(xs) };
+    }
+    // The compilation target's baseline feature set: two SSE registers.
+    lanes::<8>(xs);
 }
 
-/// The kernel's loop for [`dispatch`]: whole blocks of `NR` lanes, then
-/// the tail, every element through [`lane`].
-struct Lanes<'a>(&'a mut [f32]);
+/// [`lanes`] with 256-bit registers; callable (through `unsafe`) only once
+/// the CPU is known to support AVX2. `fma` is deliberately not enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tanh_avx2(xs: &mut [f32]) {
+    lanes::<16>(xs);
+}
 
-impl Wide for Lanes<'_> {
-    #[inline(always)]
-    fn run<const NR: usize>(self) {
-        let mut blocks = self.0.chunks_exact_mut(NR);
-        for block in &mut blocks {
-            for v in block {
-                *v = lane(*v);
-            }
-        }
-        for v in blocks.into_remainder() {
+/// The kernel's loop: whole blocks of `NR` lanes (two vector registers),
+/// then the tail, every element through [`lane`].
+#[inline(always)]
+fn lanes<const NR: usize>(xs: &mut [f32]) {
+    let mut blocks = xs.chunks_exact_mut(NR);
+    for block in &mut blocks {
+        for v in block {
             *v = lane(*v);
         }
+    }
+    for v in blocks.into_remainder() {
+        *v = lane(*v);
     }
 }
 
@@ -293,13 +304,13 @@ mod tests {
     /// has it) AVX2.
     fn instantiations(xs: &[f32]) -> Vec<(&'static str, Vec<f32>)> {
         let mut base = xs.to_vec();
-        Lanes(&mut base).run::<{ crate::linalg::NR_BASE }>();
+        lanes::<8>(&mut base);
         let mut out = vec![("baseline", base)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             let mut wide = xs.to_vec();
             // SAFETY: this CPU supports AVX2, checked on the line above.
-            unsafe { crate::linalg::kernel_avx2(Lanes(&mut wide)) };
+            unsafe { tanh_avx2(&mut wide) };
             out.push(("avx2", wide));
         }
         out
