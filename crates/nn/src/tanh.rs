@@ -25,19 +25,22 @@
 //! [`linalg`](crate::linalg)'s panel kernel is. Lanes are independent, so
 //! the width cannot change a bit.
 //!
-//! Aside from speed (≈ 5 ns an element against glibc's 9–14 on the
-//! 2-vCPU AVX2 development host), the forecast's bits no longer depend on
-//! which libm the host links.
+//! Aside from speed (≈ 6 ns an element against glibc's ≈ 14 on the
+//! `explore` model's pre-activations, 2-vCPU AVX2 host, the kernels
+//! bench's `tanh` row), the forecast's bits no longer depend on which libm
+//! the host links.
 
-// fdlibm's constants, spelled as in glibc's `s_expm1f.c` / `s_tanhf.c`.
-const LN2_HI: f32 = 6.931_381_225_6e-1; // 0x3f317180
-const LN2_LO: f32 = 9.058_000_614_5e-6; // 0x3717f7d1
-const INV_LN2: f32 = 1.442_695_021_6; // 0x3fb8aa3b
-const Q1: f32 = -3.333_333_507_2e-2; // 0xbd088889
-const Q2: f32 = 1.587_301_609_1e-3; // 0x3ad00d01
-const Q3: f32 = -7.936_507_609_0e-5; // 0xb8a670cd
-const Q4: f32 = 4.008_217_729_3e-6; // 0x36867e54
-const Q5: f32 = -2.010_992_119_5e-7; // 0xb457edbb
+// fdlibm's constants, by their bits; glibc's `s_expm1f.c` spells them in
+// decimal (the comments), and `constants_are_glibcs_decimals` checks that
+// each decimal rounds to these bits.
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180); // 6.9313812256e-01
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1); // 9.0580006145e-06
+const INV_LN2: f32 = f32::from_bits(0x3fb8_aa3b); // 1.4426950216e+00
+const Q1: f32 = f32::from_bits(0xbd08_8889); // -3.3333335072e-02
+const Q2: f32 = f32::from_bits(0x3ad0_0d01); // 1.5873016091e-03
+const Q3: f32 = f32::from_bits(0xb8a6_70cd); // -7.9365076090e-05
+const Q4: f32 = f32::from_bits(0x3686_7e54); // 4.0082177293e-06
+const Q5: f32 = f32::from_bits(0xb457_edbb); // -2.0109921195e-07
 
 /// 1.5·2²³: adding it rounds an `f32` of magnitude below 2²² to an integer.
 const ROUNDER: f32 = 12_582_912.0;
@@ -108,7 +111,7 @@ fn lane(x: f32) -> f32 {
     let au = f32::from_bits(hu);
     let u = if big { au } else { -au };
     // Below |u| = 2⁻²⁵ expm1f(u) is u. Those lanes reduce −1 instead, so no
-    // path computes on subnormals (each such operation costs a microcode
+    // intermediate is subnormal (each such operation costs a microcode
     // assist of ~100 cycles on x86).
     let tiny = hu < 0x3300_0000;
     let v = if tiny { -1.0 } else { u };
@@ -190,6 +193,8 @@ mod tests {
     /// `tiny` and `huge` of glibc's sources.
     const TINY: f32 = 1.0e-30;
     const HUGE: f32 = 1.0e30;
+    /// `o_threshold`, 8.8721679688e+01.
+    const O_THRESHOLD: f32 = f32::from_bits(0x42b1_7180);
 
     /// glibc 2.36's `__expm1f` (`sysdeps/ieee754/flt-32/s_expm1f.c`),
     /// branches and all, minus the `errno` and exception side effects.
@@ -204,7 +209,7 @@ mod tests {
                 if hx == 0x7f80_0000 {
                     return if sign { -1.0 } else { x };
                 }
-                if x > 8.872_167_968_8e1 {
+                if x > O_THRESHOLD {
                     return HUGE * HUGE;
                 }
             }
@@ -367,18 +372,22 @@ mod tests {
     }
 
     #[test]
-    fn constants_are_glibcs_bits() {
-        for (c, bits) in [
-            (LN2_HI, 0x3f31_7180),
-            (LN2_LO, 0x3717_f7d1),
-            (INV_LN2, 0x3fb8_aa3b),
-            (Q1, 0xbd08_8889),
-            (Q2, 0x3ad0_0d01),
-            (Q3, 0xb8a6_70cd),
-            (Q4, 0x3686_7e54),
-            (Q5, 0xb457_edbb),
+    fn constants_are_glibcs_decimals() {
+        for (c, decimal) in [
+            (LN2_HI, "6.9313812256e-01"),
+            (LN2_LO, "9.0580006145e-06"),
+            (INV_LN2, "1.4426950216e+00"),
+            (Q1, "-3.3333335072e-02"),
+            (Q2, "1.5873016091e-03"),
+            (Q3, "-7.9365076090e-05"),
+            (Q4, "4.0082177293e-06"),
+            (Q5, "-2.0109921195e-07"),
         ] {
-            assert_eq!(c.to_bits(), bits, "{c:e}");
+            assert_eq!(
+                decimal.parse::<f32>().unwrap().to_bits(),
+                c.to_bits(),
+                "{decimal}"
+            );
         }
     }
 
