@@ -8,6 +8,12 @@
 //! options, route every placement, rasterise `img_place`/`img_connect`/
 //! `img_route` and assemble tensors.
 //!
+//! The calibration reads only the scaled spec and the fabric's slack and
+//! aspect, so [`design_fabric`] keeps each width it finds for the rest of
+//! the process: a design is searched once however many rounds, epochs or
+//! baselines prepare it, and a reused width builds the same fabric bit for
+//! bit.
+//!
 //! This module holds the [`Pair`] / [`DesignDataset`] types with their
 //! record codec, [`augment_flips`] and [`leave_one_out`]. The stages are
 //! [`DesignContext::prepare`] (the per-design half: netlist, calibration,

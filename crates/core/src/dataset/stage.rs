@@ -11,10 +11,19 @@ use pop_netlist::{generate, Netlist, SyntheticSpec};
 use pop_place::{place, sweep::SweepSpec, PlaceOptions, Placement};
 use pop_raster::render_congestion;
 use pop_route::{min_channel_width, route_on_graph, RouteGraph, RouteOptions, RouteResult};
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Rebuilds the architecture and netlist a dataset was generated on (the
 /// fabric is a deterministic function of spec + config).
+///
+/// The minimum-width search (a probe placement plus
+/// [`min_channel_width`]) reads only the scaled spec and the two fabric
+/// knobs, so it runs once per process for each value of those inputs: a
+/// later call with the same ones reuses its width (counted as
+/// `core.calibration.reuses`; a search as `core.calibration.searches`)
+/// and returns the same fabric bit for bit. A failed search is not kept.
 ///
 /// # Errors
 ///
@@ -37,17 +46,93 @@ pub fn design_fabric(
             config.fabric_aspect,
         )
     };
-    let probe_arch = auto_size(8)?;
-    let probe_placement = place(&probe_arch, &netlist, &Default::default())?;
-    let (min_w, _) = min_channel_width(
-        &probe_arch,
-        &netlist,
-        &probe_placement,
-        &RouteOptions::default(),
-    )?;
+    let key = CalibrationKey::new(&scaled, config);
+    let memoised = calibrations().get(&key).copied();
+    let min_w = match memoised {
+        Some(min_w) => {
+            pop_obs::global().counter("core.calibration.reuses").inc();
+            min_w
+        }
+        None => {
+            // Searched outside the lock: two workers that miss on one key
+            // at once both search and insert the same width.
+            pop_obs::global().counter("core.calibration.searches").inc();
+            let probe_arch = auto_size(8)?;
+            let probe_placement = place(&probe_arch, &netlist, &Default::default())?;
+            let (min_w, _) = min_channel_width(
+                &probe_arch,
+                &netlist,
+                &probe_placement,
+                &RouteOptions::default(),
+            )?;
+            calibrations().insert(key, min_w);
+            min_w
+        }
+    };
     let width = calibrated_width(min_w, config.channel_width_margin);
     let arch = auto_size(width)?;
     Ok((arch, netlist, width))
+}
+
+/// Exactly the values the width search reads, compared by value: every
+/// field of the scaled spec (floats by their bits) and the two fabric
+/// knobs. The margin is applied after the lookup, so it is not in here.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(super) struct CalibrationKey {
+    name: String,
+    counts: [usize; 8],
+    mean_fanout: u64,
+    locality: u64,
+    seed: u64,
+    fabric_slack: u64,
+    fabric_aspect: u64,
+}
+
+impl CalibrationKey {
+    pub(super) fn new(scaled: &SyntheticSpec, config: &ExperimentConfig) -> Self {
+        // Destructured so that a field added to the spec cannot be left out.
+        let SyntheticSpec {
+            name,
+            luts,
+            ffs,
+            nets,
+            inputs,
+            outputs,
+            memories,
+            multipliers,
+            luts_per_clb,
+            mean_fanout,
+            locality,
+            seed,
+        } = scaled;
+        CalibrationKey {
+            name: name.clone(),
+            counts: [
+                *luts,
+                *ffs,
+                *nets,
+                *inputs,
+                *outputs,
+                *memories,
+                *multipliers,
+                *luts_per_clb,
+            ],
+            mean_fanout: mean_fanout.to_bits(),
+            locality: locality.to_bits(),
+            seed: *seed,
+            fabric_slack: config.fabric_slack.to_bits(),
+            fabric_aspect: config.fabric_aspect.to_bits(),
+        }
+    }
+}
+
+/// The minimum widths found so far in this process. One entry per
+/// (design, scale, slack, aspect) and never evicted: a key and a `usize`.
+static CALIBRATIONS: Mutex<BTreeMap<CalibrationKey, usize>> = Mutex::new(BTreeMap::new());
+
+/// Every update is one insert, so a lock poisoned elsewhere is still good.
+pub(super) fn calibrations() -> MutexGuard<'static, BTreeMap<CalibrationKey, usize>> {
+    CALIBRATIONS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The channel width a fabric is built with, given the minimum width its
@@ -59,8 +144,9 @@ pub fn calibrated_width(min_width: usize, margin: f64) -> usize {
 /// The per-design state every placement of that design shares: the scaled
 /// netlist, the calibrated fabric and its routing graph.
 ///
-/// Prepared once per design ([`DesignContext::prepare`] — the expensive
-/// fabric-calibration stage), then each placement index is materialised
+/// Prepared once per design ([`DesignContext::prepare`] — the
+/// fabric-calibration stage, expensive the first time a process prepares
+/// that design), then each placement index is materialised
 /// independently via [`DesignContext::generate_pair`]. The sequential
 /// [`build_design_dataset`] and the parallel `pop-pipeline` generator are
 /// both thin drivers over these two calls.

@@ -1,7 +1,9 @@
+use super::stage::{calibrations, CalibrationKey};
 use super::store::MAGIC;
 use super::*;
 use crate::config::ExperimentConfig;
-use pop_netlist::presets;
+use pop_arch::Arch;
+use pop_netlist::{presets, SyntheticSpec};
 use std::path::PathBuf;
 
 fn cfg() -> ExperimentConfig {
@@ -174,6 +176,179 @@ fn staged_context_reproduces_the_dataset_driver() {
         (ds.grid_width, ds.grid_height),
         (whole.grid_width, whole.grid_height)
     );
+}
+
+/// The probe placement and width search `design_fabric` runs on a memo
+/// miss, spelled out without the memo.
+fn fabric_searched_directly(
+    spec: &SyntheticSpec,
+    config: &ExperimentConfig,
+) -> (Arch, pop_netlist::Netlist, usize) {
+    let netlist = pop_netlist::generate(&spec.scaled(config.design_scale));
+    let (clbs, ios, mems, mults) = netlist.site_demand();
+    let auto_size = |width| {
+        Arch::auto_size_with_aspect(
+            clbs,
+            ios,
+            mems,
+            mults,
+            width,
+            config.fabric_slack,
+            config.fabric_aspect,
+        )
+        .unwrap()
+    };
+    let probe_arch = auto_size(8);
+    let probe = pop_place::place(&probe_arch, &netlist, &Default::default()).unwrap();
+    let (min_w, _) =
+        pop_route::min_channel_width(&probe_arch, &netlist, &probe, &Default::default()).unwrap();
+    let width = calibrated_width(min_w, config.channel_width_margin);
+    (auto_size(width), netlist, width)
+}
+
+fn calibration_key(spec: &SyntheticSpec, config: &ExperimentConfig) -> CalibrationKey {
+    CalibrationKey::new(&spec.scaled(config.design_scale), config)
+}
+
+/// Whether `design_fabric` would reuse a width instead of searching.
+fn memoised(spec: &SyntheticSpec, config: &ExperimentConfig) -> bool {
+    calibrations().contains_key(&calibration_key(spec, config))
+}
+
+// The calibration memo is process-wide and cargo runs these tests on
+// parallel threads, so each test below uses a `fabric_slack` no other test
+// in this binary does.
+
+#[test]
+fn a_calibration_hit_is_the_search_it_saved() {
+    let config = ExperimentConfig {
+        fabric_slack: 1.3125,
+        ..cfg()
+    };
+    for design in ["diffeq1", "diffeq2"] {
+        let spec = presets::by_name(design).unwrap();
+        assert!(!memoised(&spec, &config), "{design}: key taken already");
+        let searched = design_fabric(&spec, &config).unwrap();
+        assert!(memoised(&spec, &config), "{design}: search not kept");
+        let reused = design_fabric(&spec, &config).unwrap();
+        let direct = fabric_searched_directly(&spec, &config);
+        assert_eq!(searched, direct, "{design}: search");
+        assert_eq!(reused, direct, "{design}: reuse");
+    }
+}
+
+#[test]
+fn the_calibration_key_is_what_the_search_reads() {
+    let config = cfg();
+    let spec = presets::by_name("raygentop").unwrap();
+    let base = calibration_key(&spec, &config);
+    let scaled_fields: [fn(&mut SyntheticSpec); 12] = [
+        |s| s.name.push('x'),
+        |s| s.luts += 1,
+        |s| s.ffs += 1,
+        |s| s.nets += 1,
+        |s| s.inputs += 1,
+        |s| s.outputs += 1,
+        |s| s.memories += 1,
+        |s| s.multipliers += 1,
+        |s| s.luts_per_clb += 1,
+        |s| s.mean_fanout += 0.25,
+        |s| s.locality += 0.125,
+        |s| s.seed ^= 1,
+    ];
+    for (field, mutate) in scaled_fields.iter().enumerate() {
+        let mut scaled = spec.scaled(config.design_scale);
+        mutate(&mut scaled);
+        assert_ne!(
+            CalibrationKey::new(&scaled, &config),
+            base,
+            "scaled spec field {field}"
+        );
+    }
+    let searched_again: [fn(&mut ExperimentConfig); 3] = [
+        |c| c.design_scale *= 2.0,
+        |c| c.fabric_slack += 0.25,
+        |c| c.fabric_aspect = 2.0,
+    ];
+    for (knob, mutate) in searched_again.iter().enumerate() {
+        let mut other = config.clone();
+        mutate(&mut other);
+        assert_ne!(calibration_key(&spec, &other), base, "fabric knob {knob}");
+    }
+    let reused: [fn(&mut ExperimentConfig); 6] = [
+        |c| c.seed += 1,
+        |c| c.resolution *= 2,
+        |c| c.pairs_per_design += 1,
+        |c| c.lambda_connect *= 2.0,
+        |c| c.grayscale_input = !c.grayscale_input,
+        |c| c.channel_width_margin += 0.25,
+    ];
+    for (knob, mutate) in reused.iter().enumerate() {
+        let mut other = config.clone();
+        mutate(&mut other);
+        assert_eq!(calibration_key(&spec, &other), base, "other knob {knob}");
+    }
+}
+
+#[test]
+fn knobs_the_search_does_not_read_reuse_its_width() {
+    let config = ExperimentConfig {
+        fabric_slack: 1.34375,
+        ..cfg()
+    };
+    let spec = presets::by_name("diffeq2").unwrap();
+    assert!(!memoised(&spec, &config), "key taken already");
+    design_fabric(&spec, &config).unwrap();
+    let min_w = calibrations()[&calibration_key(&spec, &config)];
+    let reused: [fn(&mut ExperimentConfig); 6] = [
+        |c| c.seed += 1,
+        |c| c.resolution *= 2,
+        |c| c.pairs_per_design += 1,
+        |c| c.lambda_connect *= 2.0,
+        |c| c.grayscale_input = !c.grayscale_input,
+        |c| c.channel_width_margin = 1.5,
+    ];
+    for (knob, mutate) in reused.iter().enumerate() {
+        let mut other = config.clone();
+        mutate(&mut other);
+        assert!(memoised(&spec, &other), "knob {knob} would search again");
+        let (arch, _, width) = design_fabric(&spec, &other).unwrap();
+        assert_eq!(width, calibrated_width(min_w, other.channel_width_margin));
+        assert_eq!(arch.channel_width(), width, "knob {knob}");
+    }
+    let searched_again: [fn(&mut ExperimentConfig); 3] = [
+        |c| c.design_scale *= 2.0,
+        |c| c.fabric_slack += 0.03125,
+        |c| c.fabric_aspect = 2.0,
+    ];
+    for (knob, mutate) in searched_again.iter().enumerate() {
+        let mut other = config.clone();
+        mutate(&mut other);
+        assert!(!memoised(&spec, &other), "knob {knob} would reuse");
+    }
+    let mut denser = spec.clone();
+    denser.nets += 100;
+    assert!(!memoised(&denser, &config), "a changed spec would reuse");
+}
+
+#[test]
+fn a_failed_calibration_is_not_kept() {
+    // No grid up to the builder's largest holds 10⁹ times the demand (the
+    // extreme aspect keeps each candidate grid 4 rows tall, so failing is
+    // quick).
+    let config = ExperimentConfig {
+        fabric_slack: 1e9,
+        fabric_aspect: 1e6,
+        ..cfg()
+    };
+    let spec = presets::by_name("diffeq2").unwrap();
+    for attempt in 0..2 {
+        assert!(design_fabric(&spec, &config).is_err(), "attempt {attempt}");
+        assert!(
+            !memoised(&spec, &config),
+            "attempt {attempt} kept a failure"
+        );
+    }
 }
 
 #[test]
