@@ -106,6 +106,27 @@ mod tests {
     }
 
     #[test]
+    fn a_corpus_listed_smallest_first_comes_back_in_job_order() {
+        // The pipeline hands these jobs out in reverse; the datasets still
+        // come back in the order they were asked for, with the sequential
+        // reference's bits.
+        let scenarios = vec![
+            tiny("smallest-first-a", "diffeq2", 2),
+            tiny("smallest-first-b", "raygentop", 2),
+            tiny("smallest-first-c", "SHA", 2),
+        ];
+        let order: Vec<usize> = run::largest_first(expand(&scenarios).unwrap())
+            .into_iter()
+            .map(|(index, _)| index)
+            .collect();
+        assert_eq!(order, [2, 1, 0]);
+        let sequential = generate_corpus_sequential(&scenarios).unwrap();
+        let (parallel, _) =
+            generate_corpus_with_stats(&scenarios, &PipelineOptions::with_workers(2)).unwrap();
+        assert_corpora_identical(&parallel, &sequential);
+    }
+
+    #[test]
     fn variant_scenarios_expand_and_generate() {
         let scenario = ScenarioSpec {
             variants: 2,

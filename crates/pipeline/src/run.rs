@@ -13,6 +13,12 @@
 //!                    dataset, writes the cache entry, releases the claim
 //! ```
 //!
+//! Jobs are handed out largest first (scaled nets × pairs, ties in job
+//! order), so the longest pairs start early and the short ones fill in
+//! around them. A design's width search runs once per process (see
+//! `pop_core::dataset::design_fabric`), so after its first prepare the
+//! pairs are nearly all of a job's work.
+//!
 //! Every task calls the *same* `pop_core::dataset::DesignContext` stage
 //! functions the sequential `build_design_dataset` driver uses, and pairs
 //! are reassembled by `(job, sweep index)` — so the output is
@@ -34,6 +40,7 @@ use pop_core::dataset::{
 use pop_core::CoreError;
 use pop_exec::WorkerPool;
 use pop_place::PlaceOptions;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -463,8 +470,22 @@ pub fn expand(scenarios: &[ScenarioSpec]) -> Result<Vec<DesignJob>, PipelineErro
     Ok(jobs)
 }
 
+/// The jobs with their indices in hand-out order: the most work
+/// (scaled nets × pairs) first, ties in job order. A job's pairs join the
+/// list when it is prepared, so the largest design's long pairs start
+/// early instead of trailing a round the small designs already finished.
+pub(crate) fn largest_first(jobs: Vec<DesignJob>) -> Vec<(usize, DesignJob)> {
+    let mut order: Vec<(usize, DesignJob)> = jobs.into_iter().enumerate().collect();
+    order.sort_by_cached_key(|(index, job)| {
+        let nets = job.spec.scaled(job.config.design_scale).nets;
+        (Reverse(nets * job.config.pairs_per_design), *index)
+    });
+    order
+}
+
 /// Generates every job's dataset on [`PipelineOptions::workers`] threads,
-/// returning datasets in job order plus the run's [`GenStats`] — how many
+/// handing the largest job out first and returning datasets in job order
+/// plus the run's [`GenStats`] — how many
 /// jobs came from the cache and how many place/route stage executions
 /// actually ran.
 ///
@@ -499,7 +520,7 @@ pub fn generate_jobs_with_stats(
                 })
             })
             .collect(),
-        list: WorkList::new(jobs.into_iter().enumerate()),
+        list: WorkList::new(largest_first(jobs)),
         store,
         cache_write: Mutex::new(()),
         ledger: Mutex::new(GenStats {
@@ -688,6 +709,38 @@ mod tests {
             let expected = usize::from(*fate == Fate::Succeeds);
             let made: Vec<usize> = shared.2[id].iter().map(count).collect();
             assert_eq!(made, vec![expected; pairs.len()], "job {id} pairs");
+        }
+    }
+
+    #[test]
+    fn largest_first_hands_out_the_most_work_first_ties_in_job_order() {
+        let job = |design: &str, pairs: usize| {
+            ScenarioSpec {
+                design: design.into(),
+                pairs_per_design: pairs,
+                ..ScenarioSpec::default()
+            }
+            .jobs()
+            .unwrap()
+            .remove(0)
+        };
+        let jobs = vec![
+            job("diffeq2", 4),
+            job("SHA", 4),
+            job("diffeq2", 4),
+            job("diffeq2", 2),
+            job("SHA", 4),
+            job("diffeq2", 8),
+        ];
+        let work = |job: &DesignJob| {
+            job.spec.scaled(job.config.design_scale).nets * job.config.pairs_per_design
+        };
+        assert!(work(&jobs[1]) > work(&jobs[5]) && work(&jobs[5]) > work(&jobs[0]));
+        let order = largest_first(jobs.clone());
+        let indices: Vec<usize> = order.iter().map(|(index, _)| *index).collect();
+        assert_eq!(indices, [1, 4, 5, 0, 2, 3]);
+        for (index, job) in &order {
+            assert_eq!(job, &jobs[*index]);
         }
     }
 
