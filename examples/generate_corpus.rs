@@ -268,6 +268,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         history.generator_loss.len(),
         history.generator_loss.last().copied().unwrap_or(f32::NAN)
     );
+    // Fabric calibration runs once per design per process: the corpus's
+    // prepare searches, every later prepare of that design (the sequential
+    // check, the streamed epochs that missed the store) reuses the width.
+    let snap = pop::obs::global().snapshot();
+    println!(
+        "calibrations: {} searched, {} reused",
+        snap.counter("core.calibration.searches").unwrap_or(0),
+        snap.counter("core.calibration.reuses").unwrap_or(0)
+    );
 
     if let Some(path) = &trace_out {
         let report = pop::obs::RunReport::capture(
