@@ -238,7 +238,7 @@ fn a_calibration_hit_is_the_search_it_saved() {
 }
 
 #[test]
-fn the_calibration_key_is_what_the_search_reads() {
+fn every_scaled_spec_field_is_in_the_calibration_key() {
     let config = cfg();
     let spec = presets::by_name("raygentop").unwrap();
     let base = calibration_key(&spec, &config);
@@ -265,33 +265,10 @@ fn the_calibration_key_is_what_the_search_reads() {
             "scaled spec field {field}"
         );
     }
-    let searched_again: [fn(&mut ExperimentConfig); 3] = [
-        |c| c.design_scale *= 2.0,
-        |c| c.fabric_slack += 0.25,
-        |c| c.fabric_aspect = 2.0,
-    ];
-    for (knob, mutate) in searched_again.iter().enumerate() {
-        let mut other = config.clone();
-        mutate(&mut other);
-        assert_ne!(calibration_key(&spec, &other), base, "fabric knob {knob}");
-    }
-    let reused: [fn(&mut ExperimentConfig); 6] = [
-        |c| c.seed += 1,
-        |c| c.resolution *= 2,
-        |c| c.pairs_per_design += 1,
-        |c| c.lambda_connect *= 2.0,
-        |c| c.grayscale_input = !c.grayscale_input,
-        |c| c.channel_width_margin += 0.25,
-    ];
-    for (knob, mutate) in reused.iter().enumerate() {
-        let mut other = config.clone();
-        mutate(&mut other);
-        assert_eq!(calibration_key(&spec, &other), base, "other knob {knob}");
-    }
 }
 
 #[test]
-fn knobs_the_search_does_not_read_reuse_its_width() {
+fn only_the_knobs_the_search_reads_search_again() {
     let config = ExperimentConfig {
         fabric_slack: 1.34375,
         ..cfg()
