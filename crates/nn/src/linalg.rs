@@ -9,15 +9,19 @@
 //!
 //! **Two registers per row.** The panel width `NR` is a const parameter of
 //! the kernel source: 8 lanes at the baseline (two `xmm`), 16 under AVX2
-//! (two `ymm`), so a 4-row block always carries eight accumulator chains.
-//! With one register per row the block had four, and the loop ran at the
-//! latency of four dependent adds, not at the multiply and add ports: a
-//! standalone copy of the kernel over the quick model's twelve forward
-//! GEMMs at batch 5 (AVX2 host, µs per image, every variant bit-equal to
-//! 4 × 8) read 969 at 4 × 8, **815 at 4 × 16**, 818 at 4 × 24, 892 at
-//! 3 × 16, 1 133 at 6 × 16, 1 046 at 6 × 8 and 1 405 at 8 × 8 (the wider
-//! blocks spill); an AVX-512 build read 811 at 4 × 16 and worse beyond, so
-//! there is no third instantiation.
+//! (two `ymm`), 32 under AVX-512F (two `zmm`), so a 4-row block always
+//! carries eight accumulator chains. With one register per row the block
+//! had four, and the loop ran at the latency of four dependent adds, not
+//! at the multiply and add ports: a standalone copy of the kernel over the
+//! quick model's twelve forward GEMMs at batch 5 (AVX2 host, µs per image,
+//! every variant bit-equal to 4 × 8) read 969 at 4 × 8, **815 at 4 × 16**,
+//! 818 at 4 × 24, 892 at 3 × 16, 1 133 at 6 × 16, 1 046 at 6 × 8 and
+//! 1 405 at 8 × 8 (the wider blocks spill). On a 2-vCPU AVX-512F host the
+//! same twelve GEMMs through `matmul_nn` / `matmul_tn` read 1 356 for the
+//! AVX2 build, 1 096 for 4 × 16 compiled for AVX-512F and **944 for
+//! 4 × 32** — but 2 128 when a tail of 9–31 columns was padded into a
+//! 32-lane panel, which is what an earlier sweep had measured as "4 × 32"
+//! (2 623) and why the 32-lane build once looked worse than 4 × 16.
 //!
 //! **Bitwise contract.** Register blocking only regroups *independent*
 //! output elements: each `C[i, j]` starts from a seed and adds its `k`
@@ -28,15 +32,29 @@
 //! the operands are laid out for it, and each layout step moves values
 //! without arithmetic:
 //!
-//! * **Column tails** (`n mod NR` columns). The tail columns of `B` and `C`
-//!   are copied once per call into zero-padded `k×W` / `m×W` scratch, run
-//!   through the same panel kernel at width `W`, and the real lanes copied
-//!   back. `W` is the narrowest of 4, 8 and `NR` that holds the tail: the
-//!   U-Net's 1×1 and 2×2 levels multiply with `n = 1` or `4`, where a
-//!   16-lane panel would spend 15 or 12 of its lanes on padding. Lanes
-//!   are independent outputs: the padding lanes compute `0 + a·0 + …` and
-//!   are dropped, the real lanes see the same seed and the same products
-//!   in the same order as in a full panel, whatever its width.
+//! * **Column tails** (`n mod NR` columns), by one rule (`columns`).
+//!   Under the 32-lane build a tail of 16–31 columns first runs 16 of them
+//!   in place through the 16-lane block. What is left is copied once per
+//!   call into zero-padded `k×W` / `m×W` scratch, run through the same
+//!   register block at width `W`, and the real lanes copied back. `W` is
+//!   the narrowest of 4, 8 and 16 that holds it — never 32: the U-Net's
+//!   1×1 and 2×2 levels multiply with `n = 1` or `4`, where a wide panel
+//!   would spend most of its lanes on padding, and a padded 32-lane panel
+//!   is about ten times slower than the same columns in narrower panels
+//!   (batch-5 `enc4`, 96×1536×20: 2 221 µs against 163). Not because of
+//!   its constant `ldb = W` stride — with `ldb`, `ldc` and the panel end
+//!   hidden behind `black_box` it measured as slow (2 039 µs) — but
+//!   because of how that inlined copy compiles: the disassembly shows its
+//!   loop over the four rows left rolled, so the 4 × 32 accumulator block
+//!   stays an array in stack memory and every lane is a scalar `vmulss`,
+//!   `vaddss` and store per `k`, where the full-panel copy of the same
+//!   source keeps the block in eight `zmm` registers. (The 16-lane padded
+//!   panel of the `DOT` seed compiles the same way in both wide builds; no
+//!   weight gradient of the U-Net reaches it, since its packed `nt`
+//!   products are whole 32-lane panels.) Lanes are
+//!   independent outputs: the padding lanes compute `0 + a·0 + …` and are
+//!   dropped, the real lanes see the same seed and the same products in
+//!   the same order as in a full panel, whatever its width.
 //! * **`tn` picks its layout by element count.** `A` arrives transposed,
 //!   so something is transposed per call: either `Aᵀ` is packed (`m·k`
 //!   elements moved, a strip of rows at a time) or the product is computed
@@ -68,19 +86,24 @@
 //! and, for the finite values these layers produce, adding a `±0.0`
 //! product is an accumulator no-op. Kernels assume finite inputs.
 //!
-//! **One source, two instantiations.** The kernel (column loop, tail
-//! padding and register block) is `#[inline(always)]` generic code compiled
-//! twice: at the target's baseline, and on x86-64 inside a
-//! `#[target_feature(enable = "avx2")]` wrapper picked per call by
-//! `is_x86_feature_detected!`. AVX2 only widens the registers (and with
-//! them the panel — outputs stay independent lanes): `fma` is
-//! never enabled and Rust does not contract `a * b + c`, so the wide build
-//! issues `vmulps` then `vaddps`, each rounding once like the scalar
-//! `mulss`/`addss` — bit-exact, and a unit test runs both instantiations
-//! against each other. Other targets compile the baseline only; the layout
-//! steps above (transposes) are plain code outside the kernel. The `tanh`
-//! kernel ([`tanh_in_place`](crate::tanh_in_place)) is instantiated the
-//! same way, behind its own check.
+//! **One source, three instantiations.** The kernel (column loop, tail
+//! rule and register block) is `#[inline(always)]` generic code compiled
+//! three times: at the target's baseline, and on x86-64 inside a
+//! `#[target_feature(enable = "avx2")]` and a
+//! `#[target_feature(enable = "avx512f")]` wrapper, the widest the CPU
+//! supports picked per call by `is_x86_feature_detected!`. The wider
+//! builds only widen the registers (and with them the panel — outputs stay
+//! independent lanes). AVX2 is compiled without `fma`; rustc's `avx512f`
+//! implies `fma`, so that build may use it — but Rust never contracts
+//! `a * b + c` into a fused multiply-add, so both wide builds issue
+//! `vmulps` then `vaddps`, each rounding once like the scalar
+//! `mulss`/`addss` (their disassembly has no `vfmadd`). That is the whole
+//! guarantee, and the unit tests pin it: each wide instantiation runs
+//! against the baseline, bit for bit. Other targets compile the baseline
+//! only; the layout steps above (transposes) are plain code outside the
+//! kernel. The `tanh` kernel ([`tanh_in_place`](crate::tanh_in_place)) is
+//! instantiated the same way at the baseline and AVX2, behind its own
+//! check.
 //!
 //! `matmul_nn` / `matmul_tn` additionally tile over columns so the
 //! re-streamed `B` panel stays cache-resident when `n` is large — the
@@ -101,6 +124,10 @@ const NR_BASE: usize = 8;
 /// Column-panel width under AVX2: 16 lanes, two 256-bit registers per row.
 #[cfg(target_arch = "x86_64")]
 const NR_AVX2: usize = 16;
+/// Column-panel width under AVX-512F: 32 lanes, two 512-bit registers per
+/// row.
+#[cfg(target_arch = "x86_64")]
+const NR_AVX512: usize = 32;
 /// Row-block height: 4 independent accumulator rows amortise each `B`
 /// panel load across 4 outputs.
 const MR: usize = 4;
@@ -411,6 +438,13 @@ fn dispatch<const SEED: u8>(
     n: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: `kernel_avx512` is safe code compiled for AVX-512F; its
+        // only requirement is that the CPU supports AVX-512F, which the
+        // runtime check on the line above has just established.
+        return unsafe { kernel_avx512::<SEED>(a, b, ldb, c, m, k, n) };
+    }
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `kernel_avx2` is safe code compiled for AVX2; its only
         // requirement is that the CPU supports AVX2, which the runtime
@@ -440,6 +474,25 @@ fn kernel_avx2<const SEED: u8>(
     nn::<NR_AVX2, SEED>(a, b, ldb, c, m, k, n);
 }
 
+/// The same kernel with 512-bit registers and the panel to match;
+/// callable (through `unsafe`) only once the CPU is known to support
+/// AVX-512F. The feature implies `fma`, but Rust never contracts
+/// `a * b + c`: multiply and add stay two roundings, as in the baseline.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn kernel_avx512<const SEED: u8>(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    nn::<NR_AVX512, SEED>(a, b, ldb, c, m, k, n);
+}
+
 /// `dst` (`cols×rows`) = the first `cols` columns of `src` (`rows` rows,
 /// `ld` floats apart) transposed, in 32×32 blocks so each source cache
 /// line is touched once.
@@ -458,11 +511,41 @@ fn transpose(src: &[f32], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) 
     }
 }
 
+/// How the kernel covers `n` columns at panel width `nr` (the tail rule of
+/// the module doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Columns {
+    /// Columns `[0, full)`: whole `nr`-lane panels, in place.
+    full: usize,
+    /// Columns `[full, full + step)`: one 16-lane panel in place, where a
+    /// wider panel leaves 16 or more (`step` is 0 or 16).
+    step: usize,
+    /// The rest, `n - full - step` columns, through one zero-padded panel
+    /// this many lanes wide: 4, 8 or 16, or 0 when nothing is left.
+    pad: usize,
+}
+
+/// The tail rule: full panels, then at most one in-place 16-lane panel,
+/// then the narrowest of 4, 8 and 16 lanes that holds what is left — so
+/// no column is padded into a panel wider than 16 lanes.
+#[inline(always)]
+fn columns(n: usize, nr: usize) -> Columns {
+    let full = n - n % nr;
+    let step = if nr > 16 && n - full >= 16 { 16 } else { 0 };
+    let pad = match n - full - step {
+        0 => 0,
+        1..=4 => 4,
+        5..=8 => 8,
+        _ => 16,
+    };
+    Columns { full, step, pad }
+}
+
 /// The kernel's column loop: full panels in cache-sized tiles, then the
-/// zero-padded tail in the narrowest panel that holds it. This and
-/// everything it calls is `#[inline(always)]` so that each caller —
-/// `dispatch` at the baseline, `kernel_avx2` — compiles its own copy under
-/// its own target features and panel width.
+/// tail by `columns`' rule. This and everything it calls is
+/// `#[inline(always)]` so that each caller — `dispatch` at the baseline,
+/// `kernel_avx2`, `kernel_avx512` — compiles its own copy under its own
+/// target features and panel width.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn nn<const NR: usize, const SEED: u8>(
@@ -474,7 +557,7 @@ fn nn<const NR: usize, const SEED: u8>(
     k: usize,
     n: usize,
 ) {
-    let full = n - n % NR;
+    let Columns { full, step, pad } = columns(n, NR);
     // The B panel (k rows) is re-streamed for every 4-row block; tile it.
     let tile = col_tile(k, NR);
     let mut j0 = 0;
@@ -483,11 +566,16 @@ fn nn<const NR: usize, const SEED: u8>(
         row_blocks::<NR, SEED>(a, b, ldb, c, n, m, k, j0, j1);
         j0 = j1;
     }
-    match n - full {
+    // `NR > 16` is a constant: narrower builds compile no 16-lane step.
+    if NR > 16 && step > 0 {
+        row_blocks::<16, SEED>(a, b, ldb, c, n, m, k, full, full + step);
+    }
+    let done = full + step;
+    match pad {
         0 => {}
-        1..=4 => padded_tail::<4, SEED>(a, b, ldb, c, m, k, n, full),
-        5..=8 if NR > 8 => padded_tail::<8, SEED>(a, b, ldb, c, m, k, n, full),
-        _ => padded_tail::<NR, SEED>(a, b, ldb, c, m, k, n, full),
+        4 => padded_tail::<4, SEED>(a, b, ldb, c, m, k, n, done),
+        8 => padded_tail::<8, SEED>(a, b, ldb, c, m, k, n, done),
+        _ => padded_tail::<16, SEED>(a, b, ldb, c, m, k, n, done),
     }
 }
 
@@ -714,19 +802,44 @@ mod tests {
         }
     }
 
-    /// Runs the baseline and the AVX2 instantiation on the same operands.
+    /// A wide instantiation of the kernel, as a function pointer.
     #[cfg(target_arch = "x86_64")]
-    fn compare<const SEED: u8>(a: &[f32], b: &[f32], c0: &[f32], m: usize, k: usize, n: usize) {
+    type Kernel = unsafe fn(&[f32], &[f32], usize, &mut [f32], usize, usize, usize);
+
+    /// Runs the baseline and a wide instantiation on the same operands.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    fn compare<const SEED: u8>(
+        wide: Kernel,
+        a: &[f32],
+        b: &[f32],
+        c0: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
         let mut base = c0.to_vec();
         nn::<NR_BASE, SEED>(a, b, n, &mut base, m, k, n);
-        let mut wide = c0.to_vec();
-        // SAFETY: the caller has checked that this CPU supports AVX2.
-        unsafe { kernel_avx2::<SEED>(a, b, n, &mut wide, m, k, n) };
+        let mut got = c0.to_vec();
+        // SAFETY: the caller has checked that this CPU supports the
+        // features `wide` was compiled for.
+        unsafe { wide(a, b, n, &mut got, m, k, n) };
         assert_eq!(
             base.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            wide.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "seed {SEED} shape ({m},{k},{n})"
         );
+    }
+
+    /// [`compare`] for all three seeds on random operands of one shape.
+    #[cfg(target_arch = "x86_64")]
+    fn compare_seeds(wide: [Kernel; 3], &(m, k, n): &(usize, usize, usize)) {
+        let a = randmat(m * k, 9);
+        let b = randmat(k * n, 10);
+        let c0 = randmat(m * n, 11);
+        compare::<ACC>(wide[0], &a, &b, &c0, m, k, n);
+        compare::<DOT>(wide[1], &a, &b, &c0, m, k, n);
+        compare::<SET>(wide[2], &a, &b, &c0, m, k, n);
     }
 
     /// The baseline (8-lane panel) and the AVX2 instantiation (16-lane) are
@@ -747,7 +860,8 @@ mod tests {
                 )
                 .chain([1, 2].iter().flat_map(|q| [8 * q + 1, 8 * q + 4]))
                 .map(|n| (6, 9, n));
-            for &(m, k, n) in [
+            let avx2 = [kernel_avx2::<ACC>, kernel_avx2::<DOT>, kernel_avx2::<SET>];
+            for shape in [
                 (4, 5, 8),
                 (4, 5, 8),
                 (7, 11, 23),
@@ -766,17 +880,73 @@ mod tests {
             .iter()
             .chain(&narrow_tails.collect::<Vec<_>>())
             {
-                let a = randmat(m * k, 9);
-                let b = randmat(k * n, 10);
-                let c0 = randmat(m * n, 11);
-                compare::<ACC>(&a, &b, &c0, m, k, n);
-                compare::<DOT>(&a, &b, &c0, m, k, n);
-                compare::<SET>(&a, &b, &c0, m, k, n);
+                compare_seeds(avx2, shape);
             }
             println!("linalg: baseline and avx2 instantiations compared bit for bit");
             return;
         }
         println!("linalg: SKIPPED instantiation comparison — this CPU has no AVX2");
+    }
+
+    /// The baseline and the AVX-512F instantiation (32-lane panel) are one
+    /// source too: every width up to and just past one and two panels
+    /// (every 17–31-column tail takes the in-place 16-lane step, the rest
+    /// a padded panel of at most 16 lanes), and the kernel shapes that a
+    /// tail padded into a 32-lane panel once made ten times slower — the
+    /// batch-5 `enc4` product (96×1536×20) and the transposed-output
+    /// weight gradients of `g.enc1.dw` (24×256×192 as 192×256×24) and
+    /// `g.dec5.dw` (24×1024×48 as 48×1024×24).
+    #[test]
+    fn avx512_instantiations_are_bitwise_identical() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            let widths = (1..=40)
+                .chain(47..=49)
+                .chain(63..=65)
+                .chain([1, 16, 17, 31].map(|r| 2 * 32 + r));
+            let named = [(96, 1536, 20), (192, 256, 24), (48, 1024, 24)];
+            let avx512 = [
+                kernel_avx512::<ACC>,
+                kernel_avx512::<DOT>,
+                kernel_avx512::<SET>,
+            ];
+            for shape in widths.map(|n| (7, 9, n)).chain(named) {
+                compare_seeds(avx512, &shape);
+            }
+            println!("linalg: baseline and avx512 instantiations compared bit for bit");
+            return;
+        }
+        println!("linalg: SKIPPED avx512 instantiation comparison — this CPU has no AVX-512F");
+    }
+
+    /// The tail rule covers every column exactly once and pads into no
+    /// panel wider than 16 lanes (nor wider than the narrowest of 4, 8
+    /// and 16 that holds the rest), at each instantiation's panel width.
+    #[test]
+    fn tail_rule_covers_each_column_once_in_narrow_panels() {
+        for nr in [8, 16, 32] {
+            for n in 0..=200 {
+                let Columns { full, step, pad } = columns(n, nr);
+                assert!(n - full < nr, "nr {nr} n {n}: a whole panel left over");
+                assert!(step == 0 || (nr > 16 && step == 16), "nr {nr} n {n}");
+                // The in-place panels as `nn` runs them, then the padded
+                // panel's real lanes: the columns from `full + step` on.
+                let mut panels: Vec<(usize, usize)> =
+                    (0..full / nr).map(|p| (p * nr, nr)).collect();
+                panels.push((full, step));
+                let rest = n - full - step;
+                let mut seen = vec![0u8; n + 32];
+                for (j0, w) in panels.into_iter().chain([(full + step, rest)]) {
+                    seen[j0..j0 + w].iter_mut().for_each(|s| *s += 1);
+                }
+                assert!(seen[..n].iter().all(|&s| s == 1), "nr {nr} n {n}: {seen:?}");
+                assert!(seen[n..].iter().all(|&s| s == 0), "nr {nr} n {n}: past n");
+                assert!(rest <= pad, "nr {nr} n {n}: {rest} columns in {pad} lanes");
+                assert!(pad <= 16 && pad <= nr, "nr {nr} n {n}: pad {pad}");
+                let narrowest = [0, 4, 8, 16].into_iter().find(|&w| w >= rest);
+                assert_eq!(Some(pad), narrowest, "nr {nr} n {n}: rest {rest}");
+            }
+        }
     }
 
     /// From a `C` full of NaN, the overwriting `tn` leaves the bits
