@@ -38,8 +38,11 @@
 //! measures nothing until the scheduler has moved one of the two.
 //!
 //! The artefact's `block` entry names the register block the timed
-//! instantiation runs (4 rows × two vector registers) and carries the
-//! block-shape sweep that chose it.
+//! instantiation runs (4 rows at the baseline and under AVX2, 12 under
+//! AVX-512F, × two vector registers) and carries the block-shape sweep
+//! that chose it. `dot_tail` rows time `matmul_nt`'s zero-seeded dot
+//! products against `matmul_nn`'s accumulating ones at 9 and 41 columns,
+//! where both end in a padded 16-lane tail panel.
 //!
 //! Emits `BENCH_kernels.json` at the workspace root and sanity-parses it
 //! back. `--smoke` runs one timed pass per shape (seconds, not minutes)
@@ -484,6 +487,26 @@ fn bench_lowering(l: &LayerGeom, batch: usize, smoke: bool) -> LoweringResult {
         batch,
         secs,
     }
+}
+
+/// Seconds per call of `matmul_nt` (the `DOT` seed through a packed `Bᵀ`)
+/// and of `matmul_nn` (the `ACC` seed) on the same `m × k × n`: at
+/// `n ≡ 9..15 (mod 16)` both end in a zero-padded 16-lane panel.
+fn bench_dot_tail(n: usize, smoke: bool) -> (f64, f64) {
+    const M: usize = 96;
+    const K: usize = 512;
+    let (a, b) = (fill(M * K, 31), fill(K * n, 32));
+    let mut c = vec![0.0f32; M * n];
+    let (reps, iters) = if smoke { (1, 1) } else { (7, 40) };
+    let nt = time_per_call(reps, iters, || matmul_nt(&a, &b, &mut c, M, K, n));
+    let nn = time_per_call(reps, iters, || matmul_nn(&a, &b, &mut c, M, K, n));
+    println!(
+        "dot tail ({M}x{K}x{n}): nt {:.1} us, nn {:.1} us, nt/nn {:.2}",
+        nt * 1e6,
+        nn * 1e6,
+        nt / nn
+    );
+    (nt, nn)
 }
 
 /// One whole f32 `forecast_batch` of the quick model at `batch`.
@@ -1068,16 +1091,23 @@ fn cpu_features() -> (String, &'static str) {
     (std::env::consts::ARCH.to_string(), "baseline")
 }
 
-/// The block-shape sweep behind `linalg`'s 4 rows × two registers: a
-/// standalone copy of the kernel over the quick model's twelve forward
-/// GEMMs at batch 5, µs per image, every variant bit-equal to 4 × 8 — on
-/// a 2-vCPU AVX2 host (recorded when the panel was widened to 16 lanes),
-/// then on a 2-vCPU AVX-512F host (when it was widened to 32), where a
-/// 4 × 32 build that pads a 9–31-column tail into a 32-lane panel instead
-/// of following `linalg`'s tail rule is the last figure.
+/// The block-shape sweep behind `linalg`'s blocks of two registers per
+/// row: a standalone copy of the kernel over the quick model's twelve
+/// forward GEMMs at batch 5, µs per image, every variant bit-equal to
+/// 4 × 8 — on a 2-vCPU AVX2 host (recorded when the panel was widened to
+/// 16 lanes), then on a 2-vCPU AVX-512F host (when it was widened to 32),
+/// where a 4 × 32 build that pads a 9–31-column tail into a 32-lane panel
+/// instead of following `linalg`'s tail rule is a figure of its own. The
+/// AVX-512F block heights are five runs each of a probe that alternates
+/// the three builds, min of 20 rounds per run, at batch 5 and at batch 8
+/// (the same twelve GEMMs, `n` scaled to the batch); the host's speed
+/// moved between runs, so compare within a run.
 const BLOCK_SWEEP: &str = "avx2 rows x lanes, us per image: 4x8 969, 4x16 815, 4x24 818, \
      3x16 892, 6x16 1133, 6x8 1046, 8x8 1405; avx-512f host: avx2 4x16 1356, \
-     avx-512 4x16 1096, avx-512 4x32 944, avx-512 4x32 with tails padded to 32 lanes 2128";
+     avx-512 4x16 1096, avx-512 4x32 944, avx-512 4x32 with tails padded to 32 lanes 2128; \
+     avx-512 block heights, batch 5: 4x32 502 702 803 815 809, 8x32 468 686 724 731 729, \
+     12x32 472 686 659 688 688; batch 8: 4x32 817 816 814 809 809, \
+     8x32 735 735 734 728 723, 12x32 698 700 688 693 691";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -1154,6 +1184,11 @@ fn main() {
     let whole_forward: Vec<(usize, f64)> = [1, 5, 8]
         .iter()
         .map(|&batch| (batch, bench_whole_forward(batch, smoke)))
+        .collect();
+
+    let dot_tail: Vec<(usize, (f64, f64))> = [9, 41]
+        .iter()
+        .map(|&n| (n, bench_dot_tail(n, smoke)))
         .collect();
 
     let tanh = bench_tanh(smoke);
@@ -1238,6 +1273,18 @@ fn main() {
             )
         })
         .collect();
+    let dot_tail_json: Vec<String> = dot_tail
+        .iter()
+        .map(|&(n, (nt, nn))| {
+            format!(
+                "    {{ \"m\": 96, \"k\": 512, \"n\": {n}, \"us_nt\": {:.1}, \
+                 \"us_nn\": {:.1}, \"nt_over_nn\": {:.4} }}",
+                nt * 1e6,
+                nn * 1e6,
+                nt / nn
+            )
+        })
+        .collect();
     let join_sites_json: Vec<String> = join_sites
         .iter()
         .map(|r| {
@@ -1279,17 +1326,17 @@ fn main() {
         )
     });
     let notes_json: Vec<String> = notes.iter().map(|n| format!("    \"{n}\"")).collect();
-    let panel_lanes = match instantiation {
-        "avx512" => 32,
-        "avx2" => 16,
-        _ => 8,
+    let (block_rows, panel_lanes) = match instantiation {
+        "avx512" => (12, 32),
+        "avx2" => (4, 16),
+        _ => (4, 8),
     };
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"smoke\": {smoke},\n  \
          \"host_parallelism\": {host_parallelism},\n  \
          \"cpu_features\": \"{features}\",\n  \
          \"linalg_instantiation\": \"{instantiation}\",\n  \
-         \"block\": {{ \"rows\": 4, \"panel_lanes\": {panel_lanes}, \
+         \"block\": {{ \"rows\": {block_rows}, \"panel_lanes\": {panel_lanes}, \
          \"sweep\": \"{BLOCK_SWEEP}\" }},\n  \
          \"serve_shape\": {{ \"config\": \"quick\", \"resolution\": 64, \"batch\": 8 }},\n  \
          \"shapes\": [\n{}\n  ],\n  \
@@ -1299,6 +1346,7 @@ fn main() {
          \"speedup\": {:.4} }},\n  \
          \"lowering\": [\n{}\n  ],\n  \
          \"whole_forward\": [\n{}\n  ],\n  \
+         \"dot_tail\": [\n{}\n  ],\n  \
          \"tanh\": [\n{}\n  ],\n  \
          \"train_step\": {{ \"config\": \"quick\", \"batch\": 1, \
          \"host_parallelism\": {host_parallelism}, \"ms_inline\": {:.4}, \
@@ -1320,6 +1368,7 @@ fn main() {
         bwd_ref / bwd_new,
         lowering_json.join(",\n"),
         whole_forward_json.join(",\n"),
+        dot_tail_json.join(",\n"),
         tanh_json.join(",\n"),
         training.train_secs.0 * 1e3,
         training.train_secs.1 * 1e3,
@@ -1354,6 +1403,8 @@ fn main() {
         "\"op\": \"col2im\"",
         "\"whole_forward\"",
         "\"us_per_image\"",
+        "\"dot_tail\": [",
+        "\"nt_over_nn\"",
         "\"tanh\": [",
         "\"us_per_image_kernel\"",
         "\"batch\": 1",

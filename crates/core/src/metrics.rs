@@ -25,6 +25,8 @@ use crate::forecaster::{ExclusiveForecaster, Forecaster};
 use crate::trainer::Pix2Pix;
 use pop_raster::metrics::per_pixel_accuracy;
 use pop_raster::{Image, Layout};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Mean per-pixel accuracy of the model's forecasts over `pairs`
 /// ("per-pixel accuracy between the generated image and ground truth
@@ -57,22 +59,51 @@ pub fn image_mean_congestion(grid_width: usize, grid_height: usize, img: &Image)
     if grid_width == 0 || grid_height == 0 {
         return 0.0;
     }
-    let layout = Layout::new(grid_width, grid_height, img.width());
+    let pixels = channel_pixels(grid_width, grid_height, img.width(), img.height());
     let mut sum = 0.0f64;
-    let mut count = 0usize;
-    for py in 0..img.height() {
-        for px in 0..img.width() {
-            if matches!(layout.owner(px, py), pop_raster::PixelOwner::Channel(_)) {
-                sum += pop_raster::color::utilization_from_color(img.pixel_rgb8(px, py)) as f64;
-                count += 1;
-            }
-        }
+    for &(px, py) in pixels.iter() {
+        sum += pop_raster::color::utilization_from_color(img.pixel_rgb8(px, py)) as f64;
     }
-    if count == 0 {
+    if pixels.is_empty() {
         0.0
     } else {
-        (sum / count as f64) as f32
+        (sum / pixels.len() as f64) as f32
     }
+}
+
+/// The routing-channel pixels of a `width × height` image of a
+/// `grid_w × grid_h` [`Layout`] (side `width`), as `(px, py)` in raster
+/// order.
+type ChannelPixels = Arc<[(usize, usize)]>;
+
+/// [`ChannelPixels`] per `(grid_w, grid_h, width, height)` so far in this
+/// process: a scored candidate classifies no pixel, and one geometry per
+/// fabric and image size is never evicted.
+static CHANNEL_PIXELS: Mutex<BTreeMap<(usize, usize, usize, usize), ChannelPixels>> =
+    Mutex::new(BTreeMap::new());
+
+/// [`ChannelPixels`] of one geometry, classified by [`Layout::owner`] the
+/// first time it is asked for. Every update is one insert, so a lock
+/// poisoned elsewhere is still good.
+fn channel_pixels(grid_w: usize, grid_h: usize, width: usize, height: usize) -> ChannelPixels {
+    let key = (grid_w, grid_h, width, height);
+    let cached = CHANNEL_PIXELS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+        .cloned();
+    cached.unwrap_or_else(|| {
+        let layout = Layout::new(grid_w, grid_h, width);
+        let pixels: ChannelPixels = (0..height)
+            .flat_map(|py| (0..width).map(move |px| (px, py)))
+            .filter(|&(px, py)| matches!(layout.owner(px, py), pop_raster::PixelOwner::Channel(_)))
+            .collect();
+        CHANNEL_PIXELS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, pixels.clone());
+        pixels
+    })
 }
 
 /// Per-pixel accuracy restricted to **routing-channel pixels** — the
@@ -714,6 +745,56 @@ mod tests {
         let mean = image_mean_congestion(arch2.width(), arch2.height(), &img);
         assert!((mean - 0.5).abs() < 0.03, "decoded mean {mean}");
         let _ = cong;
+    }
+
+    /// The per-pixel decode that classified every pixel on every call:
+    /// what [`image_mean_congestion`] must equal bit for bit.
+    fn per_pixel_mean_congestion(grid_width: usize, grid_height: usize, img: &Image) -> f32 {
+        if grid_width == 0 || grid_height == 0 {
+            return 0.0;
+        }
+        let layout = Layout::new(grid_width, grid_height, img.width());
+        let mut sum = 0.0f64;
+        let mut count = 0usize;
+        for py in 0..img.height() {
+            for px in 0..img.width() {
+                if matches!(layout.owner(px, py), pop_raster::PixelOwner::Channel(_)) {
+                    sum += pop_raster::color::utilization_from_color(img.pixel_rgb8(px, py)) as f64;
+                    count += 1;
+                }
+            }
+        }
+        if count == 0 {
+            0.0
+        } else {
+            (sum / count as f64) as f32
+        }
+    }
+
+    /// On random images over several grids and sides — each geometry asked
+    /// for twice, so the second answer comes from the cache — the cached
+    /// channel pixels give the per-pixel decode's bits.
+    #[test]
+    fn image_mean_congestion_is_the_per_pixel_decode() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for (grid_w, grid_h, side) in [
+            (6, 6, 32),
+            (9, 7, 64),
+            (20, 20, 64),
+            (3, 11, 40),
+            (0, 4, 16),
+        ] {
+            for _ in 0..2 {
+                let data = (0..side * side * 3)
+                    .map(|_| rng.gen_range(0.0..1.0))
+                    .collect();
+                let img = Image::from_data(side, side, 3, data);
+                let want = per_pixel_mean_congestion(grid_w, grid_h, &img);
+                let got = image_mean_congestion(grid_w, grid_h, &img);
+                assert_eq!(got.to_bits(), want.to_bits(), "{grid_w}x{grid_h} at {side}");
+            }
+        }
     }
 
     #[test]

@@ -1,27 +1,58 @@
 //! Minimal dense matrix kernels used by the convolution layers.
 //!
 //! Row-major `f32` matrices as flat slices, shaped for the autovectorizer:
-//! one register-block kernel (`block_rows`: up to 4 rows × one **column
+//! one register-block kernel (`block_rows`: a block of rows × one **column
 //! panel** of independent accumulators, two vector registers wide) serves
 //! `nn`, `tn` and `nt`, so the innermost loop is always a fixed-width
 //! bundle of independent multiply-then-adds over contiguous `B` memory —
 //! the exact shape LLVM provably lowers to SIMD without intrinsics.
 //!
-//! **Two registers per row.** The panel width `NR` is a const parameter of
-//! the kernel source: 8 lanes at the baseline (two `xmm`), 16 under AVX2
-//! (two `ymm`), 32 under AVX-512F (two `zmm`), so a 4-row block always
-//! carries eight accumulator chains. With one register per row the block
-//! had four, and the loop ran at the latency of four dependent adds, not
-//! at the multiply and add ports: a standalone copy of the kernel over the
-//! quick model's twelve forward GEMMs at batch 5 (AVX2 host, µs per image,
-//! every variant bit-equal to 4 × 8) read 969 at 4 × 8, **815 at 4 × 16**,
-//! 818 at 4 × 24, 892 at 3 × 16, 1 133 at 6 × 16, 1 046 at 6 × 8 and
-//! 1 405 at 8 × 8 (the wider blocks spill). On a 2-vCPU AVX-512F host the
-//! same twelve GEMMs through `matmul_nn` / `matmul_tn` read 1 356 for the
-//! AVX2 build, 1 096 for 4 × 16 compiled for AVX-512F and **944 for
-//! 4 × 32** — but 2 128 when a tail of 9–31 columns was padded into a
+//! **The register block, per instantiation.** The panel width `NR` and the
+//! block height `MB` are const parameters of the kernel source: 4 rows ×
+//! 8 lanes at the baseline (two `xmm` per row), 4 × 16 under AVX2 (two
+//! `ymm`), 12 × 32 under AVX-512F (two `zmm`: 24 accumulators, 2 `B`
+//! vectors and 1 broadcast, 27 of the 32 registers). Rows left over below
+//! a block run through the 4-row block and then one at a time; the
+//! in-place 16-lane step and the padded tails use the same heights. With
+//! one register per row a 4-row block had four accumulator chains, and
+//! the loop ran at the latency of four dependent adds, not at the multiply
+//! and add ports: a standalone copy of the kernel over the quick model's
+//! twelve forward GEMMs at batch 5 (AVX2 host, µs per image, every variant
+//! bit-equal to 4 × 8) read 969 at 4 × 8, **815 at 4 × 16**, 818 at
+//! 4 × 24, 892 at 3 × 16, 1 133 at 6 × 16, 1 046 at 6 × 8 and 1 405 at
+//! 8 × 8 (the wider blocks spill the 16 `ymm`). On a 2-vCPU AVX-512F host
+//! the same twelve GEMMs through `matmul_nn` / `matmul_tn` read 1 356 for
+//! the AVX2 build, 1 096 for 4 × 16 compiled for AVX-512F and 944 for
+//! 4 × 32 — but 2 128 when a tail of 9–31 columns was padded into a
 //! 32-lane panel, which is what an earlier sweep had measured as "4 × 32"
-//! (2 623) and why the 32-lane build once looked worse than 4 × 16.
+//! (2 623) and why the 32-lane build once looked worse than 4 × 16. A
+//! 4 × 32 block leaves 24 of the 32 `zmm` idle. Over the same twelve
+//! GEMMs (min of 20 rounds alternating the three heights in one probe,
+//! five runs each, on a host whose speed moved between runs) 4 × 32 read
+//! 502–815 µs per image at batch 5, 8 × 32 468–731 and **12 × 32
+//! 472–688**; at batch 8, `explore`'s full batches, 809–817, 723–735 and
+//! **688–700** — 12 × 32 the lowest in every run but one. Whole 32-lane
+//! panels gain most (batch 8, against the 4 × 32 kernel this replaced:
+//! `enc3` 96×768×128 1.28–1.29×), but so do the narrow ones: 12 rows of one
+//! register still give the multiplies and adds twelve independent chains
+//! to interleave where 4 gave four (96×1536 against 4 columns, one
+//! padded 4-lane panel: 66 → 52 µs; 20 columns: 139 → 114).
+//!
+//! **Rows are unrolled by hand.** The accumulator block stays in
+//! registers only if every row of it is named by a constant, so the row
+//! loops are the `each_row!` macro's straight-line code. Left to LLVM's
+//! unroller, whether a row loop unrolled depended on the block's size and
+//! on the code around each inlined copy: a rolled one kept the block in
+//! stack memory with a scalar multiply, add and store per lane, ten times
+//! slower — the padded 32-lane panel that kept the AVX-512F build out, the
+//! `DOT` seed's padded 16-lane panel in both wide builds (kernels bench
+//! `dot_tail`), and, while trying the 12-row block, the 12 × 8 and 12 × 16
+//! tails. In a 32-lane panel each row's step ends at an opaque point
+//! (`black_box(())`, no instruction): without it LLVM's scheduler loads
+//! all twelve broadcasts before the first row's products, and 24
+//! accumulators + 2 `B` vectors + 12 broadcasts spill the 32 `zmm`. The
+//! narrower panels go without it: there it cost more than the spills it
+//! saves (96×1536 against 4 columns: 52 µs without, 68 with).
 //!
 //! **Bitwise contract.** Register blocking only regroups *independent*
 //! output elements: each `C[i, j]` starts from a seed and adds its `k`
@@ -41,18 +72,9 @@
 //!   1×1 and 2×2 levels multiply with `n = 1` or `4`, where a wide panel
 //!   would spend most of its lanes on padding, and a padded 32-lane panel
 //!   is about ten times slower than the same columns in narrower panels
-//!   (batch-5 `enc4`, 96×1536×20: 2 221 µs against 163). Not because of
-//!   its constant `ldb = W` stride — with `ldb`, `ldc` and the panel end
-//!   hidden behind `black_box` it measured as slow (2 039 µs) — but
-//!   because of how that inlined copy compiles: the disassembly shows its
-//!   loop over the four rows left rolled, so the 4 × 32 accumulator block
-//!   stays an array in stack memory and every lane is a scalar `vmulss`,
-//!   `vaddss` and store per `k`, where the full-panel copy of the same
-//!   source keeps the block in eight `zmm` registers. (The 16-lane padded
-//!   panel of the `DOT` seed compiles the same way in both wide builds; no
-//!   weight gradient of the U-Net reaches it, since its packed `nt`
-//!   products are whole 32-lane panels.) Lanes are
-//!   independent outputs: the padding lanes compute `0 + a·0 + …` and are
+//!   (batch-5 `enc4`, 96×1536×20: 2 221 µs against 163, measured when the
+//!   row loop was still LLVM's to unroll and left that copy rolled; see
+//!   above). Lanes are independent outputs: the padding lanes compute `0 + a·0 + …` and are
 //!   dropped, the real lanes see the same seed and the same products in
 //!   the same order as in a full panel, whatever its width.
 //! * **`tn` picks its layout by element count.** `A` arrives transposed,
@@ -60,7 +82,7 @@
 //!   elements moved, a strip of rows at a time) or the product is computed
 //!   as `Cᵀ += Bᵀ·A`, lanes over the contiguous `m` axis of `A` (`n·k` for
 //!   `Bᵀ` plus `2·m·n` for `Cᵀ`, seeded from and written back to `C`). The
-//!   second form also streams all of `A` once per 4-row block of `Bᵀ` where
+//!   second form also streams all of `A` once per row block of `Bᵀ` where
 //!   the pack reads it once, and a streamed element measures about an
 //!   eighth of a transposed one: `n·m·k/32` more. `matmul_tn` takes the
 //!   cheaper count — the transposed output for the deconvolutions' big
@@ -92,8 +114,8 @@
 //! `#[target_feature(enable = "avx2")]` and a
 //! `#[target_feature(enable = "avx512f")]` wrapper, the widest the CPU
 //! supports picked per call by `is_x86_feature_detected!`. The wider
-//! builds only widen the registers (and with them the panel — outputs stay
-//! independent lanes). AVX2 is compiled without `fma`; rustc's `avx512f`
+//! builds only widen the registers (and with them the panel and, under
+//! AVX-512F, the block — outputs stay independent lanes and rows). AVX2 is compiled without `fma`; rustc's `avx512f`
 //! implies `fma`, so that build may use it — but Rust never contracts
 //! `a * b + c` into a fused multiply-add, so both wide builds issue
 //! `vmulps` then `vaddps`, each rounding once like the scalar
@@ -110,7 +132,8 @@
 //! regime batched inference creates by widening `n` to `batch · ho · wo`.
 //!
 //! **Forked rows.** Training's overwriting products can also split their
-//! output rows in two at a multiple of the row block and hand one strip to
+//! output rows in two at a multiple of the running instantiation's row
+//! block (of 4 rows where fewer than two blocks fit) and hand one strip to
 //! [`pop_exec::join`]'s helper (`matmul_nn_set_forked`,
 //! `matmul_tn_set_forked`). Rows are independent outputs, so the bits are
 //! the unsplit product's whoever runs which strip; inference never forks.
@@ -121,15 +144,25 @@ use std::sync::OnceLock;
 /// Column-panel width at the target's baseline: 8 f32 lanes, two SSE
 /// registers per accumulator row.
 const NR_BASE: usize = 8;
+/// Row-block height at the baseline: 4 rows × 2 of the 16 `xmm` registers.
+const MR_BASE: usize = 4;
 /// Column-panel width under AVX2: 16 lanes, two 256-bit registers per row.
 #[cfg(target_arch = "x86_64")]
 const NR_AVX2: usize = 16;
+/// Row-block height under AVX2: 4 rows × 2 of the 16 `ymm` registers.
+#[cfg(target_arch = "x86_64")]
+const MR_AVX2: usize = 4;
 /// Column-panel width under AVX-512F: 32 lanes, two 512-bit registers per
 /// row.
 #[cfg(target_arch = "x86_64")]
 const NR_AVX512: usize = 32;
-/// Row-block height: 4 independent accumulator rows amortise each `B`
-/// panel load across 4 outputs.
+/// Row-block height under AVX-512F: 12 rows × 2 of the 32 `zmm`
+/// registers, plus two for the `B` panel and one broadcast.
+#[cfg(target_arch = "x86_64")]
+const MR_AVX512: usize = 12;
+/// The short row block every instantiation runs leftover rows through
+/// (then single rows): 4 rows amortise each `B` panel load across 4
+/// outputs.
 const MR: usize = 4;
 
 /// How an output's chain starts and ends: seeded from `C` and stored back
@@ -257,7 +290,8 @@ fn tn_strip<const SEED: u8>(
         // Pack and multiply a strip of output rows at a time: the kernel
         // reads the strip while it is still in cache, and the workspace
         // never holds an `m·k` copy of the weights.
-        let rows = (PACK / k.max(1)).clamp(MR, m.max(MR)) / MR * MR;
+        let mb = block_height();
+        let rows = (PACK / k.max(1)).clamp(mb, m.max(mb)) / mb * mb;
         let mut at = workspace::take(rows * k);
         for (strip, c_rows) in c.chunks_mut((rows * n).max(1)).enumerate() {
             let r = c_rows.len() / n.max(1);
@@ -270,17 +304,27 @@ fn tn_strip<const SEED: u8>(
 
 /// Runs `strip(first_row, rows, c_rows)` over the `m` output rows of `C`
 /// (`n` floats each) split in two at half of them, rounded down to whole
-/// row blocks: the upper strip forked to [`pop_exec::join`]'s helper, the
-/// lower on the caller — or the whole of `C` on the caller below two row
-/// blocks. Rows are independent outputs, so the bits are the unsplit
-/// product's whoever runs which strip.
+/// row blocks of the running instantiation — or to whole 4-row blocks where
+/// `m` holds fewer than two of those: the upper strip forked to
+/// [`pop_exec::join`]'s helper, the lower on the caller — or the whole of
+/// `C` on the caller below two 4-row blocks. Rows are independent outputs,
+/// so the bits are the unsplit product's whoever runs which strip.
 fn forked_rows(c: &mut [f32], m: usize, n: usize, strip: impl Fn(usize, usize, &mut [f32]) + Sync) {
-    let mid = m / 2 / MR * MR;
-    if mid == 0 {
+    let Some(mid) = split_row(m, block_height()) else {
         return strip(0, m, c);
-    }
+    };
     let (c_lo, c_hi) = c.split_at_mut(mid * n);
     pop_exec::join(|| strip(mid, m - mid, c_hi), || strip(0, mid, c_lo));
+}
+
+/// Where [`forked_rows`] splits `m` rows under row blocks of `mb`: half of
+/// them rounded down to whole `mb`-row blocks, else to whole 4-row blocks,
+/// else nowhere.
+fn split_row(m: usize, mb: usize) -> Option<usize> {
+    [mb, MR]
+        .into_iter()
+        .map(|b| m / 2 / b * b)
+        .find(|&mid| mid > 0)
 }
 
 /// [`matmul_nn_set`] with its output rows split across
@@ -452,7 +496,21 @@ fn dispatch<const SEED: u8>(
         return unsafe { kernel_avx2::<SEED>(a, b, ldb, c, m, k, n) };
     }
     // The compilation target's baseline feature set.
-    nn::<NR_BASE, SEED>(a, b, ldb, c, m, k, n);
+    nn::<NR_BASE, MR_BASE, SEED>(a, b, ldb, c, m, k, n);
+}
+
+/// The row-block height of the instantiation [`dispatch`] picks on this
+/// CPU.
+fn block_height() -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        return MR_AVX512;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return MR_AVX2;
+    }
+    MR_BASE
 }
 
 /// The same kernel with 256-bit registers and the panel to match;
@@ -471,7 +529,7 @@ fn kernel_avx2<const SEED: u8>(
     k: usize,
     n: usize,
 ) {
-    nn::<NR_AVX2, SEED>(a, b, ldb, c, m, k, n);
+    nn::<NR_AVX2, MR_AVX2, SEED>(a, b, ldb, c, m, k, n);
 }
 
 /// The same kernel with 512-bit registers and the panel to match;
@@ -490,7 +548,7 @@ fn kernel_avx512<const SEED: u8>(
     k: usize,
     n: usize,
 ) {
-    nn::<NR_AVX512, SEED>(a, b, ldb, c, m, k, n);
+    nn::<NR_AVX512, MR_AVX512, SEED>(a, b, ldb, c, m, k, n);
 }
 
 /// `dst` (`cols×rows`) = the first `cols` columns of `src` (`rows` rows,
@@ -548,7 +606,7 @@ fn columns(n: usize, nr: usize) -> Columns {
 /// target features and panel width.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn nn<const NR: usize, const SEED: u8>(
+fn nn<const NR: usize, const MB: usize, const SEED: u8>(
     a: &[f32],
     b: &[f32],
     ldb: usize,
@@ -558,24 +616,24 @@ fn nn<const NR: usize, const SEED: u8>(
     n: usize,
 ) {
     let Columns { full, step, pad } = columns(n, NR);
-    // The B panel (k rows) is re-streamed for every 4-row block; tile it.
+    // The B panel (k rows) is re-streamed for every row block; tile it.
     let tile = col_tile(k, NR);
     let mut j0 = 0;
     while j0 < full {
         let j1 = (j0 + tile).min(full);
-        row_blocks::<NR, SEED>(a, b, ldb, c, n, m, k, j0, j1);
+        row_blocks::<NR, MB, SEED>(a, b, ldb, c, n, m, k, j0, j1);
         j0 = j1;
     }
     // `NR > 16` is a constant: narrower builds compile no 16-lane step.
     if NR > 16 && step > 0 {
-        row_blocks::<16, SEED>(a, b, ldb, c, n, m, k, full, full + step);
+        row_blocks::<16, MB, SEED>(a, b, ldb, c, n, m, k, full, full + step);
     }
     let done = full + step;
     match pad {
         0 => {}
-        4 => padded_tail::<4, SEED>(a, b, ldb, c, m, k, n, done),
-        8 => padded_tail::<8, SEED>(a, b, ldb, c, m, k, n, done),
-        _ => padded_tail::<16, SEED>(a, b, ldb, c, m, k, n, done),
+        4 => padded_tail::<4, MB, SEED>(a, b, ldb, c, m, k, n, done),
+        8 => padded_tail::<8, MB, SEED>(a, b, ldb, c, m, k, n, done),
+        _ => padded_tail::<16, MB, SEED>(a, b, ldb, c, m, k, n, done),
     }
 }
 
@@ -584,7 +642,7 @@ fn nn<const NR: usize, const SEED: u8>(
 /// of C, so copies nothing in).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn padded_tail<const W: usize, const SEED: u8>(
+fn padded_tail<const W: usize, const MB: usize, const SEED: u8>(
     a: &[f32],
     b: &[f32],
     ldb: usize,
@@ -606,7 +664,7 @@ fn padded_tail<const W: usize, const SEED: u8>(
             dst[tail..].fill(0.0);
         }
     }
-    row_blocks::<W, SEED>(a, &bp[..k * W], W, &mut cp[..m * W], W, m, k, 0, W);
+    row_blocks::<W, MB, SEED>(a, &bp[..k * W], W, &mut cp[..m * W], W, m, k, 0, W);
     for (src, dst) in cp.chunks_exact(W).zip(c.chunks_exact_mut(n)) {
         dst[full..].copy_from_slice(&src[..tail]);
     }
@@ -616,10 +674,11 @@ fn padded_tail<const W: usize, const SEED: u8>(
 
 /// Runs the panel kernel over every row of `A` (`m×k`) for the column
 /// span `[j0, j1)` — a whole number of panels — of `B` and `C`, whose rows
-/// are `ldb` and `ldc` floats apart.
+/// are `ldb` and `ldc` floats apart: `MB` rows at a time, the rows left
+/// over 4 and then 1 at a time.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn row_blocks<const NR: usize, const SEED: u8>(
+fn row_blocks<const NR: usize, const MB: usize, const SEED: u8>(
     a: &[f32],
     b: &[f32],
     ldb: usize,
@@ -631,25 +690,48 @@ fn row_blocks<const NR: usize, const SEED: u8>(
     j1: usize,
 ) {
     let mut i = 0;
-    while i + MR <= m {
-        let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-        block_rows::<MR, NR, SEED>(&rows, b, ldb, c, ldc, i, j0, j1);
+    while i + MB <= m {
+        block_rows::<MB, NR, SEED>(a, k, b, ldb, c, ldc, i, j0, j1);
+        i += MB;
+    }
+    // `MB > MR` is a constant: 4-row builds compile no second 4-row loop.
+    while MB > MR && i + MR <= m {
+        block_rows::<MR, NR, SEED>(a, k, b, ldb, c, ldc, i, j0, j1);
         i += MR;
     }
     while i < m {
-        let rows = [&a[i * k..(i + 1) * k]];
-        block_rows::<1, NR, SEED>(&rows, b, ldb, c, ldc, i, j0, j1);
+        block_rows::<1, NR, SEED>(a, k, b, ldb, c, ldc, i, j0, j1);
         i += 1;
     }
 }
 
-/// The register-block kernel: `rows` holds R row slices of `A` (each of
-/// length `k`) for output rows `i0..i0+R`; accumulates the `[j0, j1)`
-/// column span of `C` one `NR`-wide register panel at a time.
+/// Runs `$body` once for each row index `$r` below the block height `$rows`
+/// (at most [`MR_MAX`]), as straight-line code with `$r` a constant, so
+/// that every row of the accumulator block stays in registers (the module
+/// doc's "Rows are unrolled by hand").
+macro_rules! each_row {
+    ($r:ident < $rows:expr, $body:block) => {
+        each_row!(@ $r < $rows, $body, 0 1 2 3 4 5 6 7 8 9 10 11)
+    };
+    (@ $r:ident < $rows:expr, $body:block, $($i:literal)*) => {
+        $(if $i < $rows {
+            let $r: usize = $i;
+            $body
+        })*
+    };
+}
+
+/// The tallest row block `each_row!` unrolls.
+const MR_MAX: usize = 12;
+
+/// The register-block kernel: output rows `i0..i0+R` from the same rows of
+/// `A` (`k` floats each); accumulates the `[j0, j1)` column span of `C` one
+/// `NR`-wide register panel at a time.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn block_rows<const R: usize, const NR: usize, const SEED: u8>(
-    rows: &[&[f32]; R],
+    a: &[f32],
+    k: usize,
     b: &[f32],
     ldb: usize,
     c: &mut [f32],
@@ -658,7 +740,14 @@ fn block_rows<const R: usize, const NR: usize, const SEED: u8>(
     j0: usize,
     j1: usize,
 ) {
+    const { assert!(R <= MR_MAX, "each_row unrolls at most MR_MAX rows") };
     debug_assert_eq!((j1 - j0) % NR, 0, "whole panels only");
+    // Each row sliced to exactly `k`, so the `k` loop's bound is every
+    // row's bound.
+    let mut rows: [&[f32]; R] = [&[]; R];
+    each_row!(r < R, {
+        rows[r] = &a[(i0 + r) * k..][..k];
+    });
     let mut j = j0;
     while j < j1 {
         // Seed the register block so each output's accumulation chain is
@@ -666,31 +755,37 @@ fn block_rows<const R: usize, const NR: usize, const SEED: u8>(
         // or from zero with C added (`nt`) or overwritten at the end.
         let mut acc = [[0.0f32; NR]; R];
         if SEED == ACC {
-            for (r, accr) in acc.iter_mut().enumerate() {
-                accr.copy_from_slice(&c[(i0 + r) * ldc + j..(i0 + r) * ldc + j + NR]);
-            }
+            each_row!(r < R, {
+                acc[r].copy_from_slice(&c[(i0 + r) * ldc + j..][..NR]);
+            });
         }
-        for kk in 0..rows[0].len() {
-            let bp: &[f32; NR] = b[kk * ldb + j..kk * ldb + j + NR]
-                .try_into()
-                .expect("panel width");
-            for (accr, row) in acc.iter_mut().zip(rows) {
-                let av = row[kk];
+        for kk in 0..k {
+            let bp: &[f32; NR] = b[kk * ldb + j..][..NR].try_into().expect("panel width");
+            each_row!(r < R, {
+                let av = rows[r][kk];
                 for l in 0..NR {
-                    accr[l] += av * bp[l];
+                    acc[r][l] += av * bp[l];
                 }
-            }
+                // An opaque point between the rows of a 32-lane panel.
+                // Without it LLVM's scheduler loads all twelve broadcasts
+                // before the first row's products, and 24 accumulators +
+                // 2 `B` vectors + 12 broadcasts spill the 32 `zmm`. In the
+                // narrower panels it costs more than it saves.
+                if NR > 16 {
+                    std::hint::black_box(());
+                }
+            });
         }
-        for (r, accr) in acc.iter().enumerate() {
-            let out = &mut c[(i0 + r) * ldc + j..(i0 + r) * ldc + j + NR];
+        each_row!(r < R, {
+            let out = &mut c[(i0 + r) * ldc + j..][..NR];
             if SEED == DOT {
-                for (cv, av) in out.iter_mut().zip(accr) {
+                for (cv, av) in out.iter_mut().zip(&acc[r]) {
                     *cv += av;
                 }
             } else {
-                out.copy_from_slice(accr);
+                out.copy_from_slice(&acc[r]);
             }
-        }
+        });
         j += NR;
     }
 }
@@ -819,7 +914,7 @@ mod tests {
         n: usize,
     ) {
         let mut base = c0.to_vec();
-        nn::<NR_BASE, SEED>(a, b, n, &mut base, m, k, n);
+        nn::<NR_BASE, MR_BASE, SEED>(a, b, n, &mut base, m, k, n);
         let mut got = c0.to_vec();
         // SAFETY: the caller has checked that this CPU supports the
         // features `wide` was compiled for.
@@ -831,12 +926,13 @@ mod tests {
         );
     }
 
-    /// [`compare`] for all three seeds on random operands of one shape.
+    /// [`compare`] for all three seeds on random operands of one shape,
+    /// drawn from `data`.
     #[cfg(target_arch = "x86_64")]
-    fn compare_seeds(wide: [Kernel; 3], &(m, k, n): &(usize, usize, usize)) {
-        let a = randmat(m * k, 9);
-        let b = randmat(k * n, 10);
-        let c0 = randmat(m * n, 11);
+    fn compare_seeds(wide: [Kernel; 3], &(m, k, n): &(usize, usize, usize), data: u64) {
+        let a = randmat(m * k, data);
+        let b = randmat(k * n, data + 1);
+        let c0 = randmat(m * n, data + 2);
         compare::<ACC>(wide[0], &a, &b, &c0, m, k, n);
         compare::<DOT>(wide[1], &a, &b, &c0, m, k, n);
         compare::<SET>(wide[2], &a, &b, &c0, m, k, n);
@@ -880,7 +976,7 @@ mod tests {
             .iter()
             .chain(&narrow_tails.collect::<Vec<_>>())
             {
-                compare_seeds(avx2, shape);
+                compare_seeds(avx2, shape, 9);
             }
             println!("linalg: baseline and avx2 instantiations compared bit for bit");
             return;
@@ -888,11 +984,15 @@ mod tests {
         println!("linalg: SKIPPED instantiation comparison — this CPU has no AVX2");
     }
 
-    /// The baseline and the AVX-512F instantiation (32-lane panel) are one
-    /// source too: every width up to and just past one and two panels
-    /// (every 17–31-column tail takes the in-place 16-lane step, the rest
-    /// a padded panel of at most 16 lanes), and the kernel shapes that a
-    /// tail padded into a 32-lane panel once made ten times slower — the
+    /// The baseline (4-row block, 8-lane panel) and the AVX-512F
+    /// instantiation (12-row block, 32-lane panel) are one source too:
+    /// every height from 1 to 30 rows — each remainder of the 12-, 4- and
+    /// 1-row blocks — against every tail width: the padded 4-, 8- and
+    /// 16-lane panels (1–15 columns), the in-place 16-lane step alone and
+    /// before each padded panel (16–31), and one and two whole panels with
+    /// each tail after them (32–49, 63–65, 80, 81, 95), for every seed on
+    /// three draws of the operands. Then the kernel shapes that a tail
+    /// padded into a 32-lane panel once made ten times slower — the
     /// batch-5 `enc4` product (96×1536×20) and the transposed-output
     /// weight gradients of `g.enc1.dw` (24×256×192 as 192×256×24) and
     /// `g.dec5.dw` (24×1024×48 as 48×1024×24).
@@ -900,20 +1000,28 @@ mod tests {
     fn avx512_instantiations_are_bitwise_identical() {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx512f") {
-            let widths = (1..=40)
-                .chain(47..=49)
-                .chain(63..=65)
-                .chain([1, 16, 17, 31].map(|r| 2 * 32 + r));
+            let widths: Vec<usize> = (1..=49).chain(63..=65).chain([80, 81, 95]).collect();
             let named = [(96, 1536, 20), (192, 256, 24), (48, 1024, 24)];
             let avx512 = [
                 kernel_avx512::<ACC>,
                 kernel_avx512::<DOT>,
                 kernel_avx512::<SET>,
             ];
-            for shape in widths.map(|n| (7, 9, n)).chain(named) {
-                compare_seeds(avx512, &shape);
+            for data in [9, 19, 29] {
+                for m in 1..=30 {
+                    for &n in &widths {
+                        compare_seeds(avx512, &(m, 9, n), data);
+                    }
+                }
             }
-            println!("linalg: baseline and avx512 instantiations compared bit for bit");
+            for shape in named {
+                compare_seeds(avx512, &shape, 9);
+            }
+            println!(
+                "linalg: baseline and avx512 instantiations compared bit for bit at 1-30 rows \
+                 x {} widths",
+                widths.len()
+            );
             return;
         }
         println!("linalg: SKIPPED avx512 instantiation comparison — this CPU has no AVX-512F");
@@ -971,14 +1079,41 @@ mod tests {
         assert!(layouts.contains(&true) && layouts.contains(&false));
     }
 
-    /// The forked overwriting products split their output rows at a whole
-    /// row block (none below 8 rows, 4 | 4 at 8, 4 | 8 at 12, 48 | 48 at
-    /// 96) and leave the unsplit products' bits — `tn` in both of its
-    /// layouts — forked wherever the helper is free and with every join
-    /// inline.
+    /// The forked overwriting products split their output rows at whole
+    /// row blocks of the running instantiation, or at whole 4-row blocks
+    /// below two of those (none below 8 rows; under 12-row blocks 4 | 4 at
+    /// 8, 4 | 8 at 12, 8 | 15 at 23, 12 | 12 at 24, 48 | 48 at 96), and
+    /// leave the unsplit products' bits — `tn` in both of its layouts —
+    /// forked wherever the helper is free and with every join inline, at
+    /// every height up to 30 rows.
     #[test]
     fn forked_products_are_the_unsplit_products() {
-        for m in [1, 4, 8, 12, 96] {
+        let splits = |mb| [7, 8, 12, 23, 24, 36, 96].map(|m| split_row(m, mb));
+        assert_eq!(
+            splits(MR),
+            [
+                None,
+                Some(4),
+                Some(4),
+                Some(8),
+                Some(12),
+                Some(16),
+                Some(48)
+            ]
+        );
+        assert_eq!(
+            splits(12),
+            [
+                None,
+                Some(4),
+                Some(4),
+                Some(8),
+                Some(12),
+                Some(12),
+                Some(48)
+            ]
+        );
+        for m in (1..=30).chain([96]) {
             for (k, n) in [(24, 7), (24, 100), (5, 1), (300, 4)] {
                 let (a, b) = (randmat(m * k, 14), randmat(k * n, 15));
                 let mut want = (vec![0.0; m * n], vec![0.0; m * n]);

@@ -252,8 +252,8 @@ impl<'a> Annealer<'a> {
         self.rlim = (self.rlim * (1.0 - 0.44 + acceptance)).clamp(1.0, max_dim);
         self.temperature *= self.options.alpha_t;
 
-        // Refresh the exact cost to cancel accumulated float drift.
-        self.kernel.refresh_costs();
+        // Re-sum the exact cost to cancel accumulated float drift.
+        self.kernel.resum_costs();
         self.telemetry.cost.set(self.kernel.total_cost());
         self.telemetry.temperature.set(self.temperature);
 
@@ -308,6 +308,7 @@ impl<'a> Annealer<'a> {
 mod tests {
     use super::*;
     use crate::cost::wirelength;
+    use crate::options::PlaceAlgorithm;
     use pop_netlist::{generate, presets};
 
     fn setup() -> (Arch, Netlist) {
@@ -387,6 +388,46 @@ mod tests {
         ) as f64;
         let rel = (tracked - fresh).abs() / fresh.max(1.0);
         assert!(rel < 1e-3, "cost drift: tracked {tracked} vs fresh {fresh}");
+    }
+
+    /// After every temperature, under both cost functions, each cached
+    /// net cost is a recompute of that net on the placement and the
+    /// re-summed total is the recomputed costs summed in net order, bit for
+    /// bit: re-summing the cache at a temperature's end is the full
+    /// recompute it replaced.
+    #[test]
+    fn each_temperature_ends_on_the_recomputed_costs() {
+        let (arch, netlist) = setup();
+        for algorithm in [PlaceAlgorithm::BoundingBox, PlaceAlgorithm::PathTiming] {
+            let opts = PlaceOptions {
+                algorithm,
+                ..Default::default()
+            };
+            let model = CostModel::new(algorithm);
+            let mut annealer = Annealer::new(&arch, &netlist, &opts).unwrap();
+            let mut temps = 0;
+            while !annealer.is_done() {
+                if annealer.step(1).outer_iters == temps {
+                    continue;
+                }
+                temps += 1;
+                let p = annealer.placement();
+                let fresh: Vec<f32> = netlist
+                    .nets()
+                    .iter()
+                    .map(|n| model.net_cost(&arch, &netlist, p, n))
+                    .collect();
+                let bits = |v: &[f32]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(annealer.kernel.net_costs()),
+                    bits(&fresh),
+                    "temp {temps}"
+                );
+                let total = fresh.iter().fold(0.0f64, |t, &c| t + c as f64);
+                assert_eq!(annealer.cost().to_bits(), total.to_bits(), "temp {temps}");
+            }
+            assert!(temps > 10, "{algorithm:?}: only {temps} temperatures");
+        }
     }
 
     #[test]

@@ -138,7 +138,10 @@ impl<'a> MoveKernel<'a> {
             touched: Vec::new(),
             saved: Vec::new(),
         };
-        kernel.refresh_costs();
+        for n in 0..kernel.nets.len() {
+            kernel.net_costs[n] = kernel.net_cost(n);
+        }
+        kernel.resum_costs();
         kernel
     }
 
@@ -292,16 +295,23 @@ impl<'a> MoveKernel<'a> {
         }
     }
 
-    /// Recomputes every net's cost from scratch, cancelling accumulated
-    /// float drift.
-    pub(crate) fn refresh_costs(&mut self) {
+    /// Sets the tracked total to the cached net costs summed in net order,
+    /// cancelling the float drift the per-move deltas accumulate.
+    /// [`MoveKernel::propose`] and [`MoveKernel::undo`] keep every cached
+    /// cost bit-equal to a recompute, so this is the total a recompute of
+    /// every net would give, without the bounding boxes.
+    pub(crate) fn resum_costs(&mut self) {
         let mut total = 0.0f64;
-        for n in 0..self.nets.len() {
-            let c = self.net_cost(n);
-            self.net_costs[n] = c;
+        for &c in &self.net_costs {
             total += c as f64;
         }
         self.total_cost = total;
+    }
+
+    /// The cached cost of every net, in net order.
+    #[cfg(test)]
+    pub(crate) fn net_costs(&self) -> &[f32] {
+        &self.net_costs
     }
 
     /// The placement in its current state.
@@ -566,9 +576,9 @@ mod tests {
                     }
                 }
                 if rng.gen_range(0..64) == 0 {
-                    kernel.refresh_costs();
+                    kernel.resum_costs();
                     reference.refresh();
-                    assert_agrees(&kernel, &reference, model, "refresh_costs");
+                    assert_agrees(&kernel, &reference, model, "resum_costs");
                 }
             }
         }
