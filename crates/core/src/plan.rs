@@ -20,7 +20,7 @@
 //! arithmetic in their order (batch-norm by running statistics, no
 //! dropout), so the output is theirs, bit for bit.
 
-use pop_nn::{scratch, Batch, BatchMut, PlannedConv, PlannedDeconv, Tensor};
+use pop_nn::{scratch, Batch, BatchMut, ForwardSplit, PlannedConv, PlannedDeconv, Tensor};
 
 /// An inference-only snapshot of a [`UNetGenerator`](crate::UNetGenerator)
 /// — same topology and weights, `&self` forward, no gradients, optimiser
@@ -55,7 +55,7 @@ impl InferencePlan {
         let (out_c, (ho, wo)) = self.output(c, (h, w));
         let mut y = Tensor::zeros([n, out_c, ho, wo]);
         let out = &mut BatchMut::nchw(y.data_mut(), out_c, ho * wo);
-        self.level(0, Batch::nchw(x), (h, w), n, out);
+        self.level(0, Batch::nchw(x), (h, w), n, out, None);
         y
     }
 
@@ -70,6 +70,28 @@ impl InferencePlan {
     /// Panics when the inputs are not all the same `[1, C, H, W]` shape,
     /// and as [`InferencePlan::forward`].
     pub fn forecast_batch(&self, xs: &[&Tensor]) -> Vec<Tensor> {
+        self.forecast_batch_with(xs, None)
+    }
+
+    /// [`InferencePlan::forecast_batch`], with where each block's time
+    /// went: one [`ForwardSplit`] per block, the encoder's from the input
+    /// down (`enc0`, `enc1`, …), then the decoder's from the bottleneck up
+    /// (`dec0`, …). The answers are the same bits.
+    ///
+    /// # Panics
+    ///
+    /// As [`InferencePlan::forecast_batch`].
+    pub fn forecast_batch_split(&self, xs: &[&Tensor]) -> (Vec<Tensor>, Vec<ForwardSplit>) {
+        let mut splits = vec![ForwardSplit::default(); self.enc.len() + self.dec.len()];
+        let ys = self.forecast_batch_with(xs, Some(&mut splits));
+        (ys, splits)
+    }
+
+    fn forecast_batch_with(
+        &self,
+        xs: &[&Tensor],
+        splits: Option<&mut [ForwardSplit]>,
+    ) -> Vec<Tensor> {
         let Some(first) = xs.first() else {
             return Vec::new();
         };
@@ -92,6 +114,7 @@ impl InferencePlan {
             (h, w),
             xs.len(),
             &mut BatchMut::Tensors(&mut ys),
+            splits,
         );
         ys
     }
@@ -121,8 +144,17 @@ impl InferencePlan {
     }
 
     /// Level `j` of the U: encoder block `j` on `x`, the levels below it,
-    /// then the decoder block at this resolution, its output into `y`.
-    fn level(&self, j: usize, x: Batch<'_>, dims: (usize, usize), n: usize, y: &mut BatchMut<'_>) {
+    /// then the decoder block at this resolution, its output into `y`;
+    /// each block's [`ForwardSplit`] into `splits` when asked for.
+    fn level(
+        &self,
+        j: usize,
+        x: Batch<'_>,
+        dims: (usize, usize),
+        n: usize,
+        y: &mut BatchMut<'_>,
+        mut splits: Option<&mut [ForwardSplit]>,
+    ) {
         let i = self.enc.len() - 1 - j;
         let (enc, dec) = (&self.enc[j], &self.dec[i]);
         let e_dims = enc.geom().conv_out(dims);
@@ -139,10 +171,15 @@ impl InferencePlan {
         let (up, skip) = (up_c * n * up_plane, enc.geom().out_c * n * e_plane);
         scratch(up + skip, |buf| {
             let (u, e) = buf.split_at_mut(up);
-            enc.forward(x, dims, n, &mut BatchMut::channel_major(e, n, e_plane));
+            let skip_out = &mut BatchMut::channel_major(e, n, e_plane);
+            match splits.as_deref_mut() {
+                Some(s) => s[j] = enc.forward_split(x, dims, n, skip_out),
+                None => enc.forward(x, dims, n, skip_out),
+            }
             if i > 0 {
                 let below = &mut BatchMut::channel_major(u, n, up_plane);
-                self.level(j + 1, Batch::channel_major(e, n, e_plane), e_dims, n, below);
+                let e = Batch::channel_major(e, n, e_plane);
+                self.level(j + 1, e, e_dims, n, below, splits.as_deref_mut());
             }
             // The decoder block multiplies `[u; e]` as one matrix when it
             // takes the skip, `u` alone otherwise (at the bottleneck `u` is
@@ -153,7 +190,11 @@ impl InferencePlan {
             }
             let input = &buf[..if takes_skip { up + skip } else { up }];
             debug_assert_eq!(input.len(), dec.geom().in_c * n * up_plane);
-            dec.forward(Batch::channel_major(input, n, up_plane), up_dims, n, y);
+            let input = Batch::channel_major(input, n, up_plane);
+            match splits {
+                Some(s) => s[self.enc.len() + i] = dec.forward_split(input, up_dims, n, y),
+                None => dec.forward(input, up_dims, n, y),
+            }
         });
     }
 }

@@ -577,8 +577,8 @@ mod tests {
     /// The plan against the layers it was read from, run one by one as
     /// `reference` runs them (the forward it replaced): every skip mode, a
     /// shallow generator on a non-square map and the `explore` depth, one
-    /// request, a few and a full batch — per-request tensors and an NCHW
-    /// batch alike, bit for bit.
+    /// request, a few and a full batch — per-request tensors, timed per
+    /// block or not, and an NCHW batch alike, bit for bit.
     #[test]
     fn plan_is_the_layer_by_layer_inference_forward_bit_for_bit() {
         for skip in [SkipMode::All, SkipMode::Single, SkipMode::None] {
@@ -593,6 +593,9 @@ mod tests {
                     let refs: Vec<&Tensor> = xs.iter().collect();
                     let got = plan.forecast_batch(&refs);
                     assert_eq!(got.len(), batch);
+                    let (timed, splits) = plan.forecast_batch_split(&refs);
+                    assert_eq!(timed, got, "{skip:?} depth {depth} batch {batch} timed");
+                    assert_eq!(splits.len(), 2 * depth);
                     for (i, (x, y)) in xs.iter().zip(&got).enumerate() {
                         let want = reference(&mut g, x);
                         assert_eq!(y, &want, "{skip:?} depth {depth} batch {batch} sample {i}");

@@ -105,11 +105,11 @@ impl Conv2d {
     ///
     /// Panics when `norm` does not have one entry per output channel.
     pub fn plan(&self, norm: Option<Vec<Norm>>, act: Activation) -> PlannedConv {
-        PlannedConv {
-            geom: self.geom,
-            weight: self.weight.value.data().to_vec(),
-            finish: Finish::new(&self.bias.value.data()[..self.geom.out_c], norm, act),
-        }
+        PlannedConv::new(
+            self.geom,
+            self.weight.value.data().to_vec(),
+            Finish::new(&self.bias.value.data()[..self.geom.out_c], norm, act),
+        )
     }
 
     /// The training forward, reading only the weights: what the backward
@@ -134,7 +134,7 @@ impl Conv2d {
         conv_forward(
             &geom,
             matmul_nn_set_forked,
-            self.weight.value.data(),
+            (self.weight.value.data(), None),
             &Epilogue::bias(&self.bias.value.data()[..geom.out_c]),
             Batch::nchw(x),
             (h, w),
@@ -142,6 +142,7 @@ impl Conv2d {
             n,
             &mut cache.cols,
             &mut BatchMut::nchw(y.data_mut(), geom.out_c, p_out),
+            &mut (),
         );
         cache.input = Some(x.shape());
         y
@@ -326,11 +327,11 @@ impl ConvTranspose2d {
     /// Panics when `norm` does not have one entry per output channel.
     pub fn plan(&self, norm: Option<Vec<Norm>>, act: Activation) -> PlannedDeconv {
         let ckk = self.geom.out_c * self.geom.k * self.geom.k;
-        PlannedDeconv {
-            geom: self.geom,
-            weight: TnWeights::new(self.weight.value.data(), ckk, self.geom.in_c),
-            finish: Finish::new(&self.bias.value.data()[..self.geom.out_c], norm, act),
-        }
+        PlannedDeconv::new(
+            self.geom,
+            TnWeights::new(self.weight.value.data(), ckk, self.geom.in_c),
+            Finish::new(&self.bias.value.data()[..self.geom.out_c], norm, act),
+        )
     }
 }
 
@@ -348,17 +349,19 @@ impl Layer for ConvTranspose2d {
             self.geom.out_c * self.geom.k * self.geom.k,
             self.geom.in_c,
         );
+        let product = |b: &[f32], ldb, cols: &mut [f32], ncols| {
+            assert_eq!(ldb, ncols, "dense input matrix");
+            matmul_tn_set(weight, &b[..in_c * ncols], cols, ckk, in_c, ncols);
+        };
         deconv_forward(
             &self.geom,
-            |b, ldb, cols, ncols| {
-                assert_eq!(ldb, ncols, "dense input matrix");
-                matmul_tn_set(weight, &b[..in_c * ncols], cols, ckk, in_c, ncols);
-            },
+            (product, None),
             &Epilogue::bias(&self.bias.value.data()[..self.geom.out_c]),
             Batch::nchw(x),
             (h, w),
             n,
             &mut BatchMut::nchw(y.data_mut(), self.geom.out_c, p_out),
+            &mut (),
         );
         self.cached_input = Some(x.clone());
         y
@@ -595,7 +598,7 @@ mod tests {
         conv_forward(
             &geom,
             crate::linalg::matmul_nn_set,
-            conv.weight.value.data(),
+            (conv.weight.value.data(), None),
             &Epilogue::bias(conv.bias.value.data()),
             Batch::nchw(x),
             (h, w),
@@ -603,6 +606,7 @@ mod tests {
             n,
             &mut cols,
             &mut BatchMut::nchw(y.data_mut(), geom.out_c, p_out),
+            &mut (),
         );
         (y, cols)
     }

@@ -221,6 +221,31 @@ fn outside(ty: AxisTap, tx: AxisTap) -> bool {
     ty.lo == ty.hi || tx.lo == tx.hi
 }
 
+/// The taps of a `window` (`(k, stride, pad)`) over a `dims` image that
+/// read at least one pixel, as bit `ky·k + kx` of a mask — `None` when
+/// every tap does, or when the window is wider than [`INLINE_TAPS`] (its
+/// taps do not fit the mask; it keeps them all).
+pub(crate) fn inside_taps(dims: Pair, (k, s, pad): (usize, usize, usize)) -> Option<u64> {
+    if k > INLINE_TAPS {
+        return None;
+    }
+    let (ho, wo) = (
+        conv_out_dim(dims.0, k, s, pad),
+        conv_out_dim(dims.1, k, s, pad),
+    );
+    let rows = Taps::new(k, |ky| AxisTap::new(ky, (dims.0, ho), s, pad));
+    let cols = Taps::new(k, |kx| AxisTap::new(kx, (dims.1, wo), s, pad));
+    let mut mask = 0u64;
+    for (ky, &ty) in rows.as_slice().iter().enumerate() {
+        for (kx, &tx) in cols.as_slice().iter().enumerate() {
+            if !outside(ty, tx) {
+                mask |= 1 << (ky * k + kx);
+            }
+        }
+    }
+    (mask.count_ones() as usize != k * k).then_some(mask)
+}
+
 /// One lowering's geometry: a group of `g` samples of `h×w` through a
 /// `k×k` window at stride `s`, and where every tap reads. Phase
 /// `(qy, qx)` of the group is `g` planes of `hq` rows of pitch `pq`,

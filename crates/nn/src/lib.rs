@@ -77,7 +77,9 @@ pub use act::{LeakyRelu, Relu, Tanh};
 pub use adam::Adam;
 pub use conv::{Conv2d, ConvCache, ConvTranspose2d};
 pub use dropout::Dropout;
-pub use lower::{Activation, Batch, BatchMut, ConvGeom, Norm, PlannedConv, PlannedDeconv};
+pub use lower::{
+    Activation, Batch, BatchMut, ConvGeom, ForwardSplit, Norm, PlannedConv, PlannedDeconv,
+};
 pub use norm::{BatchNorm2d, NormCache};
 pub use param::Param;
 pub use tanh::tanh_in_place;

@@ -124,8 +124,7 @@
 //! against the baseline, bit for bit. Other targets compile the baseline
 //! only; the layout steps above (transposes) are plain code outside the
 //! kernel. The `tanh` kernel ([`tanh_in_place`](crate::tanh_in_place)) is
-//! instantiated the same way at the baseline and AVX2, behind its own
-//! check.
+//! instantiated the same three ways, behind its own check.
 //!
 //! `matmul_nn` / `matmul_tn` additionally tile over columns so the
 //! re-streamed `B` panel stays cache-resident when `n` is large — the
@@ -399,6 +398,21 @@ impl TnWeights {
             packed: OnceLock::new(),
             m,
             k,
+        }
+    }
+
+    /// The same weights for output rows `rows` alone, in that order: a
+    /// product of the result is rows `rows` of this one's, bit for bit
+    /// (each output row is its own fold over `k`).
+    pub(crate) fn rows(&self, rows: &[usize]) -> TnWeights {
+        let stored = (self.stored.chunks_exact(self.m))
+            .flat_map(|a_row| rows.iter().map(|&r| a_row[r]))
+            .collect();
+        TnWeights {
+            stored,
+            packed: OnceLock::new(),
+            m: rows.len(),
+            k: self.k,
         }
     }
 

@@ -16,12 +16,38 @@
 //! activation (`Epilogue`) — is applied to each output plane or row while
 //! it is still in cache, with the per-element expressions of the separate
 //! layers in their order, so fusing them changes no bit either.
+//!
+//! **Taps that touch only padding.** At the U-Net's bottleneck a window
+//! is larger than the image: `enc5` maps 2×2 to 1×1 through a 4×4 window
+//! at pad 1, and 12 of its 16 taps read only padding; `dec0`, its adjoint,
+//! maps 1×1 to 2×2, and 12 of the 16 tap rows of `Wᵀ·x` land wholly
+//! outside the output. A planned block ([`PlannedConv`],
+//! [`PlannedDeconv`]) asks `inside_taps` which taps read the image at
+//! the input size in hand, and where some do not it multiplies only the
+//! others, with their weights read out once per tap mask on the first
+//! forward that needs them (`[96, 384]` instead of `[96, 1536]` for
+//! `enc5`, 384 of `dec0`'s 1 536 rows). The bits hold: a skipped `enc5`
+//! product is `w·(+0.0) = ±0.0` for a finite weight, and adding `±0.0` to
+//! an accumulator seeded `+0.0` is a no-op under round-to-nearest (a sum
+//! is `−0.0` only when both terms are, so the accumulator never is), so
+//! every output is the same ascending fold over the kept products; a
+//! skipped `dec0` row is an output of its own that `col2im` never reads.
+//! Training layers lower every tap: their lowered matrix is kept for the
+//! backward pass.
+//!
+//! **The forward ledger.** `forward_split` runs a planned block timed in
+//! three phases ([`ForwardSplit`]): lowering, GEMM and finish. It is the
+//! same code with a clock at each phase boundary; only a transposed
+//! convolution's finish moves out of `col2im` into a pass of its own, so
+//! it can be timed apart.
 
-use crate::im2col::{col2im, conv_out_dim, im2col, Pair};
+use crate::im2col::{col2im, conv_out_dim, im2col, inside_taps, Pair};
 use crate::linalg::{matmul_nn_set, TnWeights};
 use crate::tanh::tanh_in_place;
 use crate::tensor::Tensor;
 use crate::workspace::scratch;
+use std::sync::{Arc, PoisonError, RwLock};
+use std::time::{Duration, Instant};
 
 /// Floats of lowered matrix an inference matmul works on at a time
 /// (512 KiB): what the lowering writes is still in L2 when the matmul
@@ -336,16 +362,151 @@ fn activate(row: &mut [f32], pre: impl Fn(f32) -> f32, act: Activation) {
 /// twin in a training forward).
 pub(crate) type Product = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 
+/// Where a block's forward spends its wall clock: lowering (`im2col`, or
+/// the `col2im` sums, and the copies around them), the GEMM, and the
+/// finish (bias, batch-norm, activation and the output layout).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ForwardSplit {
+    /// `im2col` / `col2im` and the layout copies around the GEMM.
+    pub lower: Duration,
+    /// The GEMM.
+    pub gemm: Duration,
+    /// Bias, batch-norm and activation, and placing the outputs.
+    pub finish: Duration,
+}
+
+/// The phases of a [`ForwardSplit`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Phase {
+    Lower,
+    Gemm,
+    Finish,
+}
+
+/// What a forward reports of its phases: nothing (`()`), or their wall
+/// clock ([`Stopwatch`]).
+pub(crate) trait Laps {
+    /// Whether a transposed convolution finishes its output in a pass of
+    /// its own after `col2im` instead of channel by channel inside it, so
+    /// that the two can be timed apart.
+    const APART: bool = false;
+
+    /// Ends the phase under way, `phase`.
+    fn lap(&mut self, _phase: Phase) {}
+}
+
+impl Laps for () {}
+
+/// The [`Laps`] that times each phase.
+struct Stopwatch {
+    last: Instant,
+    split: ForwardSplit,
+}
+
+impl Stopwatch {
+    fn start() -> Self {
+        Stopwatch {
+            last: Instant::now(),
+            split: ForwardSplit::default(),
+        }
+    }
+}
+
+impl Laps for Stopwatch {
+    const APART: bool = true;
+
+    fn lap(&mut self, phase: Phase) {
+        let now = Instant::now();
+        let spent = now - self.last;
+        self.last = now;
+        *match phase {
+            Phase::Lower => &mut self.split.lower,
+            Phase::Gemm => &mut self.split.gemm,
+            Phase::Finish => &mut self.split.finish,
+        } += spent;
+    }
+}
+
+/// The rows of a `[c·k², _]` lowered matrix whose tap is in `taps` (bit
+/// `t` for tap `t` of each channel's `k²`), ascending.
+fn kept_rows(c: usize, kk: usize, taps: u64) -> impl DoubleEndedIterator<Item = usize> {
+    (0..c).flat_map(move |ci| {
+        (0..kk)
+            .filter(move |t| taps >> t & 1 == 1)
+            .map(move |t| ci * kk + t)
+    })
+}
+
+/// Moves rows `rows` (ascending) of a matrix of `width`-float rows to its
+/// top, in order; returns how many there are. Row `j` of the result comes
+/// from a row at or below `j`, so each is read before it is overwritten.
+fn gather_rows(m: &mut [f32], width: usize, rows: impl Iterator<Item = usize>) -> usize {
+    let mut kept = 0;
+    for r in rows {
+        m.copy_within(r * width..(r + 1) * width, kept * width);
+        kept += 1;
+    }
+    kept
+}
+
+/// The inverse of [`gather_rows`] for `count` rows: row `j` of the top
+/// moves to the `j`-th of `rows`, last first. The rows not named keep
+/// whatever they held.
+fn scatter_rows(
+    m: &mut [f32],
+    width: usize,
+    rows: impl DoubleEndedIterator<Item = usize>,
+    count: usize,
+) {
+    for (j, r) in (0..count).rev().zip(rows.rev()) {
+        m.copy_within(j * width..(j + 1) * width, r * width);
+    }
+}
+
+/// A block's weights cut down to the taps that read the image, one copy
+/// per tap mask, made by the first forward that needs it (as
+/// [`TnWeights`] packs its layout on first use).
+#[derive(Debug)]
+struct Trimmed<W>(RwLock<Vec<(u64, Arc<W>)>>);
+
+impl<W> Default for Trimmed<W> {
+    fn default() -> Self {
+        Trimmed(RwLock::new(Vec::new()))
+    }
+}
+
+impl<W> Trimmed<W> {
+    /// The weights for `taps`, made by `trim` if no forward has yet.
+    fn get(&self, taps: u64, trim: impl FnOnce() -> W) -> Arc<W> {
+        let find = |all: &[(u64, Arc<W>)]| {
+            let hit = all.iter().find(|(mask, _)| *mask == taps);
+            hit.map(|(_, w)| Arc::clone(w))
+        };
+        if let Some(w) = find(&self.0.read().unwrap_or_else(PoisonError::into_inner)) {
+            return w;
+        }
+        let mut all = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        find(&all).unwrap_or_else(|| {
+            let w = Arc::new(trim());
+            all.push((taps, Arc::clone(&w)));
+            w
+        })
+    }
+}
+
 /// A convolution forward: `x` (`n` samples of `[in_c, h, w]`) lowered
 /// `group` samples at a time into `cols` (at least `in_c·k²` rows of
-/// `group·ho·wo`), multiplied by `weight` (`[out_c, in_c·k²]`) through
-/// `product`, finished by `epilogue` and written to `y`. A training forward
-/// passes `group = n` and keeps `cols` for its backward pass.
+/// `group·ho·wo`), multiplied by `weight` through `product`, finished by
+/// `epilogue` and written to `y`. `weight` is `[out_c, in_c·k²]`, or with
+/// `taps` (see [`inside_taps`]) the columns of those taps alone: the rows
+/// of the other taps are then dropped from the lowered matrix before the
+/// GEMM. A training forward passes `group = n` and keeps `cols` for its
+/// backward pass.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_forward(
     geom: &ConvGeom,
     product: Product,
-    weight: &[f32],
+    (weight, taps): (&[f32], Option<u64>),
     epilogue: &Epilogue<'_>,
     x: Batch<'_>,
     (h, w): (usize, usize),
@@ -353,9 +514,11 @@ pub(crate) fn conv_forward(
     group: usize,
     cols: &mut [f32],
     y: &mut BatchMut<'_>,
+    laps: &mut impl Laps,
 ) {
     let (ho, wo) = geom.conv_out((h, w));
-    let (ckk, p_out) = (geom.in_c * geom.k * geom.k, ho * wo);
+    let (kk, p_out) = (geom.k * geom.k, ho * wo);
+    let ckk = geom.in_c * kk;
     // `im2col` writes every element of `cols` and the GEMM every element
     // of its output, so neither is zeroed first.
     scratch(geom.out_c * group * p_out, |y_flat| {
@@ -364,7 +527,13 @@ pub(crate) fn conv_forward(
             let gcols = g * p_out;
             let (cols, y_flat) = (&mut cols[..ckk * gcols], &mut y_flat[..geom.out_c * gcols]);
             im2col_group(geom, x, (h, w), (first, g), cols);
-            product(weight, cols, y_flat, geom.out_c, ckk, gcols);
+            let rows = taps.map_or(ckk, |t| {
+                gather_rows(cols, gcols, kept_rows(geom.in_c, kk, t))
+            });
+            laps.lap(Phase::Lower);
+            let cols = &cols[..rows * gcols];
+            product(weight, cols, y_flat, geom.out_c, rows, gcols);
+            laps.lap(Phase::Gemm);
             // De-interleave [out_c, g·p] into the destination's planes.
             for b in 0..g {
                 let (y_b, channel_stride) = y.sample(first + b, p_out);
@@ -374,6 +543,7 @@ pub(crate) fn conv_forward(
                     epilogue.apply(c, plane);
                 }
             }
+            laps.lap(Phase::Finish);
         }
     });
 }
@@ -384,17 +554,21 @@ pub(crate) fn conv_forward(
 /// `product(b, ldb, cols, g·h·w)` must set `cols` (`[out_c·k², g·h·w]`) to
 /// `Wᵀ @ b` for `b`'s rows `ldb` apart — and the matrix gathered
 /// (`col2im`) straight into the group's places in `y`, every finished
-/// channel passing through `epilogue`. Accumulation order per element
-/// matches a per-sample pass exactly, so any batch size is
-/// bitwise-identical.
-pub(crate) fn deconv_forward(
+/// channel passing through `epilogue`. With `taps` (see [`inside_taps`])
+/// `product` sets only the rows of those taps, stacked at the top of
+/// `cols`; they are moved to their places, and `col2im` reads no other.
+/// Accumulation order per element matches a per-sample pass exactly, so
+/// any batch size is bitwise-identical.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn deconv_forward<L: Laps>(
     geom: &ConvGeom,
-    product: impl Fn(&[f32], usize, &mut [f32], usize),
+    (product, taps): (impl Fn(&[f32], usize, &mut [f32], usize), Option<u64>),
     epilogue: &Epilogue<'_>,
     x: Batch<'_>,
     (h, w): (usize, usize),
     n: usize,
     y: &mut BatchMut<'_>,
+    laps: &mut L,
 ) {
     if n == 0 {
         return;
@@ -402,7 +576,8 @@ pub(crate) fn deconv_forward(
     let (ho, wo) = geom.deconv_out((h, w));
     // Sanity: the adjoint geometry must invert cleanly.
     debug_assert_eq!(geom.conv_out((ho, wo)), (h, w));
-    let (ckk, p_in) = (geom.out_c * geom.k * geom.k, h * w);
+    let (kk, p_in) = (geom.k * geom.k, h * w);
+    let ckk = geom.out_c * kk;
     let group = slab_group(ckk * p_in, n);
     let in_place = x.columns(0, group, p_in).is_some();
     let interleaved = if in_place {
@@ -429,10 +604,30 @@ pub(crate) fn deconv_forward(
                     }
                 };
                 let cols = &mut cols[..ckk * gcols];
-                product(b, ldb, cols, gcols);
-                col2im_group(geom, cols, (ho, wo), (first, g), y, |c, planes| {
-                    epilogue.apply(c, planes)
-                });
+                laps.lap(Phase::Lower);
+                match taps {
+                    Some(t) => {
+                        let kept = geom.out_c * t.count_ones() as usize;
+                        product(b, ldb, &mut cols[..kept * gcols], gcols);
+                        laps.lap(Phase::Gemm);
+                        scatter_rows(cols, gcols, kept_rows(geom.out_c, kk, t), kept);
+                    }
+                    None => {
+                        product(b, ldb, cols, gcols);
+                        laps.lap(Phase::Gemm);
+                    }
+                }
+                let (dims, at) = ((ho, wo), (first, g));
+                if L::APART {
+                    col2im_group(geom, cols, dims, at, y, |_, _| {});
+                    laps.lap(Phase::Lower);
+                    finish_group(geom.out_c, epilogue, dims, at, y);
+                } else {
+                    col2im_group(geom, cols, dims, at, y, |c, planes| {
+                        epilogue.apply(c, planes)
+                    });
+                }
+                laps.lap(Phase::Finish);
             }
         })
     });
@@ -483,16 +678,48 @@ fn col2im_group(
     }
 }
 
+/// [`col2im_group`]'s `finish` as a pass of its own: `epilogue` over
+/// channels `0..out_c` of samples `first .. first + g` of `y` (`dims`
+/// each), in the same pieces.
+fn finish_group(
+    out_c: usize,
+    epilogue: &Epilogue<'_>,
+    dims: Pair,
+    (first, g): Pair,
+    y: &mut BatchMut<'_>,
+) {
+    let plane = dims.0 * dims.1;
+    if let Some((y, cs)) = y.columns(first, g, plane) {
+        return (0..out_c).for_each(|c| epilogue.apply(c, &mut y[c * cs..][..g * plane]));
+    }
+    for b in 0..g {
+        let (y, cs) = y.sample(first + b, plane);
+        (0..out_c).for_each(|c| epilogue.apply(c, &mut y[c * cs..][..plane]));
+    }
+}
+
 /// A convolution block frozen for inference: the weights, and what
-/// follows the GEMM, read out of the layers once.
+/// follows the GEMM, read out of the layers once. An input so small that
+/// some taps read only padding multiplies the other taps' weights alone
+/// (see [`PlannedConv::forward`]).
 #[derive(Debug)]
 pub struct PlannedConv {
     pub(crate) geom: ConvGeom,
     pub(crate) weight: Vec<f32>,
     pub(crate) finish: Finish,
+    trimmed: Trimmed<Vec<f32>>,
 }
 
 impl PlannedConv {
+    pub(crate) fn new(geom: ConvGeom, weight: Vec<f32>, finish: Finish) -> Self {
+        PlannedConv {
+            geom,
+            weight,
+            finish,
+            trimmed: Trimmed::default(),
+        }
+    }
+
     /// The convolution's geometry.
     pub fn geom(&self) -> &ConvGeom {
         &self.geom
@@ -502,19 +729,62 @@ impl PlannedConv {
     /// as many samples per matmul as fit `SLAB`, the lowered matrix
     /// borrowed from the thread's workspace.
     ///
+    /// Where some taps of the window read only padding at this size (the
+    /// 2×2 → 1×1 bottleneck: 12 of 16), their rows of the lowered matrix
+    /// are `+0.0` and the GEMM multiplies the other taps alone, with the
+    /// weights of those taps read out once per tap mask. The bits cannot
+    /// change: a skipped product `w·(+0.0)` is `±0.0`, and adding `±0.0`
+    /// to an accumulator seeded `+0.0` is a no-op under round-to-nearest
+    /// (the sum is never `−0.0`), so each output is the same ascending
+    /// fold over the kept products.
+    ///
     /// # Panics
     ///
     /// Panics when `x` or `y` is too small for `n` samples of that shape.
     pub fn forward(&self, x: Batch<'_>, dims: (usize, usize), n: usize, y: &mut BatchMut<'_>) {
+        self.run(x, dims, n, y, &mut ());
+    }
+
+    /// [`PlannedConv::forward`], timed phase by phase.
+    ///
+    /// # Panics
+    ///
+    /// As [`PlannedConv::forward`].
+    pub fn forward_split(
+        &self,
+        x: Batch<'_>,
+        dims: (usize, usize),
+        n: usize,
+        y: &mut BatchMut<'_>,
+    ) -> ForwardSplit {
+        let mut watch = Stopwatch::start();
+        self.run(x, dims, n, y, &mut watch);
+        watch.split
+    }
+
+    fn run(&self, x: Batch<'_>, dims: Pair, n: usize, y: &mut BatchMut<'_>, laps: &mut impl Laps) {
         let (geom, epilogue) = (&self.geom, self.finish.epilogue());
         let (ho, wo) = geom.conv_out(dims);
-        let per_sample = geom.in_c * geom.k * geom.k * ho * wo;
+        let kk = geom.k * geom.k;
+        let per_sample = geom.in_c * kk * ho * wo;
         let group = slab_group(per_sample, n);
+        let taps = inside_taps(dims, (geom.k, geom.stride, geom.pad));
+        let trimmed = taps.map(|t| {
+            self.trimmed.get(t, || {
+                let ckk = geom.in_c * kk;
+                let row = |o: usize| kept_rows(geom.in_c, kk, t).map(move |r| o * ckk + r);
+                (0..geom.out_c)
+                    .flat_map(row)
+                    .map(|i| self.weight[i])
+                    .collect()
+            })
+        });
+        let weight = trimmed.as_deref().unwrap_or(&self.weight);
         scratch(per_sample * group, |cols| {
             conv_forward(
                 geom,
                 matmul_nn_set,
-                &self.weight,
+                (weight, taps),
                 &epilogue,
                 x,
                 dims,
@@ -522,6 +792,7 @@ impl PlannedConv {
                 group,
                 cols,
                 y,
+                laps,
             )
         });
     }
@@ -535,9 +806,19 @@ pub struct PlannedDeconv {
     pub(crate) geom: ConvGeom,
     pub(crate) weight: TnWeights,
     pub(crate) finish: Finish,
+    trimmed: Trimmed<TnWeights>,
 }
 
 impl PlannedDeconv {
+    pub(crate) fn new(geom: ConvGeom, weight: TnWeights, finish: Finish) -> Self {
+        PlannedDeconv {
+            geom,
+            weight,
+            finish,
+            trimmed: Trimmed::default(),
+        }
+    }
+
     /// The transposed convolution's geometry.
     pub fn geom(&self) -> &ConvGeom {
         &self.geom
@@ -545,15 +826,52 @@ impl PlannedDeconv {
 
     /// Runs the block on `n` samples of `[in_c, h, w]`, `dims = (h, w)`.
     ///
+    /// Where some taps of the window fall wholly outside the output (the
+    /// 1×1 → 2×2 first decoder block: 12 of 16), `col2im` never reads
+    /// their rows of `Wᵀ·x`, so the GEMM computes the other taps' rows
+    /// alone, with those weights read out once per tap mask. Each row is
+    /// an output of its own, so the rows kept keep their bits.
+    ///
     /// # Panics
     ///
     /// Panics when `x` or `y` is too small for `n` samples of that shape.
     pub fn forward(&self, x: Batch<'_>, dims: (usize, usize), n: usize, y: &mut BatchMut<'_>) {
-        let product = |b: &[f32], ldb: usize, cols: &mut [f32], n: usize| {
-            self.weight.product(b, ldb, cols, n)
-        };
+        self.run(x, dims, n, y, &mut ());
+    }
+
+    /// [`PlannedDeconv::forward`], timed phase by phase. The finish runs as
+    /// a pass of its own after `col2im` here, not channel by channel
+    /// inside it, so it reads its input from cache one level further out.
+    ///
+    /// # Panics
+    ///
+    /// As [`PlannedDeconv::forward`].
+    pub fn forward_split(
+        &self,
+        x: Batch<'_>,
+        dims: (usize, usize),
+        n: usize,
+        y: &mut BatchMut<'_>,
+    ) -> ForwardSplit {
+        let mut watch = Stopwatch::start();
+        self.run(x, dims, n, y, &mut watch);
+        watch.split
+    }
+
+    fn run(&self, x: Batch<'_>, dims: Pair, n: usize, y: &mut BatchMut<'_>, laps: &mut impl Laps) {
+        let geom = &self.geom;
+        let taps = inside_taps(geom.deconv_out(dims), (geom.k, geom.stride, geom.pad));
+        let trimmed = taps.map(|t| {
+            self.trimmed.get(t, || {
+                let rows: Vec<usize> = kept_rows(geom.out_c, geom.k * geom.k, t).collect();
+                self.weight.rows(&rows)
+            })
+        });
+        let weight = trimmed.as_deref().unwrap_or(&self.weight);
+        let product =
+            |b: &[f32], ldb: usize, cols: &mut [f32], n: usize| weight.product(b, ldb, cols, n);
         let epilogue = self.finish.epilogue();
-        deconv_forward(&self.geom, product, &epilogue, x, dims, n, y);
+        deconv_forward(geom, (product, taps), &epilogue, x, dims, n, y, laps);
     }
 }
 
@@ -712,6 +1030,165 @@ mod tests {
             let want = Laid::new(layout, &sums, (n, c), (h, w), gap);
             prop_assert_eq!(out.bits(), want.bits(), "col2im, layout {}", layout);
             prop_assert_eq!(finished.into_inner(), vec![g * plane; c], "finished once");
+        }
+    }
+
+    /// Every window (`k ≤ 5`, stride ≤ 3, pad ≤ 2) over every image up to
+    /// 6×6 where some tap reads only padding: `(window, image dims)`.
+    fn windows_with_outside_taps() -> Vec<((usize, usize, usize), Pair)> {
+        let mut found = Vec::new();
+        for (k, stride, pad) in
+            (1..=5).flat_map(|k| (1..=3).flat_map(move |s| (0..=2).map(move |p| (k, s, p))))
+        {
+            for (h, w) in (1..=6).flat_map(|h| (1..=6).map(move |w| (h, w))) {
+                let fits = h + 2 * pad >= k && w + 2 * pad >= k;
+                if fits && inside_taps((h, w), (k, stride, pad)).is_some() {
+                    found.push(((k, stride, pad), (h, w)));
+                }
+            }
+        }
+        found
+    }
+
+    /// A planned block that drops the taps which read only padding (a
+    /// convolution) or land only outside the output (a transposed one)
+    /// against the full lowering, bit for bit: at every window and size
+    /// where a tap is wholly outside, batch 1–9, each input layout written
+    /// to the same layout, through `forward` and `forward_split`.
+    #[test]
+    fn planned_blocks_skip_outside_taps_bit_for_bit() {
+        let (in_c, out_c) = (2, 3);
+        let windows = windows_with_outside_taps();
+        assert!(windows.len() > 100, "{} windows", windows.len());
+        let finish = || {
+            let bias = values(out_c, 7);
+            Finish::new(&bias, None, Activation::LeakyRelu(0.2))
+        };
+        let mut deconvs = 0;
+        for (i, &((k, stride, pad), image)) in windows.iter().enumerate() {
+            let geom = ConvGeom {
+                in_c,
+                out_c,
+                k,
+                stride,
+                pad,
+            };
+            let weight = values(out_c * in_c * k * k, 11 + i as u64);
+            let conv = PlannedConv::new(geom, weight.clone(), finish());
+            let full = conv_forward_full(&conv, &weight);
+            check(
+                &conv.geom,
+                image,
+                geom.conv_out(image),
+                |x, n, y, split| match split {
+                    0 => full(x, image, n, y),
+                    1 => conv.forward(x, image, n, y),
+                    _ => drop(conv.forward_split(x, image, n, y)),
+                },
+            );
+            // The transposed convolution whose output is `image`, where the
+            // adjoint geometry inverts.
+            let small = geom.conv_out(image);
+            let up = |d: usize| (d - 1) * stride + k >= 2 * pad;
+            if !(up(small.0) && up(small.1)) || geom.deconv_out(small) != image {
+                continue;
+            }
+            deconvs += 1;
+            let adjoint = ConvGeom {
+                in_c: out_c,
+                out_c: in_c,
+                k,
+                stride,
+                pad,
+            };
+            let weight = values(out_c * in_c * k * k, 13 + i as u64);
+            let tn = TnWeights::new(&weight, in_c * k * k, out_c);
+            let bias = values(in_c, 5);
+            let deconv = PlannedDeconv::new(
+                adjoint,
+                TnWeights::new(&weight, in_c * k * k, out_c),
+                Finish::new(&bias, None, Activation::Relu),
+            );
+            check(&adjoint, small, image, |x, n, y, split| match split {
+                0 => {
+                    let product = |b: &[f32], ldb, cols: &mut [f32], n| tn.product(b, ldb, cols, n);
+                    let epilogue = deconv.finish.epilogue();
+                    deconv_forward(
+                        &adjoint,
+                        (product, None),
+                        &epilogue,
+                        x,
+                        small,
+                        n,
+                        y,
+                        &mut (),
+                    );
+                }
+                1 => deconv.forward(x, small, n, y),
+                _ => drop(deconv.forward_split(x, small, n, y)),
+            });
+        }
+        assert!(deconvs > 20, "{deconvs} transposed windows");
+    }
+
+    /// The convolution forward of `conv` through its untrimmed `weight`.
+    fn conv_forward_full<'a>(
+        conv: &'a PlannedConv,
+        weight: &'a [f32],
+    ) -> impl Fn(Batch<'_>, Pair, usize, &mut BatchMut<'_>) + 'a {
+        move |x, dims, n, y| {
+            let geom = &conv.geom;
+            let (ho, wo) = geom.conv_out(dims);
+            let mut cols = vec![0.0; geom.in_c * geom.k * geom.k * n * ho * wo];
+            let epilogue = conv.finish.epilogue();
+            let full = (weight, None);
+            conv_forward(
+                geom,
+                matmul_nn_set,
+                full,
+                &epilogue,
+                x,
+                dims,
+                n,
+                n,
+                &mut cols,
+                y,
+                &mut (),
+            );
+        }
+    }
+
+    /// `run(x, n, y, way)` for way 0 (the reference), 1 and 2 on batches
+    /// of 1–9 `geom.in_c`-channel `dims` inputs in each layout, into
+    /// `geom.out_c`-channel `out` outputs in the same layout: ways 1 and 2
+    /// must store the reference's bits.
+    fn check(
+        geom: &ConvGeom,
+        dims: Pair,
+        out: Pair,
+        run: impl Fn(Batch<'_>, usize, &mut BatchMut<'_>, usize),
+    ) {
+        let (c, o) = (geom.in_c, geom.out_c);
+        for n in 1..=9 {
+            for layout in 0..3 {
+                let xs = values(n * c * dims.0 * dims.1, (n * 3 + layout) as u64);
+                let laid = Laid::new(layout, &xs, (n, c), dims, 1);
+                let refs: Vec<&Tensor> = laid.tensors.iter().collect();
+                let start = values(n * o * out.0 * out.1, 99);
+                let mut outputs = (0..3).map(|way| {
+                    let mut y = Laid::new(layout, &start, (n, o), out, 1);
+                    run(laid.batch(&refs), n, &mut y.batch_mut(), way);
+                    y.bits()
+                });
+                let want = outputs.next().unwrap();
+                for (way, got) in outputs.enumerate() {
+                    assert!(
+                        got == want,
+                        "{geom:?} {dims:?} -> {out:?}, batch {n}, layout {layout}, way {}",
+                        way + 1
+                    );
+                }
+            }
         }
     }
 }
