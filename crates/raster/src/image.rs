@@ -193,7 +193,7 @@ impl Image {
     /// Reads a pixel as an 8-bit colour (3-channel images; 1-channel images
     /// return the value replicated to gray).
     pub fn pixel_rgb8(&self, x: usize, y: usize) -> Rgb8 {
-        let q = |v: f32| (v.clamp(0.0, 1.0) * 255.0).round() as u8;
+        let q = unit_to_u8;
         if self.channels >= 3 {
             Rgb8::new(
                 q(self.get(x, y, 0)),
@@ -264,8 +264,7 @@ impl Image {
             write!(w, "P5\n{} {}\n255\n", self.width, self.height)?;
             for y in 0..self.height {
                 for x in 0..self.width {
-                    let v = (self.get(x, y, 0).clamp(0.0, 1.0) * 255.0).round() as u8;
-                    w.write_all(&[v])?;
+                    w.write_all(&[unit_to_u8(self.get(x, y, 0))])?;
                 }
             }
         }
@@ -274,9 +273,64 @@ impl Image {
     }
 }
 
+/// `v` in `[0, 1]` as an 8-bit level: `(v.clamp(0, 1)·255).round() as u8`,
+/// NaN to 0. The product is truncated and one added when the remainder is
+/// at least ½ — both exact below 2²³, so this is `round`'s half-away-from-
+/// zero result without its libm call (one per channel of every pixel a
+/// score decodes on baseline x86-64).
+#[inline]
+fn unit_to_u8(v: f32) -> u8 {
+    let scaled = v.clamp(0.0, 1.0) * 255.0;
+    let whole = scaled as u8;
+    whole + u8::from(scaled - f32::from(whole) >= 0.5)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The expression [`unit_to_u8`] replaces.
+    fn rounded(v: f32) -> u8 {
+        (v.clamp(0.0, 1.0) * 255.0).round() as u8
+    }
+
+    /// The first input of `bits` whose level differs from `rounded`'s.
+    fn first_mismatch(bits: impl Iterator<Item = u32>) -> Option<u32> {
+        bits.map(f32::from_bits)
+            .find(|&v| unit_to_u8(v) != rounded(v))
+            .map(f32::to_bits)
+    }
+
+    /// Every half-level boundary with its neighbours, the specials and a
+    /// strided sweep of all bit patterns.
+    #[test]
+    fn unit_to_u8_is_the_rounded_product() {
+        let halves = (0..=255u32).flat_map(|l| {
+            let edge = ((l as f32 + 0.5) / 255.0).to_bits();
+            edge - 8..=edge + 8
+        });
+        let specials = [
+            0.0f32,
+            -0.0,
+            1.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ]
+        .map(f32::to_bits);
+        let sweep = (0..=u32::MAX).step_by(997);
+        let all = halves.chain(specials).chain(sweep);
+        assert_eq!(first_mismatch(all), None);
+    }
+
+    /// `unit_to_u8` against the rounded product on all 2³² inputs:
+    /// `cargo test --release -p pop-raster --lib -- --ignored every_level`.
+    #[test]
+    #[ignore = "exhaustive: all 2^32 inputs, run in release"]
+    fn unit_to_u8_is_the_rounded_product_on_every_level_input() {
+        assert_eq!(first_mismatch(0..=u32::MAX), None);
+        println!("unit_to_u8 equals the rounded product on all 2^32 inputs");
+    }
 
     #[test]
     fn rgb_roundtrip() {
