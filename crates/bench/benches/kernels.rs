@@ -16,12 +16,17 @@
 //! keeps the block's whole lowering, in the plan's sample groups, and
 //! shrinks its GEMM to a sliver), `whole_forward` rows one
 //! `forecast_batch` at batch 1 / 5 / 8 (through the model's inference
-//! plan, like every forecast); then one whole `train_step` with the split
+//! plan, like every forecast), and the `forward_ledger`: the batch-1 and
+//! batch-8 forward of the `explore` model split per block into lowering,
+//! GEMM and finish µs per image (`InferencePlan::forecast_batch_split`,
+//! the min of 60 rounds alternating the two batch sizes); then one whole
+//! `train_step` with the split
 //! of its wall clock the step records (`train.fork_us` … `train.opt_g_us`),
 //! `Adam::step` against its old three-loop formulation (fresh gradients
 //! every step: the step clears what it reads), end-to-end f32 vs
-//! quantized `forecast_batch` throughput and the quantization accuracy
-//! delta. In full mode only, `train_step_paper` times one `train_step` at
+//! quantized `forecast_batch` throughput (the two alternated in rounds,
+//! so a slow stretch of the host lands on both) and the quantization
+//! accuracy delta. In full mode only, `train_step_paper` times one `train_step` at
 //! the paper's size (`ExperimentConfig::paper()`, 256×256) with its split.
 //!
 //! A train step forks through `pop_exec::join` (D's real pass beside the
@@ -346,6 +351,24 @@ fn time_per_call(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Min-of-`reps` per-call seconds of each of `fs`, the reps alternating:
+/// each round runs `iters` calls of every `f` in turn, so a slow stretch
+/// of the host (or the frequency one loop leaves behind) lands on all of
+/// them rather than on whichever ran then.
+fn time_alternating<const N: usize>(
+    reps: usize,
+    iters: usize,
+    mut fs: [&mut dyn FnMut(); N],
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..reps {
+        for (f, best) in fs.iter_mut().zip(&mut best) {
+            *best = best.min(time_per_call(1, iters, &mut **f));
+        }
+    }
+    best
+}
+
 struct ShapeResult<'a> {
     shape: &'a GemmShape,
     flops: f64,
@@ -531,6 +554,86 @@ fn bench_whole_forward(batch: usize, smoke: bool) -> f64 {
     secs
 }
 
+struct LedgerRow {
+    batch: usize,
+    block: String,
+    /// Lowering, GEMM and finish, µs per image.
+    us: [f64; 3],
+}
+
+/// The whole `forecast_batch` of the `explore` model
+/// (`ExperimentConfig::quick()`, seed 11) at batch 1 and 8, split per
+/// block into lowering, GEMM and finish (`InferencePlan::
+/// forecast_batch_split`): `reps` rounds alternating the two batch sizes,
+/// the min of each row over the rounds. A transposed convolution's finish
+/// runs as a pass of its own here (inside `col2im` in a plain forward).
+fn bench_forward_ledger(smoke: bool) -> Vec<LedgerRow> {
+    let config = ExperimentConfig::quick();
+    let mut model = Pix2Pix::new(&config, 11).expect("quick config");
+    let plan = model.plan();
+    let res = config.resolution;
+    let inputs: Vec<Vec<Tensor>> = [1u64, 8]
+        .iter()
+        .map(|&batch| {
+            (0..batch)
+                .map(|i| Tensor::randn([1, config.input_channels(), res, res], 0.0, 0.5, 200 + i))
+                .collect()
+        })
+        .collect();
+    let batches: Vec<Vec<&Tensor>> = inputs.iter().map(|xs| xs.iter().collect()).collect();
+    let depth = config.depth;
+    let names: Vec<String> = (0..2 * depth)
+        .map(|b| match b < depth {
+            true => format!("enc{b}"),
+            false => format!("dec{}", b - depth),
+        })
+        .collect();
+    let mut best = vec![vec![[f64::INFINITY; 3]; names.len()]; batches.len()];
+    let reps = if smoke { 1 } else { 60 };
+    for round in 0..=reps {
+        for (refs, best) in batches.iter().zip(&mut best) {
+            let (_, splits) = plan.forecast_batch_split(refs);
+            if round == 0 {
+                continue; // the first forward at a batch size warms the workspace
+            }
+            for (split, best) in splits.iter().zip(best.iter_mut()) {
+                let phases = [split.lower, split.gemm, split.finish];
+                for (phase, best) in phases.iter().zip(best.iter_mut()) {
+                    *best = best.min(phase.as_secs_f64() * 1e6 / refs.len() as f64);
+                }
+            }
+        }
+    }
+    let mut rows = Vec::new();
+    for (refs, best) in batches.iter().zip(best) {
+        let batch = refs.len();
+        for (block, us) in names.iter().zip(best) {
+            println!(
+                "ledger b{batch} {block}: lower {:.1} + gemm {:.1} + finish {:.1} us per image",
+                us[0], us[1], us[2]
+            );
+            rows.push(LedgerRow {
+                batch,
+                block: block.clone(),
+                us,
+            });
+        }
+        let total = |i: usize| -> f64 {
+            rows.iter()
+                .filter(|r| r.batch == batch)
+                .map(|r| r.us[i])
+                .sum()
+        };
+        let (lower, gemm, finish) = (total(0), total(1), total(2));
+        println!(
+            "forward ledger, batch {batch}: lower {lower:.1} + gemm {gemm:.1} + finish {finish:.1} \
+             = {:.1} us per image",
+            lower + gemm + finish
+        );
+    }
+    rows
+}
+
 struct TanhResult {
     input: &'static str,
     /// Seconds per 64×64×3 image: `f32::tanh` per element, then the kernel.
@@ -664,13 +767,19 @@ fn bench_inference(smoke: bool) -> InferenceResult {
         }
     }
 
-    let (reps, iters) = if smoke { (1, 1) } else { (3, 3) };
-    let f32_secs = time_per_call(reps, iters, || {
-        let _ = model.forecast_batch(&refs);
-    });
-    let quant_secs = time_per_call(reps, iters, || {
-        let _ = quant.forecast_batch(&refs).expect("quantized forecast");
-    });
+    let (reps, iters) = if smoke { (1, 1) } else { (6, 3) };
+    let [f32_secs, quant_secs] = time_alternating(
+        reps,
+        iters,
+        [
+            &mut || {
+                let _ = model.forecast_batch(&refs);
+            },
+            &mut || {
+                let _ = quant.forecast_batch(&refs).expect("quantized forecast");
+            },
+        ],
+    );
     let f32_ips = BATCH as f64 / f32_secs;
     let quant_ips = BATCH as f64 / quant_secs;
     println!(
@@ -1185,6 +1294,7 @@ fn main() {
         .iter()
         .map(|&batch| (batch, bench_whole_forward(batch, smoke)))
         .collect();
+    let ledger = bench_forward_ledger(smoke);
 
     let dot_tail: Vec<(usize, (f64, f64))> = [9, 41]
         .iter()
@@ -1273,6 +1383,16 @@ fn main() {
             )
         })
         .collect();
+    let ledger_json: Vec<String> = ledger
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{ \"batch\": {}, \"block\": \"{}\", \"us_lower\": {:.1}, \
+                 \"us_gemm\": {:.1}, \"us_finish\": {:.1} }}",
+                r.batch, r.block, r.us[0], r.us[1], r.us[2]
+            )
+        })
+        .collect();
     let dot_tail_json: Vec<String> = dot_tail
         .iter()
         .map(|&(n, (nt, nn))| {
@@ -1346,6 +1466,9 @@ fn main() {
          \"speedup\": {:.4} }},\n  \
          \"lowering\": [\n{}\n  ],\n  \
          \"whole_forward\": [\n{}\n  ],\n  \
+         \"forward_ledger\": {{ \"config\": \"quick\", \"seed\": 11, \
+         \"unit\": \"us per image, min of 60 rounds alternating batch 1 and 8\", \
+         \"rows\": [\n{}\n  ] }},\n  \
          \"dot_tail\": [\n{}\n  ],\n  \
          \"tanh\": [\n{}\n  ],\n  \
          \"train_step\": {{ \"config\": \"quick\", \"batch\": 1, \
@@ -1368,6 +1491,7 @@ fn main() {
         bwd_ref / bwd_new,
         lowering_json.join(",\n"),
         whole_forward_json.join(",\n"),
+        ledger_json.join(",\n"),
         dot_tail_json.join(",\n"),
         tanh_json.join(",\n"),
         training.train_secs.0 * 1e3,
@@ -1403,6 +1527,8 @@ fn main() {
         "\"op\": \"col2im\"",
         "\"whole_forward\"",
         "\"us_per_image\"",
+        "\"forward_ledger\"",
+        "\"us_finish\"",
         "\"dot_tail\": [",
         "\"nt_over_nn\"",
         "\"tanh\": [",
