@@ -605,17 +605,11 @@ pub(crate) fn deconv_forward<L: Laps>(
                 };
                 let cols = &mut cols[..ckk * gcols];
                 laps.lap(Phase::Lower);
-                match taps {
-                    Some(t) => {
-                        let kept = geom.out_c * t.count_ones() as usize;
-                        product(b, ldb, &mut cols[..kept * gcols], gcols);
-                        laps.lap(Phase::Gemm);
-                        scatter_rows(cols, gcols, kept_rows(geom.out_c, kk, t), kept);
-                    }
-                    None => {
-                        product(b, ldb, cols, gcols);
-                        laps.lap(Phase::Gemm);
-                    }
+                let rows = taps.map_or(ckk, |t| geom.out_c * t.count_ones() as usize);
+                product(b, ldb, &mut cols[..rows * gcols], gcols);
+                laps.lap(Phase::Gemm);
+                if let Some(t) = taps {
+                    scatter_rows(cols, gcols, kept_rows(geom.out_c, kk, t), rows);
                 }
                 let (dims, at) = ((ho, wo), (first, g));
                 if L::APART {
