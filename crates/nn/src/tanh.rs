@@ -15,20 +15,22 @@
 //! selects one, so the loop vectorises. The unit tests pin the kernel to a
 //! scalar, branchy port of both glibc functions (the oracle) on every
 //! path's boundaries and a strided sweep; two `#[ignore]`d tests run all
-//! 2³² inputs, one for both instantiations against the oracle and one for
+//! 2³² inputs, one for every instantiation against the oracle and one for
 //! the oracle against the host's `f32::tanh`.
 //!
-//! **One source, two instantiations.** The loop is `#[inline(always)]`
-//! code compiled at the target's baseline and inside an AVX2 wrapper picked
-//! per call by `is_x86_feature_detected!` (`vmulps`/`vaddps`/`vdivps`,
-//! never `fma`: Rust does not contract `a * b + c`), as
+//! **One source, three instantiations.** The loop is `#[inline(always)]`
+//! code compiled at the target's baseline (8 lanes) and inside an AVX2
+//! (16) and an AVX-512F (32) wrapper, the widest the CPU has picked per
+//! call by `is_x86_feature_detected!` (`vmulps`/`vaddps`/`vdivps`, never
+//! `fma`: Rust does not contract `a * b + c`), as
 //! [`linalg`](crate::linalg)'s panel kernel is. Lanes are independent, so
 //! the width cannot change a bit.
 //!
 //! Aside from speed (≈ 6 ns an element against glibc's ≈ 14 on the
 //! `explore` model's pre-activations, 2-vCPU AVX2 host, the kernels
-//! bench's `tanh` row), the forecast's bits no longer depend on which libm
-//! the host links.
+//! bench's `tanh` row; on a 2-vCPU AVX-512F host the 32-lane build takes
+//! 36–37 µs per 64×64×3 image of those, the 16-lane build 53–62), the
+//! forecast's bits no longer depend on which libm the host links.
 
 // fdlibm's constants, by their bits; glibc's `s_expm1f.c` spells them in
 // decimal (the comments), and `constants_are_glibcs_decimals` checks that
