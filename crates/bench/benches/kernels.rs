@@ -47,7 +47,12 @@
 //! AVX-512F, × two vector registers) and carries the block-shape sweep
 //! that chose it. `dot_tail` rows time `matmul_nt`'s zero-seeded dot
 //! products against `matmul_nn`'s accumulating ones at 9 and 41 columns,
-//! where both end in a padded 16-lane tail panel.
+//! where both end in a padded 16-lane tail panel. `narrow_tn` rows time
+//! the `tn` products that take the transposed-output form at narrow `n` —
+//! the batch-1 and batch-5 `dec1` / `dec2` forwards and the training
+//! `enc3`–`enc5` input gradients — with `A` cycled over 8 MiB of copies,
+//! as a whole forward cycles the weights through the cache: the `shapes`
+//! rows reuse one hot `A`, which hides how it streams.
 //!
 //! Emits `BENCH_kernels.json` at the workspace root and sanity-parses it
 //! back. `--smoke` runs one timed pass per shape (seconds, not minutes)
@@ -61,7 +66,7 @@
 use pop_core::dataset::DesignContext;
 use pop_core::features::placement_input;
 use pop_core::{ExperimentConfig, Forecaster, Pix2Pix, UNetGenerator};
-use pop_nn::linalg::{matmul_nn, matmul_nt, matmul_tn};
+use pop_nn::linalg::{matmul_nn, matmul_nt, matmul_tn, matmul_tn_set, TnWeights};
 use pop_nn::{Activation, Adam, Batch, BatchMut, Conv2d, ConvTranspose2d, Layer, Param, Tensor};
 use std::time::{Duration, Instant};
 
@@ -530,6 +535,107 @@ fn bench_dot_tail(n: usize, smoke: bool) -> (f64, f64) {
         nt / nn
     );
     (nt, nn)
+}
+
+/// Bytes of `A` a `narrow_tn` row cycles through: four times a core's
+/// 2 MiB L2 on the recording host, so each call finds its `A` evicted by
+/// the copies before it, as a whole forward finds a layer's weights.
+const COLD_BYTES: usize = 8 << 20;
+
+struct NarrowTnRow {
+    layer: String,
+    /// `product` (`TnWeights::product`, a planned deconvolution's forward)
+    /// or `tn_set` (`matmul_tn_set`, a training convolution's input
+    /// gradient).
+    via: &'static str,
+    batch: usize,
+    mkn: (usize, usize, usize),
+    copies: usize,
+    secs: f64,
+}
+
+/// The `tn` products at narrow `n` that take the transposed-output form,
+/// with `A` cold: the batch-1 and batch-5 `dec1` / `dec2` forwards through
+/// `TnWeights::product` and the batch-1 training `enc3`–`enc5` input
+/// gradients (`Wᵀ·dY`, `A` = the `out_c × in_c·16` weights) through
+/// `matmul_tn_set`. Each row cycles its calls over enough copies of `A` to
+/// fill [`COLD_BYTES`]; the `shapes` rows reuse one hot `A` and cannot see
+/// how `A` streams. Min over rounds that alternate the rows.
+fn bench_narrow_tn(layers: &[LayerGeom], smoke: bool) -> Vec<NarrowTnRow> {
+    let layer = |name: &str| {
+        let found = layers.iter().find(|l| l.name() == name);
+        *found.unwrap_or_else(|| panic!("the model has no layer {name}"))
+    };
+    let mut rows = Vec::new();
+    for batch in [1, 5] {
+        for name in ["dec1", "dec2"] {
+            let (_, mkn) = layer(name).forward_gemm(batch);
+            rows.push((name, "product", batch, mkn));
+        }
+    }
+    for name in ["enc3", "enc4", "enc5"] {
+        let l = layer(name);
+        let out = l.side / 2;
+        rows.push((name, "tn_set", 1, (l.in_c * 16, l.out_c, out * out)));
+    }
+    let mut calls: Vec<(usize, Box<dyn FnMut()>)> = rows
+        .iter()
+        .map(|&(_, via, _, (m, k, n))| {
+            let copies = COLD_BYTES.div_ceil(4 * m * k).max(2);
+            let weights: Vec<Vec<f32>> = (0..copies).map(|i| fill(k * m, 50 + i as u64)).collect();
+            let (b, mut c, mut next) = (fill(k * n, 41), vec![0.0f32; m * n], 0);
+            let call: Box<dyn FnMut()> = if via == "product" {
+                let weights: Vec<TnWeights> =
+                    weights.iter().map(|a| TnWeights::new(a, m, k)).collect();
+                Box::new(move || {
+                    weights[next].product(&b, n, &mut c, n);
+                    next = (next + 1) % copies;
+                })
+            } else {
+                Box::new(move || {
+                    matmul_tn_set(&weights[next], &b, &mut c, m, k, n);
+                    next = (next + 1) % copies;
+                })
+            };
+            (copies, call)
+        })
+        .collect();
+    let rounds = if smoke { 1 } else { 30 };
+    let mut best = vec![f64::INFINITY; rows.len()];
+    for round in 0..=rounds {
+        for ((copies, call), best) in calls.iter_mut().zip(&mut best) {
+            // Twice around the copies; the first round packs and warms.
+            let secs = time_per_call(1, 2 * *copies, &mut **call);
+            if round > 0 {
+                *best = best.min(secs);
+            }
+        }
+    }
+    let results: Vec<NarrowTnRow> = rows
+        .into_iter()
+        .zip(calls.iter().map(|&(copies, _)| copies))
+        .zip(best)
+        .map(|(((layer, via, batch, mkn), copies), secs)| NarrowTnRow {
+            layer: layer.to_string(),
+            via,
+            batch,
+            mkn,
+            copies,
+            secs,
+        })
+        .collect();
+    for r in &results {
+        let (m, k, n) = r.mkn;
+        println!(
+            "narrow tn b{} {} ({} {m}x{k}x{n}, A cold over {} copies): {:.1} us",
+            r.batch,
+            r.layer,
+            r.via,
+            r.copies,
+            r.secs * 1e6
+        );
+    }
+    results
 }
 
 /// One whole f32 `forecast_batch` of the quick model at `batch`.
@@ -1300,6 +1406,7 @@ fn main() {
         .iter()
         .map(|&n| (n, bench_dot_tail(n, smoke)))
         .collect();
+    let narrow_tn = bench_narrow_tn(&layers, smoke);
 
     let tanh = bench_tanh(smoke);
     let (training, join_sites) = bench_training(&layers, smoke);
@@ -1405,6 +1512,21 @@ fn main() {
             )
         })
         .collect();
+    let narrow_tn_json: Vec<String> = narrow_tn
+        .iter()
+        .map(|r| {
+            let (m, k, n) = r.mkn;
+            format!(
+                "    {{ \"layer\": \"{}\", \"via\": \"{}\", \"batch\": {}, \"m\": {m}, \
+                 \"k\": {k}, \"n\": {n}, \"a_copies\": {}, \"us\": {:.1} }}",
+                r.layer,
+                r.via,
+                r.batch,
+                r.copies,
+                r.secs * 1e6
+            )
+        })
+        .collect();
     let join_sites_json: Vec<String> = join_sites
         .iter()
         .map(|r| {
@@ -1470,6 +1592,9 @@ fn main() {
          \"unit\": \"us per image, min of 60 rounds alternating batch 1 and 8\", \
          \"rows\": [\n{}\n  ] }},\n  \
          \"dot_tail\": [\n{}\n  ],\n  \
+         \"narrow_tn\": {{ \"a_cold_bytes\": {COLD_BYTES}, \
+         \"unit\": \"us per call, min of 30 rounds alternating the rows\", \
+         \"rows\": [\n{}\n  ] }},\n  \
          \"tanh\": [\n{}\n  ],\n  \
          \"train_step\": {{ \"config\": \"quick\", \"batch\": 1, \
          \"host_parallelism\": {host_parallelism}, \"ms_inline\": {:.4}, \
@@ -1493,6 +1618,7 @@ fn main() {
         whole_forward_json.join(",\n"),
         ledger_json.join(",\n"),
         dot_tail_json.join(",\n"),
+        narrow_tn_json.join(",\n"),
         tanh_json.join(",\n"),
         training.train_secs.0 * 1e3,
         training.train_secs.1 * 1e3,
@@ -1531,6 +1657,8 @@ fn main() {
         "\"us_finish\"",
         "\"dot_tail\": [",
         "\"nt_over_nn\"",
+        "\"narrow_tn\"",
+        "\"via\": \"tn_set\"",
         "\"tanh\": [",
         "\"us_per_image_kernel\"",
         "\"batch\": 1",

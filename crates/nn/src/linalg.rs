@@ -91,6 +91,42 @@
 //!   `b·a` rounds exactly like `a·b`, so the choice cannot change a bit.
 //!   [`TnWeights`] is the same rule for an `A` that outlives the call
 //!   (inference weights): the pack happens once, not per product.
+//! * **The transposed output runs `k` in blocks of `KC` = 32 rows.** Its
+//!   kernel reads rows of `A` that lie `lda` floats apart — at `dec1`, 192
+//!   rows 6 KiB apart, each on its own page. Walking all `k` of them for
+//!   every 32-lane panel, no prefetcher saw a stream and a cold `A` missed
+//!   on every line: 4–11 GF/s at batch 1, where the batch-8 GEMMs ran at
+//!   60–70. Now `Bᵀ` is transposed a block at a time (`n·KC` of scratch),
+//!   the first block runs with the product's seed (`SET` or `ACC`) and
+//!   every later one with `ACC` on the partial `Cᵀ`. Storing and reloading
+//!   an `f32` is exact, so each output still folds its `k` products in
+//!   ascending order from the same seed. Within a block the panels revisit
+//!   the same 32 rows, so each block of `A` streams from memory once. A
+//!   probe linking both forms into one binary (2-vCPU AVX-512F host, 2 MiB
+//!   L2 per core; `A` cycled over 8 MiB of copies, min of 30 alternating
+//!   rounds) read, whole-`k` → blocked: batch-1 `dec1` 1536×192×4 343 →
+//!   109 µs, `dec2` 768×192×16 324 → 145, batch-5 `dec1` 1536×192×20 862 →
+//!   305, and the training input gradients `enc3` 768×96×16 123 → 78,
+//!   `enc4` 1536×96×4 159 → 55, `enc5` 1536×96×1 104 → 41. Block sizes 8 /
+//!   16 / 32 / 64 / 128 / whole read 109 / 103 / 112 / 136 / 260 / 303 µs
+//!   at batch-1 `dec1`, 189 / 164 / 142 / 136 / 241 / 305 at `dec2` and
+//!   101 / 88 / 76 / 78 / 96 / 101 at `enc3`: 16–64 are one plateau. The
+//!   serving model's 64–128 KiB deconvolution weights, warm in L2, read
+//!   the same either way (512×64×4: 7.6 whole, 7.8 blocked).
+//!
+//!   The layout rule's `n·m·k/32` was fitted against the whole-`k` stream,
+//!   so the crossover was swept again with the blocked form and each
+//!   layout forced (same probe, µs transposed / packed): `dec1` at n = 20
+//!   297 / 495, 24 317 / 547, 28 394 / 509, 32 448 / 405; `dec2` at n = 16
+//!   139 / 153, 24 176 / 249, 32 224 / 199; the training `dec3` forward
+//!   (384×96, `Aᵀ` packed per call) at n = 32 68 / 82, 64 117 / 121;
+//!   `enc2`'s input gradient (384×48) at n = 16 24 / 35, 64 74 / 61. The
+//!   pack wins wherever `n` fills whole panels (32, 64) and the transposed
+//!   output between them, which no constant in this count can follow: a
+//!   `/48` term would buy `dec1` at 24–28 columns (batch 6–7, rare) but
+//!   also flip the serving model's `dec1` (256×64×16, warm), where the
+//!   transposed output reads 13.2 µs against the pack's 7.9. So the rule
+//!   is unchanged; it only picks a layout, and bits hold either way.
 //! * **`nt` picks its layout by element count too**, for the chain
 //!   `0 + a₀b₀ + … + aₖ₋₁bₖ₋₁`, then `c += acc`, that its reference pins:
 //!   pack `Bᵀ` and add each finished dot onto `C` (`n·k` moved), or compute
@@ -214,10 +250,18 @@ fn tn_transposes_output(m: usize, k: usize, n: usize) -> bool {
     n * k + 2 * m * n + n * m * k / 32 < m * k
 }
 
+/// Rows of `A` per block of the transposed-output form (see the module
+/// doc): the column panels of a block revisit the same `KC` rows, so each
+/// block of `A` streams from memory once.
+const KC: usize = 32;
+
 /// `Aᵀ·B` as `Cᵀ = Bᵀ·A`, lanes over the contiguous `m` axis of the stored
-/// `A` (the first `m` columns of `k` rows, `lda` floats apart): `Bᵀ` and —
-/// unless the product overwrites — `Cᵀ` are transposed in, `Cᵀ` is
-/// transposed back out.
+/// `A` (the first `m` columns of `k` rows, `lda` floats apart), `KC` rows of
+/// `A` at a time: `Bᵀ` is transposed in a block at a time and — unless the
+/// product overwrites — `Cᵀ` once, and `Cᵀ` is transposed back out. The
+/// first block starts each output as `SEED` says and every later one goes
+/// on from the partial sum stored in `Cᵀ`, so each output still folds its
+/// `k` products in ascending order.
 #[allow(clippy::too_many_arguments)]
 fn tn_by_transposed_output<const SEED: u8>(
     (a, lda): (&[f32], usize),
@@ -228,13 +272,25 @@ fn tn_by_transposed_output<const SEED: u8>(
     k: usize,
     n: usize,
 ) {
-    let (mut bt, mut ct) = (workspace::take(n * k), workspace::take(n * m));
-    transpose(b, ldb, k, n, &mut bt[..n * k]);
+    const { assert!(SEED != DOT, "a DOT chain cannot resume from a stored sum") };
+    let (mut bt, mut ct) = (workspace::take(n * KC.min(k)), workspace::take(n * m));
+    let ct_dense = &mut ct[..n * m];
     if SEED != SET {
-        transpose(c, n, m, n, &mut ct[..n * m]);
+        transpose(c, n, m, n, ct_dense);
     }
-    dispatch::<SEED>(&bt[..n * k], a, lda, &mut ct[..n * m], n, k, m);
-    transpose(&ct[..n * m], m, n, m, c);
+    // `k = 0` still runs one (empty) block, so that `SET` writes its zeros.
+    for k0 in (0..k.max(1)).step_by(KC) {
+        let kc = KC.min(k - k0);
+        let bt = &mut bt[..n * kc];
+        transpose(&b[k0 * ldb..], ldb, kc, n, bt);
+        let a = &a[k0 * lda..];
+        if k0 == 0 {
+            dispatch::<SEED>(bt, a, lda, ct_dense, n, kc, m);
+        } else {
+            dispatch::<ACC>(bt, a, lda, ct_dense, n, kc, m);
+        }
+    }
+    transpose(ct_dense, m, n, m, c);
     workspace::give(bt);
     workspace::give(ct);
 }
@@ -260,7 +316,7 @@ pub fn matmul_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 /// # Panics
 ///
 /// Panics when slice lengths do not match the dimensions.
-pub(crate) fn matmul_tn_set(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+pub fn matmul_tn_set(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     tn::<SET>(a, b, c, m, k, n);
 }
 
@@ -283,7 +339,12 @@ fn tn_strip<const SEED: u8>(
     k: usize,
     n: usize,
 ) {
-    if tn_transposes_output(m, k, n) {
+    if k == 0 {
+        // No products: each output is its seed, and `A` has no strips.
+        if SEED == SET {
+            c.fill(0.0);
+        }
+    } else if tn_transposes_output(m, k, n) {
         tn_by_transposed_output::<SEED>((a, lda), b, n, c, m, k, n);
     } else {
         // Pack and multiply a strip of output rows at a time: the kernel
@@ -367,7 +428,9 @@ pub(crate) fn matmul_tn_set_forked(
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
     forked_rows(c, m, n, |first, rows, c| {
-        tn_strip::<SET>((&a[first..], m), b, c, rows, k, n)
+        // At `k = 0` `A` is empty and a strip's first column is nowhere.
+        let a = &a[first.min(a.len())..];
+        tn_strip::<SET>((a, m), b, c, rows, k, n)
     });
 }
 
@@ -1091,6 +1154,92 @@ mod tests {
         }
         let layouts = shapes.map(|(m, k, n)| tn_transposes_output(m, k, n));
         assert!(layouts.contains(&true) && layouts.contains(&false));
+    }
+
+    /// `C` (`m×n`, dense) from `c0`, plus `Aᵀ·B` folded one product at a
+    /// time in ascending `k`: `A` stored `k×m`, `B` `k×n` with rows `ldb`
+    /// apart.
+    #[allow(clippy::too_many_arguments)]
+    fn naive_tn(
+        at: &[f32],
+        b: &[f32],
+        ldb: usize,
+        c0: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<f32> {
+        let mut c = c0.to_vec();
+        for i in 0..m {
+            for j in 0..n {
+                for kk in 0..k {
+                    c[i * n + j] += at[kk * m + i] * b[kk * ldb + j];
+                }
+            }
+        }
+        c
+    }
+
+    /// The transposed-output form runs `k` in blocks of `KC` rows, the
+    /// first seeded as the product says and every later one with `ACC` on
+    /// the partial `Cᵀ`: at `k` either side of one and two blocks (and
+    /// `k = 0`, where `SET` leaves zeros), 1–20 columns and `m` on and off
+    /// the 32-, 16- and 8-lane panels, it is the naive fold bit for bit —
+    /// called directly under `ACC` and `SET` (the latter also with `B` a
+    /// column block, `ldb > n`), and through `matmul_tn`, `matmul_tn_set`,
+    /// `matmul_tn_set_forked` and `TnWeights::product`, which take it
+    /// wherever their layout rule does.
+    #[test]
+    fn blocked_transposed_output_is_the_naive_fold() {
+        /// An overwriting product, named, onto a `C` it is handed.
+        type Way<'a> = (&'a str, &'a dyn Fn(&mut [f32]));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut public_layouts = 0;
+        for k in [0, 1, KC - 1, KC, KC + 1, 2 * KC + 3] {
+            for n in 1..=20 {
+                for m in [1, 5, 8, 16, 31, 32, 45, 77] {
+                    let (at, c0) = (randmat(k * m, 16), randmat(m * n, 17));
+                    let ldb = n + 3;
+                    let b = randmat(k * ldb, 18);
+                    let dense: Vec<f32> =
+                        b.chunks_exact(ldb).flat_map(|r| &r[..n]).copied().collect();
+                    let acc = naive_tn(&at, &b, ldb, &c0, m, k, n);
+                    let set = naive_tn(&at, &b, ldb, &vec![0.0; m * n], m, k, n);
+                    let shape = format!("({m},{k},{n})");
+                    public_layouts += usize::from(tn_transposes_output(m, k, n));
+
+                    let mut got = c0.clone();
+                    tn_by_transposed_output::<ACC>((&at, m), &dense, n, &mut got, m, k, n);
+                    assert_eq!(bits(&got), bits(&acc), "blocked ACC {shape}");
+                    let mut got = c0.clone();
+                    matmul_tn(&at, &dense, &mut got, m, k, n);
+                    assert_eq!(bits(&got), bits(&acc), "matmul_tn {shape}");
+
+                    let overwriting: [Way; 5] = [
+                        ("blocked SET", &|c| {
+                            tn_by_transposed_output::<SET>((&at, m), &dense, n, c, m, k, n)
+                        }),
+                        ("blocked SET, ldb > n", &|c| {
+                            tn_by_transposed_output::<SET>((&at, m), &b, ldb, c, m, k, n)
+                        }),
+                        ("matmul_tn_set", &|c| matmul_tn_set(&at, &dense, c, m, k, n)),
+                        ("matmul_tn_set_forked", &|c| {
+                            matmul_tn_set_forked(&at, &dense, c, m, k, n)
+                        }),
+                        ("TnWeights::product, ldb > n", &|c| {
+                            TnWeights::new(&at, m, k).product(&b, ldb, c, n)
+                        }),
+                    ];
+                    for (way, run) in overwriting {
+                        let mut got = vec![f32::NAN; m * n];
+                        run(&mut got);
+                        assert_eq!(bits(&got), bits(&set), "{way} {shape}");
+                    }
+                }
+            }
+        }
+        // The public entry points took the blocked form at some shapes.
+        assert!(public_layouts > 0);
     }
 
     /// The forked overwriting products split their output rows at whole
