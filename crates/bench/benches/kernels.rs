@@ -19,9 +19,12 @@
 //! plan, like every forecast), and the `forward_ledger`: the batch-1 and
 //! batch-8 forward of the `explore` model split per block into lowering,
 //! GEMM and finish µs per image (`InferencePlan::forecast_batch_split`,
-//! the min of 60 rounds alternating the two batch sizes); then one whole
-//! `train_step` with the split
-//! of its wall clock the step records (`train.fork_us` … `train.opt_g_us`),
+//! the min of 60 rounds alternating the two batch sizes); the `codec`
+//! rows, the four JSON codec calls of a `serve_http` exchange on that
+//! workload's own bodies in ns per value; then one whole `train_step`
+//! with the split of its wall clock the step records (`train.fork_us` …
+//! `train.opt_g_us`: per-phase minima and quartiles over 60 single steps,
+//! inline and joined in turn),
 //! `Adam::step` against its old three-loop formulation (fresh gradients
 //! every step: the step clears what it reads), end-to-end f32 vs
 //! quantized `forecast_batch` throughput (the two alternated in rounds,
@@ -64,10 +67,12 @@
 //! Run with `cargo bench -p pop-bench --bench kernels [-- --smoke]`.
 
 use pop_core::dataset::DesignContext;
-use pop_core::features::placement_input;
+use pop_core::features::{assemble_input, placement_input};
 use pop_core::{ExperimentConfig, Forecaster, Pix2Pix, UNetGenerator};
+use pop_http::api;
 use pop_nn::linalg::{matmul_nn, matmul_nt, matmul_tn, matmul_tn_set, TnWeights};
 use pop_nn::{Activation, Adam, Batch, BatchMut, Conv2d, ConvTranspose2d, Layer, Param, Tensor};
+use pop_raster::{render_connectivity, render_placement};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -740,6 +745,124 @@ fn bench_forward_ledger(smoke: bool) -> Vec<LedgerRow> {
     rows
 }
 
+struct CodecRow {
+    /// The `serve_http` ledger row the call is: `client.encode`, …
+    call: &'static str,
+    /// `request` (features) or `response` (a forecast).
+    body: &'static str,
+    values: usize,
+    /// Seconds per body.
+    secs: f64,
+}
+
+/// The four JSON codec calls of one `serve_http` exchange, on that
+/// workload's own bodies: 16 requests of SHA × 0.1 features at 32×32
+/// (`assemble_input` of the placement and connectivity renderings, sweep
+/// seed 1) and their forecasts by its untrained model (32×32, 8 filters,
+/// depth 4, seed 11). `client.encode` renders a request, `http.decode`
+/// parses one, `http.encode` renders a response (as a `String`; the
+/// server writes the same bytes into its own buffer) and `client.decode`
+/// parses one. Min of 40 rounds, the four calls alternating, each round
+/// over all 16 bodies.
+fn bench_codec(smoke: bool) -> Vec<CodecRow> {
+    const BODIES: usize = 16;
+    let config = ExperimentConfig {
+        resolution: 32,
+        base_filters: 8,
+        depth: 4,
+        ..ExperimentConfig::test()
+    };
+    let mut model = Pix2Pix::new(&config, 11).expect("the serving config");
+    let spec = pop_netlist::presets::by_name("SHA").expect("a Table-2 preset");
+    let design = ExperimentConfig {
+        design_scale: 0.1,
+        pairs_per_design: BODIES,
+        seed: 1,
+        ..config.clone()
+    };
+    let ctx = DesignContext::prepare(&spec, &design).expect("the preset prepares");
+    let features: Vec<Tensor> = ctx
+        .sweep_options()
+        .iter()
+        .map(|popts| {
+            let placement = ctx.place_stage(popts).expect("the preset places").0;
+            let place = render_placement(&ctx.arch, &ctx.netlist, &placement, config.resolution);
+            let connect =
+                render_connectivity(&ctx.arch, &ctx.netlist, &placement, config.resolution);
+            assemble_input(&place, &connect, &design)
+        })
+        .collect();
+    let forecasts: Vec<Tensor> = features.iter().map(|x| model.forecast(x)).collect();
+    let requests: Vec<String> = features
+        .iter()
+        .map(|x| api::render_forecast_request(None, false, x.data()))
+        .collect();
+    let responses: Vec<String> = forecasts
+        .iter()
+        .map(|y| api::render_forecast_response("hot", false, y))
+        .collect();
+    let decoded = requests.iter().zip(&features).all(|(body, x)| {
+        api::parse_forecast_request(body.as_bytes()).is_ok_and(|r| r.features == x.data())
+    }) && responses
+        .iter()
+        .zip(&forecasts)
+        .all(|(body, y)| api::parse_forecast_response(body.as_bytes()).is_ok_and(|t| t == *y));
+    assert!(
+        decoded,
+        "a codec body did not read back as what was written"
+    );
+    let secs = time_alternating(
+        if smoke { 1 } else { 40 },
+        1,
+        [
+            &mut || {
+                for x in &features {
+                    std::hint::black_box(api::render_forecast_request(None, false, x.data()));
+                }
+            },
+            &mut || {
+                for body in &requests {
+                    let _ = std::hint::black_box(api::parse_forecast_request(body.as_bytes()));
+                }
+            },
+            &mut || {
+                for y in &forecasts {
+                    std::hint::black_box(api::render_forecast_response("hot", false, y));
+                }
+            },
+            &mut || {
+                for body in &responses {
+                    let _ = std::hint::black_box(api::parse_forecast_response(body.as_bytes()));
+                }
+            },
+        ],
+    );
+    let shapes = [
+        ("client.encode", "request", features[0].data().len()),
+        ("http.decode", "request", features[0].data().len()),
+        ("http.encode", "response", forecasts[0].data().len()),
+        ("client.decode", "response", forecasts[0].data().len()),
+    ];
+    shapes
+        .iter()
+        .zip(secs)
+        .map(|(&(call, body, values), secs)| {
+            let secs = secs / BODIES as f64;
+            println!(
+                "codec {call} ({body}, {values} values): {:.2} ns per value, {:.1} us per body",
+                secs * 1e9 / values as f64,
+                secs * 1e6
+            );
+            CodecRow {
+                call,
+                body,
+                values,
+                secs,
+            }
+        })
+        .collect()
+}
+
 struct TanhResult {
     input: &'static str,
     /// Seconds per 64×64×3 image: `f32::tanh` per element, then the kernel.
@@ -904,9 +1027,8 @@ fn bench_inference(smoke: bool) -> InferenceResult {
 struct TrainResult {
     /// `(inline, joined)` seconds of one whole `train_step`.
     train_secs: (f64, f64),
-    /// `(inline, joined)` mean µs per timed step of each [`STEP_LEDGER`]
-    /// row.
-    split_us: ([f64; 5], [f64; 5]),
+    /// `(inline, joined)` [`StepSplit`] over the alternated steps.
+    split_us: (StepSplit, StepSplit),
     adam_params: usize,
     adam_ref_secs: f64,
     /// `(inline, joined)` seconds of one `Adam::step`.
@@ -1098,6 +1220,59 @@ fn step_split_since(before: [(u64, u64); 5]) -> [f64; 5] {
     })
 }
 
+/// Each [`STEP_LEDGER`] row over many single steps: the minimum, and the
+/// first quartile, median and third quartile, µs.
+struct StepSplit {
+    steps: usize,
+    min: [f64; 5],
+    quartiles: [[f64; 3]; 5],
+}
+
+impl StepSplit {
+    /// Per-row order statistics of `steps`, each one step's split.
+    fn of(steps: &[[f64; 5]]) -> Self {
+        let row = |i: usize| {
+            let mut v: Vec<f64> = steps.iter().map(|s| s[i]).collect();
+            v.sort_by(f64::total_cmp);
+            v
+        };
+        let at = |v: &[f64], q: f64| v.get(((v.len() - 1) as f64 * q).round() as usize).copied();
+        StepSplit {
+            steps: steps.len(),
+            min: std::array::from_fn(|i| at(&row(i), 0.0).unwrap_or(f64::NAN)),
+            quartiles: std::array::from_fn(|i| {
+                let v = row(i);
+                [0.25, 0.5, 0.75].map(|q| at(&v, q).unwrap_or(f64::NAN))
+            }),
+        }
+    }
+}
+
+/// `inline` and `joined` splits of `rounds` train steps each, the two
+/// alternating step by step so that a slow stretch of the host lands on
+/// both, with a pause between rounds: each step's own [`STEP_LEDGER`]
+/// reading.
+fn alternated_step_splits(
+    model: &mut Pix2Pix,
+    x: &Tensor,
+    truth: &Tensor,
+    rounds: usize,
+) -> (StepSplit, StepSplit) {
+    let step = |model: &mut Pix2Pix| {
+        let before = step_ledger();
+        let _ = model.train_step(x, truth);
+        step_split_since(before)
+    };
+    let (mut inline, mut joined) = (Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let ((), split) = pop_exec::join(|| (), || step(model));
+        inline.push(split);
+        joined.push(step(model));
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    (StepSplit::of(&inline), StepSplit::of(&joined))
+}
+
 /// `fork 2702 + d_fake 1180 + g_backward 2338 + opt_g 590 = 6810 us`.
 fn split_line(split: &[f64; 5]) -> String {
     format!(
@@ -1114,6 +1289,36 @@ fn split_json(split: &[f64; 5]) -> String {
         .map(|(name, us)| {
             let key = name.trim_start_matches("train.").trim_end_matches("_us");
             format!("\"{key}\": {us:.1}")
+        })
+        .collect();
+    format!("{{ {} }}", fields.join(", "))
+}
+
+/// `fork 2601/2702/2810 + … = 6700/6810/6950 us`: first quartile, median
+/// and third quartile of each row.
+fn quartiles_line(quartiles: &[[f64; 3]; 5]) -> String {
+    let q = |i: usize| {
+        let [a, b, c]: [f64; 3] = quartiles[i];
+        format!("{a:.0}/{b:.0}/{c:.0}")
+    };
+    format!(
+        "fork {} + d_fake {} + g_backward {} + opt_g {} = {} us",
+        q(0),
+        q(1),
+        q(2),
+        q(3),
+        q(4)
+    )
+}
+
+/// `{ "fork": [2601.0, 2702.0, 2810.0], … }`: each row's quartiles.
+fn quartiles_json(quartiles: &[[f64; 3]; 5]) -> String {
+    let fields: Vec<String> = STEP_LEDGER
+        .iter()
+        .zip(quartiles)
+        .map(|(name, [a, b, c])| {
+            let key = name.trim_start_matches("train.").trim_end_matches("_us");
+            format!("\"{key}\": [{a:.1}, {b:.1}, {c:.1}]")
         })
         .collect();
     format!("{{ {} }}", fields.join(", "))
@@ -1158,28 +1363,30 @@ fn bench_training(layers: &[LayerGeom], smoke: bool) -> (TrainResult, Vec<SiteRe
         ref_adam_step(&adam, t, &mut ref_params);
     });
 
-    // One pass over everything that forks: `(train_step, its split,
-    // adam_step, sites)`, after `warm_up` of train steps.
+    // One pass over everything that forks: `(train_step, adam_step,
+    // sites)`, after `warm_up` of train steps.
     let mut sites = join_sites(layers, &config, &mut model);
-    let mut pass = |warm_up: Duration| {
+    let mut pass = |model: &mut Pix2Pix, warm_up: Duration| {
         let started = Instant::now();
         while started.elapsed() < warm_up {
             let _ = model.train_step(&x, &truth);
         }
-        let before = step_ledger();
         let train = time_per_call(reps, iters, || {
             let _ = model.train_step(&x, &truth);
         });
-        let split = step_split_since(before);
         let adam = time_adam_step(reps, iters, &mut adam, &mut new_params, &grads);
         let site_secs: Vec<f64> = sites.iter_mut().map(|s| s.backward_secs(samples)).collect();
-        (train, split, adam, site_secs)
+        (train, adam, site_secs)
     };
     // Inline: from the caller half of an outer join, where the helper is
     // taken. Joined: plainly, once a second of forks has given the
     // scheduler time to put the helper on a core of its own.
-    let ((), inline) = pop_exec::join(|| (), || pass(Duration::ZERO));
-    let joined = pass(Duration::from_secs(if smoke { 0 } else { 1 }));
+    let ((), inline) = pop_exec::join(|| (), || pass(&mut model, Duration::ZERO));
+    let joined = pass(&mut model, Duration::from_secs(if smoke { 0 } else { 1 }));
+    // The split: one step at a time, inline and joined in turn, read from
+    // each step's own ledger (a mean of a few steps moved 1.5× between
+    // runs of one binary).
+    let split = alternated_step_splits(&mut model, &x, &truth, if smoke { 2 } else { 60 });
     let same = ref_params.iter().zip(&new_params).all(|(r, n)| {
         let cleared = n.grad.data().iter().all(|g| g.to_bits() == 0);
         r.value == n.value && r.m == n.m && r.v == n.v && cleared
@@ -1196,18 +1403,24 @@ fn bench_training(layers: &[LayerGeom], smoke: bool) -> (TrainResult, Vec<SiteRe
         joined.0 * 1e3,
         inline.0 / joined.0,
         adam_ref_secs * 1e6,
-        inline.2 * 1e6,
-        joined.2 * 1e6,
+        inline.1 * 1e6,
+        joined.1 * 1e6,
     );
-    for (way, split) in [("inline", &inline.1), ("joined", &joined.1)] {
+    for (way, split) in [("inline", &split.0), ("joined", &split.1)] {
         println!(
-            "train_step split, {way} (mean of the timed steps): {}",
-            split_line(split)
+            "train_step split, {way} (min of {} steps): {}",
+            split.steps,
+            split_line(&split.min)
+        );
+        println!(
+            "train_step split, {way} (q1/median/q3 of {} steps): {}",
+            split.steps,
+            quartiles_line(&split.quartiles)
         );
     }
     let site_rows = sites
         .iter()
-        .zip(inline.3.iter().zip(&joined.3))
+        .zip(inline.2.iter().zip(&joined.2))
         .map(|(s, (&inline, &joined))| {
             println!(
                 "join site {}/{}: inline {:.1} us, joined {:.1} us, {:.2}x",
@@ -1226,10 +1439,10 @@ fn bench_training(layers: &[LayerGeom], smoke: bool) -> (TrainResult, Vec<SiteRe
         .collect();
     let training = TrainResult {
         train_secs: (inline.0, joined.0),
-        split_us: (inline.1, joined.1),
+        split_us: split,
         adam_params,
         adam_ref_secs,
-        adam_secs: (inline.2, joined.2),
+        adam_secs: (inline.1, joined.1),
     };
     (training, site_rows)
 }
@@ -1409,6 +1622,7 @@ fn main() {
     let narrow_tn = bench_narrow_tn(&layers, smoke);
 
     let tanh = bench_tanh(smoke);
+    let codec = bench_codec(smoke);
     let (training, join_sites) = bench_training(&layers, smoke);
     let paper_step = (!smoke).then(bench_paper_step);
     let inference = bench_inference(smoke);
@@ -1555,6 +1769,20 @@ fn main() {
             )
         })
         .collect();
+    let codec_json: Vec<String> = codec
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{ \"call\": \"{}\", \"body\": \"{}\", \"values\": {}, \
+                 \"ns_per_value\": {:.2}, \"us_per_body\": {:.1} }}",
+                r.call,
+                r.body,
+                r.values,
+                r.secs * 1e9 / r.values as f64,
+                r.secs * 1e6
+            )
+        })
+        .collect();
     let paper_step_json = paper_step.map_or(String::new(), |p| {
         format!(
             "  \"train_step_paper\": {{ \"config\": \"paper\", \"batch\": 1, \
@@ -1596,10 +1824,14 @@ fn main() {
          \"unit\": \"us per call, min of 30 rounds alternating the rows\", \
          \"rows\": [\n{}\n  ] }},\n  \
          \"tanh\": [\n{}\n  ],\n  \
+         \"codec\": {{ \"bodies\": \"serve_http: 16 SHA x 0.1 requests at 32x32 and their forecasts\", \
+         \"unit\": \"min of 40 rounds alternating the four calls\", \
+         \"rows\": [\n{}\n  ] }},\n  \
          \"train_step\": {{ \"config\": \"quick\", \"batch\": 1, \
          \"host_parallelism\": {host_parallelism}, \"ms_inline\": {:.4}, \
-         \"ms_joined\": {:.4}, \"speedup\": {:.4}, \"split_us_inline\": {}, \
-         \"split_us_joined\": {} }},\n{}  \
+         \"ms_joined\": {:.4}, \"speedup\": {:.4}, \"split_steps\": {}, \
+         \"split_us_inline\": {}, \"split_us_joined\": {}, \
+         \"split_quartiles_us_inline\": {}, \"split_quartiles_us_joined\": {} }},\n{}  \
          \"adam_step\": {{ \"params\": {}, \"gradients\": \"fresh per step\", \
          \"us_ref\": {:.1}, \"us_inline\": {:.1}, \"us_joined\": {:.1}, \"speedup\": {:.4} }},\n  \
          \"join_sites\": [\n{}\n  ],\n  \
@@ -1620,11 +1852,15 @@ fn main() {
         dot_tail_json.join(",\n"),
         narrow_tn_json.join(",\n"),
         tanh_json.join(",\n"),
+        codec_json.join(",\n"),
         training.train_secs.0 * 1e3,
         training.train_secs.1 * 1e3,
         training.train_secs.0 / training.train_secs.1,
-        split_json(&training.split_us.0),
-        split_json(&training.split_us.1),
+        training.split_us.0.steps,
+        split_json(&training.split_us.0.min),
+        split_json(&training.split_us.1.min),
+        quartiles_json(&training.split_us.0.quartiles),
+        quartiles_json(&training.split_us.1.quartiles),
         paper_step_json,
         training.adam_params,
         training.adam_ref_secs * 1e6,
@@ -1661,6 +1897,9 @@ fn main() {
         "\"via\": \"tn_set\"",
         "\"tanh\": [",
         "\"us_per_image_kernel\"",
+        "\"codec\": {",
+        "\"call\": \"client.decode\"",
+        "\"split_quartiles_us_joined\": { \"fork\": [",
         "\"batch\": 1",
         "\"train_step\"",
         "\"ms_inline\"",

@@ -26,10 +26,21 @@
 //! scans every shortest form back (`write_f32_matches_core_fmt_exhaustively`),
 //! and `tests/http_golden.rs` pins bitwise HTTP-vs-in-process equality.
 //!
-//! Both tensor bodies cost about what their bytes cost. The writer puts
-//! an exact one-digit integer (a feature map's `0`s and `1`s) down as its
-//! digit. The reader's array loop scans element after element on a local
-//! slice and hands an element to the per-element path only when it cannot
+//! A tensor body costs what its distinct values cost. The writer formats
+//! each distinct value once per body: a 64-slot direct-mapped memo on the
+//! stack maps a value's bits to the bytes already written for it, and a
+//! repeat copies them (a SHA × 0.1 feature map is 4 096 values, 66 of
+//! them distinct). A body with few repeats in its first 256 values (a
+//! forecast's 3 072 are all distinct) writes the rest without the memo.
+//! A value the memo has not seen goes through [`json::write_f32`], which
+//! writes a fraction below one without a digit loop and falls back to
+//! its general layout from one up. The body is reserved at 17 bytes a
+//! value, the longest form of anything from `10^-4` to `10^4` with its
+//! `, `, so an output at the untrained model's `5e-3` scale (`-0.00` and
+//! nine digits) is written without a regrowth. The reader's array loop
+//! scans element after element on a local slice, reads the elements
+//! after a short token (`0`, `1`, `-1`) that repeat it from that token,
+//! and hands an element to the per-element path only when it cannot
 //! finish it exactly: more than 19 digits, an exponent past `±22`, an
 //! `f32` midpoint, a value outside the normal range, or malformed input.
 //! A body spelled that way (CI posts one with 21-digit mantissas) decodes
@@ -48,8 +59,16 @@ use pop_nn::Tensor;
 use pop_obs::json::{self, Reader};
 use std::io::Write as _;
 
-/// Bytes reserved per rendered float: sign, `0.`, nine digits, `, `.
-const BYTES_PER_FLOAT: usize = 14;
+/// Bytes reserved per rendered float: sign, `0.000`, nine digits, `, ` —
+/// the longest form of any value from `10^-4` up to `10^4`.
+const BYTES_PER_FLOAT: usize = 17;
+
+/// Slots in [`write_f32_array`]'s memo, a power of two.
+const MEMO_SLOTS: usize = 64;
+
+/// Values [`write_f32_array`] writes through its memo before it keeps the
+/// memo only if one in eight of them was a repeat.
+const MEMO_TRIAL: usize = 256;
 
 /// A request-level API failure: the HTTP status plus a message for the
 /// `{"error": ...}` body.
@@ -257,15 +276,61 @@ pub fn render_forecast_request(model: Option<&str>, quantized: bool, features: &
 /// `[v, v, ...]` with every value in its shortest exact form; non-finite
 /// values (which the tanh-bounded forecaster never produces) become
 /// JSON `null`.
+///
+/// Each distinct value is formatted once per body: a direct-mapped memo
+/// on the stack maps a value's bits to the bytes it was written as
+/// earlier in this body, and a hit copies them. A feature map holds a few
+/// dozen distinct values among thousands. A body whose first
+/// [`MEMO_TRIAL`] values hold fewer than one repeat in eight (a forecast's
+/// are all distinct) writes the rest without the memo, which would only
+/// cost it a lookup per value.
 fn write_f32_array(out: &mut Vec<u8>, values: &[f32]) {
+    // Per slot: the bits of the value last written there and where its
+    // text is in `out`; an empty range is an empty slot.
+    let mut memo = [(0u32, 0usize, 0usize); MEMO_SLOTS];
+    let mut repeats = 0;
+    let (trial, rest) = values.split_at(values.len().min(MEMO_TRIAL));
     out.push(b'[');
-    for (i, v) in values.iter().enumerate() {
+    for (i, v) in trial.iter().enumerate() {
         if i > 0 {
             out.extend_from_slice(b", ");
         }
-        json::write_f32(out, *v);
+        repeats += usize::from(write_memoised(out, &mut memo, *v));
+    }
+    let memo_pays = repeats >= MEMO_TRIAL / 8;
+    for v in rest {
+        out.extend_from_slice(b", ");
+        if memo_pays {
+            write_memoised(out, &mut memo, *v);
+        } else {
+            json::write_f32(out, *v);
+        }
     }
     out.push(b']');
+}
+
+/// Writes `v` as [`json::write_f32`] would, copying its bytes from earlier
+/// in `out` when `memo` holds them. Returns whether it did.
+fn write_memoised(out: &mut Vec<u8>, memo: &mut [(u32, usize, usize); MEMO_SLOTS], v: f32) -> bool {
+    let bits = v.to_bits();
+    // Fibonacci hashing: the top bits of the product mix all 32.
+    let slot = bits.wrapping_mul(0x9e37_79b9) >> (32 - MEMO_SLOTS.trailing_zeros());
+    match memo.get_mut(slot as usize) {
+        Some(&mut (seen, start, end)) if seen == bits && start < end => {
+            out.extend_from_within(start..end);
+            true
+        }
+        Some(entry) => {
+            let start = out.len();
+            json::write_f32(out, v);
+            *entry = (bits, start, out.len());
+            false
+        }
+        None => {
+            json::write_f32(out, v);
+            false
+        }
+    }
 }
 
 /// The rendered bytes as a `String`: they are ASCII apart from `str_lit`'s
@@ -489,6 +554,31 @@ mod tests {
                 assert_refines_tree_decoder(&body.as_bytes()[..cut]);
                 prop_assert!(parse_forecast_request(&body.as_bytes()[..cut]).is_err());
             }
+        }
+
+        /// Bodies of runs, repeats and values that share their low or high
+        /// bits — which meet in the writer's memo — are still the bytes
+        /// `core::fmt` writes, and read back bit for bit.
+        #[test]
+        fn repeated_values_render_as_core_fmt_would(
+            picks in collection::vec((0u32..64, 0usize..4, 0usize..4), 400),
+            len in 0usize..=400,
+        ) {
+            const LOW: [u32; 4] = [0x0000, 0x8000, 0x3a5c, 0xffff];
+            let values: Vec<f32> = picks
+                .iter()
+                .take(len)
+                .map(|&(high, low, kind)| {
+                    let v = f32::from_bits((0x3c00 + high * 0x11) << 16 | LOW[low]);
+                    [v, -v, v * 1.0e6, f32::from(high as u8)][kind]
+                })
+                .collect();
+            let listed: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
+            let body = render_forecast_request(None, false, &values);
+            prop_assert_eq!(&body, &format!("{{\"features\": [{}]}}", listed.join(", ")));
+            let back = parse_forecast_request(body.as_bytes()).unwrap().features;
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back), bits(&values));
         }
 
         /// Request-shaped fragment soup: non-finite tokens, lax numbers,

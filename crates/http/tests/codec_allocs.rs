@@ -85,6 +85,19 @@ fn codec_heap_calls_do_not_grow_with_the_tensor() {
             encode <= 4,
             "{side}x{side}: encode made {encode} heap calls"
         );
+        // Smaller outputs are longer numbers (`-0.00…` at 5e-3, the
+        // untrained serving model's scale): the reserve must still hold
+        // them, so every scale costs the same calls — no regrowth.
+        for scale in [5e-3, 1e-4] {
+            let small = Tensor::randn([1, 3, side, side], 0.0, scale, 8);
+            let (calls, body) = heap_calls(|| api::render_forecast_response("hot", false, &small));
+            assert_eq!(
+                calls,
+                encode,
+                "{side}x{side} at scale {scale}: {calls} heap calls for {} bytes",
+                body.len()
+            );
+        }
 
         let (client_encode, _) =
             heap_calls(|| api::render_forecast_request(None, false, input.data()));

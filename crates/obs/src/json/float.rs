@@ -7,8 +7,26 @@
 //! digit search is Schubfach (R. Giulietti, "The Schubfach way to render
 //! doubles", 2020), specialised to 24-bit significands: one 64×32-bit
 //! multiply per boundary against a table of 77 powers of ten built at
-//! compile time. The differential tests in this module's parent pin the
-//! byte equality over a strided sweep of all 2³² bit patterns.
+//! compile time. The search's last step, one digit shorter or not and
+//! which neighbour, is computed both ways and selected arithmetically:
+//! for a forecast's values it goes either way at random, and as a branch
+//! it mispredicted on about every other value.
+//!
+//! Layout. A one-digit integer is its digit. A value below one with at
+//! most 18 zeros after the point (every `tanh` output and feature
+//! fraction) is written by
+//! [`write_fraction`]: the nine digit places are made ASCII in one word
+//! by multiplies, stored over an appended run of ASCII zeros at the
+//! offset that puts `0.` and the leading zeros in front of them, and the
+//! run is cut after the last significant digit — no digit loop and no
+//! scratch array in between. What still falls back to the general
+//! positional layout, [`write_positional`] (trailing zeros stripped in a
+//! loop, the text built in a scratch array and copied), is values from
+//! one up and smaller fractions.
+//!
+//! The differential tests in this module's parent pin the byte equality
+//! over a strided sweep of all 2³² bit patterns, and an ignored test over
+//! every one of them.
 
 /// The decimal exponents `k` with a table entry: `-31 ..= 45` covers
 /// `-floor(log10(2^q))` for every `f32` binary exponent `q` in `-149 ..= 104`.
@@ -131,22 +149,24 @@ fn shortest_decimal(bits: u32) -> (u32, i32) {
     let upper = vbr - u32::from(!even);
 
     let s = vb / 4;
-    if s >= 10 {
-        // One digit shorter, if exactly one such candidate is in range.
-        let sp = s / 10;
-        let down_inside = lower <= 40 * sp;
-        let up_inside = 40 * sp + 40 <= upper;
-        if down_inside != up_inside {
-            return (sp + u32::from(up_inside), k + 1);
-        }
-    }
-    let down_inside = lower <= 4 * s;
-    let up_inside = 4 * s + 4 <= upper;
-    if down_inside != up_inside {
-        return (s + u32::from(up_inside), k);
-    }
-    let round_up = vb >= 4 * s + 2;
-    (s + u32::from(round_up), k)
+    // Both candidates, one digit shorter and full length, then a select:
+    // which one wins turns on the value's low bits, so a branch on it
+    // mispredicts about as often as it is taken.
+    let sp = s / 10;
+    let short_up = u32::from(40 * sp + 40 <= upper);
+    let short_down = u32::from(lower <= 40 * sp);
+    // Exactly one shorter candidate in range.
+    let short = u32::from(s >= 10) & (short_down ^ short_up);
+    let up = u32::from(4 * s + 4 <= upper);
+    let down = u32::from(lower <= 4 * s);
+    let nearer_up = u32::from(vb >= 4 * s + 2);
+    let one_inside = down ^ up;
+    let long = s + (one_inside & up | !one_inside & nearer_up);
+    let keep_short = 0u32.wrapping_sub(short);
+    (
+        (sp + short_up) & keep_short | long & !keep_short,
+        k + short as i32,
+    )
 }
 
 /// `"00"`, `"01"`, … `"99"`.
@@ -201,8 +221,88 @@ pub fn write_f32(out: &mut Vec<u8>, v: f32) {
             return;
         }
     }
-    let (mut digits, mut exp10) = shortest_decimal(magnitude);
-    while digits % 10 == 0 {
+    let (digits, exp10) = shortest_decimal(magnitude);
+    if !write_fraction(out, bits >> 31 == 1, digits, exp10) {
+        write_positional(out, bits >> 31 == 1, digits, exp10);
+    }
+}
+
+/// The eight decimal digits of `v < 10^8` as ASCII, the first in the
+/// lowest byte: two 4-digit lanes, split into four 2-digit ones, split
+/// into eight digits, by multiplies that divide exactly in these ranges
+/// (`10486 / 2^20` is `1/100` below 43 699, `103 / 2^10` is `1/10` below
+/// 179).
+fn eight_ascii(v: u32) -> [u8; 8] {
+    let x = u64::from(v / 10_000) | u64::from(v % 10_000) << 32;
+    let hundreds = ((x * 10_486) >> 20) & 0x0000_007f_0000_007f;
+    let x = hundreds | (x - hundreds * 100) << 16;
+    let tens = ((x * 103) >> 10) & 0x000f_000f_000f_000f;
+    let x = tens | (x - tens * 10) << 8;
+    (x | 0x3030_3030_3030_3030).to_le_bytes()
+}
+
+/// Copies `bytes` into `buf` at `at`. Out-of-range is a no-op; no caller is.
+fn put<const N: usize>(buf: &mut [u8; 32], at: usize, bytes: &[u8; N]) {
+    if let Some(slot) = buf.get_mut(at..).and_then(|s| s.first_chunk_mut::<N>()) {
+        *slot = *bytes;
+    }
+}
+
+/// Appends `digits · 10^exp10` when it is below one and not far below
+/// (`0.` and up to 18 zeros before the digits): the layout of every
+/// `tanh` output and feature fraction. Returns `false`, having appended
+/// nothing, for anything else.
+///
+/// It appends 32 ASCII zeros, writes the sign, the nine digit places
+/// (leading zeros and all) and then `0.` over them at fixed-size stores,
+/// and cuts the run after the last significant digit: no digit loop, no
+/// scratch array, and no branch on the digits.
+fn write_fraction(out: &mut Vec<u8>, negative: bool, digits: u32, exp10: i32) -> bool {
+    let top = b'0' + (digits / 100_000_000) as u8;
+    let eight = eight_ascii(digits % 100_000_000);
+    let values = u64::from_le_bytes(eight) ^ 0x3030_3030_3030_3030;
+    // Zero places after the last digit, and before the first (`digits`
+    // is not zero, so a `0` on top leaves a digit among the eight).
+    let trailing = values.leading_zeros() as usize / 8;
+    let leading = if top == b'0' {
+        1 + values.trailing_zeros() as usize / 8
+    } else {
+        0
+    };
+    let point = 9 - leading as i32 + exp10; // digits before the point
+    if !(-18..=0).contains(&point) {
+        return false;
+    }
+    // The nine places go where their last `9 - leading` digits follow
+    // `0.` and `-point` zeros. A search result has at most three leading
+    // zeros, so that is at least `sign - 1`: the one place that can fall
+    // before the number is a leading zero, and its byte is moved onto the
+    // `0` written after it.
+    let sign = usize::from(negative);
+    let Some(places) = (sign + 2 + point.unsigned_abs() as usize)
+        .checked_sub(leading)
+        .filter(|&places| places + 1 >= sign)
+    else {
+        return false;
+    };
+    let at = out.len();
+    out.extend_from_slice(&[b'0'; 32]);
+    let Some(buf) = out.get_mut(at..).and_then(|s| s.first_chunk_mut::<32>()) else {
+        return true;
+    };
+    buf[0] = b'-';
+    put(buf, places + 1, &eight);
+    put(buf, places.max(sign), &[top]);
+    put(buf, sign, b"0.");
+    out.truncate(at + places + 9 - trailing);
+    true
+}
+
+/// The positional layout of `digits · 10^exp10` for every magnitude:
+/// [`write_f32`]'s path for values from one up and for fractions with
+/// more than 18 zeros after the point.
+fn write_positional(out: &mut Vec<u8>, negative: bool, mut digits: u32, mut exp10: i32) {
+    while digits.is_multiple_of(10) {
         digits /= 10;
         exp10 += 1;
     }
@@ -241,6 +341,6 @@ pub fn write_f32(out: &mut Vec<u8>, v: f32) {
         place16(&mut field, 3 + zeros, &text, first);
         2 + zeros + n
     };
-    let skip_sign = usize::from(bits >> 31 == 0);
+    let skip_sign = usize::from(!negative);
     out.extend_from_slice(field.get(skip_sign..=len).unwrap_or_default());
 }

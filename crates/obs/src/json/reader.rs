@@ -8,12 +8,23 @@
 //!
 //! [`Reader::read_f32_array`] is where a tensor body spends its time, so
 //! it walks a local slice — scan, optional whitespace, `,`, repeat — and
-//! writes the cursor back once per run. An element the scanner cannot
-//! finish exactly (more than 19 digits, an exponent past `±22`, a decimal
-//! whose nearest `f64` is an `f32` midpoint, a value outside the `f32`
-//! normal range, anything malformed) is read alone by the per-element
-//! path, [`Reader::read_f32`], so results, errors and error offsets are
-//! that path's (`f32_array_loop_is_the_per_element_path` pins it).
+//! writes the cursor back once per run. After a token of at most seven
+//! bytes (a feature map's `0`, `1`, `-1`) it reads the elements that
+//! repeat it in an inner loop: an element that starts with those bytes
+//! and then a byte no number continues with is that value, unscanned. A
+//! body of longer tokens (a forecast's) never enters that loop and pays
+//! one compare of the token's length per element. The scanner reads a
+//! one-digit integer part directly, takes the digits of a run's last
+//! partial word by counting them from a mask and adding them in one
+//! multiply (no byte loop of data-dependent length while eight bytes
+//! remain), converts the mantissa by the signed conversion and sets the
+//! sign bit without a branch. An element the scanner cannot finish exactly (more than 19
+//! digits, an exponent past `±22`, a decimal whose nearest `f64` is an
+//! `f32` midpoint, a value outside the `f32` normal range, anything
+//! malformed) is read alone by the per-element path,
+//! [`Reader::read_f32`], so results, errors and error offsets are that
+//! path's (`f32_array_loop_is_the_per_element_path` pins it, on runs and
+//! near-repeats too).
 //!
 //! It sits behind network request bodies, so nothing here indexes a
 //! slice, unwraps, or recurses: the cursor is the unread tail of the
@@ -390,7 +401,7 @@ impl<'a> Reader<'a> {
     /// stopped on an element it could not finish, which is left unread.
     fn f32_run(&mut self, out: &mut Vec<f32>, start: usize, base: usize) -> bool {
         let mut rest = self.rest;
-        let ended_after_element = loop {
+        let ended_after_element = 'run: loop {
             if out.len() == out.capacity() {
                 // An element is at least 2 bytes (`0,`); before any has
                 // been read, guess 8.
@@ -411,6 +422,23 @@ impl<'a> Reader<'a> {
             match rest {
                 [b',', tail @ ..] => rest = tail,
                 _ => break true,
+            }
+            // A short token's repeats, up to the reserved capacity, are
+            // its value: a feature map is mostly runs of `0`, `1`, `-1`.
+            let Some(token) = ShortToken::of(element, len) else {
+                continue;
+            };
+            while out.len() < out.capacity() {
+                let element = skip_whitespace(rest);
+                if !token.starts(element) {
+                    break;
+                }
+                out.push(v);
+                rest = skip_whitespace(element.get(len..).unwrap_or_default());
+                match rest {
+                    [b',', tail @ ..] => rest = tail,
+                    _ => break 'run true,
+                }
             }
         };
         self.rest = rest;
@@ -460,6 +488,47 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A token of at most seven bytes that [`Reader::f32_run`] just scanned:
+/// the `0`, `1` and `-1` of a feature map, whose runs are most of it. The
+/// elements after it that start with it are read from it.
+struct ShortToken {
+    /// Its bytes, little-endian, and the mask that keeps just them.
+    bytes: u64,
+    mask: u64,
+    len: usize,
+}
+
+impl ShortToken {
+    /// The token `element` starts with, `len` bytes, if it is short and
+    /// the eight bytes are there.
+    #[inline(always)]
+    fn of(element: &[u8], len: usize) -> Option<ShortToken> {
+        if len >= 8 {
+            return None;
+        }
+        let word = element.first_chunk::<8>()?;
+        let mask = (1u64 << (8 * len)) - 1;
+        Some(ShortToken {
+            bytes: u64::from_le_bytes(*word) & mask,
+            mask,
+            len,
+        })
+    }
+
+    /// Whether `element` starts with this token and then a byte no number
+    /// continues with. [`scan_number`] decides byte by byte, and after a
+    /// whole token only a digit, `.`, `e` or `E` would extend it, so it
+    /// would read this token again, to the same value.
+    #[inline(always)]
+    fn starts(&self, element: &[u8]) -> bool {
+        let Some(word) = element.first_chunk::<8>().map(|w| u64::from_le_bytes(*w)) else {
+            return false;
+        };
+        let next = (word >> (8 * self.len)) as u8;
+        (word ^ self.bytes) & self.mask == 0 && !matches!(next, b'0'..=b'9' | b'.' | b'e' | b'E')
+    }
+}
+
 /// `bytes` past any leading JSON whitespace.
 fn skip_whitespace(mut bytes: &[u8]) -> &[u8] {
     while let [b' ' | b'\t' | b'\n' | b'\r', tail @ ..] = bytes {
@@ -497,7 +566,15 @@ fn scan_number(bytes: &[u8]) -> Result<Scan, usize> {
     let negative = bytes.first() == Some(&b'-');
     let mut rest = bytes.get(usize::from(negative)..).unwrap_or_default();
     let leading_zero = rest.first() == Some(&b'0');
-    let (mut mantissa, mut digits) = take_digits(&mut rest, 0);
+    // A one-digit integer part (the `0` of every fraction a tensor body
+    // holds) is read without the run loop.
+    let (mut mantissa, mut digits) = match *rest {
+        [digit @ b'0'..=b'9', ref tail @ ..] if !tail.first().is_some_and(u8::is_ascii_digit) => {
+            rest = tail;
+            (u64::from(digit - b'0'), 1)
+        }
+        _ => take_digits(&mut rest, 0),
+    };
     let at = |rest: &[u8]| bytes.len() - rest.len();
     if digits == 0 || (leading_zero && digits > 1) {
         return Err(at(rest));
@@ -531,12 +608,18 @@ fn scan_number(bytes: &[u8]) -> Result<Scan, usize> {
     }
     let nearest = match EXACT_POW10.get(exp10.unsigned_abs() as usize) {
         Some(&pow10) if digits <= 19 && mantissa < 1 << 53 => {
+            // Below 2^53, so the signed conversion is exact (and one
+            // instruction, where the unsigned one is five).
+            let mantissa = mantissa as i64 as f64;
             let magnitude = if exp10 < 0 {
-                mantissa as f64 / pow10
+                mantissa / pow10
             } else {
-                mantissa as f64 * pow10
+                mantissa * pow10
             };
-            Some(if negative { -magnitude } else { magnitude })
+            // The sign bit, set without a branch: `-magnitude` exactly.
+            Some(f64::from_bits(
+                magnitude.to_bits() | u64::from(negative) << 63,
+            ))
         }
         _ => None,
     };
@@ -546,19 +629,48 @@ fn scan_number(bytes: &[u8]) -> Result<Scan, usize> {
     })
 }
 
+/// `10^0 ..= 10^8` as integers.
+const POW10_U64: [u64; 9] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+];
+
 /// Consumes a run of ASCII digits from the front of `rest`, appending them
 /// to `mantissa` (wrapping: exact while at most 19 digits went in), and
 /// returns the new mantissa and how many digits there were.
+///
+/// Eight bytes at a time: a word of digits is added whole; in the first
+/// word that holds anything else, the digits before it are counted from a
+/// mask and added in one step too, so the run's length costs no loop.
 #[inline(always)]
 fn take_digits(rest: &mut &[u8], mut mantissa: u64) -> (u64, usize) {
     let before = rest.len();
-    // Eight at a time while they last.
-    while let Some((eight, tail)) = rest
-        .split_first_chunk::<8>()
-        .and_then(|(chunk, tail)| Some((eight_digits(u64::from_le_bytes(*chunk))?, tail)))
-    {
-        mantissa = mantissa.wrapping_mul(100_000_000).wrapping_add(eight);
-        *rest = tail;
+    while let Some((chunk, tail)) = rest.split_first_chunk::<8>() {
+        let values = u64::from_le_bytes(*chunk) ^ 0x3030_3030_3030_3030;
+        let others = non_digits(values);
+        if others == 0 {
+            mantissa = mantissa
+                .wrapping_mul(100_000_000)
+                .wrapping_add(eight_values(values));
+            *rest = tail;
+            continue;
+        }
+        // The digits before the first other byte, 0 ..= 7, moved to the
+        // top bytes with zeros below them.
+        let digits = others.trailing_zeros() as usize / 8;
+        let run = values.checked_shl(64 - 8 * digits as u32).unwrap_or(0);
+        mantissa = mantissa
+            .wrapping_mul(POW10_U64.get(digits).copied().unwrap_or(1))
+            .wrapping_add(eight_values(run));
+        *rest = rest.get(digits..).unwrap_or_default();
+        return (mantissa, before - rest.len());
     }
     while let [digit @ b'0'..=b'9', tail @ ..] = *rest {
         mantissa = mantissa
@@ -580,20 +692,18 @@ fn narrow(nearest: f64) -> Option<f32> {
     (magnitude == 0.0 || (!midpoint && normal.contains(&magnitude))).then_some(nearest as f32)
 }
 
-/// The value of eight ASCII digits packed little-endian (first digit in
-/// the lowest byte), or `None` if any byte is not a digit.
-fn eight_digits(chunk: u64) -> Option<u64> {
-    // A digit is 0x30..=0x39: high nibble 3, and adding 6 must not carry
-    // the low nibble into it.
-    let high = chunk & 0xf0f0_f0f0_f0f0_f0f0;
-    let carried = (chunk.wrapping_add(0x0606_0606_0606_0606) & 0xf0f0_f0f0_f0f0_f0f0) >> 4;
-    if high | carried != 0x3333_3333_3333_3333 {
-        return None;
-    }
-    // Pairwise: bytes → two-digit numbers → four-digit → eight-digit.
-    let ones = chunk - 0x3030_3030_3030_3030;
-    let pairs = ones.wrapping_mul(10).wrapping_add(ones >> 8);
+/// The high bit of every byte of `values` (eight bytes XOR `0x30`, which
+/// turns a digit into its value) that was not an ASCII digit. No sum
+/// carries out of its byte.
+fn non_digits(values: u64) -> u64 {
+    (((values & 0x7f7f_7f7f_7f7f_7f7f) + 0x7676_7676_7676_7676) | values) & 0x8080_8080_8080_8080
+}
+
+/// The number eight digit values spell, the first in the lowest byte.
+fn eight_values(values: u64) -> u64 {
+    // Pairwise: digits → two-digit numbers → four-digit → eight-digit.
+    let pairs = values.wrapping_mul(10).wrapping_add(values >> 8);
     let quads = (pairs & 0x0000_00ff_0000_00ff).wrapping_mul(100 + (1_000_000 << 32));
     let rest = ((pairs >> 16) & 0x0000_00ff_0000_00ff).wrapping_mul(1 + (10_000 << 32));
-    Some(quads.wrapping_add(rest) >> 32)
+    quads.wrapping_add(rest) >> 32
 }
